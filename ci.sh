@@ -3,14 +3,15 @@
 #
 # Usage:
 #   ./ci.sh            full gate: release build, full test suite, fmt,
-#                      clippy, a chaos smoke, and every baseline-floored
+#                      clippy, a chaos smoke, every baseline-floored
 #                      bench (kernel, engine, slots, availability, scale) in
-#                      quick mode
+#                      quick mode, and the benchmark package's --check
 #   ./ci.sh --quick    debug build + tier-1 tests + the 2-scenario
 #                      handover chaos smoke (fast inner loop)
 #   ./ci.sh --bench    baseline-floored benches only (kernel, engine, slots,
 #                      availability, scale), all in quick mode against
-#                      the floors checked in under crates/bench/baselines
+#                      the floors checked in under crates/bench/baselines,
+#                      plus the benchmark package's --check
 #   ./ci.sh --coverage line-coverage gate only (scripts/coverage.sh):
 #                      enforces the per-crate floors in
 #                      crates/bench/baselines/coverage.floors; skips
@@ -20,7 +21,7 @@
 #   CHAOS_SEEDS=4      seeds for the chaos smoke (nightly workflow: 64);
 #                      each seed runs 4 fixed + 2 pool + 2 handover + 1
 #                      randomized scenario
-#   KERNEL_BACKEND=    DSP kernel backend (scalar|avx2|neon|detect);
+#   KERNEL_BACKEND=    DSP kernel backend (scalar|avx2|detect);
 #                      the full gate runs tier-1 tests twice — native
 #                      detection and forced scalar — so SIMD kernels
 #                      and the scalar oracle are both exercised
@@ -103,6 +104,13 @@ run_benches() {
     SCALE_QUICK=1 \
         SCALE_BASELINE=crates/bench/baselines/scale.baseline \
         cargo run --release -p slingshot-bench --bin scale_bench
+
+    # The benchmark (BENCHMARK.json) is a package with its own
+    # [workspace], so nothing above compiles it: build it here so an API
+    # change that breaks it fails CI, and let --check confirm its
+    # emitted metric names still match the manifest.
+    echo "==> benchmark package builds against the public API (--check)"
+    cargo run --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --check
 }
 
 if [[ "$BENCH" == 1 ]]; then

@@ -34,7 +34,7 @@
 //! derived from a wrapped ring undercount outages.
 
 use slingshot::{ChaosRunner, Deployment, DeploymentBuilder, DeploymentConfig};
-use slingshot_bench::{banner, BenchReport};
+use slingshot_bench::{banner, load_floors, BenchReport};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{ChaosDistribution, FaultKind, FaultTarget, Scenario};
 use slingshot_sim::slo::{self, SloConfig};
@@ -175,24 +175,6 @@ fn run_config(
     }
 }
 
-fn load_baseline(path: &str) -> Vec<(String, f64)> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read AVAIL_BASELINE {path}: {e}"));
-    text.lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .filter(|l| !l.is_empty())
-        .map(|l| {
-            let mut it = l.split_whitespace();
-            let key = it.next().expect("baseline key").to_string();
-            let v: f64 = it
-                .next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("bad baseline line: {l:?}"));
-            (key, v)
-        })
-        .collect()
-}
-
 fn write_slo_json(key: &str, json: &str) {
     let dir = std::env::var_os("BENCH_JSON_DIR")
         .map(std::path::PathBuf::from)
@@ -266,7 +248,7 @@ fn main() {
         eprintln!("FAIL: trace ring wrapped mid-run; availability numbers are untrustworthy");
     }
     if let Ok(path) = std::env::var("AVAIL_BASELINE") {
-        for (key, floor) in load_baseline(&path) {
+        for (key, floor) in load_floors(&path) {
             match results.iter().find(|r| format!("{}_nines", r.key) == key) {
                 Some(r) if r.nines < floor => {
                     eprintln!(

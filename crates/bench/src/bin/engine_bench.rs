@@ -31,7 +31,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use slingshot_bench::{banner, BenchReport};
+use slingshot_bench::{banner, load_floors, BenchReport};
 use slingshot_sim::engine::{Ctx, Engine, LinkParams, Message, Node, NodeId};
 use slingshot_sim::time::{Nanos, SLOT_DURATION};
 use slingshot_sim::SpanProfiler;
@@ -322,32 +322,6 @@ fn run_sharded_lanes(horizon: Nanos, profiled: bool) -> Outcome {
     finish(&engine, started)
 }
 
-// ---------------------------------------------------------------------
-// Baseline handling (same format as slots_per_sec: `<key> <floor>`)
-// ---------------------------------------------------------------------
-
-fn load_baseline(path: &str) -> HashMap<String, f64> {
-    let mut floors = HashMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        eprintln!("engine_bench: baseline file {path} unreadable; skipping floor check");
-        return floors;
-    };
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(key), Some(val)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        if let Ok(v) = val.parse::<f64>() {
-            floors.insert(key.to_string(), v);
-        }
-    }
-    floors
-}
-
 fn main() {
     banner(
         "engine event-loop throughput",
@@ -442,7 +416,7 @@ fn main() {
 
     // Floor check.
     if let Ok(path) = std::env::var("ENGINE_BASELINE") {
-        let floors = load_baseline(&path);
+        let floors: HashMap<String, f64> = load_floors(&path).into_iter().collect();
         for (name, eps) in &results {
             let Some(&floor) = floors.get(name) else {
                 continue;

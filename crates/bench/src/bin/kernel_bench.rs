@@ -10,8 +10,8 @@
 //!
 //! Knobs (env):
 //!   KERNEL_QUICK=1           ~10 ms per kernel instead of ~100 ms
-//!   KERNEL_BACKEND=<b>       kernel backend: scalar | avx2 | neon |
-//!                            detect (default: best available)
+//!   KERNEL_BACKEND=<b>       kernel backend: scalar | avx2 | detect
+//!                            (default: best available)
 //!   KERNEL_BASELINE=<path>   baseline file: `<key> <ops_per_sec>`
 //!                            lines; fail the run if any measured
 //!                            kernel drops below 80% of its floor.
@@ -27,7 +27,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use slingshot_bench::{banner, BenchReport};
+use slingshot_bench::{banner, load_floors, BenchReport};
 use slingshot_phy_dsp::crc::{attach_crc24a, crc16};
 use slingshot_phy_dsp::iq::SC_PER_PRB;
 use slingshot_phy_dsp::modulation::modulate_packed_into;
@@ -62,24 +62,6 @@ fn random_bitbuf(bits: usize, seed: u64) -> BitBuf {
         buf.push((rng.next_u64() & 1) as u8);
     }
     buf
-}
-
-fn load_baseline(path: &str) -> Vec<(String, f64)> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read KERNEL_BASELINE {path}: {e}"));
-    text.lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .filter(|l| !l.is_empty())
-        .map(|l| {
-            let mut it = l.split_whitespace();
-            let key = it.next().expect("baseline key").to_string();
-            let v: f64 = it
-                .next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("bad baseline line: {l:?}"));
-            (key, v)
-        })
-        .collect()
 }
 
 fn main() {
@@ -234,7 +216,7 @@ fn main() {
 
     if let Ok(path) = std::env::var("KERNEL_BASELINE") {
         let backend = kernels.name();
-        let baseline = load_baseline(&path);
+        let baseline = load_floors(&path);
         let mut regressed = false;
         for (raw_key, base) in &baseline {
             // `<kernel>@<backend>` floors apply only when that backend

@@ -41,7 +41,7 @@
 use std::time::Instant;
 
 use slingshot::{DeploymentBuilder, DeploymentConfig};
-use slingshot_bench::{banner, BenchReport};
+use slingshot_bench::{banner, load_floors, BenchReport};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::{Nanos, SLOT_DURATION};
 use slingshot_transport::{UdpCbrSource, UdpSink};
@@ -136,24 +136,6 @@ fn run_one(
         max_lane_slot_ns,
         trace_bytes: d.engine.event_trace().to_bytes(),
     }
-}
-
-fn load_baseline(path: &str) -> Vec<(String, f64)> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read SCALE_BASELINE {path}: {e}"));
-    text.lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .filter(|l| !l.is_empty())
-        .map(|l| {
-            let mut it = l.split_whitespace();
-            let key = it.next().expect("baseline key").to_string();
-            let v: f64 = it
-                .next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("bad baseline line: {l:?}"));
-            (key, v)
-        })
-        .collect()
 }
 
 fn main() {
@@ -282,7 +264,7 @@ fn main() {
 
     if let Ok(path) = std::env::var("SCALE_BASELINE") {
         let mut regressed = false;
-        for (key, base) in load_baseline(&path) {
+        for (key, base) in load_floors(&path) {
             let floor = if key == "max_sustainable_cells" {
                 base // capacity floor is absolute, not 80%-slacked
             } else {

@@ -14,8 +14,8 @@
 //!   SLOTS_WORKERS=1,4      worker-pool sizes to sweep
 //!   SLOTS_MS=200           simulated milliseconds per run
 //!   SLOTS_PRBS=51          cell bandwidth in PRBs
-//!   KERNEL_BACKEND=<b>     DSP kernel backend: scalar | avx2 | neon |
-//!                          detect (default: best available)
+//!   KERNEL_BACKEND=<b>     DSP kernel backend: scalar | avx2 | detect
+//!                          (default: best available)
 //!   SLOTS_PROFILE=1        attach the SpanProfiler and print the
 //!                          per-stage slot-loop breakdown to stderr
 //!   SLOTS_BASELINE=<path>  baseline file: `<key> <slots_per_sec>`
@@ -32,7 +32,7 @@
 use std::time::Instant;
 
 use slingshot::DeploymentBuilder;
-use slingshot_bench::{banner, BenchReport};
+use slingshot_bench::{banner, load_floors, BenchReport};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::{KernelConfig, Nanos, SpanProfiler, SLOT_DURATION};
 use slingshot_transport::{UdpCbrSource, UdpSink};
@@ -103,26 +103,6 @@ fn run_one(cells: usize, workers: usize, sim_ms: u64, prbs: u16) -> RunOutcome {
         slots_per_sec: cell_slots as f64 / wall,
         trace_bytes: d.engine.event_trace().to_bytes(),
     }
-}
-
-/// Parse a baseline file of `<key> <slots_per_sec>` lines (`#` starts
-/// a comment).
-fn load_baseline(path: &str) -> Vec<(String, f64)> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read SLOTS_BASELINE {path}: {e}"));
-    text.lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim())
-        .filter(|l| !l.is_empty())
-        .map(|l| {
-            let mut it = l.split_whitespace();
-            let key = it.next().expect("baseline key").to_string();
-            let v: f64 = it
-                .next()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| panic!("bad baseline line: {l:?}"));
-            (key, v)
-        })
-        .collect()
 }
 
 fn main() {
@@ -199,7 +179,7 @@ fn main() {
     }
 
     if let Ok(path) = std::env::var("SLOTS_BASELINE") {
-        let baseline = load_baseline(&path);
+        let baseline = load_floors(&path);
         let mut regressed = false;
         for (raw_key, base) in &baseline {
             // `<key>@<backend>` floors apply only when that backend is

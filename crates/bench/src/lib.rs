@@ -206,9 +206,58 @@ pub fn print_series(label: &str, t0: Nanos, bin: Nanos, values: &[f64]) {
     }
 }
 
+/// Load a bench floor file: one `<key> <value>` pair per line, `#`
+/// starting a comment. An unreadable file or malformed line panics —
+/// a floor check that silently checks nothing would pass CI.
+pub fn load_floors(path: &str) -> Vec<(String, f64)> {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read baseline file {path}: {e}"));
+    parse_floors(&text)
+}
+
+fn parse_floors(text: &str) -> Vec<(String, f64)> {
+    text.lines()
+        .map(|l| l.split('#').next().unwrap_or("").trim())
+        .filter(|l| !l.is_empty())
+        .map(|l| {
+            let mut it = l.split_whitespace();
+            let key = it.next().expect("baseline key").to_string();
+            let v: f64 = it
+                .next()
+                .and_then(|s| s.parse().ok())
+                .unwrap_or_else(|| panic!("bad baseline line: {l:?}"));
+            (key, v)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn floors_skip_comments_and_blank_lines() {
+        let floors = parse_floors("# header\n\nc2_w1 650  # trailing\n   \nldpc@avx2 1.5e3\n");
+        assert_eq!(
+            floors,
+            vec![
+                ("c2_w1".to_string(), 650.0),
+                ("ldpc@avx2".to_string(), 1500.0)
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "bad baseline line")]
+    fn floors_reject_a_bad_number() {
+        parse_floors("c2_w1 fast\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot read baseline file")]
+    fn floors_reject_a_missing_file() {
+        load_floors("/nonexistent/slingshot.baseline");
+    }
 
     #[test]
     fn paper_ues_distinct() {

@@ -25,9 +25,7 @@ use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
 use slingshot_sim::{LinkParams, Nanos, NodeId, SLOT_DURATION};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
-use crate::deployment::{
-    Deployment, DeploymentConfig, PRIMARY_PHY_ID, RU_ID, SECONDARY_PHY_ID, SPARE_PHY_ID,
-};
+use crate::deployment::{Deployment, DeploymentConfig, RU_ID};
 use crate::orion::OrionL2Node;
 use crate::switch_node::SwitchNode;
 
@@ -347,26 +345,14 @@ pub fn resolve_phy_id(d: &mut Deployment, target: FaultTarget) -> Option<u8> {
     }
 }
 
-/// Map a PHY id to its engine node. Every cell PHY and pooled spare is
-/// in the deployment's `phy_nodes` directory; the legacy single-RU
-/// match is kept as a fallback for hand-built deployments.
+/// Map a PHY id (cell PHY or pooled spare) to its engine node.
 pub fn phy_node_of(d: &Deployment, phy_id: u8) -> Option<NodeId> {
-    d.phy_nodes.get(&phy_id).copied().or(match phy_id {
-        PRIMARY_PHY_ID => Some(d.primary_phy),
-        SECONDARY_PHY_ID => Some(d.secondary_phy),
-        SPARE_PHY_ID => d.spare_phy,
-        _ => None,
-    })
+    d.phy_nodes.get(&phy_id).copied()
 }
 
 /// The phy-side Orion shim paired with a PHY id.
 fn orion_node_of(d: &Deployment, phy_id: u8) -> Option<NodeId> {
-    d.phy_orions.get(&phy_id).copied().or(match phy_id {
-        PRIMARY_PHY_ID => Some(d.orion_primary),
-        SECONDARY_PHY_ID => Some(d.orion_secondary),
-        SPARE_PHY_ID => d.orion_spare,
-        _ => None,
-    })
+    d.phy_orions.get(&phy_id).copied()
 }
 
 /// The directed engine links a link-level fault covers. The undirected
@@ -425,9 +411,9 @@ fn resolve_process_node(d: &mut Deployment, target: FaultTarget) -> Option<NodeI
 }
 
 /// The standard chaos testbed: the full Fig. 4(b) deployment with a
-/// spare PHY (so failover scenarios can re-pair, §4.4) and a 4 Mbps
-/// uplink UDP flow from one UE — the same traffic shape as the §8
-/// failover experiments.
+/// one-deep spare pool (so failover scenarios can re-pair, §4.4) and a
+/// 4 Mbps uplink UDP flow from one UE — the same traffic shape as the
+/// §8 failover experiments.
 pub fn chaos_deployment(seed: u64) -> Deployment {
     let cfg = DeploymentConfig {
         cell: CellConfig {
@@ -436,7 +422,7 @@ pub fn chaos_deployment(seed: u64) -> Deployment {
             ..CellConfig::default()
         },
         seed,
-        with_spare_phy: true,
+        spare_pool: 1,
         ..DeploymentConfig::default()
     };
     let mut d = crate::deployment::DeploymentBuilder::new()
@@ -552,8 +538,7 @@ pub fn chaos_handover_deployment_with_workers(seed: u64, workers: usize) -> Depl
 /// running the scenario), and URLLC UEs get a deadline budget scaled by
 /// the scenario's tolerated damage.
 pub fn expectations_for(d: &Deployment, scenario: &Scenario) -> oracle::Expectations {
-    let has_spare = d.cfg.with_spare_phy || d.cfg.spare_pool > 0;
-    let mut exp = oracle::Expectations::for_scenario(scenario, has_spare);
+    let mut exp = oracle::Expectations::for_scenario(scenario, d.cfg.spare_pool > 0);
     if d.cells.len() > 1 {
         exp.initial_active = d
             .cells

@@ -1,14 +1,18 @@
 //! Full Slingshot testbed builder: the paper's Figure 4(b) topology —
-//! RU(s) and servers behind one programmable switch running the
+//! an RU and servers behind a programmable switch running the
 //! fronthaul middlebox, a primary and hot-standby PHY each paired with
 //! a PHY-side Orion, the L2 paired with the L2-side Orion, the core
 //! network stub, the app server, and UEs. All links and latencies are
 //! configurable; defaults approximate the paper's testbed (Table 1).
 //!
-//! Entry point: [`DeploymentBuilder`] — a fluent builder that scales
-//! from the classic single-cell testbed to an N-cell deployment (each
-//! cell with its own RU, L2, and primary/secondary PHY pair behind the
-//! shared switch), optionally running slot DSP on a worker pool:
+//! Entry point: [`DeploymentBuilder`]. There is one construction,
+//! parameterised by `(cells, cell_groups, spare_pool, handover)`: every
+//! cell is the same RU / L2 / PHY-pair / Orion unit behind its group's
+//! middlebox switch; shared spares, the recovery orchestrator and the
+//! handover controller hang off the *service switch* — the one switch
+//! when there is one group, a spine joining the leaf switches
+//! otherwise. The classic testbed is the default `cells(1)`; a
+//! four-cell one with slot DSP on a worker pool is:
 //!
 //! ```ignore
 //! let mut d = DeploymentBuilder::new()
@@ -31,10 +35,8 @@ use slingshot_sim::{
     Engine, Instrument, InstrumentSink, KernelBackend, KernelConfig, LinkParams, LogHistogram,
     Nanos, NodeId, SimRng, SlotClock, WorkerPool,
 };
-use slingshot_switch::{PktGenConfig, PortId};
+use slingshot_switch::{PktGenConfig, PortId, PortSpace};
 use slingshot_transport::UserApp;
-
-use slingshot_switch::PortSpace;
 
 use crate::fh_mbox::FhMbox;
 use crate::handover::{handover_mac, HandoverController};
@@ -61,11 +63,6 @@ pub struct DeploymentConfig {
     /// FEC iterations for the secondary PHY (≠ primary models the
     /// Fig. 11 upgraded build).
     pub secondary_fec_iterations: Option<usize>,
-    /// Register one extra spare PHY server (replacement standby pool).
-    ///
-    /// Single-cell legacy knob; multi-cell deployments treat it as
-    /// `spare_pool = 1`. Prefer [`DeploymentBuilder::spare_pool`].
-    pub with_spare_phy: bool,
     /// Number of shared spare PHY servers in the recovery pool, usable
     /// by any cell. `> 0` also deploys a [`RecoveryOrchestrator`] that
     /// re-pairs failed-over cells and scrubs/recycles dead primaries.
@@ -75,8 +72,6 @@ pub struct DeploymentConfig {
     /// broadcast domain covers every UE (UEs filter by serving cell),
     /// L2s forward measurement reports, and the core accepts
     /// `RouteUpdate` re-pointing. Multi-cell single-switch builds only.
-    /// Off by default — legacy topologies and their golden traces are
-    /// untouched.
     pub handover: bool,
 }
 
@@ -91,7 +86,6 @@ impl Default for DeploymentConfig {
             backhaul_link: LinkParams::with_bandwidth(Nanos::from_millis(4), 10_000_000_000),
             forwarding: ForwardingModel::InSwitch,
             secondary_fec_iterations: None,
-            with_spare_phy: false,
             spare_pool: 0,
             handover: false,
         }
@@ -127,10 +121,8 @@ pub struct Deployment {
     pub ru: NodeId,
     pub primary_phy: NodeId,
     pub secondary_phy: NodeId,
-    pub spare_phy: Option<NodeId>,
     pub orion_primary: NodeId,
     pub orion_secondary: NodeId,
-    pub orion_spare: Option<NodeId>,
     pub orion_l2: NodeId,
     pub l2: NodeId,
     pub core: NodeId,
@@ -140,7 +132,7 @@ pub struct Deployment {
     /// Per-cell node handles (index = cell/RU id).
     pub cells: Vec<CellDeployment>,
     /// Pooled shared spares: `(phy id, PhyNode, OrionPhyNode)` — empty
-    /// unless the deployment was built with `spare_pool(m)` at N cells.
+    /// unless the deployment was built with `spare_pool(m)`.
     pub spare_phys: Vec<(u8, NodeId, NodeId)>,
     /// The recovery orchestrator, when a spare pool is deployed.
     pub recovery: Option<NodeId>,
@@ -157,34 +149,27 @@ pub struct Deployment {
     /// Chaos scenario staged by [`DeploymentBuilder::chaos`], consumed
     /// by [`Deployment::run_chaos`].
     pub chaos: Option<Scenario>,
-    /// Leaf switches of a fabric build, in cell-group order (empty for
-    /// the classic single-switch topologies; then `switch` is the one
-    /// middlebox). In a fabric build `switch` is the spine.
+    /// Leaf switches of a `cell_groups(g ≥ 2)` build, in group order;
+    /// `switch` is then the spine. Empty on a single-switch build,
+    /// where `switch` is the one middlebox.
     pub leaves: Vec<NodeId>,
-    /// The spine switch of a fabric build.
+    /// The spine switch of a `cell_groups(g ≥ 2)` build.
     pub spine: Option<NodeId>,
-    /// RU id → the leaf switch whose middlebox serves that cell
-    /// (fabric builds only; use [`Deployment::switch_for_ru`]).
-    pub switch_of_ru: BTreeMap<u8, NodeId>,
-    /// Endpoint node → the switch it is cabled to (fabric builds only;
-    /// use [`Deployment::switch_for_node`]).
-    pub attached_switch: BTreeMap<NodeId, NodeId>,
-    /// Engine lane map staged by the fabric build; the builder consumes
-    /// it (after trace sizing) to install the dispatch lanes.
+    /// Endpoint node → the switch it is cabled to (see
+    /// [`Deployment::switch_for_node`]).
+    attached_switch: BTreeMap<NodeId, NodeId>,
+    /// Engine lane map staged by a `cell_groups(g ≥ 2)` build; the
+    /// builder consumes it (after trace sizing) to install the
+    /// dispatch lanes.
     fabric_lanes: Option<(Vec<u32>, usize)>,
     pub cfg: DeploymentConfig,
 }
 
-/// PHY ids used by the standard single-RU deployment.
+/// Cell 0's ids (cell `i` uses RU id `i` and PHY ids `2i+1` / `2i+2`).
 pub const PRIMARY_PHY_ID: u8 = 1;
 pub const SECONDARY_PHY_ID: u8 = 2;
-pub const SPARE_PHY_ID: u8 = 3;
 pub const RU_ID: u8 = 0;
 pub const L2_ID: u8 = 0;
-
-/// Switch-port stride between cells: cell `i` occupies ports
-/// `20i+1..20i+19` (matching the legacy single-cell numbers at i=0).
-const PORT_STRIDE: u16 = 20;
 
 /// Fluent builder for [`Deployment`] — the one entry point for every
 /// testbed shape: seed, cell count, DSP worker pool, link/detector
@@ -301,21 +286,12 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Register one extra spare PHY server. Legacy knob: at `cells(1)`
-    /// this is the classic local spare; at `cells(n > 1)` it is treated
-    /// as `spare_pool(1)`. Prefer [`DeploymentBuilder::spare_pool`].
-    pub fn spare_phy(mut self, on: bool) -> Self {
-        self.cfg.with_spare_phy = on;
-        self
-    }
-
     /// Provision `m` *shared* spare PHY servers usable by any cell,
     /// plus a recovery orchestrator that, after a failover drains a
     /// cell's standby, grants a pooled spare, installs its virtual-PHY
     /// mapping in the switch, replays the cell's init-FAPI to it, and
     /// re-pairs the cell — and that scrubs dead ex-primaries back into
-    /// the pool. At `cells(1)`, `spare_pool(1)` is equivalent to the
-    /// legacy `spare_phy(true)` local spare.
+    /// the pool.
     pub fn spare_pool(mut self, m: usize) -> Self {
         self.cfg.spare_pool = m;
         self
@@ -325,11 +301,11 @@ impl DeploymentBuilder {
     /// own leaf switch (a full fronthaul middlebox with a leaf-local
     /// failure detector), joined by a spine switch that carries the
     /// shared spare pool and the recovery orchestrator. `1` (the
-    /// default) keeps the classic single-switch topology — and its
-    /// byte-exact traces. `g ≥ 2` is a *structural* knob: it changes
-    /// the topology (and therefore the trace) and shards the engine
-    /// into `g + 1` dispatch lanes (one per leaf plus the spine
-    /// domain), synchronized at slot boundaries.
+    /// default) puts every cell and service behind one switch. `g ≥ 2`
+    /// is a *structural* knob: it changes the topology (and therefore
+    /// the trace) and shards the engine into `g + 1` dispatch lanes
+    /// (one per leaf plus the spine domain), synchronized at slot
+    /// boundaries.
     pub fn cell_groups(mut self, g: usize) -> Self {
         assert!(g >= 1, "at least one cell group");
         self.cell_groups = g;
@@ -390,39 +366,13 @@ impl DeploymentBuilder {
 
     /// Build and wire the deployment.
     pub fn build(self) -> Deployment {
-        let mut cfg = self.cfg;
-        if self.cells == 1 {
-            // Single-cell: the pool degenerates to the classic local
-            // spare (there is only one cell to re-pair).
+        if self.cfg.handover {
             assert!(
-                cfg.spare_pool <= 1,
-                "single-cell deployments support at most one spare"
-            );
-            if cfg.spare_pool == 1 {
-                cfg.with_spare_phy = true;
-            }
-        } else if cfg.with_spare_phy && cfg.spare_pool == 0 {
-            // Legacy knob at N cells: one shared spare.
-            cfg.spare_pool = 1;
-        }
-        let groups = self.cell_groups;
-        if cfg.handover {
-            assert!(
-                self.cells >= 2 && groups == 1,
+                self.cells >= 2 && self.cell_groups == 1,
                 "handover() requires cells(n >= 2) on the single-switch topology"
             );
         }
-        let mut d = if self.cells == 1 {
-            assert!(
-                groups == 1,
-                "single-cell deployments have a single switch; drop cell_groups"
-            );
-            Deployment::build_single(cfg, self.ues)
-        } else if groups > 1 {
-            Deployment::build_fabric(cfg, self.cells, self.ues, groups)
-        } else {
-            Deployment::build_multi(cfg, self.cells, self.ues)
-        };
+        let mut d = Deployment::construct(self.cfg, self.cells, self.cell_groups, self.ues);
         d.workers = self.workers;
         d.engine.set_worker_pool(WorkerPool::new(self.workers));
         if let Some(kernels) = self.kernels {
@@ -468,483 +418,395 @@ impl InstrumentSink for MetricsCollector {
     }
 }
 
-impl Deployment {
-    // `Deployment::build` is gone after its `#[deprecated]` cycle:
-    // construct deployments through the fluent [`DeploymentBuilder`].
+/// A switch under construction. Switch nodes are added to the engine
+/// last (node order is part of the trace contract), so [`attach`]
+/// records each endpoint's port and cable, and the builder plays the
+/// record back when it creates the switch node.
+///
+/// [`attach`]: SwitchPlan::attach
+struct SwitchPlan {
+    name: String,
+    ports: PortSpace,
+    /// The fronthaul middlebox program; `None` for the spine, which
+    /// only forwards by host MAC.
+    mbox: Option<FhMbox>,
+    /// Host MAC → port of every attached endpoint.
+    hosts: Vec<(MacAddr, PortId)>,
+    /// `(port, endpoint, link)` per attached endpoint.
+    cabled: Vec<(PortId, NodeId, LinkParams)>,
+}
 
-    /// Single-cell construction (the classic Fig. 4(b) testbed).
-    fn build_single(cfg: DeploymentConfig, ue_cfgs: Vec<UeConfig>) -> Deployment {
-        let mut engine: Engine<Msg> = Engine::new(cfg.seed);
-        let clock = SlotClock::new(Nanos::ZERO);
-        let mut rng = SimRng::new(cfg.seed ^ 0x5113_6507);
-
-        // --- nodes ---
-        let server = engine.add_node("server", Box::new(AppServerNode::new()));
-        let core = engine.add_node("core", Box::new(CoreNode::new()));
-        let mut l2n = L2Node::new(cfg.cell.clone(), clock, RU_ID);
-        for u in &ue_cfgs {
-            if u.preattached {
-                l2n.preattach_ue(u.rnti, u.snr.mean_db);
-            }
-        }
-        let l2 = engine.add_node("l2", Box::new(l2n));
-
-        let mk_phy = |id: u8, iters: Option<usize>, rng: &mut SimRng| {
-            let mut pc = PhyConfig::new(id);
-            if let Some(it) = iters {
-                pc.fec_iterations = it;
-            } else {
-                pc.fec_iterations = cfg.cell.fec_iterations;
-            }
-            PhyNode::new(pc, cfg.cell.clone(), clock, rng.fork(&format!("phy{id}")))
-        };
-        let primary_phy = engine.add_node(
-            "phy-primary",
-            Box::new(mk_phy(PRIMARY_PHY_ID, None, &mut rng)),
-        );
-        let secondary_phy = engine.add_node(
-            "phy-secondary",
-            Box::new(mk_phy(
-                SECONDARY_PHY_ID,
-                cfg.secondary_fec_iterations,
-                &mut rng,
-            )),
-        );
-        let spare_phy = cfg
-            .with_spare_phy
-            .then(|| engine.add_node("phy-spare", Box::new(mk_phy(SPARE_PHY_ID, None, &mut rng))));
-
-        let orion_primary = engine.add_node(
-            "orion-phy1",
-            Box::new(OrionPhyNode::new(PRIMARY_PHY_ID, L2_ID)),
-        );
-        let orion_secondary = engine.add_node(
-            "orion-phy2",
-            Box::new(OrionPhyNode::new(SECONDARY_PHY_ID, L2_ID)),
-        );
-        let orion_spare = cfg.with_spare_phy.then(|| {
-            engine.add_node(
-                "orion-phy3",
-                Box::new(OrionPhyNode::new(SPARE_PHY_ID, L2_ID)),
-            )
-        });
-        let orion_l2 = engine.add_node("orion-l2", Box::new(OrionL2Node::new(L2_ID, clock)));
-
-        let run = RuNode::new(RU_ID, clock);
-        let ru_mac = run.mac();
-        let ru = engine.add_node("ru", Box::new(run));
-
-        let mut ues = Vec::new();
-        for u in ue_cfgs {
-            let name = u.name.clone();
-            let node = UeNode::new(u, cfg.cell.clone(), clock, rng.fork(&name));
-            ues.push(engine.add_node(&name, Box::new(node)));
-        }
-
-        // --- the switch + middlebox program ---
-        let mut mbox = FhMbox::new(cfg.detector, orion_l2_mac(L2_ID));
-        // Ports: 1=RU, 2=primary server, 3=secondary server, 4=L2
-        // server, 5=spare server.
-        mbox.install_ru(RU_ID, ru_mac, PortId(1), PRIMARY_PHY_ID);
-        mbox.install_phy(PRIMARY_PHY_ID, MacAddr::for_phy(PRIMARY_PHY_ID), PortId(2));
-        mbox.install_phy(
-            SECONDARY_PHY_ID,
-            MacAddr::for_phy(SECONDARY_PHY_ID),
-            PortId(3),
-        );
-        mbox.install_host(orion_l2_mac(L2_ID), PortId(4));
-        if cfg.with_spare_phy {
-            mbox.install_phy(SPARE_PHY_ID, MacAddr::for_phy(SPARE_PHY_ID), PortId(5));
-            mbox.install_host(orion_phy_mac(SPARE_PHY_ID), PortId(5));
-        }
-        mbox.enroll_failure_detection(PRIMARY_PHY_ID);
-        mbox.enroll_failure_detection(SECONDARY_PHY_ID);
-        // The Orion processes share a physical server with their PHY
-        // but are distinct traffic endpoints; give each MAC its own
-        // (virtual) switch port so egress resolves to the right node.
-        mbox.install_host(orion_phy_mac(PRIMARY_PHY_ID), PortId(12));
-        mbox.install_host(orion_phy_mac(SECONDARY_PHY_ID), PortId(13));
-        if cfg.with_spare_phy {
-            mbox.install_host(orion_phy_mac(SPARE_PHY_ID), PortId(15));
-        }
-        // Re-point the orion MACs (install_host above overrode the
-        // earlier shared-port entries at ports 2/3/5).
-        let switch_mac = mbox.switch_mac;
-        let mut swn = SwitchNode::new(mbox, cfg.forwarding, rng.fork("switch"));
-        // Build-time port audit: every attachment claims its port; a
-        // duplicate claim panics here instead of corrupting forwarding.
-        let mut ports = PortSpace::new("switch");
-        swn.attach(ports.claim(PortId(1), "ru"), ru);
-        swn.attach(ports.claim(PortId(2), "phy-primary"), primary_phy);
-        swn.attach(ports.claim(PortId(3), "phy-secondary"), secondary_phy);
-        swn.attach(ports.claim(PortId(4), "orion-l2"), orion_l2);
-        swn.attach(ports.claim(PortId(12), "orion-phy1"), orion_primary);
-        swn.attach(ports.claim(PortId(13), "orion-phy2"), orion_secondary);
-        if let Some(p) = spare_phy {
-            swn.attach(ports.claim(PortId(5), "phy-spare"), p);
-        }
-        if let Some(o) = orion_spare {
-            swn.attach(ports.claim(PortId(15), "orion-phy3"), o);
-        }
-        let switch = engine.add_node("switch", Box::new(swn));
-
-        engine.node_mut::<AppServerNode>(server).unwrap().wire(core);
-        engine.node_mut::<CoreNode>(core).unwrap().wire(l2, server);
-        engine.node_mut::<L2Node>(l2).unwrap().wire(orion_l2, core);
-        engine
-            .node_mut::<PhyNode>(primary_phy)
-            .unwrap()
-            .wire(switch, orion_primary);
-        engine
-            .node_mut::<PhyNode>(secondary_phy)
-            .unwrap()
-            .wire(switch, orion_secondary);
-        if let (Some(p), Some(o)) = (spare_phy, orion_spare) {
-            engine.node_mut::<PhyNode>(p).unwrap().wire(switch, o);
-            engine.node_mut::<OrionPhyNode>(o).unwrap().wire(switch, p);
-        }
-        engine
-            .node_mut::<OrionPhyNode>(orion_primary)
-            .unwrap()
-            .wire(switch, primary_phy);
-        engine
-            .node_mut::<OrionPhyNode>(orion_secondary)
-            .unwrap()
-            .wire(switch, secondary_phy);
-        {
-            let ol2 = engine.node_mut::<OrionL2Node>(orion_l2).unwrap();
-            ol2.wire(switch, l2, switch_mac);
-            ol2.bind_ru(RU_ID, PRIMARY_PHY_ID, Some(SECONDARY_PHY_ID));
-            if cfg.with_spare_phy {
-                ol2.add_spare(SPARE_PHY_ID);
-            }
-        }
-        engine
-            .node_mut::<RuNode>(ru)
-            .unwrap()
-            .wire(switch, ues.clone());
-        for ue in &ues {
-            engine.node_mut::<UeNode>(*ue).unwrap().wire(ru, l2);
-        }
-
-        // --- links ---
-        engine.connect_duplex(server, core, cfg.backhaul_link.clone());
-        engine.connect_duplex(core, l2, cfg.backhaul_link.clone());
-        engine.connect_duplex(l2, orion_l2, LinkParams::ideal(Nanos(500)));
-        engine.connect_duplex(ru, switch, cfg.fronthaul_link.clone());
-        for node in [
-            primary_phy,
-            secondary_phy,
-            orion_primary,
-            orion_secondary,
-            orion_l2,
-        ] {
-            engine.connect_duplex(node, switch, cfg.server_link.clone());
-        }
-        if let (Some(p), Some(o)) = (spare_phy, orion_spare) {
-            engine.connect_duplex(p, switch, cfg.server_link.clone());
-            engine.connect_duplex(o, switch, cfg.server_link.clone());
-        }
-        // PHY ↔ its Orion: same-host SHM.
-        engine.connect_duplex(primary_phy, orion_primary, LinkParams::ideal(Nanos(500)));
-        engine.connect_duplex(
-            secondary_phy,
-            orion_secondary,
-            LinkParams::ideal(Nanos(500)),
-        );
-        if let (Some(p), Some(o)) = (spare_phy, orion_spare) {
-            engine.connect_duplex(p, o, LinkParams::ideal(Nanos(500)));
-        }
-
-        let cells = vec![CellDeployment {
-            ru,
-            l2,
-            orion_l2,
-            primary_phy,
-            secondary_phy,
-            orion_primary,
-            orion_secondary,
-            ues: ues.clone(),
-            ru_id: RU_ID,
-            cell_id: cfg.cell.cell_id,
-            primary_phy_id: PRIMARY_PHY_ID,
-            secondary_phy_id: SECONDARY_PHY_ID,
-        }];
-
-        let mut phy_nodes = BTreeMap::from([
-            (PRIMARY_PHY_ID, primary_phy),
-            (SECONDARY_PHY_ID, secondary_phy),
-        ]);
-        let mut phy_orions = BTreeMap::from([
-            (PRIMARY_PHY_ID, orion_primary),
-            (SECONDARY_PHY_ID, orion_secondary),
-        ]);
-        if let (Some(p), Some(o)) = (spare_phy, orion_spare) {
-            phy_nodes.insert(SPARE_PHY_ID, p);
-            phy_orions.insert(SPARE_PHY_ID, o);
-        }
-
-        Deployment {
-            engine,
-            switch,
-            ru,
-            primary_phy,
-            secondary_phy,
-            spare_phy,
-            orion_primary,
-            orion_secondary,
-            orion_spare,
-            orion_l2,
-            l2,
-            core,
-            server,
-            ues,
-            cells,
-            spare_phys: Vec::new(),
-            recovery: None,
-            handover: None,
-            phy_nodes,
-            phy_orions,
-            workers: 1,
-            chaos: None,
-            leaves: Vec::new(),
-            spine: None,
-            switch_of_ru: BTreeMap::new(),
-            attached_switch: BTreeMap::new(),
-            fabric_lanes: None,
-            cfg,
+impl SwitchPlan {
+    fn new(name: String, mbox: Option<FhMbox>) -> SwitchPlan {
+        SwitchPlan {
+            ports: PortSpace::new(&name),
+            name,
+            mbox,
+            hosts: Vec::new(),
+            cabled: Vec::new(),
         }
     }
 
-    /// N-cell construction: each cell gets its own RU, L2 (+ L2-side
-    /// Orion), and primary/secondary PHY pair (+ PHY-side Orions), all
-    /// behind the shared switch/middlebox, core, and app server. Cell
-    /// `i` uses RU id `i`, cell id `base + i`, PHY ids `2i+1`/`2i+2`,
-    /// and switch ports `20i+1..` (stride [`PORT_STRIDE`]).
-    fn build_multi(cfg: DeploymentConfig, n_cells: usize, ue_cfgs: Vec<UeConfig>) -> Deployment {
+    /// Give `node`, reachable at `mac`, a port on this switch over
+    /// `link`.
+    fn attach(&mut self, node: NodeId, mac: MacAddr, link: &LinkParams) -> PortId {
+        let port = self.ports.alloc();
+        self.hosts.push((mac, port));
+        self.cabled.push((port, node, link.clone()));
+        port
+    }
+}
+
+/// State threaded through the node-creation phase of
+/// [`Deployment::construct`].
+struct Construction {
+    cfg: DeploymentConfig,
+    engine: Engine<Msg>,
+    clock: SlotClock,
+    rng: SimRng,
+    /// Middlebox switches in cell-group order, then the spine when
+    /// there is more than one group.
+    plans: Vec<SwitchPlan>,
+}
+
+impl Construction {
+    fn add_phy(&mut self, name: &str, id: u8, cell: &CellConfig, iters: Option<usize>) -> NodeId {
+        let mut pc = PhyConfig::new(id);
+        pc.fec_iterations = iters.unwrap_or(cell.fec_iterations);
+        let rng = self.rng.fork(&format!("phy{id}"));
+        let phy = PhyNode::new(pc, cell.clone(), self.clock, rng);
+        self.engine.add_node(name, Box::new(phy))
+    }
+
+    /// Create cell `i`'s nodes and attach its six switch-facing
+    /// endpoints to middlebox switch `sw`. Cell `i` uses RU id `i`,
+    /// cell id `base + i` and PHY ids `2i+1` / `2i+2`.
+    fn add_cell(&mut self, i: usize, sw: usize, ue_cfgs: &[UeConfig]) -> CellDeployment {
+        let ru_id = i as u8;
+        let pri_id = (2 * i + 1) as u8;
+        let sec_id = (2 * i + 2) as u8;
+        let mut cell = self.cfg.cell.clone();
+        cell.cell_id += i as u16;
+
+        let mut l2n = L2Node::new(cell.clone(), self.clock, ru_id);
+        for u in ue_cfgs.iter().filter(|u| u.preattached) {
+            l2n.preattach_ue(u.rnti, u.snr.mean_db);
+        }
+        let l2 = self.engine.add_node(&format!("c{i}-l2"), Box::new(l2n));
+        let primary_phy = self.add_phy(&format!("c{i}-phy-primary"), pri_id, &cell, None);
+        let secondary_phy = self.add_phy(
+            &format!("c{i}-phy-secondary"),
+            sec_id,
+            &cell,
+            self.cfg.secondary_fec_iterations,
+        );
+        let [orion_primary, orion_secondary] = [pri_id, sec_id].map(|id| {
+            self.engine.add_node(
+                &format!("c{i}-orion-phy{id}"),
+                Box::new(OrionPhyNode::new(id, ru_id)),
+            )
+        });
+        let orion_l2 = self.engine.add_node(
+            &format!("c{i}-orion-l2"),
+            Box::new(OrionL2Node::new(ru_id, self.clock)),
+        );
+        let run = RuNode::new(ru_id, self.clock);
+        let ru_mac = run.mac();
+        let ru = self.engine.add_node(&format!("c{i}-ru"), Box::new(run));
+        let ues = ue_cfgs
+            .iter()
+            .map(|u| {
+                let node = UeNode::new(u.clone(), cell.clone(), self.clock, self.rng.fork(&u.name));
+                self.engine.add_node(&u.name, Box::new(node))
+            })
+            .collect();
+
+        // The Orion processes share a physical server with their PHY
+        // but are distinct traffic endpoints; each MAC gets its own
+        // (virtual) switch port so egress resolves to the right node.
+        let (fronthaul, server) = (&self.cfg.fronthaul_link, &self.cfg.server_link);
+        let plan = &mut self.plans[sw];
+        let ru_port = plan.attach(ru, ru_mac, fronthaul);
+        let pri_port = plan.attach(primary_phy, MacAddr::for_phy(pri_id), server);
+        let sec_port = plan.attach(secondary_phy, MacAddr::for_phy(sec_id), server);
+        plan.attach(orion_l2, orion_l2_mac(ru_id), server);
+        plan.attach(orion_primary, orion_phy_mac(pri_id), server);
+        plan.attach(orion_secondary, orion_phy_mac(sec_id), server);
+        let mbox = plan.mbox.as_mut().expect("cells sit behind a middlebox");
+        mbox.install_ru(ru_id, ru_mac, ru_port, pri_id);
+        mbox.install_phy(pri_id, MacAddr::for_phy(pri_id), pri_port);
+        mbox.install_phy(sec_id, MacAddr::for_phy(sec_id), sec_port);
+        mbox.enroll_failure_detection(pri_id);
+        mbox.enroll_failure_detection(sec_id);
+        if self.cfg.handover {
+            for u in ue_cfgs {
+                mbox.install_ue(u.rnti, ru_id);
+            }
+        }
+
+        CellDeployment {
+            ru,
+            l2,
+            orion_l2,
+            primary_phy,
+            secondary_phy,
+            orion_primary,
+            orion_secondary,
+            ues,
+            ru_id,
+            cell_id: cell.cell_id,
+            primary_phy_id: pri_id,
+            secondary_phy_id: sec_id,
+        }
+    }
+
+    /// Create a pooled spare PHY server and its Orion on switch `sw`.
+    /// It is attached as a plain host: its virtual-PHY identity is
+    /// installed by the orchestrator's InstallStandby at grant time.
+    fn add_spare(&mut self, id: u8, sw: usize) -> (u8, NodeId, NodeId) {
+        let cell = self.cfg.cell.clone();
+        let phy = self.add_phy(&format!("spare-phy{id}"), id, &cell, None);
+        let orion = self.engine.add_node(
+            &format!("spare-orion-phy{id}"),
+            Box::new(OrionPhyNode::new(id, 0)),
+        );
+        let plan = &mut self.plans[sw];
+        plan.attach(phy, MacAddr::for_phy(id), &self.cfg.server_link);
+        plan.attach(orion, orion_phy_mac(id), &self.cfg.server_link);
+        (id, phy, orion)
+    }
+}
+
+impl Deployment {
+    /// The one construction. `n_cells` cells are split into `groups`
+    /// contiguous near-even groups, each behind its own middlebox
+    /// switch (failure detection stays local to it, preserving the
+    /// in-switch detection latency). The *service switch* carries the
+    /// pooled spares, the recovery orchestrator and the handover
+    /// controller: with one group it is that group's switch; with more
+    /// it is a spine joining the leaves, which forwards by host MAC and
+    /// relays switch-addressed control frames to the owning leaf by RU
+    /// id, and the engine is staged for `groups + 1` dispatch lanes
+    /// (lane 0 the spine domain, lane `1 + g` leaf group `g`).
+    ///
+    /// Node-add order is a contract — `NodeId`s are in every trace
+    /// record: `server`, `core`, each cell in order (`c{i}-l2`, the PHY
+    /// pair, their Orions, `c{i}-orion-l2`, `c{i}-ru`, its UEs), spares
+    /// as `[phy, orion]` pairs, `recovery`, `handover`, then `switch` —
+    /// or `leaf0..` then `spine`. RNG forks follow the same order.
+    fn construct(
+        cfg: DeploymentConfig,
+        n_cells: usize,
+        groups: usize,
+        ue_cfgs: Vec<UeConfig>,
+    ) -> Deployment {
+        assert!(
+            n_cells >= groups,
+            "need at least one cell per group ({n_cells} cells, {groups} groups)"
+        );
         assert!(
             ue_cfgs.iter().all(|u| (u.ru_id as usize) < n_cells),
             "every UE's ru_id must address a built cell"
         );
-        let mut engine: Engine<Msg> = Engine::new(cfg.seed);
-        let clock = SlotClock::new(Nanos::ZERO);
-        let mut rng = SimRng::new(cfg.seed ^ 0x5113_6507);
-
-        let server = engine.add_node("server", Box::new(AppServerNode::new()));
-        let core = engine.add_node("core", Box::new(CoreNode::new()));
-
-        // Per-cell UE config partitions, in cell order.
         let mut cell_ues: Vec<Vec<UeConfig>> = vec![Vec::new(); n_cells];
         for u in ue_cfgs {
             cell_ues[u.ru_id as usize].push(u);
         }
+        // The first `n_cells % groups` groups get one extra cell.
+        let group_of_cell: Vec<usize> = (0..groups)
+            .flat_map(|g| {
+                let size = n_cells / groups + usize::from(g < n_cells % groups);
+                std::iter::repeat_n(g, size)
+            })
+            .collect();
 
-        // Failure notifications fan out to every L2-side Orion and, when
-        // a spare pool is deployed, to the recovery orchestrator (it
-        // schedules the dead server's scrub-and-return).
-        let mut notify: Vec<MacAddr> = (0..n_cells).map(|i| orion_l2_mac(i as u8)).collect();
-        if cfg.spare_pool > 0 {
-            notify.push(recovery_mac());
-        }
-        let mut mbox = FhMbox::with_notify_targets(cfg.detector, notify);
-        let mut attach: Vec<(PortId, NodeId)> = Vec::new();
-        let mut cells: Vec<CellDeployment> = Vec::new();
-        let mut all_ues: Vec<NodeId> = Vec::new();
-
-        for (i, ues_cfg) in cell_ues.iter().enumerate() {
-            let ru_id = i as u8;
-            let pri_id = (2 * i + 1) as u8;
-            let sec_id = (2 * i + 2) as u8;
-            let base_port = PORT_STRIDE * i as u16;
-            let mut cell = cfg.cell.clone();
-            cell.cell_id = cfg.cell.cell_id + i as u16;
-
-            let mut l2n = L2Node::new(cell.clone(), clock, ru_id);
-            for u in ues_cfg {
-                if u.preattached {
-                    l2n.preattach_ue(u.rnti, u.snr.mean_db);
+        // One middlebox per group. Failure notifications fan out to the
+        // group's own L2-side Orions and, when a spare pool is
+        // deployed, to the recovery orchestrator (it schedules the dead
+        // server's scrub-and-return).
+        let mut plans: Vec<SwitchPlan> = (0..groups)
+            .map(|g| {
+                let mut notify: Vec<MacAddr> = (0..n_cells)
+                    .filter(|i| group_of_cell[*i] == g)
+                    .map(|i| orion_l2_mac(i as u8))
+                    .collect();
+                if cfg.spare_pool > 0 {
+                    notify.push(recovery_mac());
                 }
-            }
-            let l2 = engine.add_node(&format!("c{i}-l2"), Box::new(l2n));
-
-            let mk_phy = |id: u8, iters: Option<usize>, rng: &mut SimRng| {
-                let mut pc = PhyConfig::new(id);
-                pc.fec_iterations = iters.unwrap_or(cell.fec_iterations);
-                PhyNode::new(pc, cell.clone(), clock, rng.fork(&format!("phy{id}")))
-            };
-            let primary_phy = engine.add_node(
-                &format!("c{i}-phy-primary"),
-                Box::new(mk_phy(pri_id, None, &mut rng)),
-            );
-            let secondary_phy = engine.add_node(
-                &format!("c{i}-phy-secondary"),
-                Box::new(mk_phy(sec_id, cfg.secondary_fec_iterations, &mut rng)),
-            );
-            let orion_primary = engine.add_node(
-                &format!("c{i}-orion-phy{pri_id}"),
-                Box::new(OrionPhyNode::new(pri_id, ru_id)),
-            );
-            let orion_secondary = engine.add_node(
-                &format!("c{i}-orion-phy{sec_id}"),
-                Box::new(OrionPhyNode::new(sec_id, ru_id)),
-            );
-            let orion_l2 = engine.add_node(
-                &format!("c{i}-orion-l2"),
-                Box::new(OrionL2Node::new(ru_id, clock)),
-            );
-
-            let run = RuNode::new(ru_id, clock);
-            let ru_mac = run.mac();
-            let ru = engine.add_node(&format!("c{i}-ru"), Box::new(run));
-
-            let mut ues = Vec::new();
-            for u in ues_cfg.clone() {
-                let name = u.name.clone();
-                let node = UeNode::new(u, cell.clone(), clock, rng.fork(&name));
-                ues.push(engine.add_node(&name, Box::new(node)));
-            }
-
-            mbox.install_ru(ru_id, ru_mac, PortId(base_port + 1), pri_id);
-            mbox.install_phy(pri_id, MacAddr::for_phy(pri_id), PortId(base_port + 2));
-            mbox.install_phy(sec_id, MacAddr::for_phy(sec_id), PortId(base_port + 3));
-            mbox.install_host(orion_l2_mac(ru_id), PortId(base_port + 4));
-            mbox.install_host(orion_phy_mac(pri_id), PortId(base_port + 12));
-            mbox.install_host(orion_phy_mac(sec_id), PortId(base_port + 13));
-            mbox.enroll_failure_detection(pri_id);
-            mbox.enroll_failure_detection(sec_id);
-            attach.push((PortId(base_port + 1), ru));
-            attach.push((PortId(base_port + 2), primary_phy));
-            attach.push((PortId(base_port + 3), secondary_phy));
-            attach.push((PortId(base_port + 4), orion_l2));
-            attach.push((PortId(base_port + 12), orion_primary));
-            attach.push((PortId(base_port + 13), orion_secondary));
-
-            all_ues.extend(ues.iter().copied());
-            cells.push(CellDeployment {
-                ru,
-                l2,
-                orion_l2,
-                primary_phy,
-                secondary_phy,
-                orion_primary,
-                orion_secondary,
-                ues,
-                ru_id,
-                cell_id: cell.cell_id,
-                primary_phy_id: pri_id,
-                secondary_phy_id: sec_id,
-            });
+                let name = if groups == 1 {
+                    "switch".to_string()
+                } else {
+                    format!("leaf{g}")
+                };
+                let mbox = FhMbox::with_notify_targets(cfg.detector, notify);
+                SwitchPlan::new(name, Some(mbox))
+            })
+            .collect();
+        if groups > 1 {
+            plans.push(SwitchPlan::new("spine".to_string(), None));
         }
+        let service = plans.len() - 1;
 
-        // --- shared spare pool + recovery orchestrator ---
-        // Spares take PHY ids after every cell pair (2n+1+j) and switch
-        // ports in the region past the last cell. Each is installed as a
-        // plain host only: its virtual-PHY identity is installed by the
-        // orchestrator's InstallStandby at grant time.
-        let spare_region = PORT_STRIDE * n_cells as u16;
-        let mut spares: Vec<(u8, NodeId, NodeId)> = Vec::new();
-        for j in 0..cfg.spare_pool {
-            let id = (2 * n_cells + 1 + j) as u8;
-            let mut pc = PhyConfig::new(id);
-            pc.fec_iterations = cfg.cell.fec_iterations;
-            let phy = engine.add_node(
-                &format!("spare-phy{id}"),
-                Box::new(PhyNode::new(
-                    pc,
-                    cfg.cell.clone(),
-                    clock,
-                    rng.fork(&format!("phy{id}")),
-                )),
-            );
-            let orion = engine.add_node(
-                &format!("spare-orion-phy{id}"),
-                Box::new(OrionPhyNode::new(id, 0)),
-            );
-            let pport = spare_region + 1 + 2 * j as u16;
-            let oport = spare_region + 2 + 2 * j as u16;
-            mbox.install_host(MacAddr::for_phy(id), PortId(pport));
-            mbox.install_host(orion_phy_mac(id), PortId(oport));
-            attach.push((PortId(pport), phy));
-            attach.push((PortId(oport), orion));
-            spares.push((id, phy, orion));
-        }
-        let recovery = (cfg.spare_pool > 0).then(|| {
-            let rport = spare_region + 1 + 2 * cfg.spare_pool as u16;
-            let node = engine.add_node("recovery", Box::new(RecoveryOrchestrator::new(clock)));
-            mbox.install_host(recovery_mac(), PortId(rport));
-            attach.push((PortId(rport), node));
+        let mut c = Construction {
+            engine: Engine::new(cfg.seed),
+            clock: SlotClock::new(Nanos::ZERO),
+            rng: SimRng::new(cfg.seed ^ 0x5113_6507),
+            plans,
+            cfg,
+        };
+
+        // --- nodes, in contract order ---
+        let server = c.engine.add_node("server", Box::new(AppServerNode::new()));
+        let core = c.engine.add_node("core", Box::new(CoreNode::new()));
+        let cells: Vec<CellDeployment> = (0..n_cells)
+            .map(|i| c.add_cell(i, group_of_cell[i], &cell_ues[i]))
+            .collect();
+        // Spares take the PHY ids after every cell pair.
+        let spares: Vec<(u8, NodeId, NodeId)> = (0..c.cfg.spare_pool)
+            .map(|j| c.add_spare((2 * n_cells + 1 + j) as u8, service))
+            .collect();
+        let recovery = (c.cfg.spare_pool > 0).then(|| {
+            let node = RecoveryOrchestrator::new(c.clock);
+            let node = c.engine.add_node("recovery", Box::new(node));
+            c.plans[service].attach(node, recovery_mac(), &c.cfg.server_link);
             node
         });
-
-        // --- handover controller + switch UE directory ---
-        // Port lives past the spare region's PHY/Orion pairs and the
-        // recovery orchestrator (which sits at +1+2·pool when present).
-        let handover = cfg.handover.then(|| {
-            let hport = spare_region + 2 + 2 * cfg.spare_pool as u16;
-            let node = engine.add_node("handover", Box::new(HandoverController::new(clock)));
-            mbox.install_host(handover_mac(), PortId(hport));
-            attach.push((PortId(hport), node));
-            for (i, ues_cfg) in cell_ues.iter().enumerate() {
-                for u in ues_cfg {
-                    mbox.install_ue(u.rnti, i as u8);
-                }
-            }
+        let handover = c.cfg.handover.then(|| {
+            let node = HandoverController::new(c.clock);
+            let node = c.engine.add_node("handover", Box::new(node));
+            c.plans[service].attach(node, handover_mac(), &c.cfg.server_link);
             node
         });
+        let Construction {
+            cfg,
+            mut engine,
+            mut rng,
+            mut plans,
+            ..
+        } = c;
+        let switches: Vec<NodeId> = plans
+            .iter_mut()
+            .map(|plan| {
+                let rng = rng.fork(&plan.name);
+                match plan.mbox.take() {
+                    Some(mut mbox) => {
+                        for (mac, port) in &plan.hosts {
+                            mbox.install_host(*mac, *port);
+                        }
+                        let mut sw = SwitchNode::new(mbox, cfg.forwarding, rng);
+                        for (port, node, _) in &plan.cabled {
+                            sw.attach(*port, *node);
+                        }
+                        engine.add_node(&plan.name, Box::new(sw))
+                    }
+                    None => {
+                        let mut sw = SpineSwitchNode::new(cfg.forwarding, rng);
+                        for (mac, port) in &plan.hosts {
+                            sw.install_host(*mac, *port);
+                        }
+                        for (port, node, _) in &plan.cabled {
+                            sw.attach(*port, *node);
+                        }
+                        engine.add_node(&plan.name, Box::new(sw))
+                    }
+                }
+            })
+            .collect();
+        let switch = switches[service];
+        let switch_of = |cell: &CellDeployment| switches[group_of_cell[cell.ru_id as usize]];
 
-        let switch_mac = mbox.switch_mac;
-        let mut swn = SwitchNode::new(mbox, cfg.forwarding, rng.fork("switch"));
-        // Build-time port audit: the stride layout wraps the u16 port
-        // space at city scale; claiming every port catches a collision
-        // here, with both claimants named, instead of silently
-        // cross-wiring cells.
-        let mut ports = PortSpace::new("switch");
-        for (port, node) in attach {
-            swn.attach(ports.claim(port, engine.node_name(node)), node);
+        // --- cabling: one link per recorded attachment ---
+        let mut attached_switch = BTreeMap::new();
+        for (plan, &sw) in plans.iter().zip(&switches) {
+            for (_, node, link) in &plan.cabled {
+                engine.connect_duplex(*node, sw, link.clone());
+                attached_switch.insert(*node, sw);
+            }
         }
-        let switch = engine.add_node("switch", Box::new(swn));
+        // Leaf ↔ spine: every MAC behind a leaf routes to that leaf's
+        // spine port, and every spine-side MAC (orchestrator, pooled
+        // spares and their Orions) to the leaf's uplink — the latter
+        // also covers post-grant forwarding, since InstallStandby fills
+        // the PHY/address directories but not the port table.
+        let leaves = if groups > 1 {
+            switches[..groups].to_vec()
+        } else {
+            Vec::new()
+        };
+        for (g, &leaf) in leaves.iter().enumerate() {
+            let up = plans[g].ports.alloc();
+            let down = plans[service].ports.alloc();
+            let sw = engine.node_mut::<SwitchNode>(leaf).unwrap();
+            sw.attach(up, switch);
+            for (mac, _) in &plans[service].hosts {
+                sw.mbox.install_host(*mac, up);
+            }
+            let spine = engine.node_mut::<SpineSwitchNode>(switch).unwrap();
+            spine.attach(down, leaf);
+            for (mac, _) in &plans[g].hosts {
+                spine.install_host(*mac, down);
+            }
+            for cell in cells.iter().filter(|c| switch_of(c) == leaf) {
+                spine.install_ru_route(cell.ru_id, down);
+            }
+            engine.connect_duplex(leaf, switch, cfg.server_link.clone());
+        }
 
         // --- wiring ---
+        let switch_mac = FhMbox::SWITCH_MAC;
+        let all_ues: Vec<NodeId> = cells.iter().flat_map(|c| c.ues.iter().copied()).collect();
         engine.node_mut::<AppServerNode>(server).unwrap().wire(core);
         {
             let c = engine.node_mut::<CoreNode>(core).unwrap();
             c.wire(cells[0].l2, server);
-            for (i, cell) in cells.iter().enumerate() {
-                for u in &cell_ues[i] {
+            for (cell, ues) in cells.iter().zip(&cell_ues) {
+                for u in ues {
                     c.route_ue(u.rnti, cell.l2);
+                }
+                if handover.is_some() {
+                    c.register_l2(cell.ru_id, cell.l2);
                 }
             }
         }
-        for cell in &cells {
-            engine
-                .node_mut::<L2Node>(cell.l2)
-                .unwrap()
-                .wire(cell.orion_l2, core);
-            engine
-                .node_mut::<PhyNode>(cell.primary_phy)
-                .unwrap()
-                .wire(switch, cell.orion_primary);
-            engine
-                .node_mut::<PhyNode>(cell.secondary_phy)
-                .unwrap()
-                .wire(switch, cell.orion_secondary);
-            for (orion, phy) in [
-                (cell.orion_primary, cell.primary_phy),
-                (cell.orion_secondary, cell.secondary_phy),
+        for (cell, ues) in cells.iter().zip(&cell_ues) {
+            let sw = switch_of(cell);
+            {
+                let l2 = engine.node_mut::<L2Node>(cell.l2).unwrap();
+                l2.wire(cell.orion_l2, core);
+                if let Some(ho) = handover {
+                    l2.wire_handover(ho);
+                    l2.enable_sched_trace();
+                    for u in ues {
+                        l2.set_ue_slice(u.rnti, u.slice);
+                    }
+                }
+            }
+            for (phy, orion) in [
+                (cell.primary_phy, cell.orion_primary),
+                (cell.secondary_phy, cell.orion_secondary),
             ] {
+                engine.node_mut::<PhyNode>(phy).unwrap().wire(sw, orion);
                 let o = engine.node_mut::<OrionPhyNode>(orion).unwrap();
-                o.wire(switch, phy);
+                o.wire(sw, phy);
                 o.route_ru(cell.ru_id, orion_l2_mac(cell.ru_id));
             }
             {
                 let o = engine.node_mut::<OrionL2Node>(cell.orion_l2).unwrap();
-                o.wire(switch, cell.l2, switch_mac);
+                o.wire(sw, cell.l2, switch_mac);
                 o.bind_ru(cell.ru_id, cell.primary_phy_id, Some(cell.secondary_phy_id));
+                if recovery.is_some() {
+                    o.set_recovery_orchestrator(recovery_mac());
+                }
             }
-            engine
-                .node_mut::<RuNode>(cell.ru)
-                .unwrap()
-                .wire(switch, cell.ues.clone());
+            // With the handover plane every RU's radio broadcast domain
+            // covers every UE: after cutover a UE hears its new serving
+            // cell without rewiring (it filters bursts by serving RU id).
+            let radio = if handover.is_some() {
+                all_ues.clone()
+            } else {
+                cell.ues.clone()
+            };
+            engine.node_mut::<RuNode>(cell.ru).unwrap().wire(sw, radio);
             for ue in &cell.ues {
                 engine
                     .node_mut::<UeNode>(*ue)
@@ -966,57 +828,24 @@ impl Deployment {
             }
         }
         if let Some(rec) = recovery {
-            {
-                let r = engine.node_mut::<RecoveryOrchestrator>(rec).unwrap();
-                r.wire(switch, switch_mac);
-                for (id, phy, _) in &spares {
-                    r.add_spare(*id, *phy);
-                }
-                for cell in &cells {
-                    r.register_cell(cell.ru_id, orion_l2_mac(cell.ru_id));
-                    r.register_phy(cell.primary_phy_id, cell.primary_phy);
-                    r.register_phy(cell.secondary_phy_id, cell.secondary_phy);
-                }
+            let r = engine.node_mut::<RecoveryOrchestrator>(rec).unwrap();
+            r.wire(switch, switch_mac);
+            for (id, phy, _) in &spares {
+                r.add_spare(*id, *phy);
             }
             for cell in &cells {
-                engine
-                    .node_mut::<OrionL2Node>(cell.orion_l2)
-                    .unwrap()
-                    .set_recovery_orchestrator(recovery_mac());
+                r.register_cell(cell.ru_id, orion_l2_mac(cell.ru_id));
+                r.register_phy(cell.primary_phy_id, cell.primary_phy);
+                r.register_phy(cell.secondary_phy_id, cell.secondary_phy);
             }
         }
         if let Some(ho) = handover {
-            {
-                let h = engine.node_mut::<HandoverController>(ho).unwrap();
-                h.wire(switch, switch_mac, core);
-                for (i, cell) in cells.iter().enumerate() {
-                    h.register_cell(cell.ru_id, cell.l2);
-                    for (u, node) in cell_ues[i].iter().zip(&cell.ues) {
-                        h.register_ue(u.rnti, *node);
-                    }
-                }
-            }
-            for (i, cell) in cells.iter().enumerate() {
-                {
-                    let l2 = engine.node_mut::<L2Node>(cell.l2).unwrap();
-                    l2.wire_handover(ho);
-                    l2.enable_sched_trace();
-                    for u in &cell_ues[i] {
-                        l2.set_ue_slice(u.rnti, u.slice);
-                    }
-                }
-                // Every RU's radio broadcast domain covers every UE:
-                // after cutover a UE hears its new serving cell without
-                // rewiring (it filters bursts by serving RU id).
-                engine
-                    .node_mut::<RuNode>(cell.ru)
-                    .unwrap()
-                    .wire(switch, all_ues.clone());
-            }
-            {
-                let c = engine.node_mut::<CoreNode>(core).unwrap();
-                for cell in &cells {
-                    c.register_l2(cell.ru_id, cell.l2);
+            let h = engine.node_mut::<HandoverController>(ho).unwrap();
+            h.wire(switch, switch_mac, core);
+            for (cell, ues) in cells.iter().zip(&cell_ues) {
+                h.register_cell(cell.ru_id, cell.l2);
+                for (u, node) in ues.iter().zip(&cell.ues) {
+                    h.register_ue(u.rnti, *node);
                 }
             }
             // Each UE learns every cell's air/signaling endpoints so a
@@ -1029,42 +858,17 @@ impl Deployment {
             }
         }
 
-        // --- links ---
+        // --- links that bypass the switches ---
+        let shm = LinkParams::ideal(Nanos(500));
         engine.connect_duplex(server, core, cfg.backhaul_link.clone());
         for cell in &cells {
             engine.connect_duplex(core, cell.l2, cfg.backhaul_link.clone());
-            engine.connect_duplex(cell.l2, cell.orion_l2, LinkParams::ideal(Nanos(500)));
-            engine.connect_duplex(cell.ru, switch, cfg.fronthaul_link.clone());
-            for node in [
-                cell.primary_phy,
-                cell.secondary_phy,
-                cell.orion_primary,
-                cell.orion_secondary,
-                cell.orion_l2,
-            ] {
-                engine.connect_duplex(node, switch, cfg.server_link.clone());
-            }
-            engine.connect_duplex(
-                cell.primary_phy,
-                cell.orion_primary,
-                LinkParams::ideal(Nanos(500)),
-            );
-            engine.connect_duplex(
-                cell.secondary_phy,
-                cell.orion_secondary,
-                LinkParams::ideal(Nanos(500)),
-            );
+            engine.connect_duplex(cell.l2, cell.orion_l2, shm.clone());
+            engine.connect_duplex(cell.primary_phy, cell.orion_primary, shm.clone());
+            engine.connect_duplex(cell.secondary_phy, cell.orion_secondary, shm.clone());
         }
         for (_, phy, orion) in &spares {
-            engine.connect_duplex(*phy, switch, cfg.server_link.clone());
-            engine.connect_duplex(*orion, switch, cfg.server_link.clone());
-            engine.connect_duplex(*phy, *orion, LinkParams::ideal(Nanos(500)));
-        }
-        if let Some(rec) = recovery {
-            engine.connect_duplex(rec, switch, cfg.server_link.clone());
-        }
-        if let Some(ho) = handover {
-            engine.connect_duplex(ho, switch, cfg.server_link.clone());
+            engine.connect_duplex(*phy, *orion, shm.clone());
         }
 
         let mut phy_nodes = BTreeMap::new();
@@ -1080,6 +884,29 @@ impl Deployment {
             phy_orions.insert(*id, *orion);
         }
 
+        // Lane 0 is the spine domain (everything not behind a leaf);
+        // lane `1 + g` holds leaf `g` and its cells. Cross-lane traffic
+        // (backhaul, spare-pool control, leaf↔spine frames)
+        // synchronizes at slot boundaries.
+        let fabric_lanes = (groups > 1).then(|| {
+            let mut lane_of = vec![0u32; engine.node_names().len()];
+            for cell in &cells {
+                let lane = 1 + group_of_cell[cell.ru_id as usize] as u32;
+                lane_of[switch_of(cell).0] = lane;
+                let stack = [cell.l2, cell.orion_l2, cell.ru];
+                let phys = [
+                    cell.primary_phy,
+                    cell.secondary_phy,
+                    cell.orion_primary,
+                    cell.orion_secondary,
+                ];
+                for node in stack.iter().chain(&phys).chain(&cell.ues) {
+                    lane_of[node.0] = lane;
+                }
+            }
+            (lane_of, groups + 1)
+        });
+
         let c0 = cells[0].clone();
         Deployment {
             engine,
@@ -1087,10 +914,8 @@ impl Deployment {
             ru: c0.ru,
             primary_phy: c0.primary_phy,
             secondary_phy: c0.secondary_phy,
-            spare_phy: None,
             orion_primary: c0.orion_primary,
             orion_secondary: c0.orion_secondary,
-            orion_spare: None,
             orion_l2: c0.orion_l2,
             l2: c0.l2,
             core,
@@ -1104,500 +929,10 @@ impl Deployment {
             phy_orions,
             workers: 1,
             chaos: None,
-            leaves: Vec::new(),
-            spine: None,
-            switch_of_ru: BTreeMap::new(),
-            attached_switch: BTreeMap::new(),
-            fabric_lanes: None,
-            cfg,
-        }
-    }
-
-    /// Leaf/spine fabric construction (`cell_groups(g ≥ 2)`): cells are
-    /// split into `g` contiguous near-even groups, each behind its own
-    /// leaf switch running a full fronthaul middlebox (failure
-    /// detection stays leaf-local, preserving the in-switch detection
-    /// latency). A spine switch joins the leaves to the spine-side
-    /// services — app server, core, pooled spares, and the recovery
-    /// orchestrator — forwarding by host MAC and relaying
-    /// switch-addressed control frames to the owning leaf by RU id.
-    ///
-    /// The engine is staged for `g + 1` dispatch lanes: lane 0 is the
-    /// spine domain, lane `1 + g` each leaf group. Cross-lane traffic
-    /// (backhaul, spare-pool control, leaf↔spine frames) synchronizes
-    /// at slot boundaries.
-    fn build_fabric(
-        cfg: DeploymentConfig,
-        n_cells: usize,
-        ue_cfgs: Vec<UeConfig>,
-        groups: usize,
-    ) -> Deployment {
-        assert!(groups >= 2, "fabric builds need at least two groups");
-        assert!(
-            n_cells >= groups,
-            "need at least one cell per group ({n_cells} cells, {groups} groups)"
-        );
-        assert!(
-            ue_cfgs.iter().all(|u| (u.ru_id as usize) < n_cells),
-            "every UE's ru_id must address a built cell"
-        );
-        let mut engine: Engine<Msg> = Engine::new(cfg.seed);
-        let clock = SlotClock::new(Nanos::ZERO);
-        let mut rng = SimRng::new(cfg.seed ^ 0x5113_6507);
-
-        // Contiguous near-even partition: the first `extra` groups get
-        // one extra cell.
-        let base = n_cells / groups;
-        let extra = n_cells % groups;
-        let mut group_of_cell: Vec<usize> = Vec::with_capacity(n_cells);
-        for g in 0..groups {
-            for _ in 0..base + usize::from(g < extra) {
-                group_of_cell.push(g);
-            }
-        }
-
-        // Lane tags recorded as nodes are added; lane 0 = spine domain.
-        let mut lane_tag: Vec<(NodeId, u32)> = Vec::new();
-
-        let server = engine.add_node("server", Box::new(AppServerNode::new()));
-        lane_tag.push((server, 0));
-        let core = engine.add_node("core", Box::new(CoreNode::new()));
-        lane_tag.push((core, 0));
-
-        let mut cell_ues: Vec<Vec<UeConfig>> = vec![Vec::new(); n_cells];
-        for u in ue_cfgs {
-            cell_ues[u.ru_id as usize].push(u);
-        }
-
-        // One middlebox per leaf; failure notifications fan out to the
-        // leaf's own L2-side Orions plus (via the uplink) the recovery
-        // orchestrator on the spine.
-        let mut mboxes: Vec<FhMbox> = (0..groups)
-            .map(|g| {
-                let mut notify: Vec<MacAddr> = (0..n_cells)
-                    .filter(|i| group_of_cell[*i] == g)
-                    .map(|i| orion_l2_mac(i as u8))
-                    .collect();
-                if cfg.spare_pool > 0 {
-                    notify.push(recovery_mac());
-                }
-                FhMbox::with_notify_targets(cfg.detector, notify)
-            })
-            .collect();
-        let mut leaf_ports: Vec<PortSpace> = (0..groups)
-            .map(|g| PortSpace::new(&format!("leaf{g}")))
-            .collect();
-        let mut leaf_attach: Vec<Vec<(PortId, NodeId)>> = vec![Vec::new(); groups];
-        let mut cells: Vec<CellDeployment> = Vec::new();
-        let mut all_ues: Vec<NodeId> = Vec::new();
-
-        for (i, ues_cfg) in cell_ues.iter().enumerate() {
-            let g = group_of_cell[i];
-            let lane = (1 + g) as u32;
-            let ru_id = i as u8;
-            let pri_id = (2 * i + 1) as u8;
-            let sec_id = (2 * i + 2) as u8;
-            let mut cell = cfg.cell.clone();
-            cell.cell_id = cfg.cell.cell_id + i as u16;
-
-            let mut l2n = L2Node::new(cell.clone(), clock, ru_id);
-            for u in ues_cfg {
-                if u.preattached {
-                    l2n.preattach_ue(u.rnti, u.snr.mean_db);
-                }
-            }
-            let l2 = engine.add_node(&format!("c{i}-l2"), Box::new(l2n));
-
-            let mk_phy = |id: u8, iters: Option<usize>, rng: &mut SimRng| {
-                let mut pc = PhyConfig::new(id);
-                pc.fec_iterations = iters.unwrap_or(cell.fec_iterations);
-                PhyNode::new(pc, cell.clone(), clock, rng.fork(&format!("phy{id}")))
-            };
-            let primary_phy = engine.add_node(
-                &format!("c{i}-phy-primary"),
-                Box::new(mk_phy(pri_id, None, &mut rng)),
-            );
-            let secondary_phy = engine.add_node(
-                &format!("c{i}-phy-secondary"),
-                Box::new(mk_phy(sec_id, cfg.secondary_fec_iterations, &mut rng)),
-            );
-            let orion_primary = engine.add_node(
-                &format!("c{i}-orion-phy{pri_id}"),
-                Box::new(OrionPhyNode::new(pri_id, ru_id)),
-            );
-            let orion_secondary = engine.add_node(
-                &format!("c{i}-orion-phy{sec_id}"),
-                Box::new(OrionPhyNode::new(sec_id, ru_id)),
-            );
-            let orion_l2 = engine.add_node(
-                &format!("c{i}-orion-l2"),
-                Box::new(OrionL2Node::new(ru_id, clock)),
-            );
-
-            let run = RuNode::new(ru_id, clock);
-            let ru_mac = run.mac();
-            let ru = engine.add_node(&format!("c{i}-ru"), Box::new(run));
-
-            let mut ues = Vec::new();
-            for u in ues_cfg.clone() {
-                let name = u.name.clone();
-                let node = UeNode::new(u, cell.clone(), clock, rng.fork(&name));
-                ues.push(engine.add_node(&name, Box::new(node)));
-            }
-            for id in [
-                l2,
-                primary_phy,
-                secondary_phy,
-                orion_primary,
-                orion_secondary,
-            ]
-            .into_iter()
-            .chain([orion_l2, ru])
-            .chain(ues.iter().copied())
-            {
-                lane_tag.push((id, lane));
-            }
-
-            let mbox = &mut mboxes[g];
-            let ports = &mut leaf_ports[g];
-            let p_ru = ports.alloc(&format!("c{i}-ru"));
-            let p_pri = ports.alloc(&format!("c{i}-phy-primary"));
-            let p_sec = ports.alloc(&format!("c{i}-phy-secondary"));
-            let p_ol2 = ports.alloc(&format!("c{i}-orion-l2"));
-            let p_opri = ports.alloc(&format!("c{i}-orion-phy{pri_id}"));
-            let p_osec = ports.alloc(&format!("c{i}-orion-phy{sec_id}"));
-            mbox.install_ru(ru_id, ru_mac, p_ru, pri_id);
-            mbox.install_phy(pri_id, MacAddr::for_phy(pri_id), p_pri);
-            mbox.install_phy(sec_id, MacAddr::for_phy(sec_id), p_sec);
-            mbox.install_host(orion_l2_mac(ru_id), p_ol2);
-            mbox.install_host(orion_phy_mac(pri_id), p_opri);
-            mbox.install_host(orion_phy_mac(sec_id), p_osec);
-            mbox.enroll_failure_detection(pri_id);
-            mbox.enroll_failure_detection(sec_id);
-            let la = &mut leaf_attach[g];
-            la.push((p_ru, ru));
-            la.push((p_pri, primary_phy));
-            la.push((p_sec, secondary_phy));
-            la.push((p_ol2, orion_l2));
-            la.push((p_opri, orion_primary));
-            la.push((p_osec, orion_secondary));
-
-            all_ues.extend(ues.iter().copied());
-            cells.push(CellDeployment {
-                ru,
-                l2,
-                orion_l2,
-                primary_phy,
-                secondary_phy,
-                orion_primary,
-                orion_secondary,
-                ues,
-                ru_id,
-                cell_id: cell.cell_id,
-                primary_phy_id: pri_id,
-                secondary_phy_id: sec_id,
-            });
-        }
-
-        // --- spine-side services: shared spare pool + orchestrator ---
-        let mut spares: Vec<(u8, NodeId, NodeId)> = Vec::new();
-        for j in 0..cfg.spare_pool {
-            let id = (2 * n_cells + 1 + j) as u8;
-            let mut pc = PhyConfig::new(id);
-            pc.fec_iterations = cfg.cell.fec_iterations;
-            let phy = engine.add_node(
-                &format!("spare-phy{id}"),
-                Box::new(PhyNode::new(
-                    pc,
-                    cfg.cell.clone(),
-                    clock,
-                    rng.fork(&format!("phy{id}")),
-                )),
-            );
-            let orion = engine.add_node(
-                &format!("spare-orion-phy{id}"),
-                Box::new(OrionPhyNode::new(id, 0)),
-            );
-            lane_tag.push((phy, 0));
-            lane_tag.push((orion, 0));
-            spares.push((id, phy, orion));
-        }
-        let recovery = (cfg.spare_pool > 0).then(|| {
-            let node = engine.add_node("recovery", Box::new(RecoveryOrchestrator::new(clock)));
-            lane_tag.push((node, 0));
-            node
-        });
-
-        // Leaf uplinks: every spine-side MAC a leaf's tenants talk to
-        // (the orchestrator, every pooled spare PHY and its Orion)
-        // resolves to the uplink port. This also covers post-grant
-        // forwarding: InstallStandby fills the PHY/address directories
-        // but not the port table, so the spare's MAC must already
-        // route.
-        let mut uplinks: Vec<PortId> = Vec::with_capacity(groups);
-        for g in 0..groups {
-            let up = leaf_ports[g].alloc("uplink->spine");
-            let mbox = &mut mboxes[g];
-            if cfg.spare_pool > 0 {
-                mbox.install_host(recovery_mac(), up);
-            }
-            for (id, _, _) in &spares {
-                mbox.install_host(MacAddr::for_phy(*id), up);
-                mbox.install_host(orion_phy_mac(*id), up);
-            }
-            uplinks.push(up);
-        }
-
-        // Add the leaf switch nodes, then the spine (always last, like
-        // the classic builds keep the switch last).
-        let mut leaves: Vec<NodeId> = Vec::new();
-        for (g, mbox) in mboxes.into_iter().enumerate() {
-            let swn = SwitchNode::new(mbox, cfg.forwarding, rng.fork(&format!("leaf{g}")));
-            let leaf = engine.add_node(&format!("leaf{g}"), Box::new(swn));
-            lane_tag.push((leaf, (1 + g) as u32));
-            leaves.push(leaf);
-        }
-        let mut spn = SpineSwitchNode::new(cfg.forwarding, rng.fork("spine"));
-        let mut spine_ports = PortSpace::new("spine");
-        let mut spine_attach: Vec<(PortId, NodeId)> = Vec::new();
-        for (g, leaf) in leaves.iter().enumerate() {
-            let port = spine_ports.alloc(&format!("leaf{g}"));
-            spine_attach.push((port, *leaf));
-            // Every MAC living behind this leaf routes to its port, and
-            // switch-addressed control frames for its cells relay there.
-            for cell in cells
-                .iter()
-                .filter(|c| group_of_cell[c.ru_id as usize] == g)
-            {
-                spn.install_host(MacAddr::for_ru(cell.ru_id), port);
-                spn.install_host(MacAddr::for_phy(cell.primary_phy_id), port);
-                spn.install_host(MacAddr::for_phy(cell.secondary_phy_id), port);
-                spn.install_host(orion_phy_mac(cell.primary_phy_id), port);
-                spn.install_host(orion_phy_mac(cell.secondary_phy_id), port);
-                spn.install_host(orion_l2_mac(cell.ru_id), port);
-                spn.install_ru_route(cell.ru_id, port);
-            }
-        }
-        for (id, phy, orion) in &spares {
-            let pp = spine_ports.alloc(&format!("spare-phy{id}"));
-            let op = spine_ports.alloc(&format!("spare-orion-phy{id}"));
-            spn.install_host(MacAddr::for_phy(*id), pp);
-            spn.install_host(orion_phy_mac(*id), op);
-            spine_attach.push((pp, *phy));
-            spine_attach.push((op, *orion));
-        }
-        if let Some(rec) = recovery {
-            let rp = spine_ports.alloc("recovery");
-            spn.install_host(recovery_mac(), rp);
-            spine_attach.push((rp, rec));
-        }
-        for (port, node) in spine_attach {
-            spn.attach(port, node);
-        }
-        let spine = engine.add_node("spine", Box::new(spn));
-        lane_tag.push((spine, 0));
-        for (g, leaf) in leaves.iter().enumerate() {
-            let sw = engine.node_mut::<SwitchNode>(*leaf).unwrap();
-            for (port, node) in std::mem::take(&mut leaf_attach[g]) {
-                sw.attach(port, node);
-            }
-            sw.attach(uplinks[g], spine);
-        }
-
-        // --- wiring (as build_multi, with each cell's switch = its
-        // leaf and the spine-side services on the spine) ---
-        let leaf_of = |ru_id: u8| leaves[group_of_cell[ru_id as usize]];
-        let switch_mac = FhMbox::SWITCH_MAC;
-        engine.node_mut::<AppServerNode>(server).unwrap().wire(core);
-        {
-            let c = engine.node_mut::<CoreNode>(core).unwrap();
-            c.wire(cells[0].l2, server);
-            for (i, cell) in cells.iter().enumerate() {
-                for u in &cell_ues[i] {
-                    c.route_ue(u.rnti, cell.l2);
-                }
-            }
-        }
-        for cell in &cells {
-            let leaf = leaf_of(cell.ru_id);
-            engine
-                .node_mut::<L2Node>(cell.l2)
-                .unwrap()
-                .wire(cell.orion_l2, core);
-            engine
-                .node_mut::<PhyNode>(cell.primary_phy)
-                .unwrap()
-                .wire(leaf, cell.orion_primary);
-            engine
-                .node_mut::<PhyNode>(cell.secondary_phy)
-                .unwrap()
-                .wire(leaf, cell.orion_secondary);
-            for (orion, phy) in [
-                (cell.orion_primary, cell.primary_phy),
-                (cell.orion_secondary, cell.secondary_phy),
-            ] {
-                let o = engine.node_mut::<OrionPhyNode>(orion).unwrap();
-                o.wire(leaf, phy);
-                o.route_ru(cell.ru_id, orion_l2_mac(cell.ru_id));
-            }
-            {
-                let o = engine.node_mut::<OrionL2Node>(cell.orion_l2).unwrap();
-                o.wire(leaf, cell.l2, switch_mac);
-                o.bind_ru(cell.ru_id, cell.primary_phy_id, Some(cell.secondary_phy_id));
-            }
-            engine
-                .node_mut::<RuNode>(cell.ru)
-                .unwrap()
-                .wire(leaf, cell.ues.clone());
-            for ue in &cell.ues {
-                engine
-                    .node_mut::<UeNode>(*ue)
-                    .unwrap()
-                    .wire(cell.ru, cell.l2);
-            }
-        }
-        for (_, phy, orion) in &spares {
-            engine
-                .node_mut::<PhyNode>(*phy)
-                .unwrap()
-                .wire(spine, *orion);
-            let o = engine.node_mut::<OrionPhyNode>(*orion).unwrap();
-            o.wire(spine, *phy);
-            for cell in &cells {
-                o.route_ru(cell.ru_id, orion_l2_mac(cell.ru_id));
-            }
-        }
-        if let Some(rec) = recovery {
-            {
-                let r = engine.node_mut::<RecoveryOrchestrator>(rec).unwrap();
-                r.wire(spine, switch_mac);
-                for (id, phy, _) in &spares {
-                    r.add_spare(*id, *phy);
-                }
-                for cell in &cells {
-                    r.register_cell(cell.ru_id, orion_l2_mac(cell.ru_id));
-                    r.register_phy(cell.primary_phy_id, cell.primary_phy);
-                    r.register_phy(cell.secondary_phy_id, cell.secondary_phy);
-                }
-            }
-            for cell in &cells {
-                engine
-                    .node_mut::<OrionL2Node>(cell.orion_l2)
-                    .unwrap()
-                    .set_recovery_orchestrator(recovery_mac());
-            }
-        }
-
-        // --- links ---
-        engine.connect_duplex(server, core, cfg.backhaul_link.clone());
-        for cell in &cells {
-            let leaf = leaf_of(cell.ru_id);
-            engine.connect_duplex(core, cell.l2, cfg.backhaul_link.clone());
-            engine.connect_duplex(cell.l2, cell.orion_l2, LinkParams::ideal(Nanos(500)));
-            engine.connect_duplex(cell.ru, leaf, cfg.fronthaul_link.clone());
-            for node in [
-                cell.primary_phy,
-                cell.secondary_phy,
-                cell.orion_primary,
-                cell.orion_secondary,
-                cell.orion_l2,
-            ] {
-                engine.connect_duplex(node, leaf, cfg.server_link.clone());
-            }
-            engine.connect_duplex(
-                cell.primary_phy,
-                cell.orion_primary,
-                LinkParams::ideal(Nanos(500)),
-            );
-            engine.connect_duplex(
-                cell.secondary_phy,
-                cell.orion_secondary,
-                LinkParams::ideal(Nanos(500)),
-            );
-        }
-        for (_, phy, orion) in &spares {
-            engine.connect_duplex(*phy, spine, cfg.server_link.clone());
-            engine.connect_duplex(*orion, spine, cfg.server_link.clone());
-            engine.connect_duplex(*phy, *orion, LinkParams::ideal(Nanos(500)));
-        }
-        if let Some(rec) = recovery {
-            engine.connect_duplex(rec, spine, cfg.server_link.clone());
-        }
-        for leaf in &leaves {
-            engine.connect_duplex(*leaf, spine, cfg.server_link.clone());
-        }
-
-        let mut phy_nodes = BTreeMap::new();
-        let mut phy_orions = BTreeMap::new();
-        for cell in &cells {
-            phy_nodes.insert(cell.primary_phy_id, cell.primary_phy);
-            phy_nodes.insert(cell.secondary_phy_id, cell.secondary_phy);
-            phy_orions.insert(cell.primary_phy_id, cell.orion_primary);
-            phy_orions.insert(cell.secondary_phy_id, cell.orion_secondary);
-        }
-        for (id, phy, orion) in &spares {
-            phy_nodes.insert(*id, *phy);
-            phy_orions.insert(*id, *orion);
-        }
-
-        // Lane map and fabric directories.
-        let mut lane_of = vec![0u32; lane_tag.len()];
-        for (id, lane) in &lane_tag {
-            lane_of[id.0] = *lane;
-        }
-        let mut switch_of_ru = BTreeMap::new();
-        let mut attached_switch = BTreeMap::new();
-        for cell in &cells {
-            let leaf = leaf_of(cell.ru_id);
-            switch_of_ru.insert(cell.ru_id, leaf);
-            for id in [
-                cell.ru,
-                cell.primary_phy,
-                cell.secondary_phy,
-                cell.orion_primary,
-                cell.orion_secondary,
-                cell.orion_l2,
-            ] {
-                attached_switch.insert(id, leaf);
-            }
-        }
-        for (_, phy, orion) in &spares {
-            attached_switch.insert(*phy, spine);
-            attached_switch.insert(*orion, spine);
-        }
-        if let Some(rec) = recovery {
-            attached_switch.insert(rec, spine);
-        }
-
-        let c0 = cells[0].clone();
-        Deployment {
-            engine,
-            switch: spine,
-            ru: c0.ru,
-            primary_phy: c0.primary_phy,
-            secondary_phy: c0.secondary_phy,
-            spare_phy: None,
-            orion_primary: c0.orion_primary,
-            orion_secondary: c0.orion_secondary,
-            orion_spare: None,
-            orion_l2: c0.orion_l2,
-            l2: c0.l2,
-            core,
-            server,
-            ues: all_ues,
-            cells,
-            spare_phys: spares,
-            recovery,
-            handover: None,
-            phy_nodes,
-            phy_orions,
-            workers: 1,
-            chaos: None,
             leaves,
-            spine: Some(spine),
-            switch_of_ru,
+            spine: (groups > 1).then_some(switch),
             attached_switch,
-            fabric_lanes: Some((lane_of, groups + 1)),
+            fabric_lanes,
             cfg,
         }
     }
@@ -1605,12 +940,15 @@ impl Deployment {
     /// The switch whose middlebox serves `ru_id`: its leaf in a fabric
     /// build, the one shared switch otherwise.
     pub fn switch_for_ru(&self, ru_id: u8) -> NodeId {
-        *self.switch_of_ru.get(&ru_id).unwrap_or(&self.switch)
+        self.cells
+            .get(ru_id as usize)
+            .map_or(self.switch, |cell| self.switch_for_node(cell.ru))
     }
 
     /// The switch an endpoint node is cabled to: its leaf (or the
     /// spine, for spine-side services) in a fabric build, the one
-    /// shared switch otherwise.
+    /// shared switch otherwise. Nodes with no switch port (UEs, L2s,
+    /// core) resolve to the service switch.
     pub fn switch_for_node(&self, node: NodeId) -> NodeId {
         *self.attached_switch.get(&node).unwrap_or(&self.switch)
     }
@@ -1687,9 +1025,6 @@ impl Deployment {
             ] {
                 collect_node(&self.engine, id, &mut sink);
             }
-        }
-        for id in [self.spare_phy, self.orion_spare].into_iter().flatten() {
-            collect_node(&self.engine, id, &mut sink);
         }
         for (_, phy, orion) in &self.spare_phys {
             collect_node(&self.engine, *phy, &mut sink);

@@ -39,7 +39,7 @@ pub use chaos::{
 pub use ctl::CtlPacket;
 pub use deployment::{
     CellDeployment, Deployment, DeploymentBuilder, DeploymentConfig, L2_ID, PRIMARY_PHY_ID, RU_ID,
-    SECONDARY_PHY_ID, SPARE_PHY_ID,
+    SECONDARY_PHY_ID,
 };
 pub use fh_mbox::FhMbox;
 pub use handover::{handover_mac, HandoverController};

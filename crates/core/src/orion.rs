@@ -333,10 +333,8 @@ pub struct OrionL2Node {
     bindings: BTreeMap<u8, RuBinding>,
     /// PHY id → that server's Orion MAC (the deployment's server pool).
     phy_pool: BTreeMap<u8, MacAddr>,
-    /// Spare (unassigned) PHY ids available as replacement standbys.
-    spares: Vec<u8>,
     /// The shared-pool recovery orchestrator, if one is deployed: asked
-    /// for a replacement standby when the local spare list is empty.
+    /// for a replacement standby after a failover consumes the old one.
     recovery_mac: Option<MacAddr>,
     /// RU id → (granted spare, absolute slot boundary at which it is
     /// promoted to secondary and initialized).
@@ -371,7 +369,6 @@ impl OrionL2Node {
             state: CostState::default(),
             bindings: BTreeMap::new(),
             phy_pool: BTreeMap::new(),
-            spares: Vec::new(),
             recovery_mac: None,
             pending_standby: BTreeMap::new(),
             duplicate_standby: false,
@@ -400,14 +397,8 @@ impl OrionL2Node {
         self.phy_pool.insert(phy_id, orion_phy_mac(phy_id));
     }
 
-    /// Mark a registered PHY as an unassigned spare standby.
-    pub fn add_spare(&mut self, phy_id: u8) {
-        self.register_phy_server(phy_id);
-        self.spares.push(phy_id);
-    }
-
     /// Point this Orion at a shared-pool recovery orchestrator: when a
-    /// failover drains the last local standby, a
+    /// failover drains the cell's standby, a
     /// [`CtlPacket::SpareRequest`] is sent there instead of leaving the
     /// cell unpaired.
     pub fn set_recovery_orchestrator(&mut self, mac: MacAddr) {
@@ -681,7 +672,10 @@ impl OrionL2Node {
     }
 
     /// Finalize role swap once the pipeline has drained past the
-    /// boundary; promote a spare to new standby if the old primary died.
+    /// boundary. After a planned migration the old primary becomes the
+    /// standby; after a failover it is dead, so the cell asks the
+    /// shared pool for a replacement rather than staying
+    /// one-crash-from-outage.
     fn finalize_migrations(&mut self, ctx: &mut Ctx<'_, Msg>, now_abs: u64) {
         let ru_ids: Vec<u8> = self.bindings.keys().copied().collect();
         for ru_id in ru_ids {
@@ -698,49 +692,26 @@ impl OrionL2Node {
             b.migrate_at = None;
             let failed = b.failover;
             b.failover = false;
-            // The old primary becomes the standby if it is still alive
-            // (planned migration); on failover, promote a spare and
-            // initialize it from the stored CONFIG (§6.3).
-            let replacement = if failed {
-                self.spares.pop()
-            } else {
-                Some(old_primary)
-            };
-            if let Some(b) = self.bindings.get_mut(&ru_id) {
-                b.secondary = replacement;
-            }
-            if let (Some(new_sec), true) = (replacement, failed) {
-                let b = self.bindings.get(&ru_id).expect("binding");
-                if let Some(cfg) = b.config.clone() {
-                    let started = b.started;
-                    self.send_udp(ctx, self.orion_mac_of(new_sec), &FapiMsg::Config(cfg));
-                    if started {
-                        self.send_udp(ctx, self.orion_mac_of(new_sec), &FapiMsg::Start { ru_id });
-                    }
+            if !failed {
+                b.secondary = Some(old_primary);
+            } else if let Some(rec) = self.recovery_mac {
+                let pkt = CtlPacket::SpareRequest {
+                    ru_id,
+                    failed_phy_id: old_primary,
+                };
+                let frame = Frame::new(rec, self.mac, EtherType::SlingshotCtl, pkt.to_bytes());
+                if let Some(sw) = self.switch {
+                    ctx.send(sw, Msg::Eth(frame));
                 }
-            }
-            if failed && replacement.is_none() {
-                // Local spare list exhausted: fall back to the shared
-                // pool so the cell does not stay one-crash-from-outage.
-                if let Some(rec) = self.recovery_mac {
-                    let pkt = CtlPacket::SpareRequest {
-                        ru_id,
-                        failed_phy_id: old_primary,
-                    };
-                    let frame = Frame::new(rec, self.mac, EtherType::SlingshotCtl, pkt.to_bytes());
-                    if let Some(sw) = self.switch {
-                        ctx.send(sw, Msg::Eth(frame));
-                    }
-                    ctx.trace(
-                        TraceEventKind::SpareRequested,
-                        ru_id as u64,
-                        old_primary as u64,
-                    );
-                    self.events.push((
-                        ctx.now(),
-                        format!("ru{ru_id}: requesting pool spare (phy{old_primary} drained)"),
-                    ));
-                }
+                ctx.trace(
+                    TraceEventKind::SpareRequested,
+                    ru_id as u64,
+                    old_primary as u64,
+                );
+                self.events.push((
+                    ctx.now(),
+                    format!("ru{ru_id}: requesting pool spare (phy{old_primary} drained)"),
+                ));
             }
             self.events.push((
                 ctx.now(),

@@ -6,7 +6,7 @@
 //! express (hangs, partitions, restarts, storms).
 
 use slingshot::chaos::{chaos_deployment, run_scenario, ChaosRunner};
-use slingshot::{OrionL2Node, SwitchNode, PRIMARY_PHY_ID, RU_ID, SECONDARY_PHY_ID, SPARE_PHY_ID};
+use slingshot::{OrionL2Node, SwitchNode, PRIMARY_PHY_ID, RU_ID, SECONDARY_PHY_ID};
 use slingshot_ran::{PhyNode, UeNode};
 use slingshot_sim::chaos::{oracle, ChaosDistribution, FaultKind, FaultTarget, Scenario};
 use slingshot_sim::Nanos;
@@ -31,10 +31,10 @@ fn crash_scenario_passes_oracle() {
     );
     assert_eq!(report.detections, 1);
     assert!(report.dropped_ttis <= 3, "dropped {}", report.dropped_ttis);
-    // The spare was promoted to standby after the failover consumed the
-    // secondary (§4.4 re-pairing).
+    // The pooled spare was promoted to standby after the failover
+    // consumed the secondary (§4.4 re-pairing).
     let ol2 = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
-    assert_eq!(ol2.standby_of(RU_ID), Some(SPARE_PHY_ID));
+    assert_eq!(ol2.standby_of(RU_ID), Some(d.spare_phys[0].0));
     let ue = d.engine.node::<UeNode>(d.ues[0]).unwrap();
     assert_eq!(ue.rlf_count, 0);
 }

@@ -135,7 +135,7 @@ fn chaos_crash_scenario_passes_oracles_with_workers() {
         .seed(42)
         .cell(small_cell())
         .workers(4)
-        .spare_phy(true)
+        .spare_pool(1)
         .ue(UeConfig::new(100, 0, "ue100", 22.0))
         .chaos(scenario)
         .build();

@@ -16,6 +16,7 @@ use slingshot::{
 };
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
+use slingshot_sim::trace::{delivered_ul_slots, max_tti_gap_slots};
 use slingshot_sim::Nanos;
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -162,4 +163,63 @@ fn pool_recovery_trace_is_worker_count_invariant() {
         d4.engine.event_trace().to_bytes(),
         "trace bytes diverged between 1 and 4 workers"
     );
+}
+
+/// One cell, a two-deep pool, and three crashes of whichever PHY is
+/// active, spaced as in [`triple_crash`]: every re-pair goes through
+/// the orchestrator, and the third needs a scrubbed ex-primary back in
+/// the pool. Each crash individually stays within the paper's bounds.
+#[test]
+fn single_cell_pool_survives_three_crashes() {
+    let scenario = Scenario::new("triple-crash-one-cell", 1700)
+        .fault(700, FaultTarget::ActivePhyOf(0), FaultKind::PhyCrash)
+        .fault(760, FaultTarget::ActivePhyOf(0), FaultKind::PhyCrash)
+        .fault(820, FaultTarget::ActivePhyOf(0), FaultKind::PhyCrash);
+    let mut d = DeploymentBuilder::new()
+        .seed(0x9001)
+        .cell(CellConfig {
+            num_prbs: 51,
+            fidelity: Fidelity::Sampled,
+            ..CellConfig::default()
+        })
+        .spare_pool(2)
+        .ue(UeConfig::new(100, 0, "ue0", 22.0))
+        .build();
+    d.add_flow(
+        0,
+        100,
+        Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
+        Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+    );
+    let exp = expectations_for(&d, &scenario);
+    let report = run_scenario_with(&mut d, &scenario, &exp);
+    assert!(report.ok(), "oracle violations: {:#?}", report.violations);
+    assert_eq!(report.detections, 3, "one detection per crash");
+    assert!(
+        report.max_detection_latency <= Nanos::from_micros(450),
+        "worst detection latency {} us",
+        report.max_detection_latency.0 / 1_000
+    );
+    // The crashes are 60 slots apart, so each one's blackout is its own
+    // gap in the delivered-TTI series: the longest gap is the worst
+    // single crash.
+    let delivered = delivered_ul_slots(d.engine.event_trace().iter());
+    let worst = max_tti_gap_slots(&delivered, exp.tdd_stride);
+    assert!(worst <= 3, "a single crash dropped {worst} TTIs");
+
+    // The cell ends re-paired on live servers.
+    let active = d
+        .engine
+        .node_mut::<SwitchNode>(d.switch)
+        .expect("switch node")
+        .active_phy(0);
+    let standby = d
+        .engine
+        .node::<OrionL2Node>(d.orion_l2)
+        .expect("orion node")
+        .standby_of(0)
+        .expect("standby bound after the third recovery");
+    assert_ne!(active, standby);
+    assert!(d.engine.is_alive(d.phy_nodes[&active]));
+    assert!(d.engine.is_alive(d.phy_nodes[&standby]));
 }

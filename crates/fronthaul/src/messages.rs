@@ -395,7 +395,6 @@ mod tests {
             .collect()
     }
 
-    /// Shadow the deprecated free functions with handle-backed helpers;
     /// `detect()` exercises the SIMD path where the host supports it
     /// (bit-exact with scalar by contract).
     fn compress_symbol(s: &[Cplx]) -> Vec<BfpPrb> {

@@ -152,7 +152,6 @@ mod tests {
         use crate::tbchain::{mother_buffer_len, TbDecodeOutcome, TbParams};
         use slingshot_sim::SimRng;
 
-        // Handle-backed stand-ins for the deprecated free functions.
         fn encode_tb(payload: &[u8], p: &TbParams) -> Vec<crate::Cplx> {
             DspKernels::detect().encode_tb(payload, p)
         }

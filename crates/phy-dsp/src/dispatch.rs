@@ -17,12 +17,6 @@
 //! form is a different (statistically identical) noise realization, so
 //! it only engages when [`KernelConfig::tolerance`] is explicitly
 //! raised above zero — the default keeps AWGN scalar on every backend.
-//!
-//! NEON is detected, parsed and reported, but its kernels currently
-//! delegate to the scalar oracle (bit-exact by construction). The
-//! dispatch methods below are the drop-in seam for a real NEON
-//! implementation; this workspace's CI runs on x86-64, so shipping
-//! untestable aarch64 intrinsics would be worse than honest delegation.
 
 use crate::channel::AwgnChannel;
 use crate::iq::{BfpPrb, Cplx, SC_PER_PRB};
@@ -254,12 +248,11 @@ mod tests {
 
     #[test]
     fn forced_backend_validates_availability() {
-        for b in [KernelBackend::Avx2, KernelBackend::Neon] {
-            let k = DspKernels::forced(b);
-            assert!(k.backend().available());
-            if !b.available() {
-                assert_eq!(k.backend(), KernelBackend::Scalar);
-            }
+        let b = KernelBackend::Avx2;
+        let k = DspKernels::forced(b);
+        assert!(k.backend().available());
+        if !b.available() {
+            assert_eq!(k.backend(), KernelBackend::Scalar);
         }
         assert_eq!(DspKernels::scalar().name(), "scalar");
     }
@@ -269,7 +262,7 @@ mod tests {
         // A hand-built config naming an unavailable backend must land
         // on scalar with the tolerance preserved.
         let cfg = KernelConfig {
-            backend: KernelBackend::Neon,
+            backend: KernelBackend::Avx2,
             tolerance: 0.25,
         };
         let k = DspKernels::from_config(cfg);

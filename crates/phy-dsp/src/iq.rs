@@ -297,7 +297,6 @@ pub fn bfp_from_bytes(b: &[u8]) -> Option<BfpPrb> {
 mod tests {
     use super::*;
 
-    /// Shadow the deprecated free functions with handle-backed ones;
     /// `detect()` runs the SIMD path on capable hosts (bit-exact with
     /// scalar by contract, so every assertion below is backend-free).
     fn bfp_compress(s: &[Cplx; SC_PER_PRB]) -> BfpPrb {

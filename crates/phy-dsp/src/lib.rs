@@ -50,7 +50,4 @@ pub use snr::SnrFilter;
 // Kernel backend selection originates in the sim crate (the engine
 // carries it); re-export so DSP callers have one import surface.
 pub use slingshot_sim::{KernelBackend, KernelConfig};
-// Note: the deprecated free-function kernels (`encode_tb`, `decode_tb`,
-// `demodulate_llr`, `bfp_compress`, ...) are gone — every DSP entry
-// point now goes through the backend-dispatched [`DspKernels`] handle.
 pub use tbchain::{mother_buffer_len, TbDecodeOutcome, TbParams};

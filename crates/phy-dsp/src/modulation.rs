@@ -268,10 +268,6 @@ pub(crate) fn demod_scalar_into(
     demod_scalar_append(symbols, modulation, noise_var, out);
 }
 
-// The old free-function demappers (`demodulate_llr` /
-// `demodulate_llr_into`) were removed after their `#[deprecated]`
-// cycle; call the backend-dispatched methods on `DspKernels` instead.
-
 /// AVX2 max-log demapper: 8 symbols per iteration. Bit-identical to the
 /// scalar oracle: per-level squared distances use the same subtract/
 /// multiply per lane, the per-bit minima fold in the same rank order

@@ -146,10 +146,6 @@ fn e_split(e_bits: usize, ks: &[usize]) -> Vec<usize> {
     out
 }
 
-// The old free-function entry points (`encode_tb` / `decode_tb`) were
-// removed after their `#[deprecated]` cycle; call the backend-dispatched
-// methods on `DspKernels` instead.
-
 /// Per-code-block unit of encode work, prepared serially so jobs are
 /// self-contained (owned packed info bits and the block's bit offset
 /// into the codeword / scrambling sequence).
@@ -388,9 +384,8 @@ mod tests {
     use slingshot_sim::SimRng;
 
     /// Chain entry points through the dispatch handle with the host's
-    /// best backend — these shadow the deprecated free functions, so
-    /// the whole test battery exercises the SIMD path where available
-    /// (bit-exact with scalar by the dispatch contract).
+    /// best backend, so the whole test battery exercises the SIMD path
+    /// where available (bit-exact with scalar by the dispatch contract).
     fn encode_tb(payload: &[u8], p: &TbParams) -> Vec<Cplx> {
         DspKernels::detect().encode_tb(payload, p)
     }

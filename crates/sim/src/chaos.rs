@@ -364,6 +364,7 @@ impl ChaosDistribution {
 /// guards (see DESIGN.md §5c).
 pub mod oracle {
     use super::*;
+    use crate::ownership::Ownership;
     use crate::time::SLOT_DURATION;
 
     /// What a scenario is allowed to cost. Built per scenario by
@@ -683,17 +684,6 @@ pub mod oracle {
         }
     }
 
-    /// Active-PHY owner of a cell at `slot`, from its flip timeline
-    /// (`[(from_slot, phy)]`, sorted by construction).
-    fn owner_at(timeline: &[(u64, u64)], slot: u64) -> u64 {
-        timeline
-            .iter()
-            .rev()
-            .find(|&&(from, _)| from <= slot)
-            .map(|&(_, phy)| phy)
-            .unwrap_or(u64::MAX)
-    }
-
     /// Per-cell invariants 2-4 for multi-cell deployments. Ownership is
     /// reconstructed from `MapFlip` events (a = ru, b = old<<16 | new)
     /// layered over `exp.initial_active`, so every `UlSlotProcessed` can
@@ -701,43 +691,17 @@ pub mod oracle {
     fn check_per_cell(trace: &TraceBuffer, exp: &Expectations, violations: &mut Vec<Violation>) {
         use std::collections::BTreeMap;
 
-        let mut timelines: BTreeMap<u64, Vec<(u64, u64)>> = exp
-            .initial_active
-            .iter()
-            .map(|&(ru, phy)| (ru, vec![(0, phy)]))
-            .collect();
-        let mut flips: Vec<_> = trace.of_kind(TraceEventKind::MapFlip).collect();
-        flips.sort_by_key(|e| e.at);
-        for e in &flips {
-            let slot = e.at.0 / SLOT_DURATION.0;
-            timelines.entry(e.a).or_default().push((slot, e.b & 0xFFFF));
-        }
-
-        // Attribute a (phy, slot) pair to the cell whose active-PHY
-        // timeline covers it; +-1 slot of grace absorbs flip-boundary
-        // races (the flip trace lands mid-slot while the old owner's
-        // last in-flight slot completes).
-        let attribute = |phy: u64, slot: u64| -> Option<u64> {
-            timelines
-                .iter()
-                .find(|(_, tl)| owner_at(tl, slot) == phy)
-                .or_else(|| {
-                    timelines.iter().find(|(_, tl)| {
-                        owner_at(tl, slot.saturating_sub(1)) == phy || owner_at(tl, slot + 1) == phy
-                    })
-                })
-                .map(|(&ru, _)| ru)
-        };
+        let active = Ownership::from_trace(&exp.initial_active, trace, TraceEventKind::MapFlip);
 
         // Invariants 2 + 3, per cell: attribute every delivered UL slot,
         // flag unattributable producers (a PHY no cell owns is serving
         // traffic: split brain or a leaking ex-primary), then apply the
         // dropped-TTI budget and one-active-PHY rule cell by cell.
         let mut per_ru_delivered: BTreeMap<u64, Vec<u64>> =
-            timelines.keys().map(|&ru| (ru, Vec::new())).collect();
+            active.iter().map(|(ru, _)| (ru, Vec::new())).collect();
         let mut per_ru_slot: BTreeMap<(u64, u64), Vec<u64>> = BTreeMap::new();
         for e in trace.of_kind(TraceEventKind::UlSlotProcessed) {
-            match attribute(e.b, e.a) {
+            match active.attribute(e.b, e.a) {
                 Some(ru) => {
                     per_ru_delivered.entry(ru).or_default().push(e.a);
                     let phys = per_ru_slot.entry((ru, e.a)).or_default();
@@ -804,17 +768,17 @@ pub mod oracle {
         // Per-cell eventual repair: every cell that flipped must, after
         // its own last flip settles, both serve traffic on the new
         // active PHY and keep a standby warm (null FAPI, a = ru).
-        for (ru, tl) in &timelines {
+        for (ru, tl) in active.iter() {
             if tl.len() < 2 {
                 continue;
             }
             let settle = tl.last().unwrap().0 + 10;
             let served = per_ru_delivered
-                .get(ru)
+                .get(&ru)
                 .is_some_and(|slots| slots.iter().any(|&s| s > settle));
             let kept_warm = trace
                 .of_kind(TraceEventKind::NullFapiSent)
-                .any(|e| e.a == *ru && e.b > settle);
+                .any(|e| e.a == ru && e.b > settle);
             if !served {
                 violations.push(Violation {
                     invariant: "eventual-repair",
@@ -957,17 +921,8 @@ pub mod oracle {
     fn check_handover(trace: &TraceBuffer, exp: &Expectations, violations: &mut Vec<Violation>) {
         use std::collections::BTreeMap;
 
-        let mut timelines: BTreeMap<u64, Vec<(u64, u64)>> = exp
-            .initial_serving
-            .iter()
-            .map(|&(rnti, ru)| (rnti, vec![(0, ru)]))
-            .collect();
-        let mut flips: Vec<_> = trace.of_kind(TraceEventKind::HandoverFlip).collect();
-        flips.sort_by_key(|e| e.at);
-        for e in &flips {
-            let slot = e.at.0 / SLOT_DURATION.0;
-            timelines.entry(e.a).or_default().push((slot, e.b & 0xFFFF));
-        }
+        let serving =
+            Ownership::from_trace(&exp.initial_serving, trace, TraceEventKind::HandoverFlip);
 
         // Scheduled slots per UE: (slot, serving ru, slice).
         let mut sched: BTreeMap<u64, Vec<(u64, u64, u64)>> = BTreeMap::new();
@@ -986,21 +941,19 @@ pub mod oracle {
         // timeline does not own at that slot (±1 slot of cutover grace,
         // as the flip trace lands mid-slot) is a dual-serve leak; so is
         // the same UE scheduled by two cells in one slot.
-        for (rnti, evs) in &sched {
-            let Some(tl) = timelines.get(rnti) else {
-                continue; // UE the caller chose not to track
+        for (rnti, _) in serving.iter() {
+            // Only UEs the caller chose to track are judged.
+            let Some(evs) = sched.get(&rnti) else {
+                continue;
             };
             for &(slot, ru, _) in evs {
-                let owned = owner_at(tl, slot) == ru
-                    || owner_at(tl, slot.saturating_sub(1)) == ru
-                    || owner_at(tl, slot + 1) == ru;
-                if !owned {
+                if !serving.holds_near(rnti, ru, slot) {
                     violations.push(Violation {
                         invariant: "single-serving-cell",
                         detail: format!(
                             "UE {rnti} scheduled by cell {ru} at slot {slot}, but its serving \
                              cell there is {}",
-                            owner_at(tl, slot)
+                            serving.owner_at(rnti, slot)
                         ),
                     });
                 }
@@ -1022,7 +975,7 @@ pub mod oracle {
         // executed cutover the UE's scheduling gap must stay within
         // budget — and a UE that was being served before its handover
         // must be served again after it (no stranding).
-        for e in &flips {
+        for e in trace.of_kind(TraceEventKind::HandoverFlip) {
             let rnti = e.a;
             let slot = e.at.0 / SLOT_DURATION.0;
             let Some(evs) = sched.get(&rnti) else {

@@ -849,22 +849,6 @@ impl<'a, M: Message> Ctx<'a, M> {
         }
     }
 
-    /// The engine-wide metrics registry. Scope metrics by component
-    /// name so post-run exports stay navigable.
-    ///
-    /// Not available during sharded dispatch (the registry is global and
-    /// lanes run in parallel); instrumented nodes publish through
-    /// [`crate::metrics::Instrument`] snapshots after the run instead.
-    pub fn metrics(&mut self) -> &mut MetricsRegistry {
-        match &mut self.inner {
-            CtxInner::Global(core) => &mut core.metrics,
-            CtxInner::Lane(_) => panic!(
-                "ctx.metrics() is unavailable during sharded dispatch; \
-                 publish Instrument snapshots after the run instead"
-            ),
-        }
-    }
-
     /// The engine's compute worker pool (a cheap shared handle). Pure
     /// per-slot DSP work may fan out here; everything observable through
     /// this `Ctx` must still happen serially, in submission order, so

@@ -32,8 +32,6 @@ pub enum KernelBackend {
     Scalar,
     /// x86-64 AVX2 (8 × f32 lanes), runtime-detected.
     Avx2,
-    /// aarch64 NEON (4 × f32 lanes).
-    Neon,
 }
 
 impl KernelBackend {
@@ -43,12 +41,6 @@ impl KernelBackend {
         {
             if std::arch::is_x86_feature_detected!("avx2") {
                 return KernelBackend::Avx2;
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            if std::arch::is_aarch64_feature_detected!("neon") {
-                return KernelBackend::Neon;
             }
         }
         KernelBackend::Scalar
@@ -68,16 +60,6 @@ impl KernelBackend {
                     false
                 }
             }
-            KernelBackend::Neon => {
-                #[cfg(target_arch = "aarch64")]
-                {
-                    std::arch::is_aarch64_feature_detected!("neon")
-                }
-                #[cfg(not(target_arch = "aarch64"))]
-                {
-                    false
-                }
-            }
         }
     }
 
@@ -86,10 +68,8 @@ impl KernelBackend {
     /// implementation.
     pub fn all_available() -> Vec<KernelBackend> {
         let mut v = vec![KernelBackend::Scalar];
-        for b in [KernelBackend::Avx2, KernelBackend::Neon] {
-            if b.available() {
-                v.push(b);
-            }
+        if KernelBackend::Avx2.available() {
+            v.push(KernelBackend::Avx2);
         }
         v
     }
@@ -99,17 +79,15 @@ impl KernelBackend {
         match self {
             KernelBackend::Scalar => "scalar",
             KernelBackend::Avx2 => "avx2",
-            KernelBackend::Neon => "neon",
         }
     }
 
     /// Parse a backend name as accepted by the `KERNEL_BACKEND`
-    /// environment override (`scalar` / `avx2` / `neon` / `detect`).
+    /// environment override (`scalar` / `avx2` / `detect`).
     pub fn parse(s: &str) -> Option<KernelBackend> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelBackend::Scalar),
             "avx2" => Some(KernelBackend::Avx2),
-            "neon" => Some(KernelBackend::Neon),
             "detect" | "auto" | "native" => Some(KernelBackend::detect()),
             _ => None,
         }
@@ -216,11 +194,7 @@ mod tests {
 
     #[test]
     fn parse_round_trips_names() {
-        for b in [
-            KernelBackend::Scalar,
-            KernelBackend::Avx2,
-            KernelBackend::Neon,
-        ] {
+        for b in [KernelBackend::Scalar, KernelBackend::Avx2] {
             assert_eq!(KernelBackend::parse(b.name()), Some(b));
         }
         assert_eq!(KernelBackend::parse("AVX2"), Some(KernelBackend::Avx2));
@@ -229,16 +203,16 @@ mod tests {
             Some(KernelBackend::detect())
         );
         assert_eq!(KernelBackend::parse("mmx"), None);
+        assert_eq!(KernelBackend::parse("neon"), None);
     }
 
     #[test]
     fn forced_unavailable_falls_back_to_scalar() {
-        // At most one of Avx2/Neon is available on any host; the other
-        // must degrade to scalar rather than crash at dispatch time.
-        for b in [KernelBackend::Avx2, KernelBackend::Neon] {
-            if !b.available() {
-                assert_eq!(KernelConfig::forced(b).backend, KernelBackend::Scalar);
-            }
+        // A backend the host cannot execute must degrade to scalar
+        // rather than crash at dispatch time.
+        let b = KernelBackend::Avx2;
+        if !b.available() {
+            assert_eq!(KernelConfig::forced(b).backend, KernelBackend::Scalar);
         }
     }
 

@@ -46,6 +46,7 @@ pub mod engine;
 pub mod equeue;
 pub mod kernels;
 pub mod metrics;
+mod ownership;
 pub mod pool;
 pub mod profiler;
 pub mod rng;

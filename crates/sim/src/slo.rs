@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::LogHistogram;
+use crate::ownership::Ownership;
 use crate::stats::Sampler;
 use crate::time::{Nanos, SLOT_DURATION};
 use crate::trace::{detections, TraceBuffer, TraceEventKind};
@@ -157,54 +158,24 @@ pub fn nines_of(availability: f64) -> f64 {
     }
 }
 
-/// Active-PHY owner of a cell at `slot` from its flip timeline.
-fn owner_at(timeline: &[(u64, u64)], slot: u64) -> u64 {
-    timeline
-        .iter()
-        .rev()
-        .find(|&&(from, _)| from <= slot)
-        .map(|&(_, phy)| phy)
-        .unwrap_or(u64::MAX)
-}
-
 /// Derive the full availability report from a trace.
 pub fn analyze(trace: &TraceBuffer, cfg: &SloConfig) -> SloReport {
-    // --- ownership timelines (mirrors oracle::check_per_cell) ---
-    let mut timelines: BTreeMap<u64, Vec<(u64, u64)>> = cfg
-        .initial_active
-        .iter()
-        .map(|&(ru, phy)| (ru, vec![(0, phy)]))
-        .collect();
-    let mut flips: Vec<_> = trace.of_kind(TraceEventKind::MapFlip).collect();
-    flips.sort_by_key(|e| e.at);
-    for e in &flips {
-        let slot = e.at.0 / SLOT_DURATION.0;
-        timelines.entry(e.a).or_default().push((slot, e.b & 0xFFFF));
-    }
-
-    let attribute = |phy: u64, slot: u64| -> Option<u64> {
-        if timelines.is_empty() {
-            return Some(0);
-        }
-        timelines
-            .iter()
-            .find(|(_, tl)| owner_at(tl, slot) == phy)
-            .or_else(|| {
-                timelines.iter().find(|(_, tl)| {
-                    owner_at(tl, slot.saturating_sub(1)) == phy || owner_at(tl, slot + 1) == phy
-                })
-            })
-            .map(|(&ru, _)| ru)
-    };
-
     // --- per-cell delivered-TTI series ---
-    let mut per_ru: BTreeMap<u64, Vec<u64>> = if timelines.is_empty() {
+    // No ownership information at all (no initial map, no flips) means
+    // a single implicit cell 0 that owns every delivery.
+    let active = Ownership::from_trace(&cfg.initial_active, trace, TraceEventKind::MapFlip);
+    let mut per_ru: BTreeMap<u64, Vec<u64>> = if active.is_empty() {
         [(0, Vec::new())].into_iter().collect()
     } else {
-        timelines.keys().map(|&ru| (ru, Vec::new())).collect()
+        active.iter().map(|(ru, _)| (ru, Vec::new())).collect()
     };
     for e in trace.of_kind(TraceEventKind::UlSlotProcessed) {
-        if let Some(ru) = attribute(e.b, e.a) {
+        let ru = if active.is_empty() {
+            Some(0)
+        } else {
+            active.attribute(e.b, e.a)
+        };
+        if let Some(ru) = ru {
             per_ru.entry(ru).or_default().push(e.a);
         }
     }

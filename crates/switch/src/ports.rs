@@ -1,83 +1,42 @@
 //! Switch port-space bookkeeping.
 //!
-//! Every deployment used to hand out switch ports with a flat
-//! `20 * cell_index` stride, which silently wraps (and collides) once a
-//! city-scale build passes ~3k cells. [`PortSpace`] makes allocation
-//! explicit: ports are either allocated sequentially (`alloc`) or
-//! claimed at a fixed number (`claim`, for layouts with a compatibility
-//! guarantee), and any collision panics at build time with both
-//! claimants' labels instead of producing a corrupted forwarding table.
-
-use std::collections::HashMap;
+//! [`PortSpace`] hands out one switch's port numbers sequentially, so a
+//! deployment of any size gets collision-free ports by construction;
+//! running out of the 16-bit port space panics at build time with the
+//! switch's name instead of wrapping into a corrupted forwarding table.
 
 use crate::pipeline::PortId;
 
-/// An allocator/auditor for one switch's port numbers.
+/// A sequential allocator for one switch's port numbers.
 #[derive(Debug)]
 pub struct PortSpace {
     switch: String,
-    used: HashMap<u16, String>,
     next: u16,
 }
 
 impl PortSpace {
     /// A fresh port space for the switch named `switch` (the name only
-    /// appears in collision panics). Sequential allocation starts at 1;
-    /// port 0 is left unused to keep "unset" obvious in dumps.
+    /// appears in the exhaustion panic). Allocation starts at 1; port 0
+    /// is left unused to keep "unset" obvious in dumps.
     pub fn new(switch: &str) -> PortSpace {
         PortSpace {
             switch: switch.to_string(),
-            used: HashMap::new(),
             next: 1,
         }
     }
 
-    /// Allocate the lowest unused port and register it to `label`.
-    pub fn alloc(&mut self, label: &str) -> PortId {
-        while self.used.contains_key(&self.next) {
-            self.next = self
-                .next
-                .checked_add(1)
-                .unwrap_or_else(|| panic!("switch {}: port space exhausted", self.switch));
-        }
-        let port = self.next;
-        self.used.insert(port, label.to_string());
+    /// Allocate the lowest unused port.
+    pub fn alloc(&mut self) -> PortId {
+        let port = PortId(self.next);
+        assert_ne!(
+            port,
+            PortId::CPU,
+            "switch {}: port space exhausted",
+            self.switch
+        );
         self.next += 1;
-        port_checked(port)
-    }
-
-    /// Claim a specific port for `label`, panicking if it is already
-    /// taken (the build-time collision audit for stride-computed
-    /// layouts).
-    pub fn claim(&mut self, port: PortId, label: &str) -> PortId {
-        if port == PortId::CPU {
-            panic!(
-                "switch {}: {label} claims the reserved CPU port",
-                self.switch
-            );
-        }
-        if let Some(prev) = self.used.insert(port.0, label.to_string()) {
-            panic!(
-                "switch {}: port {} collision: {} vs {}",
-                self.switch, port.0, prev, label
-            );
-        }
         port
     }
-
-    /// Number of ports handed out so far.
-    pub fn len(&self) -> usize {
-        self.used.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.used.is_empty()
-    }
-}
-
-fn port_checked(port: u16) -> PortId {
-    assert_ne!(PortId(port), PortId::CPU, "allocated the reserved CPU port");
-    PortId(port)
 }
 
 #[cfg(test)]
@@ -85,26 +44,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_is_sequential_and_skips_claims() {
+    fn alloc_is_sequential_from_one() {
         let mut ps = PortSpace::new("leaf0");
-        ps.claim(PortId(2), "fixed");
-        assert_eq!(ps.alloc("a"), PortId(1));
-        assert_eq!(ps.alloc("b"), PortId(3));
-        assert_eq!(ps.len(), 3);
+        assert_eq!(ps.alloc(), PortId(1));
+        assert_eq!(ps.alloc(), PortId(2));
     }
 
     #[test]
-    #[should_panic(expected = "port 7 collision")]
-    fn claim_collision_panics_with_labels() {
-        let mut ps = PortSpace::new("leaf0");
-        ps.claim(PortId(7), "ru0");
-        ps.claim(PortId(7), "phy1");
-    }
-
-    #[test]
-    #[should_panic(expected = "reserved CPU port")]
-    fn cpu_port_is_reserved() {
+    #[should_panic(expected = "port space exhausted")]
+    fn exhaustion_panics_before_the_cpu_port() {
         let mut ps = PortSpace::new("spine");
-        ps.claim(PortId::CPU, "oops");
+        ps.next = PortId::CPU.0;
+        ps.alloc();
     }
 }

@@ -4,7 +4,7 @@
 use slingshot::{Deployment, DeploymentBuilder, OrionL2Node, SwitchNode};
 use slingshot_baseline::BaselineDeployment;
 use slingshot_ran::{AppServerNode, CellConfig, Fidelity, UeConfig, UeNode, UeState};
-use slingshot_sim::Nanos;
+use slingshot_sim::{Nanos, TraceEventKind};
 use slingshot_transport::{EchoResponder, PingApp, UdpCbrSource, UdpSink};
 
 fn cell() -> CellConfig {
@@ -108,13 +108,13 @@ fn three_ues_survive_repeated_planned_migrations() {
 }
 
 /// Failover followed by a second failover onto the spare PHY: the
-/// replacement-standby path of §6.3.
+/// replacement-standby path of §6.3, through the recovery orchestrator.
 #[test]
 fn spare_phy_takes_over_after_double_failure() {
     let mut d = DeploymentBuilder::new()
         .seed(3)
         .cell(cell())
-        .spare_phy(true)
+        .spare_pool(1)
         .ue(UeConfig::new(100, 0, "ue", 22.0))
         .build();
     d.add_flow(
@@ -123,12 +123,19 @@ fn spare_phy_takes_over_after_double_failure() {
         Box::new(UdpCbrSource::new(2_000_000, 800, Nanos::ZERO)),
         Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
     );
-    // First failure: primary dies, secondary takes over, spare is
-    // initialized as the new standby.
+    // First failure: primary dies, secondary takes over, and the
+    // orchestrator grants the pooled spare as the new standby.
     d.kill_primary_at(Nanos::from_millis(500));
     d.engine.run_until(Nanos::from_millis(1500));
     let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
     assert_eq!(orion.failovers, 1);
+    let trace = d.engine.event_trace();
+    for kind in [
+        TraceEventKind::SpareGranted,
+        TraceEventKind::StandbyRepaired,
+    ] {
+        assert_eq!(trace.of_kind(kind).count(), 1, "{kind:?} after first kill");
+    }
     // Second failure: the new primary (old secondary) dies; the spare
     // must take over.
     d.engine.kill(d.secondary_phy);
