@@ -6,12 +6,14 @@
 #                      clippy, a chaos smoke, every baseline-floored
 #                      bench (kernel, engine, slots, availability, scale) in
 #                      quick mode, and the benchmark package's --check
+#                      and unit tests
 #   ./ci.sh --quick    debug build + tier-1 tests + the 2-scenario
 #                      handover chaos smoke (fast inner loop)
 #   ./ci.sh --bench    baseline-floored benches only (kernel, engine, slots,
 #                      availability, scale), all in quick mode against
 #                      the floors checked in under crates/bench/baselines,
-#                      plus the benchmark package's --check
+#                      plus the benchmark package's --check and
+#                      unit tests
 #   ./ci.sh --coverage line-coverage gate only (scripts/coverage.sh):
 #                      enforces the per-crate floors in
 #                      crates/bench/baselines/coverage.floors; skips
@@ -111,6 +113,11 @@ run_benches() {
     # emitted metric names still match the manifest.
     echo "==> benchmark package builds against the public API (--check)"
     cargo run --release --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --check
+
+    # Outside the workspace means outside `cargo test` too: its unit
+    # tests (manifest drift, profile drift, merge rules) run here.
+    echo "==> benchmark package unit tests"
+    cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 }
 
 if [[ "$BENCH" == 1 ]]; then

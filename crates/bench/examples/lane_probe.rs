@@ -12,6 +12,8 @@
 //! With `--features dispatch-histogram` the engine additionally counts
 //! dispatches per (node-name-prefix, event-kind), attributing load to
 //! protocol chains (FAPI, heartbeats, detector ticks, standby replay).
+//! The histogram is filled by the one dispatch loop every lane runs,
+//! so it covers any engine in the process, whatever its lane count.
 use std::collections::BTreeMap;
 
 use slingshot::{DeploymentBuilder, DeploymentConfig};

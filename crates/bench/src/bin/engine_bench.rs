@@ -1,8 +1,9 @@
 //! Engine hot-path microbenchmark: raw event throughput of the
 //! discrete-event core, isolated from PHY/DSP work.
 //!
-//! Four synthetic scenarios stress the pieces the calendar-queue
-//! overhaul touched:
+//! Five synthetic scenarios. Every engine is 1..n lanes advanced in
+//! windows that end at slot barriers, so all five cross the barrier;
+//! the first four run as one lane, the last as four:
 //!
 //! - `timer_ring`: self-rearming 1 us timers on 64 nodes — pure
 //!   queue push/pop churn, no links.
@@ -12,12 +13,14 @@
 //!   — the zero-copy duplicate path and reorder holds.
 //! - `far_timers`: a 3:1 mix of near timers and timers up to ~200
 //!   slots ahead — calendar bucket wrap and the global-min sweep.
-//! - `sharded_lanes`: 4 lanes x 16 nodes of timer churn through the
-//!   slot-barrier path (outbox drain, lane-trace merge).
+//! - `sharded_lanes`: 4 lanes x 16 nodes of timer churn — per-window
+//!   lane hand-off to the pool, outbox drain and the lane-trace merge
+//!   across more than one lane.
 //!
 //! Each scenario reports events/sec and ns/event; a second profiled
 //! pass breaks the slot loop down by stage (queue_push / queue_pop /
-//! lane_dispatch / barrier_merge p50s). Every scenario is run twice
+//! lane_dispatch / barrier_merge p50s) at one lane and at four. Every
+//! JSON row carries its scenario's lane count. Every scenario is run twice
 //! and the two trace hashes must match — throughput work must not cost
 //! determinism.
 //!
@@ -172,6 +175,7 @@ struct Outcome {
     events: u64,
     wall_secs: f64,
     trace_hash: u64,
+    lanes: usize,
     profile: Option<HashMap<String, (u64, u64)>>, // stage -> (p50_ns, count)
 }
 
@@ -187,6 +191,7 @@ fn finish(engine: &Engine<BenchMsg>, started: Instant) -> Outcome {
         events: engine.dispatched(),
         wall_secs,
         trace_hash: engine.trace_hash(),
+        lanes: engine.lane_loads().len(),
         profile,
     }
 }
@@ -388,11 +393,12 @@ fn main() {
         );
         report.scalar(&format!("{name}_events_per_sec"), eps);
         report.scalar(&format!("{name}_ns_per_event"), ns_per_event);
+        report.scalar(&format!("{name}_lanes"), a.lanes as f64);
         results.push((name.to_string(), eps));
     }
 
-    // Profiled pass: slot-loop overhead breakdown on the two scenarios
-    // that exercise, respectively, the single-loop and barrier paths.
+    // Profiled pass: slot-loop overhead breakdown at one lane and at
+    // four.
     println!("\nslot-loop overhead breakdown (p50 per span):");
     for name in ["timer_ring", "sharded_lanes"] {
         let run = scenarios.iter().find(|(n, _)| *n == name).unwrap().1;

@@ -8,9 +8,9 @@
 //! chaos crash whose spare grant crosses shards (leaf cell, spine-side
 //! pool) to prove the recovery plane survives the lane split.
 
-use slingshot::{DeploymentBuilder, DeploymentConfig};
+use slingshot::{Deployment, DeploymentBuilder, DeploymentConfig};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
-use slingshot_sim::{LinkParams, Nanos, TraceEventKind};
+use slingshot_sim::{LinkParams, Nanos, SpanProfiler, TraceEventKind};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
 fn small_cell() -> CellConfig {
@@ -21,17 +21,14 @@ fn small_cell() -> CellConfig {
     }
 }
 
-/// A 4-cell / 2-leaf fabric with one uplink flow per cell, run to
-/// `horizon_ms`. Returns trace bytes, trace hash, and the metrics dump.
-fn run_fabric(
+/// A 4-cell fabric of `groups` leaves with one uplink flow per cell.
+fn build_fabric(
     seed: u64,
     groups: usize,
     shards: usize,
     workers: usize,
     spare_pool: usize,
-    kill_primary_of_cell: Option<usize>,
-    horizon_ms: u64,
-) -> (Vec<u8>, u64, String) {
+) -> Deployment {
     let cfg = DeploymentConfig {
         cell: small_cell(),
         seed,
@@ -56,6 +53,21 @@ fn run_fabric(
             Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
         );
     }
+    d
+}
+
+/// [`build_fabric`] run to `horizon_ms`. Returns trace bytes, trace
+/// hash, and the metrics dump.
+fn run_fabric(
+    seed: u64,
+    groups: usize,
+    shards: usize,
+    workers: usize,
+    spare_pool: usize,
+    kill_primary_of_cell: Option<usize>,
+    horizon_ms: u64,
+) -> (Vec<u8>, u64, String) {
+    let mut d = build_fabric(seed, groups, shards, workers, spare_pool);
     if let Some(cell) = kill_primary_of_cell {
         let phy = d.cells[cell].primary_phy;
         d.engine.run_until(Nanos::from_millis(horizon_ms / 2));
@@ -80,6 +92,30 @@ fn sharded_trace_invariant_across_seeds() {
         assert_eq!(b1, b4, "trace bytes diverged at seed {seed}");
         assert_eq!(m1, m4, "metrics diverged at seed {seed}");
     }
+}
+
+/// Engine settings have one owner, so one installed after `build()` —
+/// after the lanes exist — still reaches every lane: the profiler sees
+/// the lanes' own stages, not just the barrier, and stays a pure side
+/// channel.
+#[test]
+fn profiler_set_after_build_reaches_every_lane() {
+    let mut d = build_fabric(5, 2, 2, 1, 0);
+    let profiler = SpanProfiler::enabled();
+    d.engine.set_profiler(profiler.clone());
+    d.engine.run_until(Nanos::from_millis(5));
+    let report = profiler.report().expect("profiler enabled");
+    for stage in ["lane_dispatch", "queue_pop", "ul_decode", "barrier_merge"] {
+        assert!(
+            report
+                .stages
+                .iter()
+                .any(|s| s.stage == stage && s.count > 0),
+            "no {stage} span reached the profiler"
+        );
+    }
+    let unprofiled = run_fabric(5, 2, 2, 1, 0, None, 5);
+    assert_eq!(d.engine.event_trace().hash(), unprofiled.1);
 }
 
 /// The full execution cross: shards {1, 4} × workers {1, 4} on a
@@ -239,7 +275,8 @@ fn fabric_directories_resolve_switches() {
     let d = b.build();
     assert_eq!(d.leaves.len(), 2);
     assert_eq!(d.spine, Some(d.switch));
-    assert!(d.engine.is_sharded());
+    // Spine lane plus one lane per leaf group.
+    assert_eq!(d.engine.lane_loads().len(), 3);
     // Contiguous split: cells 0-1 on leaf0, cells 2-3 on leaf1.
     assert_eq!(d.switch_for_ru(0), d.leaves[0]);
     assert_eq!(d.switch_for_ru(1), d.leaves[0]);
@@ -262,7 +299,7 @@ fn fabric_directories_resolve_switches() {
         .ue(UeConfig::new(101, 1, "ue1", 22.0))
         .build();
     assert!(single.leaves.is_empty());
-    assert!(!single.engine.is_sharded());
+    assert_eq!(single.engine.lane_loads().len(), 1);
     assert_eq!(single.switch_for_ru(1), single.switch);
     assert_eq!(single.switch_for_node(single.ru), single.switch);
 }

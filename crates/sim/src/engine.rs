@@ -1,20 +1,29 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine owns a set of [`Node`]s identified by [`NodeId`], a priority
-//! queue of pending events, and a table of point-to-point links.
+//! The engine owns a set of [`Node`]s identified by [`NodeId`] and runs
+//! them in 1..n *lanes*. A lane is one event domain — a clock, a
+//! priority queue of pending events, an RNG stream, the links its
+//! members send on — and a node belongs to exactly one. A fresh engine
+//! has one lane owning everything; [`Engine::enable_shards`]
+//! re-partitions it into several. There is one execution model for
+//! every lane count ([`Engine::run_until`]): windows that end at slot
+//! barriers, lanes independent inside a window, cross-lane effects
+//! applied serially at the barrier.
+//!
 //! Nodes exchange messages of a single application-defined type `M`
 //! (an enum in the higher-level crates covering Ethernet frames, radio
 //! bursts, and control messages). Links model propagation latency,
 //! serialization delay at a configured bandwidth, FIFO queueing, and
 //! optional fault injection.
 //!
-//! Event dispatch is single-threaded and deterministic: the same master
-//! seed and the same sequence of API calls produce byte-identical event
-//! traces (see [`Engine::trace_hash`]). Nodes may offload pure compute
-//! within one callback to the engine's [`WorkerPool`]
-//! ([`Ctx::worker_pool`]); because jobs carry pre-split RNG streams and
-//! results merge in submission order, the trace is independent of the
-//! pool's worker count.
+//! Dispatch is deterministic: the same master seed and the same
+//! sequence of API calls produce byte-identical event traces (see
+//! [`Engine::trace_hash`]), whatever the number of threads. Lane
+//! windows run as jobs on the engine's [`WorkerPool`], and nodes may
+//! offload pure compute within one callback to the same pool
+//! ([`Ctx::worker_pool`]); because lanes and jobs carry pre-split RNG
+//! streams and results merge in a fixed order, the trace is
+//! independent of the pool's worker count.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -263,92 +272,17 @@ enum EventKind<M> {
     Start,
 }
 
-/// `LaneCore::local` sentinel: node is not a member of this lane.
+/// `Lane::local` sentinel: node is not a member of this lane.
 const NOT_LOCAL: u32 = u32::MAX;
-/// `LaneCore::alive` states (indexed by node id).
-const MEMBER_NONE: u8 = 0;
-const MEMBER_DEAD: u8 = 1;
-const MEMBER_ALIVE: u8 = 2;
+
+/// FNV-1a parameters of the dispatch-stream hash.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Queue payload: destination plus event body. The `(at, seq)` key
 /// lives in the calendar queue's bucket heaps; payloads sit in its
 /// arena and never move once inserted (see [`crate::equeue`]).
 type Queued<M> = (NodeId, EventKind<M>);
-
-/// Engine internals shared with nodes through [`Ctx`].
-struct Core<M> {
-    now: Nanos,
-    seq: u64,
-    queue: CalendarQueue<Queued<M>>,
-    links: LinkTable,
-    alive: Vec<bool>,
-    names: Vec<String>,
-    rng: SimRng,
-    trace_hash: u64,
-    dispatched: u64,
-    trace: TraceBuffer,
-    metrics: MetricsRegistry,
-    pool: WorkerPool,
-    profiler: SpanProfiler,
-    kernels: KernelConfig,
-}
-
-impl<M> Core<M> {
-    /// Record a node death/revival in the event trace, only on actual
-    /// state transitions so repeated kills do not pollute the timeline.
-    fn set_alive(&mut self, node: NodeId, actor: NodeId, alive: bool) {
-        if self.alive[node.0] == alive {
-            return;
-        }
-        self.alive[node.0] = alive;
-        let kind = if alive {
-            TraceEventKind::NodeRevived
-        } else {
-            TraceEventKind::NodeKilled
-        };
-        self.trace.record(self.now, actor, kind, node.0 as u64, 0);
-    }
-}
-
-impl<M: Message> Core<M> {
-    fn push(&mut self, at: Nanos, dst: NodeId, kind: EventKind<M>) {
-        let _s = self.profiler.span("queue_push", at.0 / SLOT_NS);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at, seq, (dst, kind));
-    }
-
-    fn send_via_link(&mut self, from: NodeId, dst: NodeId, msg: M) -> bool {
-        let now = self.now;
-        self.send_via_link_at(from, dst, now, msg)
-    }
-
-    /// Link transmission whose earliest departure is `depart_floor`
-    /// (models local processing completing before the NIC takes over).
-    fn send_via_link_at(&mut self, from: NodeId, dst: NodeId, depart_floor: Nanos, msg: M) -> bool {
-        let now = depart_floor.max(self.now);
-        let link = match self.links.get_mut(from, dst) {
-            Some(l) => l,
-            None => panic!(
-                "no link {} -> {}; use connect() or send_in()",
-                self.names.get(from.0).map(String::as_str).unwrap_or("ext"),
-                self.names.get(dst.0).map(String::as_str).unwrap_or("?"),
-            ),
-        };
-        match link_transmit(link, &mut self.rng, now, msg) {
-            LinkOutcome::Lost => false,
-            LinkOutcome::Deliver { arrive, msg, copy } => {
-                if let Some(copy) = copy {
-                    // The copy lands at the same instant; FIFO seq ordering
-                    // preserves the original/copy pair's relative order.
-                    self.push(arrive, dst, EventKind::Msg { from, msg: copy });
-                }
-                self.push(arrive, dst, EventKind::Msg { from, msg });
-                true
-            }
-        }
-    }
-}
 
 /// Result of pushing one message through a link's fault and timing model.
 enum LinkOutcome<M> {
@@ -363,12 +297,12 @@ enum LinkOutcome<M> {
     },
 }
 
-/// The link model shared by the single-loop and sharded dispatch paths:
-/// FIFO serialization at the configured bandwidth, then fault injection.
-/// All probability draws come from `rng` (the domain that owns the link)
-/// and are gated on a non-zero chance so links without faults consume no
-/// RNG state — this keeps pre-existing seeds byte-identical and makes
-/// cross-shard sends shard-invariant (the sender's lane always draws).
+/// The link model: FIFO serialization at the configured bandwidth, then
+/// fault injection. All probability draws come from `rng` (the lane
+/// that owns the link) and are gated on a non-zero chance so links
+/// without faults consume no RNG state — this keeps pre-existing seeds
+/// byte-identical and makes cross-lane sends shard-invariant (the
+/// sender's lane always draws).
 fn link_transmit<M: Message>(
     link: &mut Link,
     rng: &mut SimRng,
@@ -416,10 +350,10 @@ fn link_transmit<M: Message>(
     LinkOutcome::Deliver { arrive, msg, copy }
 }
 
-/// A cross-lane side effect staged during a shard window, applied
-/// serially at the next slot barrier in (lane index, emission) order.
-/// Keeping kills/restarts in the same FIFO stream as messages preserves
-/// a node's emission order across the barrier (e.g. a deferred restart's
+/// A cross-lane side effect staged during a window, applied serially at
+/// the next slot barrier in (lane index, emission) order. Keeping
+/// kills/restarts in the same FIFO stream as messages preserves a
+/// node's emission order across the barrier (e.g. a deferred restart's
 /// `Start` event is enqueued before a scrub message emitted right after
 /// it).
 enum Outbound<M> {
@@ -442,19 +376,47 @@ enum Outbound<M> {
     },
 }
 
-/// Per-lane engine state for sharded dispatch: one independent event
-/// domain (queue, clock, RNG, links, liveness, staged trace) per cell
-/// group. Lanes advance in parallel between slot barriers and exchange
-/// effects only through their outboxes, drained serially at barriers —
-/// so the trace is byte-identical for any shard or worker count.
-struct LaneCore<M> {
+/// Engine-wide settings a callback reads through its [`Ctx`]. The
+/// engine holds the one authoritative copy and hands every lane the
+/// current values at the top of each `run_until`, so a setter called at
+/// any point between runs is seen by the next window.
+#[derive(Clone)]
+struct Env {
+    pool: WorkerPool,
+    profiler: SpanProfiler,
+    kernels: KernelConfig,
+    /// Node names, indexed by `NodeId`.
+    names: Arc<Vec<String>>,
+}
+
+fn alive_kind(alive: bool) -> TraceEventKind {
+    if alive {
+        TraceEventKind::NodeRevived
+    } else {
+        TraceEventKind::NodeKilled
+    }
+}
+
+/// One independent event domain: its own clock, queue, RNG stream,
+/// links, member nodes with their liveness, staged trace and outbox.
+/// An engine is 1..n lanes; they advance in parallel between slot
+/// barriers and exchange effects only through their outboxes, drained
+/// serially at barriers — so the trace is byte-identical for any shard
+/// or worker count.
+struct Lane<M: Message> {
     now: Nanos,
     seq: u64,
     queue: CalendarQueue<Queued<M>>,
     links: LinkTable,
-    /// Authoritative liveness for this lane's member nodes, indexed by
-    /// node id: `MEMBER_NONE` (not ours), `MEMBER_DEAD`, `MEMBER_ALIVE`.
-    alive: Vec<u8>,
+    /// Node id -> slot in `nodes` / `alive` (`NOT_LOCAL` for
+    /// non-members). Plain index, no hashing: this is read on every
+    /// dispatched event.
+    local: Vec<u32>,
+    /// Member nodes; a slot is `None` only while that node's own
+    /// callback runs.
+    nodes: Vec<Option<Box<dyn Node<M>>>>,
+    /// Authoritative liveness of each member.
+    alive: Vec<bool>,
     /// Fleet-wide liveness snapshot, rebuilt at barriers after a
     /// liveness transition. Cross-lane `is_alive`/send checks read this
     /// (stale by at most one slot); the destination lane's
@@ -463,15 +425,9 @@ struct LaneCore<M> {
     /// Set on any member liveness transition; cleared when the fleet
     /// snapshot is rebuilt. Lets quiescent barriers skip the rebuild.
     alive_dirty: bool,
-    /// Member node id -> slot in the window's node vector
-    /// (`NOT_LOCAL` for non-members). Plain index, no hashing: this is
-    /// read on every dispatched event.
-    local: Vec<u32>,
-    /// Member node ids in registration order.
-    members: Vec<usize>,
-    names: Arc<Vec<String>>,
     rng: SimRng,
-    trace_hash: u64,
+    /// FNV hash over this lane's dispatched `(time, dst, kind)` stream.
+    hash: u64,
     dispatched: u64,
     /// Wall-clock nanoseconds this lane spent executing its windows.
     /// Measurement only — never read by simulation logic, so it cannot
@@ -479,121 +435,231 @@ struct LaneCore<M> {
     /// real-time budget (a lane is sustainable when its per-slot busy
     /// time fits within the slot duration).
     busy_ns: u64,
-    /// Staged trace events, merged into the global buffer at barriers.
+    /// Staged trace events, merged into the engine's buffer at barriers.
     trace: TraceBuffer,
     outbox: Vec<Outbound<M>>,
-    pool: WorkerPool,
-    profiler: SpanProfiler,
-    kernels: KernelConfig,
+    env: Env,
 }
 
-impl<M> LaneCore<M> {
-    fn owns(&self, node: NodeId) -> bool {
-        self.local.get(node.0).is_some_and(|&s| s != NOT_LOCAL)
+impl<M: Message> Lane<M> {
+    fn new(rng: SimRng, env: Env, now: Nanos, seq: u64) -> Lane<M> {
+        Lane {
+            now,
+            seq,
+            queue: CalendarQueue::new(),
+            links: LinkTable::default(),
+            local: Vec::new(),
+            nodes: Vec::new(),
+            alive: Vec::new(),
+            alive_view: Arc::new(Vec::new()),
+            alive_dirty: false,
+            rng,
+            hash: FNV_OFFSET,
+            dispatched: 0,
+            busy_ns: 0,
+            trace: TraceBuffer::default(),
+            outbox: Vec::new(),
+            env,
+        }
+    }
+
+    /// Make `node` a member (registration, or re-partitioning).
+    fn adopt(&mut self, id: NodeId, node: Box<dyn Node<M>>, alive: bool) {
+        if self.local.len() <= id.0 {
+            self.local.resize(id.0 + 1, NOT_LOCAL);
+        }
+        self.local[id.0] = self.nodes.len() as u32;
+        self.nodes.push(Some(node));
+        self.alive.push(alive);
+    }
+
+    fn slot_of(&self, node: NodeId) -> Option<usize> {
+        match self.local.get(node.0) {
+            Some(&s) if s != NOT_LOCAL => Some(s as usize),
+            _ => None,
+        }
     }
 
     fn node_alive(&self, node: NodeId) -> bool {
-        match self.alive.get(node.0).copied().unwrap_or(MEMBER_NONE) {
-            MEMBER_ALIVE => true,
-            MEMBER_DEAD => false,
-            _ => self.alive_view.get(node.0).copied().unwrap_or(false),
+        match self.slot_of(node) {
+            Some(slot) => self.alive[slot],
+            None => self.alive_view.get(node.0).copied().unwrap_or(false),
         }
     }
 
-    /// Record a member death/revival (transitions only), staging the
-    /// trace event for the barrier merge.
-    fn set_alive_local(&mut self, node: NodeId, actor: NodeId, alive: bool) {
-        let slot = &mut self.alive[node.0];
-        assert!(*slot != MEMBER_NONE, "not a lane member");
-        let next = if alive { MEMBER_ALIVE } else { MEMBER_DEAD };
-        if *slot == next {
-            return;
+    /// Set a member's liveness. `true` when this was a transition, which
+    /// the caller then traces — repeated kills do not pollute the
+    /// timeline.
+    fn flip_alive(&mut self, slot: usize, alive: bool) -> bool {
+        if self.alive[slot] == alive {
+            return false;
         }
-        *slot = next;
+        self.alive[slot] = alive;
         self.alive_dirty = true;
-        let kind = if alive {
-            TraceEventKind::NodeRevived
-        } else {
-            TraceEventKind::NodeKilled
-        };
-        self.trace.record(self.now, actor, kind, node.0 as u64, 0);
+        true
     }
-}
 
-impl<M: Message> LaneCore<M> {
+    /// Kill or revive `node` on behalf of `actor`: at once for a member,
+    /// at the next slot barrier for a node of another lane.
+    fn set_alive(&mut self, node: NodeId, actor: NodeId, alive: bool) {
+        match self.slot_of(node) {
+            Some(slot) => {
+                if self.flip_alive(slot, alive) {
+                    self.trace
+                        .record(self.now, actor, alive_kind(alive), node.0 as u64, 0);
+                }
+            }
+            None => self.outbox.push(Outbound::SetAlive { node, actor, alive }),
+        }
+    }
+
     fn push(&mut self, at: Nanos, dst: NodeId, kind: EventKind<M>) {
-        let _s = self.profiler.span("queue_push", at.0 / SLOT_NS);
+        let _s = self.env.profiler.span("queue_push", at.0 / SLOT_NS);
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(at, seq, (dst, kind));
     }
 
-    /// Send along a link owned by this lane. Same-lane deliveries go to
-    /// the local queue; cross-lane ones are staged on the outbox (the
-    /// sender's link model and RNG already ran, so the outcome does not
-    /// depend on shard count).
-    fn send_via_link_at(&mut self, from: NodeId, dst: NodeId, depart_floor: Nanos, msg: M) -> bool {
+    /// Queue `msg` for `dst`: on this lane's queue for a member, staged
+    /// on the outbox otherwise.
+    fn route(&mut self, arrive: Nanos, dst: NodeId, from: NodeId, msg: M) {
+        if self.slot_of(dst).is_some() {
+            self.push(arrive, dst, EventKind::Msg { from, msg });
+        } else {
+            self.outbox.push(Outbound::Msg {
+                arrive,
+                dst,
+                from,
+                msg,
+            });
+        }
+    }
+
+    /// Send along the link `from -> dst` (owned by this lane, as every
+    /// link lives with its sender) with `depart_floor` as the earliest
+    /// departure. The link model and RNG draw run here whether or not
+    /// `dst` is a member, so the outcome does not depend on lane count.
+    fn send_via_link(&mut self, from: NodeId, dst: NodeId, depart_floor: Nanos, msg: M) -> bool {
+        if !self.node_alive(dst) {
+            // Messages to a crashed node vanish, as frames to a dead
+            // server would — but the link records the loss.
+            if let Some(link) = self.links.get_mut(from, dst) {
+                link.dropped += 1;
+            }
+            return false;
+        }
         let now = depart_floor.max(self.now);
         let link = match self.links.get_mut(from, dst) {
             Some(l) => l,
-            None => panic!(
-                "no link {} -> {}; use connect() or send_in()",
-                self.names.get(from.0).map(String::as_str).unwrap_or("ext"),
-                self.names.get(dst.0).map(String::as_str).unwrap_or("?"),
-            ),
+            None => {
+                let name = |id: NodeId| self.env.names.get(id.0).map(String::as_str);
+                panic!(
+                    "no link {} -> {}; use connect() or send_in()",
+                    name(from).unwrap_or("ext"),
+                    name(dst).unwrap_or("?"),
+                )
+            }
         };
         match link_transmit(link, &mut self.rng, now, msg) {
             LinkOutcome::Lost => false,
             LinkOutcome::Deliver { arrive, msg, copy } => {
-                if self.owns(dst) {
-                    if let Some(copy) = copy {
-                        self.push(arrive, dst, EventKind::Msg { from, msg: copy });
-                    }
-                    self.push(arrive, dst, EventKind::Msg { from, msg });
-                } else {
-                    if let Some(copy) = copy {
-                        self.outbox.push(Outbound::Msg {
-                            arrive,
-                            dst,
-                            from,
-                            msg: copy,
-                        });
-                    }
-                    self.outbox.push(Outbound::Msg {
-                        arrive,
-                        dst,
-                        from,
-                        msg,
-                    });
+                if let Some(copy) = copy {
+                    // The copy lands at the same instant; FIFO seq ordering
+                    // preserves the original/copy pair's relative order.
+                    self.route(arrive, dst, from, copy);
                 }
+                self.route(arrive, dst, from, msg);
                 true
             }
         }
     }
+
+    /// Run one callback of the member in `slot`.
+    fn deliver(&mut self, slot: usize, dst: NodeId, kind: EventKind<M>) {
+        let mut node = self.nodes[slot].take().expect("node missing");
+        let mut ctx = Ctx {
+            lane: &mut *self,
+            id: dst,
+        };
+        match kind {
+            EventKind::Msg { from, msg } => node.on_msg(&mut ctx, from, msg),
+            EventKind::Timer { token } => node.on_timer(&mut ctx, token),
+            EventKind::Start => node.on_start(&mut ctx),
+        }
+        self.nodes[slot] = Some(node);
+    }
+
+    /// Advance to `until`: pop and dispatch every queued event at or
+    /// before it, against lane-local state only. Runs inside a worker
+    /// job that owns the lane for the duration of the window.
+    fn run_window(&mut self, until: Nanos) {
+        let window_t0 = std::time::Instant::now();
+        let _window_span = self.env.profiler.span("lane_dispatch", until.0 / SLOT_NS);
+        loop {
+            let popped = {
+                let _s = self.env.profiler.span("queue_pop", self.now.0 / SLOT_NS);
+                self.queue.pop_le(until)
+            };
+            let (at, _seq, (dst, kind)) = match popped {
+                Some(e) => e,
+                None => break,
+            };
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
+            let slot = match self.slot_of(dst) {
+                Some(slot) if self.alive[slot] => slot,
+                _ => continue,
+            };
+            // Mixes (time, dst, kind) for determinism checks.
+            let kind_tag: u64 = match &kind {
+                EventKind::Msg { .. } => 1,
+                EventKind::Timer { .. } => 2,
+                EventKind::Start => 3,
+            };
+            for v in [at.0, dst.0 as u64, kind_tag] {
+                self.hash ^= v;
+                self.hash = self.hash.wrapping_mul(FNV_PRIME);
+            }
+            self.dispatched += 1;
+            #[cfg(feature = "dispatch-histogram")]
+            {
+                let name = self.env.names.get(dst.0).cloned().unwrap_or_default();
+                let pfx: String = name.chars().take_while(|c| !c.is_ascii_digit()).collect();
+                let tag = match &kind {
+                    EventKind::Msg { .. } => "msg",
+                    EventKind::Timer { .. } => "timer",
+                    EventKind::Start => "start",
+                };
+                *DISPATCH_HISTOGRAM
+                    .lock()
+                    .unwrap()
+                    .entry(format!("{pfx}/{tag}"))
+                    .or_insert(0u64) += 1;
+            }
+            self.deliver(slot, dst, kind);
+        }
+        self.now = self.now.max(until);
+        self.busy_ns += window_t0.elapsed().as_nanos() as u64;
+    }
 }
 
-/// Handle through which a node interacts with the engine during a
-/// callback. Backed either by the single-loop core or, in sharded mode,
-/// by the node's lane.
-enum CtxInner<'a, M: Message> {
-    Global(&'a mut Core<M>),
-    Lane(&'a mut LaneCore<M>),
-}
+#[cfg(feature = "dispatch-histogram")]
+pub static DISPATCH_HISTOGRAM: std::sync::Mutex<std::collections::BTreeMap<String, u64>> =
+    std::sync::Mutex::new(std::collections::BTreeMap::new());
 
 /// Handle through which a node interacts with the engine during a
-/// callback.
+/// callback: the node's id plus its lane. Effects on the node's own
+/// lane are immediate; effects on another lane's nodes are staged and
+/// land at the next slot barrier.
 pub struct Ctx<'a, M: Message> {
-    inner: CtxInner<'a, M>,
+    lane: &'a mut Lane<M>,
     id: NodeId,
 }
 
 impl<'a, M: Message> Ctx<'a, M> {
     /// Current simulated time.
     pub fn now(&self) -> Nanos {
-        match &self.inner {
-            CtxInner::Global(c) => c.now,
-            CtxInner::Lane(l) => l.now,
-        }
+        self.lane.now
     }
 
     /// The id of the node being called.
@@ -607,164 +673,50 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// Panics if no link `self -> dst` was configured; this catches
     /// wiring bugs early.
     pub fn send(&mut self, dst: NodeId, msg: M) -> bool {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => {
-                if !core.alive[dst.0] {
-                    // Messages to a crashed node vanish, as frames to a
-                    // dead server would — but the link records the loss.
-                    if let Some(link) = core.links.get_mut(id, dst) {
-                        link.dropped += 1;
-                    }
-                    return false;
-                }
-                core.send_via_link(id, dst, msg)
-            }
-            CtxInner::Lane(lane) => {
-                if !lane.node_alive(dst) {
-                    if let Some(link) = lane.links.get_mut(id, dst) {
-                        link.dropped += 1;
-                    }
-                    return false;
-                }
-                let now = lane.now;
-                lane.send_via_link_at(id, dst, now, msg)
-            }
-        }
+        self.lane.send_via_link(self.id, dst, self.lane.now, msg)
     }
 
     /// Send over the configured link to `dst`, but with the departure
     /// delayed by `delay` (local processing before the NIC): the link's
     /// bandwidth, queueing, and fault injection still apply.
     pub fn send_link_in(&mut self, dst: NodeId, delay: Nanos, msg: M) -> bool {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => {
-                if !core.alive[dst.0] {
-                    if let Some(link) = core.links.get_mut(id, dst) {
-                        link.dropped += 1;
-                    }
-                    return false;
-                }
-                let depart = core.now + delay;
-                core.send_via_link_at(id, dst, depart, msg)
-            }
-            CtxInner::Lane(lane) => {
-                if !lane.node_alive(dst) {
-                    if let Some(link) = lane.links.get_mut(id, dst) {
-                        link.dropped += 1;
-                    }
-                    return false;
-                }
-                let depart = lane.now + delay;
-                lane.send_via_link_at(id, dst, depart, msg)
-            }
-        }
+        self.lane
+            .send_via_link(self.id, dst, self.lane.now + delay, msg)
     }
 
     /// Deliver a message directly after `delay`, bypassing any link
     /// (models same-host shared memory or abstract control channels).
     pub fn send_in(&mut self, dst: NodeId, delay: Nanos, msg: M) {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => {
-                if !core.alive[dst.0] {
-                    return;
-                }
-                let at = core.now + delay;
-                core.push(at, dst, EventKind::Msg { from: id, msg });
-            }
-            CtxInner::Lane(lane) => {
-                if !lane.node_alive(dst) {
-                    return;
-                }
-                let at = lane.now + delay;
-                if lane.owns(dst) {
-                    lane.push(at, dst, EventKind::Msg { from: id, msg });
-                } else {
-                    lane.outbox.push(Outbound::Msg {
-                        arrive: at,
-                        dst,
-                        from: id,
-                        msg,
-                    });
-                }
-            }
+        if self.lane.node_alive(dst) {
+            self.lane.route(self.lane.now + delay, dst, self.id, msg);
         }
     }
 
     /// Schedule a timer for this node after `delay`.
     pub fn timer(&mut self, delay: Nanos, token: u64) {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => {
-                let at = core.now + delay;
-                core.push(at, id, EventKind::Timer { token });
-            }
-            CtxInner::Lane(lane) => {
-                let at = lane.now + delay;
-                lane.push(at, id, EventKind::Timer { token });
-            }
-        }
+        self.timer_at(self.lane.now + delay, token);
     }
 
     /// Schedule a timer for this node at the absolute time `at` (clamped
     /// to now if already past).
     pub fn timer_at(&mut self, at: Nanos, token: u64) {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => {
-                let at = at.max(core.now);
-                core.push(at, id, EventKind::Timer { token });
-            }
-            CtxInner::Lane(lane) => {
-                let at = at.max(lane.now);
-                lane.push(at, id, EventKind::Timer { token });
-            }
-        }
+        let at = at.max(self.lane.now);
+        self.lane.push(at, self.id, EventKind::Timer { token });
     }
 
     /// Crash another node: all its queued and future events are dropped
     /// until it is revived. Models a fail-stop process crash (SIGKILL).
-    /// Records a `NodeKilled` trace event. In sharded mode a cross-lane
-    /// kill takes effect at the next slot barrier.
+    /// Records a `NodeKilled` trace event. A kill of another lane's
+    /// node takes effect at the next slot barrier.
     pub fn kill(&mut self, node: NodeId) {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => core.set_alive(node, id, false),
-            CtxInner::Lane(lane) => {
-                if lane.owns(node) {
-                    lane.set_alive_local(node, id, false);
-                } else {
-                    lane.outbox.push(Outbound::SetAlive {
-                        node,
-                        actor: id,
-                        alive: false,
-                    });
-                }
-            }
-        }
+        self.lane.set_alive(node, self.id, false);
     }
 
     /// Bring a previously killed node back (e.g., a restarted process).
-    /// Records a `NodeRevived` trace event. In sharded mode a cross-lane
-    /// revive takes effect at the next slot barrier.
+    /// Records a `NodeRevived` trace event. A revive of another lane's
+    /// node takes effect at the next slot barrier.
     pub fn revive(&mut self, node: NodeId) {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => core.set_alive(node, id, true),
-            CtxInner::Lane(lane) => {
-                if lane.owns(node) {
-                    lane.set_alive_local(node, id, true);
-                } else {
-                    lane.outbox.push(Outbound::SetAlive {
-                        node,
-                        actor: id,
-                        alive: true,
-                    });
-                }
-            }
-        }
+        self.lane.set_alive(node, self.id, true);
     }
 
     /// Restart a killed node from inside the simulation (an
@@ -772,81 +724,48 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// re-run its `on_start` at the current time so it can re-establish
     /// its timer chains. The node keeps its in-memory state. Only call
     /// on dead nodes — on a live node `on_start` would fire again and
-    /// double its timer chains. In sharded mode a cross-lane restart
-    /// takes effect at the next slot barrier.
+    /// double its timer chains. A restart of another lane's node takes
+    /// effect at the next slot barrier.
     pub fn restart(&mut self, node: NodeId) {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => {
-                core.set_alive(node, id, true);
-                let now = core.now;
-                core.push(now, node, EventKind::Start);
-            }
-            CtxInner::Lane(lane) => {
-                if lane.owns(node) {
-                    lane.set_alive_local(node, id, true);
-                    let now = lane.now;
-                    lane.push(now, node, EventKind::Start);
-                } else {
-                    lane.outbox.push(Outbound::Restart { node, actor: id });
-                }
-            }
+        if self.lane.slot_of(node).is_some() {
+            self.lane.set_alive(node, self.id, true);
+            self.lane.push(self.lane.now, node, EventKind::Start);
+        } else {
+            self.lane.outbox.push(Outbound::Restart {
+                node,
+                actor: self.id,
+            });
         }
     }
 
-    /// Liveness of `node`. In sharded mode, cross-lane queries read the
-    /// barrier snapshot (stale by at most one slot); same-lane queries
-    /// are exact.
+    /// Liveness of `node`: exact for a node of this lane, the barrier
+    /// snapshot (stale by at most one slot) for any other.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        match &self.inner {
-            CtxInner::Global(core) => core.alive[node.0],
-            CtxInner::Lane(lane) => lane.node_alive(node),
-        }
+        self.lane.node_alive(node)
     }
 
-    /// Engine-level RNG; nodes normally hold their own forked [`SimRng`]
-    /// and use this only for incidental draws. In sharded mode this is
-    /// the lane's RNG stream (pre-split per lane, so draws stay
-    /// shard-invariant).
+    /// The lane's RNG stream (the engine's root stream on a one-lane
+    /// engine, pre-split per lane otherwise, so draws stay
+    /// shard-invariant). Nodes normally hold their own forked
+    /// [`SimRng`] and use this only for incidental draws.
     pub fn rng(&mut self) -> &mut SimRng {
-        match &mut self.inner {
-            CtxInner::Global(core) => &mut core.rng,
-            CtxInner::Lane(lane) => &mut lane.rng,
-        }
+        &mut self.lane.rng
     }
 
     /// Record a structured trace event attributed to this node, stamped
     /// with the slot identity derived from the current time. See
     /// [`TraceEventKind`] for the per-kind payload conventions.
     pub fn trace(&mut self, kind: TraceEventKind, a: u64, b: u64) {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => {
-                let now = core.now;
-                core.trace.record(now, id, kind, a, b);
-            }
-            CtxInner::Lane(lane) => {
-                let now = lane.now;
-                lane.trace.record(now, id, kind, a, b);
-            }
-        }
+        self.lane.trace.record(self.lane.now, self.id, kind, a, b);
     }
 
     /// Record a trace event carrying an explicit slot identity (for
     /// events whose slot comes from a packet header rather than the
     /// arrival time).
     pub fn trace_at_slot(&mut self, kind: TraceEventKind, slot: SlotId, a: u64, b: u64) {
-        let id = self.id;
-        match &mut self.inner {
-            CtxInner::Global(core) => {
-                let now = core.now;
-                core.trace.record_at_slot(now, id, slot, kind, a, b);
-            }
-            CtxInner::Lane(lane) => {
-                let now = lane.now;
-                lane.trace.record_at_slot(now, id, slot, kind, a, b);
-            }
-        }
+        self.lane
+            .trace
+            .record_at_slot(self.lane.now, self.id, slot, kind, a, b);
     }
 
     /// The engine's compute worker pool (a cheap shared handle). Pure
@@ -854,10 +773,7 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// this `Ctx` must still happen serially, in submission order, so
     /// worker count never changes the trace.
     pub fn worker_pool(&self) -> WorkerPool {
-        match &self.inner {
-            CtxInner::Global(core) => core.pool.clone(),
-            CtxInner::Lane(lane) => lane.pool.clone(),
-        }
+        self.lane.env.pool.clone()
     }
 
     /// The engine's kernel backend selection (a `Copy` config). Nodes
@@ -865,10 +781,7 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// every kernel in the deployment runs the same implementation
     /// family and forced-scalar runs stay trace-identical.
     pub fn kernel_config(&self) -> KernelConfig {
-        match &self.inner {
-            CtxInner::Global(core) => core.kernels,
-            CtxInner::Lane(lane) => lane.kernels,
-        }
+        self.lane.env.kernels
     }
 
     /// The engine's wall-clock span profiler (a cheap shared handle).
@@ -877,22 +790,25 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// unconditionally. Timing lives in a side-channel buffer, never in
     /// the deterministic trace.
     pub fn profiler(&self) -> SpanProfiler {
-        match &self.inner {
-            CtxInner::Global(core) => core.profiler.clone(),
-            CtxInner::Lane(lane) => lane.profiler.clone(),
-        }
+        self.lane.env.profiler.clone()
     }
 }
 
-/// Sharded-dispatch state: the lane set plus the slot-barrier cursor.
-struct Fabric<M> {
-    /// `Option` so windows can move a lane into a worker job.
-    lanes: Vec<Option<LaneCore<M>>>,
-    lane_of: Arc<Vec<u32>>,
-    /// Next absolute slot-barrier instant (multiple of the quantum).
+/// The deterministic discrete-event simulation engine.
+pub struct Engine<M: Message> {
+    /// `Option` so a window can move each lane into a worker job.
+    lanes: Vec<Option<Lane<M>>>,
+    /// Node id -> owning lane.
+    lane_of: Vec<u32>,
+    env: Env,
+    /// The merged event trace (lanes stage into their own buffers).
+    trace: TraceBuffer,
+    metrics: MetricsRegistry,
+    now: Nanos,
+    started: bool,
+    /// Next absolute slot-barrier instant (a multiple of
+    /// [`crate::time::SLOT_DURATION`]).
     next_barrier: Nanos,
-    /// Barrier spacing; [`crate::time::SLOT_DURATION`] by default.
-    quantum: Nanos,
     /// How many parallel jobs the lane set is chunked into per window
     /// (`shards(k)`). Purely an execution knob: any value produces the
     /// same trace.
@@ -905,50 +821,43 @@ struct Fabric<M> {
     merge_scratch: Vec<crate::trace::TraceEvent>,
 }
 
-/// The deterministic discrete-event simulation engine.
-pub struct Engine<M: Message> {
-    core: Core<M>,
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
-    started: bool,
-    fabric: Option<Fabric<M>>,
-}
-
 impl<M: Message> Engine<M> {
+    /// An engine of one lane, which owns every node registered from
+    /// here on, every link, and the root RNG stream.
     pub fn new(seed: u64) -> Engine<M> {
+        let env = Env {
+            pool: WorkerPool::serial(),
+            profiler: SpanProfiler::disabled(),
+            kernels: KernelConfig::from_env(),
+            names: Arc::new(Vec::new()),
+        };
+        let lane = Lane::new(SimRng::new(seed), env.clone(), Nanos::ZERO, 0);
         Engine {
-            core: Core {
-                now: Nanos::ZERO,
-                seq: 0,
-                queue: CalendarQueue::new(),
-                links: LinkTable::default(),
-                alive: Vec::new(),
-                names: Vec::new(),
-                rng: SimRng::new(seed),
-                trace_hash: 0xcbf2_9ce4_8422_2325,
-                dispatched: 0,
-                trace: TraceBuffer::default(),
-                metrics: MetricsRegistry::new(),
-                pool: WorkerPool::serial(),
-                profiler: SpanProfiler::disabled(),
-                kernels: KernelConfig::from_env(),
-            },
-            nodes: Vec::new(),
+            lanes: vec![Some(lane)],
+            lane_of: Vec::new(),
+            env,
+            trace: TraceBuffer::default(),
+            metrics: MetricsRegistry::new(),
+            now: Nanos::ZERO,
             started: false,
-            fabric: None,
+            next_barrier: crate::time::SLOT_DURATION,
+            exec_shards: 1,
+            outbox_scratch: Vec::new(),
+            merge_scratch: Vec::new(),
         }
     }
 
     /// Install the compute worker pool nodes reach through
-    /// [`Ctx::worker_pool`]. Defaults to the inline serial pool; a
-    /// deployment that wants parallel slot processing installs a shared
-    /// threaded pool here before the run starts.
+    /// [`Ctx::worker_pool`] and lane windows run on. Defaults to the
+    /// inline serial pool; a deployment that wants parallel slot
+    /// processing installs a shared threaded pool here.
     pub fn set_worker_pool(&mut self, pool: WorkerPool) {
-        self.core.pool = pool;
+        self.env.pool = pool;
     }
 
     /// The engine's compute worker pool (a cheap shared handle).
     pub fn worker_pool(&self) -> WorkerPool {
-        self.core.pool.clone()
+        self.env.pool.clone()
     }
 
     /// Install the kernel backend selection nodes reach through
@@ -956,12 +865,12 @@ impl<M: Message> Engine<M> {
     /// (the `KERNEL_BACKEND` override if set, else runtime detection);
     /// deployments pin it explicitly through the builder.
     pub fn set_kernel_config(&mut self, kernels: KernelConfig) {
-        self.core.kernels = kernels;
+        self.env.kernels = kernels;
     }
 
     /// The engine's kernel backend selection.
     pub fn kernel_config(&self) -> KernelConfig {
-        self.core.kernels
+        self.env.kernels
     }
 
     /// Install a wall-clock span profiler nodes reach through
@@ -970,20 +879,42 @@ impl<M: Message> Engine<M> {
     /// trace, its hash, and the metrics registry are untouched unless
     /// [`SpanProfiler::publish`] is called explicitly after the run.
     pub fn set_profiler(&mut self, profiler: SpanProfiler) {
-        self.core.profiler = profiler;
+        self.env.profiler = profiler;
     }
 
     /// The engine's span profiler handle (clones share state).
     pub fn profiler(&self) -> SpanProfiler {
-        self.core.profiler.clone()
+        self.env.profiler.clone()
+    }
+
+    /// Index of the lane that owns `node`. Ids the engine never
+    /// registered ([`NodeId::EXTERNAL`]) resolve to lane 0.
+    fn lane_index(&self, node: NodeId) -> usize {
+        self.lane_of.get(node.0).copied().unwrap_or(0) as usize
+    }
+
+    fn lane_mut(&mut self, idx: usize) -> &mut Lane<M> {
+        self.lanes[idx].as_mut().expect("lane in place")
+    }
+
+    /// The lane that owns `node` (and so its outgoing links).
+    fn home(&self, node: NodeId) -> &Lane<M> {
+        self.lanes[self.lane_index(node)]
+            .as_ref()
+            .expect("lane in place")
+    }
+
+    fn home_mut(&mut self, node: NodeId) -> &mut Lane<M> {
+        self.lane_mut(self.lane_index(node))
     }
 
     /// Register a node; the returned id is stable for the engine's life.
+    /// New nodes join lane 0.
     pub fn add_node(&mut self, name: &str, node: Box<dyn Node<M>>) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Some(node));
-        self.core.alive.push(true);
-        self.core.names.push(name.to_string());
+        let id = NodeId(self.lane_of.len());
+        self.lane_of.push(0);
+        Arc::make_mut(&mut self.env.names).push(name.to_string());
+        self.lane_mut(0).adopt(id, node, true);
         id
     }
 
@@ -994,7 +925,7 @@ impl<M: Message> Engine<M> {
             "links originate from registered nodes; use post() for external injection"
         );
         let name = |id: NodeId| -> &str {
-            self.core
+            self.env
                 .names
                 .get(id.0)
                 .map(String::as_str)
@@ -1011,16 +942,7 @@ impl<M: Message> Engine<M> {
             duplicated: 0,
             bytes: 0,
         };
-        if let Some(fabric) = self.fabric.as_mut() {
-            let l = fabric.lane_of[from.0] as usize;
-            fabric.lanes[l]
-                .as_mut()
-                .expect("lane in place")
-                .links
-                .insert(from, to, link);
-            return;
-        }
-        self.core.links.insert(from, to, link);
+        self.home_mut(from).links.insert(from, to, link);
     }
 
     /// Create links in both directions with identical parameters.
@@ -1029,33 +951,17 @@ impl<M: Message> Engine<M> {
         self.connect(b, a, params);
     }
 
-    /// The link `from -> to`, wherever it lives (the global table, or
-    /// the owning lane's table in sharded mode).
     fn link(&self, from: NodeId, to: NodeId) -> Option<&Link> {
-        match &self.fabric {
-            None => self.core.links.get(from, to),
-            Some(fabric) => {
-                let l = *fabric.lane_of.get(from.0)? as usize;
-                fabric.lanes[l].as_ref()?.links.get(from, to)
-            }
-        }
-    }
-
-    fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
-        match &mut self.fabric {
-            None => self.core.links.get_mut(from, to),
-            Some(fabric) => {
-                let l = *fabric.lane_of.get(from.0)? as usize;
-                fabric.lanes[l].as_mut()?.links.get_mut(from, to)
-            }
-        }
+        self.home(from).links.get(from, to)
     }
 
     /// Replace the parameters of an existing link (e.g., to degrade it
     /// mid-experiment). Panics if the link does not exist.
     pub fn reconfigure_link(&mut self, from: NodeId, to: NodeId, params: LinkParams) {
         let link = self
-            .link_mut(from, to)
+            .home_mut(from)
+            .links
+            .get_mut(from, to)
             .expect("reconfigure_link: no such link");
         link.params = params;
     }
@@ -1070,24 +976,18 @@ impl<M: Message> Engine<M> {
         })
     }
 
-    /// Aggregate counters across every link in the engine (all lanes in
-    /// sharded mode) — the fabric-wide byte/drop accounting the scale
-    /// benches report per cell.
+    /// Aggregate counters across every link in the engine — the
+    /// fabric-wide byte/drop accounting the scale benches report per
+    /// cell.
     pub fn total_link_stats(&self) -> LinkStats {
         let mut total = LinkStats::default();
-        let mut add = |l: &Link| {
-            total.sent += l.sent;
-            total.dropped += l.dropped;
-            total.corrupted += l.corrupted;
-            total.duplicated += l.duplicated;
-            total.bytes += l.bytes;
-        };
-        match &self.fabric {
-            None => self.core.links.iter().for_each(|(_, _, l)| add(l)),
-            Some(fabric) => {
-                for lane in fabric.lanes.iter().flatten() {
-                    lane.links.iter().for_each(|(_, _, l)| add(l));
-                }
+        for lane in self.lanes.iter().flatten() {
+            for (_, _, l) in lane.links.iter() {
+                total.sent += l.sent;
+                total.dropped += l.dropped;
+                total.corrupted += l.corrupted;
+                total.duplicated += l.duplicated;
+                total.bytes += l.bytes;
             }
         }
         total
@@ -1101,39 +1001,34 @@ impl<M: Message> Engine<M> {
 
     /// Inject a message from outside the simulation.
     pub fn post(&mut self, at: Nanos, dst: NodeId, msg: M) {
-        let at = at.max(self.core.now);
-        let kind = EventKind::Msg {
-            from: NodeId::EXTERNAL,
-            msg,
-        };
-        if let Some(fabric) = self.fabric.as_mut() {
-            let l = fabric.lane_of.get(dst.0).copied().unwrap_or(0) as usize;
-            fabric.lanes[l]
-                .as_mut()
-                .expect("lane in place")
-                .push(at, dst, kind);
-            return;
+        let at = at.max(self.now);
+        let from = NodeId::EXTERNAL;
+        self.home_mut(dst)
+            .push(at, dst, EventKind::Msg { from, msg });
+    }
+
+    /// Apply a liveness change that reaches its lane from outside a
+    /// window — an external call, or another lane's staged effect at a
+    /// barrier — and trace the transition at `at`. The fleet-wide
+    /// snapshot is rebuilt before the next window runs.
+    fn set_alive(&mut self, node: NodeId, actor: NodeId, alive: bool, at: Nanos) {
+        let lane = self.home_mut(node);
+        let slot = lane.slot_of(node).expect("not a registered node");
+        if lane.flip_alive(slot, alive) {
+            self.trace
+                .record(at, actor, alive_kind(alive), node.0 as u64, 0);
         }
-        self.core.push(at, dst, kind);
     }
 
     /// Kill a node from outside the simulation (the experiment script's
     /// `SIGKILL`). Records a `NodeKilled` trace event attributed to
     /// [`NodeId::EXTERNAL`].
     pub fn kill(&mut self, node: NodeId) {
-        if self.fabric.is_some() {
-            self.set_alive_sharded(node, NodeId::EXTERNAL, false);
-            return;
-        }
-        self.core.set_alive(node, NodeId::EXTERNAL, false);
+        self.set_alive(node, NodeId::EXTERNAL, false, self.now);
     }
 
     pub fn revive(&mut self, node: NodeId) {
-        if self.fabric.is_some() {
-            self.set_alive_sharded(node, NodeId::EXTERNAL, true);
-            return;
-        }
-        self.core.set_alive(node, NodeId::EXTERNAL, true);
+        self.set_alive(node, NodeId::EXTERNAL, true, self.now);
     }
 
     /// Restart a killed node: revive it and re-run its `on_start` at the
@@ -1144,188 +1039,115 @@ impl<M: Message> Engine<M> {
     /// is already alive (but `on_start` still fires, so only call this on
     /// dead nodes).
     pub fn restart(&mut self, node: NodeId) {
-        if self.fabric.is_some() {
-            self.set_alive_sharded(node, NodeId::EXTERNAL, true);
-            let now = self.core.now;
-            let fabric = self.fabric.as_mut().expect("fabric");
-            let l = fabric.lane_of[node.0] as usize;
-            fabric.lanes[l]
-                .as_mut()
-                .expect("lane in place")
-                .push(now, node, EventKind::Start);
-            return;
-        }
-        self.core.set_alive(node, NodeId::EXTERNAL, true);
-        let now = self.core.now;
-        self.core.push(now, node, EventKind::Start);
-    }
-
-    /// Engine-level liveness change in sharded mode: updates the owning
-    /// lane, records the transition in the global trace, and refreshes
-    /// the fleet-wide snapshot so the next window observes it.
-    fn set_alive_sharded(&mut self, node: NodeId, actor: NodeId, alive: bool) {
-        let now = self.core.now;
-        let changed = {
-            let fabric = self.fabric.as_mut().expect("fabric");
-            let l = fabric.lane_of[node.0] as usize;
-            let lane = fabric.lanes[l].as_mut().expect("lane in place");
-            let slot = &mut lane.alive[node.0];
-            assert!(*slot != MEMBER_NONE, "not a lane member");
-            let next = if alive { MEMBER_ALIVE } else { MEMBER_DEAD };
-            if *slot == next {
-                false
-            } else {
-                *slot = next;
-                lane.alive_dirty = true;
-                true
-            }
-        };
-        if changed {
-            let kind = if alive {
-                TraceEventKind::NodeRevived
-            } else {
-                TraceEventKind::NodeKilled
-            };
-            self.core.trace.record(now, actor, kind, node.0 as u64, 0);
-            self.refresh_alive_view();
-        }
+        self.revive(node);
+        let now = self.now;
+        self.home_mut(node).push(now, node, EventKind::Start);
     }
 
     pub fn is_alive(&self, node: NodeId) -> bool {
-        if let Some(fabric) = &self.fabric {
-            let l = fabric.lane_of[node.0] as usize;
-            let lane = fabric.lanes[l].as_ref().expect("lane in place");
-            return lane.alive.get(node.0).copied().unwrap_or(MEMBER_NONE) == MEMBER_ALIVE;
-        }
-        self.core.alive[node.0]
+        self.home(node).node_alive(node)
     }
 
     pub fn now(&self) -> Nanos {
-        self.core.now
+        self.now
     }
 
     /// Number of dispatched events so far.
     pub fn dispatched(&self) -> u64 {
-        let lanes: u64 = self
-            .fabric
-            .iter()
-            .flat_map(|f| f.lanes.iter().flatten())
-            .map(|l| l.dispatched)
-            .sum();
-        self.core.dispatched + lanes
+        self.lanes.iter().flatten().map(|l| l.dispatched).sum()
     }
 
-    /// Per-lane dispatched-event counts, in lane order. Empty when the
-    /// engine is not sharded. A load-balance diagnostic: lane 0 is the
-    /// spine domain, lanes 1..=g the leaf groups, and parallel speedup
-    /// is bounded by the heaviest lane's share.
+    /// Per-lane dispatched-event counts, in lane order. A load-balance
+    /// diagnostic: on a fabric deployment lane 0 is the spine domain,
+    /// lanes 1..=g the leaf groups, and parallel speedup is bounded by
+    /// the heaviest lane's share.
     pub fn lane_loads(&self) -> Vec<u64> {
-        self.fabric
-            .iter()
-            .flat_map(|f| f.lanes.iter().flatten())
-            .map(|l| l.dispatched)
-            .collect()
+        self.lanes.iter().flatten().map(|l| l.dispatched).collect()
     }
 
     /// Per-lane cumulative window execution time in wall-clock
-    /// nanoseconds, in lane order (empty when not sharded). Divide by
-    /// the simulated slot count for the per-shard per-slot cost: a
-    /// deployment holds real time on parallel hardware exactly when
-    /// every lane's per-slot cost stays under the slot duration.
+    /// nanoseconds, in lane order. Divide by the simulated slot count
+    /// for the per-lane per-slot cost: a deployment holds real time on
+    /// parallel hardware exactly when every lane's per-slot cost stays
+    /// under the slot duration.
     pub fn lane_busy_ns(&self) -> Vec<u64> {
-        self.fabric
-            .iter()
-            .flat_map(|f| f.lanes.iter().flatten())
-            .map(|l| l.busy_ns)
-            .collect()
+        self.lanes.iter().flatten().map(|l| l.busy_ns).collect()
     }
 
     /// FNV-style hash over the dispatched event stream; equal seeds and
     /// programs produce equal hashes (the determinism regression test).
-    /// In sharded mode, the per-lane stream hashes are folded together
-    /// in lane order — still shard- and worker-count invariant.
+    /// It is lane 0's stream hash with every further lane's folded in,
+    /// in lane order — invariant under shard and worker count.
     pub fn trace_hash(&self) -> u64 {
-        let mut h = self.core.trace_hash;
-        if let Some(fabric) = &self.fabric {
-            for lane in fabric.lanes.iter().flatten() {
-                h ^= lane.trace_hash;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        h
+        let mut lanes = self.lanes.iter().flatten();
+        let first = lanes.next().expect("an engine has at least one lane");
+        lanes.fold(first.hash, |h, lane| {
+            (h ^ lane.hash).wrapping_mul(FNV_PRIME)
+        })
     }
 
     /// The structured event trace recorded so far (see [`crate::trace`]).
     pub fn event_trace(&self) -> &TraceBuffer {
-        &self.core.trace
+        &self.trace
     }
 
     /// Mutable trace access: resize the ring, clear between phases, or
     /// record harness-level events.
     pub fn event_trace_mut(&mut self) -> &mut TraceBuffer {
-        &mut self.core.trace
+        &mut self.trace
     }
 
     /// The engine-wide metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.core.metrics
+        &self.metrics
     }
 
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.core.metrics
+        &mut self.metrics
     }
 
     /// Copy every link's counters into the metrics registry, one scope
     /// per link (`link:<from>-><to>`), with `sent`/`dropped`/
     /// `corrupted`/`bytes` counters. Idempotent: counters are set, not
     /// accumulated, so it can be called repeatedly (e.g. once per
-    /// snapshot). Scopes were interned at `connect()` time and the link
-    /// table iterates in `(from, to)` order, so a snapshot neither
-    /// sorts nor formats — it is a flat copy of counters.
+    /// snapshot). Scopes were interned at `connect()` time, so a
+    /// snapshot neither sorts nor formats — it is a flat copy of
+    /// counters.
     pub fn publish_link_metrics(&mut self) {
-        fn emit(metrics: &mut MetricsRegistry, link: &Link) {
-            metrics.set_counter(&link.scope, "sent", link.sent);
-            metrics.set_counter(&link.scope, "dropped", link.dropped);
-            metrics.set_counter(&link.scope, "corrupted", link.corrupted);
-            metrics.set_counter(&link.scope, "duplicated", link.duplicated);
-            metrics.set_counter(&link.scope, "bytes", link.bytes);
-        }
-        let metrics = &mut self.core.metrics;
-        match &self.fabric {
-            None => {
-                for (_, _, link) in self.core.links.iter() {
-                    emit(metrics, link);
-                }
-            }
-            Some(fabric) => {
-                // A link lives in its sender's lane; walking source ids
-                // in ascending order across lanes preserves the global
-                // `(from, to)` emission order.
-                for (from, &lane_idx) in fabric.lane_of.iter().enumerate() {
-                    let lane = fabric.lanes[lane_idx as usize]
-                        .as_ref()
-                        .expect("lane in place");
-                    for (_, link) in lane.links.row(from) {
-                        emit(metrics, link);
-                    }
-                }
+        // A link lives in its sender's lane; walking source ids in
+        // ascending order across lanes gives `(from, to)` emission order
+        // for every lane count.
+        for (from, &lane_idx) in self.lane_of.iter().enumerate() {
+            let lane = self.lanes[lane_idx as usize]
+                .as_ref()
+                .expect("lane in place");
+            for (_, link) in lane.links.row(from) {
+                self.metrics.set_counter(&link.scope, "sent", link.sent);
+                self.metrics
+                    .set_counter(&link.scope, "dropped", link.dropped);
+                self.metrics
+                    .set_counter(&link.scope, "corrupted", link.corrupted);
+                self.metrics
+                    .set_counter(&link.scope, "duplicated", link.duplicated);
+                self.metrics.set_counter(&link.scope, "bytes", link.bytes);
             }
         }
     }
 
     pub fn node_name(&self, id: NodeId) -> &str {
-        &self.core.names[id.0]
+        &self.env.names[id.0]
     }
 
     /// All node names, indexed by `NodeId` — the argument the trace
     /// exporters take to label threads/scopes.
     pub fn node_names(&self) -> &[String] {
-        &self.core.names
+        &self.env.names
     }
 
     /// Immutable access to a node, downcast to its concrete type.
     pub fn node<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        let node = self.nodes[id.0].as_deref()?;
+        let lane = self.home(id);
+        let node = lane.nodes[lane.slot_of(id)?].as_deref()?;
         (node as &dyn Any).downcast_ref::<T>()
     }
 
@@ -1333,141 +1155,33 @@ impl<M: Message> Engine<M> {
     /// for experiment setup and post-run inspection, not for use while
     /// the engine is dispatching.
     pub fn node_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
-        let node = self.nodes[id.0].as_deref_mut()?;
+        let lane = self.home_mut(id);
+        let slot = lane.slot_of(id)?;
+        let node = lane.nodes[slot].as_deref_mut()?;
         (node as &mut dyn Any).downcast_mut::<T>()
     }
 
-    fn start_if_needed(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        if self.fabric.is_some() {
-            // Sharded start is serial, in node id order, through each
-            // node's lane ctx; outboxes drain after every callback so
-            // startup semantics match the single-loop path exactly.
-            for i in 0..self.nodes.len() {
-                let lane_idx = {
-                    let fabric = self.fabric.as_ref().expect("fabric");
-                    fabric.lane_of[i] as usize
-                };
-                let mut node = self.nodes[i].take().expect("node missing at start");
-                {
-                    let fabric = self.fabric.as_mut().expect("fabric");
-                    let lane = fabric.lanes[lane_idx].as_mut().expect("lane in place");
-                    let mut ctx = Ctx {
-                        inner: CtxInner::Lane(lane),
-                        id: NodeId(i),
-                    };
-                    node.on_start(&mut ctx);
-                }
-                self.nodes[i] = Some(node);
-                self.drain_outbox_of(lane_idx, Nanos::ZERO);
-            }
-            self.refresh_alive_view();
-            return;
-        }
-        for i in 0..self.nodes.len() {
-            let mut node = self.nodes[i].take().expect("node missing at start");
-            {
-                let mut ctx = Ctx {
-                    inner: CtxInner::Global(&mut self.core),
-                    id: NodeId(i),
-                };
-                node.on_start(&mut ctx);
-            }
-            self.nodes[i] = Some(node);
-        }
-    }
-
-    /// Run until the queue is empty or simulated time reaches `until`.
-    /// Afterwards `now() == until` (unless the queue emptied first, in
-    /// which case `now()` still advances to `until`).
-    pub fn run_until(&mut self, until: Nanos) {
-        if self.fabric.is_some() {
-            self.run_until_sharded(until);
-            return;
-        }
-        self.start_if_needed();
-        loop {
-            let popped = {
-                let _s = self
-                    .core
-                    .profiler
-                    .span("queue_pop", self.core.now.0 / SLOT_NS);
-                self.core.queue.pop_le(until)
-            };
-            let (at, _seq, (dst, kind)) = match popped {
-                Some(e) => e,
-                None => break,
-            };
-            debug_assert!(at >= self.core.now, "time went backwards");
-            self.core.now = at;
-            if dst.0 >= self.nodes.len() || !self.core.alive[dst.0] {
-                continue;
-            }
-            // Trace hash: mixes (time, dst, kind) for determinism checks.
-            let kind_tag: u64 = match &kind {
-                EventKind::Msg { .. } => 1,
-                EventKind::Timer { .. } => 2,
-                EventKind::Start => 3,
-            };
-            let mut h = self.core.trace_hash;
-            for v in [at.0, dst.0 as u64, kind_tag] {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            self.core.trace_hash = h;
-            self.core.dispatched += 1;
-
-            let mut node = self.nodes[dst.0].take().expect("node missing");
-            {
-                let mut ctx = Ctx {
-                    inner: CtxInner::Global(&mut self.core),
-                    id: dst,
-                };
-                match kind {
-                    EventKind::Msg { from, msg } => node.on_msg(&mut ctx, from, msg),
-                    EventKind::Timer { token } => node.on_timer(&mut ctx, token),
-                    EventKind::Start => node.on_start(&mut ctx),
-                }
-            }
-            self.nodes[dst.0] = Some(node);
-        }
-        self.core.now = self.core.now.max(until);
-    }
-
-    /// Run for an additional duration of simulated time.
-    pub fn run_for(&mut self, d: Nanos) {
-        let until = self.core.now + d;
-        self.run_until(until);
-    }
-
-    // ---- sharded dispatch -------------------------------------------------
-
     /// Partition the node space into parallel dispatch lanes (cell-group
-    /// shards). `lane_of[i]` is node `i`'s lane; lane 0 is conventionally
-    /// the spine domain (core network, recovery orchestrator, spare
-    /// pool). Must be called after every node and link is registered and
-    /// before the first run.
+    /// shards): the engine's one lane is re-partitioned into `n_lanes`.
+    /// `lane_of[i]` is node `i`'s lane; lane 0 is conventionally the
+    /// spine domain (core network, recovery orchestrator, spare pool).
+    /// Must be called after every node is registered and before the
+    /// first run.
     ///
-    /// Lanes advance independently between slot barriers (every
-    /// [`crate::time::SLOT_DURATION`]); cross-lane messages and liveness
-    /// changes are staged on per-lane outboxes and applied serially at
-    /// the barrier, with delivery times quantized up to the barrier
-    /// instant. Because each lane owns its own event queue, RNG stream
-    /// (pre-split per lane), links, and trace staging buffer, the result
-    /// is byte-identical for every `set_exec_shards` value and every
-    /// worker count.
+    /// Each lane gets its own RNG stream (split off the root in lane
+    /// order), the links its members send on, and the queued events
+    /// addressed to them. See [`Engine::run_until`] for the barrier
+    /// contract that makes the result byte-identical for every
+    /// `set_exec_shards` value and every worker count.
     pub fn enable_shards(&mut self, lane_of: Vec<u32>, n_lanes: usize) {
         assert!(
             !self.started,
             "enable_shards must be called before the first run"
         );
-        assert!(self.fabric.is_none(), "enable_shards called twice");
+        assert!(self.lanes.len() == 1, "enable_shards called twice");
         assert_eq!(
             lane_of.len(),
-            self.nodes.len(),
+            self.lane_of.len(),
             "lane_of must cover every node"
         );
         assert!(n_lanes >= 1, "need at least one lane");
@@ -1475,176 +1189,143 @@ impl<M: Message> Engine<M> {
             lane_of.iter().all(|&l| (l as usize) < n_lanes),
             "lane index out of range"
         );
-        let lane_of = Arc::new(lane_of);
-        let n_nodes = self.nodes.len();
-        let names = Arc::new(self.core.names.clone());
-        let mut lanes: Vec<LaneCore<M>> = (0..n_lanes)
-            .map(|i| LaneCore {
-                now: self.core.now,
-                seq: self.core.seq,
-                queue: CalendarQueue::new(),
-                links: LinkTable::default(),
-                alive: vec![MEMBER_NONE; n_nodes],
-                alive_view: Arc::new(Vec::new()),
-                alive_dirty: false,
-                local: vec![NOT_LOCAL; n_nodes],
-                members: Vec::new(),
-                names: Arc::clone(&names),
-                rng: self.core.rng.split(i as u64),
-                trace_hash: 0xcbf2_9ce4_8422_2325,
-                dispatched: 0,
-                busy_ns: 0,
-                trace: self.core.trace.fork_staging(),
-                outbox: Vec::new(),
-                pool: self.core.pool.clone(),
-                profiler: self.core.profiler.clone(),
-                kernels: self.core.kernels,
+        self.lane_of = lane_of;
+        // With one lane, a node's slot is its id.
+        let mut root = self.lanes.pop().flatten().expect("lane in place");
+        let mut lanes: Vec<Lane<M>> = (0..n_lanes)
+            .map(|i| {
+                let rng = root.rng.split(i as u64);
+                Lane::new(rng, self.env.clone(), root.now, root.seq)
             })
             .collect();
-        for (i, &l) in lane_of.iter().enumerate() {
-            let lane = &mut lanes[l as usize];
-            lane.local[i] = lane.members.len() as u32;
-            lane.members.push(i);
-            lane.alive[i] = if self.core.alive[i] {
-                MEMBER_ALIVE
-            } else {
-                MEMBER_DEAD
-            };
+        for (i, (node, alive)) in root.nodes.into_iter().zip(root.alive).enumerate() {
+            let node = node.expect("node in place");
+            lanes[self.lane_of[i] as usize].adopt(NodeId(i), node, alive);
         }
         // A link belongs to its sender's lane: the sender's clock and
         // RNG run the link model, so fault draws stay shard-invariant.
-        for (from, to, link) in self.core.links.drain_all() {
-            let l = lane_of[from.0] as usize;
-            lanes[l].links.insert(from, to, link);
+        for (from, to, link) in root.links.drain_all() {
+            lanes[self.lane_index(from)].links.insert(from, to, link);
         }
         // Pending events go to the destination's lane, keeping their
         // original (at, seq) so relative order survives the handoff.
-        for (at, seq, (dst, kind)) in self.core.queue.drain_sorted() {
-            let l = lane_of.get(dst.0).copied().unwrap_or(0) as usize;
-            lanes[l].queue.push(at, seq, (dst, kind));
+        for (at, seq, (dst, kind)) in root.queue.drain_sorted() {
+            lanes[self.lane_index(dst)].queue.push(at, seq, (dst, kind));
         }
-        let quantum = crate::time::SLOT_DURATION;
-        let next_barrier = Nanos((self.core.now.0 / quantum.0 + 1) * quantum.0);
-        self.fabric = Some(Fabric {
-            lanes: lanes.into_iter().map(Some).collect(),
-            lane_of,
-            next_barrier,
-            quantum,
-            exec_shards: n_lanes,
-            outbox_scratch: Vec::new(),
-            merge_scratch: Vec::new(),
-        });
+        self.lanes = lanes.into_iter().map(Some).collect();
+        self.exec_shards = n_lanes;
+    }
+
+    /// How many parallel jobs the lane set is chunked into per window
+    /// (at most one per lane). Purely an execution knob — any value
+    /// yields the same trace.
+    pub fn set_exec_shards(&mut self, k: usize) {
+        self.exec_shards = k.max(1);
+    }
+
+    /// Run every node's `on_start` once, before the first window:
+    /// serially, in node id order, each through its own lane. Outboxes
+    /// drain after every callback, so a start-time effect on another
+    /// lane lands before the next node starts.
+    fn start_if_needed(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        for i in 0..self.lane_of.len() {
+            let id = NodeId(i);
+            let lane_idx = self.lane_index(id);
+            let lane = self.lane_mut(lane_idx);
+            let slot = lane.slot_of(id).expect("node in its lane");
+            lane.deliver(slot, id, EventKind::Start);
+            self.drain_outbox_of(lane_idx, Nanos::ZERO);
+        }
         self.refresh_alive_view();
     }
 
-    /// How many parallel jobs the lane set is chunked into per window.
-    /// Purely an execution knob — any value yields the same trace. No-op
-    /// unless sharding is enabled.
-    pub fn set_exec_shards(&mut self, k: usize) {
-        if let Some(fabric) = self.fabric.as_mut() {
-            fabric.exec_shards = k.max(1);
+    /// Run until simulated time reaches `until`; afterwards
+    /// `now() == until` whether or not any event was left to dispatch.
+    ///
+    /// Time advances in windows that end at slot barriers (every
+    /// [`crate::time::SLOT_DURATION`]). Within a window each lane pops
+    /// and dispatches its own queue in `(time, insertion)` order,
+    /// independently of every other lane; effects on another lane's
+    /// nodes (messages, kills, restarts) are staged on the sender's
+    /// outbox. At the barrier the staged traces merge in time order
+    /// (lane order breaking ties) and the outboxes drain serially in
+    /// lane order, deliveries quantized up to the barrier instant. A
+    /// one-lane engine stages nothing across lanes, so its barriers only
+    /// merge the trace.
+    pub fn run_until(&mut self, until: Nanos) {
+        for lane in self.lanes.iter_mut().flatten() {
+            lane.env = self.env.clone();
+            lane.trace.stage_for(&self.trace);
         }
-    }
-
-    /// True when [`Engine::enable_shards`] has installed dispatch lanes.
-    pub fn is_sharded(&self) -> bool {
-        self.fabric.is_some()
-    }
-
-    fn run_until_sharded(&mut self, until: Nanos) {
+        self.refresh_alive_view();
         self.start_if_needed();
         loop {
-            let (barrier, quantum) = {
-                let fabric = self.fabric.as_ref().expect("fabric");
-                (fabric.next_barrier, fabric.quantum)
-            };
+            let barrier = self.next_barrier;
+            self.advance_lanes_to(barrier.min(until));
             if barrier > until {
-                self.advance_lanes_to(until);
+                // `until` falls inside a window (or on the barrier just
+                // crossed, whose deliveries for that very instant this
+                // window dispatched): what it staged for other lanes
+                // waits for the next barrier.
                 self.merge_lane_traces();
                 break;
             }
-            self.advance_lanes_to(barrier);
             self.barrier_sync(barrier);
-            self.fabric.as_mut().expect("fabric").next_barrier = barrier + quantum;
-            // Early exit once the whole fabric is quiescent: no queued
-            // events, no staged cross-lane traffic.
-            let idle = {
-                let fabric = self.fabric.as_ref().expect("fabric");
-                fabric
-                    .lanes
-                    .iter()
-                    .flatten()
-                    .all(|l| l.queue.is_empty() && l.outbox.is_empty())
-            };
-            if idle {
-                self.advance_lanes_to(until);
-                break;
-            }
+            // With every outbox drained nothing can happen before the
+            // earliest queued event, so skip to the barrier that closes
+            // its window — but not past `until`, after which the caller
+            // may post earlier events.
+            let earliest = self
+                .lanes
+                .iter_mut()
+                .flatten()
+                .filter_map(|l| l.queue.peek_at())
+                .fold(until, Nanos::min);
+            self.next_barrier =
+                Nanos(earliest.0.div_ceil(SLOT_NS) * SLOT_NS).max(barrier + Nanos(SLOT_NS));
         }
-        self.core.now = self.core.now.max(until);
-        if let Some(fabric) = self.fabric.as_mut() {
-            for lane in fabric.lanes.iter_mut().flatten() {
-                lane.now = lane.now.max(until);
-            }
-        }
+        self.now = self.now.max(until);
+    }
+
+    /// Run for an additional duration of simulated time.
+    pub fn run_for(&mut self, d: Nanos) {
+        let until = self.now + d;
+        self.run_until(until);
     }
 
     /// Advance every lane to `target`, chunked into `exec_shards`
-    /// parallel jobs on the worker pool. Each job owns its lanes' state
-    /// and node boxes for the duration of the window, so no
+    /// parallel jobs on the worker pool. Each job owns its lanes (state
+    /// and node boxes) for the duration of the window, so no
     /// synchronization happens inside a window.
     fn advance_lanes_to(&mut self, target: Nanos) {
-        let n_lanes = self.fabric.as_ref().expect("fabric").lanes.len();
-        let shards = self
-            .fabric
-            .as_ref()
-            .expect("fabric")
-            .exec_shards
-            .clamp(1, n_lanes);
-        let mut bundles: Vec<LaneBundle<M>> = Vec::with_capacity(n_lanes);
-        {
-            let fabric = self.fabric.as_mut().expect("fabric");
-            for idx in 0..n_lanes {
-                let lane = fabric.lanes[idx].take().expect("lane in place");
-                let mut nodes: Vec<Option<Box<dyn Node<M>>>> =
-                    Vec::with_capacity(lane.members.len());
-                for &m in &lane.members {
-                    nodes.push(Some(self.nodes[m].take().expect("node missing")));
-                }
-                bundles.push(LaneBundle { idx, lane, nodes });
-            }
-        }
+        let n_lanes = self.lanes.len();
+        let shards = self.exec_shards.clamp(1, n_lanes);
         // Contiguous, near-even chunks; chunk boundaries cannot affect
         // the result because lane windows are fully independent.
-        let base = n_lanes / shards;
-        let extra = n_lanes % shards;
-        let mut jobs: Vec<Box<dyn FnOnce() -> Vec<LaneBundle<M>> + Send>> =
-            Vec::with_capacity(shards);
-        let mut rest = bundles;
-        for c in 0..shards {
-            let take = base + usize::from(c < extra);
-            let tail = rest.split_off(take.min(rest.len()));
-            let mut chunk = rest;
-            rest = tail;
-            jobs.push(Box::new(move || {
-                for b in &mut chunk {
-                    run_lane_window(&mut b.lane, &mut b.nodes, target);
+        let mut rest = self.lanes.iter_mut();
+        let jobs: Vec<_> = (0..shards)
+            .map(|c| {
+                let take = n_lanes / shards + usize::from(c < n_lanes % shards);
+                let mut chunk: Vec<Lane<M>> = rest
+                    .by_ref()
+                    .take(take)
+                    .map(|l| l.take().expect("lane in place"))
+                    .collect();
+                move || {
+                    for lane in &mut chunk {
+                        lane.run_window(target);
+                    }
+                    chunk
                 }
-                chunk
-            }));
-        }
-        let done = self.core.pool.run(jobs);
-        let fabric = self.fabric.as_mut().expect("fabric");
-        for bundle in done.into_iter().flatten() {
-            let LaneBundle {
-                idx,
-                lane,
-                mut nodes,
-            } = bundle;
-            for (slot, &m) in lane.members.iter().enumerate() {
-                self.nodes[m] = Some(nodes[slot].take().expect("node returned"));
-            }
-            fabric.lanes[idx] = Some(lane);
+            })
+            .collect();
+        let done = self.env.pool.run(jobs);
+        for (slot, lane) in self.lanes.iter_mut().zip(done.into_iter().flatten()) {
+            *slot = Some(lane);
         }
     }
 
@@ -1652,37 +1333,22 @@ impl<M: Message> Engine<M> {
     /// lane order, drain every outbox (lane order = deterministic), and
     /// refresh the fleet-wide liveness snapshot.
     fn barrier_sync(&mut self, barrier: Nanos) {
-        let _s = self
-            .core
-            .profiler
-            .span("barrier_merge", barrier.0 / SLOT_NS);
+        let _s = self.env.profiler.span("barrier_merge", barrier.0 / SLOT_NS);
         self.merge_lane_traces();
-        let n_lanes = self.fabric.as_ref().expect("fabric").lanes.len();
-        for idx in 0..n_lanes {
+        for idx in 0..self.lanes.len() {
             self.drain_outbox_of(idx, barrier);
         }
         self.refresh_alive_view();
-        self.core.now = barrier;
     }
 
     /// Apply one lane's staged cross-lane effects. `floor` is the
     /// barrier instant: deliveries quantize up to it, and liveness
     /// transitions are stamped with it.
     fn drain_outbox_of(&mut self, lane_idx: usize, floor: Nanos) {
-        // Swap the lane's outbox with the fabric-held scratch Vec so
-        // the drained buffer's capacity is recycled on the next slot
-        // instead of dropped (the old `mem::take` freed it every time).
-        let mut ops = {
-            let fabric = self.fabric.as_mut().expect("fabric");
-            let scratch = std::mem::take(&mut fabric.outbox_scratch);
-            std::mem::replace(
-                &mut fabric.lanes[lane_idx]
-                    .as_mut()
-                    .expect("lane in place")
-                    .outbox,
-                scratch,
-            )
-        };
+        // Swap the lane's outbox with the engine-held scratch Vec so
+        // the drained buffer's capacity is recycled on the next slot.
+        let scratch = std::mem::take(&mut self.outbox_scratch);
+        let mut ops = std::mem::replace(&mut self.lane_mut(lane_idx).outbox, scratch);
         for op in ops.drain(..) {
             match op {
                 Outbound::Msg {
@@ -1692,56 +1358,19 @@ impl<M: Message> Engine<M> {
                     msg,
                 } => {
                     let at = arrive.max(floor);
-                    let fabric = self.fabric.as_mut().expect("fabric");
-                    let l = fabric.lane_of.get(dst.0).copied().unwrap_or(0) as usize;
-                    fabric.lanes[l].as_mut().expect("lane in place").push(
-                        at,
-                        dst,
-                        EventKind::Msg { from, msg },
-                    );
+                    self.home_mut(dst)
+                        .push(at, dst, EventKind::Msg { from, msg });
                 }
                 Outbound::SetAlive { node, actor, alive } => {
-                    self.apply_remote_alive(node, actor, alive, floor);
+                    self.set_alive(node, actor, alive, floor);
                 }
                 Outbound::Restart { node, actor } => {
-                    self.apply_remote_alive(node, actor, true, floor);
-                    let fabric = self.fabric.as_mut().expect("fabric");
-                    let l = fabric.lane_of[node.0] as usize;
-                    fabric.lanes[l].as_mut().expect("lane in place").push(
-                        floor,
-                        node,
-                        EventKind::Start,
-                    );
+                    self.set_alive(node, actor, true, floor);
+                    self.home_mut(node).push(floor, node, EventKind::Start);
                 }
             }
         }
-        self.fabric.as_mut().expect("fabric").outbox_scratch = ops;
-    }
-
-    fn apply_remote_alive(&mut self, node: NodeId, actor: NodeId, alive: bool, at: Nanos) {
-        let changed = {
-            let fabric = self.fabric.as_mut().expect("fabric");
-            let l = fabric.lane_of[node.0] as usize;
-            let lane = fabric.lanes[l].as_mut().expect("lane in place");
-            let slot = &mut lane.alive[node.0];
-            assert!(*slot != MEMBER_NONE, "not a lane member");
-            let next = if alive { MEMBER_ALIVE } else { MEMBER_DEAD };
-            if *slot == next {
-                false
-            } else {
-                *slot = next;
-                lane.alive_dirty = true;
-                true
-            }
-        };
-        if changed {
-            let kind = if alive {
-                TraceEventKind::NodeRevived
-            } else {
-                TraceEventKind::NodeKilled
-            };
-            self.core.trace.record(at, actor, kind, node.0 as u64, 0);
-        }
+        self.outbox_scratch = ops;
     }
 
     /// Rebuild the fleet-wide liveness snapshot every lane reads for
@@ -1749,9 +1378,8 @@ impl<M: Message> Engine<M> {
     /// no lane recorded a liveness transition since the last rebuild —
     /// the common case, sparing a fleet-sized allocation per barrier.
     fn refresh_alive_view(&mut self) {
-        let fabric = self.fabric.as_mut().expect("fabric");
-        let n = self.nodes.len();
-        let stale = fabric
+        let n = self.lane_of.len();
+        let stale = self
             .lanes
             .iter()
             .flatten()
@@ -1759,125 +1387,31 @@ impl<M: Message> Engine<M> {
         if !stale {
             return;
         }
-        let mut view = vec![false; n];
-        for lane in fabric.lanes.iter().flatten() {
-            for (id, &state) in lane.alive.iter().enumerate() {
-                if state != MEMBER_NONE {
-                    view[id] = state == MEMBER_ALIVE;
-                }
-            }
-        }
-        let view = Arc::new(view);
-        for lane in fabric.lanes.iter_mut().flatten() {
+        let view: Arc<Vec<bool>> = Arc::new(
+            (0..n)
+                .map(|i| self.home(NodeId(i)).node_alive(NodeId(i)))
+                .collect(),
+        );
+        for lane in self.lanes.iter_mut().flatten() {
             lane.alive_view = Arc::clone(&view);
             lane.alive_dirty = false;
         }
     }
 
-    /// Move every lane's staged trace events into the global buffer,
+    /// Move every lane's staged trace events into the engine's buffer,
     /// time-sorted (stable, so lane order breaks ties — deterministic
     /// for every shard and worker count).
     fn merge_lane_traces(&mut self) {
-        let fabric = self.fabric.as_mut().expect("fabric");
-        let mut staged = std::mem::take(&mut fabric.merge_scratch);
-        for lane in fabric.lanes.iter_mut().flatten() {
+        let mut staged = std::mem::take(&mut self.merge_scratch);
+        for lane in self.lanes.iter_mut().flatten() {
             lane.trace.drain_events_into(&mut staged);
-            lane.trace.sync_filter_from(&self.core.trace);
         }
-        // Stable sort: lane order breaks same-instant ties, so the
-        // merged stream is deterministic for every shard/worker count.
         staged.sort_by_key(|ev| ev.at);
         for ev in staged.drain(..) {
-            self.core.trace.append_event(ev);
+            self.trace.append_event(ev);
         }
-        fabric.merge_scratch = staged;
+        self.merge_scratch = staged;
     }
-}
-
-#[cfg(feature = "dispatch-histogram")]
-pub static DISPATCH_HISTOGRAM: std::sync::Mutex<std::collections::BTreeMap<String, u64>> =
-    std::sync::Mutex::new(std::collections::BTreeMap::new());
-
-/// One lane's movable window state: the lane core plus its member nodes
-/// (indexed by the lane's `local` map).
-struct LaneBundle<M: Message> {
-    idx: usize,
-    lane: LaneCore<M>,
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
-}
-
-/// Advance a single lane to `until`: the same pop/dispatch loop as the
-/// single-loop engine, against lane-local state only. Runs inside a
-/// worker job; everything it touches is owned by the job.
-fn run_lane_window<M: Message>(
-    lane: &mut LaneCore<M>,
-    nodes: &mut [Option<Box<dyn Node<M>>>],
-    until: Nanos,
-) {
-    let window_t0 = std::time::Instant::now();
-    let _window_span = lane.profiler.span("lane_dispatch", until.0 / SLOT_NS);
-    loop {
-        let popped = {
-            let _s = lane.profiler.span("queue_pop", lane.now.0 / SLOT_NS);
-            lane.queue.pop_le(until)
-        };
-        let (at, _seq, (dst, kind)) = match popped {
-            Some(e) => e,
-            None => break,
-        };
-        debug_assert!(at >= lane.now, "time went backwards");
-        lane.now = at;
-        let slot = match lane.local.get(dst.0).copied() {
-            Some(s) if s != NOT_LOCAL => s as usize,
-            _ => continue,
-        };
-        if lane.alive.get(dst.0).copied().unwrap_or(MEMBER_NONE) != MEMBER_ALIVE {
-            continue;
-        }
-        let kind_tag: u64 = match &kind {
-            EventKind::Msg { .. } => 1,
-            EventKind::Timer { .. } => 2,
-            EventKind::Start => 3,
-        };
-        let mut h = lane.trace_hash;
-        for v in [at.0, dst.0 as u64, kind_tag] {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        lane.trace_hash = h;
-        lane.dispatched += 1;
-        #[cfg(feature = "dispatch-histogram")]
-        {
-            let name = lane.names.get(dst.0).cloned().unwrap_or_default();
-            let pfx: String = name.chars().take_while(|c| !c.is_ascii_digit()).collect();
-            let tag = match &kind {
-                EventKind::Msg { .. } => "msg",
-                EventKind::Timer { .. } => "timer",
-                EventKind::Start => "start",
-            };
-            *DISPATCH_HISTOGRAM
-                .lock()
-                .unwrap()
-                .entry(format!("{pfx}/{tag}"))
-                .or_insert(0u64) += 1;
-        }
-
-        let mut node = nodes[slot].take().expect("node missing");
-        {
-            let mut ctx = Ctx {
-                inner: CtxInner::Lane(lane),
-                id: dst,
-            };
-            match kind {
-                EventKind::Msg { from, msg } => node.on_msg(&mut ctx, from, msg),
-                EventKind::Timer { token } => node.on_timer(&mut ctx, token),
-                EventKind::Start => node.on_start(&mut ctx),
-            }
-        }
-        nodes[slot] = Some(node);
-    }
-    lane.now = lane.now.max(until);
-    lane.busy_ns += window_t0.elapsed().as_nanos() as u64;
 }
 
 #[cfg(test)]
@@ -1934,66 +1468,153 @@ mod tests {
         fn on_msg(&mut self, _ctx: &mut Ctx<'_, TestMsg>, _from: NodeId, _msg: TestMsg) {}
     }
 
+    /// Beats every 100 ns for as long as it is alive.
+    #[derive(Default)]
+    struct Beater {
+        starts: u64,
+        beats: u64,
+    }
+
+    impl Node<TestMsg> for Beater {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            self.starts += 1;
+            ctx.timer(Nanos(100), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _t: u64) {
+            self.beats += 1;
+            ctx.timer(Nanos(100), 0);
+        }
+        fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
+    }
+
+    /// The trace's kill / revive records: `(at, actor, kind, target)`.
+    fn lifecycle(e: &Engine<TestMsg>) -> Vec<(Nanos, NodeId, TraceEventKind, NodeId)> {
+        e.event_trace()
+            .iter()
+            .filter(|ev| {
+                matches!(
+                    ev.kind,
+                    TraceEventKind::NodeKilled | TraceEventKind::NodeRevived
+                )
+            })
+            .map(|ev| (ev.at, ev.node, ev.kind, NodeId(ev.a as usize)))
+            .collect()
+    }
+
     fn engine() -> Engine<TestMsg> {
         Engine::new(1)
     }
 
+    /// The engine contract does not depend on lane count: run `body`
+    /// on a one-lane engine and on a two-lane one, with the same
+    /// assertions. `body` calls the hook it is handed once its nodes
+    /// and links exist (and, where it matters, its first events are
+    /// queued). At one lane that is a no-op; at two it moves everything
+    /// registered so far into lane 1, beside an idle node alone in lane
+    /// 0, so all the program's traffic stays lane-local.
+    fn at_each_lane_count(body: impl Fn(Engine<TestMsg>, &dyn Fn(&mut Engine<TestMsg>))) {
+        body(engine(), &|_| {});
+        body(engine(), &|e| {
+            let mut lane_of = vec![1; e.lane_of.len()];
+            e.add_node("idle", Box::new(Recorder::default()));
+            lane_of.push(0);
+            e.enable_shards(lane_of, 2);
+        });
+    }
+
     #[test]
     fn delivers_in_time_order() {
-        let mut e = engine();
-        let r = e.add_node("r", Box::new(Recorder::default()));
-        e.post(Nanos(300), r, TestMsg(3, 0));
-        e.post(Nanos(100), r, TestMsg(1, 0));
-        e.post(Nanos(200), r, TestMsg(2, 0));
-        e.run_until(Nanos(1000));
-        let rec = e.node::<Recorder>(r).unwrap();
-        assert_eq!(
-            rec.got,
-            vec![(1, Nanos(100)), (2, Nanos(200)), (3, Nanos(300)),]
-        );
+        at_each_lane_count(|mut e, shard| {
+            let r = e.add_node("r", Box::new(Recorder::default()));
+            e.post(Nanos(300), r, TestMsg(3, 0));
+            e.post(Nanos(100), r, TestMsg(1, 0));
+            // Events queued before and after re-partitioning both
+            // follow the node to its lane.
+            shard(&mut e);
+            e.post(Nanos(200), r, TestMsg(2, 0));
+            e.run_until(Nanos(1000));
+            let rec = e.node::<Recorder>(r).unwrap();
+            assert_eq!(
+                rec.got,
+                vec![(1, Nanos(100)), (2, Nanos(200)), (3, Nanos(300)),]
+            );
+        });
     }
 
     #[test]
     fn simultaneous_events_fifo_by_insertion() {
-        let mut e = engine();
-        let r = e.add_node("r", Box::new(Recorder::default()));
-        e.post(Nanos(100), r, TestMsg(1, 0));
-        e.post(Nanos(100), r, TestMsg(2, 0));
-        e.run_until(Nanos(100));
-        let rec = e.node::<Recorder>(r).unwrap();
-        assert_eq!(rec.got.iter().map(|g| g.0).collect::<Vec<_>>(), vec![1, 2]);
+        at_each_lane_count(|mut e, shard| {
+            let r = e.add_node("r", Box::new(Recorder::default()));
+            e.post(Nanos(100), r, TestMsg(1, 0));
+            e.post(Nanos(100), r, TestMsg(2, 0));
+            shard(&mut e);
+            e.run_until(Nanos(100));
+            let rec = e.node::<Recorder>(r).unwrap();
+            assert_eq!(rec.got.iter().map(|g| g.0).collect::<Vec<_>>(), vec![1, 2]);
+        });
     }
 
     #[test]
     fn run_until_stops_at_boundary() {
-        let mut e = engine();
-        let r = e.add_node("r", Box::new(Recorder::default()));
-        e.post(Nanos(100), r, TestMsg(1, 0));
-        e.post(Nanos(201), r, TestMsg(2, 0));
-        e.run_until(Nanos(200));
-        assert_eq!(e.now(), Nanos(200));
-        assert_eq!(e.node::<Recorder>(r).unwrap().got.len(), 1);
-        e.run_until(Nanos(300));
-        assert_eq!(e.node::<Recorder>(r).unwrap().got.len(), 2);
+        at_each_lane_count(|mut e, shard| {
+            let r = e.add_node("r", Box::new(Recorder::default()));
+            shard(&mut e);
+            e.post(Nanos(100), r, TestMsg(1, 0));
+            e.post(Nanos(201), r, TestMsg(2, 0));
+            e.run_until(Nanos(200));
+            assert_eq!(e.now(), Nanos(200));
+            assert_eq!(e.node::<Recorder>(r).unwrap().got.len(), 1);
+            e.run_until(Nanos(300));
+            assert_eq!(e.node::<Recorder>(r).unwrap().got.len(), 2);
+
+            // Stop inside a later window (past the first slot barrier,
+            // not on one), then post for an instant before the next
+            // barrier: it is delivered at that instant, not at the
+            // barrier, and not before `run_until` reaches it.
+            let slot = crate::time::SLOT_DURATION.0;
+            let stop = Nanos(slot + slot / 3);
+            e.run_until(stop);
+            assert_eq!(e.now(), stop);
+            let at = Nanos(slot + slot / 2);
+            e.post(at, r, TestMsg(3, 0));
+            e.run_until(Nanos(at.0 - 1));
+            assert_eq!(e.node::<Recorder>(r).unwrap().got.len(), 2);
+            e.run_until(at);
+            assert_eq!(e.node::<Recorder>(r).unwrap().got[2], (3, at));
+
+            // An empty queue still advances the clock to `until`, and an
+            // event posted for that very instant is then dispatched by a
+            // run to the same instant.
+            let idle = Nanos(40 * slot + 7);
+            e.run_until(idle);
+            assert_eq!(e.now(), idle);
+            e.post(Nanos(0), r, TestMsg(4, 0));
+            e.run_until(idle);
+            assert_eq!(e.node::<Recorder>(r).unwrap().got[3], (4, idle));
+            assert_eq!(e.dispatched(), 4);
+        });
     }
 
     #[test]
     fn link_latency_and_serialization() {
-        let mut e = engine();
-        let a = e.add_node(
-            "a",
-            Box::new(Pinger {
-                peer: NodeId(1),
-                sent: 0,
-            }),
-        );
-        let r = e.add_node("r", Box::new(Recorder::default()));
-        // 100 byte msg at 1 Gbps = 800 ns serialization; latency 1000 ns.
-        e.connect(a, r, LinkParams::with_bandwidth(Nanos(1000), 1_000_000_000));
-        e.run_until(Nanos(10_000));
-        let rec = e.node::<Recorder>(r).unwrap();
-        assert_eq!(rec.got.len(), 5);
-        assert_eq!(rec.got[0].1, Nanos(100 + 800 + 1000));
+        at_each_lane_count(|mut e, shard| {
+            let a = e.add_node(
+                "a",
+                Box::new(Pinger {
+                    peer: NodeId(1),
+                    sent: 0,
+                }),
+            );
+            let r = e.add_node("r", Box::new(Recorder::default()));
+            // 100 byte msg at 1 Gbps = 800 ns serialization; latency 1000 ns.
+            e.connect(a, r, LinkParams::with_bandwidth(Nanos(1000), 1_000_000_000));
+            shard(&mut e);
+            e.run_until(Nanos(10_000));
+            let rec = e.node::<Recorder>(r).unwrap();
+            assert_eq!(rec.got.len(), 5);
+            assert_eq!(rec.got[0].1, Nanos(100 + 800 + 1000));
+            assert_eq!(e.link_stats(a, r).unwrap().sent, 5);
+        });
     }
 
     #[test]
@@ -2015,16 +1636,18 @@ mod tests {
             }
             fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
         }
-        let mut e = engine();
-        let a = e.add_node("a", Box::new(Burst { peer: None }));
-        let r = e.add_node("r", Box::new(Recorder::default()));
-        e.node_mut::<Burst>(a).unwrap().peer = Some(r);
-        // 1000 bytes at 1 Gbps = 8000 ns each.
-        e.connect(a, r, LinkParams::with_bandwidth(Nanos(0), 1_000_000_000));
-        e.run_until(Nanos(100_000));
-        let rec = e.node::<Recorder>(r).unwrap();
-        assert_eq!(rec.got[0].1, Nanos(8_000));
-        assert_eq!(rec.got[1].1, Nanos(16_000));
+        at_each_lane_count(|mut e, shard| {
+            let a = e.add_node("a", Box::new(Burst { peer: None }));
+            let r = e.add_node("r", Box::new(Recorder::default()));
+            // 1000 bytes at 1 Gbps = 8000 ns each.
+            e.connect(a, r, LinkParams::with_bandwidth(Nanos(0), 1_000_000_000));
+            shard(&mut e);
+            e.node_mut::<Burst>(a).unwrap().peer = Some(r);
+            e.run_until(Nanos(100_000));
+            let rec = e.node::<Recorder>(r).unwrap();
+            assert_eq!(rec.got[0].1, Nanos(8_000));
+            assert_eq!(rec.got[1].1, Nanos(16_000));
+        });
     }
 
     #[test]
@@ -2100,12 +1723,14 @@ mod tests {
                 }
             }
         }
-        let mut e = engine();
-        let _t = e.add_node("t", Box::new(T));
-        let r = e.add_node("r", Box::new(Recorder::default()));
-        e.run_until(Nanos(100));
-        let rec = e.node::<Recorder>(r).unwrap();
-        assert_eq!(rec.got, vec![(7, Nanos(4)), (42, Nanos(6))]);
+        at_each_lane_count(|mut e, shard| {
+            let _t = e.add_node("t", Box::new(T));
+            let r = e.add_node("r", Box::new(Recorder::default()));
+            shard(&mut e);
+            e.run_until(Nanos(100));
+            let rec = e.node::<Recorder>(r).unwrap();
+            assert_eq!(rec.got, vec![(7, Nanos(4)), (42, Nanos(6))]);
+        });
     }
 
     #[test]
@@ -2225,37 +1850,150 @@ mod tests {
 
     #[test]
     fn restart_reruns_on_start() {
-        struct Beater {
-            beats: u64,
+        at_each_lane_count(|mut e, shard| {
+            let b = e.add_node("b", Box::new(Beater::default()));
+            shard(&mut e);
+            e.run_until(Nanos(1_000));
+            let after_first = e.node::<Beater>(b).unwrap().beats;
+            assert!(after_first >= 9);
+            // Kill: the timer chain dies with the node.
+            e.kill(b);
+            e.run_until(Nanos(2_000));
+            assert_eq!(e.node::<Beater>(b).unwrap().beats, after_first);
+            // Plain revive does NOT resurrect the chain...
+            e.revive(b);
+            e.run_until(Nanos(3_000));
+            assert_eq!(e.node::<Beater>(b).unwrap().beats, after_first);
+            assert_eq!(
+                lifecycle(&e),
+                vec![
+                    (
+                        Nanos(1_000),
+                        NodeId::EXTERNAL,
+                        TraceEventKind::NodeKilled,
+                        b
+                    ),
+                    (
+                        Nanos(2_000),
+                        NodeId::EXTERNAL,
+                        TraceEventKind::NodeRevived,
+                        b
+                    ),
+                ]
+            );
+            // ...but restart re-runs on_start (once), which re-arms it.
+            // Only transitions are traced: the second kill is not one.
+            e.kill(b);
+            e.kill(b);
+            e.run_for(Nanos(500));
+            e.restart(b);
+            e.run_until(Nanos(4_000));
+            let beater = e.node::<Beater>(b).unwrap();
+            assert!(beater.beats > after_first);
+            assert_eq!(beater.starts, 2);
+            assert_eq!(
+                lifecycle(&e)[2..],
+                [
+                    (
+                        Nanos(3_000),
+                        NodeId::EXTERNAL,
+                        TraceEventKind::NodeKilled,
+                        b
+                    ),
+                    (
+                        Nanos(3_500),
+                        NodeId::EXTERNAL,
+                        TraceEventKind::NodeRevived,
+                        b
+                    ),
+                ]
+            );
+        });
+    }
+
+    /// A kill or restart aimed at another lane's node is staged and
+    /// lands at the next slot barrier, traced there under the actor's
+    /// id; until then the target keeps running.
+    #[test]
+    fn cross_lane_kill_and_restart_land_at_the_barrier() {
+        struct Reaper {
+            victim: NodeId,
         }
-        impl Node<TestMsg> for Beater {
+        impl Node<TestMsg> for Reaper {
             fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
-                ctx.timer(Nanos(100), 0);
+                ctx.timer(Nanos(100_000), 0);
+                ctx.timer(Nanos(1_200_000), 1);
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _t: u64) {
-                self.beats += 1;
-                ctx.timer(Nanos(100), 0);
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, token: u64) {
+                if token == 0 {
+                    ctx.kill(self.victim);
+                    // The barrier snapshot has not caught up yet.
+                    assert!(ctx.is_alive(self.victim));
+                } else {
+                    assert!(!ctx.is_alive(self.victim));
+                    ctx.restart(self.victim);
+                }
             }
             fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
         }
         let mut e = engine();
-        let b = e.add_node("b", Box::new(Beater { beats: 0 }));
-        e.run_until(Nanos(1_000));
-        let after_first = e.node::<Beater>(b).unwrap().beats;
-        assert!(after_first >= 9);
-        // Kill: the timer chain dies with the node.
-        e.kill(b);
-        e.run_until(Nanos(2_000));
-        assert_eq!(e.node::<Beater>(b).unwrap().beats, after_first);
-        // Plain revive does NOT resurrect the chain...
-        e.revive(b);
-        e.run_until(Nanos(3_000));
-        assert_eq!(e.node::<Beater>(b).unwrap().beats, after_first);
-        // ...but restart re-runs on_start, which re-arms it.
-        e.kill(b);
-        e.restart(b);
-        e.run_until(Nanos(4_000));
-        assert!(e.node::<Beater>(b).unwrap().beats > after_first);
+        let reaper = e.add_node("reaper", Box::new(Reaper { victim: NodeId(1) }));
+        let victim = e.add_node("victim", Box::new(Beater::default()));
+        e.enable_shards(vec![0, 1], 2);
+        e.run_until(Nanos(2_000_000));
+        assert_eq!(
+            lifecycle(&e),
+            vec![
+                (Nanos(500_000), reaper, TraceEventKind::NodeKilled, victim),
+                (
+                    Nanos(1_500_000),
+                    reaper,
+                    TraceEventKind::NodeRevived,
+                    victim
+                ),
+            ]
+        );
+        // 100 ns beats: alive for [0, 500 us], then from 1.5 ms on.
+        let v = e.node::<Beater>(victim).unwrap();
+        assert_eq!(v.starts, 2);
+        assert_eq!(v.beats, 5_000 + 5_000);
+    }
+
+    /// Lane 0 exists from `Engine::new`, before a harness sizes or
+    /// filters the trace: staging has to follow the engine's buffer
+    /// from the very first window (and never evict on its own).
+    #[test]
+    fn staging_trace_follows_the_engine_buffer_from_the_first_window() {
+        struct Chatty;
+        impl Node<TestMsg> for Chatty {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+                ctx.timer(Nanos(1_000), 0);
+                self.on_timer(ctx, 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _t: u64) {
+                ctx.trace(TraceEventKind::HeartbeatSeen, 0, 0);
+                ctx.trace(TraceEventKind::MapFlip, 0, 0);
+                ctx.trace(TraceEventKind::DlFiltered, 0, 0);
+            }
+            fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
+        }
+        for lanes in [1, 2] {
+            let mut e = engine();
+            e.add_node("a", Box::new(Chatty));
+            e.add_node("b", Box::new(Chatty));
+            if lanes == 2 {
+                e.enable_shards(vec![0, 1], 2);
+            }
+            e.event_trace_mut()
+                .set_kind_filter(&[TraceEventKind::MapFlip]);
+            e.event_trace_mut().set_capacity(4);
+            e.run_until(Nanos(10_000));
+            let trace = e.event_trace();
+            // Two nodes, each at start and in slot 0: exactly the ring.
+            assert_eq!(trace.len(), 4, "{lanes} lane(s)");
+            assert!(trace.iter().all(|ev| ev.kind == TraceEventKind::MapFlip));
+            assert_eq!(trace.dropped_oldest(), 0, "{lanes} lane(s)");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Slot-bucketed calendar queue for the engine hot path.
 //!
-//! The discrete-event engines (single-loop and per-lane) used to keep
-//! every pending event in one `BinaryHeap<Reverse<QueuedEvent>>`. That
+//! The discrete-event engine used to keep every pending event of a
+//! lane in one `BinaryHeap<Reverse<QueuedEvent>>`. That
 //! is O(log n) per operation with comparator-driven cache misses, and —
 //! worse for a simulator whose message enum is large — every sift moves
 //! whole payloads through the heap array.

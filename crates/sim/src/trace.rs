@@ -323,32 +323,19 @@ impl TraceBuffer {
         self.total += 1;
     }
 
-    /// A staging buffer sharing this buffer's clock and kind filter —
-    /// what each engine shard records into between slot barriers before
-    /// its events merge back here. Staging rings get the same capacity;
-    /// they are drained every barrier, so eviction never fires in
-    /// practice.
-    pub fn fork_staging(&self) -> TraceBuffer {
-        TraceBuffer {
-            events: std::collections::VecDeque::new(),
-            capacity: self.capacity,
-            dropped_oldest: 0,
-            total: 0,
-            clock: self.clock,
-            kind_mask: self.kind_mask,
-        }
-    }
-
-    /// Copy another buffer's kind filter (keeps staging buffers in step
-    /// with a filter installed on the global buffer mid-run).
-    pub fn sync_filter_from(&mut self, other: &TraceBuffer) {
-        self.kind_mask = other.kind_mask;
+    /// Make this buffer a lane's staging area for `global`: same slot
+    /// clock and kind filter, and unbounded — it is drained into
+    /// `global` at every barrier, and only `global`'s ring may evict.
+    pub fn stage_for(&mut self, global: &TraceBuffer) {
+        self.clock = global.clock;
+        self.kind_mask = global.kind_mask;
+        self.capacity = usize::MAX;
     }
 
     /// Take every buffered event out, preserving record order. The
     /// `total`/`dropped_oldest` accounting is *not* reset: a staging
-    /// buffer's totals keep accumulating across drains so shard runs
-    /// report the same totals as single-loop runs.
+    /// buffer's totals keep accumulating across drains, so every lane
+    /// count reports the same totals.
     pub fn drain_events(&mut self) -> Vec<TraceEvent> {
         self.events.drain(..).collect()
     }
@@ -360,7 +347,7 @@ impl TraceBuffer {
         out.extend(self.events.drain(..));
     }
 
-    /// Append an already-built event (from a shard's staging buffer),
+    /// Append an already-built event (from a lane's staging buffer),
     /// bypassing the kind filter — staging already applied it — but
     /// honoring ring capacity.
     pub fn append_event(&mut self, ev: TraceEvent) {

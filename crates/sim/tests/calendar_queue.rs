@@ -259,7 +259,7 @@ fn faulty_ring(seed: u64, lanes: usize, exec_shards: usize) -> Engine<TMsg> {
 }
 
 /// Duplicating/reordering/jittering links must stay byte-identical
-/// run-to-run for every seed, and — in sharded mode — for every
+/// run-to-run for every seed, and — on several lanes — for every
 /// exec-shard count (the fault draws live on the sender's lane RNG).
 #[test]
 fn dup_reorder_fault_traces_are_deterministic() {
