@@ -21,7 +21,7 @@
 #
 # Knobs (all optional; defaults shown):
 #   CHAOS_SEEDS=4      seeds for the chaos smoke (nightly workflow: 64);
-#                      each seed runs 4 fixed + 2 pool + 2 handover + 1
+#                      each seed runs 4 fixed + 3 pool + 2 handover + 1
 #                      randomized scenario
 #   KERNEL_BACKEND=    DSP kernel backend (scalar|avx2|detect);
 #                      the full gate runs tier-1 tests twice — native

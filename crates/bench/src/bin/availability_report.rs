@@ -149,11 +149,7 @@ fn run_config(
 
     let slo_cfg = SloConfig {
         horizon_slots: scenario.horizon_slots,
-        initial_active: d
-            .cells
-            .iter()
-            .map(|c| (c.ru_id as u64, c.primary_phy_id as u64))
-            .collect(),
+        initial_active: d.initial_active(),
         ..SloConfig::default()
     };
     let report = slo::analyze(d.engine.event_trace(), &slo_cfg);

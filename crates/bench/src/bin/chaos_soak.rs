@@ -56,7 +56,9 @@ fn fixed_scenarios() -> Vec<Scenario> {
 /// distinct cells outnumber the pool, so these runs only pass if the
 /// orchestrator scrubs and recycles dead ex-primaries between failures;
 /// the oracle holds every crash to the single-failure bounds and audits
-/// the pool ledger.
+/// the pool ledger. `pool-planned` keeps the multi-cell planned path
+/// judged: cell 0 migrates (its old primary drains the last
+/// pre-boundary slot) while a neighbour crashes.
 fn pool_scenarios() -> Vec<Scenario> {
     vec![
         Scenario::new("pool-3crash", 1700)
@@ -68,6 +70,9 @@ fn pool_scenarios() -> Vec<Scenario> {
             .fault(760, FaultTarget::ActivePhyOf(1), FaultKind::PhyCrash)
             .fault(820, FaultTarget::ActivePhyOf(2), FaultKind::PhyCrash)
             .fault(880, FaultTarget::ActivePhyOf(3), FaultKind::PhyCrash),
+        Scenario::new("pool-planned", 1700)
+            .fault(700, FaultTarget::OrionL2, FaultKind::PlannedMigration)
+            .fault(760, FaultTarget::ActivePhyOf(2), FaultKind::PhyCrash),
     ]
 }
 
@@ -151,7 +156,7 @@ fn run_with_deployment(
     // for the per-seed availability summary in the JSON report.
     let slo_cfg = SloConfig {
         horizon_slots: scenario.horizon_slots,
-        initial_active: exp.initial_active.clone(),
+        initial_active: d.initial_active(),
         ..SloConfig::default()
     };
     let slo = slo::analyze(d.engine.event_trace(), &slo_cfg);
@@ -257,7 +262,7 @@ fn main() {
     let suite_desc = if handover_only {
         format!("Chaos soak: {seeds} seeds x 2 handover scenarios")
     } else {
-        format!("Chaos soak: {seeds} seeds x (4 fixed + 2 pool + 2 handover + 1 random) scenarios")
+        format!("Chaos soak: {seeds} seeds x (4 fixed + 3 pool + 2 handover + 1 random) scenarios")
     };
     banner(
         &suite_desc,

@@ -529,26 +529,16 @@ pub fn chaos_handover_deployment_with_workers(seed: u64, workers: usize) -> Depl
     d
 }
 
-/// Damage-derived expectations for a scenario on this deployment. For
-/// multi-cell deployments the oracle is switched into per-cell mode
-/// (initial active-PHY map from the built topology) and, when a spare
-/// pool is configured, the pool-accounting invariant is armed. On
-/// handover-enabled deployments the mobility invariants are armed too:
-/// the initial serving map is read from the UE nodes (call this before
-/// running the scenario), and URLLC UEs get a deadline budget scaled by
-/// the scenario's tolerated damage.
+/// Damage-derived expectations for a scenario on this deployment: its
+/// cells are declared to the oracle (initial active-PHY map from the
+/// built topology) and, with a spare pool, the pool-accounting
+/// invariant is armed. On handover-enabled deployments the mobility
+/// invariants are armed too: the initial serving map is read from the
+/// UE nodes (call this before running the scenario), and URLLC UEs get
+/// a deadline budget scaled by the scenario's tolerated damage.
 pub fn expectations_for(d: &Deployment, scenario: &Scenario) -> oracle::Expectations {
     let mut exp = oracle::Expectations::for_scenario(scenario, d.cfg.spare_pool > 0);
-    if d.cells.len() > 1 {
-        exp.initial_active = d
-            .cells
-            .iter()
-            .map(|c| (c.ru_id as u64, c.primary_phy_id as u64))
-            .collect();
-        // Per-cell repair is checked from each cell's flip timeline, so
-        // the global any-cell variant is redundant noise in this mode.
-        exp.expect_repair = false;
-    }
+    exp.initial_active = d.initial_active();
     if d.cfg.spare_pool > 0 {
         exp.expect_pool = Some(d.cfg.spare_pool as u64);
     }

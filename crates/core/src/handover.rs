@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use slingshot_netsim::{EtherType, Frame, MacAddr};
 use slingshot_ran::{CtlMsg, Msg};
-use slingshot_sim::{Ctx, Instrument, InstrumentSink, Nanos, Node, NodeId, SlotClock};
+use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SlotClock};
 
 use crate::ctl::CtlPacket;
 
@@ -172,15 +172,6 @@ impl HandoverController {
     }
 }
 
-impl Instrument for HandoverController {
-    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
-        sink.counter(scope, "handovers_started", self.started);
-        sink.counter(scope, "handovers_completed", self.completed);
-        sink.counter(scope, "handovers_aborted", self.aborted);
-        sink.gauge(scope, "in_flight", self.in_flight.len() as i64);
-    }
-}
-
 impl Node<Msg> for HandoverController {
     fn on_start(&mut self, _ctx: &mut Ctx<'_, Msg>) {
         // Soft state only: a restart after a crash forgets every
@@ -298,6 +289,13 @@ impl Node<Msg> for HandoverController {
             }
             _ => {}
         }
+    }
+
+    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
+        sink.counter(scope, "handovers_started", self.started);
+        sink.counter(scope, "handovers_completed", self.completed);
+        sink.counter(scope, "handovers_aborted", self.aborted);
+        sink.gauge(scope, "in_flight", self.in_flight.len() as i64);
     }
 }
 

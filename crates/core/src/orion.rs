@@ -22,9 +22,7 @@ use std::collections::HashMap;
 use slingshot_fapi::{self as fapi, FapiMsg};
 use slingshot_netsim::{EtherType, Frame, MacAddr};
 use slingshot_ran::{CtlMsg, Msg};
-use slingshot_sim::{
-    Ctx, Instrument, InstrumentSink, Nanos, Node, NodeId, SlotClock, SlotId, TraceEventKind,
-};
+use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SlotClock, SlotId, TraceEventKind};
 
 use crate::ctl::CtlPacket;
 
@@ -148,16 +146,6 @@ impl OrionPhyNode {
 }
 
 const TIMER_PHY_SIDE_SLOT: u64 = 911;
-
-impl Instrument for OrionPhyNode {
-    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
-        sink.counter(scope, "forwarded_to_phy", self.forwarded_to_phy);
-        sink.counter(scope, "forwarded_to_l2", self.forwarded_to_l2);
-        sink.counter(scope, "loss_nulls_injected", self.loss_nulls_injected);
-        sink.counter(scope, "rx_bytes_from_l2", self.rx_bytes_from_l2);
-        sink.histogram(scope, "fwd_latency_ns", &self.fwd_latency);
-    }
-}
 
 impl Node<Msg> for OrionPhyNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -301,6 +289,14 @@ impl Node<Msg> for OrionPhyNode {
             }
             _ => {}
         }
+    }
+
+    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
+        sink.counter(scope, "forwarded_to_phy", self.forwarded_to_phy);
+        sink.counter(scope, "forwarded_to_l2", self.forwarded_to_l2);
+        sink.counter(scope, "loss_nulls_injected", self.loss_nulls_injected);
+        sink.counter(scope, "rx_bytes_from_l2", self.rx_bytes_from_l2);
+        sink.histogram(scope, "fwd_latency_ns", &self.fwd_latency);
     }
 }
 
@@ -758,16 +754,6 @@ impl OrionL2Node {
     }
 }
 
-impl Instrument for OrionL2Node {
-    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
-        sink.counter(scope, "failovers", self.failovers);
-        sink.counter(scope, "planned_migrations", self.planned_migrations);
-        sink.counter(scope, "dropped_standby_msgs", self.dropped_standby_msgs);
-        sink.counter(scope, "drained_late_msgs", self.drained_late_msgs);
-        sink.counter(scope, "null_fapi_sent", self.null_fapi_sent);
-    }
-}
-
 impl Node<Msg> for OrionL2Node {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         ctx.timer_at(self.clock.next_slot_start(ctx.now()), TIMER_SLOT);
@@ -852,6 +838,14 @@ impl Node<Msg> for OrionL2Node {
             }
             _ => {}
         }
+    }
+
+    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
+        sink.counter(scope, "failovers", self.failovers);
+        sink.counter(scope, "planned_migrations", self.planned_migrations);
+        sink.counter(scope, "dropped_standby_msgs", self.dropped_standby_msgs);
+        sink.counter(scope, "drained_late_msgs", self.drained_late_msgs);
+        sink.counter(scope, "null_fapi_sent", self.null_fapi_sent);
     }
 }
 

@@ -27,9 +27,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use slingshot_netsim::{EtherType, Frame, MacAddr};
 use slingshot_ran::{CtlMsg, Msg};
-use slingshot_sim::{
-    Ctx, Instrument, InstrumentSink, Nanos, Node, NodeId, SlotClock, TraceEventKind,
-};
+use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SlotClock, TraceEventKind};
 
 use crate::ctl::CtlPacket;
 
@@ -189,16 +187,6 @@ impl RecoveryOrchestrator {
     }
 }
 
-impl Instrument for RecoveryOrchestrator {
-    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
-        sink.counter(scope, "grants", self.grants);
-        sink.counter(scope, "requests_queued", self.requests_queued);
-        sink.counter(scope, "scrubs_completed", self.scrubs_completed);
-        sink.gauge(scope, "pool_size", self.pool.len() as i64);
-        sink.gauge(scope, "pending_requests", self.pending.len() as i64);
-    }
-}
-
 impl Node<Msg> for RecoveryOrchestrator {
     fn on_start(&mut self, _ctx: &mut Ctx<'_, Msg>) {}
 
@@ -259,6 +247,14 @@ impl Node<Msg> for RecoveryOrchestrator {
             }
             _ => {}
         }
+    }
+
+    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
+        sink.counter(scope, "grants", self.grants);
+        sink.counter(scope, "requests_queued", self.requests_queued);
+        sink.counter(scope, "scrubs_completed", self.scrubs_completed);
+        sink.gauge(scope, "pool_size", self.pool.len() as i64);
+        sink.gauge(scope, "pending_requests", self.pending.len() as i64);
     }
 }
 

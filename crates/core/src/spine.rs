@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use slingshot_netsim::{EtherType, MacAddr};
 use slingshot_ran::Msg;
-use slingshot_sim::{Ctx, Instrument, InstrumentSink, Node, NodeId, SimRng};
+use slingshot_sim::{Ctx, InstrumentSink, Node, NodeId, SimRng};
 use slingshot_switch::PortId;
 
 use crate::ctl::CtlPacket;
@@ -82,14 +82,6 @@ impl SpineSwitchNode {
     }
 }
 
-impl Instrument for SpineSwitchNode {
-    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
-        sink.counter(scope, "forwarded_frames", self.forwarded);
-        sink.counter(scope, "dropped_frames", self.dropped);
-        sink.counter(scope, "ctl_relayed", self.ctl_relayed);
-    }
-}
-
 impl Node<Msg> for SpineSwitchNode {
     fn on_msg(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
         let Msg::Eth(frame) = msg else { return };
@@ -106,5 +98,11 @@ impl Node<Msg> for SpineSwitchNode {
         if is_ctl_relay {
             self.ctl_relayed += 1;
         }
+    }
+
+    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
+        sink.counter(scope, "forwarded_frames", self.forwarded);
+        sink.counter(scope, "dropped_frames", self.dropped);
+        sink.counter(scope, "ctl_relayed", self.ctl_relayed);
     }
 }

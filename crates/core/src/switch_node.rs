@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use slingshot_netsim::Capture;
 use slingshot_ran::Msg;
-use slingshot_sim::{Ctx, Instrument, InstrumentSink, Nanos, Node, NodeId, SimRng};
+use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng};
 use slingshot_switch::{PortId, SwitchAction, SwitchProgram, PIPELINE_LATENCY};
 
 use crate::fh_mbox::FhMbox;
@@ -156,23 +156,6 @@ impl SwitchNode {
     }
 }
 
-impl Instrument for SwitchNode {
-    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
-        sink.counter(scope, "forwarded_frames", self.forwarded);
-        sink.counter(scope, "dropped_frames", self.dropped);
-        sink.counter(
-            scope,
-            "cp_remaps_executed",
-            self.cp_remap_latencies.len() as u64,
-        );
-        sink.counter(scope, "migrations_executed", self.mbox.migrations_executed);
-        sink.counter(scope, "dl_filtered", self.mbox.dl_filtered);
-        sink.counter(scope, "failures_reported", self.mbox.failures_reported);
-        sink.counter(scope, "ctl_packets", self.mbox.ctl_packets);
-        sink.counter(scope, "trace_overflow", self.mbox.trace_overflow);
-    }
-}
-
 impl Node<Msg> for SwitchNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if self.pktgen_enabled {
@@ -220,5 +203,20 @@ impl Node<Msg> for SwitchNode {
         let actions = self.mbox.process(ctx.now(), ingress, frame);
         self.drain_mbox_trace(ctx);
         self.apply_actions(ctx, actions);
+    }
+
+    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
+        sink.counter(scope, "forwarded_frames", self.forwarded);
+        sink.counter(scope, "dropped_frames", self.dropped);
+        sink.counter(
+            scope,
+            "cp_remaps_executed",
+            self.cp_remap_latencies.len() as u64,
+        );
+        sink.counter(scope, "migrations_executed", self.mbox.migrations_executed);
+        sink.counter(scope, "dl_filtered", self.mbox.dl_filtered);
+        sink.counter(scope, "failures_reported", self.mbox.failures_reported);
+        sink.counter(scope, "ctl_packets", self.mbox.ctl_packets);
+        sink.counter(scope, "trace_overflow", self.mbox.trace_overflow);
     }
 }

@@ -89,3 +89,19 @@ fn build_shape_follows_the_parameters() {
         }
     }
 }
+
+/// PHY ids are `u8`: the 257th PHY would wrap onto cell 0's primary
+/// and share its steering-register value, so the build refuses it.
+#[test]
+#[should_panic(expected = "spare-phy1 wraps to id 1, already held by c0-phy-primary")]
+fn colliding_phy_ids_are_rejected_at_build_time() {
+    DeploymentBuilder::new()
+        .cell(CellConfig {
+            num_prbs: 24,
+            fidelity: Fidelity::Abstract,
+            ..CellConfig::default()
+        })
+        .cells(128)
+        .spare_pool(1)
+        .build();
+}

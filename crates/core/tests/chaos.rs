@@ -5,10 +5,13 @@
 //! tests plus coverage for the fault kinds only the chaos engine can
 //! express (hangs, partitions, restarts, storms).
 
-use slingshot::chaos::{chaos_deployment, run_scenario, ChaosRunner};
+use slingshot::chaos::{
+    chaos_deployment, chaos_pool_deployment, expectations_for, run_scenario, ChaosRunner,
+};
 use slingshot::{OrionL2Node, SwitchNode, PRIMARY_PHY_ID, RU_ID, SECONDARY_PHY_ID};
 use slingshot_ran::{PhyNode, UeNode};
 use slingshot_sim::chaos::{oracle, ChaosDistribution, FaultKind, FaultTarget, Scenario};
+use slingshot_sim::slo::{self, SloConfig};
 use slingshot_sim::Nanos;
 
 /// DSL port of `failover_keeps_ue_connected_and_traffic_flowing`: kill
@@ -59,6 +62,35 @@ fn planned_migration_scenario_passes_oracle() {
     let ol2 = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
     assert_eq!(ol2.primary_of(RU_ID), Some(SECONDARY_PHY_ID));
     assert_eq!(ol2.standby_of(RU_ID), Some(PRIMARY_PHY_ID));
+}
+
+/// The same planned migration on the four-cell pool deployment. The
+/// switch flips cell 0 on the first packet stamped at the boundary —
+/// two slots ahead of the wall clock — while the old primary drains
+/// the last pre-boundary UL slot: that drain is cell 0's delivery, not
+/// a ghost PHY, and no cell drops a TTI or trips the detector.
+#[test]
+fn planned_migration_on_pool_deployment_passes_oracle() {
+    let scenario = Scenario::new("pool-planned", 2400).fault(
+        1000,
+        FaultTarget::OrionL2,
+        FaultKind::PlannedMigration,
+    );
+    let mut d = chaos_pool_deployment(12);
+    let report = run_scenario(&mut d, &scenario);
+    assert!(report.ok(), "violations: {:?}", report.violations);
+    assert_eq!(report.detections, 0);
+    assert_eq!(report.dropped_ttis, 0, "summed over all four cells");
+    let slo_cfg = SloConfig {
+        initial_active: d.initial_active(),
+        ..SloConfig::default()
+    };
+    for cell in slo::analyze(d.engine.event_trace(), &slo_cfg).cells {
+        assert_eq!(cell.dropped_ttis, 0, "cell {}", cell.ru);
+        assert!(cell.delivered_ttis > 300, "cell {}", cell.ru);
+    }
+    let ol2 = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+    assert_eq!(ol2.primary_of(RU_ID), Some(SECONDARY_PHY_ID));
 }
 
 /// A gray failure: the active PHY wedges (missing every TTI deadline)
@@ -260,7 +292,7 @@ fn oracle_flags_impossible_expectations() {
     let mut d = chaos_deployment(19);
     let exp = oracle::Expectations {
         max_detection_latency: Nanos(1),
-        ..oracle::Expectations::default()
+        ..expectations_for(&d, &scenario)
     };
     let report = slingshot::run_scenario_with(&mut d, &scenario, &exp);
     assert!(

@@ -10,7 +10,7 @@
 //! assert the invariant over the full event trace.
 
 use proptest::prelude::*;
-use slingshot::chaos::{chaos_deployment, ChaosRunner};
+use slingshot::chaos::{chaos_deployment, expectations_for, ChaosRunner};
 use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
 use slingshot_sim::Nanos;
 
@@ -87,12 +87,12 @@ proptest! {
 
         // Judge only the unconditional invariant: detection latency,
         // TTI budgets and repair all depend on the scenario, but two
-        // PHYs must never both own a slot.
+        // PHYs must never both own a slot of the cell.
         let exp = oracle::Expectations {
             max_detection_latency: Nanos(u64::MAX >> 1),
             max_dropped_ttis: u64::MAX,
             expect_repair: false,
-            ..oracle::Expectations::default()
+            ..expectations_for(&d, &scenario)
         };
         let report = oracle::check(d.engine.event_trace(), &exp);
         let split: Vec<_> = report

@@ -6,7 +6,8 @@ use slingshot::{
     Deployment, DeploymentBuilder, DeploymentConfig, OrionL2Node, SwitchNode, SECONDARY_PHY_ID,
 };
 use slingshot_ran::{CellConfig, Fidelity, PhyNode, RuNode, UeConfig, UeNode, UeState};
-use slingshot_sim::trace::{delivered_ul_slots, detections, dropped_ttis};
+use slingshot_sim::slo::{self, SloConfig};
+use slingshot_sim::trace::detections;
 use slingshot_sim::{Nanos, Sampler, TraceEventKind};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -231,15 +232,23 @@ fn trace_derives_detection_latency_and_dropped_ttis() {
         det.latency().0
     );
 
-    // Dropped TTIs from the trace: UlSlotProcessed events, deduped
-    // across both PHYs, must have at most 3 holes in the stride-5
-    // (DDDSU) sequence.
-    let delivered = delivered_ul_slots(trace.iter());
-    assert!(delivered.len() > 100, "delivered {} slots", delivered.len());
-    let dropped = dropped_ttis(&delivered, 5);
+    // Dropped TTIs from the trace: the cell's UlSlotProcessed series,
+    // attributed across both PHYs, must have at most 3 holes in the
+    // stride-5 (DDDSU) sequence.
+    let slo_cfg = SloConfig {
+        initial_active: d.initial_active(),
+        ..SloConfig::default()
+    };
+    let cell = &slo::analyze(trace, &slo_cfg).cells[0];
     assert!(
-        dropped <= 3,
-        "trace shows {dropped} dropped TTIs (paper: ≤ 3)"
+        cell.delivered_ttis > 100,
+        "delivered {} slots",
+        cell.delivered_ttis
+    );
+    assert!(
+        cell.dropped_ttis <= 3,
+        "trace shows {} dropped TTIs (paper: ≤ 3)",
+        cell.dropped_ttis
     );
 
     // The full failover lifecycle appears in causal order.

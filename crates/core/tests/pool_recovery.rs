@@ -16,7 +16,7 @@ use slingshot::{
 };
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
-use slingshot_sim::trace::{delivered_ul_slots, max_tti_gap_slots};
+use slingshot_sim::slo::{self, SloConfig};
 use slingshot_sim::Nanos;
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -201,11 +201,15 @@ fn single_cell_pool_survives_three_crashes() {
         report.max_detection_latency.0 / 1_000
     );
     // The crashes are 60 slots apart, so each one's blackout is its own
-    // gap in the delivered-TTI series: the longest gap is the worst
-    // single crash.
-    let delivered = delivered_ul_slots(d.engine.event_trace().iter());
-    let worst = max_tti_gap_slots(&delivered, exp.tdd_stride);
-    assert!(worst <= 3, "a single crash dropped {worst} TTIs");
+    // outage in the cell's delivered-TTI series: the longest outage is
+    // the worst single crash.
+    let slo_cfg = SloConfig {
+        initial_active: d.initial_active(),
+        ..SloConfig::default()
+    };
+    let cell = &slo::analyze(d.engine.event_trace(), &slo_cfg).cells[0];
+    let worst = cell.outages.iter().map(|o| o.missing_ttis).max();
+    assert!(worst <= Some(3), "a single crash dropped {worst:?} TTIs");
 
     // The cell ends re-paired on live servers.
     let active = d

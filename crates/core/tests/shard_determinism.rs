@@ -306,23 +306,23 @@ fn fabric_directories_resolve_switches() {
 
 /// The port-collision audit at city scale: a 128-cell single-switch
 /// build and a 128-cell / 8-leaf fabric build must both allocate their
-/// port spaces without a collision panic.
+/// port spaces without a collision panic. 128 cells use every `u8` PHY
+/// id (1..=255 and 0), so these builds carry no spare pool.
 #[test]
 fn port_allocation_audit_at_128_cells() {
     let d = DeploymentBuilder::new()
         .seed(1)
         .cell(small_cell())
         .cells(128)
-        .spare_pool(2)
         .build();
     assert_eq!(d.cells.len(), 128);
+    assert_eq!(d.phy_nodes.len(), 256);
 
     let d = DeploymentBuilder::new()
         .seed(1)
         .cell(small_cell())
         .cells(128)
         .cell_groups(8)
-        .spare_pool(2)
         .build();
     assert_eq!(d.cells.len(), 128);
     assert_eq!(d.leaves.len(), 8);

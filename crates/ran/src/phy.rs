@@ -35,7 +35,7 @@ use slingshot_netsim::{EtherType, Frame, MacAddr};
 use slingshot_phy_dsp::snr::SnrFilter;
 use slingshot_phy_dsp::{Cplx, DspKernels, DspScratchPool, SC_PER_PRB};
 use slingshot_sim::{
-    Ctx, Instrument, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, TraceEventKind,
+    Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, TraceEventKind,
 };
 
 use crate::cell::CellConfig;
@@ -776,24 +776,6 @@ impl PhyNode {
     }
 }
 
-impl Instrument for PhyNode {
-    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
-        sink.counter(scope, "busy_ns_total", self.busy_ns_total);
-        sink.counter(scope, "null_slots", self.null_slots);
-        sink.counter(scope, "work_slots", self.work_slots);
-        sink.counter(scope, "ul_tbs_decoded", self.ul_tbs_decoded);
-        sink.counter(scope, "ul_crc_failures", self.ul_crc_failures);
-        sink.counter(
-            scope,
-            "processed_ul_slots",
-            self.processed_ul_slots.len() as u64,
-        );
-        // The PHY's own FlexRAN-style abort on missing FAPI; external
-        // kills show up as node_killed trace events instead.
-        sink.gauge(scope, "self_crashed", self.crash_time.is_some() as i64);
-    }
-}
-
 impl Node<Msg> for PhyNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         ctx.timer_at(
@@ -968,5 +950,21 @@ impl Node<Msg> for PhyNode {
             }
             _ => {}
         }
+    }
+
+    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
+        sink.counter(scope, "busy_ns_total", self.busy_ns_total);
+        sink.counter(scope, "null_slots", self.null_slots);
+        sink.counter(scope, "work_slots", self.work_slots);
+        sink.counter(scope, "ul_tbs_decoded", self.ul_tbs_decoded);
+        sink.counter(scope, "ul_crc_failures", self.ul_crc_failures);
+        sink.counter(
+            scope,
+            "processed_ul_slots",
+            self.processed_ul_slots.len() as u64,
+        );
+        // The PHY's own FlexRAN-style abort on missing FAPI; external
+        // kills show up as node_killed trace events instead.
+        sink.gauge(scope, "self_crashed", self.crash_time.is_some() as i64);
     }
 }

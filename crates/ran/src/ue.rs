@@ -16,7 +16,7 @@ use slingshot_fronthaul::{DciEntry, UciEntry};
 use slingshot_phy_dsp::channel::AwgnChannel;
 use slingshot_phy_dsp::{DspScratchPool, SnrProcess, SnrProcessConfig};
 use slingshot_sim::{
-    Ctx, Instrument, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, SLOT_DURATION,
+    Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, SLOT_DURATION,
 };
 use slingshot_transport::UserApp;
 
@@ -486,22 +486,6 @@ impl UeNode {
     }
 }
 
-impl Instrument for UeNode {
-    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
-        sink.counter(scope, "rlf_count", self.rlf_count);
-        sink.counter(scope, "dl_tbs_ok", self.dl_tbs_ok);
-        sink.counter(scope, "dl_tbs_bad", self.dl_tbs_bad);
-        sink.counter(scope, "ul_grants_served", self.ul_grants_served);
-        sink.counter(scope, "delivered_to_apps", self.delivered_to_apps);
-        sink.counter(scope, "handovers_completed", self.handovers_completed);
-        sink.gauge(
-            scope,
-            "connected",
-            matches!(self.state, UeState::Connected) as i64,
-        );
-    }
-}
-
 impl Node<Msg> for UeNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         ctx.timer_at(
@@ -694,5 +678,19 @@ impl Node<Msg> for UeNode {
             }
             _ => {}
         }
+    }
+
+    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
+        sink.counter(scope, "rlf_count", self.rlf_count);
+        sink.counter(scope, "dl_tbs_ok", self.dl_tbs_ok);
+        sink.counter(scope, "dl_tbs_bad", self.dl_tbs_bad);
+        sink.counter(scope, "ul_grants_served", self.ul_grants_served);
+        sink.counter(scope, "delivered_to_apps", self.delivered_to_apps);
+        sink.counter(scope, "handovers_completed", self.handovers_completed);
+        sink.gauge(
+            scope,
+            "connected",
+            matches!(self.state, UeState::Connected) as i64,
+        );
     }
 }

@@ -25,7 +25,7 @@
 //! deployments (multi-RU, baseline) through their own runners.
 
 use crate::time::Nanos;
-use crate::trace::{detections, dropped_ttis, TraceBuffer, TraceEventKind};
+use crate::trace::{detections, TraceBuffer, TraceEventKind};
 use crate::SimRng;
 
 /// What a fault acts on, in deployment-symbolic terms. The runner (in
@@ -364,7 +364,8 @@ impl ChaosDistribution {
 /// guards (see DESIGN.md §5c).
 pub mod oracle {
     use super::*;
-    use crate::ownership::Ownership;
+    use crate::ownership::{scheduled_per_ue, Deliveries, Ownership};
+    use crate::slo::gaps;
     use crate::time::SLOT_DURATION;
 
     /// What a scenario is allowed to cost. Built per scenario by
@@ -380,16 +381,19 @@ pub mod oracle {
         pub max_dropped_ttis: u64,
         /// Uplink slots per TDD cycle stride (DDDSU = every 5th slot).
         pub tdd_stride: u64,
-        /// Whether the run must end re-paired: after the last map flip
-        /// an active PHY serves traffic *and* a standby receives
-        /// null-FAPI keep-alives (§4.3's warm standby contract).
+        /// Whether the run must flip and end re-paired (a lethal fault
+        /// with a spare to re-pair from, or a planned migration): some
+        /// `MapFlip` must be recorded, and — as whenever `expect_pool` is
+        /// set — every cell that flipped must afterwards serve traffic
+        /// *and* keep a standby warm with null-FAPI keep-alives (§4.3's
+        /// warm standby contract).
         pub expect_repair: bool,
-        /// Per-cell mode: `(ru, primary phy)` at slot 0 for every cell.
-        /// When non-empty the oracle reconstructs each cell's active-PHY
-        /// ownership timeline from `MapFlip` events and judges the
-        /// dropped-TTI, one-active-PHY, duplicate-FAPI, and repair
-        /// invariants *per cell* instead of globally (a second cell
-        /// delivering the same absolute slot is normal, not split brain).
+        /// `(ru, primary phy)` at slot 0 for every cell of the
+        /// deployment. The oracle layers `MapFlip` events over it to get
+        /// each cell's active-PHY timeline and judges the dropped-TTI,
+        /// one-active-PHY, duplicate-FAPI and repair invariants per cell
+        /// (a second cell delivering the same absolute slot is normal; a
+        /// PHY delivering for no declared cell is a violation).
         pub initial_active: Vec<(u64, u64)>,
         /// Shared spare-pool size at slot 0. When set the oracle audits
         /// the pool ledger: every `SpareGranted`/`SpareReturned` must
@@ -519,6 +523,8 @@ pub mod oracle {
         pub violations: Vec<Violation>,
         pub detections: usize,
         pub max_detection_latency: Nanos,
+        /// Delivered / dropped uplink TTIs, summed over cells: each
+        /// cell's gaps are counted in its own series.
         pub delivered_ttis: u64,
         pub dropped_ttis: u64,
         /// Switch-executed handover cutovers (`HandoverFlip` events).
@@ -556,109 +562,8 @@ pub mod oracle {
             }
         }
 
-        let delivered = crate::trace::delivered_ul_slots(trace.iter());
-        // Global measure for the report; in per-cell mode the *checked*
-        // budgets are per cell (a cell's blackout must not be masked by
-        // its neighbours delivering the same absolute slots).
-        let dropped = dropped_ttis(&delivered, exp.tdd_stride);
-
-        if exp.initial_active.is_empty() {
-            // Invariant 2: dropped-TTI budget (paper §6.1, Table 1).
-            if dropped > exp.max_dropped_ttis {
-                violations.push(Violation {
-                    invariant: "dropped-ttis",
-                    detail: format!(
-                        "{} TTIs dropped (budget {}), {} delivered",
-                        dropped,
-                        exp.max_dropped_ttis,
-                        delivered.len()
-                    ),
-                });
-            }
-
-            // Invariant 3: exactly one active PHY per slot (§4.3). Two
-            // PHYs completing uplink processing for the same absolute
-            // slot means the switch steered (or failed to filter) both
-            // replicas.
-            let mut per_slot: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
-            for e in trace.of_kind(TraceEventKind::UlSlotProcessed) {
-                let phys = per_slot.entry(e.a).or_default();
-                if !phys.contains(&e.b) {
-                    phys.push(e.b);
-                }
-            }
-            for (slot, phys) in &per_slot {
-                if phys.len() > 1 {
-                    violations.push(Violation {
-                        invariant: "one-active-phy",
-                        detail: format!("slot {slot} processed by {} PHYs: {:?}", phys.len(), phys),
-                    });
-                }
-            }
-
-            // Invariant 4: no duplicate FAPI responses reaching L2
-            // (§4.3's exactly-once delivery across failover; Orion must
-            // absorb late results from the old primary, not forward them
-            // twice).
-            let mut fapi_per_slot: std::collections::BTreeMap<u64, u64> = Default::default();
-            for e in trace.of_kind(TraceEventKind::FapiToL2) {
-                *fapi_per_slot.entry(e.b).or_insert(0) += 1;
-            }
-            for (slot, count) in &fapi_per_slot {
-                if *count > 1 {
-                    violations.push(Violation {
-                        invariant: "no-dup-fapi",
-                        detail: format!("slot {slot}: {count} FAPI uplink responses reached L2"),
-                    });
-                }
-            }
-        } else {
-            check_per_cell(trace, exp, &mut violations);
-        }
-
-        // Invariant 5: eventual re-pairing (§4.4). After the last map
-        // flip, traffic must flow on the new active PHY and a standby
-        // must be kept warm with null FAPI messages.
-        if exp.expect_repair {
-            let last_flip = trace.of_kind(TraceEventKind::MapFlip).map(|e| e.at).max();
-            match last_flip {
-                None => violations.push(Violation {
-                    invariant: "eventual-repair",
-                    detail: "no MapFlip recorded although the scenario requires a failover"
-                        .to_string(),
-                }),
-                Some(flip_at) => {
-                    // Give the control plane a grace window to finalize
-                    // (boundary + 4 slots) before demanding keep-alives.
-                    let settle = flip_at + Nanos(SLOT_DURATION.0 * 10);
-                    let served = trace
-                        .of_kind(TraceEventKind::UlSlotProcessed)
-                        .any(|e| e.at > settle);
-                    let kept_warm = trace
-                        .of_kind(TraceEventKind::NullFapiSent)
-                        .any(|e| e.at > settle);
-                    if !served {
-                        violations.push(Violation {
-                            invariant: "eventual-repair",
-                            detail: format!(
-                                "no uplink TTIs delivered after the last map flip at {} us",
-                                flip_at.0 / 1_000
-                            ),
-                        });
-                    }
-                    if !kept_warm {
-                        violations.push(Violation {
-                            invariant: "eventual-repair",
-                            detail: format!(
-                                "no null-FAPI keep-alives to a standby after the last map flip \
-                                 at {} us (binding did not re-pair)",
-                                flip_at.0 / 1_000
-                            ),
-                        });
-                    }
-                }
-            }
-        }
+        // Invariants 2-5, judged cell by cell.
+        let (delivered_ttis, dropped_ttis) = check_cells(trace, exp, &mut violations);
 
         // Invariant 6: pool accounting ("eventually re-paired with pool
         // accounting"). The recovery orchestrator's grant/return ledger
@@ -678,127 +583,124 @@ pub mod oracle {
             violations,
             detections: dets.len(),
             max_detection_latency: max_latency,
-            delivered_ttis: delivered.len() as u64,
-            dropped_ttis: dropped,
+            delivered_ttis,
+            dropped_ttis,
             handovers: trace.of_kind(TraceEventKind::HandoverFlip).count() as u64,
         }
     }
 
-    /// Per-cell invariants 2-4 for multi-cell deployments. Ownership is
-    /// reconstructed from `MapFlip` events (a = ru, b = old<<16 | new)
-    /// layered over `exp.initial_active`, so every `UlSlotProcessed` can
-    /// be attributed to the cell whose active PHY produced it.
-    fn check_per_cell(trace: &TraceBuffer, exp: &Expectations, violations: &mut Vec<Violation>) {
+    /// Invariants 2-5, cell by cell; returns the delivered and dropped
+    /// TTI totals. Every `UlSlotProcessed` is attributed to the cell
+    /// whose active PHY produced it: `exp.initial_active` with each
+    /// `MapFlip` layered on at its stamped boundary slot, ±1 slot grace.
+    fn check_cells(
+        trace: &TraceBuffer,
+        exp: &Expectations,
+        violations: &mut Vec<Violation>,
+    ) -> (u64, u64) {
         use std::collections::BTreeMap;
 
-        let active = Ownership::from_trace(&exp.initial_active, trace, TraceEventKind::MapFlip);
+        let mut flag = |invariant, detail| violations.push(Violation { invariant, detail });
+        let delivered = Deliveries::from_trace(&exp.initial_active, trace);
 
-        // Invariants 2 + 3, per cell: attribute every delivered UL slot,
-        // flag unattributable producers (a PHY no cell owns is serving
-        // traffic: split brain or a leaking ex-primary), then apply the
-        // dropped-TTI budget and one-active-PHY rule cell by cell.
-        let mut per_ru_delivered: BTreeMap<u64, Vec<u64>> =
-            active.iter().map(|(ru, _)| (ru, Vec::new())).collect();
-        let mut per_ru_slot: BTreeMap<(u64, u64), Vec<u64>> = BTreeMap::new();
-        for e in trace.of_kind(TraceEventKind::UlSlotProcessed) {
-            match active.attribute(e.b, e.a) {
-                Some(ru) => {
-                    per_ru_delivered.entry(ru).or_default().push(e.a);
-                    let phys = per_ru_slot.entry((ru, e.a)).or_default();
-                    if !phys.contains(&e.b) {
-                        phys.push(e.b);
-                    }
-                }
-                None => violations.push(Violation {
-                    invariant: "one-active-phy",
-                    detail: format!(
-                        "slot {} processed by PHY {} which no cell's active mapping owns",
-                        e.a, e.b
-                    ),
-                }),
-            }
+        // Invariant 3: exactly one active PHY per cell and slot (§4.3).
+        // A producer no cell owns is a ghost replica (split brain or a
+        // leaking ex-primary); two producers for one cell's slot means
+        // the switch steered, or failed to filter, both replicas.
+        for (slot, phy) in &delivered.unowned {
+            flag(
+                "one-active-phy",
+                format!("slot {slot} processed by PHY {phy} which no cell's active mapping owns"),
+            );
         }
-        for (ru, slots) in &mut per_ru_delivered {
-            slots.sort_unstable();
-            slots.dedup();
-            let dropped = dropped_ttis(slots, exp.tdd_stride);
+        for (ru, slot, phys) in &delivered.contested {
+            let n = phys.len();
+            flag(
+                "one-active-phy",
+                format!("cell {ru} slot {slot} processed by {n} PHYs: {phys:?}"),
+            );
+        }
+
+        // Invariant 2: dropped-TTI budget (paper §6.1, Table 1), over
+        // the gaps in each cell's own series.
+        let (mut delivered_ttis, mut dropped_ttis) = (0, 0);
+        for (&ru, slots) in &delivered.slots {
+            let dropped: u64 = gaps(ru, slots, exp.tdd_stride)
+                .iter()
+                .map(|o| o.missing_ttis)
+                .sum();
             if dropped > exp.max_dropped_ttis {
-                violations.push(Violation {
-                    invariant: "dropped-ttis",
-                    detail: format!(
-                        "cell {}: {} TTIs dropped (budget {}), {} delivered",
-                        ru,
-                        dropped,
-                        exp.max_dropped_ttis,
-                        slots.len()
-                    ),
-                });
+                let (budget, n) = (exp.max_dropped_ttis, slots.len());
+                flag(
+                    "dropped-ttis",
+                    format!("cell {ru}: {dropped} TTIs dropped (budget {budget}), {n} delivered"),
+                );
             }
-        }
-        for ((ru, slot), phys) in &per_ru_slot {
-            if phys.len() > 1 {
-                violations.push(Violation {
-                    invariant: "one-active-phy",
-                    detail: format!(
-                        "cell {ru} slot {slot} processed by {} PHYs: {:?}",
-                        phys.len(),
-                        phys
-                    ),
-                });
-            }
+            delivered_ttis += slots.len() as u64;
+            dropped_ttis += dropped;
         }
 
-        // Invariant 4, per cell: each cell's L2-side Orion is a distinct
-        // node, so key duplicates by (forwarding node, slot).
+        // Invariant 4: no duplicate FAPI responses reaching L2 (§4.3's
+        // exactly-once delivery across failover; Orion must absorb late
+        // results from the old primary, not forward them twice). Each
+        // cell's L2-side Orion is a distinct node, so key duplicates by
+        // (forwarding node, slot).
         let mut fapi_per_slot: BTreeMap<(u64, u64), u64> = BTreeMap::new();
         for e in trace.of_kind(TraceEventKind::FapiToL2) {
             *fapi_per_slot.entry((e.node.0 as u64, e.b)).or_insert(0) += 1;
         }
-        for ((node, slot), count) in &fapi_per_slot {
-            if *count > 1 {
-                violations.push(Violation {
-                    invariant: "no-dup-fapi",
-                    detail: format!(
-                        "node {node} slot {slot}: {count} FAPI uplink responses reached L2"
-                    ),
-                });
+        for ((node, slot), count) in fapi_per_slot {
+            if count > 1 {
+                flag(
+                    "no-dup-fapi",
+                    format!("node {node} slot {slot}: {count} FAPI uplink responses reached L2"),
+                );
             }
         }
 
-        // Per-cell eventual repair: every cell that flipped must, after
-        // its own last flip settles, both serve traffic on the new
-        // active PHY and keep a standby warm (null FAPI, a = ru).
-        for (ru, tl) in active.iter() {
-            if tl.len() < 2 {
+        // Invariant 5: eventual re-pairing (§4.4). A cell that flipped
+        // can re-pair when the deployment has a spare pool or the flip
+        // was planned (`expect_repair`: roles merely swap); it must
+        // then, once its own last flip settles (10 slots for the control
+        // plane to finalize), both serve traffic on the new active PHY
+        // and keep a standby warm (null FAPI, a = ru).
+        let can_repair = exp.expect_pool.is_some() || exp.expect_repair;
+        let mut flipped = false;
+        for (ru, tl) in delivered.active.iter() {
+            // A timeline's first entry is its slot-0 owner, not a flip.
+            let &[_, .., (last_flip, _)] = tl else {
+                continue;
+            };
+            flipped = true;
+            if !can_repair {
                 continue;
             }
-            let settle = tl.last().unwrap().0 + 10;
-            let served = per_ru_delivered
-                .get(&ru)
-                .is_some_and(|slots| slots.iter().any(|&s| s > settle));
-            let kept_warm = trace
-                .of_kind(TraceEventKind::NullFapiSent)
-                .any(|e| e.a == ru && e.b > settle);
-            if !served {
-                violations.push(Violation {
-                    invariant: "eventual-repair",
-                    detail: format!(
-                        "cell {ru}: no uplink TTIs delivered after its last map flip (slot {})",
-                        tl.last().unwrap().0
+            let settle = last_flip + 10;
+            if delivered.slots[&ru].last().is_none_or(|&s| s <= settle) {
+                flag(
+                    "eventual-repair",
+                    format!(
+                        "cell {ru}: no uplink TTIs delivered after its last map flip (slot \
+                         {last_flip})"
                     ),
-                });
+                );
             }
-            if !kept_warm {
-                violations.push(Violation {
-                    invariant: "eventual-repair",
-                    detail: format!(
-                        "cell {ru}: no null-FAPI keep-alives after its last map flip (slot {}) \
-                         — the cell did not re-pair",
-                        tl.last().unwrap().0
+            let mut keep_alives = trace.of_kind(TraceEventKind::NullFapiSent);
+            if !keep_alives.any(|e| e.a == ru && e.b > settle) {
+                flag(
+                    "eventual-repair",
+                    format!(
+                        "cell {ru}: no null-FAPI keep-alives after its last map flip (slot \
+                         {last_flip}) — the cell did not re-pair"
                     ),
-                });
+                );
             }
         }
+        if exp.expect_repair && !flipped {
+            let detail = "no MapFlip recorded although the scenario requires a failover";
+            flag("eventual-repair", detail.to_string());
+        }
+        (delivered_ttis, dropped_ttis)
     }
 
     /// The pool ledger: replay `SpareRequested`/`SpareGranted`/
@@ -919,23 +821,11 @@ pub mod oracle {
     /// every `UeScheduled` event (a = rnti | ru<<16 | slice<<24,
     /// b = abs slot) is then judged against it.
     fn check_handover(trace: &TraceBuffer, exp: &Expectations, violations: &mut Vec<Violation>) {
-        use std::collections::BTreeMap;
-
         let serving =
             Ownership::from_trace(&exp.initial_serving, trace, TraceEventKind::HandoverFlip);
 
-        // Scheduled slots per UE: (slot, serving ru, slice).
-        let mut sched: BTreeMap<u64, Vec<(u64, u64, u64)>> = BTreeMap::new();
-        for e in trace.of_kind(TraceEventKind::UeScheduled) {
-            sched.entry(e.a & 0xFFFF).or_default().push((
-                e.b,
-                (e.a >> 16) & 0xFF,
-                (e.a >> 24) & 0xFF,
-            ));
-        }
-        for evs in sched.values_mut() {
-            evs.sort_unstable();
-        }
+        // Scheduled slots per UE: (slot, scheduling ru, slice).
+        let sched = scheduled_per_ue(trace);
 
         // Invariant 7: single serving cell. A schedule from a cell the
         // timeline does not own at that slot (±1 slot of cutover grace,
@@ -1049,6 +939,7 @@ mod tests {
     use super::oracle::{check, Expectations};
     use super::*;
     use crate::engine::NodeId;
+    use crate::slo::{self, SloConfig};
     use crate::time::{SlotId, SLOT_DURATION};
     use crate::trace::TraceBuffer;
 
@@ -1057,14 +948,7 @@ mod tests {
     }
 
     fn record(tb: &mut TraceBuffer, abs: u64, kind: TraceEventKind, a: u64, b: u64) {
-        tb.record_at_slot(
-            slot_time(abs),
-            NodeId(0),
-            SlotId::from_absolute(abs),
-            kind,
-            a,
-            b,
-        );
+        record_node(tb, abs, 0, kind, a, b);
     }
 
     fn record_node(
@@ -1085,83 +969,145 @@ mod tests {
         );
     }
 
-    /// Two healthy cells: cell 0 on PHY 1 (Orion node 11), cell 1 on
-    /// PHY 3 (Orion node 21). Both deliver every UL slot.
-    fn multi_cell_trace(slots: u64) -> TraceBuffer {
+    /// Cell `ru` of the test layout: primary PHY `2 ru + 1`, PHY node
+    /// `10 (ru + 1)`, L2-side Orion node `10 (ru + 1) + 1`.
+    fn primary(ru: u64) -> u64 {
+        2 * ru + 1
+    }
+
+    /// Cell `ru` delivers UL slot `abs` from `phy`, its Orion forwarding
+    /// the FAPI response once.
+    fn deliver(tb: &mut TraceBuffer, ru: u64, abs: u64, phy: u64) {
+        let node = 10 * (ru as usize + 1);
+        record_node(tb, abs, node, TraceEventKind::UlSlotProcessed, abs, phy);
+        record_node(tb, abs, node + 1, TraceEventKind::FapiToL2, phy, abs);
+    }
+
+    /// The UL slots of a DDDSU run of `slots` slots.
+    fn ul_slots(slots: u64) -> impl Iterator<Item = u64> {
+        (0..slots).filter(|s| s % 5 == 4)
+    }
+
+    /// A clean trace: every one of `cells` cells delivers every UL slot
+    /// from its primary PHY.
+    fn healthy_trace(cells: u64, slots: u64) -> TraceBuffer {
         let mut tb = TraceBuffer::new(1 << 16);
-        for abs in (0..slots).filter(|s| s % 5 == 4) {
-            record_node(&mut tb, abs, 10, TraceEventKind::UlSlotProcessed, abs, 1);
-            record_node(&mut tb, abs, 11, TraceEventKind::FapiToL2, 1, abs);
-            record_node(&mut tb, abs, 20, TraceEventKind::UlSlotProcessed, abs, 3);
-            record_node(&mut tb, abs, 21, TraceEventKind::FapiToL2, 3, abs);
+        for abs in ul_slots(slots) {
+            for ru in 0..cells {
+                deliver(&mut tb, ru, abs, primary(ru));
+            }
         }
         tb
     }
 
-    fn multi_exp() -> Expectations {
+    /// Default expectations with `cells` cells declared.
+    fn exp_for(cells: u64) -> Expectations {
         Expectations {
-            initial_active: vec![(0, 1), (1, 3)],
+            initial_active: (0..cells).map(|ru| (ru, primary(ru))).collect(),
             ..Expectations::default()
         }
     }
 
-    /// A clean trace: UL slot every 5th slot from one PHY, each slot's
-    /// FAPI response forwarded once.
-    fn healthy_trace(slots: u64) -> TraceBuffer {
-        let mut tb = TraceBuffer::new(1 << 16);
-        for abs in (0..slots).filter(|s| s % 5 == 4) {
-            record(&mut tb, abs, TraceEventKind::UlSlotProcessed, abs, 1);
-            record(&mut tb, abs, TraceEventKind::FapiToL2, 1, abs);
+    /// A one-cell deployment is judged by the same code as an n-cell
+    /// one, so every oracle test over cell traffic runs at both.
+    fn at_each_cell_count(test: impl Fn(u64)) {
+        for cells in [1, 4] {
+            test(cells);
         }
-        tb
     }
 
     #[test]
     fn healthy_trace_passes() {
-        let tb = healthy_trace(500);
-        let rep = check(&tb, &Expectations::default());
-        assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
-        assert_eq!(rep.dropped_ttis, 0);
+        at_each_cell_count(|cells| {
+            let tb = healthy_trace(cells, 500);
+            let rep = check(&tb, &exp_for(cells));
+            assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
+            assert_eq!(rep.dropped_ttis, 0);
+            assert_eq!(rep.delivered_ttis, 100 * cells, "per-cell sum");
+            // With no cells declared every producer is a ghost: the
+            // oracle judges declared cells, it does not guess them.
+            let rep = check(&tb, &Expectations::default());
+            assert!(rep
+                .violations
+                .iter()
+                .any(|v| v.invariant == "one-active-phy"));
+            assert_eq!(rep.delivered_ttis, 0);
+        });
     }
 
     #[test]
     fn split_brain_flagged() {
-        let mut tb = healthy_trace(100);
-        // Slot 44 also processed by PHY 2.
-        record(&mut tb, 44, TraceEventKind::UlSlotProcessed, 44, 2);
-        let rep = check(&tb, &Expectations::default());
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "one-active-phy"));
+        at_each_cell_count(|cells| {
+            // PHY 99 belongs to no cell's active mapping; it delivering
+            // a slot means the switch leaked uplink to a ghost replica.
+            let mut tb = healthy_trace(cells, 100);
+            record_node(&mut tb, 44, 90, TraceEventKind::UlSlotProcessed, 44, 99);
+            let rep = check(&tb, &exp_for(cells));
+            assert!(rep
+                .violations
+                .iter()
+                .any(|v| v.invariant == "one-active-phy" && v.detail.contains("PHY 99")));
+
+            // The last cell fails over to PHY 98 at slot 50, and both
+            // replicas complete slot 49: each is within the boundary
+            // grace, but a slot has one producer.
+            let ru = cells - 1;
+            let mut tb = healthy_trace(cells, 50);
+            record(
+                &mut tb,
+                50,
+                TraceEventKind::MapFlip,
+                ru,
+                (primary(ru) << 16) | 98,
+            );
+            record_node(&mut tb, 49, 90, TraceEventKind::UlSlotProcessed, 49, 98);
+            let rep = check(&tb, &exp_for(cells));
+            let contested = format!("cell {ru} slot 49 processed by 2 PHYs");
+            assert!(rep
+                .violations
+                .iter()
+                .any(|v| v.invariant == "one-active-phy" && v.detail.contains(&contested)));
+        });
     }
 
     #[test]
     fn duplicate_fapi_flagged() {
-        let mut tb = healthy_trace(100);
-        record(&mut tb, 49, TraceEventKind::FapiToL2, 2, 49);
-        let rep = check(&tb, &Expectations::default());
+        let mut tb = healthy_trace(1, 100);
+        record_node(&mut tb, 49, 11, TraceEventKind::FapiToL2, 2, 49);
+        let rep = check(&tb, &exp_for(1));
         assert!(rep.violations.iter().any(|v| v.invariant == "no-dup-fapi"));
     }
 
     #[test]
     fn excess_dropped_ttis_flagged() {
-        let mut tb = TraceBuffer::new(1 << 16);
-        // UL slots 4..200 with a 6-TTI hole in the middle.
-        for abs in (0..200u64).filter(|s| s % 5 == 4) {
-            if (60..90).contains(&abs) {
-                continue;
+        at_each_cell_count(|cells| {
+            // The last cell blacks out for 30 slots (6 TTIs, budget 3)
+            // while every other cell keeps delivering those absolute
+            // slots: neighbours must not mask it, nor be charged for it.
+            let victim = cells - 1;
+            let mut tb = TraceBuffer::new(1 << 16);
+            for abs in ul_slots(200) {
+                for ru in 0..cells {
+                    if ru != victim || !(60..90).contains(&abs) {
+                        deliver(&mut tb, ru, abs, primary(ru));
+                    }
+                }
             }
-            record(&mut tb, abs, TraceEventKind::UlSlotProcessed, abs, 1);
-        }
-        let rep = check(&tb, &Expectations::default());
-        assert!(rep.violations.iter().any(|v| v.invariant == "dropped-ttis"));
-        assert_eq!(rep.dropped_ttis, 6);
+            let rep = check(&tb, &exp_for(cells));
+            let dropped: Vec<_> = rep
+                .violations
+                .iter()
+                .filter(|v| v.invariant == "dropped-ttis")
+                .collect();
+            assert_eq!(dropped.len(), 1, "only the victim: {dropped:?}");
+            assert!(dropped[0].detail.contains(&format!("cell {victim}:")));
+            assert_eq!(rep.dropped_ttis, 6);
+        });
     }
 
     #[test]
     fn late_detection_flagged() {
-        let mut tb = healthy_trace(100);
+        let mut tb = healthy_trace(1, 100);
         // Saturation 600us after the last heartbeat (bound is 450us).
         let last_hb = slot_time(50);
         tb.record(
@@ -1171,7 +1117,7 @@ mod tests {
             1,
             last_hb.0,
         );
-        let rep = check(&tb, &Expectations::default());
+        let rep = check(&tb, &exp_for(1));
         assert!(rep
             .violations
             .iter()
@@ -1179,25 +1125,119 @@ mod tests {
         assert_eq!(rep.detections, 1);
     }
 
+    /// Cell 0 fails over from its primary to PHY 50 at slot 100 (UL
+    /// slots 99 and 104 lost); every other cell is untouched.
+    fn failover_trace(cells: u64) -> TraceBuffer {
+        let mut tb = TraceBuffer::new(1 << 16);
+        for abs in ul_slots(250) {
+            if !(95..105).contains(&abs) {
+                deliver(&mut tb, 0, abs, if abs < 100 { primary(0) } else { 50 });
+            }
+            for ru in 1..cells {
+                deliver(&mut tb, ru, abs, primary(ru));
+            }
+        }
+        record(
+            &mut tb,
+            100,
+            TraceEventKind::MapFlip,
+            0,
+            (primary(0) << 16) | 50,
+        );
+        tb
+    }
+
     #[test]
     fn missing_repair_flagged() {
-        let mut tb = healthy_trace(100);
-        record(&mut tb, 50, TraceEventKind::MapFlip, 7, (1 << 16) | 2);
-        let exp = Expectations {
-            expect_repair: true,
-            ..Expectations::default()
-        };
-        // Traffic continues (healthy trace covers slots > flip) but no
-        // null-FAPI keep-alive ever appears.
-        let rep = check(&tb, &exp);
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "eventual-repair"));
-        // Adding the keep-alive clears it.
-        record(&mut tb, 99, TraceEventKind::NullFapiSent, 7, 99);
-        let rep = check(&tb, &exp);
-        assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
+        at_each_cell_count(|cells| {
+            let mut tb = failover_trace(cells);
+            // A flipped cell owes a re-pairing when the scenario demands
+            // one (`expect_repair`) or a spare pool makes one possible.
+            let planned = Expectations {
+                expect_repair: true,
+                ..exp_for(cells)
+            };
+            let pooled = Expectations {
+                expect_pool: Some(2),
+                ..exp_for(cells)
+            };
+            // Traffic continues past the flip but no null-FAPI
+            // keep-alive ever appears: not re-paired, and attributed to
+            // cell 0 specifically.
+            for exp in [&planned, &pooled] {
+                let rep = check(&tb, exp);
+                assert!(rep
+                    .violations
+                    .iter()
+                    .any(|v| v.invariant == "eventual-repair" && v.detail.contains("cell 0")));
+                assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
+            }
+            // A lethal fault with nothing to re-pair from owes none.
+            let rep = check(&tb, &exp_for(cells));
+            assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
+            // A keep-alive addressed to cell 0 after the settle window
+            // clears it; one addressed to another cell does not.
+            record_node(&mut tb, 150, 21, TraceEventKind::NullFapiSent, 1, 150);
+            assert!(!check(&tb, &planned).ok());
+            record_node(&mut tb, 150, 11, TraceEventKind::NullFapiSent, 0, 150);
+            for exp in [&planned, &pooled] {
+                let rep = check(&tb, exp);
+                assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
+            }
+
+            // A scenario that demands a failover and records no flip.
+            let rep = check(&healthy_trace(cells, 250), &planned);
+            assert!(rep
+                .violations
+                .iter()
+                .any(|v| v.invariant == "eventual-repair" && v.detail.contains("no MapFlip")));
+        });
+    }
+
+    /// A data-plane flip is traced when the first packet stamped at or
+    /// past the boundary arrives — DL C-plane runs two slots ahead of
+    /// the wall clock — while the old PHY still completes the last
+    /// pre-boundary UL slot (the planned-migration drain, paper §7).
+    /// Ownership is keyed by the stamped boundary, including when the
+    /// 5 120-slot packet scalar wraps between arrival and boundary.
+    #[test]
+    fn flip_is_keyed_by_its_stamped_boundary_slot() {
+        for boundary in [1005u64, 5120] {
+            let mut tb = TraceBuffer::new(1 << 16);
+            for abs in ul_slots(boundary + 100).filter(|&s| s > boundary - 100) {
+                deliver(&mut tb, 0, abs, if abs < boundary { 1 } else { 2 });
+            }
+            tb.record_at_slot(
+                slot_time(boundary - 2),
+                NodeId(0),
+                SlotId::from_absolute(boundary % 5120),
+                TraceEventKind::MapFlip,
+                0,
+                (1 << 16) | 2,
+            );
+            record(
+                &mut tb,
+                boundary + 50,
+                TraceEventKind::NullFapiSent,
+                0,
+                boundary + 50,
+            );
+            let exp = Expectations {
+                expect_repair: true,
+                ..exp_for(1)
+            };
+            let rep = check(&tb, &exp);
+            assert!(rep.ok(), "boundary {boundary}: {:?}", rep.violations);
+            assert_eq!(rep.dropped_ttis, 0);
+
+            let cfg = SloConfig {
+                initial_active: exp.initial_active.clone(),
+                ..SloConfig::default()
+            };
+            let cell = &slo::analyze(&tb, &cfg).cells[0];
+            assert_eq!(cell.delivered_ttis, 40, "the drained slot is cell 0's");
+            assert_eq!(cell.dropped_ttis, 0);
+        }
     }
 
     #[test]
@@ -1258,100 +1298,15 @@ mod tests {
     }
 
     #[test]
-    fn multi_cell_healthy_passes_per_cell_mode() {
-        let tb = multi_cell_trace(300);
-        let rep = check(&tb, &multi_exp());
-        assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
-        // The same trace under the legacy global oracle reads as split
-        // brain — two PHYs per absolute slot — which is exactly why
-        // multi-cell runs must set `initial_active`.
-        let rep = check(&tb, &Expectations::default());
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "one-active-phy"));
-    }
-
-    #[test]
-    fn unowned_phy_serving_traffic_flagged() {
-        let mut tb = multi_cell_trace(100);
-        // PHY 9 belongs to no cell's active mapping; it delivering a
-        // slot means the switch leaked uplink to a ghost replica.
-        record_node(&mut tb, 44, 30, TraceEventKind::UlSlotProcessed, 44, 9);
-        let rep = check(&tb, &multi_exp());
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "one-active-phy" && v.detail.contains("PHY 9")));
-    }
-
-    #[test]
-    fn per_cell_dropped_ttis_not_masked_by_other_cells() {
-        let mut tb = TraceBuffer::new(1 << 16);
-        for abs in (0..300u64).filter(|s| s % 5 == 4) {
-            record_node(&mut tb, abs, 10, TraceEventKind::UlSlotProcessed, abs, 1);
-            // Cell 1 blacks out for 60 slots (12 TTIs, budget 3); the
-            // global measure would never see it because cell 0 keeps
-            // delivering those absolute slots.
-            if !(100..160).contains(&abs) {
-                record_node(&mut tb, abs, 20, TraceEventKind::UlSlotProcessed, abs, 3);
-            }
-        }
-        let rep = check(&tb, &multi_exp());
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "dropped-ttis" && v.detail.contains("cell 1")));
-        assert!(!rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "dropped-ttis" && v.detail.contains("cell 0")));
-    }
-
-    #[test]
-    fn per_cell_repair_checked_after_flip() {
-        let mut tb = TraceBuffer::new(1 << 16);
-        // Cell 0 fails over from PHY 1 to PHY 5 at slot 100; cell 1 is
-        // untouched on PHY 3 throughout.
-        for abs in (0..250u64).filter(|s| s % 5 == 4) {
-            let cell0_phy = if abs < 100 { 1 } else { 5 };
-            if !(95..105).contains(&abs) {
-                record_node(
-                    &mut tb,
-                    abs,
-                    10,
-                    TraceEventKind::UlSlotProcessed,
-                    abs,
-                    cell0_phy,
-                );
-            }
-            record_node(&mut tb, abs, 20, TraceEventKind::UlSlotProcessed, abs, 3);
-        }
-        record_node(&mut tb, 100, 5, TraceEventKind::MapFlip, 0, (1 << 16) | 5);
-        // No null-FAPI keep-alive for cell 0 after the flip: not
-        // re-paired, and attributed to cell 0 specifically.
-        let rep = check(&tb, &multi_exp());
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "eventual-repair" && v.detail.contains("cell 0")));
-        // A keep-alive addressed to cell 0 after the settle window
-        // clears it.
-        record_node(&mut tb, 150, 11, TraceEventKind::NullFapiSent, 0, 150);
-        let rep = check(&tb, &multi_exp());
-        assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
-    }
-
-    #[test]
     fn pool_ledger_balanced_passes() {
-        let mut tb = healthy_trace(300);
+        let mut tb = healthy_trace(1, 300);
         record(&mut tb, 100, TraceEventKind::SpareRequested, 0, 1);
         record(&mut tb, 105, TraceEventKind::SpareGranted, 0, (5 << 16) | 1);
         record(&mut tb, 110, TraceEventKind::StandbyRepaired, 0, 5);
         record(&mut tb, 150, TraceEventKind::SpareReturned, 1, 2);
         let exp = Expectations {
             expect_pool: Some(2),
-            ..Expectations::default()
+            ..exp_for(1)
         };
         let rep = check(&tb, &exp);
         assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
@@ -1359,14 +1314,14 @@ mod tests {
 
     #[test]
     fn pool_ledger_count_mismatch_flagged() {
-        let mut tb = healthy_trace(300);
+        let mut tb = healthy_trace(1, 300);
         // Grant claims the pool still holds 2 spares; with an initial
         // size of 2 the ledger says 1 remain after the grant.
         record(&mut tb, 100, TraceEventKind::SpareGranted, 0, (5 << 16) | 2);
         record(&mut tb, 110, TraceEventKind::StandbyRepaired, 0, 5);
         let exp = Expectations {
             expect_pool: Some(2),
-            ..Expectations::default()
+            ..exp_for(1)
         };
         let rep = check(&tb, &exp);
         assert!(rep
@@ -1377,11 +1332,11 @@ mod tests {
 
     #[test]
     fn over_returned_pool_flagged() {
-        let mut tb = healthy_trace(300);
+        let mut tb = healthy_trace(1, 300);
         record(&mut tb, 100, TraceEventKind::SpareReturned, 5, 3);
         let exp = Expectations {
             expect_pool: Some(2),
-            ..Expectations::default()
+            ..exp_for(1)
         };
         let rep = check(&tb, &exp);
         assert!(rep
@@ -1393,11 +1348,11 @@ mod tests {
     #[test]
     fn incomplete_recovery_chain_flagged() {
         // A request that is never granted (pool ran dry and stayed dry).
-        let mut tb = healthy_trace(300);
+        let mut tb = healthy_trace(1, 300);
         record(&mut tb, 100, TraceEventKind::SpareRequested, 2, 7);
         let exp = Expectations {
             expect_pool: Some(1),
-            ..Expectations::default()
+            ..exp_for(1)
         };
         let rep = check(&tb, &exp);
         assert!(rep
@@ -1407,7 +1362,7 @@ mod tests {
 
         // A grant whose re-pairing never completed (Orion never
         // promoted the spare to secondary).
-        let mut tb = healthy_trace(300);
+        let mut tb = healthy_trace(1, 300);
         record(&mut tb, 100, TraceEventKind::SpareRequested, 2, 7);
         record(&mut tb, 105, TraceEventKind::SpareGranted, 2, (9 << 16) | 0);
         let rep = check(&tb, &exp);

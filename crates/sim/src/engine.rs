@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use crate::equeue::CalendarQueue;
 use crate::kernels::KernelConfig;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{InstrumentSink, MetricsRegistry};
 use crate::pool::WorkerPool;
 use crate::profiler::SpanProfiler;
 use crate::rng::SimRng;
@@ -94,6 +94,12 @@ pub trait Node<M: Message>: Any + Send {
 
     /// A timer scheduled by this node has fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _token: u64) {}
+
+    /// Publish everything this node measures under `scope` (its name),
+    /// as absolute totals: [`Engine::publish_node_metrics`] snapshots
+    /// every node through this. Nodes that measure nothing keep the
+    /// default.
+    fn instrument(&self, _scope: &str, _sink: &mut dyn InstrumentSink) {}
 }
 
 /// Parameters of a unidirectional point-to-point link.
@@ -1134,6 +1140,21 @@ impl<M: Message> Engine<M> {
         }
     }
 
+    /// Snapshot every node's own measurements ([`Node::instrument`])
+    /// into the metrics registry, scoped by node name. Idempotent, like
+    /// [`Engine::publish_link_metrics`].
+    pub fn publish_node_metrics(&mut self) {
+        for (id, &lane_idx) in self.lane_of.iter().enumerate() {
+            let lane = self.lanes[lane_idx as usize]
+                .as_ref()
+                .expect("lane in place");
+            let slot = lane.slot_of(NodeId(id)).expect("node lives in its lane");
+            if let Some(node) = lane.nodes[slot].as_deref() {
+                node.instrument(&self.env.names[id], &mut self.metrics);
+            }
+        }
+    }
+
     pub fn node_name(&self, id: NodeId) -> &str {
         &self.env.names[id.0]
     }
@@ -1485,6 +1506,10 @@ mod tests {
             ctx.timer(Nanos(100), 0);
         }
         fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
+
+        fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
+            sink.counter(scope, "beats", self.beats);
+        }
     }
 
     /// The trace's kill / revive records: `(at, actor, kind, target)`.
@@ -1519,6 +1544,25 @@ mod tests {
             e.add_node("idle", Box::new(Recorder::default()));
             lane_of.push(0);
             e.enable_shards(lane_of, 2);
+        });
+    }
+
+    #[test]
+    fn publish_node_metrics_snapshots_every_instrumented_node() {
+        at_each_lane_count(|mut e, shard| {
+            e.add_node("quiet", Box::new(Recorder::default()));
+            e.add_node("b0", Box::new(Beater::default()));
+            let b1 = e.add_node("b1", Box::new(Beater::default()));
+            shard(&mut e);
+            e.run_until(Nanos(450));
+            e.kill(b1);
+            e.run_until(Nanos(1050));
+            // Totals are set, not accumulated: publishing twice is one
+            // snapshot. A dead node still reports what it measured.
+            e.publish_node_metrics();
+            e.publish_node_metrics();
+            let published: Vec<_> = e.metrics().counters().collect();
+            assert_eq!(published, [("b0", "beats", 10), ("b1", "beats", 4)]);
         });
     }
 

@@ -59,7 +59,7 @@ pub use chaos::{ChaosDistribution, Fault, FaultKind, FaultTarget, Scenario};
 pub use engine::{Ctx, Engine, LinkParams, LinkStats, Message, Node, NodeId};
 pub use equeue::CalendarQueue;
 pub use kernels::{KernelBackend, KernelConfig};
-pub use metrics::{HistogramSummary, Instrument, InstrumentSink, LogHistogram, MetricsRegistry};
+pub use metrics::{HistogramSummary, InstrumentSink, LogHistogram, MetricsRegistry};
 pub use pool::{ScratchPool, WorkerPool};
 pub use profiler::{ProfilerReport, SpanGuard, SpanProfiler, StageProfile};
 pub use rng::SimRng;

@@ -490,8 +490,9 @@ impl MetricsRegistry {
     }
 }
 
-/// Where an [`Instrument`] publishes its metrics. The registry is the
-/// production sink; tests can capture with their own impl.
+/// Where a node's [`instrument`](crate::engine::Node::instrument)
+/// publishes its metrics. The registry is the production sink; tests
+/// can capture with their own impl.
 ///
 /// Publication uses *set* semantics (counters are absolute totals, not
 /// deltas), so publishing twice is idempotent — nodes keep their own
@@ -515,18 +516,6 @@ impl InstrumentSink for MetricsRegistry {
         // Replace rather than merge: publishing is a snapshot.
         *self.histogram_mut(scope, name) = h.clone();
     }
-}
-
-/// One entry point for a node to publish everything it measures.
-///
-/// PR 1 threaded three parallel idioms through the deployment
-/// (`set_counter` loops, gauge pokes, `histogram_mut` merges) — one
-/// hand-written block per node type. Implementing `Instrument` moves
-/// that knowledge into the node itself: the deployment just walks its
-/// nodes and calls [`Instrument::instrument`] with the node's scope.
-pub trait Instrument {
-    /// Publish all counters/gauges/histograms under `scope`.
-    fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink);
 }
 
 fn escape(s: &str) -> String {

@@ -1,12 +1,32 @@
-//! Ownership timelines reconstructed from flip events in the trace:
+//! Ownership timelines reconstructed from flip events in the trace —
 //! which PHY is a cell's active one (`MapFlip`), or which cell serves a
-//! UE (`HandoverFlip`), at any slot. Shared by the chaos oracle and the
-//! SLO analyzer so both attribute a slot to the same owner.
+//! UE (`HandoverFlip`), at any slot — and the two series built on them
+//! that the chaos oracle and the SLO analyzer both read: delivered
+//! uplink TTIs per cell and scheduled slots per UE.
 
 use std::collections::BTreeMap;
 
-use crate::time::SLOT_DURATION;
-use crate::trace::{TraceBuffer, TraceEventKind};
+use crate::time::{SLOTS_PER_FRAME, SLOT_DURATION};
+use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind};
+
+/// Fronthaul packets carry their slot as a scalar over 256 frames, so a
+/// data-plane flip is stamped with its boundary slot modulo this.
+const SCALAR_EPOCH: u64 = 256 * SLOTS_PER_FRAME as u64;
+
+/// The absolute slot a flip took effect from: the one the event is
+/// *stamped* with, unwrapped to the scalar epoch nearest its arrival.
+/// The switch flips on the first packet stamped at or past the armed
+/// boundary and DL C-plane runs ahead of the wall clock, so the arrival
+/// lands slots before the boundary the old owner still serves up to.
+fn stamped_slot(e: &TraceEvent) -> u64 {
+    let at_slot = e.at.0 / SLOT_DURATION.0;
+    let ahead = (e.slot.epoch_index() + SCALAR_EPOCH - at_slot % SCALAR_EPOCH) % SCALAR_EPOCH;
+    if ahead <= SCALAR_EPOCH / 2 {
+        at_slot + ahead
+    } else {
+        (at_slot + ahead).saturating_sub(SCALAR_EPOCH)
+    }
+}
 
 /// Per-key owner timelines: key → `[(from_slot, owner)]`, ascending.
 pub(crate) struct Ownership(BTreeMap<u64, Vec<(u64, u64)>>);
@@ -26,14 +46,10 @@ impl Ownership {
         let mut flips: Vec<_> = trace.of_kind(flip).collect();
         flips.sort_by_key(|e| e.at);
         for e in flips {
-            let slot = e.at.0 / SLOT_DURATION.0;
-            timelines.entry(e.a).or_default().push((slot, e.b & 0xFFFF));
+            let owners = timelines.entry(e.a).or_default();
+            owners.push((stamped_slot(e), e.b & 0xFFFF));
         }
         Ownership(timelines)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// Every tracked key with its timeline.
@@ -48,8 +64,8 @@ impl Ownership {
     }
 
     /// Whether `owner` holds `key` at `slot`, give or take one slot:
-    /// the grace absorbs flip-boundary races (the flip trace lands
-    /// mid-slot while the old owner's last in-flight slot completes).
+    /// the grace absorbs flip-boundary races (the old owner's last
+    /// in-flight slot completes while the new one's first is under way).
     pub fn holds_near(&self, key: u64, owner: u64, slot: u64) -> bool {
         self.0.get(&key).is_some_and(|tl| near(tl, owner, slot))
     }
@@ -75,4 +91,112 @@ fn near(timeline: &[(u64, u64)], owner: u64, slot: u64) -> bool {
     [slot, slot.saturating_sub(1), slot + 1]
         .iter()
         .any(|&s| held(timeline, s) == owner)
+}
+
+/// Every `UlSlotProcessed` in a trace, attributed to the cell whose
+/// active PHY produced it.
+pub(crate) struct Deliveries {
+    /// The active-PHY timelines the attribution used.
+    pub active: Ownership,
+    /// Cell → the absolute slots it delivered, ascending, one entry per
+    /// slot. Every declared or ever-flipped cell is here, silent or not.
+    pub slots: BTreeMap<u64, Vec<u64>>,
+    /// `(cell, slot, producers)` where more than one PHY delivered.
+    pub contested: Vec<(u64, u64, Vec<u64>)>,
+    /// `(slot, phy)` deliveries by a PHY no cell's active mapping owns.
+    pub unowned: Vec<(u64, u64)>,
+}
+
+impl Deliveries {
+    /// Attribute against `MapFlip`s layered over `(ru, primary phy)`.
+    pub fn from_trace(initial_active: &[(u64, u64)], trace: &TraceBuffer) -> Deliveries {
+        let active = Ownership::from_trace(initial_active, trace, TraceEventKind::MapFlip);
+        let mut produced: BTreeMap<u64, Vec<(u64, u64)>> =
+            active.iter().map(|(ru, _)| (ru, Vec::new())).collect();
+        let mut unowned = Vec::new();
+        for e in trace.of_kind(TraceEventKind::UlSlotProcessed) {
+            match active.attribute(e.b, e.a) {
+                Some(ru) => produced.entry(ru).or_default().push((e.a, e.b)),
+                None => unowned.push((e.a, e.b)),
+            }
+        }
+        let mut slots = BTreeMap::new();
+        let mut contested = Vec::new();
+        for (ru, mut by_slot) in produced {
+            by_slot.sort_unstable();
+            by_slot.dedup();
+            let mut series = Vec::new();
+            for same in by_slot.chunk_by(|x, y| x.0 == y.0) {
+                series.push(same[0].0);
+                if same.len() > 1 {
+                    contested.push((ru, same[0].0, same.iter().map(|p| p.1).collect()));
+                }
+            }
+            slots.insert(ru, series);
+        }
+        Deliveries {
+            active,
+            slots,
+            contested,
+            unowned,
+        }
+    }
+}
+
+/// Every UE's `UeScheduled` records (a = rnti | ru<<16 | slice<<24,
+/// b = abs slot) as `(slot, scheduling ru, slice)`, ascending by slot.
+pub(crate) fn scheduled_per_ue(trace: &TraceBuffer) -> BTreeMap<u64, Vec<(u64, u64, u64)>> {
+    let mut sched: BTreeMap<u64, Vec<(u64, u64, u64)>> = BTreeMap::new();
+    for e in trace.of_kind(TraceEventKind::UeScheduled) {
+        sched
+            .entry(e.a & 0xFFFF)
+            .or_default()
+            .push((e.b, (e.a >> 16) & 0xFF, (e.a >> 24) & 0xFF));
+    }
+    for evs in sched.values_mut() {
+        evs.sort_unstable();
+    }
+    sched
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::NodeId;
+    use crate::time::{Nanos, SlotId};
+
+    fn flip_at(at_slot: u64, stamped: SlotId) -> TraceEvent {
+        TraceEvent {
+            at: Nanos(at_slot * SLOT_DURATION.0),
+            node: NodeId(0),
+            slot: stamped,
+            kind: TraceEventKind::MapFlip,
+            a: 0,
+            b: (1 << 16) | 2,
+        }
+    }
+
+    #[test]
+    fn stamped_slot_unwraps_to_the_epoch_nearest_arrival() {
+        // Clock-stamped (control-plane) flips are their arrival slot.
+        for abs in [0, 1003, 5119, 5120, 20_479, 20_480, 1_000_003] {
+            assert_eq!(stamped_slot(&flip_at(abs, SlotId::from_absolute(abs))), abs);
+        }
+        // Packet-stamped flips: the scalar runs ahead of the arrival.
+        assert_eq!(
+            stamped_slot(&flip_at(1003, SlotId::from_absolute(1005))),
+            1005
+        );
+        assert_eq!(stamped_slot(&flip_at(5119, SlotId::from_absolute(1))), 5121);
+        assert_eq!(
+            stamped_slot(&flip_at(10_239, SlotId::from_absolute(1))),
+            10_241
+        );
+        // ... or, for a late packet, behind it — across the wrap too.
+        assert_eq!(
+            stamped_slot(&flip_at(5121, SlotId::from_absolute(5119))),
+            5119
+        );
+        assert_eq!(stamped_slot(&flip_at(0, SlotId::from_absolute(5119))), 0);
+    }
 }

@@ -8,9 +8,9 @@
 //!
 //! Everything is derived purely from the deterministic trace stream:
 //!
-//! - per-cell service timelines from `MapFlip` ownership flips layered
-//!   over the initial RU→PHY map (the same reconstruction the oracle
-//!   uses), attributing every delivered `UlSlotProcessed` TTI to a cell;
+//! - per-cell delivered-TTI series from the series builder the oracle
+//!   also judges on (`MapFlip` ownership layered over the initial
+//!   RU→PHY map attributes every `UlSlotProcessed` TTI to a cell);
 //! - gaps in a cell's delivered-TTI cadence become *outage intervals*,
 //!   which yield nines-of-availability, MTBF, MTTR, and time-to-repair
 //!   distributions per cell and fleet-wide;
@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::LogHistogram;
-use crate::ownership::Ownership;
+use crate::ownership::{scheduled_per_ue, Deliveries};
 use crate::stats::Sampler;
 use crate::time::{Nanos, SLOT_DURATION};
 use crate::trace::{detections, TraceBuffer, TraceEventKind};
@@ -43,9 +43,9 @@ pub struct SloConfig {
     /// just because its delivered-TTI window ended early). 0 = judge
     /// only between each cell's first and last delivery.
     pub horizon_slots: u64,
-    /// Initial RU → active-PHY map, as in
-    /// `oracle::Expectations::initial_active`. Empty = single implicit
-    /// cell 0 that owns every delivered TTI (single-cell deployments).
+    /// Initial RU → active-PHY map, one entry per cell, as in
+    /// `oracle::Expectations::initial_active`: the cells the report
+    /// covers.
     pub initial_active: Vec<(u64, u64)>,
 }
 
@@ -160,25 +160,7 @@ pub fn nines_of(availability: f64) -> f64 {
 
 /// Derive the full availability report from a trace.
 pub fn analyze(trace: &TraceBuffer, cfg: &SloConfig) -> SloReport {
-    // --- per-cell delivered-TTI series ---
-    // No ownership information at all (no initial map, no flips) means
-    // a single implicit cell 0 that owns every delivery.
-    let active = Ownership::from_trace(&cfg.initial_active, trace, TraceEventKind::MapFlip);
-    let mut per_ru: BTreeMap<u64, Vec<u64>> = if active.is_empty() {
-        [(0, Vec::new())].into_iter().collect()
-    } else {
-        active.iter().map(|(ru, _)| (ru, Vec::new())).collect()
-    };
-    for e in trace.of_kind(TraceEventKind::UlSlotProcessed) {
-        let ru = if active.is_empty() {
-            Some(0)
-        } else {
-            active.attribute(e.b, e.a)
-        };
-        if let Some(ru) = ru {
-            per_ru.entry(ru).or_default().push(e.a);
-        }
-    }
+    let delivered = Deliveries::from_trace(&cfg.initial_active, trace);
 
     let mut cells = Vec::new();
     let mut all_ttr = Sampler::new();
@@ -186,11 +168,8 @@ pub fn analyze(trace: &TraceBuffer, cfg: &SloConfig) -> SloReport {
     let mut fleet_delivered = 0u64;
     let mut fleet_outages = 0u64;
     let mut fleet_uptime_ns = 0u128;
-    for (&ru, slots) in &mut per_ru {
-        let mut slots = std::mem::take(slots);
-        slots.sort_unstable();
-        slots.dedup();
-        let cell = analyze_cell(ru, &slots, cfg);
+    for (&ru, slots) in &delivered.slots {
+        let cell = analyze_cell(ru, slots, cfg);
         for o in &cell.outages {
             all_ttr.record_nanos(o.duration(cfg.tdd_stride));
         }
@@ -259,25 +238,29 @@ pub fn analyze(trace: &TraceBuffer, cfg: &SloConfig) -> SloReport {
     }
 }
 
+/// Every gap in one cell's ascending delivered-TTI series: the outage
+/// list the SLO report times and the oracle's dropped-TTI budget sums.
+pub(crate) fn gaps(ru: u64, delivered: &[u64], stride: u64) -> Vec<Outage> {
+    let gap = |w: &[u64]| {
+        let missing = ((w[1] - w[0]) / stride).saturating_sub(1);
+        (missing > 0).then_some(Outage {
+            ru,
+            start_slot: w[0],
+            end_slot: w[1],
+            missing_ttis: missing,
+        })
+    };
+    delivered.windows(2).filter_map(gap).collect()
+}
+
 fn analyze_cell(ru: u64, delivered: &[u64], cfg: &SloConfig) -> CellSlo {
     let stride = cfg.tdd_stride.max(1);
-    let mut outages = Vec::new();
+    let mut outages = gaps(ru, delivered, stride);
     let mut ttr = Sampler::new();
     let mut dropped_hist = LogHistogram::new();
-    let (expected, delivered_n) = match (delivered.first(), delivered.last()) {
+    let delivered_n = delivered.len() as u64;
+    let expected = match (delivered.first(), delivered.last()) {
         (Some(&first), Some(&last)) => {
-            for w in delivered.windows(2) {
-                let missing = (w[1] - w[0]) / stride;
-                let missing = missing.saturating_sub(1);
-                if missing > 0 {
-                    outages.push(Outage {
-                        ru,
-                        start_slot: w[0],
-                        end_slot: w[1],
-                        missing_ttis: missing,
-                    });
-                }
-            }
             let mut span_last = last;
             // Trailing blackout: the cell went quiet before the horizon.
             if cfg.horizon_slots > last {
@@ -292,18 +275,12 @@ fn analyze_cell(ru: u64, delivered: &[u64], cfg: &SloConfig) -> CellSlo {
                     span_last = last + missing * stride;
                 }
             }
-            ((span_last - first) / stride + 1, delivered.len() as u64)
+            (span_last - first) / stride + 1
         }
-        _ => (
-            // No deliveries at all: if a horizon says the cell should
-            // have served, charge it in full; else nothing to judge.
-            if cfg.horizon_slots > 0 {
-                cfg.horizon_slots / stride
-            } else {
-                0
-            },
-            delivered.len() as u64,
-        ),
+        // No deliveries at all: a horizon says how long the cell should
+        // have served and charges it in full; without one (0) there is
+        // nothing to judge.
+        _ => cfg.horizon_slots / stride,
     };
     for o in &outages {
         ttr.record_nanos(o.duration(stride));
@@ -419,30 +396,23 @@ impl SliceSloReport {
 /// an entry are best-effort (gaps are reported but never counted as
 /// misses).
 pub fn analyze_slices(trace: &TraceBuffer, deadlines: &[(u64, u64)]) -> SliceSloReport {
-    // Per-UE scheduled-slot series + slice tag (from the first event;
-    // a UE's slice does not change over a run).
-    let mut per_ue: BTreeMap<u64, (u64, Vec<u64>)> = BTreeMap::new();
-    for e in trace.of_kind(TraceEventKind::UeScheduled) {
-        let entry = per_ue
-            .entry(e.a & 0xFFFF)
-            .or_insert_with(|| ((e.a >> 24) & 0xFF, Vec::new()));
-        entry.1.push(e.b);
-    }
     let mut flips_per_ue: BTreeMap<u64, u64> = BTreeMap::new();
     for e in trace.of_kind(TraceEventKind::HandoverFlip) {
         *flips_per_ue.entry(e.a).or_insert(0) += 1;
     }
 
     let mut slices: BTreeMap<u64, SliceSlo> = BTreeMap::new();
-    for (rnti, (slice, slots)) in &mut per_ue {
-        slots.sort_unstable();
+    for (rnti, evs) in &scheduled_per_ue(trace) {
+        // A UE's slice does not change over a run.
+        let slice = evs[0].2;
+        let mut slots: Vec<u64> = evs.iter().map(|&(slot, _, _)| slot).collect();
         slots.dedup();
         let deadline = deadlines
             .iter()
-            .find(|&&(s, _)| s == *slice)
+            .find(|&&(s, _)| s == slice)
             .map(|&(_, d)| d);
-        let row = slices.entry(*slice).or_insert_with(|| SliceSlo {
-            slice: *slice,
+        let row = slices.entry(slice).or_insert_with(|| SliceSlo {
+            slice,
             ues: 0,
             scheduled: 0,
             max_gap_slots: 0,
@@ -643,11 +613,19 @@ mod tests {
         }
     }
 
+    /// One declared cell: RU 0 served by PHY 1 from slot 0.
+    fn one_cell() -> SloConfig {
+        SloConfig {
+            initial_active: vec![(0, 1)],
+            ..SloConfig::default()
+        }
+    }
+
     #[test]
     fn perfect_cadence_is_nine_nines() {
         let mut tb = TraceBuffer::new(4096);
         deliver(&mut tb, 1, 4, 504, &[]);
-        let r = analyze(&tb, &SloConfig::default());
+        let r = analyze(&tb, &one_cell());
         assert_eq!(r.cells.len(), 1);
         let c = &r.cells[0];
         assert_eq!(c.dropped_ttis, 0);
@@ -665,7 +643,7 @@ mod tests {
         let mut tb = TraceBuffer::new(4096);
         // 100 cycles, cycles at slots 54..74 missing (4 TTIs dropped).
         deliver(&mut tb, 1, 4, 504, &[54, 59, 64, 69]);
-        let r = analyze(&tb, &SloConfig::default());
+        let r = analyze(&tb, &one_cell());
         let c = &r.cells[0];
         assert_eq!(c.outages.len(), 1);
         let o = &c.outages[0];
@@ -685,6 +663,21 @@ mod tests {
     }
 
     #[test]
+    fn gaps_count_the_scheduled_ttis_never_delivered() {
+        // DDDSU: UL slots every 5. Delivered 0,5,10,25,30 → 15,20 missing.
+        let found = gaps(3, &[0, 5, 10, 25, 30], 5);
+        let hole = Outage {
+            ru: 3,
+            start_slot: 10,
+            end_slot: 25,
+            missing_ttis: 2,
+        };
+        assert_eq!(found, [hole]);
+        assert!(gaps(3, &[], 5).is_empty());
+        assert!(gaps(3, &[7], 5).is_empty());
+    }
+
+    #[test]
     fn trailing_blackout_charged_against_horizon() {
         let mut tb = TraceBuffer::new(4096);
         // Delivers to slot 249 then dies; horizon says 500 slots.
@@ -693,10 +686,10 @@ mod tests {
             &tb,
             &SloConfig {
                 horizon_slots: 500,
-                ..SloConfig::default()
+                ..one_cell()
             },
         );
-        let without = analyze(&tb, &SloConfig::default());
+        let without = analyze(&tb, &one_cell());
         assert_eq!(without.cells[0].dropped_ttis, 0);
         let c = &with_horizon.cells[0];
         assert_eq!(c.outages.len(), 1);
@@ -712,8 +705,7 @@ mod tests {
             &tb,
             &SloConfig {
                 horizon_slots: 1000,
-                initial_active: vec![(0, 1)],
-                ..SloConfig::default()
+                ..one_cell()
             },
         );
         let c = &r.cells[0];
@@ -721,6 +713,16 @@ mod tests {
         assert_eq!(c.expected_ttis, 200);
         assert_eq!(c.availability, 0.0);
         assert_eq!(c.nines, 0.0);
+    }
+
+    #[test]
+    fn no_declared_cells_means_an_empty_report() {
+        let mut tb = TraceBuffer::new(4096);
+        deliver(&mut tb, 1, 4, 504, &[]);
+        let r = analyze(&tb, &SloConfig::default());
+        assert!(r.cells.is_empty(), "an undeclared PHY serves no cell");
+        assert_eq!(r.fleet.cells, 0);
+        assert_eq!(r.fleet.delivered_ttis, 0);
     }
 
     #[test]
@@ -766,7 +768,7 @@ mod tests {
         record(&mut tb, 102, TraceEventKind::SpareGranted, 0, (5 << 16) | 1);
         record(&mut tb, 150, TraceEventKind::SpareReturned, 1, 2);
         record(&mut tb, 151, TraceEventKind::StandbyRepaired, 0, 5);
-        let r = analyze(&tb, &SloConfig::default());
+        let r = analyze(&tb, &one_cell());
         assert_eq!(r.fleet.detections, 1);
         assert_eq!(r.fleet.detection_max, Some(Nanos(400_000)));
         assert_eq!(r.fleet.spare_requests, 1);
@@ -780,7 +782,7 @@ mod tests {
         let mut tb = TraceBuffer::new(8);
         deliver(&mut tb, 1, 4, 504, &[]);
         assert!(tb.dropped_oldest() > 0);
-        let r = analyze(&tb, &SloConfig::default());
+        let r = analyze(&tb, &one_cell());
         assert!(r.truncated);
         assert!(r.evicted_events > 0);
         assert!(r.to_text().contains("TRUNCATED"));
@@ -791,7 +793,7 @@ mod tests {
     fn json_shape_is_stable() {
         let mut tb = TraceBuffer::new(4096);
         deliver(&mut tb, 1, 4, 504, &[54, 59]);
-        let r = analyze(&tb, &SloConfig::default());
+        let r = analyze(&tb, &one_cell());
         let j = r.to_json();
         for key in [
             "\"truncated\":false",
@@ -808,7 +810,7 @@ mod tests {
         // No-outage optional stats encode as JSON null, not a number.
         let mut tb2 = TraceBuffer::new(4096);
         deliver(&mut tb2, 1, 4, 504, &[]);
-        let j2 = analyze(&tb2, &SloConfig::default()).to_json();
+        let j2 = analyze(&tb2, &one_cell()).to_json();
         assert!(j2.contains("\"mttr_ms\":null"));
     }
 

@@ -20,9 +20,10 @@
 //! Exporters: [`TraceBuffer::write_chrome_trace`] emits Chrome
 //! `trace_event` JSON loadable in `chrome://tracing` or Perfetto;
 //! [`TraceBuffer::write_summary`] renders a human-readable timeline.
-//! Derived measures over a trace — failure-detection latency and
-//! delivered-TTI gaps (blackout) — live here too, so tests assert the
-//! paper's headline numbers from the trace rather than ad-hoc counters.
+//! Failure-detection latency is derived here ([`detections`]); the
+//! delivered-TTI measures (dropped TTIs, outages) are [`crate::slo`]'s,
+//! so tests assert the paper's headline numbers from the trace rather
+//! than ad-hoc counters.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
@@ -564,42 +565,6 @@ pub fn detections<'a, I: IntoIterator<Item = &'a TraceEvent>>(events: I) -> Vec<
         .collect()
 }
 
-/// Absolute slots whose TTIs were delivered (`UlSlotProcessed`),
-/// deduplicated and sorted — the input to blackout/dropped-TTI measures.
-pub fn delivered_ul_slots<'a, I: IntoIterator<Item = &'a TraceEvent>>(events: I) -> Vec<u64> {
-    let mut slots: Vec<u64> = events
-        .into_iter()
-        .filter(|e| e.kind == TraceEventKind::UlSlotProcessed)
-        .map(|e| e.a)
-        .collect();
-    slots.sort_unstable();
-    slots.dedup();
-    slots
-}
-
-/// Dropped TTIs per the paper's §8.2 measure: among the uplink slots the
-/// TDD pattern scheduled between the first and last delivered slot
-/// (stride = TDD cycle length), how many were never delivered.
-pub fn dropped_ttis(delivered: &[u64], stride: u64) -> u64 {
-    match delivered {
-        [] | [_] => 0,
-        [first, .., last] => {
-            let expected = (last - first) / stride + 1;
-            expected.saturating_sub(delivered.len() as u64)
-        }
-    }
-}
-
-/// Longest gap between consecutive delivered TTIs, in slots — the
-/// trace-derived blackout measure (0 means no gap beyond the stride).
-pub fn max_tti_gap_slots(delivered: &[u64], stride: u64) -> u64 {
-    delivered
-        .windows(2)
-        .map(|w| (w[1] - w[0]).saturating_sub(stride) / stride)
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -709,16 +674,6 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].latency(), Nanos(450_000));
         assert_eq!(d[0].phy, 1);
-    }
-
-    #[test]
-    fn dropped_tti_math() {
-        // DDDSU: UL slots every 5. Delivered 0,5,10,25,30 → 15,20 missing.
-        let delivered = [0, 5, 10, 25, 30];
-        assert_eq!(dropped_ttis(&delivered, 5), 2);
-        assert_eq!(max_tti_gap_slots(&delivered, 5), 2);
-        assert_eq!(dropped_ttis(&[], 5), 0);
-        assert_eq!(dropped_ttis(&[7], 5), 0);
     }
 
     #[test]

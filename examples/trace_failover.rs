@@ -18,7 +18,7 @@
 use slingshot::{DeploymentBuilder, DeploymentConfig};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::slo::{self, SloConfig};
-use slingshot_sim::trace::{delivered_ul_slots, detections, dropped_ttis};
+use slingshot_sim::trace::detections;
 use slingshot_sim::{Nanos, SpanProfiler, TraceEventKind, SLOT_DURATION};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -99,11 +99,17 @@ fn main() {
     );
     println!("  {:>9.1}  migrate_on_slot armed", rel(armed));
     println!("  {:>9.1}  RU→PHY map flipped", rel(flip));
-    let delivered = delivered_ul_slots(trace.iter());
+    // Service-level view of the same trace. No horizon: the cell is
+    // judged between its first and last delivery.
+    let slo_cfg = SloConfig {
+        initial_active: d.initial_active(),
+        ..SloConfig::default()
+    };
+    let slo = slo::analyze(trace, &slo_cfg);
     println!(
         "  detection latency {:.1} µs, dropped TTIs {}",
         det.latency().0 as f64 / 1e3,
-        dropped_ttis(&delivered, 5)
+        slo.cells[0].dropped_ttis
     );
 
     // --- exports ---
@@ -121,10 +127,10 @@ fn main() {
     trace.write_summary(&mut summary, &names).unwrap();
     println!("\n{}", String::from_utf8(summary).unwrap());
 
-    // --- service-level view of the same trace ---
+    // --- the availability report, against the run's horizon ---
     let slo_cfg = SloConfig {
         horizon_slots: 3000, // 1500 ms at 500 µs per slot
-        ..SloConfig::default()
+        ..slo_cfg
     };
     println!("availability report:");
     println!("{}", slo::analyze(trace, &slo_cfg).to_text());
