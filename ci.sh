@@ -7,8 +7,9 @@
 #                      bench (kernel, engine, slots, availability, scale) in
 #                      quick mode, and the benchmark package's --check
 #                      and unit tests
-#   ./ci.sh --quick    debug build + tier-1 tests + the 2-scenario
-#                      handover chaos smoke (fast inner loop)
+#   ./ci.sh --quick    debug build + tier-1 tests + a type-check of the
+#                      benchmark package + the 2-scenario handover
+#                      chaos smoke (fast inner loop)
 #   ./ci.sh --bench    baseline-floored benches only (kernel, engine, slots,
 #                      availability, scale), all in quick mode against
 #                      the floors checked in under crates/bench/baselines,
@@ -66,6 +67,12 @@ if [[ "$QUICK" == 1 ]]; then
 
     echo "==> cargo test -q (tier-1)"
     cargo test -q
+
+    # The benchmark package is outside the workspace, so neither command
+    # above compiles it: a moved or renamed public item breaks it here
+    # rather than only in the full gate.
+    echo "==> cargo check (benchmark package, against the public API)"
+    cargo check --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
     echo "==> handover chaos smoke (2 scenarios, 1 seed)"
     CHAOS_SEEDS=1 CHAOS_SUITE=handover \

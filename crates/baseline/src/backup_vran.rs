@@ -11,7 +11,8 @@
 use slingshot::ctl::CtlPacket;
 use slingshot::fh_mbox::FhMbox;
 use slingshot::switch_node::{ForwardingModel, SwitchNode};
-use slingshot_netsim::{EtherType, Frame, MacAddr};
+use slingshot::DeploymentConfig;
+use slingshot_netsim::{EtherType, MacAddr};
 use slingshot_ran::{
     AppServerNode, CellConfig, CoreNode, CtlMsg, L2Node, Msg, PhyConfig, PhyNode, RuNode, UeConfig,
     UeNode,
@@ -101,20 +102,17 @@ impl Node<Msg> for StackSelector {
                         self.active_is_backup = true;
                         // Reroute fronthaul to the backup stack's PHY
                         // as of the next slot.
-                        let cmd = CtlPacket::MigrateOnSlot {
+                        CtlPacket::MigrateOnSlot {
                             ru_id: RU,
                             dest_phy_id: BACKUP_PHY,
                             slot_scalar: 0, // immediate (matches any slot)
-                        };
-                        let f = Frame::new(
+                        }
+                        .send(
+                            ctx,
+                            self.switch,
                             self.switch_mac,
                             failover_ctl_mac(),
-                            EtherType::SlingshotCtl,
-                            cmd.to_bytes(),
                         );
-                        if let Some(sw) = self.switch {
-                            ctx.send(sw, Msg::Eth(f));
-                        }
                     }
                 }
             }
@@ -270,37 +268,27 @@ impl BaselineDeployment {
             engine.node_mut::<UeNode>(*ue).unwrap().wire(ru, selector);
         }
 
-        let backhaul = LinkParams::with_bandwidth(Nanos::from_millis(4), 10_000_000_000);
+        // The same cabling as the Slingshot testbed it is compared with.
+        let DeploymentConfig {
+            fronthaul_link,
+            server_link,
+            backhaul_link: backhaul,
+            ..
+        } = DeploymentConfig::default();
         engine.connect_duplex(server, core, backhaul.clone());
         engine.connect_duplex(core, selector, LinkParams::ideal(Nanos(50_000)));
-        engine.connect_duplex(selector, primary_l2, backhaul.clone());
-        engine.connect_duplex(selector, backup_l2, backhaul);
         for l2 in [primary_l2, backup_l2] {
-            engine.connect_duplex(
-                l2,
-                core,
-                LinkParams::with_bandwidth(Nanos::from_millis(4), 10_000_000_000),
-            );
+            engine.connect_duplex(selector, l2, backhaul.clone());
+        }
+        for l2 in [primary_l2, backup_l2] {
+            engine.connect_duplex(l2, core, backhaul.clone());
         }
         engine.connect_duplex(primary_l2, primary_phy, LinkParams::ideal(Nanos(2_000)));
         engine.connect_duplex(backup_l2, backup_phy, LinkParams::ideal(Nanos(2_000)));
-        engine.connect_duplex(
-            ru,
-            switch,
-            LinkParams::with_bandwidth(Nanos(20_000), 25_000_000_000),
-        );
-        for phy in [primary_phy, backup_phy] {
-            engine.connect_duplex(
-                phy,
-                switch,
-                LinkParams::with_bandwidth(Nanos(2_000), 100_000_000_000),
-            );
+        engine.connect_duplex(ru, switch, fronthaul_link);
+        for node in [primary_phy, backup_phy, selector] {
+            engine.connect_duplex(node, switch, server_link.clone());
         }
-        engine.connect_duplex(
-            selector,
-            switch,
-            LinkParams::with_bandwidth(Nanos(2_000), 100_000_000_000),
-        );
 
         BaselineDeployment {
             engine,

@@ -8,12 +8,6 @@
 //! Knobs: PROBE_CELLS=64 PROBE_UES=0|1 PROBE_FLOWS=0|1
 //! PROBE_BPS=1000000 (per-UE uplink rate) PROBE_METRICS=1 (dump the
 //! metrics registry to target/probe_metrics.txt).
-//!
-//! With `--features dispatch-histogram` the engine additionally counts
-//! dispatches per (node-name-prefix, event-kind), attributing load to
-//! protocol chains (FAPI, heartbeats, detector ticks, standby replay).
-//! The histogram is filled by the one dispatch loop every lane runs,
-//! so it covers any engine in the process, whatever its lane count.
 use std::collections::BTreeMap;
 
 use slingshot::{DeploymentBuilder, DeploymentConfig};
@@ -109,9 +103,4 @@ fn main() {
         *hist.entry(format!("{:?}", ev.kind)).or_default() += 1;
     }
     eprintln!("trace kinds: {hist:?}");
-    #[cfg(feature = "dispatch-histogram")]
-    eprintln!(
-        "dispatch: {:#?}",
-        slingshot_sim::engine::DISPATCH_HISTOGRAM.lock().unwrap()
-    );
 }

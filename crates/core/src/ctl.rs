@@ -5,6 +5,9 @@
 //! [`slingshot_netsim::EtherType::SlingshotCtl`] type.
 
 use bytes::{Buf, BufMut, Bytes};
+use slingshot_netsim::{EtherType, Frame, MacAddr};
+use slingshot_ran::Msg;
+use slingshot_sim::{Ctx, NodeId};
 
 const TAG_MIGRATE_ON_SLOT: u8 = 1;
 const TAG_FAILURE_NOTIFY: u8 = 2;
@@ -17,8 +20,8 @@ const TAG_HANDOVER_ON_SLOT: u8 = 6;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CtlPacket {
     /// Command the switch to remap `ru_id` to `dest_phy_id` for all
-    /// fronthaul packets with slot ≥ `slot_scalar` (frame·20 +
-    /// subframe·2 + slot, wrapping at 5120).
+    /// fronthaul packets with slot ≥ `slot_scalar`
+    /// ([`slingshot_sim::SlotId::scalar`]).
     MigrateOnSlot {
         ru_id: u8,
         dest_phy_id: u8,
@@ -112,6 +115,15 @@ impl CtlPacket {
             }
         }
         Bytes::from(v)
+    }
+
+    /// Frame this packet `src` → `dst` and hand it to `switch`, the
+    /// sender's attached switch (nothing is sent before wiring).
+    pub fn send(&self, ctx: &mut Ctx<'_, Msg>, switch: Option<NodeId>, dst: MacAddr, src: MacAddr) {
+        if let Some(sw) = switch {
+            let frame = Frame::new(dst, src, EtherType::SlingshotCtl, self.to_bytes());
+            ctx.send(sw, Msg::Eth(frame));
+        }
     }
 
     /// The RU (cell) a control packet concerns, when it carries one.
@@ -220,20 +232,6 @@ pub fn unpack_migration_entry(entry: u64) -> Option<(u8, u16)> {
     Some((((entry >> 16) & 0xFF) as u8, (entry & 0xFFFF) as u16))
 }
 
-/// Wrapping comparison in the 5120-slot scalar space: is `x` at or
-/// after `boundary`? (Within half an epoch, as the paper's 8-bit frame
-/// ids imply.)
-pub fn scalar_at_or_after(x: u16, boundary: u16) -> bool {
-    const EPOCH: i32 = 256 * 20;
-    let mut d = x as i32 - boundary as i32;
-    if d > EPOCH / 2 {
-        d -= EPOCH;
-    } else if d < -(EPOCH / 2) {
-        d += EPOCH;
-    }
-    d >= 0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,28 +326,5 @@ mod tests {
         // owns reduction modulo 5120).
         let packed = pack_migration_entry(255, u16::MAX);
         assert_eq!(unpack_migration_entry(packed), Some((255, u16::MAX)));
-    }
-
-    #[test]
-    fn scalar_comparison_extremes() {
-        // Boundary 0: everything in the first half-epoch is "after".
-        assert!(scalar_at_or_after(0, 0));
-        assert!(scalar_at_or_after(2559, 0));
-        assert!(!scalar_at_or_after(2561, 0));
-        // Boundary at epoch end.
-        assert!(scalar_at_or_after(5119, 5119));
-        assert!(scalar_at_or_after(0, 5119));
-        assert!(scalar_at_or_after(2558, 5119));
-        assert!(!scalar_at_or_after(2558, 5118));
-    }
-
-    #[test]
-    fn scalar_comparison_wraps() {
-        assert!(scalar_at_or_after(100, 100));
-        assert!(scalar_at_or_after(101, 100));
-        assert!(!scalar_at_or_after(99, 100));
-        // Wrap: 5 is "after" 5118 (epoch = 5120).
-        assert!(scalar_at_or_after(5, 5118));
-        assert!(!scalar_at_or_after(5118, 5));
     }
 }

@@ -21,12 +21,13 @@
 
 use slingshot_fronthaul::{peek_headers, Direction};
 use slingshot_netsim::{EtherType, Frame, MacAddr};
+use slingshot_sim::time::scalar_at_or_after;
 use slingshot_sim::{Nanos, SlotId, TraceEventKind};
 use slingshot_switch::{
     ExactTable, PipelineManifest, PktGenConfig, PortId, RegisterArray, SwitchAction, SwitchProgram,
 };
 
-use crate::ctl::{pack_migration_entry, scalar_at_or_after, unpack_migration_entry, CtlPacket};
+use crate::ctl::{pack_migration_entry, unpack_migration_entry, CtlPacket};
 
 /// Marker in the failure counter meaning "failure already reported";
 /// prevents repeated notifications until the PHY's packets reappear.
@@ -51,11 +52,74 @@ pub struct PendingTraceEvent {
     pub slot: Option<SlotId>,
 }
 
-/// Reconstruct a representative [`SlotId`] from an on-the-wire slot
-/// scalar (the 0..5120 value the switch matches on). The scalar only
-/// covers 256 frames, so the SFN is modulo 256 — fine for display.
-fn slot_from_scalar(scalar: u16) -> SlotId {
-    SlotId::from_absolute(scalar as u64)
+/// One `migrate_on_slot` request store (§5.1, Fig. 5): the control
+/// plane arms index `idx` with an 8-bit value and a boundary scalar,
+/// and the first fronthaul packet stamped at or past the boundary
+/// fires it — once — in the data plane.
+struct OnSlotStore {
+    /// idx → [`pack_migration_entry`]`(value, boundary)`; 0 = nothing
+    /// pending.
+    entries: RegisterArray,
+    /// Ascending indexes holding a valid entry — a software-side index
+    /// over the register array, like `enrolled_scan`, so `fire_all`
+    /// touches only armed entries.
+    armed: Vec<usize>,
+}
+
+impl OnSlotStore {
+    fn new(name: &str) -> OnSlotStore {
+        OnSlotStore {
+            entries: RegisterArray::new(name, 256, 32),
+            armed: Vec::new(),
+        }
+    }
+
+    fn arm(&mut self, idx: usize, value: u8, boundary: u16) {
+        self.entries
+            .write(idx, pack_migration_entry(value, boundary));
+        if let Err(at) = self.armed.binary_search(&idx) {
+            self.armed.insert(at, idx);
+        }
+    }
+
+    /// The armed-but-unfired request at `idx`: `(value, boundary)`.
+    fn pending(&mut self, idx: usize) -> Option<(u8, u16)> {
+        unpack_migration_entry(self.entries.read(idx))
+    }
+
+    fn disarm(&mut self, idx: usize) {
+        self.entries.write(idx, 0);
+        if let Ok(at) = self.armed.binary_search(&idx) {
+            self.armed.remove(at);
+        }
+    }
+
+    /// The value armed at `idx`, if a packet stamped `scalar` is at or
+    /// past its boundary; the entry is consumed.
+    fn fire(&mut self, idx: usize, scalar: u16) -> Option<u8> {
+        let (value, boundary) = self.pending(idx)?;
+        if !scalar_at_or_after(scalar, boundary) {
+            return None;
+        }
+        self.disarm(idx);
+        Some(value)
+    }
+
+    /// [`OnSlotStore::fire`] over every armed index, ascending:
+    /// `(idx, value)` of each request that fired.
+    fn fire_all(&mut self, scalar: u16) -> Vec<(usize, u8)> {
+        let mut fired = Vec::new();
+        let mut i = 0;
+        while i < self.armed.len() {
+            let idx = self.armed[i];
+            match self.fire(idx, scalar) {
+                // Firing removed `armed[i]`; the next index slid into it.
+                Some(value) => fired.push((idx, value)),
+                None => i += 1,
+            }
+        }
+        fired
+    }
 }
 
 /// The middlebox program state.
@@ -70,30 +134,24 @@ pub struct FhMbox {
     port_table: ExactTable,
     /// RU id → active PHY id.
     ru_to_phy: RegisterArray,
-    /// RU id → pending migration request, packed as
-    /// (valid << 24) | (dest_phy << 16) | slot_scalar.
-    migration_store: RegisterArray,
+    /// RU id → pending migration: destination PHY id.
+    migration_store: OnSlotStore,
     /// UE index (RNTI low byte) → serving RU id. The per-UE analogue
     /// of `ru_to_phy`: a register array the data plane can re-point at
     /// a slot boundary, which is what makes network-initiated handover
     /// a Slingshot-style migration rather than a control-plane RPC.
     ue_directory: RegisterArray,
-    /// UE index → pending handover, same packed layout as
-    /// `migration_store` with the *target RU* in the dest field.
-    handover_store: RegisterArray,
+    /// UE index → pending handover: target RU id.
+    handover_store: OnSlotStore,
     /// UE index → full RNTI (observability sidecar for trace events;
     /// the data plane itself only needs the 8-bit index).
     ue_rnti: Vec<u16>,
-    /// UE indexes with a valid `handover_store` entry — the software
-    /// scan index, mirroring `enrolled_scan`'s trick so per-packet
-    /// handover matching touches only armed UEs.
-    handover_scan: Vec<usize>,
-    /// RU id → pending standby install (spare-pool re-pairing), same
-    /// packed layout as `migration_store`. At the boundary the spare's
-    /// virtual-PHY mapping goes live in the directories and the PHY is
-    /// enrolled in failure detection — the data-plane half of promoting
-    /// a pooled spare to hot standby.
-    standby_store: RegisterArray,
+    /// RU id → pending standby install (spare-pool re-pairing): the
+    /// granted spare's PHY id. At the boundary the spare's virtual-PHY
+    /// mapping goes live in the directories and the PHY is enrolled in
+    /// failure detection — the data-plane half of promoting a pooled
+    /// spare to hot standby.
+    standby_store: OnSlotStore,
     /// PHY id → missed-tick counter.
     fail_counters: RegisterArray,
     /// PHY id → enrolled in failure detection (1) or not (0).
@@ -158,12 +216,11 @@ impl FhMbox {
             address_directory: ExactTable::new("address_directory", 256, 8, 48),
             port_table: ExactTable::new("port_table", 1024, 48, 16),
             ru_to_phy: RegisterArray::new("ru_to_phy", 256, 8),
-            migration_store: RegisterArray::new("migration_store", 256, 32),
-            standby_store: RegisterArray::new("standby_store", 256, 32),
+            migration_store: OnSlotStore::new("migration_store"),
+            standby_store: OnSlotStore::new("standby_store"),
             ue_directory: RegisterArray::new("ue_directory", 256, 8),
-            handover_store: RegisterArray::new("handover_store", 256, 32),
+            handover_store: OnSlotStore::new("handover_store"),
             ue_rnti: vec![0; 256],
-            handover_scan: Vec::new(),
             enrolled_scan: Vec::new(),
             fail_counters: RegisterArray::new("fail_counters", 256, 8),
             fail_enrolled: RegisterArray::new("fail_enrolled", 256, 1),
@@ -254,7 +311,7 @@ impl FhMbox {
     pub fn control_plane_remap(&mut self, ru_id: u8, phy_id: u8) {
         let old = self.ru_to_phy.read(ru_id as usize);
         self.ru_to_phy.write(ru_id as usize, phy_id as u64);
-        self.migration_store.write(ru_id as usize, 0);
+        self.migration_store.disarm(ru_id as usize);
         self.stage_trace(
             TraceEventKind::MapFlip,
             ru_id as u64,
@@ -271,7 +328,7 @@ impl FhMbox {
     /// The armed-but-unexecuted migration request for an RU, if any:
     /// `(dest_phy, slot_scalar)`.
     pub fn pending_migration(&mut self, ru_id: u8) -> Option<(u8, u16)> {
-        unpack_migration_entry(self.migration_store.read(ru_id as usize))
+        self.migration_store.pending(ru_id as usize)
     }
 
     /// Control-plane installation of a UE's serving-cell entry (at
@@ -290,40 +347,7 @@ impl FhMbox {
     /// The armed-but-unexecuted handover for a UE, if any:
     /// `(target_ru, slot_scalar)`.
     pub fn pending_handover(&mut self, rnti: u16) -> Option<(u8, u16)> {
-        unpack_migration_entry(self.handover_store.read((rnti & 0xFF) as usize))
-    }
-
-    /// Check every armed handover entry against a packet's slot and
-    /// re-point the UE directory at the boundary — `maybe_migrate` for
-    /// UEs. The scan index keeps this O(armed handovers) per packet.
-    fn maybe_handover(&mut self, slot_scalar: u16) {
-        if self.handover_scan.is_empty() {
-            return;
-        }
-        let mut i = 0;
-        while i < self.handover_scan.len() {
-            let idx = self.handover_scan[i];
-            let Some((target, boundary)) = unpack_migration_entry(self.handover_store.read(idx))
-            else {
-                self.handover_scan.remove(i);
-                continue;
-            };
-            if scalar_at_or_after(slot_scalar, boundary) {
-                let old = self.ue_directory.read(idx);
-                self.ue_directory.write(idx, target as u64);
-                self.handover_store.write(idx, 0);
-                self.handover_scan.remove(i);
-                self.handovers_executed += 1;
-                self.stage_trace(
-                    TraceEventKind::HandoverFlip,
-                    self.ue_rnti[idx] as u64,
-                    (old << 16) | target as u64,
-                    Some(slot_from_scalar(slot_scalar)),
-                );
-            } else {
-                i += 1;
-            }
-        }
+        self.handover_store.pending((rnti & 0xFF) as usize)
     }
 
     fn forward_by_table(&mut self, frame: Frame) -> Vec<SwitchAction> {
@@ -336,38 +360,29 @@ impl FhMbox {
         }
     }
 
-    /// Check the migration request store against a packet's slot and
-    /// execute the remap in the data plane if it matches (§5.1).
-    fn maybe_migrate(&mut self, ru_id: u8, slot_scalar: u16) {
-        let req = self.migration_store.read(ru_id as usize);
-        let Some((dest, boundary)) = unpack_migration_entry(req) else {
-            return;
-        };
-        if scalar_at_or_after(slot_scalar, boundary) {
-            let old = self.ru_to_phy.read(ru_id as usize);
-            self.ru_to_phy.write(ru_id as usize, dest as u64);
-            self.migration_store.write(ru_id as usize, 0);
+    /// Run the three request stores against a packet of `ru_id` stamped
+    /// `scalar` and execute, in the data plane, whatever it fires
+    /// (§5.1): the RU's migration, then the RU's standby install, then
+    /// every armed handover — handovers are keyed by UE, so any cell's
+    /// packet at or past the boundary re-points them.
+    fn fire_on_slot(&mut self, ru_id: u8, scalar: u16) {
+        let ru = ru_id as usize;
+        let slot = Some(SlotId::from_scalar(scalar));
+        if let Some(dest) = self.migration_store.fire(ru, scalar) {
+            let old = self.ru_to_phy.read(ru);
+            self.ru_to_phy.write(ru, dest as u64);
             self.migrations_executed += 1;
             self.stage_trace(
                 TraceEventKind::MapFlip,
                 ru_id as u64,
                 (old << 16) | dest as u64,
-                Some(slot_from_scalar(slot_scalar)),
+                slot,
             );
         }
-    }
-
-    /// Check the standby request store and, at the boundary, install the
-    /// granted spare's virtual-PHY mapping: PHY/address directory
-    /// entries plus failure-detector enrollment. The RU→PHY map is NOT
-    /// touched — the spare comes up as hot standby, its downlink
-    /// filtered until a later migration makes it active.
-    fn maybe_install_standby(&mut self, ru_id: u8, slot_scalar: u16) {
-        let req = self.standby_store.read(ru_id as usize);
-        let Some((phy, boundary)) = unpack_migration_entry(req) else {
-            return;
-        };
-        if scalar_at_or_after(slot_scalar, boundary) {
+        // The RU→PHY map is NOT touched by a standby install — the
+        // spare comes up as hot standby, its downlink filtered until a
+        // later migration makes it active.
+        if let Some(phy) = self.standby_store.fire(ru, scalar) {
             let mac = MacAddr::for_phy(phy);
             // ExactTable::insert overwrites on duplicate keys, so
             // re-installing a scrubbed ex-primary is idempotent.
@@ -379,8 +394,18 @@ impl FhMbox {
             // heartbeat of the new incarnation (no false positive while
             // the replayed init-FAPI is still in flight).
             self.fail_seen.write(phy as usize, 0);
-            self.standby_store.write(ru_id as usize, 0);
             self.standby_installs += 1;
+        }
+        for (idx, target) in self.handover_store.fire_all(scalar) {
+            let old = self.ue_directory.read(idx);
+            self.ue_directory.write(idx, target as u64);
+            self.handovers_executed += 1;
+            self.stage_trace(
+                TraceEventKind::HandoverFlip,
+                self.ue_rnti[idx] as u64,
+                (old << 16) | target as u64,
+                slot,
+            );
         }
     }
 
@@ -417,13 +442,13 @@ impl SwitchProgram for FhMbox {
                         dest_phy_id,
                         slot_scalar,
                     }) => {
-                        let packed = pack_migration_entry(dest_phy_id, slot_scalar);
-                        self.migration_store.write(ru_id as usize, packed);
+                        self.migration_store
+                            .arm(ru_id as usize, dest_phy_id, slot_scalar);
                         self.stage_trace(
                             TraceEventKind::MigrateArmed,
                             ru_id as u64,
                             ((dest_phy_id as u64) << 16) | slot_scalar as u64,
-                            Some(slot_from_scalar(slot_scalar)),
+                            Some(SlotId::from_scalar(slot_scalar)),
                         );
                     }
                     Some(CtlPacket::InstallStandby {
@@ -434,8 +459,7 @@ impl SwitchProgram for FhMbox {
                         // Stage the spare's virtual-PHY install; executed
                         // at the slot boundary by the data plane, same
                         // mechanism as migrate_on_slot.
-                        let packed = pack_migration_entry(phy_id, slot_scalar);
-                        self.standby_store.write(ru_id as usize, packed);
+                        self.standby_store.arm(ru_id as usize, phy_id, slot_scalar);
                     }
                     Some(CtlPacket::HandoverOnSlot {
                         rnti,
@@ -448,16 +472,12 @@ impl SwitchProgram for FhMbox {
                         // mechanism as migrate_on_slot.
                         let idx = (rnti & 0xFF) as usize;
                         self.ue_rnti[idx] = rnti;
-                        let packed = pack_migration_entry(target_ru, slot_scalar);
-                        self.handover_store.write(idx, packed);
-                        if let Err(at) = self.handover_scan.binary_search(&idx) {
-                            self.handover_scan.insert(at, idx);
-                        }
+                        self.handover_store.arm(idx, target_ru, slot_scalar);
                         self.stage_trace(
                             TraceEventKind::HandoverArmed,
                             rnti as u64,
                             ((target_ru as u64) << 16) | slot_scalar as u64,
-                            Some(slot_from_scalar(slot_scalar)),
+                            Some(SlotId::from_scalar(slot_scalar)),
                         );
                     }
                     _ => {}
@@ -468,6 +488,7 @@ impl SwitchProgram for FhMbox {
                 let Some((_, hdr)) = peek_headers(&frame.payload) else {
                     return vec![SwitchAction::Drop];
                 };
+                let scalar = hdr.slot_scalar();
                 match hdr.direction {
                     Direction::Uplink => {
                         // RU → PHY: translate the virtual PHY address.
@@ -475,9 +496,7 @@ impl SwitchProgram for FhMbox {
                             return vec![SwitchAction::Drop];
                         };
                         let ru_id = ru_id as u8;
-                        self.maybe_migrate(ru_id, hdr.slot_scalar());
-                        self.maybe_install_standby(ru_id, hdr.slot_scalar());
-                        self.maybe_handover(hdr.slot_scalar());
+                        self.fire_on_slot(ru_id, scalar);
                         let phy_id = self.ru_to_phy.read(ru_id as usize);
                         let Some(mac) = self.address_directory.lookup(phy_id) else {
                             return vec![SwitchAction::Drop];
@@ -502,20 +521,19 @@ impl SwitchProgram for FhMbox {
                                 TraceEventKind::DetectorArmed,
                                 phy_id,
                                 0,
-                                Some(slot_from_scalar(hdr.slot_scalar())),
+                                Some(SlotId::from_scalar(scalar)),
                             );
                         }
                         self.fail_seen.write(phy_id as usize, 1);
                         // Heartbeats are the highest-volume event in the
                         // system; trace at most one per (PHY, slot).
-                        let scalar = hdr.slot_scalar();
                         if self.hb_traced[phy_id as usize] != scalar as u32 + 1 {
                             self.hb_traced[phy_id as usize] = scalar as u32 + 1;
                             self.stage_trace(
                                 TraceEventKind::HeartbeatSeen,
                                 phy_id,
                                 scalar as u64,
-                                Some(slot_from_scalar(scalar)),
+                                Some(SlotId::from_scalar(scalar)),
                             );
                         }
                         {
@@ -532,9 +550,7 @@ impl SwitchProgram for FhMbox {
                             return vec![SwitchAction::Drop];
                         };
                         let ru_id = ru_id as u8;
-                        self.maybe_migrate(ru_id, hdr.slot_scalar());
-                        self.maybe_install_standby(ru_id, hdr.slot_scalar());
-                        self.maybe_handover(hdr.slot_scalar());
+                        self.fire_on_slot(ru_id, scalar);
                         let active = self.ru_to_phy.read(ru_id as usize);
                         if active != phy_id {
                             // The hot standby's downlink never reaches
@@ -545,8 +561,8 @@ impl SwitchProgram for FhMbox {
                             self.stage_trace(
                                 TraceEventKind::DlFiltered,
                                 phy_id,
-                                hdr.slot_scalar() as u64,
-                                Some(slot_from_scalar(hdr.slot_scalar())),
+                                scalar as u64,
+                                Some(SlotId::from_scalar(scalar)),
                             );
                             return vec![SwitchAction::Drop];
                         }
@@ -634,14 +650,18 @@ mod tests {
     }
 
     fn ul_frame(slot: SlotId) -> Frame {
+        ul_frame_from(0, slot)
+    }
+
+    fn ul_frame_from(ru: u8, slot: SlotId) -> Frame {
         let msg = FhMessage::UPlane(UPlaneMsg {
-            hdr: fh_header(slingshot_fronthaul::Direction::Uplink, slot, 0, 0),
+            hdr: fh_header(slingshot_fronthaul::Direction::Uplink, slot, 0, ru),
             start_prb: 0,
             prbs: vec![],
         });
         Frame::new(
-            MacAddr::virtual_phy(0),
-            MacAddr::for_ru(0),
+            MacAddr::virtual_phy(ru),
+            MacAddr::for_ru(ru),
             EtherType::Ecpri,
             msg.to_bytes(),
         )
@@ -1032,6 +1052,83 @@ mod tests {
         // Scalar 4 (after the wrap) flips.
         m.process(Nanos(0), PortId(1), ul_frame(slot(5120 + 4)));
         assert_eq!(m.serving_ru(7), 0);
+    }
+
+    #[test]
+    fn on_slot_requests_fire_once_at_their_boundary() {
+        type Row = (&'static str, fn(u16) -> CtlPacket, fn(&FhMbox) -> u64, bool);
+        let rows: [Row; 3] = [
+            (
+                "migrate",
+                |slot_scalar| CtlPacket::MigrateOnSlot {
+                    ru_id: 0,
+                    dest_phy_id: 2,
+                    slot_scalar,
+                },
+                |m| m.migrations_executed,
+                true,
+            ),
+            (
+                "standby",
+                |slot_scalar| CtlPacket::InstallStandby {
+                    ru_id: 0,
+                    phy_id: 3,
+                    slot_scalar,
+                },
+                |m| m.standby_installs,
+                true,
+            ),
+            (
+                "handover",
+                |slot_scalar| CtlPacket::HandoverOnSlot {
+                    rnti: 100,
+                    source_ru: 0,
+                    target_ru: 1,
+                    slot_scalar,
+                },
+                |m| m.handovers_executed,
+                false,
+            ),
+        ];
+        for (name, cmd, fired, ru_keyed) in rows {
+            let mut m = mbox();
+            m.install_ru(1, MacAddr::for_ru(1), PortId(6), 1);
+            m.install_ue(100, 0);
+            let arm = |m: &mut FhMbox, scalar: u16| {
+                let frame = Frame::new(
+                    m.switch_mac,
+                    MacAddr::ZERO,
+                    EtherType::SlingshotCtl,
+                    cmd(scalar).to_bytes(),
+                );
+                m.process(Nanos(0), PortId(4), frame);
+            };
+            // Armed during absolute slot 5118 for scalar 2, just past
+            // the 5120-scalar wrap.
+            m.process(Nanos(0), PortId(1), ul_frame(slot(5118)));
+            arm(&mut m, 2);
+            for abs in [5119, 5120, 5121] {
+                m.process(Nanos(0), PortId(1), ul_frame(slot(abs)));
+                m.process(Nanos(0), PortId(2), dl_frame(1, slot(abs)));
+                assert_eq!(fired(&m), 0, "{name} fired early at {abs}");
+            }
+            // Another cell's packet at the boundary fires a UE-keyed
+            // request but never an RU-keyed one.
+            m.process(Nanos(0), PortId(6), ul_frame_from(1, slot(5122)));
+            assert_eq!(fired(&m), u64::from(!ru_keyed), "{name} on RU 1's packet");
+            m.process(Nanos(0), PortId(1), ul_frame(slot(5122)));
+            assert_eq!(fired(&m), 1, "{name} at its boundary");
+            // Consumed: later packets do not fire it again.
+            m.process(Nanos(0), PortId(1), ul_frame(slot(5123)));
+            m.process(Nanos(0), PortId(2), dl_frame(1, slot(5123)));
+            assert_eq!(fired(&m), 1, "{name} fired twice");
+            // A re-arm after firing works, from the downlink arm too.
+            arm(&mut m, 10);
+            m.process(Nanos(0), PortId(2), dl_frame(1, slot(5120 + 9)));
+            assert_eq!(fired(&m), 1, "{name} re-arm fired early");
+            m.process(Nanos(0), PortId(2), dl_frame(1, slot(5120 + 10)));
+            assert_eq!(fired(&m), 2, "{name} re-arm");
+        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 
 use std::collections::BTreeMap;
 
-use slingshot_netsim::{EtherType, Frame, MacAddr};
+use slingshot_netsim::MacAddr;
 use slingshot_ran::{CtlMsg, Msg};
+use slingshot_sim::time::{align_to_tdd_cycle, scalar_of};
 use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SlotClock};
 
 use crate::ctl::CtlPacket;
@@ -120,19 +121,6 @@ impl HandoverController {
     /// Attempts currently in flight (test/oracle visibility).
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// TDD-cycle alignment, mirroring the Orion migration discipline:
-    /// cutovers land on an uplink-opportunity boundary.
-    fn align_boundary(abs: u64) -> u64 {
-        abs.div_ceil(5) * 5
-    }
-
-    fn send_ctl(&self, ctx: &mut Ctx<'_, Msg>, dst: MacAddr, pkt: &CtlPacket) {
-        let frame = Frame::new(dst, self.mac, EtherType::SlingshotCtl, pkt.to_bytes());
-        if let Some(sw) = self.switch {
-            ctx.send(sw, Msg::Eth(frame));
-        }
     }
 
     fn begin(&mut self, ctx: &mut Ctx<'_, Msg>, rnti: u16, serving_ru: u8, target_ru: u8) -> bool {
@@ -243,18 +231,14 @@ impl Node<Msg> for HandoverController {
                 // Arm the data-plane cutover in the switch's UE
                 // directory at an aligned boundary...
                 let now_abs = self.clock.absolute_slot(ctx.now());
-                let boundary = Self::align_boundary(now_abs + self.prep_slots);
-                let scalar = (boundary % (256 * 20)) as u16;
-                self.send_ctl(
-                    ctx,
-                    self.switch_mac,
-                    &CtlPacket::HandoverOnSlot {
-                        rnti,
-                        source_ru,
-                        target_ru,
-                        slot_scalar: scalar,
-                    },
-                );
+                let scalar = scalar_of(align_to_tdd_cycle(now_abs + self.prep_slots));
+                CtlPacket::HandoverOnSlot {
+                    rnti,
+                    source_ru,
+                    target_ru,
+                    slot_scalar: scalar,
+                }
+                .send(ctx, self.switch, self.switch_mac, self.mac);
                 // ...and command the UE to re-tune at the same slot.
                 if let Some(&ue) = self.ue_nodes.get(&rnti) {
                     ctx.send_in(
@@ -302,13 +286,6 @@ impl Node<Msg> for HandoverController {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn boundary_alignment_matches_orion() {
-        assert_eq!(HandoverController::align_boundary(0), 0);
-        assert_eq!(HandoverController::align_boundary(7), 10);
-        assert_eq!(HandoverController::align_boundary(10), 10);
-    }
 
     #[test]
     fn controller_mac_distinct_from_recovery() {

@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use slingshot_fapi::{self as fapi, FapiMsg};
 use slingshot_netsim::{EtherType, Frame, MacAddr};
 use slingshot_ran::{CtlMsg, Msg};
+use slingshot_sim::time::{align_to_tdd_cycle, scalar_of};
 use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SlotClock, SlotId, TraceEventKind};
 
 use crate::ctl::CtlPacket;
@@ -224,11 +225,7 @@ impl Node<Msg> for OrionPhyNode {
                         }
                     }
                     FapiMsg::UlTti(r) => {
-                        let abs = {
-                            let now_abs = self.clock.absolute_slot(now);
-                            let now_id = SlotId::from_absolute(now_abs);
-                            now_abs.saturating_add_signed(now_id.wrapping_distance(r.slot))
-                        };
+                        let abs = self.clock.abs_of_slot(now, r.slot);
                         // §6.1: a hole in the request stream means a
                         // datagram was lost on the way — fill it with
                         // nulls immediately so the PHY never misses a
@@ -468,12 +465,6 @@ impl OrionL2Node {
             .unwrap_or_else(|| orion_phy_mac(phy_id))
     }
 
-    fn abs_of(&self, now: Nanos, slot: SlotId) -> u64 {
-        let now_abs = self.clock.absolute_slot(now);
-        let now_id = SlotId::from_absolute(now_abs);
-        now_abs.saturating_add_signed(now_id.wrapping_distance(slot))
-    }
-
     /// Handle a request from the L2 (over SHM): real to the owner, null
     /// to the other PHY.
     fn on_l2_request(&mut self, ctx: &mut Ctx<'_, Msg>, msg: FapiMsg) {
@@ -499,7 +490,7 @@ impl OrionL2Node {
                 }
             }
             FapiMsg::UlTti(req) => {
-                let abs = self.abs_of(ctx.now(), req.slot);
+                let abs = self.clock.abs_of_slot(ctx.now(), req.slot);
                 let b = self.bindings.get(&ru_id).expect("binding");
                 let owner = Self::owner_of(b, abs);
                 let other = if owner == b.primary {
@@ -520,7 +511,7 @@ impl OrionL2Node {
                 }
             }
             FapiMsg::DlTti(req) => {
-                let abs = self.abs_of(ctx.now(), req.slot);
+                let abs = self.clock.abs_of_slot(ctx.now(), req.slot);
                 let b = self.bindings.get(&ru_id).expect("binding");
                 let owner = Self::owner_of(b, abs);
                 let other = if owner == b.primary {
@@ -541,7 +532,7 @@ impl OrionL2Node {
                 }
             }
             FapiMsg::TxData(req) => {
-                let abs = self.abs_of(ctx.now(), req.slot);
+                let abs = self.clock.abs_of_slot(ctx.now(), req.slot);
                 let b = self.bindings.get(&ru_id).expect("binding");
                 let owner = Self::owner_of(b, abs);
                 let other = if owner == b.primary {
@@ -577,7 +568,7 @@ impl OrionL2Node {
         let Some(src_phy) = src_phy else {
             return;
         };
-        let slot_abs = msg.slot().map(|s| self.abs_of(ctx.now(), s));
+        let slot_abs = msg.slot().map(|s| self.clock.abs_of_slot(ctx.now(), s));
         let accept = match slot_abs {
             Some(abs) => {
                 let owner = Self::owner_of(b, abs);
@@ -617,23 +608,11 @@ impl OrionL2Node {
         }
     }
 
-    /// TDD cycle length (DDDSU): migration boundaries are aligned to
-    /// the start of a cycle so that an uplink grant's DCI (carried in
-    /// the preceding Special slot) is always emitted by the PHY that
-    /// will be active when it radiates — otherwise the switch's
-    /// downlink filter would discard the new primary's grant for the
-    /// first post-boundary uplink slot.
-    const TDD_CYCLE: u64 = 5;
-
-    fn align_boundary(abs: u64) -> u64 {
-        abs.div_ceil(Self::TDD_CYCLE) * Self::TDD_CYCLE
-    }
-
     /// Begin migrating `ru_id`'s processing to its secondary at slot
     /// boundary `boundary_abs` (rounded up to a TDD-cycle start).
     /// Sends `migrate_on_slot` to the switch.
     fn start_migration(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, boundary_abs: u64) {
-        let boundary_abs = Self::align_boundary(boundary_abs);
+        let boundary_abs = align_to_tdd_cycle(boundary_abs);
         let Some(b) = self.bindings.get_mut(&ru_id) else {
             return;
         };
@@ -646,21 +625,12 @@ impl OrionL2Node {
             return; // one migration at a time per RU
         }
         b.migrate_at = Some(boundary_abs);
-        let scalar = (boundary_abs % (256 * 20)) as u16;
-        let cmd = CtlPacket::MigrateOnSlot {
+        CtlPacket::MigrateOnSlot {
             ru_id,
             dest_phy_id: sec,
-            slot_scalar: scalar,
-        };
-        let frame = Frame::new(
-            self.switch_mac,
-            self.mac,
-            EtherType::SlingshotCtl,
-            cmd.to_bytes(),
-        );
-        if let Some(sw) = self.switch {
-            ctx.send(sw, Msg::Eth(frame));
+            slot_scalar: scalar_of(boundary_abs),
         }
+        .send(ctx, self.switch, self.switch_mac, self.mac);
         self.events.push((
             ctx.now(),
             format!("ru{ru_id}: migrate to phy{sec} at abs slot {boundary_abs}"),
@@ -691,14 +661,11 @@ impl OrionL2Node {
             if !failed {
                 b.secondary = Some(old_primary);
             } else if let Some(rec) = self.recovery_mac {
-                let pkt = CtlPacket::SpareRequest {
+                CtlPacket::SpareRequest {
                     ru_id,
                     failed_phy_id: old_primary,
-                };
-                let frame = Frame::new(rec, self.mac, EtherType::SlingshotCtl, pkt.to_bytes());
-                if let Some(sw) = self.switch {
-                    ctx.send(sw, Msg::Eth(frame));
                 }
+                .send(ctx, self.switch, rec, self.mac);
                 ctx.trace(
                     TraceEventKind::SpareRequested,
                     ru_id as u64,
@@ -812,7 +779,7 @@ impl Node<Msg> for OrionL2Node {
                                 // boundary a couple of slots out, same
                                 // discipline as a migration.
                                 let boundary =
-                                    Self::align_boundary(self.clock.absolute_slot(ctx.now()) + 2);
+                                    align_to_tdd_cycle(self.clock.absolute_slot(ctx.now()) + 2);
                                 self.pending_standby.insert(ru_id, (phy_id, boundary));
                                 self.events.push((
                                 ctx.now(),
@@ -873,15 +840,6 @@ mod tests {
         assert_eq!(st.service(Nanos(0), 500, &cost), Nanos(3_000));
         // Third, arriving after the queue drained: no wait.
         assert_eq!(st.service(Nanos(10_000), 100, &cost), Nanos(11_100));
-    }
-
-    #[test]
-    fn boundary_aligns_to_tdd_cycle() {
-        assert_eq!(OrionL2Node::align_boundary(0), 0);
-        assert_eq!(OrionL2Node::align_boundary(1), 5);
-        assert_eq!(OrionL2Node::align_boundary(4), 5);
-        assert_eq!(OrionL2Node::align_boundary(5), 5);
-        assert_eq!(OrionL2Node::align_boundary(2003), 2005);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use slingshot_netsim::{EtherType, Frame, MacAddr};
+use slingshot_netsim::{EtherType, MacAddr};
 use slingshot_ran::{CtlMsg, Msg};
+use slingshot_sim::time::{align_to_tdd_cycle, scalar_of};
 use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SlotClock, TraceEventKind};
 
 use crate::ctl::CtlPacket;
@@ -121,18 +122,6 @@ impl RecoveryOrchestrator {
         self.pending.len()
     }
 
-    /// TDD-cycle alignment, mirroring the Orion migration discipline.
-    fn align_boundary(abs: u64) -> u64 {
-        abs.div_ceil(5) * 5
-    }
-
-    fn send_ctl(&self, ctx: &mut Ctx<'_, Msg>, dst: MacAddr, pkt: &CtlPacket) {
-        let frame = Frame::new(dst, self.mac, EtherType::SlingshotCtl, pkt.to_bytes());
-        if let Some(sw) = self.switch {
-            ctx.send(sw, Msg::Eth(frame));
-        }
-    }
-
     /// Grant a spare to `ru_id` if one is free, else queue the request.
     fn grant_or_queue(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, failed_phy: u8) {
         let Some(phy) = self.pool.pop_front() else {
@@ -141,19 +130,14 @@ impl RecoveryOrchestrator {
             return;
         };
         let now_abs = self.clock.absolute_slot(ctx.now());
-        let boundary = Self::align_boundary(now_abs + 2);
-        let scalar = (boundary % (256 * 20)) as u16;
         // Data-plane half: the switch stages the install and executes it
         // at the boundary.
-        self.send_ctl(
-            ctx,
-            self.switch_mac,
-            &CtlPacket::InstallStandby {
-                ru_id,
-                phy_id: phy,
-                slot_scalar: scalar,
-            },
-        );
+        CtlPacket::InstallStandby {
+            ru_id,
+            phy_id: phy,
+            slot_scalar: scalar_of(align_to_tdd_cycle(now_abs + 2)),
+        }
+        .send(ctx, self.switch, self.switch_mac, self.mac);
         // Control-plane half: the cell's Orion replays init-FAPI and
         // binds the spare as its new secondary.
         let l2 = self
@@ -161,7 +145,7 @@ impl RecoveryOrchestrator {
             .get(&ru_id)
             .copied()
             .unwrap_or_else(|| crate::orion::orion_l2_mac(ru_id));
-        self.send_ctl(ctx, l2, &CtlPacket::SpareGrant { ru_id, phy_id: phy });
+        CtlPacket::SpareGrant { ru_id, phy_id: phy }.send(ctx, self.switch, l2, self.mac);
         self.grants += 1;
         ctx.trace(
             TraceEventKind::SpareGranted,
@@ -261,13 +245,6 @@ impl Node<Msg> for RecoveryOrchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn boundary_alignment_matches_orion() {
-        assert_eq!(RecoveryOrchestrator::align_boundary(0), 0);
-        assert_eq!(RecoveryOrchestrator::align_boundary(7), 10);
-        assert_eq!(RecoveryOrchestrator::align_boundary(10), 10);
-    }
 
     #[test]
     fn pool_fifo_accounting() {

@@ -53,6 +53,8 @@ impl ForwardingModel {
 pub struct SwitchNode {
     pub mbox: FhMbox,
     ports: HashMap<PortId, NodeId>,
+    /// Attached node → its port: the ingress port of a received frame.
+    ingress_of: HashMap<NodeId, PortId>,
     model: ForwardingModel,
     rng: SimRng,
     pktgen_enabled: bool,
@@ -75,6 +77,7 @@ impl SwitchNode {
         SwitchNode {
             mbox,
             ports: HashMap::new(),
+            ingress_of: HashMap::new(),
             model,
             cp_model: ControlPlaneModel::new(rng.fork("control-plane")),
             cp_pending: std::collections::VecDeque::new(),
@@ -107,6 +110,7 @@ impl SwitchNode {
     /// Attach an engine node to a switch port.
     pub fn attach(&mut self, port: PortId, node: NodeId) {
         self.ports.insert(port, node);
+        self.ingress_of.insert(node, port);
     }
 
     /// The PHY currently serving `ru_id` per the data-plane RU→PHY
@@ -194,12 +198,7 @@ impl Node<Msg> for SwitchNode {
     fn on_msg(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         let Msg::Eth(frame) = msg else { return };
         // Ingress port = the port the sender is attached to.
-        let ingress = self
-            .ports
-            .iter()
-            .find(|(_, n)| **n == from)
-            .map(|(p, _)| *p)
-            .unwrap_or(PortId::CPU);
+        let ingress = self.ingress_of.get(&from).copied().unwrap_or(PortId::CPU);
         let actions = self.mbox.process(ctx.now(), ingress, frame);
         self.drain_mbox_trace(ctx);
         self.apply_actions(ctx, actions);

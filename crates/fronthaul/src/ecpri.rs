@@ -8,6 +8,7 @@
 //! without being time-synchronized itself.
 
 use bytes::{Buf, BufMut};
+use slingshot_sim::SlotId;
 
 /// eCPRI protocol revision nibble used on the wire.
 pub const ECPRI_VERSION: u8 = 1;
@@ -131,7 +132,12 @@ impl FhHeader {
     /// 0..(256*10*2): what the switch's migration matcher compares
     /// against a `migrate_on_slot` command. Wraps every 2.56 s.
     pub fn slot_scalar(&self) -> u16 {
-        (self.frame as u16) * 20 + (self.subframe as u16) * 2 + self.slot as u16
+        SlotId {
+            sfn: self.frame as u16,
+            subframe: self.subframe,
+            slot: self.slot,
+        }
+        .scalar()
     }
 }
 

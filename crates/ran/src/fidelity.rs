@@ -25,7 +25,7 @@ use slingshot_phy_dsp::channel::{db_to_linear, AwgnChannel};
 use slingshot_phy_dsp::scramble::GoldSequence;
 use slingshot_phy_dsp::snr::estimate_snr_db;
 use slingshot_phy_dsp::tbchain::{decode_tb_with, encode_tb_with, mother_buffer_len, TbParams};
-use slingshot_phy_dsp::{default_scratch_pool, Cplx, DspKernels, DspScratchPool, Modulation};
+use slingshot_phy_dsp::{Cplx, DspKernels, DspScratchPool, Modulation};
 use slingshot_sim::{SimRng, WorkerPool};
 
 /// Cap on the representative code block's payload in Sampled mode:
@@ -162,27 +162,9 @@ fn cached_pilots(rnti: u16, cell_id: u16, len: usize) -> Arc<Vec<Cplx>> {
     })
 }
 
-/// Encode a TB for transmission under the given fidelity (serial,
-/// thread-local scratch).
-pub fn encode_signal(
-    kernels: DspKernels,
-    fidelity: Fidelity,
-    payload: &Bytes,
-    lp: &LinkParamsTb,
-) -> TbSignal {
-    encode_signal_with(
-        kernels,
-        &WorkerPool::serial(),
-        &default_scratch_pool(),
-        fidelity,
-        payload,
-        lp,
-    )
-}
-
-/// Encode a TB, fanning per-code-block work out across `pool` with
-/// working buffers drawn from `scratch`. Bit-identical to
-/// [`encode_signal`] for any worker count.
+/// Encode a TB for transmission under the given fidelity, fanning
+/// per-code-block work out across `pool` with working buffers drawn
+/// from `scratch`. Bit-identical for any worker count.
 pub fn encode_signal_with(
     kernels: DspKernels,
     pool: &WorkerPool,
@@ -218,30 +200,11 @@ pub fn encode_signal_with(
     }
 }
 
-/// Pass a signal through the channel at `snr_db`. AWGN generation is
-/// dispatched through `kernels` (tolerance-gated: SIMD noise only when
-/// the handle's tolerance is raised; the default stays scalar).
-pub fn apply_channel(
-    kernels: DspKernels,
-    signal: &mut TbSignal,
-    snr_db: f64,
-    channel: &mut AwgnChannel,
-) {
-    signal.snr_db = snr_db;
-    if !signal.pilots.is_empty() {
-        let (noisy, _) = kernels.awgn_apply(channel, &signal.pilots, snr_db);
-        signal.pilots = noisy;
-    }
-    if !signal.symbols.is_empty() {
-        let (noisy, _) = kernels.awgn_apply(channel, &signal.symbols, snr_db);
-        signal.symbols = noisy;
-    }
-}
-
-/// Pass a signal through the channel with chunk-parallel noise
-/// generation. The noise realization differs from [`apply_channel`]
-/// (per-chunk RNG streams) but is the same for any worker count; a
-/// caller must use one variant consistently.
+/// Pass a signal through the channel at `snr_db` with chunk-parallel
+/// noise generation (per-chunk RNG streams: the same realization for
+/// any worker count). AWGN generation is dispatched through `kernels`
+/// (tolerance-gated: SIMD noise only when the handle's tolerance is
+/// raised; the default stays scalar).
 pub fn apply_channel_with(
     kernels: DspKernels,
     pool: &WorkerPool,
@@ -340,40 +303,13 @@ impl RxProcessPool {
         }
     }
 
-    /// Attempt to receive one TB transmission (serial).
+    /// Attempt to receive one TB transmission, with per-code-block
+    /// decode work fanned out across `pool` and working buffers drawn
+    /// from `scratch`. Identical outcome for any worker count.
     ///
     /// `expected_bytes` is the TB size from the grant (`tb_bytes`);
     /// `ndi` starts a fresh HARQ series when toggled; `rng` supplies
     /// the Abstract mode's BLER draw.
-    #[allow(clippy::too_many_arguments)]
-    pub fn receive(
-        &mut self,
-        kernels: DspKernels,
-        fidelity: Fidelity,
-        signal: &TbSignal,
-        lp: &LinkParamsTb,
-        expected_bytes: usize,
-        harq_id: u8,
-        ndi: bool,
-        rng: &mut SimRng,
-    ) -> RxOutcome {
-        self.receive_with(
-            kernels,
-            &WorkerPool::serial(),
-            &default_scratch_pool(),
-            fidelity,
-            signal,
-            lp,
-            expected_bytes,
-            harq_id,
-            ndi,
-            rng,
-        )
-    }
-
-    /// [`RxProcessPool::receive`] with per-code-block decode work fanned
-    /// out across `pool` and working buffers drawn from `scratch`.
-    /// Identical outcome for any worker count.
     #[allow(clippy::too_many_arguments)]
     pub fn receive_with(
         &mut self,
@@ -533,12 +469,44 @@ pub fn receive_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slingshot_phy_dsp::default_scratch_pool;
     use slingshot_sim::SimRng;
 
     /// The host's best backend — bit-exact with scalar by contract, so
     /// every outcome below is backend-independent.
     fn kern() -> DspKernels {
         DspKernels::detect()
+    }
+
+    fn encode_signal(fidelity: Fidelity, payload: &Bytes, lp: &LinkParamsTb) -> TbSignal {
+        let (pool, scratch) = (WorkerPool::serial(), default_scratch_pool());
+        encode_signal_with(kern(), &pool, &scratch, fidelity, payload, lp)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn receive(
+        procs: &mut RxProcessPool,
+        fidelity: Fidelity,
+        signal: &TbSignal,
+        lp: &LinkParamsTb,
+        expected_bytes: usize,
+        harq_id: u8,
+        ndi: bool,
+        rng: &mut SimRng,
+    ) -> RxOutcome {
+        let (pool, scratch) = (WorkerPool::serial(), default_scratch_pool());
+        procs.receive_with(
+            kern(),
+            &pool,
+            &scratch,
+            fidelity,
+            signal,
+            lp,
+            expected_bytes,
+            harq_id,
+            ndi,
+            rng,
+        )
     }
 
     fn lp(rv: u8) -> LinkParamsTb {
@@ -560,10 +528,10 @@ mod tests {
         let mut rng = SimRng::new(seed + 1);
         let l = lp(0);
         let data = payload(200);
-        let mut sig = encode_signal(kern(), fidelity, &data, &l);
-        apply_channel(kern(), &mut sig, snr_db, &mut ch);
+        let mut sig = encode_signal(fidelity, &data, &l);
+        apply_channel_with(kern(), &WorkerPool::serial(), &mut sig, snr_db, &mut ch);
         let mut pool = RxProcessPool::new();
-        let out = pool.receive(kern(), fidelity, &sig, &l, data.len(), 0, true, &mut rng);
+        let out = receive(&mut pool, fidelity, &sig, &l, data.len(), 0, true, &mut rng);
         out.payload.as_ref() == Some(&data)
     }
 
@@ -599,11 +567,11 @@ mod tests {
         let mut rng = SimRng::new(8);
         let l = lp(0);
         let data = payload(100);
-        let mut sig = encode_signal(kern(), Fidelity::Full, &data, &l);
-        apply_channel(kern(), &mut sig, 15.0, &mut ch);
+        let mut sig = encode_signal(Fidelity::Full, &data, &l);
+        apply_channel_with(kern(), &WorkerPool::serial(), &mut sig, 15.0, &mut ch);
         let mut pool = RxProcessPool::new();
-        let out = pool.receive(
-            kern(),
+        let out = receive(
+            &mut pool,
             Fidelity::Full,
             &sig,
             &l,
@@ -631,10 +599,10 @@ mod tests {
             // single transmission, comfortable after combining.
             let snr = 2.5;
             let l0 = lp(0);
-            let mut s0 = encode_signal(kern(), Fidelity::Sampled, &data, &l0);
-            apply_channel(kern(), &mut s0, snr, &mut ch);
-            let o0 = pool.receive(
-                kern(),
+            let mut s0 = encode_signal(Fidelity::Sampled, &data, &l0);
+            apply_channel_with(kern(), &WorkerPool::serial(), &mut s0, snr, &mut ch);
+            let o0 = receive(
+                &mut pool,
                 Fidelity::Sampled,
                 &s0,
                 &l0,
@@ -648,10 +616,10 @@ mod tests {
                 continue;
             }
             let l1 = lp(2);
-            let mut s1 = encode_signal(kern(), Fidelity::Sampled, &data, &l1);
-            apply_channel(kern(), &mut s1, snr, &mut ch);
-            let o1 = pool.receive(
-                kern(),
+            let mut s1 = encode_signal(Fidelity::Sampled, &data, &l1);
+            apply_channel_with(kern(), &WorkerPool::serial(), &mut s1, snr, &mut ch);
+            let o1 = receive(
+                &mut pool,
                 Fidelity::Sampled,
                 &s1,
                 &l1,
@@ -684,13 +652,13 @@ mod tests {
             // Effective efficiency as the receiver computes it.
             let rate = ((data.len() + 3) * 8) as f64 / l.e_bits() as f64;
             let sig = {
-                let mut s = encode_signal(kern(), Fidelity::Abstract, &data, &l);
+                let mut s = encode_signal(Fidelity::Abstract, &data, &l);
                 s.snr_db = slingshot_phy_dsp::bler::threshold_db(2, rate, 8) - 1.0;
                 s
             };
             let mut pool = RxProcessPool::new();
-            let o1 = pool.receive(
-                kern(),
+            let o1 = receive(
+                &mut pool,
                 Fidelity::Abstract,
                 &sig,
                 &l,
@@ -703,8 +671,8 @@ mod tests {
                 first_ok += 1;
                 continue;
             }
-            let o2 = pool.receive(
-                kern(),
+            let o2 = receive(
+                &mut pool,
                 Fidelity::Abstract,
                 &sig,
                 &l,
@@ -730,10 +698,10 @@ mod tests {
         let l = lp(0);
         let data = payload(64);
         let mut pool = RxProcessPool::new();
-        let mut sig = encode_signal(kern(), Fidelity::Abstract, &data, &l);
+        let mut sig = encode_signal(Fidelity::Abstract, &data, &l);
         sig.snr_db = -20.0;
-        let _ = pool.receive(
-            kern(),
+        let _ = receive(
+            &mut pool,
             Fidelity::Abstract,
             &sig,
             &l,
@@ -744,8 +712,8 @@ mod tests {
         );
         assert_eq!(pool.len(), 1);
         // Toggled NDI → fresh state (old SNR history must not help).
-        let _ = pool.receive(
-            kern(),
+        let _ = receive(
+            &mut pool,
             Fidelity::Abstract,
             &sig,
             &l,
@@ -764,11 +732,11 @@ mod tests {
         let l = lp(0);
         let data = payload(64);
         let mut pool = RxProcessPool::new();
-        let mut sig = encode_signal(kern(), Fidelity::Abstract, &data, &l);
+        let mut sig = encode_signal(Fidelity::Abstract, &data, &l);
         sig.snr_db = -20.0;
         for h in 0..4 {
-            let _ = pool.receive(
-                kern(),
+            let _ = receive(
+                &mut pool,
                 Fidelity::Abstract,
                 &sig,
                 &l,
@@ -796,8 +764,8 @@ mod tests {
             snr_db: 20.0,
         };
         let mut pool = RxProcessPool::new();
-        let out = pool.receive(
-            kern(),
+        let out = receive(
+            &mut pool,
             Fidelity::Full,
             &sig,
             &l,

@@ -21,9 +21,7 @@ pub mod ue;
 
 pub use cell::{CellConfig, Fidelity};
 pub use core_net::{AppServerNode, CoreNode};
-pub use fidelity::{
-    apply_channel, encode_signal, pilot_sequence, LinkParamsTb, RxOutcome, RxProcessPool, TbSignal,
-};
+pub use fidelity::{pilot_sequence, LinkParamsTb, RxOutcome, RxProcessPool, TbSignal};
 pub use l2::L2Node;
 pub use mobility::{CrossingEvent, MobilityConfig, MobilityModel};
 pub use msg::{CtlMsg, DlAllocation, Msg, RadioDlBurst, RadioUlBurst, UserPacket, AIR_LATENCY};

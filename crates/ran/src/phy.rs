@@ -309,7 +309,7 @@ impl PhyNode {
         }
         self.work_slots += 1;
         let payloads: HashMap<u16, Bytes> = tbs.into_iter().collect();
-        let scalar = (slot.sfn % 256) * 20 + slot.subframe as u16 * 2 + slot.slot as u16;
+        let scalar = slot.scalar();
         // Serial prepare: one self-contained encode job per PDU with a
         // payload, then fan the pure DSP out to the worker pool. All
         // sends stay in PDU order below, so worker count never changes
@@ -696,7 +696,7 @@ impl PhyNode {
                 }
             }
             FapiMsg::UlTti(req) => {
-                let abs = self.abs_of(ctx.now(), req.slot);
+                let abs = self.clock.abs_of_slot(ctx.now(), req.slot);
                 let (ru_mac, started) = match self.rus.get_mut(&req.ru_id) {
                     Some(ru) => {
                         ru.any_fapi_seen = true;
@@ -711,9 +711,7 @@ impl PhyNode {
                 // DDDSU guarantees slot (n−1) is Special for UL slot n.
                 if started && !req.pusch.is_empty() && abs >= 1 {
                     let carry = SlotId::from_absolute(abs - 1);
-                    let target_scalar = (req.slot.sfn % 256) * 20
-                        + req.slot.subframe as u16 * 2
-                        + req.slot.slot as u16;
+                    let target_scalar = req.slot.scalar();
                     let entries = req
                         .pusch
                         .iter()
@@ -741,7 +739,7 @@ impl PhyNode {
                 }
             }
             FapiMsg::DlTti(req) => {
-                let abs = self.abs_of(ctx.now(), req.slot);
+                let abs = self.clock.abs_of_slot(ctx.now(), req.slot);
                 if let Some(ru) = self.rus.get_mut(&req.ru_id) {
                     ru.any_fapi_seen = true;
                     ru.missing_streak = 0;
@@ -757,22 +755,13 @@ impl PhyNode {
                 }
             }
             FapiMsg::TxData(t) => {
-                let abs = self.abs_of(ctx.now(), t.slot);
+                let abs = self.clock.abs_of_slot(ctx.now(), t.slot);
                 if let Some(pdsch) = self.pending_dl.remove(&(t.ru_id, abs)) {
                     self.process_dl(ctx, t.ru_id, t.slot, pdsch, t.tbs);
                 }
             }
             _ => {}
         }
-    }
-
-    /// Map a SlotId to the nearest absolute slot relative to the
-    /// current time (SFN wraps at 1024 frames).
-    fn abs_of(&self, now: Nanos, slot: SlotId) -> u64 {
-        let now_abs = self.clock.absolute_slot(now);
-        let now_id = SlotId::from_absolute(now_abs);
-        let d = now_id.wrapping_distance(slot);
-        now_abs.saturating_add_signed(d)
     }
 }
 
@@ -893,26 +882,8 @@ impl Node<Msg> for PhyNode {
                     return;
                 }
                 let hdr = *fh.hdr();
-                let abs = {
-                    let slot = SlotId {
-                        sfn: hdr.frame as u16,
-                        subframe: hdr.subframe,
-                        slot: hdr.slot,
-                    };
-                    // Resolve the 8-bit frame id against current time.
-                    let now_abs = self.clock.absolute_slot(ctx.now());
-                    let now_scalar = (now_abs % (256 * 20)) as i64;
-                    let pkt_scalar = hdr.slot_scalar() as i64;
-                    let mut d = pkt_scalar - now_scalar;
-                    let epoch = 256 * 20i64;
-                    if d > epoch / 2 {
-                        d -= epoch;
-                    } else if d < -epoch / 2 {
-                        d += epoch;
-                    }
-                    let _ = slot;
-                    now_abs.saturating_add_signed(d)
-                };
+                // Resolve the 8-bit frame id against current time.
+                let abs = self.clock.abs_of_scalar(ctx.now(), hdr.slot_scalar());
                 let ru_id = hdr.ru_port;
                 let Some(ru) = self.rus.get_mut(&ru_id) else {
                     return;

@@ -140,8 +140,7 @@ impl RuNode {
     /// Emit the over-the-air downlink burst for a slot, if the PHY fed
     /// us fronthaul for it.
     fn radiate(&mut self, ctx: &mut Ctx<'_, Msg>, slot: SlotId) {
-        let scalar = (slot.sfn % 256) * 20 + slot.subframe as u16 * 2 + slot.slot as u16;
-        let Some(mut buf) = self.dl_slots.remove(&scalar) else {
+        let Some(mut buf) = self.dl_slots.remove(&slot.scalar()) else {
             self.slots_dark += 1;
             return;
         };

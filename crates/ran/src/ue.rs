@@ -46,11 +46,6 @@ pub struct UeConfig {
     pub snr: SnrProcessConfig,
     /// Attached from t=0 (pre-camped), as in the paper's experiments.
     pub preattached: bool,
-    /// Print per-TB downlink decode diagnostics to stderr. Also
-    /// enabled by the `SLINGSHOT_DEBUG_DL` environment variable (read
-    /// once at node construction); off by default so test output stays
-    /// clean.
-    pub debug_dl: bool,
     /// Traffic class for slice-aware scheduling and per-slice SLOs.
     pub slice: SliceKind,
     /// Deterministic corridor mobility; `None` pins the UE in place
@@ -69,16 +64,9 @@ impl UeConfig {
                 ..Default::default()
             },
             preattached: true,
-            debug_dl: false,
             slice: SliceKind::Embb,
             mobility: None,
         }
-    }
-
-    /// Builder: enable downlink decode diagnostics.
-    pub fn with_debug_dl(mut self, on: bool) -> UeConfig {
-        self.debug_dl = on;
-        self
     }
 
     /// Builder: assign the UE's traffic slice.
@@ -121,9 +109,6 @@ pub struct UeNode {
     channel: AwgnChannel,
     snr: SnrProcess,
     rng: SimRng,
-    /// Effective DL-decode diagnostics flag (config OR env, resolved
-    /// once at construction so the hot path never hits the env).
-    debug_dl: bool,
     /// Corridor walker; `None` for the legacy static UE.
     mobility: Option<MobilityModel>,
     /// RU id of the cell currently serving us. Starts at
@@ -185,7 +170,6 @@ impl UeNode {
         } else {
             RlcRx::unordered()
         };
-        let debug_dl = cfg.debug_dl || std::env::var("SLINGSHOT_DEBUG_DL").is_ok();
         let mobility = cfg
             .mobility
             .clone()
@@ -198,7 +182,6 @@ impl UeNode {
             channel,
             snr,
             rng,
-            debug_dl,
             mobility,
             serving_ru,
             cells: HashMap::new(),
@@ -287,17 +270,20 @@ impl UeNode {
         }
     }
 
-    fn abs_of_slot(&self, now: Nanos, target_scalar: u16) -> u64 {
-        let now_abs = self.clock.absolute_slot(now);
-        let now_scalar = (now_abs % (256 * 20)) as i64;
-        let mut d = target_scalar as i64 - now_scalar;
-        let epoch = 256 * 20i64;
-        if d > epoch / 2 {
-            d -= epoch;
-        } else if d < -epoch / 2 {
-            d += epoch;
-        }
-        now_abs.saturating_add_signed(d)
+    /// Drop everything tied to the current radio link — grants, HARQ
+    /// and RLC state, unsent UCI — as a radio-link failure or a
+    /// handover cutover does.
+    fn flush_radio_state(&mut self) {
+        self.grants.clear();
+        self.ul_tx.clear();
+        self.dl_pool.clear();
+        self.pending_ucis.clear();
+        self.ul_rlc = RlcTx::new();
+        self.dl_rlc = if self.cell.rlc_ordered {
+            RlcRx::new()
+        } else {
+            RlcRx::unordered()
+        };
     }
 
     /// Transmit on any grant targeting the current slot.
@@ -405,7 +391,7 @@ impl UeNode {
             .iter()
             .filter(|d| d.uplink && d.rnti == self.cfg.rnti)
         {
-            let abs = self.abs_of_slot(now, dci.target_slot_scalar);
+            let abs = self.clock.abs_of_scalar(now, dci.target_slot_scalar);
             self.grants.entry(abs).or_default().push(*dci);
         }
         // Decode downlink assignments addressed to us.
@@ -462,11 +448,6 @@ impl UeNode {
             } else {
                 self.dl_tbs_bad += 1;
             }
-            if self.debug_dl && self.dl_tbs_ok + self.dl_tbs_bad < 25 {
-                eprintln!("DL decode ok={ok} mcs={} rv={} ndi={} harq={} prb={} tb={} snr_est={:.1} chan={:.1} syms={} pilots={}",
-                    dci.mcs, dci.rv, dci.ndi, dci.harq_id, dci.num_prb, dci.tb_bytes, out.snr_db, self.current_snr_db,
-                    signal.symbols.len(), signal.pilots.len());
-            }
             self.pending_ucis.push(UciEntry {
                 rnti: self.cfg.rnti,
                 harq_id: dci.harq_id,
@@ -514,16 +495,7 @@ impl Node<Msg> for UeNode {
                             self.serving_ru = target;
                             self.ru = Some(ru);
                             self.l2 = Some(l2);
-                            self.grants.clear();
-                            self.ul_tx.clear();
-                            self.dl_pool.clear();
-                            self.pending_ucis.clear();
-                            self.ul_rlc = RlcTx::new();
-                            self.dl_rlc = if self.cell.rlc_ordered {
-                                RlcRx::new()
-                            } else {
-                                RlcRx::unordered()
-                            };
+                            self.flush_radio_state();
                             self.last_dl_burst = now;
                             self.last_served = now;
                             self.handovers_completed += 1;
@@ -593,16 +565,7 @@ impl Node<Msg> for UeNode {
                 if self.state == UeState::Connected && (dark || unserved) {
                     self.state = UeState::Idle;
                     self.rlf_count += 1;
-                    self.grants.clear();
-                    self.ul_tx.clear();
-                    self.dl_pool.clear();
-                    self.ul_rlc = RlcTx::new();
-                    self.dl_rlc = if self.cell.rlc_ordered {
-                        RlcRx::new()
-                    } else {
-                        RlcRx::unordered()
-                    };
-                    self.pending_ucis.clear();
+                    self.flush_radio_state();
                     if let Some(l2) = self.l2 {
                         // The network also notices (RRC inactivity); we
                         // short-circuit that via signaling.
@@ -660,7 +623,7 @@ impl Node<Msg> for UeNode {
                     && self.pending_handover.is_none()
                     && self.cells.contains_key(&target_ru)
                 {
-                    let at = self.abs_of_slot(ctx.now(), slot_scalar);
+                    let at = self.clock.abs_of_scalar(ctx.now(), slot_scalar);
                     self.pending_handover = Some((target_ru, at));
                     self.ho_report_time = None;
                 } else if let Some(m) = self.mobility.as_mut() {

@@ -627,31 +627,12 @@ impl<M: Message> Lane<M> {
                 self.hash = self.hash.wrapping_mul(FNV_PRIME);
             }
             self.dispatched += 1;
-            #[cfg(feature = "dispatch-histogram")]
-            {
-                let name = self.env.names.get(dst.0).cloned().unwrap_or_default();
-                let pfx: String = name.chars().take_while(|c| !c.is_ascii_digit()).collect();
-                let tag = match &kind {
-                    EventKind::Msg { .. } => "msg",
-                    EventKind::Timer { .. } => "timer",
-                    EventKind::Start => "start",
-                };
-                *DISPATCH_HISTOGRAM
-                    .lock()
-                    .unwrap()
-                    .entry(format!("{pfx}/{tag}"))
-                    .or_insert(0u64) += 1;
-            }
             self.deliver(slot, dst, kind);
         }
         self.now = self.now.max(until);
         self.busy_ns += window_t0.elapsed().as_nanos() as u64;
     }
 }
-
-#[cfg(feature = "dispatch-histogram")]
-pub static DISPATCH_HISTOGRAM: std::sync::Mutex<std::collections::BTreeMap<String, u64>> =
-    std::sync::Mutex::new(std::collections::BTreeMap::new());
 
 /// Handle through which a node interacts with the engine during a
 /// callback: the node's id plus its lane. Effects on the node's own

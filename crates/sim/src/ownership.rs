@@ -6,12 +6,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::time::{SLOTS_PER_FRAME, SLOT_DURATION};
+use crate::time::{abs_of_scalar, SLOT_DURATION};
 use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind};
-
-/// Fronthaul packets carry their slot as a scalar over 256 frames, so a
-/// data-plane flip is stamped with its boundary slot modulo this.
-const SCALAR_EPOCH: u64 = 256 * SLOTS_PER_FRAME as u64;
 
 /// The absolute slot a flip took effect from: the one the event is
 /// *stamped* with, unwrapped to the scalar epoch nearest its arrival.
@@ -19,13 +15,7 @@ const SCALAR_EPOCH: u64 = 256 * SLOTS_PER_FRAME as u64;
 /// boundary and DL C-plane runs ahead of the wall clock, so the arrival
 /// lands slots before the boundary the old owner still serves up to.
 fn stamped_slot(e: &TraceEvent) -> u64 {
-    let at_slot = e.at.0 / SLOT_DURATION.0;
-    let ahead = (e.slot.epoch_index() + SCALAR_EPOCH - at_slot % SCALAR_EPOCH) % SCALAR_EPOCH;
-    if ahead <= SCALAR_EPOCH / 2 {
-        at_slot + ahead
-    } else {
-        (at_slot + ahead).saturating_sub(SCALAR_EPOCH)
-    }
+    abs_of_scalar(e.at.0 / SLOT_DURATION.0, e.slot.scalar())
 }
 
 /// Per-key owner timelines: key → `[(from_slot, owner)]`, ascending.

@@ -107,6 +107,56 @@ pub const SFN_MODULO: u32 = 1024;
 /// OFDM symbols per slot (normal cyclic prefix).
 pub const SYMBOLS_PER_SLOT: u32 = 14;
 
+/// Slots per SFN epoch: [`SlotId`]s repeat every 1024 frames (10.24 s).
+const SFN_EPOCH: u64 = SFN_MODULO as u64 * SLOTS_PER_FRAME as u64;
+
+/// Slots per *wire* epoch. Fronthaul headers carry an 8-bit frame id,
+/// so the slot scalar the switch matches `migrate_on_slot` requests
+/// against (§5.1) wraps every 256 frames (2.56 s), four times per SFN
+/// epoch.
+pub const SCALAR_EPOCH: u64 = 256 * SLOTS_PER_FRAME as u64;
+
+/// Signed distance from `from` to the member of `to`'s residue class
+/// (mod `epoch`) nearest to it. Exactly half an epoch counts as ahead,
+/// so the answer is a function of the residue alone.
+fn nearest_offset(from: u64, to: u64, epoch: u64) -> i64 {
+    let ahead = (to % epoch + epoch - from % epoch) % epoch;
+    if ahead <= epoch / 2 {
+        ahead as i64
+    } else {
+        ahead as i64 - epoch as i64
+    }
+}
+
+/// The wire scalar of absolute slot `abs`.
+pub fn scalar_of(abs: u64) -> u16 {
+    (abs % SCALAR_EPOCH) as u16
+}
+
+/// Is scalar `x` at or after `boundary`? Wrapping comparison within
+/// half a [`SCALAR_EPOCH`], as the 8-bit frame id implies.
+pub fn scalar_at_or_after(x: u16, boundary: u16) -> bool {
+    nearest_offset(boundary as u64, x as u64, SCALAR_EPOCH) >= 0
+}
+
+/// The absolute slot nearest `near_abs` whose wire scalar is `scalar`.
+pub fn abs_of_scalar(near_abs: u64, scalar: u16) -> u64 {
+    near_abs.saturating_add_signed(nearest_offset(near_abs, scalar as u64, SCALAR_EPOCH))
+}
+
+/// TDD cycle length (DDDSU).
+pub const TDD_CYCLE_SLOTS: u64 = 5;
+
+/// Round `abs` up to the start of a TDD cycle. Every on-slot boundary
+/// (migration, standby install, handover) lands here so that an uplink
+/// grant's DCI — carried in the Special slot preceding its uplink slot
+/// — is emitted by the PHY that is active when it radiates; a boundary
+/// inside the cycle would have the switch's downlink filter discard
+/// the new owner's grant for the first uplink slot past it.
+pub fn align_to_tdd_cycle(abs: u64) -> u64 {
+    abs.div_ceil(TDD_CYCLE_SLOTS) * TDD_CYCLE_SLOTS
+}
+
 /// A fully qualified slot identity: system frame number, subframe within
 /// the frame, and slot within the subframe. This triple appears verbatim
 /// in O-RAN fronthaul packet headers and is what the in-switch middlebox
@@ -152,20 +202,24 @@ impl SlotId {
     /// Number of slots from `self` to `other`, assuming `other` is not
     /// more than half an SFN epoch ahead (handles SFN wraparound).
     pub fn wrapping_distance(self, other: SlotId) -> i64 {
-        let epoch = SFN_MODULO as i64 * SLOTS_PER_FRAME as i64;
-        let mut d = other.epoch_index() as i64 - self.epoch_index() as i64;
-        if d > epoch / 2 {
-            d -= epoch;
-        } else if d < -epoch / 2 {
-            d += epoch;
-        }
-        d
+        nearest_offset(self.epoch_index(), other.epoch_index(), SFN_EPOCH)
     }
 
     /// The slot `n` slots after this one.
     pub fn advance(self, n: u64) -> SlotId {
-        let epoch = SFN_MODULO as u64 * SLOTS_PER_FRAME as u64;
-        SlotId::from_absolute((self.epoch_index() + n) % epoch)
+        SlotId::from_absolute((self.epoch_index() + n) % SFN_EPOCH)
+    }
+
+    /// This slot as the fronthaul header's comparable scalar in
+    /// `0..SCALAR_EPOCH` (frame id mod 256, subframe, slot).
+    pub fn scalar(self) -> u16 {
+        scalar_of(self.epoch_index())
+    }
+
+    /// A representative slot for a wire scalar. The scalar covers only
+    /// 256 frames, so the SFN comes back modulo 256.
+    pub fn from_scalar(scalar: u16) -> SlotId {
+        SlotId::from_absolute(scalar as u64)
     }
 }
 
@@ -211,6 +265,18 @@ impl SlotClock {
     /// Time offset of `t` within its slot.
     pub fn offset_in_slot(&self, t: Nanos) -> Nanos {
         Nanos(t.saturating_sub(self.origin).0 % SLOT_DURATION.0)
+    }
+
+    /// The absolute slot nearest `now` that wire scalar `scalar` names.
+    pub fn abs_of_scalar(&self, now: Nanos, scalar: u16) -> u64 {
+        abs_of_scalar(self.absolute_slot(now), scalar)
+    }
+
+    /// The absolute slot nearest `now` that `slot` names (SFN wraps at
+    /// 1024 frames).
+    pub fn abs_of_slot(&self, now: Nanos, slot: SlotId) -> u64 {
+        let now_abs = self.absolute_slot(now);
+        now_abs.saturating_add_signed(SlotId::from_absolute(now_abs).wrapping_distance(slot))
     }
 }
 
@@ -295,6 +361,97 @@ impl TddPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn abs_of_scalar_inverts_scalar_of_within_half_an_epoch(
+            near in 0u64..1 << 32,
+            d in -(SCALAR_EPOCH as i64 / 2 - 1)..SCALAR_EPOCH as i64 / 2,
+        ) {
+            let abs = near.saturating_add_signed(d);
+            prop_assert_eq!(abs_of_scalar(near, scalar_of(abs)), abs);
+            prop_assert_eq!(SlotId::from_absolute(abs).scalar(), scalar_of(abs));
+            prop_assert_eq!(SlotId::from_scalar(scalar_of(abs)).scalar(), scalar_of(abs));
+            prop_assert_eq!(scalar_at_or_after(scalar_of(abs), scalar_of(near)), abs >= near);
+        }
+
+        #[test]
+        fn clock_abs_of_slot_inverts_from_absolute_within_half_an_sfn_epoch(
+            near in 0u64..1 << 32,
+            d in -(SFN_EPOCH as i64 / 2 - 1)..SFN_EPOCH as i64 / 2,
+            offset_ns in 0u64..SLOT_DURATION.0,
+        ) {
+            let clk = SlotClock::new(Nanos::from_micros(100));
+            let now = Nanos(clk.slot_start(near).0 + offset_ns);
+            let abs = near.saturating_add_signed(d);
+            prop_assert_eq!(clk.abs_of_slot(now, SlotId::from_absolute(abs)), abs);
+            if abs.abs_diff(near) < SCALAR_EPOCH / 2 {
+                prop_assert_eq!(clk.abs_of_scalar(now, scalar_of(abs)), abs);
+            }
+        }
+    }
+
+    #[test]
+    fn exactly_half_an_epoch_counts_as_ahead() {
+        // A function of the residue has to pick one side for the tie.
+        let half = SCALAR_EPOCH / 2;
+        assert_eq!(
+            abs_of_scalar(10_000, scalar_of(10_000 + half)),
+            10_000 + half
+        );
+        assert_eq!(
+            abs_of_scalar(10_000, scalar_of(10_000 - half)),
+            10_000 + half
+        );
+        assert!(scalar_at_or_after(2560, 0));
+        assert!(scalar_at_or_after(2558, 5118));
+        let a = SlotId::from_absolute(100);
+        let b = SlotId::from_absolute(100 + SFN_EPOCH / 2);
+        assert_eq!(a.wrapping_distance(b), (SFN_EPOCH / 2) as i64);
+        assert_eq!(b.wrapping_distance(a), (SFN_EPOCH / 2) as i64);
+        // Early in a run the nearest slot cannot be before slot 0.
+        assert_eq!(abs_of_scalar(0, 5119), 0);
+    }
+
+    #[test]
+    fn scalar_comparison_extremes() {
+        // Boundary 0: everything in the first half-epoch is "after".
+        assert!(scalar_at_or_after(0, 0));
+        assert!(scalar_at_or_after(2559, 0));
+        assert!(!scalar_at_or_after(2561, 0));
+        // Boundary at epoch end.
+        assert!(scalar_at_or_after(5119, 5119));
+        assert!(scalar_at_or_after(0, 5119));
+        assert!(scalar_at_or_after(2558, 5119));
+        assert!(!scalar_at_or_after(2559, 5118));
+    }
+
+    #[test]
+    fn scalar_comparison_wraps() {
+        assert!(scalar_at_or_after(100, 100));
+        assert!(scalar_at_or_after(101, 100));
+        assert!(!scalar_at_or_after(99, 100));
+        // Wrap: 5 is "after" 5118 (epoch = 5120).
+        assert!(scalar_at_or_after(5, 5118));
+        assert!(!scalar_at_or_after(5118, 5));
+    }
+
+    #[test]
+    fn boundary_aligns_to_tdd_cycle() {
+        for (abs, aligned) in [
+            (0, 0),
+            (1, 5),
+            (4, 5),
+            (5, 5),
+            (7, 10),
+            (10, 10),
+            (2003, 2005),
+        ] {
+            assert_eq!(align_to_tdd_cycle(abs), aligned);
+        }
+        assert_eq!(TDD_CYCLE_SLOTS, TddPattern::dddsu().len() as u64);
+    }
 
     #[test]
     fn nanos_conversions() {

@@ -15,7 +15,7 @@ pub mod resources;
 pub mod tables;
 
 pub use control::ControlPlaneModel;
-pub use pipeline::{PortId, StaticForwarder, SwitchAction, SwitchProgram, PIPELINE_LATENCY};
+pub use pipeline::{PortId, SwitchAction, SwitchProgram, PIPELINE_LATENCY};
 pub use pktgen::PktGenConfig;
 pub use ports::PortSpace;
 pub use resources::{estimate, PipelineManifest, ResourceBudget, ResourceUsage};

@@ -55,72 +55,18 @@ pub trait SwitchProgram {
     }
 }
 
-/// A trivial L2 learning-free program forwarding by static destination
-/// MAC table — the "conventional RAN deployment" forwarding of §5.1,
-/// and the base behavior for non-fronthaul traffic.
-#[derive(Debug, Default)]
-pub struct StaticForwarder {
-    routes: std::collections::HashMap<slingshot_netsim::MacAddr, PortId>,
-}
-
-impl StaticForwarder {
-    pub fn new() -> StaticForwarder {
-        StaticForwarder::default()
-    }
-
-    pub fn add_route(&mut self, mac: slingshot_netsim::MacAddr, port: PortId) {
-        self.routes.insert(mac, port);
-    }
-
-    pub fn route(&self, mac: &slingshot_netsim::MacAddr) -> Option<PortId> {
-        self.routes.get(mac).copied()
-    }
-}
-
-impl SwitchProgram for StaticForwarder {
-    fn process(&mut self, _now: Nanos, _ingress: PortId, frame: Frame) -> Vec<SwitchAction> {
-        match self.routes.get(&frame.dst) {
-            Some(port) => vec![SwitchAction::Forward { port: *port, frame }],
-            None => vec![SwitchAction::Drop],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use slingshot_netsim::{EtherType, MacAddr};
-
-    fn frame(dst: MacAddr) -> Frame {
-        Frame::new(dst, MacAddr::for_ru(0), EtherType::Ipv4, Bytes::new())
-    }
-
-    #[test]
-    fn static_forwarder_routes_known_macs() {
-        let mut f = StaticForwarder::new();
-        f.add_route(MacAddr::for_phy(1), PortId(3));
-        let acts = f.process(Nanos(0), PortId(0), frame(MacAddr::for_phy(1)));
-        assert_eq!(acts.len(), 1);
-        match &acts[0] {
-            SwitchAction::Forward { port, frame } => {
-                assert_eq!(*port, PortId(3));
-                assert_eq!(frame.dst, MacAddr::for_phy(1));
-            }
-            _ => panic!("expected forward"),
-        }
-    }
-
-    #[test]
-    fn static_forwarder_drops_unknown() {
-        let mut f = StaticForwarder::new();
-        let acts = f.process(Nanos(0), PortId(0), frame(MacAddr::for_phy(9)));
-        assert_eq!(acts, vec![SwitchAction::Drop]);
-    }
 
     #[test]
     fn default_generator_tick_is_empty() {
-        let mut f = StaticForwarder::new();
-        assert!(f.on_generator_tick(Nanos(0)).is_empty());
+        struct DropAll;
+        impl SwitchProgram for DropAll {
+            fn process(&mut self, _: Nanos, _: PortId, _: Frame) -> Vec<SwitchAction> {
+                vec![SwitchAction::Drop]
+            }
+        }
+        assert!(DropAll.on_generator_tick(Nanos(0)).is_empty());
     }
 }
