@@ -28,6 +28,8 @@
 #                      the full gate runs tier-1 tests twice — native
 #                      detection and forced scalar — so SIMD kernels
 #                      and the scalar oracle are both exercised
+#                      (kernel_bench ignores it: it times scalar and
+#                      the detected backend side by side)
 #   BENCH_JSON_DIR=    directory for bench JSON artifacts (unset: skip)
 #   KERNEL_QUICK=1     kernel_bench: ~10 ms per DSP kernel
 #   SLOTS_CELLS=2 SLOTS_WORKERS=1,4 SLOTS_MS=100
@@ -83,13 +85,8 @@ if [[ "$QUICK" == 1 ]]; then
 fi
 
 run_benches() {
-    echo "==> DSP kernel throughput smoke (native backend)"
+    echo "==> DSP kernel throughput smoke (floors + scalar-vs-detected arm gate)"
     KERNEL_QUICK=1 \
-        KERNEL_BASELINE=crates/bench/baselines/kernel_bench.baseline \
-        cargo run --release -p slingshot-bench --bin kernel_bench
-
-    echo "==> DSP kernel throughput smoke (forced scalar)"
-    KERNEL_QUICK=1 KERNEL_BACKEND=scalar \
         KERNEL_BASELINE=crates/bench/baselines/kernel_bench.baseline \
         cargo run --release -p slingshot-bench --bin kernel_bench
 

@@ -10,6 +10,8 @@
 //!   fronthaul rerouting, which still incurs a ~6.2 s outage because
 //!   the UE must fully re-attach (§8.1).
 
+#![forbid(unsafe_code)]
+
 pub mod backup_vran;
 pub mod vm_migration;
 

@@ -4,6 +4,8 @@
 //! (see DESIGN.md §4 for the index), plus Criterion micro-benchmarks.
 //! This library holds the shared scenario builders and report helpers.
 
+#![forbid(unsafe_code)]
+
 use slingshot::{Deployment, DeploymentBuilder};
 use slingshot_phy_dsp::SnrProcessConfig;
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};

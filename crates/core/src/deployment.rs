@@ -229,18 +229,16 @@ impl DeploymentBuilder {
     /// Falls back to scalar when the requested backend is not available
     /// on this host. The default (no call) honors the `KERNEL_BACKEND`
     /// env var and otherwise auto-detects the best backend — which is
-    /// trace-identical to scalar for every always-exact kernel, so the
+    /// trace-identical to scalar (every SIMD arm is bit-exact), so the
     /// golden hashes don't depend on the host CPU.
     pub fn kernel_backend(mut self, backend: KernelBackend) -> Self {
         self.kernels = Some(KernelConfig::forced(backend));
         self
     }
 
-    /// Full kernel configuration (backend + AWGN tolerance knob) for
-    /// callers that opt into tolerance-gated SIMD orderings. With a
-    /// nonzero tolerance the AWGN kernel may use a vectorized sampler
-    /// whose noise stream differs from scalar's — trace hashes then
-    /// legitimately diverge from the scalar golden set.
+    /// [`DeploymentBuilder::kernel_backend`] for callers that already
+    /// hold a [`KernelConfig`] (e.g. `KernelConfig::detect()` to ignore
+    /// the environment).
     pub fn kernel_config(mut self, kernels: KernelConfig) -> Self {
         self.kernels = Some(kernels);
         self

@@ -325,12 +325,6 @@ impl FhMbox {
         self.ru_to_phy.read(ru_id as usize) as u8
     }
 
-    /// The armed-but-unexecuted migration request for an RU, if any:
-    /// `(dest_phy, slot_scalar)`.
-    pub fn pending_migration(&mut self, ru_id: u8) -> Option<(u8, u16)> {
-        self.migration_store.pending(ru_id as usize)
-    }
-
     /// Control-plane installation of a UE's serving-cell entry (at
     /// deployment time, or after a completed attach).
     pub fn install_ue(&mut self, rnti: u16, serving_ru: u8) {

@@ -20,6 +20,8 @@
 //!   operations against the live topology and judges the resulting
 //!   event trace with the invariant oracle.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod ctl;
 pub mod deployment;

@@ -144,6 +144,19 @@ impl OrionPhyNode {
             .copied()
             .unwrap_or(self.peer_l2_orion)
     }
+
+    /// §6.1 loss guard: cover a slot whose requests never arrived with
+    /// a null UL_TTI + DL_TTI pair, handed to the PHY `delay` from now.
+    fn inject_null_pair(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, slot_abs: u64, delay: Nanos) {
+        let slot = SlotId::from_absolute(slot_abs);
+        self.loss_nulls_injected += 2;
+        if let Some(phy) = self.phy {
+            let ul = FapiMsg::UlTti(fapi::UlTtiRequest::null(ru_id, slot));
+            ctx.send_in(phy, delay, Msg::FapiShm(ul));
+            let dl = FapiMsg::DlTti(fapi::DlTtiRequest::null(ru_id, slot));
+            ctx.send_in(phy, delay, Msg::FapiShm(dl));
+        }
+    }
 }
 
 const TIMER_PHY_SIDE_SLOT: u64 = 911;
@@ -175,20 +188,7 @@ impl Node<Msg> for OrionPhyNode {
             }
         }
         for (ru_id, slot_abs) in inject {
-            let slot = SlotId::from_absolute(slot_abs);
-            self.loss_nulls_injected += 2;
-            if let Some(phy) = self.phy {
-                ctx.send_in(
-                    phy,
-                    Nanos(1_000),
-                    Msg::FapiShm(FapiMsg::UlTti(fapi::UlTtiRequest::null(ru_id, slot))),
-                );
-                ctx.send_in(
-                    phy,
-                    Nanos(1_000),
-                    Msg::FapiShm(FapiMsg::DlTti(fapi::DlTtiRequest::null(ru_id, slot))),
-                );
-            }
+            self.inject_null_pair(ctx, ru_id, slot_abs, Nanos(1_000));
         }
         ctx.timer_at(self.clock.slot_start(abs + 1), TIMER_PHY_SIDE_SLOT);
     }
@@ -241,24 +241,7 @@ impl Node<Msg> for OrionPhyNode {
                             e.1 = e.1.max(abs);
                         }
                         for slot_abs in holes {
-                            let slot = SlotId::from_absolute(slot_abs);
-                            self.loss_nulls_injected += 2;
-                            if let Some(phy) = self.phy {
-                                ctx.send_in(
-                                    phy,
-                                    Nanos(500),
-                                    Msg::FapiShm(FapiMsg::UlTti(fapi::UlTtiRequest::null(
-                                        r.ru_id, slot,
-                                    ))),
-                                );
-                                ctx.send_in(
-                                    phy,
-                                    Nanos(500),
-                                    Msg::FapiShm(FapiMsg::DlTti(fapi::DlTtiRequest::null(
-                                        r.ru_id, slot,
-                                    ))),
-                                );
-                            }
+                            self.inject_null_pair(ctx, r.ru_id, slot_abs, Nanos(500));
                         }
                     }
                     _ => {}
@@ -398,11 +381,6 @@ impl OrionL2Node {
         self.recovery_mac = Some(mac);
     }
 
-    /// Whether a pool grant is still waiting for its promotion boundary.
-    pub fn standby_pending(&self, ru_id: u8) -> bool {
-        self.pending_standby.contains_key(&ru_id)
-    }
-
     /// Bind an RU to its primary and (optional) secondary PHY.
     pub fn bind_ru(&mut self, ru_id: u8, primary: u8, secondary: Option<u8>) {
         self.register_phy_server(primary);
@@ -433,13 +411,6 @@ impl OrionL2Node {
         self.bindings.get(&ru_id).and_then(|b| b.secondary)
     }
 
-    /// Whether a migration is currently in flight for `ru_id`.
-    pub fn migration_pending(&self, ru_id: u8) -> bool {
-        self.bindings
-            .get(&ru_id)
-            .is_some_and(|b| b.migrate_at.is_some())
-    }
-
     /// The PHY that owns slot `abs` for this RU.
     fn owner_of(b: &RuBinding, abs: u64) -> u8 {
         match (b.migrate_at, b.secondary) {
@@ -463,6 +434,39 @@ impl OrionL2Node {
             .get(&phy_id)
             .copied()
             .unwrap_or_else(|| orion_phy_mac(phy_id))
+    }
+
+    /// Fan one per-slot request out: the real `msg` to the PHY that
+    /// owns `slot`, and to the other PHY of the pair either a duplicate
+    /// (the `duplicate_standby` ablation) or the request's `null` form,
+    /// when it has one.
+    fn fan_out(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        ru_id: u8,
+        slot: SlotId,
+        msg: &FapiMsg,
+        null: Option<FapiMsg>,
+    ) {
+        let abs = self.clock.abs_of_slot(ctx.now(), slot);
+        let b = self.bindings.get(&ru_id).expect("binding");
+        let owner = Self::owner_of(b, abs);
+        let other = if owner == b.primary {
+            b.secondary
+        } else {
+            Some(b.primary)
+        };
+        self.send_udp(ctx, self.orion_mac_of(owner), msg);
+        let Some(o) = other else {
+            return;
+        };
+        if self.duplicate_standby {
+            self.send_udp(ctx, self.orion_mac_of(o), msg);
+        } else if let Some(null) = null {
+            self.null_fapi_sent += 1;
+            ctx.trace(TraceEventKind::NullFapiSent, ru_id as u64, abs);
+            self.send_udp(ctx, self.orion_mac_of(o), &null);
+        }
     }
 
     /// Handle a request from the L2 (over SHM): real to the owner, null
@@ -490,63 +494,16 @@ impl OrionL2Node {
                 }
             }
             FapiMsg::UlTti(req) => {
-                let abs = self.clock.abs_of_slot(ctx.now(), req.slot);
-                let b = self.bindings.get(&ru_id).expect("binding");
-                let owner = Self::owner_of(b, abs);
-                let other = if owner == b.primary {
-                    b.secondary
-                } else {
-                    Some(b.primary)
-                };
-                self.send_udp(ctx, self.orion_mac_of(owner), &msg);
-                if let Some(o) = other {
-                    if self.duplicate_standby {
-                        self.send_udp(ctx, self.orion_mac_of(o), &msg);
-                    } else {
-                        let null = FapiMsg::UlTti(fapi::UlTtiRequest::null(ru_id, req.slot));
-                        self.null_fapi_sent += 1;
-                        ctx.trace(TraceEventKind::NullFapiSent, ru_id as u64, abs);
-                        self.send_udp(ctx, self.orion_mac_of(o), &null);
-                    }
-                }
+                let null = FapiMsg::UlTti(fapi::UlTtiRequest::null(ru_id, req.slot));
+                self.fan_out(ctx, ru_id, req.slot, &msg, Some(null));
             }
             FapiMsg::DlTti(req) => {
-                let abs = self.clock.abs_of_slot(ctx.now(), req.slot);
-                let b = self.bindings.get(&ru_id).expect("binding");
-                let owner = Self::owner_of(b, abs);
-                let other = if owner == b.primary {
-                    b.secondary
-                } else {
-                    Some(b.primary)
-                };
-                self.send_udp(ctx, self.orion_mac_of(owner), &msg);
-                if let Some(o) = other {
-                    if self.duplicate_standby {
-                        self.send_udp(ctx, self.orion_mac_of(o), &msg);
-                    } else {
-                        let null = FapiMsg::DlTti(fapi::DlTtiRequest::null(ru_id, req.slot));
-                        self.null_fapi_sent += 1;
-                        ctx.trace(TraceEventKind::NullFapiSent, ru_id as u64, abs);
-                        self.send_udp(ctx, self.orion_mac_of(o), &null);
-                    }
-                }
+                let null = FapiMsg::DlTti(fapi::DlTtiRequest::null(ru_id, req.slot));
+                self.fan_out(ctx, ru_id, req.slot, &msg, Some(null));
             }
-            FapiMsg::TxData(req) => {
-                let abs = self.clock.abs_of_slot(ctx.now(), req.slot);
-                let b = self.bindings.get(&ru_id).expect("binding");
-                let owner = Self::owner_of(b, abs);
-                let other = if owner == b.primary {
-                    b.secondary
-                } else {
-                    Some(b.primary)
-                };
-                self.send_udp(ctx, self.orion_mac_of(owner), &msg);
-                if self.duplicate_standby {
-                    if let Some(o) = other {
-                        self.send_udp(ctx, self.orion_mac_of(o), &msg);
-                    }
-                }
-            }
+            // TX_DATA has no null form: the other PHY gets it only as a
+            // duplicate.
+            FapiMsg::TxData(req) => self.fan_out(ctx, ru_id, req.slot, &msg, None),
             _ => {}
         }
     }

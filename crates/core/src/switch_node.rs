@@ -57,7 +57,6 @@ pub struct SwitchNode {
     ingress_of: HashMap<NodeId, PortId>,
     model: ForwardingModel,
     rng: SimRng,
-    pktgen_enabled: bool,
     /// Control-plane rule-update latency model (ablation path).
     cp_model: ControlPlaneModel,
     /// Remaps waiting on the control plane, FIFO.
@@ -83,7 +82,6 @@ impl SwitchNode {
             cp_pending: std::collections::VecDeque::new(),
             cp_remap_latencies: Vec::new(),
             rng,
-            pktgen_enabled: true,
             capture: None,
             forwarded: 0,
             dropped: 0,
@@ -119,10 +117,6 @@ impl SwitchNode {
     /// after a failover lands on the post-failover owner.
     pub fn active_phy(&mut self, ru_id: u8) -> u8 {
         self.mbox.active_phy(ru_id)
-    }
-
-    pub fn set_pktgen(&mut self, enabled: bool) {
-        self.pktgen_enabled = enabled;
     }
 
     /// Move trace events staged inside the switch program into the
@@ -162,9 +156,7 @@ impl SwitchNode {
 
 impl Node<Msg> for SwitchNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.pktgen_enabled {
-            ctx.timer(self.mbox.detector.tick_interval(), TIMER_PKTGEN);
-        }
+        ctx.timer(self.mbox.detector.tick_interval(), TIMER_PKTGEN);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {

@@ -3,11 +3,13 @@
 //! to the serial single-worker run. Dispatch order, RNG draws, and
 //! merge order are all pinned in the serial prepare/merge phases, so
 //! the pool size is invisible to everything the simulation observes.
+//! The kernel backend is held to the same contract: every SIMD arm is
+//! bit-exact, so the backend is invisible too.
 
 use slingshot::DeploymentBuilder;
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{FaultKind, FaultTarget, Scenario};
-use slingshot_sim::{Nanos, SpanProfiler, SLOT_DURATION};
+use slingshot_sim::{KernelBackend, Nanos, SpanProfiler, SLOT_DURATION};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
 fn small_cell() -> CellConfig {
@@ -18,19 +20,43 @@ fn small_cell() -> CellConfig {
     }
 }
 
+/// The DSP side of a run: held fixed by the worker-count tests, varied
+/// by the cross-backend one.
+#[derive(Clone, Copy)]
+struct Dsp {
+    fidelity: Fidelity,
+    /// `None` leaves the engine default (`KERNEL_BACKEND`, else detect).
+    backend: Option<KernelBackend>,
+    /// Add a downlink flow per cell beside the uplink one.
+    dl_flow: bool,
+}
+
+const SAMPLED_UL: Dsp = Dsp {
+    fidelity: Fidelity::Sampled,
+    backend: None,
+    dl_flow: false,
+};
+
 /// Run a deployment with one uplink flow per cell and return the trace
-/// bytes, the trace hash, and the full published-metrics dump.
-fn run(seed: u64, cells: usize, workers: usize) -> (Vec<u8>, u64, String) {
+/// bytes, the trace hash, the engine's dispatched-event hash, and the
+/// full published-metrics dump.
+fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> (Vec<u8>, u64, u64, String) {
     let ues: Vec<UeConfig> = (0..cells)
         .map(|c| UeConfig::new(100 + c as u16, c as u8, &format!("ue-c{c}"), 22.0))
         .collect();
-    let mut d = DeploymentBuilder::new()
+    let mut b = DeploymentBuilder::new()
         .seed(seed)
-        .cell(small_cell())
+        .cell(CellConfig {
+            fidelity: dsp.fidelity,
+            ..small_cell()
+        })
         .cells(cells)
         .workers(workers)
-        .ues(ues)
-        .build();
+        .ues(ues);
+    if let Some(backend) = dsp.backend {
+        b = b.kernel_backend(backend);
+    }
+    let mut d = b.build();
     for i in 0..cells {
         d.add_flow(
             i,
@@ -38,11 +64,24 @@ fn run(seed: u64, cells: usize, workers: usize) -> (Vec<u8>, u64, String) {
             Box::new(UdpCbrSource::new(3_000_000, 900, Nanos::ZERO)),
             Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
         );
+        if dsp.dl_flow {
+            d.add_flow(
+                i,
+                100 + i as u16,
+                Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+                Box::new(UdpCbrSource::new(3_000_000, 900, Nanos::ZERO)),
+            );
+        }
     }
     d.engine.run_until(Nanos::from_millis(150));
     d.publish_metrics();
     let trace = d.engine.event_trace();
-    (trace.to_bytes(), trace.hash(), d.engine.metrics().to_text())
+    (
+        trace.to_bytes(),
+        trace.hash(),
+        d.engine.trace_hash(),
+        d.engine.metrics().to_text(),
+    )
 }
 
 /// Across 8 seeds, a 4-worker run is byte-identical (trace and
@@ -50,8 +89,8 @@ fn run(seed: u64, cells: usize, workers: usize) -> (Vec<u8>, u64, String) {
 #[test]
 fn four_workers_match_single_worker_across_seeds() {
     for seed in 1..=8u64 {
-        let (bytes_1, hash_1, metrics_1) = run(seed, 1, 1);
-        let (bytes_4, hash_4, metrics_4) = run(seed, 1, 4);
+        let (bytes_1, hash_1, _, metrics_1) = run(seed, 1, 1, SAMPLED_UL);
+        let (bytes_4, hash_4, _, metrics_4) = run(seed, 1, 4, SAMPLED_UL);
         assert!(!bytes_1.is_empty(), "trace must not be empty (seed {seed})");
         assert_eq!(hash_1, hash_4, "trace hash diverged at seed {seed}");
         assert_eq!(bytes_1, bytes_4, "trace bytes diverged at seed {seed}");
@@ -64,12 +103,42 @@ fn four_workers_match_single_worker_across_seeds() {
 #[test]
 fn multi_cell_parallel_matches_serial() {
     for seed in [3u64, 7] {
-        let (bytes_1, hash_1, metrics_1) = run(seed, 2, 1);
-        let (bytes_4, hash_4, metrics_4) = run(seed, 2, 4);
+        let (bytes_1, hash_1, _, metrics_1) = run(seed, 2, 1, SAMPLED_UL);
+        let (bytes_4, hash_4, _, metrics_4) = run(seed, 2, 4, SAMPLED_UL);
         assert!(!bytes_1.is_empty(), "trace must not be empty (seed {seed})");
         assert_eq!(hash_1, hash_4, "trace hash diverged at seed {seed}");
         assert_eq!(bytes_1, bytes_4, "trace bytes diverged at seed {seed}");
         assert_eq!(metrics_1, metrics_4, "metrics diverged at seed {seed}");
+    }
+}
+
+/// The backend contract above kernel level: one Full-fidelity
+/// deployment with UL and DL traffic (every DSP stage, both directions)
+/// built on each backend this host can run yields the same trace, the
+/// same dispatched-event hash and the same metrics as the scalar oracle.
+/// On a host without AVX2 only scalar is available and this passes
+/// vacuously.
+#[test]
+fn kernel_backends_yield_identical_traces() {
+    // Scalar — the oracle — is always first.
+    let mut runs = KernelBackend::all_available().into_iter().map(|backend| {
+        let dsp = Dsp {
+            fidelity: Fidelity::Full,
+            backend: Some(backend),
+            dl_flow: true,
+        };
+        (backend, run(9, 1, 1, dsp))
+    });
+    let (_, (bytes_s, hash_s, engine_hash_s, metrics_s)) = runs.next().expect("scalar");
+    assert!(!bytes_s.is_empty(), "trace must not be empty");
+    for (backend, (bytes, hash, engine_hash, metrics)) in runs {
+        assert_eq!(hash_s, hash, "trace hash diverged on {backend}");
+        assert_eq!(
+            engine_hash_s, engine_hash,
+            "event hash diverged on {backend}"
+        );
+        assert_eq!(bytes_s, bytes, "trace bytes diverged on {backend}");
+        assert_eq!(metrics_s, metrics, "metrics diverged on {backend}");
     }
 }
 
@@ -102,7 +171,7 @@ fn profiler_never_perturbs_trace_or_metrics() {
         (trace.to_bytes(), trace.hash(), d.engine.metrics().to_text())
     };
     for seed in [5u64, 11] {
-        let (bytes_off, hash_off, metrics_off) = run(seed, 1, 1);
+        let (bytes_off, hash_off, _, metrics_off) = run(seed, 1, 1, SAMPLED_UL);
         let (bytes_on, hash_on, metrics_on) = run_profiled(seed, 1);
         assert_eq!(
             hash_off, hash_on,

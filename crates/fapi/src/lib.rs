@@ -7,6 +7,8 @@
 //! FAPI is the "narrow waist" between L2 and PHY implementations that
 //! lets Orion provide PHY resilience transparently (paper §3.2, I-3).
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod mcs;
 pub mod messages;

@@ -6,6 +6,8 @@
 //! sections, and U-plane messages carrying block-floating-point
 //! compressed IQ samples.
 
+#![forbid(unsafe_code)]
+
 pub mod ecpri;
 pub mod messages;
 

@@ -6,6 +6,8 @@
 //! faults) live in `slingshot-sim`; this crate defines what travels
 //! over them.
 
+#![forbid(unsafe_code)]
+
 pub mod capture;
 pub mod frame;
 pub mod mac;

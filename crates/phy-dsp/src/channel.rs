@@ -114,57 +114,6 @@ impl AwgnChannel {
         (out, noise_var)
     }
 
-    /// Vectorized [`AwgnChannel::apply`]. This is a *different but
-    /// statistically identical* noise realization (8-lane f32
-    /// Box-Muller, one u64 draw per symbol, polynomial ln/sincos), so
-    /// the dispatch layer only selects it when the kernel config's
-    /// tolerance knob is explicitly raised — never in bit-exact runs.
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) fn apply_avx2(&mut self, symbols: &[Cplx], snr_db: f64) -> (Vec<Cplx>, f32) {
-        let noise_var = (1.0 / db_to_linear(snr_db)) as f32;
-        let per_axis = (noise_var / 2.0).sqrt();
-        let mut out = Vec::with_capacity(symbols.len());
-        // SAFETY: dispatch only routes here when AVX2 was detected.
-        unsafe { avx2::add_noise(&mut self.rng, per_axis, symbols, &mut out) };
-        (out, noise_var)
-    }
-
-    /// Vectorized [`AwgnChannel::apply_with`]: same per-chunk stream
-    /// split (serial chunk order, worker-count independent), with each
-    /// chunk's noise generated by the 8-lane Box-Muller. Same tolerance
-    /// gating as [`AwgnChannel::apply_avx2`].
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) fn apply_with_avx2(
-        &mut self,
-        pool: &WorkerPool,
-        symbols: &[Cplx],
-        snr_db: f64,
-    ) -> (Vec<Cplx>, f32) {
-        let noise_var = (1.0 / db_to_linear(snr_db)) as f32;
-        let per_axis = (noise_var / 2.0).sqrt();
-        let mut base = self.rng.fork("awgn-chunks");
-        let jobs: Vec<_> = symbols
-            .chunks(CHANNEL_CHUNK)
-            .enumerate()
-            .map(|(i, chunk)| {
-                let mut rng = base.split(i as u64);
-                let chunk = chunk.to_vec();
-                move || {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    // SAFETY: dispatch only routes here when AVX2 was
-                    // detected.
-                    unsafe { avx2::add_noise(&mut rng, per_axis, &chunk, &mut out) };
-                    out
-                }
-            })
-            .collect();
-        let mut out = Vec::with_capacity(symbols.len());
-        for part in pool.run(jobs) {
-            out.extend(part);
-        }
-        (out, noise_var)
-    }
-
     /// Replace symbols entirely with noise — what the PHY sees when
     /// fronthaul packets are lost and it processes garbage IQ (§4:
     /// "indistinguishable from a noisy wireless channel").
@@ -177,174 +126,6 @@ impl AwgnChannel {
             })
             .collect();
         (out, 1.0)
-    }
-}
-
-/// 8-lane f32 Box-Muller AWGN generator.
-///
-/// Each symbol consumes exactly one `u64` from the stream (serially, so
-/// the realization is lane-layout independent): the top 24 bits make
-/// `u1 ∈ (0, 1]`, the next 24 make `u2 ∈ [0, 1)`, and the noise pair is
-/// `per_axis · √(−2 ln u1) · (cos 2πu2, sin 2πu2)`. `ln` is an
-/// atanh-series after exponent extraction; sin/cos use Cody–Waite range
-/// reduction with the cephes minimax polynomials (~1 ulp over the
-/// reduced range) — plenty for a noise source that is validated
-/// statistically, not bitwise.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::Cplx;
-    use slingshot_sim::SimRng;
-    use std::arch::x86_64::*;
-
-    /// 2⁻²⁴: scales a 24-bit integer into [0, 1).
-    const INV24: f32 = 1.0 / 16_777_216.0;
-
-    /// Append `src + noise` to `dst`.
-    ///
-    /// # Safety
-    /// Requires AVX2 (caller checks `is_x86_feature_detected!`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_noise(
-        rng: &mut SimRng,
-        per_axis: f32,
-        src: &[Cplx],
-        dst: &mut Vec<Cplx>,
-    ) {
-        let n = src.len();
-        let chunks = n / 8;
-        let pa = _mm256_set1_ps(per_axis);
-        let inv24 = _mm256_set1_ps(INV24);
-        let start = dst.len();
-        dst.reserve(n);
-        for c in 0..chunks {
-            let mut u1i = [0i32; 8];
-            let mut u2i = [0i32; 8];
-            for (a, b) in u1i.iter_mut().zip(u2i.iter_mut()) {
-                let x = rng.next_u64();
-                *a = ((x >> 40) as i32) + 1; // (0, 2^24]
-                *b = ((x >> 16) & 0xFF_FFFF) as i32; // [0, 2^24)
-            }
-            let u1 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_loadu_si256(u1i.as_ptr() as *const __m256i)),
-                inv24,
-            );
-            let u2 = _mm256_mul_ps(
-                _mm256_cvtepi32_ps(_mm256_loadu_si256(u2i.as_ptr() as *const __m256i)),
-                inv24,
-            );
-            let r = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), ln_ps(u1)));
-            let theta = _mm256_mul_ps(u2, _mm256_set1_ps(core::f32::consts::TAU));
-            let (sin, cos) = sincos_ps(theta);
-            let nre = _mm256_mul_ps(pa, _mm256_mul_ps(r, cos));
-            let nim = _mm256_mul_ps(pa, _mm256_mul_ps(r, sin));
-            // Interleave the per-axis noise back into re/im pairs and
-            // add the source symbols (`Cplx` is repr(C)).
-            let lo = _mm256_unpacklo_ps(nre, nim);
-            let hi = _mm256_unpackhi_ps(nre, nim);
-            let n0 = _mm256_permute2f128_ps::<0x20>(lo, hi);
-            let n1 = _mm256_permute2f128_ps::<0x31>(lo, hi);
-            let sp = src.as_ptr().add(c * 8) as *const f32;
-            let o0 = _mm256_add_ps(_mm256_loadu_ps(sp), n0);
-            let o1 = _mm256_add_ps(_mm256_loadu_ps(sp.add(8)), n1);
-            let dp = dst.as_mut_ptr().add(start + c * 8) as *mut f32;
-            _mm256_storeu_ps(dp, o0);
-            _mm256_storeu_ps(dp.add(8), o1);
-        }
-        dst.set_len(start + chunks * 8);
-        // Tail symbols: same one-u64-per-symbol recipe, scalar math.
-        for s in &src[chunks * 8..] {
-            let x = rng.next_u64();
-            let u1 = (((x >> 40) as f32) + 1.0) * INV24;
-            let u2 = (((x >> 16) & 0xFF_FFFF) as f32) * INV24;
-            let r = (-2.0 * u1.ln()).sqrt();
-            let th = core::f32::consts::TAU * u2;
-            dst.push(*s + Cplx::new(per_axis * r * th.cos(), per_axis * r * th.sin()));
-        }
-    }
-
-    /// Natural log for normal positive inputs (here u1 ∈ (0, 1]):
-    /// exponent extraction plus a 6-term atanh series on the mantissa.
-    #[target_feature(enable = "avx2")]
-    unsafe fn ln_ps(x: __m256) -> __m256 {
-        let bits = _mm256_castps_si256(x);
-        let e = _mm256_sub_epi32(_mm256_srli_epi32::<23>(bits), _mm256_set1_epi32(127));
-        let m = _mm256_castsi256_ps(_mm256_or_si256(
-            _mm256_and_si256(bits, _mm256_set1_epi32(0x007F_FFFF)),
-            _mm256_set1_epi32(0x3F80_0000),
-        ));
-        // ln m = 2·atanh(s), s = (m−1)/(m+1) ∈ [−1/3, 1/3).
-        let one = _mm256_set1_ps(1.0);
-        let s = _mm256_div_ps(_mm256_sub_ps(m, one), _mm256_add_ps(m, one));
-        let s2 = _mm256_mul_ps(s, s);
-        let mut p = _mm256_set1_ps(1.0 / 11.0);
-        for coeff in [1.0 / 9.0, 1.0 / 7.0, 1.0 / 5.0, 1.0 / 3.0, 1.0] {
-            p = _mm256_add_ps(_mm256_mul_ps(p, s2), _mm256_set1_ps(coeff));
-        }
-        let lnm = _mm256_mul_ps(_mm256_set1_ps(2.0), _mm256_mul_ps(s, p));
-        _mm256_add_ps(
-            lnm,
-            _mm256_mul_ps(
-                _mm256_cvtepi32_ps(e),
-                _mm256_set1_ps(core::f32::consts::LN_2),
-            ),
-        )
-    }
-
-    /// Simultaneous sin/cos for x ∈ [0, 2π): quarter-circle Cody–Waite
-    /// reduction, cephes minimax polynomials, quadrant select by k.
-    // Constants are quoted at cephes' published precision; f32 rounds
-    // them itself.
-    #[allow(clippy::excessive_precision)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sincos_ps(x: __m256) -> (__m256, __m256) {
-        // k = round(x · 2/π); r = x − k·π/2 in three exact-ish steps.
-        const DP1: f32 = 1.570_312_5;
-        const DP2: f32 = 4.837_512_969_970_703_125e-4;
-        const DP3: f32 = 7.549_789_948_768_648e-8;
-        let kf = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
-            _mm256_mul_ps(x, _mm256_set1_ps(core::f32::consts::FRAC_2_PI)),
-        );
-        let ki = _mm256_cvtps_epi32(kf);
-        let mut r = _mm256_sub_ps(x, _mm256_mul_ps(kf, _mm256_set1_ps(DP1)));
-        r = _mm256_sub_ps(r, _mm256_mul_ps(kf, _mm256_set1_ps(DP2)));
-        r = _mm256_sub_ps(r, _mm256_mul_ps(kf, _mm256_set1_ps(DP3)));
-        let z = _mm256_mul_ps(r, r);
-        // sin(r) ≈ r + r·z·(S1 + z·(S2 + z·S3))
-        let mut ps = _mm256_set1_ps(-1.951_529_589_1e-4);
-        ps = _mm256_add_ps(_mm256_mul_ps(ps, z), _mm256_set1_ps(8.332_160_873_6e-3));
-        ps = _mm256_add_ps(_mm256_mul_ps(ps, z), _mm256_set1_ps(-1.666_665_461_1e-1));
-        let sin_r = _mm256_add_ps(r, _mm256_mul_ps(_mm256_mul_ps(r, z), ps));
-        // cos(r) ≈ 1 − z/2 + z²·(C1 + z·(C2 + z·C3))
-        let mut pc = _mm256_set1_ps(2.443_315_711_809_948e-5);
-        pc = _mm256_add_ps(
-            _mm256_mul_ps(pc, z),
-            _mm256_set1_ps(-1.388_731_625_493_765e-3),
-        );
-        pc = _mm256_add_ps(
-            _mm256_mul_ps(pc, z),
-            _mm256_set1_ps(4.166_664_568_298_827e-2),
-        );
-        let cos_r = _mm256_add_ps(
-            _mm256_sub_ps(_mm256_set1_ps(1.0), _mm256_mul_ps(z, _mm256_set1_ps(0.5))),
-            _mm256_mul_ps(_mm256_mul_ps(z, z), pc),
-        );
-        // Quadrant: swap sin/cos when k odd; negate sin when k&2, cos
-        // when (k+1)&2.
-        let one_i = _mm256_set1_epi32(1);
-        let two_i = _mm256_set1_epi32(2);
-        let swap = _mm256_castsi256_ps(_mm256_cmpeq_epi32(_mm256_and_si256(ki, one_i), one_i));
-        let sin_sign = _mm256_slli_epi32::<30>(_mm256_and_si256(ki, two_i));
-        let cos_sign =
-            _mm256_slli_epi32::<30>(_mm256_and_si256(_mm256_add_epi32(ki, one_i), two_i));
-        let sinx = _mm256_xor_ps(
-            _mm256_blendv_ps(sin_r, cos_r, swap),
-            _mm256_castsi256_ps(sin_sign),
-        );
-        let cosx = _mm256_xor_ps(
-            _mm256_blendv_ps(cos_r, sin_r, swap),
-            _mm256_castsi256_ps(cos_sign),
-        );
-        (sinx, cosx)
     }
 }
 
@@ -599,78 +380,6 @@ mod tests {
             .sum::<f32>()
             / a.len() as f32;
         assert!((measured - nv_a).abs() < 0.005, "measured={measured}");
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn simd_noise_power_matches_snr() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return; // skip-clean: host can't run the kernel under test
-        }
-        let mut ch = AwgnChannel::new(SimRng::new(1));
-        let symbols = vec![Cplx::new(1.0, 0.0); 50_000];
-        let (noisy, nv) = ch.apply_avx2(&symbols, 10.0);
-        assert!((nv - 0.1).abs() < 1e-6);
-        let measured: f32 = noisy
-            .iter()
-            .zip(&symbols)
-            .map(|(a, b)| (*a - *b).norm_sq())
-            .sum::<f32>()
-            / symbols.len() as f32;
-        assert!((measured - 0.1).abs() < 0.01, "measured={measured}");
-        // Per-axis mean is ~zero (no DC bias from the approximations).
-        let mean_re: f32 = noisy
-            .iter()
-            .zip(&symbols)
-            .map(|(a, b)| a.re - b.re)
-            .sum::<f32>()
-            / noisy.len() as f32;
-        let mean_im: f32 = noisy
-            .iter()
-            .zip(&symbols)
-            .map(|(a, b)| a.im - b.im)
-            .sum::<f32>()
-            / noisy.len() as f32;
-        assert!(
-            mean_re.abs() < 0.01 && mean_im.abs() < 0.01,
-            "bias {mean_re}/{mean_im}"
-        );
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn simd_apply_with_is_worker_count_independent() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return; // skip-clean
-        }
-        let symbols = vec![Cplx::new(1.0, -1.0); 3 * CHANNEL_CHUNK + 17];
-        let mut ch1 = AwgnChannel::new(SimRng::new(9));
-        let mut ch4 = AwgnChannel::new(SimRng::new(9));
-        let (a, nv_a) = ch1.apply_with_avx2(&WorkerPool::serial(), &symbols, 12.0);
-        let (b, nv_b) = ch4.apply_with_avx2(&WorkerPool::with_threads(4), &symbols, 12.0);
-        assert_eq!(a, b);
-        assert_eq!(nv_a, nv_b);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn simd_noise_is_decodable() {
-        // End-to-end sanity: QAM16 through the vector channel demaps
-        // with the expected error behavior at high and low SNR.
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return; // skip-clean
-        }
-        let mut ch = AwgnChannel::new(SimRng::new(2));
-        let bits: Vec<u8> = (0..4000).map(|i| ((i * 13) % 2) as u8).collect();
-        let syms = modulate(&bits, Modulation::Qam16);
-        let (clean, nv) = ch.apply_avx2(&syms, 30.0);
-        let rx = hard_decide(&demodulate_llr(&clean, Modulation::Qam16, nv));
-        let errs_hi = rx.iter().zip(&bits).filter(|(a, b)| a != b).count();
-        assert_eq!(errs_hi, 0);
-        let (dirty, nv) = ch.apply_avx2(&syms, -5.0);
-        let rx = hard_decide(&demodulate_llr(&dirty, Modulation::Qam16, nv));
-        let errs_lo = rx.iter().zip(&bits).filter(|(a, b)| a != b).count();
-        assert!(errs_lo > 800, "errs_lo={errs_lo}");
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! (`DeploymentBuilder::kernel_backend(...)` → `Engine` → `Ctx`) and
 //! handed down the call chain like the worker pool.
 //!
-//! ## Exactness contract
+//! ## Backend contract
 //!
-//! The scalar implementations are the oracle. The AVX2 variants of
-//! LDPC, demap and BFP are **bit-exact**: every f32/integer result is
-//! identical to scalar, so backend selection can never change a golden
+//! The scalar implementations are the oracle. A kernel has a SIMD arm
+//! only if the arm is **bit-identical** to scalar and **faster** than
+//! it on this repo's own measurements (`kernel_bench` fails when a
+//! detected arm loses), so backend selection can never change a golden
 //! trace hash (`tests/kernel_equiv.rs` proves this per available
-//! backend). AWGN is the one **tolerance-gated** kernel: its vector
-//! form is a different (statistically identical) noise realization, so
-//! it only engages when [`KernelConfig::tolerance`] is explicitly
-//! raised above zero — the default keeps AWGN scalar on every backend.
+//! backend). Demap and BFP carry an AVX2 arm; LDPC decode and AWGN are
+//! one scalar implementation on every backend and pass through here so
+//! callers keep a single seam.
 
 use crate::channel::AwgnChannel;
 use crate::iq::{BfpPrb, Cplx, SC_PER_PRB};
@@ -26,16 +26,16 @@ use crate::scratch::default_scratch_pool;
 use crate::tbchain::{self, TbDecodeOutcome, TbParams};
 use slingshot_sim::{KernelBackend, KernelConfig, WorkerPool};
 
-/// Backend-dispatched entry points for the four hot DSP kernels.
+/// Backend-dispatched entry points for the hot DSP kernels.
 ///
-/// Cheap to copy (two words); capture it by value in worker closures.
+/// Cheap to copy; capture it by value in worker closures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DspKernels {
     cfg: KernelConfig,
 }
 
 impl DspKernels {
-    /// The best backend this host supports (bit-exact kernels only).
+    /// The best backend this host supports.
     pub fn detect() -> DspKernels {
         DspKernels {
             cfg: KernelConfig::detect(),
@@ -50,7 +50,7 @@ impl DspKernels {
     }
 
     /// A specific backend; falls back to scalar if the host cannot
-    /// execute it (same results either way, by the exactness contract).
+    /// execute it (same results either way, by the backend contract).
     pub fn forced(backend: KernelBackend) -> DspKernels {
         DspKernels {
             cfg: KernelConfig::forced(backend),
@@ -69,15 +69,8 @@ impl DspKernels {
     /// cross a process boundary), falling back to scalar if needed.
     pub fn from_config(cfg: KernelConfig) -> DspKernels {
         DspKernels {
-            cfg: KernelConfig::forced(cfg.backend).with_tolerance(cfg.tolerance),
+            cfg: KernelConfig::forced(cfg.backend),
         }
-    }
-
-    /// Permit tolerance-gated SIMD variants (currently: AWGN) up to
-    /// `tol` relative deviation. Opts out of byte-identical traces.
-    pub fn with_tolerance(mut self, tol: f32) -> DspKernels {
-        self.cfg.tolerance = tol;
-        self
     }
 
     pub fn backend(&self) -> KernelBackend {
@@ -98,8 +91,9 @@ impl DspKernels {
         self.cfg.backend == KernelBackend::Avx2
     }
 
-    /// LDPC normalized min-sum decode (bit-exact across backends). See
-    /// [`LdpcCode::decode_into`] for semantics.
+    /// LDPC normalized min-sum decode: [`LdpcCode::decode_into`] on
+    /// every backend (there is one decoder; this is the seam a vector
+    /// form would refill once it meets the backend contract).
     pub fn ldpc_decode_into(
         &self,
         code: &LdpcCode,
@@ -107,11 +101,6 @@ impl DspKernels {
         max_iters: usize,
         scratch: &mut LdpcScratch,
     ) -> (bool, usize) {
-        #[cfg(target_arch = "x86_64")]
-        if self.use_avx2() {
-            // SAFETY: backend is only Avx2 when the feature was detected.
-            return unsafe { code.decode_into_avx2(channel_llrs, max_iters, scratch) };
-        }
         code.decode_into(channel_llrs, max_iters, scratch)
     }
 
@@ -167,25 +156,19 @@ impl DspKernels {
         crate::iq::bfp_decompress_scalar(prb)
     }
 
-    /// AWGN at `snr_db` (serial). Tolerance-gated: the vector variant
-    /// is a different noise realization, so it only runs when this
-    /// handle's tolerance is above zero; otherwise scalar, regardless
-    /// of backend.
+    /// AWGN at `snr_db` (serial): [`AwgnChannel::apply`] on every
+    /// backend — one noise source, so one realization per seed.
     pub fn awgn_apply(
         &self,
         channel: &mut AwgnChannel,
         symbols: &[Cplx],
         snr_db: f64,
     ) -> (Vec<Cplx>, f32) {
-        #[cfg(target_arch = "x86_64")]
-        if self.use_avx2() && self.cfg.tolerance > 0.0 {
-            return channel.apply_avx2(symbols, snr_db);
-        }
         channel.apply(symbols, snr_db)
     }
 
     /// AWGN at `snr_db`, chunk-parallel over `pool` (worker-count
-    /// independent). Same tolerance gating as [`DspKernels::awgn_apply`].
+    /// independent): [`AwgnChannel::apply_with`] on every backend.
     pub fn awgn_apply_with(
         &self,
         channel: &mut AwgnChannel,
@@ -193,10 +176,6 @@ impl DspKernels {
         symbols: &[Cplx],
         snr_db: f64,
     ) -> (Vec<Cplx>, f32) {
-        #[cfg(target_arch = "x86_64")]
-        if self.use_avx2() && self.cfg.tolerance > 0.0 {
-            return channel.apply_with_avx2(pool, symbols, snr_db);
-        }
         channel.apply_with(pool, symbols, snr_db)
     }
 
@@ -260,14 +239,12 @@ mod tests {
     #[test]
     fn from_config_revalidates() {
         // A hand-built config naming an unavailable backend must land
-        // on scalar with the tolerance preserved.
+        // on scalar.
         let cfg = KernelConfig {
             backend: KernelBackend::Avx2,
-            tolerance: 0.25,
         };
         let k = DspKernels::from_config(cfg);
         assert!(k.backend().available());
-        assert_eq!(k.config().tolerance, 0.25);
     }
 
     #[test]
@@ -309,46 +286,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn awgn_stays_scalar_without_tolerance() {
-        // Same RNG seed: with tolerance 0 every backend must produce
-        // the scalar byte-identical realization.
-        let syms = vec![Cplx::new(0.7, -0.7); 1000];
-        let oracle = {
-            let mut ch = AwgnChannel::new(SimRng::new(5));
-            DspKernels::scalar().awgn_apply(&mut ch, &syms, 8.0).0
-        };
-        for b in KernelBackend::all_available() {
-            let mut ch = AwgnChannel::new(SimRng::new(5));
-            let got = DspKernels::forced(b).awgn_apply(&mut ch, &syms, 8.0).0;
-            assert_eq!(oracle, got, "backend {b}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn awgn_tolerance_engages_simd_realization() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return; // skip-clean
-        }
-        let syms = vec![Cplx::new(0.7, -0.7); 1000];
-        let mk = || AwgnChannel::new(SimRng::new(5));
-        let scalar = DspKernels::scalar().awgn_apply(&mut mk(), &syms, 8.0).0;
-        let simd = DspKernels::forced(KernelBackend::Avx2)
-            .with_tolerance(1e-3)
-            .awgn_apply(&mut mk(), &syms, 8.0)
-            .0;
-        assert_ne!(scalar, simd, "tolerance should switch realizations");
-        // Still the right noise power.
-        let p: f32 = simd
-            .iter()
-            .zip(&syms)
-            .map(|(a, b)| (*a - *b).norm_sq())
-            .sum::<f32>()
-            / syms.len() as f32;
-        let nv = 10f32.powf(-0.8);
-        assert!((p - nv).abs() < 0.03 * nv.max(1.0), "p={p} nv={nv}");
     }
 }

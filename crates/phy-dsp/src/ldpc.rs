@@ -198,7 +198,7 @@ impl LdpcCode {
     /// [`LdpcCode::parity_ok`] evaluated directly on posterior LLR
     /// signs — exactly the parity check of the implied hard decisions
     /// (`llr < 0`), without materializing the hard-decision word. The
-    /// decoders call this once per iteration; the hard word itself is
+    /// decoder calls this once per iteration; the hard word itself is
     /// only built when the decode loop exits.
     fn parity_ok_totals(&self, total: &[f32]) -> bool {
         debug_assert_eq!(total.len(), self.n());
@@ -208,7 +208,7 @@ impl LdpcCode {
             let mut acc = prev ^ cur;
             for &col in self.info_row(i) {
                 // SAFETY: construction stores only column indices < k,
-                // and both decoders size `total` to n > k (asserted on
+                // and the decoder sizes `total` to n > k (asserted on
                 // entry against the channel LLR length).
                 acc ^= (unsafe { *total.get_unchecked(col as usize) } < 0.0) as u8;
             }
@@ -273,21 +273,6 @@ impl LdpcCode {
         (false, iters)
     }
 
-    /// AVX2 decode: bit-identical to [`LdpcCode::decode_into`] (see the
-    /// `avx2` module docs for the equivalence argument).
-    ///
-    /// # Safety
-    /// Requires AVX2 (caller checks `is_x86_feature_detected!`).
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) unsafe fn decode_into_avx2(
-        &self,
-        channel_llrs: &[f32],
-        max_iters: usize,
-        scratch: &mut LdpcScratch,
-    ) -> (bool, usize) {
-        avx2::decode_into(self, channel_llrs, max_iters, scratch)
-    }
-
     /// Decode from channel LLRs (allocating convenience wrapper around
     /// [`LdpcCode::decode_into`]).
     pub fn decode(&self, channel_llrs: &[f32], max_iters: usize) -> LdpcDecodeResult {
@@ -302,7 +287,7 @@ impl LdpcCode {
 }
 
 /// Rebuild the hard-decision word from the posterior LLR signs — the
-/// decoders call this only when the decode loop exits, not per
+/// decoder calls this only when the decode loop exits, not per
 /// iteration (the per-iteration parity check reads signs directly via
 /// [`LdpcCode::parity_ok_totals`]).
 fn harden(total: &[f32], hard: &mut Vec<u8>) {
@@ -310,9 +295,8 @@ fn harden(total: &[f32], hard: &mut Vec<u8>) {
     hard.extend(total.iter().map(|l| (*l < 0.0) as u8));
 }
 
-/// One check-row min-sum sweep (both passes) — the scalar oracle row
-/// body, shared by [`LdpcCode::decode_into`] and the SIMD decoder's
-/// fallback for rows wider than its lane count.
+/// One check-row min-sum sweep (both passes) of
+/// [`LdpcCode::decode_into`].
 ///
 /// `vars` are the row's variable indices; `c2v` and `vc` are this row's
 /// slices of the per-edge message buffers.
@@ -329,7 +313,7 @@ fn row_sweep_scalar(vars: &[u32], c2v: &mut [f32], vc: &mut [f32], total: &mut [
     let mut min_idx = 0usize;
     for (j, ((&v, &msg), vcj)) in vars.iter().zip(c2v.iter()).zip(vc.iter_mut()).enumerate() {
         // SAFETY: edge variable indices are < n by construction
-        // (debug-asserted above); `total` has length n in both callers.
+        // (debug-asserted above); `total` has length n in the caller.
         let v2c = unsafe { *total.get_unchecked(v as usize) } - msg;
         *vcj = v2c;
         let a = v2c.abs();
@@ -355,191 +339,12 @@ fn row_sweep_scalar(vars: &[u32], c2v: &mut [f32], vc: &mut [f32], total: &mut [
         let mag = if j == min_idx { p2 } else { p1 };
         // Sign application via sign-bit XOR — bit-identical to the
         // branchy `±mag` select (mag is +INF when every |v2c| fold
-        // failed, never NaN) and the same trick the AVX2 kernel uses.
+        // failed, never NaN).
         let sign = (neg_parity ^ ((v2c < 0.0) as u32)) << 31;
         let new_c2v = f32::from_bits(mag.to_bits() ^ sign);
         // SAFETY: same index invariant as the first pass.
         unsafe { *total.get_unchecked_mut(v as usize) = v2c + new_c2v };
         *msg = new_c2v;
-    }
-}
-
-/// AVX2 min-sum decoder: vectorizes *within* each check row (rows are
-/// sequentially dependent through the staircase parity totals, so the
-/// row order must stay serial). One 8-lane masked vector covers a
-/// whole row; wider rows fall back to [`row_sweep_scalar`].
-///
-/// The vector kernel only engages for rows with
-/// [`MIN_SIMD_ROW_EDGES`]..=8 edges. Below that the lane occupancy is
-/// too low to pay for the masked gather: measured on a Skylake-class
-/// Xeon, an average row of ~3.5 edges runs ~25% *slower* through the
-/// masked kernel than through the scalar two-smallest sweep (whose
-/// branches are cheap precisely because narrow rows keep them
-/// predictable), while rows at 6+ edges amortize the fixed gather +
-/// horizontal-min cost. The random column placement still produces a
-/// tail of wide rows, so the kernel stays exercised; codes with denser
-/// check rows engage it for nearly every row. Threshold choice cannot
-/// affect results — both sweeps are bit-exact against each other.
-///
-/// Bit-exactness versus the scalar oracle:
-/// - v2c = gather(total) − c2v and the final total = v2c + c2v′ are the
-///   same single subtract/add per lane.
-/// - The sign predicate `v2c < 0.0` is `_CMP_LT_OQ` (NaN → false, −0.0
-///   → false), identical to the scalar comparison; parity is the
-///   popcount of the active sign bits.
-/// - min1 is the horizontal min of |v2c| with NaN and inactive lanes
-///   masked to +∞ — order-independent, equal to the scalar fold (which
-///   skips NaNs because its comparisons fail). min_idx is the first
-///   active lane equal to min1; when magnitudes tie, min1 == min2 so
-///   the choice of index cannot change any message. min2 re-mins with
-///   the chosen lane masked to +∞.
-/// - p1/p2 are the identical scalar products `0.75 * min`, broadcast;
-///   each lane picks p2 at min_idx else p1 and applies the XOR'd sign
-///   bit, exactly the scalar `±mag` selection.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{row_sweep_scalar, LdpcCode, LdpcScratch, MIN_SUM_NORM};
-    use std::arch::x86_64::*;
-
-    /// Narrowest row the masked vector kernel pays for (see module
-    /// docs); narrower rows take the scalar sweep.
-    const MIN_SIMD_ROW_EDGES: usize = 6;
-
-    /// `LANE_MASK[len]`: lane j active (all-ones) iff j < len.
-    static LANE_MASK: [[i32; 8]; 9] = {
-        let mut m = [[0i32; 8]; 9];
-        let mut len = 1;
-        while len <= 8 {
-            let mut j = 0;
-            while j < len {
-                m[len][j] = -1;
-                j += 1;
-            }
-            len += 1;
-        }
-        m
-    };
-
-    /// `LANE_ONE[i]`: only lane i active.
-    static LANE_ONE: [[i32; 8]; 8] = {
-        let mut m = [[0i32; 8]; 8];
-        let mut i = 0;
-        while i < 8 {
-            m[i][i] = -1;
-            i += 1;
-        }
-        m
-    };
-
-    /// Horizontal min over all 8 lanes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hmin8(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps::<1>(v);
-        let m = _mm_min_ps(lo, hi);
-        let m = _mm_min_ps(m, _mm_movehl_ps(m, m));
-        let m = _mm_min_ss(m, _mm_shuffle_ps::<0b01>(m, m));
-        _mm_cvtss_f32(m)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn decode_into(
-        code: &LdpcCode,
-        channel_llrs: &[f32],
-        max_iters: usize,
-        scratch: &mut LdpcScratch,
-    ) -> (bool, usize) {
-        assert_eq!(channel_llrs.len(), code.n(), "llr length mismatch");
-        let m = code.m;
-        let edge_count = *code.row_start.last().unwrap() as usize;
-        scratch.c2v.clear();
-        scratch.c2v.resize(edge_count, 0.0);
-        scratch.v2c.clear();
-        scratch.v2c.resize(edge_count, 0.0);
-        scratch.total.clear();
-        scratch.total.extend_from_slice(channel_llrs);
-        let mut iters = 0;
-        if code.parity_ok_totals(&scratch.total) {
-            super::harden(&scratch.total, &mut scratch.hard);
-            return (true, 0);
-        }
-
-        let signbit = _mm256_set1_ps(-0.0);
-        let inf = _mm256_set1_ps(f32::INFINITY);
-        let zero = _mm256_setzero_ps();
-
-        for it in 1..=max_iters {
-            iters = it;
-            for row in 0..m {
-                let s = code.row_start[row] as usize;
-                let e = code.row_start[row + 1] as usize;
-                let len = e - s;
-                if !(MIN_SIMD_ROW_EDGES..=8).contains(&len) {
-                    row_sweep_scalar(
-                        &code.edge_var[s..e],
-                        &mut scratch.c2v[s..e],
-                        &mut scratch.v2c[s..e],
-                        &mut scratch.total,
-                    );
-                    continue;
-                }
-                let vars = &code.edge_var[s..e];
-                let active = _mm256_loadu_si256(LANE_MASK[len].as_ptr() as *const __m256i);
-                let active_ps = _mm256_castsi256_ps(active);
-                let vidx = _mm256_maskload_epi32(vars.as_ptr() as *const i32, active);
-                let totals =
-                    _mm256_mask_i32gather_ps::<4>(zero, scratch.total.as_ptr(), vidx, active_ps);
-                let msgs = _mm256_maskload_ps(scratch.c2v.as_ptr().add(s), active);
-                let v2c = _mm256_sub_ps(totals, msgs);
-                _mm256_maskstore_ps(scratch.v2c.as_mut_ptr().add(s), active, v2c);
-                let negm = _mm256_cmp_ps::<_CMP_LT_OQ>(v2c, zero);
-                let lane_bits = (1u32 << len) - 1;
-                let neg_bits = _mm256_movemask_ps(negm) as u32 & lane_bits;
-                let neg_parity = neg_bits.count_ones() & 1;
-                // |v2c| with NaN and inactive lanes blended to +INF.
-                let a = _mm256_andnot_ps(signbit, v2c);
-                let valid = _mm256_and_ps(_mm256_cmp_ps::<_CMP_ORD_Q>(a, a), active_ps);
-                let a1 = _mm256_blendv_ps(inf, a, valid);
-                let min1 = hmin8(a1);
-                let eq_bits =
-                    _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(a1, _mm256_set1_ps(min1)))
-                        as u32
-                        & lane_bits;
-                debug_assert_ne!(eq_bits, 0);
-                // min(·, 7) is unreachable defense: some active lane
-                // always equals the horizontal min (inactive lanes are
-                // +INF, and +INF == +INF when everything is masked).
-                let min_idx = (eq_bits.trailing_zeros() as usize).min(7);
-                let one_ps = _mm256_castsi256_ps(_mm256_loadu_si256(
-                    LANE_ONE[min_idx].as_ptr() as *const __m256i
-                ));
-                let min2 = hmin8(_mm256_blendv_ps(a1, inf, one_ps));
-                let p1 = MIN_SUM_NORM * min1;
-                let p2 = MIN_SUM_NORM * min2;
-                let mag = _mm256_blendv_ps(_mm256_set1_ps(p1), _mm256_set1_ps(p2), one_ps);
-                let mut signs = _mm256_and_ps(negm, signbit);
-                if neg_parity != 0 {
-                    signs = _mm256_xor_ps(signs, signbit);
-                }
-                let new_c2v = _mm256_xor_ps(mag, signs);
-                let new_total = _mm256_add_ps(v2c, new_c2v);
-                _mm256_maskstore_ps(scratch.c2v.as_mut_ptr().add(s), active, new_c2v);
-                // Scatter the updated totals: variables within one row
-                // are distinct, so plain per-lane stores cannot clash.
-                let mut tbuf = [0f32; 8];
-                _mm256_storeu_ps(tbuf.as_mut_ptr(), new_total);
-                for (j, &v) in vars.iter().enumerate() {
-                    scratch.total[v as usize] = tbuf[j];
-                }
-            }
-            if code.parity_ok_totals(&scratch.total) {
-                super::harden(&scratch.total, &mut scratch.hard);
-                return (true, iters);
-            }
-        }
-        super::harden(&scratch.total, &mut scratch.hard);
-        (false, iters)
     }
 }
 

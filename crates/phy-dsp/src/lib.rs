@@ -12,8 +12,6 @@
 //!   with a configurable iteration budget (the paper's §8.3 upgrade knob)
 //! - [`ratematch`]: circular-buffer rate matching with redundancy
 //!   versions (incremental redundancy / chase combining)
-//! - [`harq`]: soft-combining buffer pool — the inter-TTI state that
-//!   Slingshot discards during PHY migration (§4.2)
 //! - [`snr`]: pilot-based SNR estimation and the moving-average filter —
 //!   the other discarded inter-TTI state (§4.2)
 //! - [`channel`]: AWGN channel and per-UE SNR processes
@@ -28,7 +26,6 @@ pub mod bler;
 pub mod channel;
 pub mod crc;
 pub mod dispatch;
-pub mod harq;
 pub mod iq;
 pub mod ldpc;
 pub mod modulation;
@@ -41,7 +38,6 @@ pub mod tbchain;
 pub use bits::BitBuf;
 pub use channel::{AwgnChannel, SnrProcess, SnrProcessConfig};
 pub use dispatch::DspKernels;
-pub use harq::{HarqPool, SoftBuffer, HARQ_PROCESSES, MAX_HARQ_TX};
 pub use iq::{Cplx, SC_PER_PRB};
 pub use ldpc::{LdpcCode, LdpcScratch};
 pub use modulation::Modulation;

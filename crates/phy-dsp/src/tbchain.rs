@@ -9,9 +9,9 @@
 //!        → CRC check → payload | failure
 //! ```
 //!
-//! The HARQ soft buffer is passed in by the caller ([`crate::harq`]),
-//! which is what lets the PHY — and Slingshot's migration — own or
-//! discard that state explicitly.
+//! The HARQ soft buffer is passed in by the caller (`ran::fidelity`'s
+//! `RxProcessPool` owns the live ones), which is what lets the PHY —
+//! and Slingshot's migration — own or discard that state explicitly.
 //!
 //! Bits move through the chain packed 64 per word ([`BitBuf`]), the
 //! scrambling sequence comes from the per-thread

@@ -24,7 +24,7 @@ use slingshot_phy_dsp::scramble::{
     cached_sequence, descramble_llrs_packed, scramble_bits_with, scramble_packed, GoldSequence,
 };
 use slingshot_phy_dsp::Cplx;
-use slingshot_phy_dsp::{DspKernels, KernelBackend};
+use slingshot_phy_dsp::{mother_buffer_len, DspKernels, KernelBackend, TbParams};
 use slingshot_sim::SimRng;
 
 // ---------------------------------------------------------------- CRC
@@ -524,55 +524,13 @@ proptest! {
 // oracle, via `DspKernels::forced`. `KernelBackend::all_available()`
 // returns only backends this host can run, so on a machine without
 // AVX2 these properties degenerate to scalar-vs-scalar and pass
-// vacuously — skip-clean by construction. LDPC, demap and BFP are part
-// of the always-on exactness contract, so every f32 is compared via
-// `to_bits`; AWGN is compared bytewise at tolerance 0 (where SIMD must
-// stay disengaged) and statistically under a nonzero tolerance.
+// vacuously — skip-clean by construction. Every kernel with a backend
+// arm (demap, BFP) is compared with every f32 via `to_bits`, and the
+// transport-block chain is compared end to end so the demapper's
+// lead/trim/erasure handling is checked where it is used.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn ldpc_decode_bit_exact_across_backends(
-        k in 8usize..128,
-        seed in any::<u64>(),
-        snr_db in 0.0f32..6.0,
-        max_iters in 1usize..12,
-    ) {
-        let code = LdpcCode::new(k);
-        let mut rng = SimRng::new(seed);
-        let info: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
-        let cw = code.encode(&info);
-        let sigma2 = 10f32.powf(-snr_db / 10.0);
-        let llrs: Vec<f32> = cw
-            .iter()
-            .map(|&b| {
-                let x = if b == 0 { 1.0 } else { -1.0 };
-                let y = x + sigma2.sqrt() * rng.gaussian() as f32;
-                2.0 * y / sigma2
-            })
-            .collect();
-        let mut ref_scratch = LdpcScratch::default();
-        let (ref_ok, ref_iters) =
-            DspKernels::scalar().ldpc_decode_into(&code, &llrs, max_iters, &mut ref_scratch);
-        for backend in KernelBackend::all_available() {
-            let kernels = DspKernels::forced(backend);
-            let mut scratch = LdpcScratch::default();
-            let (ok, iters) = kernels.ldpc_decode_into(&code, &llrs, max_iters, &mut scratch);
-            prop_assert_eq!(ok, ref_ok, "parity outcome on {}", backend);
-            prop_assert_eq!(iters, ref_iters, "iteration count on {}", backend);
-            prop_assert_eq!(&scratch.hard, &ref_scratch.hard, "hard bits on {}", backend);
-            for (i, (a, b)) in scratch.total.iter().zip(ref_scratch.total.iter()).enumerate() {
-                prop_assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "total[{}] differs on {}",
-                    i,
-                    backend
-                );
-            }
-        }
-    }
 
     #[test]
     fn demap_bit_exact_across_backends(
@@ -626,60 +584,65 @@ proptest! {
     }
 
     #[test]
-    fn awgn_byte_exact_across_backends_at_zero_tolerance(
+    fn tb_chain_bit_exact_across_backends(
         seed in any::<u64>(),
-        snr_db in -2.0f64..30.0,
-        n in 1usize..600,
+        payload_bytes in 20usize..400,
+        snr_db in 2.0f64..14.0,
+        m_idx in 0usize..4,
+        lost_eighths in 0usize..4,
     ) {
-        let symbols: Vec<Cplx> = (0..n)
-            .map(|i| Cplx::new((i as f32 * 0.37).cos(), (i as f32 * 0.37).sin()))
-            .collect();
-        let mut ref_ch = AwgnChannel::new(SimRng::new(seed));
-        let (ref_out, ref_nv) = DspKernels::scalar().awgn_apply(&mut ref_ch, &symbols, snr_db);
-        for backend in KernelBackend::all_available() {
-            // tolerance defaults to 0.0: the SIMD sampler must stay
-            // disengaged so the noise stream is the golden one.
-            let kernels = DspKernels::forced(backend);
-            let mut ch = AwgnChannel::new(SimRng::new(seed));
-            let (out, nv) = kernels.awgn_apply(&mut ch, &symbols, snr_db);
-            prop_assert_eq!(nv.to_bits(), ref_nv.to_bits(), "noise var on {}", backend);
-            for (i, (a, b)) in out.iter().zip(ref_out.iter()).enumerate() {
-                prop_assert_eq!(a.re.to_bits(), b.re.to_bits(), "re[{}] on {}", i, backend);
-                prop_assert_eq!(a.im.to_bits(), b.im.to_bits(), "im[{}] on {}", i, backend);
+        let modulation =
+            [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64, Modulation::Qam256][m_idx];
+        let bps = modulation.bits_per_symbol();
+        let mut rng = SimRng::new(seed);
+        let payload: Vec<u8> = (0..payload_bytes).map(|_| rng.next_u64() as u8).collect();
+        // Rate ~1/2 in whole symbols. The per-block shares of `e_bits`
+        // are not symbol-aligned, so blocks past the first start
+        // mid-symbol (lead trim); `lost_eighths` drops the tail of the
+        // symbol vector (lost fronthaul packets → erasure padding).
+        let e_bits = ((payload_bytes + 3) * 16).div_ceil(bps) * bps;
+        let backends = KernelBackend::all_available();
+        let mut ref_acc = vec![0.0f32; mother_buffer_len(payload_bytes)];
+        let mut accs = vec![ref_acc.clone(); backends.len()];
+        let mut ch = AwgnChannel::new(SimRng::new(seed ^ 0xA5));
+        // rv 0 then rv 2 into the same accumulator: the second decode
+        // starts from whatever soft bits the first one left behind.
+        for rv in [0u8, 2] {
+            let p = TbParams {
+                modulation,
+                e_bits,
+                rnti: 0x4601,
+                cell_id: 7,
+                rv,
+                fec_iterations: 8,
+            };
+            let tx = DspKernels::scalar().encode_tb(&payload, &p);
+            let (mut rx, nv) = ch.apply(&tx, snr_db);
+            rx.truncate(rx.len() - rx.len() * lost_eighths / 8);
+            let expect = DspKernels::scalar().decode_tb(&mut ref_acc, &rx, nv, payload_bytes, &p);
+            for (&backend, acc) in backends.iter().zip(accs.iter_mut()) {
+                let kernels = DspKernels::forced(backend);
+                prop_assert_eq!(&kernels.encode_tb(&payload, &p), &tx, "tx symbols on {}", backend);
+                let got = kernels.decode_tb(acc, &rx, nv, payload_bytes, &p);
+                prop_assert_eq!(&got.payload, &expect.payload, "payload on {}", backend);
+                prop_assert_eq!(
+                    got.ldpc_iterations,
+                    expect.ldpc_iterations,
+                    "iterations on {}",
+                    backend
+                );
+                prop_assert_eq!(got.all_parity_ok, expect.all_parity_ok, "parity on {}", backend);
+                for (i, (a, b)) in acc.iter().zip(ref_acc.iter()).enumerate() {
+                    prop_assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "harq acc[{}] rv {} on {}",
+                        i,
+                        rv,
+                        backend
+                    );
+                }
             }
-        }
-    }
-
-    #[test]
-    fn awgn_tolerance_realization_is_statistically_equivalent(
-        seed in any::<u64>(),
-        snr_db in 3.0f64..20.0,
-    ) {
-        // Under a nonzero tolerance each backend may use its own
-        // sampler; the contract weakens from bitwise to statistical.
-        // 16k samples put the empirical noise power within a few
-        // percent of E[|n|^2] = nv with overwhelming probability.
-        let n = 8192;
-        let symbols = vec![Cplx::ZERO; n];
-        for backend in KernelBackend::all_available() {
-            let kernels = DspKernels::forced(backend).with_tolerance(0.05);
-            let mut ch = AwgnChannel::new(SimRng::new(seed));
-            let (out, nv) = kernels.awgn_apply(&mut ch, &symbols, snr_db);
-            let power: f64 = out.iter().map(|s| s.norm_sq() as f64).sum::<f64>() / n as f64;
-            let mean_re: f64 = out.iter().map(|s| s.re as f64).sum::<f64>() / n as f64;
-            prop_assert!(
-                (power / nv as f64 - 1.0).abs() < 0.1,
-                "noise power {} vs nv {} on {}",
-                power,
-                nv,
-                backend
-            );
-            prop_assert!(
-                mean_re.abs() < 0.05 * (nv as f64).sqrt().max(1e-6),
-                "DC bias {} on {}",
-                mean_re,
-                backend
-            );
         }
     }
 }

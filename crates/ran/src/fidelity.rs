@@ -202,9 +202,8 @@ pub fn encode_signal_with(
 
 /// Pass a signal through the channel at `snr_db` with chunk-parallel
 /// noise generation (per-chunk RNG streams: the same realization for
-/// any worker count). AWGN generation is dispatched through `kernels`
-/// (tolerance-gated: SIMD noise only when the handle's tolerance is
-/// raised; the default stays scalar).
+/// any worker count). AWGN generation goes through the `kernels` seam;
+/// it is one scalar noise source on every backend.
 pub fn apply_channel_with(
     kernels: DspKernels,
     pool: &WorkerPool,

@@ -6,6 +6,8 @@
 //! server — plus the global message type and the fidelity-aware DSP
 //! paths they share.
 
+#![forbid(unsafe_code)]
+
 pub mod cell;
 pub mod core_net;
 pub mod fidelity;

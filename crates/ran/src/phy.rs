@@ -193,10 +193,6 @@ impl PhyNode {
         self.stalled = stalled;
     }
 
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
-    }
-
     /// Recovery-orchestrator scrub: drop every per-RU soft state (the
     /// §4.2 point — nothing here is worth preserving) and clear crash
     /// flags, returning the process to a factory-fresh spare. Called
@@ -209,10 +205,6 @@ impl PhyNode {
         self.stalled = false;
         self.crash_time = None;
         self.started_at = None;
-    }
-
-    pub fn is_crashed(&self) -> bool {
-        self.crashed
     }
 
     /// Ablation hook: extract this RU's HARQ soft state (what a

@@ -7,9 +7,12 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use slingshot_fapi::{mcs_for_snr, tbs_bytes, PdschPdu, PuschPdu};
-use slingshot_phy_dsp::MAX_HARQ_TX;
 
 use crate::slice::{SliceKind, SliceProfile};
+
+/// Maximum HARQ transmissions (1 original + 3 retransmissions), as in
+/// the paper's description of 5G HARQ.
+pub const MAX_HARQ_TX: u8 = 4;
 
 /// Scheduling policy for splitting PRBs among UEs with traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,11 +137,8 @@ pub struct Scheduler {
     /// HARQ series abandoned after MAX_HARQ_TX attempts.
     pub ul_harq_failures: u64,
     pub dl_harq_failures: u64,
-    /// Slice membership; while empty, slicing is off and PRB splits are
-    /// byte-identical to the pre-slice scheduler.
+    /// Slice membership; a UE with no entry schedules as default eMBB.
     slices: BTreeMap<u16, SliceKind>,
-    /// Active per-slice policy, keyed by kind.
-    profiles: BTreeMap<SliceKind, SliceProfile>,
 }
 
 impl Scheduler {
@@ -155,7 +155,6 @@ impl Scheduler {
             ul_harq_failures: 0,
             dl_harq_failures: 0,
             slices: BTreeMap::new(),
-            profiles: BTreeMap::new(),
         }
     }
 
@@ -164,31 +163,18 @@ impl Scheduler {
             .insert(rnti, UeSchedState::new(rnti, initial_snr_db));
     }
 
-    pub fn remove_ue(&mut self, rnti: u16) {
-        self.ues.remove(&rnti);
-    }
-
-    /// Assign a UE to a slice, activating slice-aware scheduling (the
-    /// slice's default profile is installed if none is registered yet).
+    /// Assign a UE to a slice; it is scheduled under the slice's
+    /// [`SliceProfile::for_kind`] policy from then on.
     pub fn set_slice(&mut self, rnti: u16, kind: SliceKind) {
         self.slices.insert(rnti, kind);
-        self.profiles
-            .entry(kind)
-            .or_insert_with(|| SliceProfile::for_kind(kind));
     }
 
-    /// Replace a slice's policy profile.
-    pub fn set_slice_profile(&mut self, profile: SliceProfile) {
-        self.profiles.insert(profile.kind, profile);
-    }
-
-    /// A UE's slice, when slicing is active and it was assigned one.
+    /// A UE's slice, when it was assigned one.
     pub fn slice_of(&self, rnti: u16) -> Option<SliceKind> {
         self.slices.get(&rnti).copied()
     }
 
-    /// The policy-layer weight for one UE (shared by the legacy and
-    /// slice-aware PRB splits).
+    /// The policy-layer weight for one UE.
     fn policy_weight(&self, rnti: u16) -> f64 {
         match self.policy {
             Policy::RoundRobin => 1.0,
@@ -201,50 +187,21 @@ impl Scheduler {
         }
     }
 
-    /// Split `total_prbs` among the given UEs according to policy.
-    /// Returns (rnti, start_prb, num_prb) triples. With slices
-    /// registered ([`Scheduler::set_slice`]) the split becomes
-    /// slice-aware: strict priority ordering, per-UE PRB floors for
-    /// high-priority slices, and slice weight multipliers; with none,
-    /// the legacy split is used unchanged.
+    /// Split `total_prbs` among the given UEs. Returns (rnti,
+    /// start_prb, num_prb) triples. UEs are ordered by slice priority
+    /// (descending, stable within a class), each UE first receives its
+    /// slice's reserved floor, and the remaining PRBs are shared by
+    /// policy weight × slice weight. Allocations are emitted in
+    /// priority order, so URLLC occupies the lowest PRB indices. A UE
+    /// with no registered slice is default eMBB (floor 0, weight 1.0),
+    /// so a cell with no slices gets the plain policy-weighted split
+    /// in `eligible` order.
     pub fn split_prbs(&self, eligible: &[u16], total_prbs: u16) -> Vec<(u16, u16, u16)> {
         if eligible.is_empty() || total_prbs == 0 {
             return Vec::new();
         }
-        if !self.slices.is_empty() {
-            return self.split_prbs_sliced(eligible, total_prbs);
-        }
-        let weights: Vec<f64> = eligible.iter().map(|r| self.policy_weight(*r)).collect();
-        let wsum: f64 = weights.iter().sum();
-        let mut out = Vec::with_capacity(eligible.len());
-        let mut start = 0u16;
-        for (i, rnti) in eligible.iter().enumerate() {
-            let share = if i + 1 == eligible.len() {
-                total_prbs - start
-            } else {
-                ((total_prbs as f64 * weights[i] / wsum).floor() as u16).min(total_prbs - start)
-            };
-            if share > 0 {
-                out.push((*rnti, start, share));
-                start += share;
-            }
-        }
-        out
-    }
-
-    /// Slice-aware PRB split: UEs are ordered by slice priority
-    /// (descending, stable within a class), each UE first receives its
-    /// slice's reserved floor, and the remaining PRBs are shared by
-    /// policy weight × slice weight. Allocations are emitted in
-    /// priority order, so URLLC occupies the lowest PRB indices.
-    fn split_prbs_sliced(&self, eligible: &[u16], total_prbs: u16) -> Vec<(u16, u16, u16)> {
-        let embb = SliceProfile::for_kind(SliceKind::Embb);
-        let profile = |rnti: u16| -> &SliceProfile {
-            self.slices
-                .get(&rnti)
-                .and_then(|k| self.profiles.get(k))
-                .unwrap_or(&embb)
-        };
+        let profile =
+            |rnti: u16| SliceProfile::for_kind(self.slice_of(rnti).unwrap_or(SliceKind::Embb));
         let n = eligible.len();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(profile(eligible[i]).priority));

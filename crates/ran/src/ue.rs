@@ -430,6 +430,10 @@ impl UeNode {
             if self.cell.fidelity == Fidelity::Abstract {
                 signal.snr_db = self.current_snr_db;
             }
+            // The whole TB decode is one span; its LDPC share is not
+            // re-recorded under `ldpc_decode`, which stays the child of
+            // the PHY's `ul_decode` alone.
+            let decode_span = ctx.profiler().span("ue_decode", burst.slot.epoch_index());
             let out = self.dl_pool.receive_with(
                 kernels,
                 &pool,
@@ -442,6 +446,7 @@ impl UeNode {
                 dci.ndi,
                 &mut self.rng,
             );
+            drop(decode_span);
             let ok = out.payload.is_some();
             if ok {
                 self.dl_tbs_ok += 1;

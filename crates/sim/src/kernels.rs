@@ -8,20 +8,16 @@
 //! depends on this crate, so the engine cannot name `phy-dsp` types —
 //! the DSP crate wraps this config in its own dispatch handle.
 //!
-//! ## Exactness contract
+//! ## Backend contract
 //!
-//! Selecting a SIMD backend must not change any golden trace hash. The
-//! vectorized kernels are therefore split into two classes:
-//!
-//! - **Bit-exact** (LDPC min-sum sweeps, max-log demap folds, BFP
-//!   pack/unpack): the SIMD implementation reproduces the scalar f32
-//!   results bit-for-bit, so they run whenever the backend supports
-//!   them.
-//! - **Tolerance-gated** (AWGN generation): a vectorized variant would
-//!   be a different (statistically equivalent) noise realization, so it
-//!   only engages when [`KernelConfig::tolerance`] is explicitly raised
-//!   above zero. The default of `0.0` means "bit-exact only", which is
-//!   what CI's golden traces assert.
+//! A kernel has a SIMD arm only if the arm is **bit-identical** to the
+//! scalar reference *and* **faster** than it on this repo's own
+//! measurements (`kernel_bench` times both in one process and fails
+//! when a detected arm loses). Selecting a backend can therefore never
+//! change a golden trace hash, and the choice comes from the CPU —
+//! there is no user-set value that trades exactness for speed. Today
+//! the max-log demapper and BFP pack/unpack carry an AVX2 arm; the
+//! LDPC decoder and the AWGN source are scalar on every backend.
 
 use std::fmt;
 
@@ -100,23 +96,17 @@ impl fmt::Display for KernelBackend {
     }
 }
 
-/// Engine-carried kernel selection: the backend plus the tolerance knob
-/// gating non-bit-exact SIMD variants (see module docs).
+/// Engine-carried kernel selection (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KernelConfig {
     pub backend: KernelBackend,
-    /// Maximum relative f32 deviation permitted for kernels whose SIMD
-    /// variant cannot reproduce the scalar fold order. `0.0` (default)
-    /// keeps those kernels on the bit-exact path regardless of backend.
-    pub tolerance: f32,
 }
 
 impl KernelConfig {
-    /// Runtime-detected backend, bit-exact kernels only.
+    /// Runtime-detected backend.
     pub fn detect() -> KernelConfig {
         KernelConfig {
             backend: KernelBackend::detect(),
-            tolerance: 0.0,
         }
     }
 
@@ -124,55 +114,32 @@ impl KernelConfig {
     pub fn scalar() -> KernelConfig {
         KernelConfig {
             backend: KernelBackend::Scalar,
-            tolerance: 0.0,
         }
     }
 
-    /// A specific backend, bit-exact kernels only. Falls back to scalar
-    /// (with the same semantics, by the exactness contract) when the
-    /// host cannot execute `backend`.
+    /// A specific backend. Falls back to scalar (same results, by the
+    /// backend contract) when the host cannot execute `backend`.
     pub fn forced(backend: KernelBackend) -> KernelConfig {
         let backend = if backend.available() {
             backend
         } else {
             KernelBackend::Scalar
         };
-        KernelConfig {
-            backend,
-            tolerance: 0.0,
-        }
+        KernelConfig { backend }
     }
 
     /// Honor the `KERNEL_BACKEND` env override if set and valid, else
     /// runtime-detect. This is the engine default, so
     /// `KERNEL_BACKEND=scalar cargo test` forces the oracle everywhere
-    /// without touching any call site. `KERNEL_TOLERANCE=<f32>` opts a
-    /// run into the tolerance-gated SIMD variants (see
-    /// [`with_tolerance`](Self::with_tolerance)); unset or unparsable
-    /// means 0.0, i.e. byte-identical traces.
+    /// without touching any call site.
     pub fn from_env() -> KernelConfig {
-        let cfg = match std::env::var("KERNEL_BACKEND") {
+        match std::env::var("KERNEL_BACKEND") {
             Ok(s) => match KernelBackend::parse(&s) {
                 Some(b) => KernelConfig::forced(b),
                 None => KernelConfig::detect(),
             },
             Err(_) => KernelConfig::detect(),
-        };
-        match std::env::var("KERNEL_TOLERANCE") {
-            Ok(s) => match s.trim().parse::<f32>() {
-                Ok(tol) if tol.is_finite() && tol > 0.0 => cfg.with_tolerance(tol),
-                _ => cfg,
-            },
-            Err(_) => cfg,
         }
-    }
-
-    /// Permit tolerance-gated SIMD variants up to `tol` relative f32
-    /// deviation. Runs that enable this opt out of byte-identical
-    /// traces versus scalar; CI never does.
-    pub fn with_tolerance(mut self, tol: f32) -> KernelConfig {
-        self.tolerance = tol;
-        self
     }
 }
 
@@ -220,11 +187,5 @@ mod tests {
     fn detect_backend_is_available() {
         assert!(KernelBackend::detect().available());
         assert!(KernelConfig::default().backend.available());
-    }
-
-    #[test]
-    fn tolerance_knob_defaults_off() {
-        assert_eq!(KernelConfig::detect().tolerance, 0.0);
-        assert_eq!(KernelConfig::scalar().with_tolerance(0.5).tolerance, 0.5);
     }
 }

@@ -41,6 +41,8 @@
 //! merge in submission order, so worker count never changes the trace
 //! (see DESIGN.md §5d).
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod engine;
 pub mod equeue;
@@ -59,12 +61,12 @@ pub use chaos::{ChaosDistribution, Fault, FaultKind, FaultTarget, Scenario};
 pub use engine::{Ctx, Engine, LinkParams, LinkStats, Message, Node, NodeId};
 pub use equeue::CalendarQueue;
 pub use kernels::{KernelBackend, KernelConfig};
-pub use metrics::{HistogramSummary, InstrumentSink, LogHistogram, MetricsRegistry};
+pub use metrics::{InstrumentSink, LogHistogram, MetricsRegistry};
 pub use pool::{ScratchPool, WorkerPool};
 pub use profiler::{ProfilerReport, SpanGuard, SpanProfiler, StageProfile};
 pub use rng::SimRng;
 pub use slo::{CellSlo, FleetSlo, Outage, SloConfig, SloReport};
-pub use stats::{OnlineStats, RateBins, Sampler};
+pub use stats::{RateBins, Sampler};
 pub use time::{
     Nanos, SlotClock, SlotId, SlotKind, TddPattern, SFN_MODULO, SLOTS_PER_FRAME,
     SLOTS_PER_SUBFRAME, SLOT_DURATION, SUBFRAMES_PER_FRAME, SYMBOLS_PER_SLOT,

@@ -178,19 +178,6 @@ impl LogHistogram {
     }
 }
 
-/// A point-in-time summary of one histogram (fixed size, no samples).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
-    pub count: u64,
-    pub min: u64,
-    pub max: u64,
-    pub mean: f64,
-    pub p50: u64,
-    pub p99: u64,
-    pub p999: u64,
-    pub p99999: u64,
-}
-
 /// Registry of named metrics scoped by component.
 ///
 /// All maps are `BTreeMap` keyed by `(scope, name)`, so iteration order
@@ -281,31 +268,6 @@ impl MetricsRegistry {
         self.histograms
             .iter()
             .map(|((s, n), h)| (s.as_str(), n.as_str(), h))
-    }
-
-    /// Fixed-size summaries of every histogram (no sample-proportional
-    /// allocation: one `HistogramSummary` per metric).
-    pub fn histogram_summaries(&self) -> Vec<(String, String, HistogramSummary)> {
-        self.histograms
-            .iter()
-            .filter(|(_, h)| !h.is_empty())
-            .map(|((s, n), h)| {
-                (
-                    s.clone(),
-                    n.clone(),
-                    HistogramSummary {
-                        count: h.count(),
-                        min: h.min().unwrap_or(0),
-                        max: h.max().unwrap_or(0),
-                        mean: h.mean().unwrap_or(0.0),
-                        p50: h.p50().unwrap_or(0),
-                        p99: h.p99().unwrap_or(0),
-                        p999: h.p999().unwrap_or(0),
-                        p99999: h.p99999().unwrap_or(0),
-                    },
-                )
-            })
-            .collect()
     }
 
     /// Merge another registry into this one: counters add, gauges take

@@ -16,7 +16,8 @@
 //!
 //! What it collects:
 //! - per-stage wall-clock histograms (`slot_prepare`, `slot_jobs`,
-//!   `slot_merge`, `dl_encode`, `ul_decode`, `ldpc_decode`, `channel`)
+//!   `slot_merge`, `dl_encode`, `ul_decode`, `ldpc_decode`, `channel`,
+//!   `ue_encode`, `ue_decode`)
 //! - per-TTI totals against a configurable deadline budget, with a
 //!   deadline-miss counter (the vRAN "did the slot fit in 500 µs on
 //!   this host" question)

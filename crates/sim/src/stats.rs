@@ -1,6 +1,6 @@
-//! Measurement utilities shared by experiments: percentile samplers,
-//! rate bins (throughput per fixed interval, as the paper reports at
-//! 10 ms granularity), and online mean/variance.
+//! Measurement utilities shared by experiments: percentile samplers
+//! and rate bins (throughput per fixed interval, as the paper reports
+//! at 10 ms granularity).
 
 use crate::time::Nanos;
 
@@ -193,47 +193,6 @@ impl RateBins {
     }
 }
 
-/// Numerically stable online mean / variance (Welford).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    pub fn new() -> OnlineStats {
-        OnlineStats::default()
-    }
-
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,20 +271,6 @@ mod tests {
             rb.zero_bins_between(Nanos::from_millis(40), Nanos::from_millis(50)),
             0
         );
-    }
-
-    #[test]
-    fn online_stats_matches_direct() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 10.0];
-        let mut st = OnlineStats::new();
-        for x in xs {
-            st.record(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert!((st.mean() - mean).abs() < 1e-12);
-        assert!((st.variance() - var).abs() < 1e-12);
-        assert_eq!(st.count(), 5);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! middlebox and in-switch failure detector (in the `slingshot` crate)
 //! are programs written against these primitives.
 
+#![forbid(unsafe_code)]
+
 pub mod control;
 pub mod pipeline;
 pub mod pktgen;

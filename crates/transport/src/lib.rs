@@ -9,6 +9,8 @@
 //! All models are engine-free state machines implementing [`UserApp`];
 //! UE and app-server nodes in `slingshot-ran` host them.
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod ping;
 pub mod tcp;

@@ -43,6 +43,8 @@
 //! assert_eq!(ue.rlf_count, 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use slingshot as core;
 pub use slingshot_baseline as baseline;
 pub use slingshot_fapi as fapi;
