@@ -20,6 +20,14 @@
 #                      crates/bench/baselines/coverage.floors; skips
 #                      cleanly if cargo-llvm-cov is not installed
 #
+# Not part of the gate, but the companion check for a refactor:
+#   scripts/identity.sh <rev>
+#                      builds the benchmark package at <rev> and in the
+#                      working tree, runs the five workloads at two
+#                      seeds and exits 1 if any simulated result
+#                      (sim, claims, hashes, correct, failed/attempted)
+#                      differs
+#
 # Knobs (all optional; defaults shown):
 #   CHAOS_SEEDS=4      seeds for the chaos smoke (nightly workflow: 64);
 #                      each seed runs 4 fixed + 3 pool + 2 handover + 1

@@ -71,44 +71,39 @@ fn get_bytes(buf: &mut impl Buf) -> Option<Bytes> {
     Some(buf.copy_to_bytes(len))
 }
 
-// One parameter per wire field, in wire order.
-#[allow(clippy::too_many_arguments)]
-fn put_sched_pdu(
-    buf: &mut Vec<u8>,
-    rnti: u16,
-    harq_id: u8,
-    ndi: bool,
-    rv: u8,
-    mcs: u8,
-    start_prb: u16,
-    num_prb: u16,
-    tb_bytes: u32,
-) {
-    buf.put_u16(rnti);
-    buf.put_u8(harq_id);
-    buf.put_u8(ndi as u8);
-    buf.put_u8(rv);
-    buf.put_u8(mcs);
-    buf.put_u16(start_prb);
-    buf.put_u16(num_prb);
-    buf.put_u32(tb_bytes);
+fn put_sched_pdus(buf: &mut Vec<u8>, pdus: &[SchedPdu]) {
+    buf.put_u16(pdus.len() as u16);
+    for p in pdus {
+        buf.put_u16(p.rnti);
+        buf.put_u8(p.harq_id);
+        buf.put_u8(p.ndi as u8);
+        buf.put_u8(p.rv);
+        buf.put_u8(p.mcs);
+        buf.put_u16(p.start_prb);
+        buf.put_u16(p.num_prb);
+        buf.put_u32(p.tb_bytes);
+    }
 }
 
-#[allow(clippy::type_complexity)]
-fn get_sched_pdu(buf: &mut impl Buf) -> Option<(u16, u8, bool, u8, u8, u16, u16, u32)> {
-    if buf.remaining() < 14 {
-        return None;
+fn get_sched_pdus(buf: &mut impl Buf) -> Option<Vec<SchedPdu>> {
+    let n = get_count(buf)?;
+    let mut pdus = Vec::with_capacity(n);
+    for _ in 0..n {
+        if buf.remaining() < 14 {
+            return None;
+        }
+        pdus.push(SchedPdu {
+            rnti: buf.get_u16(),
+            harq_id: buf.get_u8(),
+            ndi: buf.get_u8() != 0,
+            rv: buf.get_u8(),
+            mcs: buf.get_u8(),
+            start_prb: buf.get_u16(),
+            num_prb: buf.get_u16(),
+            tb_bytes: buf.get_u32(),
+        });
     }
-    Some((
-        buf.get_u16(),
-        buf.get_u8(),
-        buf.get_u8() != 0,
-        buf.get_u8(),
-        buf.get_u8(),
-        buf.get_u16(),
-        buf.get_u16(),
-        buf.get_u32(),
-    ))
+    Some(pdus)
 }
 
 /// Serialize a FAPI message to a datagram payload.
@@ -140,39 +135,13 @@ pub fn encode(msg: &FapiMsg) -> Bytes {
             buf.put_u8(TAG_DL_TTI);
             buf.put_u8(m.ru_id);
             put_slot(&mut buf, m.slot);
-            buf.put_u16(m.pdsch.len() as u16);
-            for p in &m.pdsch {
-                put_sched_pdu(
-                    &mut buf,
-                    p.rnti,
-                    p.harq_id,
-                    p.ndi,
-                    p.rv,
-                    p.mcs,
-                    p.start_prb,
-                    p.num_prb,
-                    p.tb_bytes,
-                );
-            }
+            put_sched_pdus(&mut buf, &m.pdsch);
         }
         FapiMsg::UlTti(m) => {
             buf.put_u8(TAG_UL_TTI);
             buf.put_u8(m.ru_id);
             put_slot(&mut buf, m.slot);
-            buf.put_u16(m.pusch.len() as u16);
-            for p in &m.pusch {
-                put_sched_pdu(
-                    &mut buf,
-                    p.rnti,
-                    p.harq_id,
-                    p.ndi,
-                    p.rv,
-                    p.mcs,
-                    p.start_prb,
-                    p.num_prb,
-                    p.tb_bytes,
-                );
-            }
+            put_sched_pdus(&mut buf, &m.pusch);
         }
         FapiMsg::TxData(m) => {
             buf.put_u8(TAG_TX_DATA);
@@ -263,42 +232,12 @@ pub fn decode(payload: &[u8]) -> Option<FapiMsg> {
         }
         TAG_DL_TTI => {
             let slot = get_slot(&mut buf)?;
-            let n = get_count(&mut buf)?;
-            let mut pdsch = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (rnti, harq_id, ndi, rv, mcs, start_prb, num_prb, tb_bytes) =
-                    get_sched_pdu(&mut buf)?;
-                pdsch.push(PdschPdu {
-                    rnti,
-                    harq_id,
-                    ndi,
-                    rv,
-                    mcs,
-                    start_prb,
-                    num_prb,
-                    tb_bytes,
-                });
-            }
+            let pdsch = get_sched_pdus(&mut buf)?;
             Some(FapiMsg::DlTti(DlTtiRequest { ru_id, slot, pdsch }))
         }
         TAG_UL_TTI => {
             let slot = get_slot(&mut buf)?;
-            let n = get_count(&mut buf)?;
-            let mut pusch = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (rnti, harq_id, ndi, rv, mcs, start_prb, num_prb, tb_bytes) =
-                    get_sched_pdu(&mut buf)?;
-                pusch.push(PuschPdu {
-                    rnti,
-                    harq_id,
-                    ndi,
-                    rv,
-                    mcs,
-                    start_prb,
-                    num_prb,
-                    tb_bytes,
-                });
-            }
+            let pusch = get_sched_pdus(&mut buf)?;
             Some(FapiMsg::UlTti(UlTtiRequest { ru_id, slot, pusch }))
         }
         TAG_TX_DATA => {
@@ -496,6 +435,31 @@ mod tests {
             let parsed = decode(&bytes);
             assert_eq!(parsed.as_ref(), Some(&msg), "{msg:?}");
         }
+    }
+
+    #[test]
+    fn ul_and_dl_tti_differ_only_in_the_tag_byte() {
+        let pdus: Vec<SchedPdu> = all_messages()
+            .into_iter()
+            .flat_map(|m| match m {
+                FapiMsg::DlTti(d) => d.pdsch,
+                FapiMsg::UlTti(u) => u.pusch,
+                _ => Vec::new(),
+            })
+            .collect();
+        assert_eq!(pdus.len(), 3);
+        let dl = encode(&FapiMsg::DlTti(DlTtiRequest {
+            ru_id: 3,
+            slot: slot(),
+            pdsch: pdus.clone(),
+        }));
+        let ul = encode(&FapiMsg::UlTti(UlTtiRequest {
+            ru_id: 3,
+            slot: slot(),
+            pusch: pdus,
+        }));
+        assert_eq!((dl[0], ul[0]), (TAG_DL_TTI, TAG_UL_TTI));
+        assert_eq!(dl[1..], ul[1..]);
     }
 
     #[test]

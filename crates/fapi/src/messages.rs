@@ -12,9 +12,11 @@ use bytes::Bytes;
 
 use slingshot_sim::SlotId;
 
-/// A downlink shared-channel PDU (PDSCH scheduling entry).
+/// A shared-channel scheduling entry: one transport block on one HARQ
+/// process over a PRB range. A link has two directions and one PDU
+/// shape, so the wire format cannot fork between them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PdschPdu {
+pub struct SchedPdu {
     pub rnti: u16,
     pub harq_id: u8,
     /// New-data indicator; toggles for a fresh transport block.
@@ -28,18 +30,11 @@ pub struct PdschPdu {
     pub tb_bytes: u32,
 }
 
+/// A downlink shared-channel PDU (PDSCH scheduling entry).
+pub type PdschPdu = SchedPdu;
+
 /// An uplink shared-channel PDU (PUSCH grant).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PuschPdu {
-    pub rnti: u16,
-    pub harq_id: u8,
-    pub ndi: bool,
-    pub rv: u8,
-    pub mcs: u8,
-    pub start_prb: u16,
-    pub num_prb: u16,
-    pub tb_bytes: u32,
-}
+pub type PuschPdu = SchedPdu;
 
 /// `DL_TTI.request`: downlink work for one slot.
 #[derive(Debug, Clone, PartialEq, Eq)]

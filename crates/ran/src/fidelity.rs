@@ -19,18 +19,55 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::cell::Fidelity;
+use crate::msg::Msg;
 use slingshot_fapi::mcs;
+use slingshot_fronthaul::{
+    compress_symbol_with, decompress_prbs_with, DciEntry, FhHeader, FhMessage, ShadowMsg, UPlaneMsg,
+};
 use slingshot_phy_dsp::bler;
 use slingshot_phy_dsp::channel::{db_to_linear, AwgnChannel};
 use slingshot_phy_dsp::scramble::GoldSequence;
 use slingshot_phy_dsp::snr::estimate_snr_db;
 use slingshot_phy_dsp::tbchain::{decode_tb_with, encode_tb_with, mother_buffer_len, TbParams};
-use slingshot_phy_dsp::{Cplx, DspKernels, DspScratchPool, Modulation};
-use slingshot_sim::{SimRng, WorkerPool};
+use slingshot_phy_dsp::{Cplx, DspKernels, DspScratchPool, Modulation, SC_PER_PRB};
+use slingshot_sim::{Ctx, SimRng, WorkerPool};
 
 /// Cap on the representative code block's payload in Sampled mode:
 /// 125 bytes + 3-byte CRC = 1024 info bits = one code block.
 const SAMPLED_PAYLOAD_CAP: usize = 125;
+
+/// PRBs per U-plane message chunk (keeps frames under typical MTU:
+/// 48 × 28 B ≈ 1.3 KB).
+pub const PRBS_PER_CHUNK: usize = 48;
+
+/// Per-slot fronthaul buffers older than this many slots are stale:
+/// both pipelines consume a slot's fronthaul within three slots.
+const FH_RETAIN_SLOTS: u64 = 8;
+
+/// The engine's kernel backend as a DSP dispatch handle.
+pub fn kernels_of(ctx: &Ctx<'_, Msg>) -> DspKernels {
+    DspKernels::from_config(ctx.kernel_config())
+}
+
+/// A node's DSP environment for one callback: kernel backend, worker
+/// pool and scratch arenas. Cheap shared handles, so a worker-pool job
+/// takes its own clone.
+#[derive(Clone)]
+pub struct DspEnv {
+    pub kernels: DspKernels,
+    pub pool: WorkerPool,
+    pub scratch: DspScratchPool,
+}
+
+impl DspEnv {
+    pub fn of(ctx: &Ctx<'_, Msg>, scratch: &DspScratchPool) -> DspEnv {
+        DspEnv {
+            kernels: kernels_of(ctx),
+            pool: ctx.worker_pool(),
+            scratch: scratch.clone(),
+        }
+    }
+}
 
 /// A transport block as it travels over the air / fronthaul.
 #[derive(Debug, Clone)]
@@ -46,6 +83,137 @@ pub struct TbSignal {
     pub snr_db: f64,
 }
 
+/// Pilot length of an allocation: one OFDM symbol across its PRBs.
+pub fn pilot_len(num_prb: u16) -> usize {
+    num_prb as usize * SC_PER_PRB
+}
+
+impl TbSignal {
+    /// Serialize into fronthaul messages, handed to `emit` in wire
+    /// order: pilots ‖ data as one flat IQ stream, padded to a whole
+    /// PRB, BFP-compressed into U-plane chunks of [`PRBS_PER_CHUNK`]
+    /// tagged with the allocation's start PRB (chunk index in the
+    /// symbol field), then the shadow frame. `hdr` carries direction,
+    /// slot and RU port. The signal is consumed: its pilot buffer
+    /// becomes the flat scratch, so nothing is cloned here.
+    pub fn pack(
+        self,
+        kernels: DspKernels,
+        hdr: FhHeader,
+        start_prb: u16,
+        rnti: u16,
+        mut emit: impl FnMut(&FhMessage),
+    ) {
+        let mut flat = self.pilots;
+        flat.extend_from_slice(&self.symbols);
+        // Pad to a whole PRB; chunk boundaries then stay PRB-aligned.
+        flat.resize(flat.len().next_multiple_of(SC_PER_PRB), Cplx::ZERO);
+        for (idx, chunk) in flat.chunks(PRBS_PER_CHUNK * SC_PER_PRB).enumerate() {
+            emit(&FhMessage::UPlane(UPlaneMsg {
+                hdr: FhHeader {
+                    symbol: idx as u8,
+                    ..hdr
+                },
+                start_prb,
+                prbs: compress_symbol_with(kernels, chunk),
+            }));
+        }
+        if !self.shadow.is_empty() {
+            emit(&FhMessage::Shadow(ShadowMsg {
+                hdr,
+                rnti,
+                // NaN (no channel applied yet: the downlink) is 0.
+                snr_db_x100: (self.snr_db * 100.0) as i32,
+                data: self.shadow,
+            }));
+        }
+    }
+}
+
+/// One slot's fronthaul as absorbed so far.
+#[derive(Debug, Default)]
+pub struct SlotRx {
+    /// Scheduling information carried in this slot (downlink only).
+    pub dcis: Vec<DciEntry>,
+    /// IQ chunks keyed by the allocation's start PRB.
+    chunks: HashMap<u16, Vec<(u8, Vec<Cplx>)>>,
+    /// Shadow payloads (with the carried SNR) keyed by RNTI.
+    shadows: HashMap<u16, (f64, Bytes)>,
+}
+
+impl SlotRx {
+    /// Reassemble one allocation's signal: chunks in index order,
+    /// split at `pilot_len`. Pilots with no data symbols behind them
+    /// are lost IQ — they come back as an empty signal, so they
+    /// neither feed an SNR filter nor draw channel noise.
+    pub fn take(&mut self, start_prb: u16, rnti: u16, pilot_len: usize) -> TbSignal {
+        let mut samples = Vec::new();
+        if let Some(mut chunks) = self.chunks.remove(&start_prb) {
+            chunks.sort_by_key(|(idx, _)| *idx);
+            for (_, c) in chunks {
+                samples.extend(c);
+            }
+        }
+        let (pilots, symbols) = if samples.len() > pilot_len {
+            let symbols = samples.split_off(pilot_len);
+            (samples, symbols)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let (snr_db, shadow) = self
+            .shadows
+            .get(&rnti)
+            .cloned()
+            .unwrap_or((f64::NAN, Bytes::new()));
+        TbSignal {
+            pilots,
+            symbols,
+            shadow,
+            snr_db,
+        }
+    }
+}
+
+/// Per-slot fronthaul reassembly for one direction of one carrier,
+/// keyed by absolute slot (resolve a header's wire scalar with
+/// `SlotClock::abs_of_scalar` first).
+#[derive(Debug, Default)]
+pub struct FhAssembly {
+    slots: HashMap<u64, SlotRx>,
+}
+
+impl FhAssembly {
+    /// File one fronthaul message under slot `abs`. Any message marks
+    /// the slot as fed; U-plane, shadow and DCI contents are kept.
+    pub fn absorb(&mut self, kernels: DspKernels, abs: u64, msg: FhMessage) {
+        let slot = self.slots.entry(abs).or_default();
+        match msg {
+            FhMessage::UPlane(u) => slot
+                .chunks
+                .entry(u.start_prb)
+                .or_default()
+                .push((u.hdr.symbol, decompress_prbs_with(kernels, &u.prbs))),
+            FhMessage::Shadow(s) => {
+                slot.shadows
+                    .insert(s.rnti, (s.snr_db_x100 as f64 / 100.0, s.data));
+            }
+            FhMessage::Dci(d) => slot.dcis.extend(d.entries),
+            FhMessage::CPlane(_) | FhMessage::Uci(_) => {}
+        }
+    }
+
+    /// Hand slot `abs` over for processing, if anything arrived for it.
+    pub fn remove(&mut self, abs: u64) -> Option<SlotRx> {
+        self.slots.remove(&abs)
+    }
+
+    /// Drop buffers that fell [`FH_RETAIN_SLOTS`] behind `now_abs`
+    /// (late or duplicate frames for slots already processed).
+    pub fn gc(&mut self, now_abs: u64) {
+        self.slots.retain(|abs, _| *abs + FH_RETAIN_SLOTS > now_abs);
+    }
+}
+
 /// Radio-link parameters of one TB transmission.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkParamsTb {
@@ -57,27 +225,31 @@ pub struct LinkParamsTb {
     pub cell_id: u16,
     pub rv: u8,
     pub fec_iterations: usize,
+    /// The TB size the grant names.
+    pub tb_bytes: usize,
+    /// New-data indicator; a toggle starts a fresh HARQ series.
+    pub ndi: bool,
 }
 
 impl LinkParamsTb {
+    /// The link parameters a grant implies in a cell.
     pub fn from_grant(
-        mcs_idx: u8,
-        num_prb: u16,
-        data_symbols: u8,
-        rnti: u16,
+        grant: &DciEntry,
         cell_id: u16,
-        rv: u8,
+        data_symbols: u8,
         fec_iterations: usize,
     ) -> LinkParamsTb {
         LinkParamsTb {
-            modulation: mcs(mcs_idx).modulation,
-            mcs: mcs_idx,
-            num_prb,
+            modulation: mcs(grant.mcs).modulation,
+            mcs: grant.mcs,
+            num_prb: grant.num_prb,
             data_symbols,
-            rnti,
+            rnti: grant.rnti,
             cell_id,
-            rv,
+            rv: grant.rv,
             fec_iterations,
+            tb_bytes: grant.tb_bytes as usize,
+            ndi: grant.ndi,
         }
     }
 
@@ -86,9 +258,8 @@ impl LinkParamsTb {
         slingshot_fapi::e_bits(self.mcs, self.num_prb, self.data_symbols)
     }
 
-    /// Pilot length: one OFDM symbol across the allocation.
     pub fn pilot_len(&self) -> usize {
-        self.num_prb as usize * 12
+        pilot_len(self.num_prb)
     }
 
     fn sampled_split(&self, payload_len: usize) -> (usize, usize) {
@@ -163,32 +334,32 @@ fn cached_pilots(rnti: u16, cell_id: u16, len: usize) -> Arc<Vec<Cplx>> {
 }
 
 /// Encode a TB for transmission under the given fidelity, fanning
-/// per-code-block work out across `pool` with working buffers drawn
-/// from `scratch`. Bit-identical for any worker count.
+/// per-code-block work out across the environment's pool with working
+/// buffers drawn from its scratch. Bit-identical for any worker count.
 pub fn encode_signal_with(
-    kernels: DspKernels,
-    pool: &WorkerPool,
-    scratch: &DspScratchPool,
+    dsp: &DspEnv,
     fidelity: Fidelity,
     payload: &Bytes,
     lp: &LinkParamsTb,
 ) -> TbSignal {
+    let encode = |bytes: &[u8], e_bits| {
+        encode_tb_with(
+            dsp.kernels,
+            &dsp.pool,
+            &dsp.scratch,
+            bytes,
+            &lp.tb_params(e_bits),
+        )
+    };
     let pilots = match fidelity {
         Fidelity::Abstract => Vec::new(),
         _ => cached_pilots(lp.rnti, lp.cell_id, lp.pilot_len())[..lp.pilot_len()].to_vec(),
     };
     let (symbols, shadow) = match fidelity {
-        Fidelity::Full => (
-            encode_tb_with(kernels, pool, scratch, payload, &lp.tb_params(lp.e_bits())),
-            Bytes::new(),
-        ),
+        Fidelity::Full => (encode(payload, lp.e_bits()), Bytes::new()),
         Fidelity::Sampled => {
             let (rep_bytes, e_rep) = lp.sampled_split(payload.len());
-            let rep = payload.slice(..rep_bytes);
-            (
-                encode_tb_with(kernels, pool, scratch, &rep, &lp.tb_params(e_rep)),
-                payload.clone(),
-            )
+            (encode(&payload[..rep_bytes], e_rep), payload.clone())
         }
         Fidelity::Abstract => (Vec::new(), payload.clone()),
     };
@@ -205,20 +376,19 @@ pub fn encode_signal_with(
 /// any worker count). AWGN generation goes through the `kernels` seam;
 /// it is one scalar noise source on every backend.
 pub fn apply_channel_with(
-    kernels: DspKernels,
-    pool: &WorkerPool,
+    dsp: &DspEnv,
     signal: &mut TbSignal,
     snr_db: f64,
     channel: &mut AwgnChannel,
 ) {
     signal.snr_db = snr_db;
-    if !signal.pilots.is_empty() {
-        let (noisy, _) = kernels.awgn_apply_with(channel, pool, &signal.pilots, snr_db);
-        signal.pilots = noisy;
-    }
-    if !signal.symbols.is_empty() {
-        let (noisy, _) = kernels.awgn_apply_with(channel, pool, &signal.symbols, snr_db);
-        signal.symbols = noisy;
+    for iq in [&mut signal.pilots, &mut signal.symbols] {
+        if !iq.is_empty() {
+            *iq = dsp
+                .kernels
+                .awgn_apply_with(channel, &dsp.pool, iq, snr_db)
+                .0;
+        }
     }
 }
 
@@ -301,66 +471,27 @@ impl RxProcessPool {
             self.procs.insert((rnti, harq_id), state.0);
         }
     }
-
-    /// Attempt to receive one TB transmission, with per-code-block
-    /// decode work fanned out across `pool` and working buffers drawn
-    /// from `scratch`. Identical outcome for any worker count.
-    ///
-    /// `expected_bytes` is the TB size from the grant (`tb_bytes`);
-    /// `ndi` starts a fresh HARQ series when toggled; `rng` supplies
-    /// the Abstract mode's BLER draw.
-    #[allow(clippy::too_many_arguments)]
-    pub fn receive_with(
-        &mut self,
-        kernels: DspKernels,
-        pool: &WorkerPool,
-        scratch: &DspScratchPool,
-        fidelity: Fidelity,
-        signal: &TbSignal,
-        lp: &LinkParamsTb,
-        expected_bytes: usize,
-        harq_id: u8,
-        ndi: bool,
-        rng: &mut SimRng,
-    ) -> RxOutcome {
-        let mut state = self.take(lp.rnti, harq_id);
-        let out = receive_into(
-            kernels,
-            pool,
-            scratch,
-            &mut state,
-            fidelity,
-            signal,
-            lp,
-            expected_bytes,
-            ndi,
-            rng,
-        );
-        self.put(lp.rnti, harq_id, state);
-        out
-    }
 }
 
-/// Attempt to receive one TB transmission into caller-held soft state.
+/// Attempt to receive one TB transmission into caller-held soft state,
+/// with per-code-block decode work fanned out across the environment's
+/// pool. Identical outcome for any worker count.
 ///
-/// The free-function form of [`RxProcessPool::receive_with`]: the PHY
-/// takes the state out of its pool, may run this inside a worker-pool
-/// job (everything here is `Send`-clean), and puts the state back in
-/// serial merge order. A successful decode empties the state, which is
-/// how the HARQ process retires when the caller `put`s it back.
-#[allow(clippy::too_many_arguments)]
+/// The receiver takes the state out of its pool, may run this inside a
+/// worker-pool job (everything here is `Send`-clean), and puts the
+/// state back in serial merge order. A successful decode empties the
+/// state, which is how the HARQ process retires when the caller `put`s
+/// it back. `lp.ndi` starts a fresh HARQ series when toggled; `rng`
+/// supplies the Abstract mode's BLER draw.
 pub fn receive_into(
-    kernels: DspKernels,
-    pool: &WorkerPool,
-    scratch: &DspScratchPool,
+    dsp: &DspEnv,
     state: &mut RxSoftState,
     fidelity: Fidelity,
     signal: &TbSignal,
     lp: &LinkParamsTb,
-    expected_bytes: usize,
-    ndi: bool,
     rng: &mut SimRng,
 ) -> RxOutcome {
+    let (expected_bytes, ndi) = (lp.tb_bytes, lp.ndi);
     let proc = &mut state.0;
     if proc.ndi != ndi || (proc.llr_acc.is_empty() && proc.snr_acc.is_empty()) {
         proc.llr_acc.clear();
@@ -404,9 +535,9 @@ pub fn receive_into(
             let expected_syms = e_bits / lp.modulation.bits_per_symbol();
             let symbols = &signal.symbols[..signal.symbols.len().min(expected_syms)];
             let out = decode_tb_with(
-                kernels,
-                pool,
-                scratch,
+                dsp.kernels,
+                &dsp.pool,
+                &dsp.scratch,
                 &mut proc.llr_acc,
                 symbols,
                 noise_var,
@@ -468,21 +599,25 @@ pub fn receive_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slingshot_fronthaul::{fh_header, Direction};
     use slingshot_phy_dsp::default_scratch_pool;
-    use slingshot_sim::SimRng;
+    use slingshot_sim::{SimRng, SlotId};
 
-    /// The host's best backend — bit-exact with scalar by contract, so
-    /// every outcome below is backend-independent.
-    fn kern() -> DspKernels {
-        DspKernels::detect()
+    /// A serial environment on the host's best backend — bit-exact
+    /// with scalar by contract, so every outcome below is
+    /// backend-independent.
+    fn dsp() -> DspEnv {
+        DspEnv {
+            kernels: DspKernels::detect(),
+            pool: WorkerPool::serial(),
+            scratch: default_scratch_pool(),
+        }
     }
 
     fn encode_signal(fidelity: Fidelity, payload: &Bytes, lp: &LinkParamsTb) -> TbSignal {
-        let (pool, scratch) = (WorkerPool::serial(), default_scratch_pool());
-        encode_signal_with(kern(), &pool, &scratch, fidelity, payload, lp)
+        encode_signal_with(&dsp(), fidelity, payload, lp)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn receive(
         procs: &mut RxProcessPool,
         fidelity: Fidelity,
@@ -493,23 +628,34 @@ mod tests {
         ndi: bool,
         rng: &mut SimRng,
     ) -> RxOutcome {
-        let (pool, scratch) = (WorkerPool::serial(), default_scratch_pool());
-        procs.receive_with(
-            kern(),
-            &pool,
-            &scratch,
-            fidelity,
-            signal,
-            lp,
-            expected_bytes,
-            harq_id,
+        let lp = LinkParamsTb {
+            tb_bytes: expected_bytes,
             ndi,
-            rng,
-        )
+            ..*lp
+        };
+        let mut state = procs.take(lp.rnti, harq_id);
+        let out = receive_into(&dsp(), &mut state, fidelity, signal, &lp, rng);
+        procs.put(lp.rnti, harq_id, state);
+        out
+    }
+
+    fn grant(rv: u8) -> DciEntry {
+        DciEntry {
+            rnti: 0x4601,
+            uplink: true,
+            target_slot_scalar: 0,
+            harq_id: 0,
+            ndi: true,
+            rv,
+            mcs: 4,
+            start_prb: 0,
+            num_prb: 24,
+            tb_bytes: 0,
+        }
     }
 
     fn lp(rv: u8) -> LinkParamsTb {
-        LinkParamsTb::from_grant(4, 24, 12, 0x4601, 1, rv, 8)
+        LinkParamsTb::from_grant(&grant(rv), 1, 12, 8)
     }
 
     fn payload(n: usize) -> Bytes {
@@ -528,7 +674,7 @@ mod tests {
         let l = lp(0);
         let data = payload(200);
         let mut sig = encode_signal(fidelity, &data, &l);
-        apply_channel_with(kern(), &WorkerPool::serial(), &mut sig, snr_db, &mut ch);
+        apply_channel_with(&dsp(), &mut sig, snr_db, &mut ch);
         let mut pool = RxProcessPool::new();
         let out = receive(&mut pool, fidelity, &sig, &l, data.len(), 0, true, &mut rng);
         out.payload.as_ref() == Some(&data)
@@ -567,7 +713,7 @@ mod tests {
         let l = lp(0);
         let data = payload(100);
         let mut sig = encode_signal(Fidelity::Full, &data, &l);
-        apply_channel_with(kern(), &WorkerPool::serial(), &mut sig, 15.0, &mut ch);
+        apply_channel_with(&dsp(), &mut sig, 15.0, &mut ch);
         let mut pool = RxProcessPool::new();
         let out = receive(
             &mut pool,
@@ -599,7 +745,7 @@ mod tests {
             let snr = 2.5;
             let l0 = lp(0);
             let mut s0 = encode_signal(Fidelity::Sampled, &data, &l0);
-            apply_channel_with(kern(), &WorkerPool::serial(), &mut s0, snr, &mut ch);
+            apply_channel_with(&dsp(), &mut s0, snr, &mut ch);
             let o0 = receive(
                 &mut pool,
                 Fidelity::Sampled,
@@ -616,7 +762,7 @@ mod tests {
             }
             let l1 = lp(2);
             let mut s1 = encode_signal(Fidelity::Sampled, &data, &l1);
-            apply_channel_with(kern(), &WorkerPool::serial(), &mut s1, snr, &mut ch);
+            apply_channel_with(&dsp(), &mut s1, snr, &mut ch);
             let o1 = receive(
                 &mut pool,
                 Fidelity::Sampled,
@@ -774,5 +920,152 @@ mod tests {
             &mut rng,
         );
         assert!(out.payload.is_none());
+    }
+
+    /// Pack `signal`, put every frame through the wire codec, keep the
+    /// frames `keep` selects, deliver them in `order`, absorb them
+    /// under one slot and take the allocation back out.
+    fn fronthaul_roundtrip(
+        dir: Direction,
+        signal: TbSignal,
+        num_prb: u16,
+        keep: impl Fn(usize, &FhMessage) -> bool,
+        order: impl Fn(&mut Vec<FhMessage>),
+    ) -> (Vec<FhMessage>, TbSignal) {
+        let slot = SlotId::from_absolute(5119);
+        let mut sent = Vec::new();
+        signal.pack(dsp().kernels, fh_header(dir, slot, 0, 2), 7, 0x4601, |m| {
+            sent.push(FhMessage::from_bytes(&m.to_bytes()).expect("parses"))
+        });
+        assert!(sent.iter().all(|m| m.direction() == dir));
+        assert!(sent.iter().all(|m| m.hdr().slot_scalar() == slot.scalar()));
+        let mut delivered: Vec<FhMessage> = sent
+            .iter()
+            .enumerate()
+            .filter(|(i, m)| keep(*i, m))
+            .map(|(_, m)| m.clone())
+            .collect();
+        order(&mut delivered);
+        let mut rx = FhAssembly::default();
+        for m in delivered {
+            rx.absorb(dsp().kernels, 5119, m);
+        }
+        let mut buf = rx.remove(5119).unwrap_or_default();
+        (sent, buf.take(7, 0x4601, pilot_len(num_prb)))
+    }
+
+    fn iq(rng: &mut SimRng, n: usize) -> Vec<Cplx> {
+        (0..n)
+            .map(|_| {
+                Cplx::new(
+                    rng.range_f64(-1.0, 1.0) as f32,
+                    rng.range_f64(-1.0, 1.0) as f32,
+                )
+            })
+            .collect()
+    }
+
+    /// Equal up to 9-bit BFP quantisation of samples in the unit box.
+    fn close(got: &[Cplx], want: &[Cplx]) -> bool {
+        got.len() == want.len() && got.iter().zip(want).all(|(a, b)| (*a - *b).abs() < 0.02)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn pack_absorb_take_roundtrips_in_both_directions(
+            num_prb in 1u16..130,
+            n_symbols in 1usize..2500,
+            seed in 0u64..1 << 32,
+            keep_mask in 0u64..1 << 16,
+        ) {
+            use proptest::prelude::*;
+            for dir in [Direction::Uplink, Direction::Downlink] {
+                let mut rng = SimRng::new(seed);
+                let plen = pilot_len(num_prb);
+                let original = TbSignal {
+                    pilots: iq(&mut rng, plen),
+                    symbols: iq(&mut rng, n_symbols),
+                    shadow: payload(40),
+                    // The downlink is packed before any channel.
+                    snr_db: if dir == Direction::Uplink { 12.34 } else { f64::NAN },
+                };
+                let carried_snr = if dir == Direction::Uplink { 12.34 } else { 0.0 };
+                let mut padded = [original.pilots.clone(), original.symbols.clone()].concat();
+                padded.resize(padded.len().next_multiple_of(SC_PER_PRB), Cplx::ZERO);
+                let shuffle = |v: &mut Vec<FhMessage>| {
+                    let mut r = SimRng::new(seed ^ 0x5bd1);
+                    for i in (1..v.len()).rev() {
+                        v.swap(i, r.below(i as u64 + 1) as usize);
+                    }
+                };
+
+                // Nothing lost, any arrival order: the original comes
+                // back up to BFP quantisation (plus the PRB padding).
+                let (sent, got) =
+                    fronthaul_roundtrip(dir, original.clone(), num_prb, |_, _| true, shuffle);
+                let chunks = padded.len().div_ceil(PRBS_PER_CHUNK * SC_PER_PRB);
+                prop_assert_eq!(sent.len(), chunks + 1);
+                prop_assert!(matches!(sent.last(), Some(FhMessage::Shadow(_))));
+                prop_assert!(close(&got.pilots, &padded[..plen]));
+                prop_assert!(close(&got.symbols, &padded[plen..]));
+                prop_assert_eq!(&got.shadow, &original.shadow);
+                prop_assert_eq!(got.snr_db, carried_snr);
+
+                // A random subset lost: what survives is concatenated in
+                // chunk order and split at the pilot length — or, when
+                // no data symbol follows the pilots, lost IQ altogether.
+                let kept = |i: usize, _: &FhMessage| keep_mask >> (i % 16) & 1 == 1;
+                let (sent, got) = fronthaul_roundtrip(dir, original.clone(), num_prb, kept, shuffle);
+                let mut survived = Vec::new();
+                for (i, chunk) in padded.chunks(PRBS_PER_CHUNK * SC_PER_PRB).enumerate() {
+                    if kept(i, &sent[i]) {
+                        survived.extend_from_slice(chunk);
+                    }
+                }
+                if survived.len() > plen {
+                    prop_assert!(close(&got.pilots, &survived[..plen]));
+                    prop_assert!(close(&got.symbols, &survived[plen..]));
+                } else {
+                    prop_assert!(got.pilots.is_empty() && got.symbols.is_empty());
+                }
+                if kept(sent.len() - 1, &sent[sent.len() - 1]) {
+                    prop_assert_eq!(&got.shadow, &original.shadow);
+                    prop_assert_eq!(got.snr_db, carried_snr);
+                } else {
+                    prop_assert!(got.shadow.is_empty() && got.snr_db.is_nan());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pilots_without_data_symbols_are_lost_iq() {
+        // 48 PRBs of pilots fill chunk 0 exactly, so losing the data
+        // chunks leaves `samples.len() == pilot_len`: both directions
+        // hand back an empty signal, not pilots with nothing behind them.
+        for dir in [Direction::Uplink, Direction::Downlink] {
+            let mut rng = SimRng::new(3);
+            let signal = TbSignal {
+                pilots: iq(&mut rng, pilot_len(48)),
+                symbols: iq(&mut rng, 700),
+                shadow: Bytes::new(),
+                snr_db: f64::NAN,
+            };
+            let data_lost = |i: usize, _: &FhMessage| i == 0;
+            let (sent, got) = fronthaul_roundtrip(dir, signal.clone(), 48, data_lost, |_| {});
+            assert_eq!(
+                sent.len(),
+                3,
+                "{dir:?}: pilots + two data chunks, no shadow"
+            );
+            assert!(got.pilots.is_empty() && got.symbols.is_empty(), "{dir:?}");
+            assert!(got.shadow.is_empty() && got.snr_db.is_nan(), "{dir:?}");
+            // One data symbol behind the pilots is a (short) signal.
+            let one_more = |i: usize, _: &FhMessage| i <= 1;
+            let (_, got) = fronthaul_roundtrip(dir, signal, 48, one_more, |_| {});
+            assert_eq!((got.pilots.len(), got.symbols.len()), (576, 576), "{dir:?}");
+        }
     }
 }

@@ -24,26 +24,23 @@ use std::collections::{BTreeMap, HashMap};
 use bytes::Bytes;
 
 use slingshot_fapi::{
-    CrcEntry, CrcIndication, FapiMsg, PuschPdu, RxDataIndication, RxTb, SlotIndication,
-    UciIndication,
+    CrcEntry, CrcIndication, FapiMsg, PdschPdu, PuschPdu, RxDataIndication, RxTb, SchedPdu,
+    SlotIndication, UciIndication,
 };
-use slingshot_fronthaul::{
-    compress_symbol_with, decompress_prbs_with, fh_header, CPlaneMsg, CSection, DciEntry, DciMsg,
-    Direction, FhMessage, ShadowMsg, UPlaneMsg,
-};
+use slingshot_fronthaul::{fh_header, CPlaneMsg, CSection, DciEntry, DciMsg, Direction, FhMessage};
 use slingshot_netsim::{EtherType, Frame, MacAddr};
 use slingshot_phy_dsp::snr::SnrFilter;
-use slingshot_phy_dsp::{Cplx, DspKernels, DspScratchPool, SC_PER_PRB};
+use slingshot_phy_dsp::DspScratchPool;
 use slingshot_sim::{
-    Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, TraceEventKind,
+    Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, SpanProfiler,
+    TraceEventKind,
 };
 
 use crate::cell::CellConfig;
 use crate::fidelity::{
-    encode_signal_with, receive_into, LinkParamsTb, RxProcessPool, RxSoftState, TbSignal,
+    encode_signal_with, kernels_of, receive_into, DspEnv, FhAssembly, LinkParamsTb, RxProcessPool,
 };
 use crate::msg::{timer_tokens, CtlMsg, Msg};
-use crate::ru::PRBS_PER_CHUNK;
 
 const TIMER_HEARTBEAT: u64 = timer_tokens::NODE_BASE + 1;
 
@@ -68,13 +65,6 @@ impl PhyConfig {
     }
 }
 
-/// Per-slot uplink data being assembled from fronthaul.
-#[derive(Debug, Default)]
-struct UlSlotData {
-    chunks: HashMap<u16, Vec<(u8, Vec<Cplx>)>>,
-    shadows: HashMap<u16, (f64, Bytes)>,
-}
-
 /// Per-RU (carrier) PHY state.
 struct RuCtx {
     cell_id: u16,
@@ -83,7 +73,8 @@ struct RuCtx {
     /// FAPI requests by absolute slot.
     ul_tti: HashMap<u64, Vec<PuschPdu>>,
     dl_seen: HashMap<u64, bool>,
-    ul_data: HashMap<u64, UlSlotData>,
+    /// Uplink fronthaul being assembled per slot.
+    ul_rx: FhAssembly,
     rx_pool: RxProcessPool,
     snr_filters: HashMap<u16, SnrFilter>,
     /// Massive-MIMO extension: per-UE channel-knowledge state —
@@ -100,6 +91,23 @@ const CPU_SLOT_BASE_NS: u64 = 3_000;
 const CPU_NULL_SLOT_NS: u64 = 400;
 const CPU_ENCODE_PER_EBIT_NS: f64 = 0.25;
 const CPU_DECODE_PER_ITER_KBIT_NS: f64 = 700.0;
+
+/// The DCI that announces a scheduled PDU over the air: the PDU plus
+/// its direction and target slot.
+fn dci_of(pdu: &SchedPdu, uplink: bool, target: SlotId) -> DciEntry {
+    DciEntry {
+        rnti: pdu.rnti,
+        uplink,
+        target_slot_scalar: target.scalar(),
+        harq_id: pdu.harq_id,
+        ndi: pdu.ndi,
+        rv: pdu.rv,
+        mcs: pdu.mcs,
+        start_prb: pdu.start_prb,
+        num_prb: pdu.num_prb,
+        tb_bytes: pdu.tb_bytes,
+    }
+}
 
 /// The PHY node.
 pub struct PhyNode {
@@ -127,7 +135,7 @@ pub struct PhyNode {
     pub processed_ul_slots: Vec<u64>,
     started_at: Option<Nanos>,
     /// DL_TTI requests awaiting their TX_Data payloads.
-    pending_dl: HashMap<(u8, u64), Vec<slingshot_fapi::PdschPdu>>,
+    pending_dl: HashMap<(u8, u64), Vec<PdschPdu>>,
     /// Slot-scoped DSP scratch arenas, reused across TTIs and shared
     /// with worker-pool jobs (contents never outlive one code block's
     /// processing, so handout order cannot affect results).
@@ -260,6 +268,43 @@ impl PhyNode {
         }
     }
 
+    /// Run one slot's DSP through the prepare → jobs → merge scaffold.
+    /// `prepare` runs serially and does everything that touches shared
+    /// or ordered state, returning pure jobs; those fan out over the
+    /// worker pool; `merge` consumes their results serially, in
+    /// submission order, and does all the sends — so worker count never
+    /// changes the trace. The wall-clock TTI accounting (a side
+    /// channel; inert when the profiler is disabled) lives here.
+    fn run_slot<T, F>(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        abs: u64,
+        prepare: impl FnOnce(&mut PhyNode, &DspEnv, &SpanProfiler) -> Vec<F>,
+        merge: impl FnOnce(&mut PhyNode, &mut Ctx<'_, Msg>, &DspEnv, Vec<T>),
+    ) where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let dsp = DspEnv::of(ctx, &self.scratch);
+        let profiler = ctx.profiler();
+        let slot_t0 = profiler.is_enabled().then(std::time::Instant::now);
+        let prepare_span = profiler.span("slot_prepare", abs);
+        let jobs = prepare(self, &dsp, &profiler);
+        drop(prepare_span);
+        // Jobs may themselves fan out per code block through the same
+        // pool — nested submission is safe because waiting workers help
+        // drain the queue.
+        let jobs_span = profiler.span("slot_jobs", abs);
+        let results = dsp.pool.run(jobs);
+        drop(jobs_span);
+        let merge_span = profiler.span("slot_merge", abs);
+        merge(self, ctx, &dsp, results);
+        drop(merge_span);
+        if let Some(t0) = slot_t0 {
+            profiler.complete_slot(abs, t0.elapsed().as_nanos() as u64);
+        }
+    }
+
     /// Process downlink work for slot `n` (requests arrived ~2 slots in
     /// advance): encode PDSCH and emit fronthaul to the RU.
     fn process_dl(
@@ -267,7 +312,7 @@ impl PhyNode {
         ctx: &mut Ctx<'_, Msg>,
         ru_id: u8,
         slot: SlotId,
-        pdsch: Vec<slingshot_fapi::PdschPdu>,
+        pdsch: Vec<PdschPdu>,
         tbs: Vec<(u16, Bytes)>,
     ) {
         let Some(ru) = self.rus.get(&ru_id) else {
@@ -275,6 +320,7 @@ impl PhyNode {
         };
         let ru_mac = ru.ru_mac;
         let cell_id = ru.cell_id;
+        let hdr = fh_header(Direction::Downlink, slot, 0, ru_id);
         // Alive marker: a C-plane with the scheduled sections.
         let sections: Vec<CSection> = pdsch
             .iter()
@@ -286,14 +332,7 @@ impl PhyNode {
                 beam_id: 0,
             })
             .collect();
-        self.send_fh(
-            ctx,
-            ru_mac,
-            &FhMessage::CPlane(CPlaneMsg {
-                hdr: fh_header(Direction::Downlink, slot, 0, ru_id),
-                sections,
-            }),
-        );
+        self.send_fh(ctx, ru_mac, &FhMessage::CPlane(CPlaneMsg { hdr, sections }));
         if pdsch.is_empty() {
             self.busy_ns_total += CPU_NULL_SLOT_NS;
             self.null_slots += 1;
@@ -301,140 +340,45 @@ impl PhyNode {
         }
         self.work_slots += 1;
         let payloads: HashMap<u16, Bytes> = tbs.into_iter().collect();
-        let scalar = slot.scalar();
-        // Serial prepare: one self-contained encode job per PDU with a
-        // payload, then fan the pure DSP out to the worker pool. All
-        // sends stay in PDU order below, so worker count never changes
-        // the trace.
-        let pool = ctx.worker_pool();
-        let kernels = DspKernels::from_config(ctx.kernel_config());
-        let profiler = ctx.profiler();
         let abs = slot.epoch_index();
-        let slot_t0 = profiler.is_enabled().then(std::time::Instant::now);
-        let prepare_span = profiler.span("slot_prepare", abs);
         let fidelity = self.cell.fidelity;
-        let mut picked = Vec::new();
-        let mut jobs: Vec<Box<dyn FnOnce() -> TbSignal + Send>> = Vec::new();
-        for (i, pdu) in pdsch.iter().enumerate() {
-            let Some(payload) = payloads.get(&pdu.rnti) else {
-                continue;
-            };
-            let lp = LinkParamsTb::from_grant(
-                pdu.mcs,
-                pdu.num_prb,
-                self.cell.data_symbols,
-                pdu.rnti,
-                cell_id,
-                pdu.rv,
-                self.cfg.fec_iterations,
-            );
-            picked.push((i, lp.e_bits()));
-            let payload = payload.clone();
-            let job_pool = pool.clone();
-            let job_scratch = self.scratch.clone();
-            let job_prof = profiler.clone();
-            jobs.push(Box::new(move || {
-                let _encode_span = job_prof.span("dl_encode", abs);
-                encode_signal_with(kernels, &job_pool, &job_scratch, fidelity, &payload, &lp)
-            }));
-        }
-        drop(prepare_span);
-        let jobs_span = profiler.span("slot_jobs", abs);
-        let signals = pool.run(jobs);
-        drop(jobs_span);
-        let merge_span = profiler.span("slot_merge", abs);
-        let mut dcis = Vec::new();
-        for ((i, e_bits), signal) in picked.into_iter().zip(signals) {
-            let pdu = &pdsch[i];
-            self.busy_ns_total +=
-                CPU_SLOT_BASE_NS + (e_bits as f64 * CPU_ENCODE_PER_EBIT_NS) as u64;
-            dcis.push(DciEntry {
-                rnti: pdu.rnti,
-                uplink: false,
-                target_slot_scalar: scalar,
-                harq_id: pdu.harq_id,
-                ndi: pdu.ndi,
-                rv: pdu.rv,
-                mcs: pdu.mcs,
-                start_prb: pdu.start_prb,
-                num_prb: pdu.num_prb,
-                tb_bytes: pdu.tb_bytes,
-            });
-            self.emit_signal(ctx, ru_id, ru_mac, slot, pdu.start_prb, pdu.rnti, signal);
-        }
-        self.send_fh(
+        self.run_slot(
             ctx,
-            ru_mac,
-            &FhMessage::Dci(DciMsg {
-                hdr: fh_header(Direction::Downlink, slot, 0, ru_id),
-                entries: dcis,
-            }),
+            abs,
+            // One self-contained encode job per PDU with a payload.
+            |phy, dsp, profiler| {
+                let (data_symbols, iters) = (phy.cell.data_symbols, phy.cfg.fec_iterations);
+                let job = |pdu: &PdschPdu| {
+                    let payload = payloads.get(&pdu.rnti)?.clone();
+                    let dci = dci_of(pdu, false, slot);
+                    let lp = LinkParamsTb::from_grant(&dci, cell_id, data_symbols, iters);
+                    let (dsp, profiler) = (dsp.clone(), profiler.clone());
+                    Some(move || {
+                        let _encode_span = profiler.span("dl_encode", abs);
+                        let signal = encode_signal_with(&dsp, fidelity, &payload, &lp);
+                        (dci, lp.e_bits(), signal)
+                    })
+                };
+                pdsch.iter().filter_map(job).collect()
+            },
+            |phy, ctx, dsp, signals| {
+                let mut entries = Vec::new();
+                for (dci, e_bits, signal) in signals {
+                    phy.busy_ns_total +=
+                        CPU_SLOT_BASE_NS + (e_bits as f64 * CPU_ENCODE_PER_EBIT_NS) as u64;
+                    entries.push(dci);
+                    signal.pack(dsp.kernels, hdr, dci.start_prb, dci.rnti, |m| {
+                        phy.send_fh(ctx, ru_mac, m)
+                    });
+                }
+                phy.send_fh(ctx, ru_mac, &FhMessage::Dci(DciMsg { hdr, entries }));
+            },
         );
-        drop(merge_span);
-        if let Some(t0) = slot_t0 {
-            profiler.complete_slot(abs, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Serialize a TB signal into U-plane / shadow fronthaul messages.
-    // One parameter per fronthaul header field, in wire order.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_signal(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        ru_id: u8,
-        ru_mac: MacAddr,
-        slot: SlotId,
-        start_prb: u16,
-        rnti: u16,
-        signal: TbSignal,
-    ) {
-        // Reuse the signal's own pilot buffer as the flat IQ scratch —
-        // the TB is consumed here, so nothing is cloned on this path.
-        let TbSignal {
-            pilots: mut flat,
-            symbols,
-            shadow,
-            ..
-        } = signal;
-        flat.extend_from_slice(&symbols);
-        while !flat.len().is_multiple_of(SC_PER_PRB) {
-            flat.push(Cplx::ZERO);
-        }
-        // `flat` is PRB-aligned, so every chunk already is too.
-        let kernels = DspKernels::from_config(ctx.kernel_config());
-        let per_chunk = PRBS_PER_CHUNK * SC_PER_PRB;
-        for (idx, chunk) in flat.chunks(per_chunk).enumerate() {
-            self.send_fh(
-                ctx,
-                ru_mac,
-                &FhMessage::UPlane(UPlaneMsg {
-                    hdr: fh_header(Direction::Downlink, slot, idx as u8, ru_id),
-                    start_prb,
-                    prbs: compress_symbol_with(kernels, chunk),
-                }),
-            );
-        }
-        if !shadow.is_empty() {
-            self.send_fh(
-                ctx,
-                ru_mac,
-                &FhMessage::Shadow(ShadowMsg {
-                    hdr: fh_header(Direction::Downlink, slot, 0, ru_id),
-                    rnti,
-                    snr_db_x100: 0,
-                    data: shadow,
-                }),
-            );
-        }
     }
 
     /// Process uplink slot `abs` (its fronthaul arrived during abs+1;
     /// we run at the abs+2 boundary — the 3-slot pipeline of Fig. 7).
     fn process_ul(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, abs: u64) {
-        let pool = ctx.worker_pool();
-        let kernels = DspKernels::from_config(ctx.kernel_config());
-        let profiler = ctx.profiler();
         let Some(ru) = self.rus.get_mut(&ru_id) else {
             return;
         };
@@ -442,7 +386,7 @@ impl PhyNode {
             return;
         };
         let slot = SlotId::from_absolute(abs);
-        let mut data = ru.ul_data.remove(&abs).unwrap_or_default();
+        let mut data = ru.ul_rx.remove(abs).unwrap_or_default();
         if pdus.is_empty() {
             self.busy_ns_total += CPU_NULL_SLOT_NS;
             self.null_slots += 1;
@@ -456,195 +400,116 @@ impl PhyNode {
             abs,
             self.cfg.phy_id as u64,
         );
-        // Wall-clock TTI accounting (side channel; inert when the
-        // profiler is disabled — no clock reads on default runs).
-        let slot_t0 = profiler.is_enabled().then(std::time::Instant::now);
-        let prepare_span = profiler.span("slot_prepare", abs);
-        let cell_id = ru.cell_id;
         let fidelity = self.cell.fidelity;
-        let data_symbols = self.cell.data_symbols;
         let iters = self.cfg.fec_iterations;
-        // Serial prepare: everything that touches shared or ordered
-        // state — fronthaul reassembly, CSI bookkeeping, HARQ soft-state
-        // checkout, RNG stream splits — runs here in PDU order, so the
-        // jobs below are pure and the trace is worker-count independent.
-        struct UlJob {
-            signal: TbSignal,
-            lp: LinkParamsTb,
-            tb_bytes: usize,
-            ndi: bool,
-            state: RxSoftState,
-            rng: SimRng,
-        }
-        let mut prepped = Vec::with_capacity(pdus.len());
-        for pdu in &pdus {
-            // Reassemble the allocation's samples.
-            let mut samples = Vec::new();
-            if let Some(mut chunks) = data.chunks.remove(&pdu.start_prb) {
-                chunks.sort_by_key(|(i, _)| *i);
-                for (_, c) in chunks {
-                    samples.extend(c);
-                }
-            }
-            let lp = LinkParamsTb::from_grant(
-                pdu.mcs,
-                pdu.num_prb,
-                data_symbols,
-                pdu.rnti,
-                cell_id,
-                pdu.rv,
-                iters,
-            );
-            let pilot_len = lp.pilot_len();
-            let (pilots, symbols) = if samples.len() > pilot_len {
-                let mut p = samples;
-                let s = p.split_off(pilot_len);
-                // Trim the RU's PRB padding off the data symbols.
-                let expected = lp.e_bits() / lp.modulation.bits_per_symbol();
-                let mut s = s;
-                s.truncate(expected.max(1));
-                (p, s)
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            let (snr_hint, shadow) = data
-                .shadows
-                .get(&pdu.rnti)
-                .cloned()
-                .unwrap_or((f64::NAN, Bytes::new()));
-            // Massive-MIMO extension (§10): a PHY without fresh channel
-            // knowledge for this UE operates with reduced effective SNR
-            // until its precoding/equalization state reconverges.
-            let mimo_penalty = if self.cell.mimo_reconverge_slots > 0 {
-                let entry = ru.csi.entry(pdu.rnti).or_insert((0, abs));
-                // Long silence ⇒ stale CSI: reacquire from scratch.
-                if abs.saturating_sub(entry.1) > self.cell.mimo_reconverge_slots {
-                    entry.0 = 0;
-                }
-                entry.1 = abs;
-                let progress = (entry.0 as f64 / self.cell.mimo_reconverge_slots as f64).min(1.0);
-                entry.0 += 1;
-                self.cell.mimo_cold_penalty_db * (1.0 - progress)
-            } else {
-                0.0
-            };
-            let signal = TbSignal {
-                pilots,
-                symbols,
-                shadow,
-                snr_db: snr_hint - mimo_penalty,
-            };
-            prepped.push(UlJob {
-                signal,
-                lp,
-                tb_bytes: pdu.tb_bytes as usize,
-                ndi: pdu.ndi,
-                state: ru.rx_pool.take(pdu.rnti, pdu.harq_id),
-                rng: self.rng.split(prepped.len() as u64),
-            });
-        }
-        drop(prepare_span);
-        // Parallel: pure per-PDU decode (itself fanning out per code
-        // block through the same pool — nested submission is safe
-        // because waiting workers help drain the queue).
-        let jobs_span = profiler.span("slot_jobs", abs);
-        let results = pool.run(
-            prepped
-                .into_iter()
-                .map(|mut j| {
-                    let job_pool = pool.clone();
-                    let job_scratch = self.scratch.clone();
-                    let job_prof = profiler.clone();
-                    move || {
-                        let decode_span = job_prof.span("ul_decode", abs);
-                        let outcome = receive_into(
-                            kernels,
-                            &job_pool,
-                            &job_scratch,
-                            &mut j.state,
-                            fidelity,
-                            &j.signal,
-                            &j.lp,
-                            j.tb_bytes,
-                            j.ndi,
-                            &mut j.rng,
-                        );
+        self.run_slot(
+            ctx,
+            abs,
+            // Fronthaul reassembly, CSI bookkeeping, HARQ soft-state
+            // checkout and RNG stream splits, in PDU order; the decode
+            // jobs are pure.
+            |phy, dsp, profiler| {
+                let ru = phy.rus.get_mut(&ru_id).expect("ru exists");
+                let mut jobs = Vec::with_capacity(pdus.len());
+                for (i, pdu) in pdus.iter().enumerate() {
+                    let lp = LinkParamsTb::from_grant(
+                        &dci_of(pdu, true, slot),
+                        ru.cell_id,
+                        phy.cell.data_symbols,
+                        iters,
+                    );
+                    let mut signal = data.take(pdu.start_prb, pdu.rnti, lp.pilot_len());
+                    // Massive-MIMO extension (§10): a PHY without fresh
+                    // channel knowledge for this UE operates with reduced
+                    // effective SNR until its precoding/equalization state
+                    // reconverges.
+                    let reconverge = phy.cell.mimo_reconverge_slots;
+                    if reconverge > 0 {
+                        let entry = ru.csi.entry(pdu.rnti).or_insert((0, abs));
+                        // Long silence ⇒ stale CSI: reacquire from scratch.
+                        if abs.saturating_sub(entry.1) > reconverge {
+                            entry.0 = 0;
+                        }
+                        entry.1 = abs;
+                        let progress = (entry.0 as f64 / reconverge as f64).min(1.0);
+                        entry.0 += 1;
+                        signal.snr_db -= phy.cell.mimo_cold_penalty_db * (1.0 - progress);
+                    }
+                    let mut state = ru.rx_pool.take(pdu.rnti, pdu.harq_id);
+                    let mut rng = phy.rng.split(i as u64);
+                    let (dsp, profiler) = (dsp.clone(), profiler.clone());
+                    jobs.push(move || {
+                        let decode_span = profiler.span("ul_decode", abs);
+                        let outcome =
+                            receive_into(&dsp, &mut state, fidelity, &signal, &lp, &mut rng);
                         drop(decode_span);
                         if outcome.ldpc_ns > 0 {
-                            job_prof.record_span_ns("ldpc_decode", abs, outcome.ldpc_ns);
+                            profiler.record_span_ns("ldpc_decode", abs, outcome.ldpc_ns);
                         }
-                        (j.state, outcome)
+                        (state, outcome)
+                    });
+                }
+                jobs
+            },
+            // Soft-state return, CPU accounting, SNR filters and FAPI
+            // indications, in PDU order.
+            |phy, ctx, _dsp, results| {
+                let ru = phy.rus.get_mut(&ru_id).expect("ru exists");
+                let mut crcs = Vec::new();
+                let mut rx_tbs = Vec::new();
+                let mut busy = CPU_SLOT_BASE_NS;
+                for (pdu, (state, outcome)) in pdus.iter().zip(results) {
+                    ru.rx_pool.put(pdu.rnti, pdu.harq_id, state);
+                    // Decode cost scales with iterations × transport-block
+                    // bits (the whole TB: in reduced-fidelity modes the
+                    // representative block's iteration count stands in for
+                    // all code blocks).
+                    let iters_used = if outcome.iterations > 0 {
+                        outcome.iterations
+                    } else {
+                        iters / 2 + 1
+                    };
+                    busy += (iters_used as f64
+                        * (pdu.tb_bytes as f64 * 8.0 / 1000.0)
+                        * CPU_DECODE_PER_ITER_KBIT_NS) as u64
+                        + 2_000;
+                    // SNR moving-average filter (§4.2 inter-TTI state).
+                    let filt = ru
+                        .snr_filters
+                        .entry(pdu.rnti)
+                        .or_insert_with(|| SnrFilter::new(0.1));
+                    let reported = if outcome.snr_db.is_finite() {
+                        filt.update(outcome.snr_db)
+                    } else {
+                        filt.value_or(-10.0)
+                    };
+                    let ok = outcome.payload.is_some();
+                    phy.ul_tbs_decoded += 1;
+                    if !ok {
+                        phy.ul_crc_failures += 1;
                     }
-                })
-                .collect::<Vec<_>>(),
+                    crcs.push(CrcEntry {
+                        rnti: pdu.rnti,
+                        harq_id: pdu.harq_id,
+                        ok,
+                        snr_x10: (reported * 10.0) as i16,
+                    });
+                    if let Some(payload) = outcome.payload {
+                        rx_tbs.push(RxTb {
+                            rnti: pdu.rnti,
+                            harq_id: pdu.harq_id,
+                            payload,
+                        });
+                    }
+                }
+                phy.busy_ns_total += busy;
+                phy.send_fapi(ctx, FapiMsg::CrcInd(CrcIndication { ru_id, slot, crcs }));
+                if !rx_tbs.is_empty() {
+                    let tbs = rx_tbs;
+                    phy.send_fapi(ctx, FapiMsg::RxData(RxDataIndication { ru_id, slot, tbs }));
+                }
+            },
         );
-        drop(jobs_span);
-        // Serial merge, in PDU order: soft-state return, CPU accounting,
-        // SNR filters and FAPI indications.
-        let merge_span = profiler.span("slot_merge", abs);
-        let ru = self.rus.get_mut(&ru_id).expect("ru exists");
-        let mut crcs = Vec::new();
-        let mut rx_tbs = Vec::new();
-        let mut busy = CPU_SLOT_BASE_NS;
-        for (pdu, (state, outcome)) in pdus.iter().zip(results) {
-            ru.rx_pool.put(pdu.rnti, pdu.harq_id, state);
-            // Decode cost scales with iterations × transport-block bits
-            // (the whole TB: in reduced-fidelity modes the representative
-            // block's iteration count stands in for all code blocks).
-            let iters_used = if outcome.iterations > 0 {
-                outcome.iterations
-            } else {
-                iters / 2 + 1
-            };
-            busy += (iters_used as f64
-                * (pdu.tb_bytes as f64 * 8.0 / 1000.0)
-                * CPU_DECODE_PER_ITER_KBIT_NS) as u64
-                + 2_000;
-            // SNR moving-average filter (§4.2 inter-TTI state).
-            let filt = ru
-                .snr_filters
-                .entry(pdu.rnti)
-                .or_insert_with(|| SnrFilter::new(0.1));
-            let reported = if outcome.snr_db.is_finite() {
-                filt.update(outcome.snr_db)
-            } else {
-                filt.value_or(-10.0)
-            };
-            let ok = outcome.payload.is_some();
-            self.ul_tbs_decoded += 1;
-            if !ok {
-                self.ul_crc_failures += 1;
-            }
-            crcs.push(CrcEntry {
-                rnti: pdu.rnti,
-                harq_id: pdu.harq_id,
-                ok,
-                snr_x10: (reported * 10.0) as i16,
-            });
-            if let Some(payload) = outcome.payload {
-                rx_tbs.push(RxTb {
-                    rnti: pdu.rnti,
-                    harq_id: pdu.harq_id,
-                    payload,
-                });
-            }
-        }
-        self.busy_ns_total += busy;
-        self.send_fapi(ctx, FapiMsg::CrcInd(CrcIndication { ru_id, slot, crcs }));
-        if !rx_tbs.is_empty() {
-            self.send_fapi(
-                ctx,
-                FapiMsg::RxData(RxDataIndication {
-                    ru_id,
-                    slot,
-                    tbs: rx_tbs,
-                }),
-            );
-        }
-        drop(merge_span);
-        if let Some(t0) = slot_t0 {
-            profiler.complete_slot(abs, t0.elapsed().as_nanos() as u64);
-        }
     }
 
     fn crash(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -665,7 +530,7 @@ impl PhyNode {
                         started: false,
                         ul_tti: HashMap::new(),
                         dl_seen: HashMap::new(),
-                        ul_data: HashMap::new(),
+                        ul_rx: FhAssembly::default(),
                         rx_pool: RxProcessPool::new(),
                         snr_filters: HashMap::new(),
                         csi: HashMap::new(),
@@ -703,22 +568,10 @@ impl PhyNode {
                 // DDDSU guarantees slot (n−1) is Special for UL slot n.
                 if started && !req.pusch.is_empty() && abs >= 1 {
                     let carry = SlotId::from_absolute(abs - 1);
-                    let target_scalar = req.slot.scalar();
                     let entries = req
                         .pusch
                         .iter()
-                        .map(|p| DciEntry {
-                            rnti: p.rnti,
-                            uplink: true,
-                            target_slot_scalar: target_scalar,
-                            harq_id: p.harq_id,
-                            ndi: p.ndi,
-                            rv: p.rv,
-                            mcs: p.mcs,
-                            start_prb: p.start_prb,
-                            num_prb: p.num_prb,
-                            tb_bytes: p.tb_bytes,
-                        })
+                        .map(|p| dci_of(p, true, req.slot))
                         .collect();
                     self.send_fh(
                         ctx,
@@ -824,7 +677,7 @@ impl Node<Msg> for PhyNode {
                     }
                     // GC stale per-slot maps.
                     ru.dl_seen.retain(|k, _| *k + 8 > abs);
-                    ru.ul_data.retain(|k, _| *k + 8 > abs);
+                    ru.ul_rx.gc(abs);
                     ru.ul_tti.retain(|k, _| *k + 8 > abs);
                 }
                 self.busy_ns_total += CPU_NULL_SLOT_NS;
@@ -880,21 +733,7 @@ impl Node<Msg> for PhyNode {
                 let Some(ru) = self.rus.get_mut(&ru_id) else {
                     return;
                 };
-                let data = ru.ul_data.entry(abs).or_default();
                 match fh {
-                    FhMessage::UPlane(u) => {
-                        data.chunks.entry(u.start_prb).or_default().push((
-                            u.hdr.symbol,
-                            decompress_prbs_with(
-                                DspKernels::from_config(ctx.kernel_config()),
-                                &u.prbs,
-                            ),
-                        ));
-                    }
-                    FhMessage::Shadow(s) => {
-                        data.shadows
-                            .insert(s.rnti, (s.snr_db_x100 as f64 / 100.0, s.data));
-                    }
                     FhMessage::Uci(u) => {
                         let acks = u
                             .entries
@@ -908,7 +747,7 @@ impl Node<Msg> for PhyNode {
                         let slot = SlotId::from_absolute(abs);
                         self.send_fapi(ctx, FapiMsg::UciInd(UciIndication { ru_id, slot, acks }));
                     }
-                    _ => {}
+                    iq => ru.ul_rx.absorb(kernels_of(ctx), abs, iq),
                 }
             }
             _ => {}

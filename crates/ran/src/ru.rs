@@ -7,35 +7,12 @@
 //! and transmits downlink only when its PHY feeds it fronthaul — when
 //! the PHY dies, the cell goes dark and UEs start their RLF timers.
 
-use std::collections::HashMap;
-
-use slingshot_fronthaul::{
-    compress_symbol_with, decompress_prbs_with, fh_header, CPlaneMsg, DciEntry, Direction,
-    FhMessage, ShadowMsg, UPlaneMsg, UciMsg,
-};
+use slingshot_fronthaul::{fh_header, Direction, FhMessage, UciMsg};
 use slingshot_netsim::{EtherType, Frame, MacAddr};
-use slingshot_phy_dsp::{Cplx, SC_PER_PRB};
 use slingshot_sim::{Ctx, Node, NodeId, SlotClock, SlotId, SLOT_DURATION};
 
-use crate::fidelity::TbSignal;
+use crate::fidelity::{kernels_of, pilot_len, FhAssembly};
 use crate::msg::{timer_tokens, DlAllocation, Msg, RadioDlBurst, RadioUlBurst, AIR_LATENCY};
-use slingshot_phy_dsp::DspKernels;
-
-/// PRBs per U-plane message chunk (keeps frames under typical MTU:
-/// 48 × 28 B ≈ 1.3 KB).
-pub const PRBS_PER_CHUNK: usize = 48;
-
-/// In-assembly downlink state for one slot.
-#[derive(Debug, Default)]
-struct DlSlotBuf {
-    /// Any downlink fronthaul seen for this slot ⇒ the PHY scheduled it.
-    alive: bool,
-    dcis: Vec<DciEntry>,
-    /// Keyed by the allocation's absolute start PRB.
-    chunks: HashMap<u16, Vec<(u8, Vec<Cplx>)>>,
-    /// Shadow payloads keyed by RNTI.
-    shadows: HashMap<u16, (f64, bytes::Bytes)>,
-}
 
 /// The RU node.
 pub struct RuNode {
@@ -49,7 +26,9 @@ pub struct RuNode {
     /// Where uplink fronthaul is addressed: the virtual PHY address by
     /// default (the in-switch middlebox translates it).
     pub uplink_dst: MacAddr,
-    dl_slots: HashMap<u16, DlSlotBuf>,
+    /// Downlink fronthaul being assembled per slot. Any frame for a
+    /// slot — the heartbeat C-plane included — means the PHY fed it.
+    dl_rx: FhAssembly,
     ul_pending: Vec<RadioUlBurst>,
     /// Stats.
     pub bursts_tx: u64,
@@ -66,7 +45,7 @@ impl RuNode {
             ues: Vec::new(),
             mac: MacAddr::for_ru(ru_id),
             uplink_dst: MacAddr::virtual_phy(ru_id),
-            dl_slots: HashMap::new(),
+            dl_rx: FhAssembly::default(),
             ul_pending: Vec::new(),
             bursts_tx: 0,
             slots_dark: 0,
@@ -93,134 +72,49 @@ impl RuNode {
 
     /// Pack one uplink burst into fronthaul messages.
     fn uplink_to_fronthaul(&mut self, ctx: &mut Ctx<'_, Msg>, burst: RadioUlBurst) {
-        let slot = burst.slot;
-        // Compressed IQ chunks (pilots ‖ data as one flat stream),
-        // tagged with the allocation's absolute start PRB and a chunk
-        // index in the symbol field. The burst is consumed: its pilot
-        // buffer becomes the flat scratch, so nothing is cloned here.
-        let TbSignal {
-            pilots: mut flat,
-            symbols,
-            shadow,
-            snr_db,
-        } = burst.signal;
-        flat.extend_from_slice(&symbols);
-        // Pad to a whole PRB; chunk boundaries then stay PRB-aligned.
-        while !flat.len().is_multiple_of(SC_PER_PRB) {
-            flat.push(Cplx::ZERO);
-        }
-        let kernels = DspKernels::from_config(ctx.kernel_config());
-        let samples_per_chunk = PRBS_PER_CHUNK * SC_PER_PRB;
-        for (idx, chunk) in flat.chunks(samples_per_chunk).enumerate() {
-            let msg = FhMessage::UPlane(UPlaneMsg {
-                hdr: fh_header(Direction::Uplink, slot, idx as u8, self.ru_id),
-                start_prb: burst.start_prb,
-                prbs: compress_symbol_with(kernels, chunk),
+        let hdr = fh_header(Direction::Uplink, burst.slot, 0, self.ru_id);
+        burst
+            .signal
+            .pack(kernels_of(ctx), hdr, burst.start_prb, burst.rnti, |m| {
+                self.send_fh(ctx, m)
             });
-            self.send_fh(ctx, &msg);
-        }
-        if !shadow.is_empty() {
-            let msg = FhMessage::Shadow(ShadowMsg {
-                hdr: fh_header(Direction::Uplink, slot, 0, self.ru_id),
-                rnti: burst.rnti,
-                snr_db_x100: (snr_db * 100.0) as i32,
-                data: shadow,
-            });
-            self.send_fh(ctx, &msg);
-        }
         if !burst.ucis.is_empty() {
-            let msg = FhMessage::Uci(UciMsg {
-                hdr: fh_header(Direction::Uplink, slot, 0, self.ru_id),
-                entries: burst.ucis,
-            });
-            self.send_fh(ctx, &msg);
+            let entries = burst.ucis;
+            self.send_fh(ctx, &FhMessage::Uci(UciMsg { hdr, entries }));
         }
     }
 
-    /// Emit the over-the-air downlink burst for a slot, if the PHY fed
-    /// us fronthaul for it.
-    fn radiate(&mut self, ctx: &mut Ctx<'_, Msg>, slot: SlotId) {
-        let Some(mut buf) = self.dl_slots.remove(&slot.scalar()) else {
+    /// Emit the over-the-air downlink burst for slot `abs`, if the PHY
+    /// fed us fronthaul for it.
+    fn radiate(&mut self, ctx: &mut Ctx<'_, Msg>, abs: u64) {
+        let Some(mut buf) = self.dl_rx.remove(abs) else {
             self.slots_dark += 1;
             return;
         };
-        if !buf.alive {
-            self.slots_dark += 1;
-            return;
-        }
-        let mut pdsch = Vec::new();
-        for dci in buf.dcis.iter().filter(|d| !d.uplink) {
-            // Reassemble this allocation's samples from its chunks.
-            let mut samples = Vec::new();
-            if let Some(mut chunks) = buf.chunks.remove(&dci.start_prb) {
-                chunks.sort_by_key(|(idx, _)| *idx);
-                for (_, c) in chunks {
-                    samples.extend(c);
-                }
-            }
-            let pilot_len = dci.num_prb as usize * SC_PER_PRB;
-            let (pilots, symbols) = if samples.len() >= pilot_len {
-                let symbols = samples.split_off(pilot_len);
-                (samples, symbols)
-            } else {
-                (Vec::new(), Vec::new())
-            };
-            let (snr_hint, shadow) = buf
-                .shadows
-                .get(&dci.rnti)
-                .cloned()
-                .unwrap_or((f64::NAN, bytes::Bytes::new()));
-            pdsch.push(DlAllocation {
+        let dcis = std::mem::take(&mut buf.dcis);
+        let pdsch = dcis
+            .iter()
+            .filter(|d| !d.uplink)
+            .map(|dci| DlAllocation {
                 rnti: dci.rnti,
                 start_prb: dci.start_prb,
                 num_prb: dci.num_prb,
-                signal: TbSignal {
-                    pilots,
-                    symbols,
-                    shadow,
-                    snr_db: snr_hint,
-                },
-            });
-        }
+                signal: buf.take(dci.start_prb, dci.rnti, pilot_len(dci.num_prb)),
+            })
+            .collect();
         // One Arc-shared burst for the whole cell: the per-UE clone
         // below is two reference-count bumps, not a deep copy of the
         // PDSCH symbol buffers.
         let burst = RadioDlBurst {
             ru_id: self.ru_id,
-            slot,
-            dcis: std::sync::Arc::new(buf.dcis),
+            slot: SlotId::from_absolute(abs),
+            dcis: std::sync::Arc::new(dcis),
             pdsch: std::sync::Arc::new(pdsch),
         };
         self.bursts_tx += 1;
         for i in 0..self.ues.len() {
             let ue = self.ues[i];
             ctx.send_in(ue, AIR_LATENCY, Msg::RadioDl(burst.clone()));
-        }
-    }
-
-    fn on_dl_fronthaul(&mut self, kernels: DspKernels, msg: FhMessage) {
-        let scalar = msg.hdr().slot_scalar();
-        let buf = self.dl_slots.entry(scalar).or_default();
-        buf.alive = true;
-        match msg {
-            FhMessage::CPlane(CPlaneMsg { .. }) => {}
-            FhMessage::Dci(d) => buf.dcis.extend(d.entries),
-            FhMessage::UPlane(u) => {
-                buf.chunks
-                    .entry(u.start_prb)
-                    .or_default()
-                    .push((u.hdr.symbol, decompress_prbs_with(kernels, &u.prbs)));
-            }
-            FhMessage::Shadow(s) => {
-                buf.shadows
-                    .insert(s.rnti, (s.snr_db_x100 as f64 / 100.0, s.data));
-            }
-            FhMessage::Uci(_) => {} // uplink-only; ignore
-        }
-        // Garbage-collect stale slots (keep a window of ~64 slots).
-        if self.dl_slots.len() > 256 {
-            let min_keep = scalar.wrapping_sub(64);
-            self.dl_slots.retain(|k, _| k.wrapping_sub(min_keep) < 128);
         }
     }
 }
@@ -237,10 +131,10 @@ impl Node<Msg> for RuNode {
         if token != timer_tokens::SLOT_TICK {
             return;
         }
-        let now = ctx.now();
-        let slot = self.clock.slot_id(now);
+        let abs = self.clock.absolute_slot(ctx.now());
         // 1. Radiate downlink for the slot that just began.
-        self.radiate(ctx, slot);
+        self.radiate(ctx, abs);
+        self.dl_rx.gc(abs);
         // 2. Forward uplink captured during the previous slot.
         for burst in std::mem::take(&mut self.ul_pending) {
             self.uplink_to_fronthaul(ctx, burst);
@@ -256,8 +150,8 @@ impl Node<Msg> for RuNode {
                 }
                 if let Some(fh) = FhMessage::from_bytes(&frame.payload) {
                     if fh.direction() == Direction::Downlink {
-                        let kernels = DspKernels::from_config(ctx.kernel_config());
-                        self.on_dl_fronthaul(kernels, fh);
+                        let abs = self.clock.abs_of_scalar(ctx.now(), fh.hdr().slot_scalar());
+                        self.dl_rx.absorb(kernels_of(ctx), abs, fh);
                     }
                 }
             }
@@ -266,5 +160,75 @@ impl Node<Msg> for RuNode {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use slingshot_fronthaul::CPlaneMsg;
+    use slingshot_sim::time::SCALAR_EPOCH;
+    use slingshot_sim::{Engine, Nanos};
+
+    /// A UE-side listener: the slot of every downlink burst it hears.
+    #[derive(Default)]
+    struct Ear {
+        heard: Vec<SlotId>,
+    }
+
+    impl Node<Msg> for Ear {
+        fn on_msg(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
+            if let Msg::RadioDl(burst) = msg {
+                self.heard.push(burst.slot);
+            }
+        }
+    }
+
+    /// Downlink fronthaul for slot `abs` — the PHY's bare heartbeat
+    /// C-plane is enough to mark a slot as fed — arriving `at_us` into
+    /// slot `during`.
+    fn feed(eng: &mut Engine<Msg>, ru: NodeId, abs: u64, during: u64, at_us: u64) {
+        let fh = FhMessage::CPlane(CPlaneMsg {
+            hdr: fh_header(Direction::Downlink, SlotId::from_absolute(abs), 0, 0),
+            sections: Vec::new(),
+        });
+        let frame = Frame::new(
+            MacAddr::for_ru(0),
+            MacAddr::for_phy(0),
+            EtherType::Ecpri,
+            fh.to_bytes(),
+        );
+        let at = Nanos(during * SLOT_DURATION.0 + at_us * 1_000);
+        eng.post(at, ru, Msg::Eth(frame));
+    }
+
+    #[test]
+    fn fronthaul_fed_across_the_scalar_wrap_still_radiates() {
+        // The wire scalar wraps at SCALAR_EPOCH; a stale-buffer sweep
+        // that runs in the last slots before the wrap must not take the
+        // already-delivered fronthaul of the first slots after it.
+        let wrap = SCALAR_EPOCH;
+        let mut eng = Engine::<Msg>::new(7);
+        let ru = eng.add_node("ru", Box::new(RuNode::new(0, SlotClock::new(Nanos::ZERO))));
+        let ear = eng.add_node("ear", Box::new(Ear::default()));
+        eng.node_mut::<RuNode>(ru).unwrap().wire(ear, vec![ear]);
+        // A mid-slot heartbeat names a slot that already radiated and
+        // leaves one stale buffer behind; 254 of those, the two future
+        // slots' fronthaul, and one more packet in the last slot before
+        // the wrap make 257 buffers — past the threshold at which the
+        // scalar-keyed sweep this test pins used to run.
+        for abs in wrap - 255..=wrap - 2 {
+            feed(&mut eng, ru, abs, abs, 250);
+        }
+        feed(&mut eng, ru, wrap, wrap - 2, 300);
+        feed(&mut eng, ru, wrap + 1, wrap - 2, 310);
+        feed(&mut eng, ru, wrap - 1, wrap - 1, 250);
+        eng.run_until(Nanos((wrap + 2) * SLOT_DURATION.0 + 100_000));
+        let heard = &eng.node::<Ear>(ear).unwrap().heard;
+        assert_eq!(
+            heard,
+            &[SlotId::from_absolute(wrap), SlotId::from_absolute(wrap + 1)],
+            "both slots past the wrap were fed two slots ahead and must radiate"
+        );
     }
 }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 
-use slingshot_fapi::{mcs_for_snr, tbs_bytes, PdschPdu, PuschPdu};
+use slingshot_fapi::{mcs_for_snr, tbs_bytes, PdschPdu, PuschPdu, SchedPdu};
 
 use crate::slice::{SliceKind, SliceProfile};
 
@@ -34,27 +34,24 @@ pub struct UeSchedState {
     pub dl_snr_db: f64,
     /// EWMA throughput for PF (bytes/slot).
     pub avg_tput: f64,
-    /// Uplink HARQ processes: harq_id → in-flight transmission state.
-    ul_harq: BTreeMap<u8, HarqTxState>,
-    /// Downlink HARQ processes (payload retained for retransmission).
-    dl_harq: BTreeMap<u8, DlHarqState>,
-    /// Last NDI value used per HARQ process — persists across process
-    /// completion so the *toggle* (not the value) marks new data.
-    ul_last_ndi: BTreeMap<u8, bool>,
-    dl_last_ndi: BTreeMap<u8, bool>,
-    next_ul_harq: u8,
-    next_dl_harq: u8,
+    /// Uplink HARQ transmitter; a retransmission repeats the TB size
+    /// (the UE holds the bytes).
+    ul_harq: HarqTx<u32>,
+    /// Downlink HARQ transmitter; a retransmission repeats the payload.
+    dl_harq: HarqTx<Bytes>,
     /// Whether the UE currently has uplink data (buffer status).
     pub ul_backlog_hint: bool,
 }
 
-#[derive(Debug, Clone)]
-struct HarqTxState {
+/// One in-flight HARQ series at the transmitter. `tb` is what a
+/// retransmission must repeat.
+#[derive(Debug)]
+struct HarqProc<T> {
     ndi: bool,
     rv_idx: u8,
     tx_count: u8,
     mcs: u8,
-    tb_bytes: u32,
+    tb: T,
     /// A transmission is in flight; hold retransmissions until its
     /// feedback arrives (the HARQ round-trip).
     awaiting: bool,
@@ -63,15 +60,35 @@ struct HarqTxState {
     age: u16,
 }
 
-#[derive(Debug, Clone)]
-struct DlHarqState {
+/// One direction's HARQ transmitter: the in-flight processes, the NDI
+/// history and the process-id cursor. Uplink and downlink are two
+/// instances of this one state machine.
+#[derive(Debug, Default)]
+struct HarqTx<T> {
+    procs: BTreeMap<u8, HarqProc<T>>,
+    /// Last NDI value used per HARQ process — persists across process
+    /// completion so the *toggle* (not the value) marks new data.
+    last_ndi: BTreeMap<u8, bool>,
+    next_id: u8,
+}
+
+/// The HARQ half of one scheduled transmission.
+struct HarqGrant<T> {
+    harq_id: u8,
     ndi: bool,
-    rv_idx: u8,
-    tx_count: u8,
+    rv: u8,
     mcs: u8,
-    payload: Bytes,
-    awaiting: bool,
-    age: u16,
+    tb: T,
+    is_retx: bool,
+}
+
+/// How a feedback report left its HARQ series.
+enum HarqOutcome<T> {
+    /// NACK with attempts left: a retransmission is now pending.
+    Retx,
+    Done,
+    /// NACK on the last of [`MAX_HARQ_TX`] attempts.
+    Abandoned(T),
 }
 
 /// Redundancy-version sequence used across HARQ retransmissions
@@ -85,12 +102,8 @@ impl UeSchedState {
             ul_snr_db: initial_snr_db,
             dl_snr_db: initial_snr_db,
             avg_tput: 1.0,
-            ul_harq: BTreeMap::new(),
-            dl_harq: BTreeMap::new(),
-            ul_last_ndi: BTreeMap::new(),
-            dl_last_ndi: BTreeMap::new(),
-            next_ul_harq: 0,
-            next_dl_harq: 0,
+            ul_harq: HarqTx::default(),
+            dl_harq: HarqTx::default(),
             ul_backlog_hint: true,
         }
     }
@@ -104,11 +117,112 @@ impl UeSchedState {
 
     /// Number of uplink HARQ processes awaiting an outcome.
     pub fn ul_inflight(&self) -> usize {
-        self.ul_harq.len()
+        self.ul_harq.procs.len()
     }
 
     pub fn dl_inflight(&self) -> usize {
-        self.dl_harq.len()
+        self.dl_harq.procs.len()
+    }
+}
+
+impl<T: Clone> HarqTx<T> {
+    /// The next transmission: a pending retransmission takes priority;
+    /// otherwise a free process carries the `(mcs, tb)` that `new_tb`
+    /// supplies. `None` when all 8 processes await outcomes or
+    /// `new_tb` has nothing to send — neither consumes a process id.
+    fn next_tx(&mut self, new_tb: impl FnOnce() -> Option<(u8, T)>) -> Option<HarqGrant<T>> {
+        let retx = self
+            .procs
+            .iter_mut()
+            .find(|(_, st)| st.rv_idx > 0 && !st.awaiting);
+        if let Some((&harq_id, st)) = retx {
+            st.tx_count += 1;
+            st.awaiting = true;
+            st.age = 0;
+            return Some(HarqGrant {
+                harq_id,
+                ndi: st.ndi,
+                rv: RV_SEQUENCE[st.rv_idx as usize % 4],
+                mcs: st.mcs,
+                tb: st.tb.clone(),
+                is_retx: true,
+            });
+        }
+        if self.procs.len() >= 8 {
+            return None;
+        }
+        let (mcs, tb) = new_tb()?;
+        let mut harq_id = self.next_id;
+        while self.procs.contains_key(&harq_id) {
+            harq_id = (harq_id + 1) % 16;
+        }
+        self.next_id = (harq_id + 1) % 16;
+        let ndi = !self.last_ndi.get(&harq_id).copied().unwrap_or(true);
+        self.last_ndi.insert(harq_id, ndi);
+        self.procs.insert(
+            harq_id,
+            HarqProc {
+                ndi,
+                rv_idx: 0,
+                tx_count: 1,
+                mcs,
+                tb: tb.clone(),
+                awaiting: true,
+                age: 0,
+            },
+        );
+        Some(HarqGrant {
+            harq_id,
+            ndi,
+            rv: RV_SEQUENCE[0],
+            mcs,
+            tb,
+            is_retx: false,
+        })
+    }
+
+    /// Apply ACK/NACK feedback; `None` for a process not in flight.
+    fn feedback(&mut self, harq_id: u8, ok: bool) -> Option<HarqOutcome<T>> {
+        let st = self.procs.get_mut(&harq_id)?;
+        st.awaiting = false;
+        if ok {
+            self.procs.remove(&harq_id);
+            return Some(HarqOutcome::Done);
+        }
+        if st.tx_count >= MAX_HARQ_TX {
+            let st = self.procs.remove(&harq_id).expect("present");
+            return Some(HarqOutcome::Abandoned(st.tb));
+        }
+        st.rv_idx = (st.rv_idx + 1).min(3);
+        Some(HarqOutcome::Retx)
+    }
+
+    /// Age every process awaiting feedback by one slot and abandon
+    /// those past `expiry_slots`; returns how many were abandoned.
+    fn expire(&mut self, expiry_slots: u16) -> u64 {
+        let before = self.procs.len();
+        self.procs.retain(|_, st| {
+            if st.awaiting {
+                st.age += 1;
+            }
+            !st.awaiting || st.age <= expiry_slots
+        });
+        (before - self.procs.len()) as u64
+    }
+}
+
+impl<T> HarqGrant<T> {
+    fn pdu(&self, rnti: u16, start_prb: u16, num_prb: u16, tb_bytes: u32) -> SchedPdu {
+        SchedPdu {
+            rnti,
+            harq_id: self.harq_id,
+            ndi: self.ndi,
+            rv: self.rv,
+            mcs: self.mcs,
+            start_prb,
+            num_prb,
+            tb_bytes,
+        }
     }
 }
 
@@ -252,71 +366,21 @@ impl Scheduler {
         num_prb: u16,
         data_symbols: u8,
     ) -> Option<UlGrant> {
-        let la_margin = self.la_margin_db;
-        let iters = self.fec_iterations;
+        let (la_margin, iters) = (self.la_margin_db, self.fec_iterations);
         let ue = self.ues.get_mut(&rnti)?;
-        // Pending retransmission takes priority.
-        let retx_id = ue
-            .ul_harq
-            .iter()
-            .find(|(_, s)| s.rv_idx > 0 && !s.awaiting)
-            .map(|(id, _)| *id);
-        if let Some(id) = retx_id {
-            let st = ue.ul_harq.get_mut(&id).expect("retx state");
-            let pdu = PuschPdu {
-                rnti,
-                harq_id: id,
-                ndi: st.ndi,
-                rv: RV_SEQUENCE[st.rv_idx as usize % 4],
-                mcs: st.mcs,
-                start_prb,
-                num_prb,
-                tb_bytes: st.tb_bytes,
-            };
-            st.tx_count += 1;
-            st.awaiting = true;
-            st.age = 0;
+        let snr_db = ue.ul_snr_db;
+        let g = ue.ul_harq.next_tx(|| {
+            let mcs = mcs_for_snr(snr_db, la_margin, iters);
+            Some((mcs, tbs_bytes(mcs, num_prb, data_symbols) as u32))
+        })?;
+        if g.is_retx {
             self.ul_retx += 1;
-            return Some(UlGrant { pdu, is_retx: true });
+        } else {
+            self.ul_new_tx += 1;
         }
-        // New transmission on a free HARQ process.
-        if ue.ul_harq.len() >= 8 {
-            return None; // all processes awaiting outcomes
-        }
-        let mut harq_id = ue.next_ul_harq;
-        while ue.ul_harq.contains_key(&harq_id) {
-            harq_id = (harq_id + 1) % 16;
-        }
-        ue.next_ul_harq = (harq_id + 1) % 16;
-        let mcs = mcs_for_snr(ue.ul_snr_db, la_margin, iters);
-        let tb = tbs_bytes(mcs, num_prb, data_symbols) as u32;
-        let ndi = !ue.ul_last_ndi.get(&harq_id).copied().unwrap_or(true);
-        ue.ul_last_ndi.insert(harq_id, ndi);
-        ue.ul_harq.insert(
-            harq_id,
-            HarqTxState {
-                ndi,
-                rv_idx: 0,
-                tx_count: 1,
-                mcs,
-                tb_bytes: tb,
-                awaiting: true,
-                age: 0,
-            },
-        );
-        self.ul_new_tx += 1;
         Some(UlGrant {
-            pdu: PuschPdu {
-                rnti,
-                harq_id,
-                ndi,
-                rv: RV_SEQUENCE[0],
-                mcs,
-                start_prb,
-                num_prb,
-                tb_bytes: tb,
-            },
-            is_retx: false,
+            pdu: g.pdu(rnti, start_prb, num_prb, g.tb),
+            is_retx: g.is_retx,
         })
     }
 
@@ -327,21 +391,14 @@ impl Scheduler {
             return true;
         };
         ue.report_ul_snr(snr_db);
-        let Some(st) = ue.ul_harq.get_mut(&harq_id) else {
-            return true;
-        };
-        st.awaiting = false;
-        if ok {
-            ue.ul_harq.remove(&harq_id);
-            return true;
+        match ue.ul_harq.feedback(harq_id, ok) {
+            Some(HarqOutcome::Retx) => false,
+            Some(HarqOutcome::Abandoned(_)) => {
+                self.ul_harq_failures += 1;
+                true
+            }
+            Some(HarqOutcome::Done) | None => true,
         }
-        if st.tx_count >= MAX_HARQ_TX {
-            ue.ul_harq.remove(&harq_id);
-            self.ul_harq_failures += 1;
-            return true;
-        }
-        st.rv_idx = (st.rv_idx + 1).min(3);
-        false
     }
 
     /// Build a downlink assignment for a UE: retransmission if pending,
@@ -354,95 +411,38 @@ impl Scheduler {
         data_symbols: u8,
         new_payload: impl FnOnce(usize) -> Option<Bytes>,
     ) -> Option<(PdschPdu, Bytes)> {
-        let la_margin = self.la_margin_db;
-        let iters = self.fec_iterations;
+        let (la_margin, iters) = (self.la_margin_db, self.fec_iterations);
         let ue = self.ues.get_mut(&rnti)?;
-        let retx_id = ue
-            .dl_harq
-            .iter()
-            .find(|(_, s)| s.rv_idx > 0 && !s.awaiting)
-            .map(|(id, _)| *id);
-        if let Some(id) = retx_id {
-            let st = ue.dl_harq.get_mut(&id).expect("retx state");
-            st.tx_count += 1;
-            st.awaiting = true;
-            st.age = 0;
-            let pdu = PdschPdu {
-                rnti,
-                harq_id: id,
-                ndi: st.ndi,
-                rv: RV_SEQUENCE[st.rv_idx as usize % 4],
-                mcs: st.mcs,
-                start_prb,
-                num_prb,
-                tb_bytes: st.payload.len() as u32,
-            };
-            let payload = st.payload.clone();
+        let snr_db = ue.dl_snr_db;
+        let g = ue.dl_harq.next_tx(|| {
+            let mcs = mcs_for_snr(snr_db, la_margin, iters);
+            let tbs = tbs_bytes(mcs, num_prb, data_symbols);
+            let payload = new_payload(tbs)?;
+            debug_assert!(payload.len() <= tbs);
+            Some((mcs, payload))
+        })?;
+        if g.is_retx {
             self.dl_retx += 1;
-            return Some((pdu, payload));
+        } else {
+            self.dl_new_tx += 1;
+            // Track throughput for PF.
+            ue.avg_tput = 0.95 * ue.avg_tput + 0.05 * g.tb.len() as f64;
         }
-        if ue.dl_harq.len() >= 8 {
-            return None;
-        }
-        let mcs = mcs_for_snr(ue.dl_snr_db, la_margin, iters);
-        let tbs = tbs_bytes(mcs, num_prb, data_symbols);
-        let payload = new_payload(tbs)?;
-        debug_assert!(payload.len() <= tbs);
-        let mut harq_id = ue.next_dl_harq;
-        while ue.dl_harq.contains_key(&harq_id) {
-            harq_id = (harq_id + 1) % 16;
-        }
-        ue.next_dl_harq = (harq_id + 1) % 16;
-        let ndi = !ue.dl_last_ndi.get(&harq_id).copied().unwrap_or(true);
-        ue.dl_last_ndi.insert(harq_id, ndi);
-        ue.dl_harq.insert(
-            harq_id,
-            DlHarqState {
-                ndi,
-                rv_idx: 0,
-                tx_count: 1,
-                mcs,
-                payload: payload.clone(),
-                awaiting: true,
-                age: 0,
-            },
-        );
-        self.dl_new_tx += 1;
-        // Track throughput for PF.
-        let ue = self.ues.get_mut(&rnti).expect("just used");
-        ue.avg_tput = 0.95 * ue.avg_tput + 0.05 * payload.len() as f64;
-        Some((
-            PdschPdu {
-                rnti,
-                harq_id,
-                ndi,
-                rv: RV_SEQUENCE[0],
-                mcs,
-                start_prb,
-                num_prb,
-                tb_bytes: payload.len() as u32,
-            },
-            payload,
-        ))
+        let pdu = g.pdu(rnti, start_prb, num_prb, g.tb.len() as u32);
+        Some((pdu, g.tb))
     }
 
     /// Handle a downlink HARQ acknowledgment. Returns the abandoned
     /// payload if the series failed (for observability).
     pub fn on_dl_ack(&mut self, rnti: u16, harq_id: u8, ack: bool) -> Option<Bytes> {
         let ue = self.ues.get_mut(&rnti)?;
-        let st = ue.dl_harq.get_mut(&harq_id)?;
-        st.awaiting = false;
-        if ack {
-            ue.dl_harq.remove(&harq_id);
-            return None;
+        match ue.dl_harq.feedback(harq_id, ack)? {
+            HarqOutcome::Abandoned(payload) => {
+                self.dl_harq_failures += 1;
+                Some(payload)
+            }
+            HarqOutcome::Retx | HarqOutcome::Done => None,
         }
-        if st.tx_count >= MAX_HARQ_TX {
-            let st = ue.dl_harq.remove(&harq_id).expect("present");
-            self.dl_harq_failures += 1;
-            return Some(st.payload);
-        }
-        st.rv_idx = (st.rv_idx + 1).min(3);
-        None
     }
 
     /// Advance per-slot HARQ timers: a process whose feedback has been
@@ -450,40 +450,16 @@ impl Scheduler {
     /// died with a crashed PHY). Call once per slot.
     pub fn tick(&mut self, expiry_slots: u16) {
         for ue in self.ues.values_mut() {
-            let mut expired_ul = Vec::new();
-            for (id, st) in ue.ul_harq.iter_mut() {
-                if st.awaiting {
-                    st.age += 1;
-                    if st.age > expiry_slots {
-                        expired_ul.push(*id);
-                    }
-                }
-            }
-            for id in expired_ul {
-                ue.ul_harq.remove(&id);
-                self.ul_harq_failures += 1;
-            }
-            let mut expired_dl = Vec::new();
-            for (id, st) in ue.dl_harq.iter_mut() {
-                if st.awaiting {
-                    st.age += 1;
-                    if st.age > expiry_slots {
-                        expired_dl.push(*id);
-                    }
-                }
-            }
-            for id in expired_dl {
-                ue.dl_harq.remove(&id);
-                self.dl_harq_failures += 1;
-            }
+            self.ul_harq_failures += ue.ul_harq.expire(expiry_slots);
+            self.dl_harq_failures += ue.dl_harq.expire(expiry_slots);
         }
     }
 
     /// Drop every in-flight HARQ series for a UE (called on detach).
     pub fn reset_ue(&mut self, rnti: u16) {
         if let Some(ue) = self.ues.get_mut(&rnti) {
-            ue.ul_harq.clear();
-            ue.dl_harq.clear();
+            ue.ul_harq.procs.clear();
+            ue.dl_harq.procs.clear();
         }
     }
 }
@@ -757,5 +733,131 @@ mod tests {
         assert!(s.ul_grant(999, 0, 50, 12).is_none());
         assert!(s.on_ul_crc(999, 0, false, 0.0));
         assert!(s.on_dl_ack(999, 0, true).is_none());
+    }
+
+    /// One direction of the link as the HARQ cases below drive it.
+    struct Link {
+        name: &'static str,
+        /// Ask for UE 100's next transmission: (PDU, is_retx).
+        tx: fn(&mut Scheduler) -> Option<(SchedPdu, bool)>,
+        /// Report ACK/NACK for a process of UE 100.
+        feedback: fn(&mut Scheduler, u8, bool),
+        inflight: fn(&Scheduler) -> usize,
+        failures: fn(&Scheduler) -> u64,
+    }
+
+    const LINKS: [Link; 2] = [
+        Link {
+            name: "uplink",
+            tx: |s| s.ul_grant(100, 0, 50, 12).map(|g| (g.pdu, g.is_retx)),
+            feedback: |s, id, ok| {
+                s.on_ul_crc(100, id, ok, 18.0);
+            },
+            inflight: |s| s.ues[&100].ul_inflight(),
+            failures: |s| s.ul_harq_failures,
+        },
+        Link {
+            name: "downlink",
+            tx: |s| {
+                let mut fresh = false;
+                let (pdu, payload) = s.dl_assign(100, 0, 50, 12, |tbs| {
+                    fresh = true;
+                    Some(Bytes::from(vec![3u8; tbs]))
+                })?;
+                assert_eq!(payload.len() as u32, pdu.tb_bytes);
+                Some((pdu, !fresh))
+            },
+            feedback: |s, id, ok| {
+                s.on_dl_ack(100, id, ok);
+            },
+            inflight: |s| s.ues[&100].dl_inflight(),
+            failures: |s| s.dl_harq_failures,
+        },
+    ];
+
+    #[test]
+    fn harq_cases_hold_in_both_directions() {
+        for l in &LINKS {
+            let n = l.name;
+
+            // RV order over a full series, same process, same NDI and
+            // size; the last NACK abandons it.
+            let mut s = sched();
+            let (first, retx) = (l.tx)(&mut s).unwrap();
+            assert!(!retx, "{n}");
+            let mut rvs = vec![first.rv];
+            for _ in 1..MAX_HARQ_TX {
+                (l.feedback)(&mut s, first.harq_id, false);
+                let (p, retx) = (l.tx)(&mut s).unwrap();
+                assert!(retx, "{n}");
+                assert_eq!(
+                    (p.harq_id, p.ndi, p.tb_bytes),
+                    (first.harq_id, first.ndi, first.tb_bytes),
+                    "{n}"
+                );
+                rvs.push(p.rv);
+            }
+            assert_eq!(rvs, RV_SEQUENCE, "{n}");
+            assert_eq!((l.failures)(&s), 0, "{n}");
+            (l.feedback)(&mut s, first.harq_id, false);
+            assert_eq!(((l.failures)(&s), (l.inflight)(&s)), (1, 0), "{n}");
+
+            // A process awaiting feedback is not retransmitted: the next
+            // transmission is new data on another process, and the NACKed
+            // one comes back only after its feedback.
+            let mut s = sched();
+            let (a, _) = (l.tx)(&mut s).unwrap();
+            let (b, b_retx) = (l.tx)(&mut s).unwrap();
+            assert!(!b_retx && b.harq_id != a.harq_id, "{n}");
+            (l.feedback)(&mut s, a.harq_id, false);
+            let (a2, a2_retx) = (l.tx)(&mut s).unwrap();
+            assert!(a2_retx && a2.harq_id == a.harq_id, "{n}");
+            let (c, c_retx) = (l.tx)(&mut s).unwrap();
+            assert!(!c_retx && c.harq_id != a.harq_id, "{n}");
+
+            // Feedback that never comes expires the process; feedback
+            // that came (a NACK: retx pending) stops the clock.
+            let mut s = sched();
+            let (lost, _) = (l.tx)(&mut s).unwrap();
+            let (nacked, _) = (l.tx)(&mut s).unwrap();
+            for _ in 0..10 {
+                s.tick(30);
+            }
+            (l.feedback)(&mut s, nacked.harq_id, false);
+            for _ in 0..100 {
+                s.tick(30);
+            }
+            assert_eq!(((l.failures)(&s), (l.inflight)(&s)), (1, 1), "{n}");
+            let (p, retx) = (l.tx)(&mut s).unwrap();
+            assert!(retx && p.harq_id == nacked.harq_id, "{n}");
+            assert_ne!(lost.harq_id, nacked.harq_id, "{n}");
+
+            // Eight in flight is the cap: the ninth request is refused
+            // and consumes no process id.
+            let mut s = sched();
+            let ids: Vec<u8> = (0..8).map(|_| (l.tx)(&mut s).unwrap().0.harq_id).collect();
+            assert_eq!(ids, (0..8).collect::<Vec<u8>>(), "{n}");
+            assert!((l.tx)(&mut s).is_none(), "{n}");
+            assert_eq!((l.inflight)(&s), 8, "{n}");
+            (l.feedback)(&mut s, 3, true);
+            assert_eq!((l.tx)(&mut s).unwrap().0.harq_id, 8, "{n}");
+
+            // NDI toggles each time a process id is reused.
+            let mut s = sched();
+            let mut ndi_of_0 = Vec::new();
+            for _ in 0..33 {
+                let (p, retx) = (l.tx)(&mut s).unwrap();
+                assert!(!retx, "{n}");
+                if p.harq_id == 0 {
+                    ndi_of_0.push(p.ndi);
+                }
+                (l.feedback)(&mut s, p.harq_id, true);
+            }
+            assert_eq!(ndi_of_0.len(), 3, "{n}: ids cycle 0..16");
+            assert!(
+                ndi_of_0[0] != ndi_of_0[1] && ndi_of_0[1] != ndi_of_0[2],
+                "{n}"
+            );
+        }
     }
 }

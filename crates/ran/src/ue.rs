@@ -20,14 +20,15 @@ use slingshot_sim::{
 };
 use slingshot_transport::UserApp;
 
-use crate::cell::{CellConfig, Fidelity};
-use crate::fidelity::{apply_channel_with, encode_signal_with, LinkParamsTb, RxProcessPool};
+use crate::cell::CellConfig;
+use crate::fidelity::{
+    apply_channel_with, encode_signal_with, receive_into, DspEnv, LinkParamsTb, RxProcessPool,
+};
 use crate::l2::{build_mac_pdu, parse_mac_pdu};
 use crate::mobility::{MobilityConfig, MobilityModel};
 use crate::msg::{timer_tokens, CtlMsg, Msg, RadioUlBurst, AIR_LATENCY};
 use crate::rlc::{RlcRx, RlcTx};
 use crate::slice::SliceKind;
-use slingshot_phy_dsp::DspKernels;
 
 const TIMER_ATTACH_DONE: u64 = timer_tokens::NODE_BASE + 1;
 
@@ -286,6 +287,11 @@ impl UeNode {
         };
     }
 
+    fn link_params(&self, grant: &DciEntry) -> LinkParamsTb {
+        let cell = &self.cell;
+        LinkParamsTb::from_grant(grant, cell.cell_id, cell.data_symbols, cell.fec_iterations)
+    }
+
     /// Transmit on any grant targeting the current slot.
     fn serve_grants(&mut self, ctx: &mut Ctx<'_, Msg>, abs: u64, slot: SlotId) {
         let Some(grants) = self.grants.remove(&abs) else {
@@ -294,8 +300,7 @@ impl UeNode {
         if self.state != UeState::Connected {
             return;
         }
-        let pool = ctx.worker_pool();
-        let kernels = DspKernels::from_config(ctx.kernel_config());
+        let dsp = DspEnv::of(ctx, &self.scratch);
         for g in grants {
             self.ul_grants_served += 1;
             // New data or retransmission? Track NDI per HARQ process.
@@ -319,37 +324,13 @@ impl UeNode {
                     .map(|p| p.payload.clone())
                     .unwrap_or_else(|| build_mac_pdu(&mut self.ul_rlc, g.tb_bytes as usize))
             };
-            let lp = LinkParamsTb::from_grant(
-                g.mcs,
-                g.num_prb,
-                self.cell.data_symbols,
-                self.cfg.rnti,
-                self.cell.cell_id,
-                g.rv,
-                self.cell.fec_iterations,
-            );
+            let lp = self.link_params(&g);
             let encode_span = ctx.profiler().span("ue_encode", abs);
-            let mut signal = encode_signal_with(
-                kernels,
-                &pool,
-                &self.scratch,
-                self.cell.fidelity,
-                &payload,
-                &lp,
-            );
+            let mut signal = encode_signal_with(&dsp, self.cell.fidelity, &payload, &lp);
             drop(encode_span);
             let channel_span = ctx.profiler().span("channel", abs);
-            apply_channel_with(
-                kernels,
-                &pool,
-                &mut signal,
-                self.current_snr_db,
-                &mut self.channel,
-            );
+            apply_channel_with(&dsp, &mut signal, self.current_snr_db, &mut self.channel);
             drop(channel_span);
-            if self.cell.fidelity == Fidelity::Abstract {
-                signal.snr_db = self.current_snr_db;
-            }
             let burst = RadioUlBurst {
                 ru_id: self.serving_ru,
                 slot,
@@ -367,8 +348,6 @@ impl UeNode {
 
     fn on_dl_burst(&mut self, ctx: &mut Ctx<'_, Msg>, burst: crate::msg::RadioDlBurst) {
         let now = ctx.now();
-        let pool = ctx.worker_pool();
-        let kernels = DspKernels::from_config(ctx.kernel_config());
         self.last_dl_burst = now;
         match self.state {
             UeState::Idle => {
@@ -395,6 +374,7 @@ impl UeNode {
             self.grants.entry(abs).or_default().push(*dci);
         }
         // Decode downlink assignments addressed to us.
+        let dsp = DspEnv::of(ctx, &self.scratch);
         for dci in burst
             .dcis
             .iter()
@@ -407,45 +387,20 @@ impl UeNode {
             else {
                 continue;
             };
-            let lp = LinkParamsTb::from_grant(
-                dci.mcs,
-                dci.num_prb,
-                self.cell.data_symbols,
-                self.cfg.rnti,
-                self.cell.cell_id,
-                dci.rv,
-                self.cell.fec_iterations,
-            );
+            let lp = self.link_params(dci);
             // Receiver-side channel: noise applied at the UE antenna.
             let mut signal = alloc.signal.clone();
             let channel_span = ctx.profiler().span("channel", burst.slot.epoch_index());
-            apply_channel_with(
-                kernels,
-                &pool,
-                &mut signal,
-                self.current_snr_db,
-                &mut self.channel,
-            );
+            apply_channel_with(&dsp, &mut signal, self.current_snr_db, &mut self.channel);
             drop(channel_span);
-            if self.cell.fidelity == Fidelity::Abstract {
-                signal.snr_db = self.current_snr_db;
-            }
             // The whole TB decode is one span; its LDPC share is not
             // re-recorded under `ldpc_decode`, which stays the child of
             // the PHY's `ul_decode` alone.
             let decode_span = ctx.profiler().span("ue_decode", burst.slot.epoch_index());
-            let out = self.dl_pool.receive_with(
-                kernels,
-                &pool,
-                &self.scratch,
-                self.cell.fidelity,
-                &signal,
-                &lp,
-                dci.tb_bytes as usize,
-                dci.harq_id,
-                dci.ndi,
-                &mut self.rng,
-            );
+            let mut state = self.dl_pool.take(dci.rnti, dci.harq_id);
+            let fidelity = self.cell.fidelity;
+            let out = receive_into(&dsp, &mut state, fidelity, &signal, &lp, &mut self.rng);
+            self.dl_pool.put(dci.rnti, dci.harq_id, state);
             drop(decode_span);
             let ok = out.payload.is_some();
             if ok {
