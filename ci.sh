@@ -154,8 +154,8 @@ KERNEL_BACKEND=scalar cargo test --workspace -q
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> chaos smoke (CHAOS_SEEDS=${CHAOS_SEEDS:-4})"
 CHAOS_SEEDS="${CHAOS_SEEDS:-4}" cargo run --release -p slingshot-bench --bin chaos_soak

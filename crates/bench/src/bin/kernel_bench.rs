@@ -12,10 +12,14 @@
 //! `engine_bench` are the two standalone micro harnesses.
 //!
 //! It also holds the backend contract (DESIGN.md §5h): every kernel
-//! that has a SIMD arm (demap, BFP compress, BFP decompress) is timed
-//! as `DspKernels::scalar()` and `DspKernels::detect()` in this one
-//! process, interleaved, min-of-N, and the run fails when a detected
-//! non-scalar arm is not faster than the scalar code it duplicates.
+//! that has a SIMD arm (demap, BFP compress, BFP decompress, the LDPC
+//! batch decode) is timed as `DspKernels::scalar()` and
+//! `DspKernels::detect()` in this one process, interleaved, min-of-N,
+//! and the run fails when a detected non-scalar arm is not faster than
+//! the scalar code it duplicates. The LDPC arm's lanes run across the
+//! blocks of a batch, so its speed-up is a function of how many lanes
+//! are filled: the full batch is gated, a 3-of-8 batch is reported
+//! beside it so the break-even occupancy stays on record.
 //! The backend therefore always comes from the CPU; `KERNEL_BACKEND`
 //! is not read here.
 //!
@@ -37,10 +41,11 @@ use std::time::{Duration, Instant};
 use slingshot_bench::{banner, load_floors, BenchReport};
 use slingshot_phy_dsp::crc::{attach_crc24a, crc16};
 use slingshot_phy_dsp::iq::SC_PER_PRB;
+use slingshot_phy_dsp::ldpc::BATCH_LANES;
 use slingshot_phy_dsp::modulation::modulate_packed_into;
 use slingshot_phy_dsp::scramble::{cached_sequence, descramble_llrs_packed, scramble_packed};
 use slingshot_phy_dsp::{
-    BitBuf, Cplx, DspKernels, KernelBackend, LdpcCode, LdpcScratch, Modulation,
+    BitBuf, Cplx, DspKernels, KernelBackend, LdpcBlockOut, LdpcCode, LdpcScratch, Modulation,
 };
 use slingshot_sim::SimRng;
 
@@ -96,6 +101,8 @@ struct ArmTiming {
     kernel: &'static str,
     scalar_us: f64,
     detected_us: f64,
+    /// Held to "faster than scalar"; `false` rows are reported only.
+    gated: bool,
 }
 
 impl ArmTiming {
@@ -109,7 +116,7 @@ impl ArmTiming {
 /// detects `Scalar` both sides ran the same code, so nothing can lose.
 fn losing_arms(backend: KernelBackend, arms: &[ArmTiming]) -> Vec<&ArmTiming> {
     arms.iter()
-        .filter(|a| backend != KernelBackend::Scalar && a.speedup() <= 1.0)
+        .filter(|a| a.gated && backend != KernelBackend::Scalar && a.speedup() <= 1.0)
         .collect()
 }
 
@@ -125,6 +132,19 @@ fn random_bitbuf(bits: usize, seed: u64) -> BitBuf {
         buf.push((rng.next_u64() & 1) as u8);
     }
     buf
+}
+
+/// BPSK-over-AWGN channel LLRs for codeword `cw` at `snr_db`.
+fn bpsk_llrs(cw: &BitBuf, snr_db: f32, seed: u64) -> Vec<f32> {
+    let mut rng = SimRng::new(seed);
+    let sigma2 = 10f32.powf(-snr_db / 10.0);
+    (0..cw.len())
+        .map(|i| {
+            let x = if cw.get(i) == 0 { 1.0 } else { -1.0 };
+            let y = x + sigma2.sqrt() * rng.gaussian() as f32;
+            2.0 * y / sigma2
+        })
+        .collect()
 }
 
 fn main() {
@@ -204,19 +224,9 @@ fn main() {
         black_box(&cw);
     });
     record("ldpc_encode_k1024", r, &mut report);
-    let channel_llrs: Vec<f32> = {
-        // ~4 dB BPSK LLRs so the decoder does a realistic number of
-        // min-sum iterations rather than terminating on iteration 0.
-        let mut rng = SimRng::new(5);
-        let sigma2 = 10f32.powf(-0.4);
-        (0..code.n())
-            .map(|i| {
-                let x = if cw.get(i) == 0 { 1.0 } else { -1.0 };
-                let y = x + sigma2.sqrt() * rng.gaussian() as f32;
-                2.0 * y / sigma2
-            })
-            .collect()
-    };
+    // ~4 dB BPSK LLRs so the decoder does a realistic number of
+    // min-sum iterations rather than terminating on iteration 0.
+    let channel_llrs = bpsk_llrs(&cw, 4.0, 5);
     let mut scratch = LdpcScratch::default();
     let r = measure(budget, || {
         black_box(kernels.ldpc_decode_into(&code, black_box(&channel_llrs), 8, &mut scratch));
@@ -233,17 +243,7 @@ fn main() {
     let info_tb = random_bitbuf(6144, 6);
     let mut cw_tb = BitBuf::with_capacity(code_tb.n());
     code_tb.encode_packed(&info_tb, &mut cw_tb);
-    let tb_llrs: Vec<f32> = {
-        let mut rng = SimRng::new(7);
-        let sigma2 = 10f32.powf(-0.4);
-        (0..code_tb.n())
-            .map(|i| {
-                let x = if cw_tb.get(i) == 0 { 1.0 } else { -1.0 };
-                let y = x + sigma2.sqrt() * rng.gaussian() as f32;
-                2.0 * y / sigma2
-            })
-            .collect()
-    };
+    let tb_llrs = bpsk_llrs(&cw_tb, 4.0, 7);
     let r = measure(budget, || {
         black_box(kernels.ldpc_decode_into(&code_tb, black_box(&tb_llrs), 8, &mut scratch));
     });
@@ -259,17 +259,73 @@ fn main() {
     });
     record("modulate_1k_qam64", r, &mut report);
 
-    // The three kernels with a backend arm: scalar and detected timed
+    // The kernels with a backend arm: scalar and detected timed
     // interleaved in this process; the table row is the detected arm.
     let mut arms: Vec<ArmTiming> = Vec::new();
-    let mut record_arm = |kernel: &'static str, (scalar_us, detected_us): (f64, f64)| {
-        record(kernel, (1e6 / detected_us, detected_us), &mut report);
-        arms.push(ArmTiming {
+    let mut record_arm =
+        |kernel: &'static str, (scalar_us, detected_us): (f64, f64), gated: bool| {
+            record(kernel, (1e6 / detected_us, detected_us), &mut report);
+            arms.push(ArmTiming {
+                kernel,
+                scalar_us,
+                detected_us,
+                gated,
+            });
+        };
+
+    // LDPC batch decode at the production block size, per block: eight
+    // codewords at mixed SNRs, so lanes retire at different iterations
+    // and the batch runs as long as its slowest block (1 dB does not
+    // converge in 8 iterations) — the shape a transport block has. The
+    // 3-of-8 row is the first three blocks with five lanes empty.
+    let batch_llrs: Vec<Vec<f32>> = [4.0f32, 6.0, 3.0, 8.0, 1.0, 5.0, 2.0, 4.0]
+        .iter()
+        .enumerate()
+        .map(|(lane, &snr_db)| {
+            let mut cw = BitBuf::with_capacity(code.n());
+            code.encode_packed(&random_bitbuf(1024, 40 + lane as u64), &mut cw);
+            bpsk_llrs(&cw, snr_db, 50 + lane as u64)
+        })
+        .collect();
+    let batch_views: Vec<&[f32]> = batch_llrs.iter().map(|b| &b[..]).collect();
+    let mut out_s = vec![LdpcBlockOut::default(); BATCH_LANES];
+    let mut out_d = out_s.clone();
+    let mut scratch_s = LdpcScratch::default();
+    for (kernel, lanes, gated) in [
+        ("ldpc_decode_batch8_k1024", BATCH_LANES, true),
+        ("ldpc_decode_batch3of8_k1024", 3, false),
+    ] {
+        let views = &batch_views[..lanes];
+        let (scalar_us, detected_us) = interleaved_min_us(
+            budget,
+            &mut || {
+                scalar.ldpc_decode_batch_into(
+                    &code,
+                    black_box(views),
+                    8,
+                    &mut scratch_s,
+                    &mut out_s[..lanes],
+                );
+                black_box(&out_s);
+            },
+            &mut || {
+                kernels.ldpc_decode_batch_into(
+                    &code,
+                    black_box(views),
+                    8,
+                    &mut scratch,
+                    &mut out_d[..lanes],
+                );
+                black_box(&out_d);
+            },
+        );
+        let per_block = lanes as f64;
+        record_arm(
             kernel,
-            scalar_us,
-            detected_us,
-        });
-    };
+            (scalar_us / per_block, detected_us / per_block),
+            gated,
+        );
+    }
     let (mut demod_s, mut demod_d): (Vec<f32>, Vec<f32>) = (Vec::new(), Vec::new());
     let r = interleaved_min_us(
         budget,
@@ -282,7 +338,7 @@ fn main() {
             black_box(&demod_d);
         },
     );
-    record_arm("demap_1k_qam64", r);
+    record_arm("demap_1k_qam64", r, true);
 
     // BFP fronthaul compression, one PRB each way.
     let prb_samples: [Cplx; SC_PER_PRB] =
@@ -296,7 +352,7 @@ fn main() {
             black_box(kernels.bfp_compress(black_box(&prb_samples)));
         },
     );
-    record_arm("bfp_compress_prb", r);
+    record_arm("bfp_compress_prb", r, true);
     let prb = scalar.bfp_compress(&prb_samples);
     let r = interleaved_min_us(
         budget,
@@ -307,7 +363,7 @@ fn main() {
             black_box(kernels.bfp_decompress(black_box(&prb)));
         },
     );
-    record_arm("bfp_decompress_prb", r);
+    record_arm("bfp_decompress_prb", r, true);
 
     println!(
         "\n{:<28} {:>12} {:>12} {:>9}",
@@ -318,11 +374,16 @@ fn main() {
     );
     for a in &arms {
         println!(
-            "{:<28} {:>12.3} {:>12.3} {:>8.2}x",
+            "{:<28} {:>12.3} {:>12.3} {:>8.2}x{}",
             a.kernel,
             a.scalar_us,
             a.detected_us,
-            a.speedup()
+            a.speedup(),
+            if a.gated {
+                ""
+            } else {
+                "  (reported, not gated)"
+            }
         );
         report.scalar(&format!("{}_scalar_us", a.kernel), a.scalar_us);
         report.scalar(&format!("{}_speedup", a.kernel), a.speedup());
@@ -370,6 +431,7 @@ mod tests {
             kernel,
             scalar_us,
             detected_us,
+            gated: true,
         }
     }
 
@@ -386,6 +448,17 @@ mod tests {
             .collect();
         assert_eq!(losers, ["slower", "tie"]);
         assert!((arms[0].speedup() - 82.4 / 11.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reported_row_cannot_lose() {
+        // A partly filled batch may sit below break-even: on record,
+        // not a contract breach.
+        let arms = [ArmTiming {
+            gated: false,
+            ..arm("partial_batch", 100.0, 135.0)
+        }];
+        assert!(losing_arms(KernelBackend::Avx2, &arms).is_empty());
     }
 
     #[test]

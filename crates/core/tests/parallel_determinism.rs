@@ -9,7 +9,7 @@
 use slingshot::DeploymentBuilder;
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{FaultKind, FaultTarget, Scenario};
-use slingshot_sim::{KernelBackend, Nanos, SpanProfiler, SLOT_DURATION};
+use slingshot_sim::{KernelBackend, MetricsRegistry, Nanos, SpanProfiler, SLOT_DURATION};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
 fn small_cell() -> CellConfig {
@@ -37,9 +37,33 @@ const SAMPLED_UL: Dsp = Dsp {
     dl_flow: false,
 };
 
+/// Every DSP stage, both directions, on the engine-default backend.
+const FULL_UL_DL: Dsp = Dsp {
+    fidelity: Fidelity::Full,
+    backend: None,
+    dl_flow: true,
+};
+
+/// The run decoded an uplink TB of at least nine code blocks — more
+/// than one LDPC batch, so the lockstep decoder ran with full and
+/// partial lanes. Nothing publishes TB sizes; but every byte the core
+/// forwarded to the server rode in a TB that passed CRC, so the largest
+/// such TB carried at least the mean, and a payload of 1 022 bytes is
+/// `(1022 + 3) * 8 = 8 200` info bits, which segments into nine blocks.
+fn assert_decoded_a_multi_batch_tb(metrics: &MetricsRegistry) {
+    let ok_tbs = metrics.counter("c0-phy-primary", "ul_tbs_decoded")
+        - metrics.counter("c0-phy-primary", "ul_crc_failures");
+    let bytes = metrics.counter("link:core->server", "bytes");
+    assert!(
+        ok_tbs > 0 && bytes / ok_tbs >= 1022,
+        "no UL TB of >= 9 code blocks: {bytes} B over {ok_tbs} TBs — raise the flow rate"
+    );
+}
+
 /// Run a deployment with one uplink flow per cell and return the trace
 /// bytes, the trace hash, the engine's dispatched-event hash, and the
-/// full published-metrics dump.
+/// full published-metrics dump. A Full-fidelity run must have decoded a
+/// TB spanning more than one LDPC batch.
 fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> (Vec<u8>, u64, u64, String) {
     let ues: Vec<UeConfig> = (0..cells)
         .map(|c| UeConfig::new(100 + c as u16, c as u8, &format!("ue-c{c}"), 22.0))
@@ -75,6 +99,9 @@ fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> (Vec<u8>, u64, u64,
     }
     d.engine.run_until(Nanos::from_millis(150));
     d.publish_metrics();
+    if dsp.fidelity == Fidelity::Full {
+        assert_decoded_a_multi_batch_tb(d.engine.metrics());
+    }
     let trace = d.engine.event_trace();
     (
         trace.to_bytes(),
@@ -123,9 +150,8 @@ fn kernel_backends_yield_identical_traces() {
     // Scalar — the oracle — is always first.
     let mut runs = KernelBackend::all_available().into_iter().map(|backend| {
         let dsp = Dsp {
-            fidelity: Fidelity::Full,
             backend: Some(backend),
-            dl_flow: true,
+            ..FULL_UL_DL
         };
         (backend, run(9, 1, 1, dsp))
     });
@@ -140,6 +166,19 @@ fn kernel_backends_yield_identical_traces() {
         assert_eq!(bytes_s, bytes, "trace bytes diverged on {backend}");
         assert_eq!(metrics_s, metrics, "metrics diverged on {backend}");
     }
+}
+
+/// The same Full-fidelity deployment at 1 and 4 workers: a TB's LDPC
+/// batches are the pool's jobs, and their composition comes from the
+/// TB's size alone, so the worker count still cannot move a byte.
+#[test]
+fn full_fidelity_four_workers_match_single_worker() {
+    let (bytes_1, hash_1, engine_hash_1, metrics_1) = run(9, 1, 1, FULL_UL_DL);
+    let (bytes_4, hash_4, engine_hash_4, metrics_4) = run(9, 1, 4, FULL_UL_DL);
+    assert_eq!(hash_1, hash_4, "trace hash diverged");
+    assert_eq!(engine_hash_1, engine_hash_4, "event hash diverged");
+    assert_eq!(bytes_1, bytes_4, "trace bytes diverged");
+    assert_eq!(metrics_1, metrics_4, "metrics diverged");
 }
 
 /// The wall-clock profiler is a side channel: enabling it (with a tight

@@ -1,8 +1,9 @@
 //! Runtime-dispatched DSP kernel handle.
 //!
 //! [`DspKernels`] is the single seam through which every hot kernel in
-//! this crate is invoked: LDPC min-sum decode, max-log demapping, AWGN
-//! generation and BFP pack/unpack. It is a tiny `Copy` handle wrapping
+//! this crate is invoked: LDPC min-sum decode (one block, or a lockstep
+//! batch of blocks), max-log demapping, AWGN generation and BFP
+//! pack/unpack. It is a tiny `Copy` handle wrapping
 //! the engine-carried [`KernelConfig`], constructed once per deployment
 //! (`DeploymentBuilder::kernel_backend(...)` → `Engine` → `Ctx`) and
 //! handed down the call chain like the worker pool.
@@ -14,13 +15,15 @@
 //! it on this repo's own measurements (`kernel_bench` fails when a
 //! detected arm loses), so backend selection can never change a golden
 //! trace hash (`tests/kernel_equiv.rs` proves this per available
-//! backend). Demap and BFP carry an AVX2 arm; LDPC decode and AWGN are
-//! one scalar implementation on every backend and pass through here so
-//! callers keep a single seam.
+//! backend). Demap, BFP and the LDPC *batch* decode carry an AVX2 arm
+//! (lanes across the code blocks of a batch, [`crate::ldpc::avx2`]);
+//! the single-block LDPC decode — the oracle the batch arm is held to —
+//! and AWGN are one scalar implementation on every backend and pass
+//! through here so callers keep a single seam.
 
 use crate::channel::AwgnChannel;
 use crate::iq::{BfpPrb, Cplx, SC_PER_PRB};
-use crate::ldpc::{LdpcCode, LdpcScratch};
+use crate::ldpc::{LdpcBlockOut, LdpcCode, LdpcScratch};
 use crate::modulation::Modulation;
 use crate::scratch::default_scratch_pool;
 use crate::tbchain::{self, TbDecodeOutcome, TbParams};
@@ -91,9 +94,9 @@ impl DspKernels {
         self.cfg.backend == KernelBackend::Avx2
     }
 
-    /// LDPC normalized min-sum decode: [`LdpcCode::decode_into`] on
-    /// every backend (there is one decoder; this is the seam a vector
-    /// form would refill once it meets the backend contract).
+    /// LDPC normalized min-sum decode of one block:
+    /// [`LdpcCode::decode_into`] on every backend (the one scalar
+    /// decoder, and the oracle for the batch arm below).
     pub fn ldpc_decode_into(
         &self,
         code: &LdpcCode,
@@ -102,6 +105,28 @@ impl DspKernels {
         scratch: &mut LdpcScratch,
     ) -> (bool, usize) {
         code.decode_into(channel_llrs, max_iters, scratch)
+    }
+
+    /// LDPC decode of up to [`crate::ldpc::BATCH_LANES`] blocks of one
+    /// code; `out[b]` is bit-exactly what [`LdpcCode::decode_into`]
+    /// yields for `blocks[b]` on every backend. AVX2 runs the blocks in
+    /// lockstep, one per lane; a batch of one has no lanes to fill and
+    /// takes the scalar decoder, untransposed, like the scalar backend.
+    pub fn ldpc_decode_batch_into(
+        &self,
+        code: &LdpcCode,
+        blocks: &[&[f32]],
+        max_iters: usize,
+        scratch: &mut LdpcScratch,
+        out: &mut [LdpcBlockOut],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.use_avx2() && blocks.len() > 1 {
+            // SAFETY: backend is only Avx2 when the feature was detected.
+            unsafe { crate::ldpc::avx2::decode_batch_into(code, blocks, max_iters, scratch, out) };
+            return;
+        }
+        code.decode_batch_into(blocks, max_iters, scratch, out);
     }
 
     /// Max-log LLR demap into `out` (cleared first; bit-exact across

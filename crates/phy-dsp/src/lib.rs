@@ -9,7 +9,8 @@
 //! - [`scramble`]: length-31 Gold sequence scrambling (TS 38.211)
 //! - [`modulation`]: Gray-mapped QPSK…256-QAM with max-log LLR demapping
 //! - [`ldpc`]: systematic staircase LDPC, normalized min-sum decoding
-//!   with a configurable iteration budget (the paper's §8.3 upgrade knob)
+//!   with a configurable iteration budget (the paper's §8.3 upgrade
+//!   knob), one block at a time or a batch of blocks in lockstep
 //! - [`ratematch`]: circular-buffer rate matching with redundancy
 //!   versions (incremental redundancy / chase combining)
 //! - [`snr`]: pilot-based SNR estimation and the moving-average filter —
@@ -39,7 +40,7 @@ pub use bits::BitBuf;
 pub use channel::{AwgnChannel, SnrProcess, SnrProcessConfig};
 pub use dispatch::DspKernels;
 pub use iq::{Cplx, SC_PER_PRB};
-pub use ldpc::{LdpcCode, LdpcScratch};
+pub use ldpc::{LdpcBlockOut, LdpcCode, LdpcScratch};
 pub use modulation::Modulation;
 pub use scratch::{default_scratch_pool, DspScratch, DspScratchPool};
 pub use snr::SnrFilter;

@@ -15,9 +15,9 @@
 //!
 //! Bits move through the chain packed 64 per word ([`BitBuf`]), the
 //! scrambling sequence comes from the per-thread
-//! [`cached_sequence`] word cache, and per-block jobs borrow their
-//! working buffers from a [`DspScratchPool`] so steady-state slots
-//! allocate almost nothing. All of it is bit-identical to the original
+//! [`cached_sequence`] word cache, and jobs borrow their working
+//! buffers (a [`DspScratchPool`] arena, plus the decoder's per-thread
+//! scratch) so steady-state slots allocate almost nothing. All of it is bit-identical to the original
 //! byte-per-bit chain — same bits, same f32 operations in the same
 //! order — so traces and HARQ accumulators are unchanged.
 
@@ -30,11 +30,11 @@ use crate::bits::BitBuf;
 use crate::crc::{attach_crc24a, check_crc24a};
 use crate::dispatch::DspKernels;
 use crate::iq::Cplx;
-use crate::ldpc::LdpcCode;
+use crate::ldpc::{LdpcCode, BATCH_LANES};
 use crate::modulation::{modulate_packed, Modulation};
 use crate::ratematch::{rate_match_packed, rate_recover};
 use crate::scramble::{cached_sequence, descramble_llrs_packed, scramble_packed, GoldSequence};
-use crate::scratch::DspScratchPool;
+use crate::scratch::{DspScratchPool, DECODE_SCRATCH};
 use slingshot_sim::WorkerPool;
 
 /// Maximum information bits per LDPC code block (including the share of
@@ -245,9 +245,9 @@ pub struct TbDecodeOutcome {
     pub ldpc_iterations: usize,
     /// Whether every code block satisfied its LDPC parity checks.
     pub all_parity_ok: bool,
-    /// Wall-clock nanoseconds spent inside the LDPC min-sum decoder
-    /// across code blocks (host-dependent; for profiling only — never
-    /// feed it back into simulation logic).
+    /// Wall-clock nanoseconds spent inside the LDPC min-sum decoder,
+    /// each batch of code blocks counted once (host-dependent; for
+    /// profiling only — never feed it back into simulation logic).
     pub ldpc_ns: u64,
 }
 
@@ -265,12 +265,22 @@ struct DecodeBlock {
     seg: Vec<f32>,
 }
 
-/// Decode a transport block, fanning per-code-block work (LLR demap,
-/// descramble, rate recover, LDPC decode) out across `pool` with
-/// working buffers drawn from `scratch`. The HARQ accumulator is split
-/// into per-block segments in serial prepare order and merged back in
-/// block order, so the result — including every f32 operation — is
-/// identical to the serial path for any worker count.
+/// What a decode job hands back per code block: the updated HARQ
+/// segment, the decoded info bits, iterations spent and the parity
+/// verdict.
+type DecodedBlock = (Vec<f32>, BitBuf, usize, bool);
+
+/// Decode a transport block, fanning per-batch work (LLR demap,
+/// descramble, rate recover per block, then one LDPC batch decode) out
+/// across `pool`, with front-end buffers drawn from `scratch` and the
+/// decoder's from the thread the job runs on. A batch is up to
+/// [`BATCH_LANES`] *consecutive* blocks of equal `k` — they share one
+/// LDPC code, so the SIMD backend decodes them in lockstep — and
+/// [`segment_sizes`] yields at most two runs of equal `k`, so batch
+/// composition depends only on the TB's size. The HARQ accumulator is
+/// split into per-block segments in serial prepare order and merged
+/// back in block order, so the result — including every f32 operation —
+/// is identical to the serial path for any worker count.
 #[allow(clippy::too_many_arguments)]
 pub fn decode_tb_with(
     kernels: DspKernels,
@@ -289,7 +299,7 @@ pub fn decode_tb_with(
     debug_assert_eq!(acc.len(), ks.iter().map(|k| 3 * k).sum::<usize>());
     let seq = cached_sequence(GoldSequence::c_init_data(p.rnti, p.cell_id), p.e_bits);
 
-    let mut blocks = Vec::with_capacity(ks.len());
+    let mut batches: Vec<Vec<DecodeBlock>> = Vec::new();
     let mut llr_off = 0;
     let mut acc_off = 0;
     for (&k, &e) in ks.iter().zip(&es) {
@@ -298,14 +308,18 @@ pub fn decode_tb_with(
         // [s0, s1); the first symbol may straddle the block boundary.
         let s0 = (llr_off / bps).min(rx_symbols.len());
         let s1 = (llr_off + e).div_ceil(bps).min(rx_symbols.len());
-        blocks.push(DecodeBlock {
+        let block = DecodeBlock {
             k,
             e,
             lead: llr_off - (llr_off / bps) * bps,
             offset_e: llr_off,
             syms: rx_symbols[s0..s1].to_vec(),
             seg: acc[acc_off..acc_off + n].to_vec(),
-        });
+        };
+        match batches.last_mut() {
+            Some(batch) if batch[0].k == k && batch.len() < BATCH_LANES => batch.push(block),
+            _ => batches.push(vec![block]),
+        }
         llr_off += e;
         acc_off += n;
     }
@@ -314,41 +328,68 @@ pub fn decode_tb_with(
     let fec_iterations = p.fec_iterations;
     let modulation = p.modulation;
     let results = pool.run(
-        blocks
+        batches
             .into_iter()
-            .map(|mut b| {
+            .map(|mut batch| {
                 let seq = Arc::clone(&seq);
                 let spool = scratch.clone();
                 move || {
-                    let (code, order) = code_for(b.k);
+                    let k = batch[0].k;
+                    let n = 3 * k;
+                    let (code, order) = code_for(k);
                     let mut s = spool.take();
-                    kernels.demodulate_llr_into(&b.syms, modulation, noise_var, &mut s.demod_llrs);
-                    // Trim the lead bits belonging to the previous block
-                    // and pad missing tail symbols (lost fronthaul
-                    // packets) as erasures.
-                    let lo = b.lead.min(s.demod_llrs.len());
-                    let hi = (b.lead + b.e).min(s.demod_llrs.len());
-                    s.llr_e.clear();
-                    s.llr_e.extend_from_slice(&s.demod_llrs[lo..hi]);
-                    s.llr_e.resize(b.e, 0.0);
-                    descramble_llrs_packed(&mut s.llr_e, &seq, b.offset_e);
-                    let n = 3 * b.k;
-                    // The HARQ accumulator lives in transmission
-                    // (interleaved) order; de-interleave into the
-                    // decoder's codeword view.
-                    rate_recover(&mut b.seg, &s.llr_e, rv);
-                    s.cw_llrs.clear();
-                    s.cw_llrs.resize(n, 0.0);
-                    for (pos, &cw_idx) in order.iter().enumerate() {
-                        s.cw_llrs[cw_idx as usize] = b.seg[pos];
+                    let mut d = DECODE_SCRATCH.take();
+                    d.cw_llrs.clear();
+                    d.cw_llrs.resize(batch.len() * n, 0.0);
+                    for (b, cw_llrs) in batch.iter_mut().zip(d.cw_llrs.chunks_exact_mut(n)) {
+                        kernels.demodulate_llr_into(
+                            &b.syms,
+                            modulation,
+                            noise_var,
+                            &mut s.demod_llrs,
+                        );
+                        // Trim the lead bits belonging to the previous
+                        // block and pad missing tail symbols (lost
+                        // fronthaul packets) as erasures.
+                        let lo = b.lead.min(s.demod_llrs.len());
+                        let hi = (b.lead + b.e).min(s.demod_llrs.len());
+                        s.llr_e.clear();
+                        s.llr_e.extend_from_slice(&s.demod_llrs[lo..hi]);
+                        s.llr_e.resize(b.e, 0.0);
+                        descramble_llrs_packed(&mut s.llr_e, &seq, b.offset_e);
+                        // The HARQ accumulator lives in transmission
+                        // (interleaved) order; de-interleave into the
+                        // decoder's codeword view.
+                        rate_recover(&mut b.seg, &s.llr_e, rv);
+                        for (pos, &cw_idx) in order.iter().enumerate() {
+                            cw_llrs[cw_idx as usize] = b.seg[pos];
+                        }
                     }
-                    let ldpc_start = std::time::Instant::now();
-                    let (parity_ok, iters) =
-                        kernels.ldpc_decode_into(&code, &s.cw_llrs, fec_iterations, &mut s.ldpc);
-                    let ldpc_ns = ldpc_start.elapsed().as_nanos() as u64;
-                    let info = BitBuf::from_bits(&s.ldpc.hard[..b.k]);
                     spool.put(s);
-                    (b.seg, info, iters, parity_ok, ldpc_ns)
+                    let mut views: [&[f32]; BATCH_LANES] = [&[]; BATCH_LANES];
+                    for (view, cw_llrs) in views.iter_mut().zip(d.cw_llrs.chunks_exact(n)) {
+                        *view = cw_llrs;
+                    }
+                    d.out.resize_with(BATCH_LANES, Default::default);
+                    let ldpc_start = std::time::Instant::now();
+                    kernels.ldpc_decode_batch_into(
+                        &code,
+                        &views[..batch.len()],
+                        fec_iterations,
+                        &mut d.ldpc,
+                        &mut d.out[..batch.len()],
+                    );
+                    let ldpc_ns = ldpc_start.elapsed().as_nanos() as u64;
+                    let decoded: Vec<DecodedBlock> = batch
+                        .into_iter()
+                        .zip(&d.out)
+                        .map(|(b, o)| {
+                            let info = BitBuf::from_bits(&o.hard[..k]);
+                            (b.seg, info, o.iterations, o.parity_ok)
+                        })
+                        .collect();
+                    DECODE_SCRATCH.set(d);
+                    (decoded, ldpc_ns)
                 }
             })
             .collect::<Vec<_>>(),
@@ -359,13 +400,15 @@ pub fn decode_tb_with(
     let mut all_parity_ok = true;
     let mut ldpc_ns = 0u64;
     let mut acc_off = 0;
-    for (seg, info, iters, parity_ok, block_ldpc_ns) in results {
-        acc[acc_off..acc_off + seg.len()].copy_from_slice(&seg);
-        acc_off += seg.len();
-        info_bits.append(&info);
-        iterations += iters;
-        all_parity_ok &= parity_ok;
-        ldpc_ns += block_ldpc_ns;
+    for (decoded, batch_ldpc_ns) in results {
+        for (seg, info, iters, parity_ok) in decoded {
+            acc[acc_off..acc_off + seg.len()].copy_from_slice(&seg);
+            acc_off += seg.len();
+            info_bits.append(&info);
+            iterations += iters;
+            all_parity_ok &= parity_ok;
+        }
+        ldpc_ns += batch_ldpc_ns;
     }
     let bytes = info_bits.to_bytes_msb();
     let payload = check_crc24a(&bytes).map(|p| p.to_vec());

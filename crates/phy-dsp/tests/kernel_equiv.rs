@@ -17,7 +17,7 @@ use slingshot_phy_dsp::bits::BitBuf;
 use slingshot_phy_dsp::channel::AwgnChannel;
 use slingshot_phy_dsp::crc::{attach_crc24a, check_crc24a, crc16, crc24a};
 use slingshot_phy_dsp::iq::SC_PER_PRB;
-use slingshot_phy_dsp::ldpc::{LdpcCode, LdpcScratch};
+use slingshot_phy_dsp::ldpc::{LdpcBlockOut, LdpcCode, LdpcScratch, BATCH_LANES};
 use slingshot_phy_dsp::modulation::{modulate, modulate_packed, Modulation};
 use slingshot_phy_dsp::ratematch::{rate_match, rate_match_packed};
 use slingshot_phy_dsp::scramble::{
@@ -525,9 +525,11 @@ proptest! {
 // returns only backends this host can run, so on a machine without
 // AVX2 these properties degenerate to scalar-vs-scalar and pass
 // vacuously — skip-clean by construction. Every kernel with a backend
-// arm (demap, BFP) is compared with every f32 via `to_bits`, and the
-// transport-block chain is compared end to end so the demapper's
-// lead/trim/erasure handling is checked where it is used.
+// arm is compared exactly (demap and BFP: every f32 via `to_bits`; the
+// LDPC batch decode: parity flag, iteration count and all `n` hard bits
+// per block against `decode_into`), and the transport-block chain is
+// compared end to end so the demapper's lead/trim/erasure handling and
+// the chain's batching are checked where they are used.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -587,10 +589,15 @@ proptest! {
     fn tb_chain_bit_exact_across_backends(
         seed in any::<u64>(),
         payload_bytes in 20usize..400,
+        large in 0usize..4,
         snr_db in 2.0f64..14.0,
         m_idx in 0usize..4,
         lost_eighths in 0usize..4,
     ) {
+        // One case in four is a TB of 26+ code blocks: both `k` runs of
+        // the segmentation, several full LDPC batches and a partial
+        // one. The rest are 1..=4 blocks (one-block and short batches).
+        let payload_bytes = if large == 0 { 3300 + payload_bytes } else { payload_bytes };
         let modulation =
             [Modulation::Qpsk, Modulation::Qam16, Modulation::Qam64, Modulation::Qam256][m_idx];
         let bps = modulation.bits_per_symbol();
@@ -642,6 +649,79 @@ proptest! {
                         backend
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn ldpc_batch_matches_per_block_decode(
+        k in 8usize..220,
+        seed in any::<u64>(),
+        batch in 1usize..BATCH_LANES + 1,
+        iters_idx in 0usize..4,
+    ) {
+        let max_iters = [0usize, 1, 8, 30][iters_idx];
+        let code = LdpcCode::new(k);
+        let n = code.n();
+        let mut rng = SimRng::new(seed);
+        // Lanes at mixed SNRs, so they retire at different iterations:
+        // noiseless (iteration 0), comfortable, near the waterfall, and
+        // hopeless (never). A third of the lanes also get the values
+        // the chain and a saturated demapper feed the decoder:
+        // punctured / erased positions (0.0), -0.0, ±INFINITY and NaN
+        // (which the compares and the min/max folds must skip exactly
+        // as the scalar selects do).
+        let blocks: Vec<Vec<f32>> = (0..batch)
+            .map(|_| {
+                let info: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
+                let cw = code.encode(&info);
+                let snr_db = [f32::INFINITY, 4.0, 0.0, -8.0][rng.below(4) as usize];
+                let sigma2 = 10f32.powf(-snr_db / 10.0);
+                let mut llrs: Vec<f32> = cw
+                    .iter()
+                    .map(|&b| {
+                        let x = if b == 0 { 1.0 } else { -1.0 };
+                        if sigma2 == 0.0 {
+                            return 8.0 * x;
+                        }
+                        let y = x + sigma2.sqrt() * rng.gaussian() as f32;
+                        2.0 * y / sigma2
+                    })
+                    .collect();
+                if rng.below(3) == 0 {
+                    for _ in 0..n / 4 {
+                        let special =
+                            [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, 0.0, 0.0];
+                        llrs[rng.below(n as u64) as usize] = special[rng.below(8) as usize];
+                    }
+                }
+                llrs
+            })
+            .collect();
+        let views: Vec<&[f32]> = blocks.iter().map(|b| &b[..]).collect();
+        let mut scratch = LdpcScratch::default();
+        let expect: Vec<LdpcBlockOut> = blocks
+            .iter()
+            .map(|llrs| {
+                let (parity_ok, iterations) = code.decode_into(llrs, max_iters, &mut scratch);
+                LdpcBlockOut { parity_ok, iterations, hard: scratch.hard.clone() }
+            })
+            .collect();
+        for backend in KernelBackend::all_available() {
+            // Result slots arrive dirty, as they do from a reused arena.
+            let mut got = vec![
+                LdpcBlockOut { parity_ok: true, iterations: 99, hard: vec![7; 5] };
+                batch
+            ];
+            DspKernels::forced(backend)
+                .ldpc_decode_batch_into(&code, &views, max_iters, &mut scratch, &mut got);
+            for (lane, (g, e)) in got.iter().zip(&expect).enumerate() {
+                prop_assert_eq!(g.hard.len(), n);
+                prop_assert_eq!(g, e, "lane {} of {} on {}", lane, batch, backend);
             }
         }
     }

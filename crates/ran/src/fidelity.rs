@@ -618,6 +618,7 @@ mod tests {
         encode_signal_with(&dsp(), fidelity, payload, lp)
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn receive(
         procs: &mut RxProcessPool,
         fidelity: Fidelity,

@@ -1364,7 +1364,7 @@ mod tests {
         // promoted the spare to secondary).
         let mut tb = healthy_trace(1, 300);
         record(&mut tb, 100, TraceEventKind::SpareRequested, 2, 7);
-        record(&mut tb, 105, TraceEventKind::SpareGranted, 2, (9 << 16) | 0);
+        record(&mut tb, 105, TraceEventKind::SpareGranted, 2, 9 << 16);
         let rep = check(&tb, &exp);
         assert!(rep
             .violations

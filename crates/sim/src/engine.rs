@@ -1741,11 +1741,7 @@ mod tests {
             }
             fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
             fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, token: u64) {
-                if token == 42 {
-                    ctx.send_in(NodeId(1), Nanos(1), TestMsg(token, 0));
-                } else {
-                    ctx.send_in(NodeId(1), Nanos(1), TestMsg(token, 0));
-                }
+                ctx.send_in(NodeId(1), Nanos(1), TestMsg(token, 0));
             }
         }
         at_each_lane_count(|mut e, shard| {

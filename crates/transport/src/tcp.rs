@@ -409,7 +409,7 @@ mod tests {
         let mbps = rcv.bins.mbps();
         let stall_bins = &mbps[11..15]; // 110–150 ms
         assert!(
-            stall_bins.iter().any(|m| *m == 0.0),
+            stall_bins.contains(&0.0),
             "expected a zero bin in {stall_bins:?}"
         );
         let tail: f64 = mbps[40..].iter().sum::<f64>() / (mbps.len() - 40) as f64;
