@@ -5,16 +5,22 @@
 #   ./ci.sh            full gate: release build, full test suite, fmt,
 #                      clippy, a chaos smoke, every baseline-floored
 #                      bench (kernel, engine, slots, availability, scale) in
-#                      quick mode, and the benchmark package's --check
-#                      and unit tests
+#                      quick mode, the paper contract (`figures --check`),
+#                      and the benchmark package's --check and unit tests
 #   ./ci.sh --quick    debug build + tier-1 tests + a type-check of the
 #                      benchmark package + the 2-scenario handover
 #                      chaos smoke (fast inner loop)
 #   ./ci.sh --bench    baseline-floored benches only (kernel, engine, slots,
 #                      availability, scale), all in quick mode against
 #                      the floors checked in under crates/bench/baselines,
-#                      plus the benchmark package's --check and
-#                      unit tests
+#                      plus the paper contract and the benchmark package's
+#                      --check and unit tests
+#
+# The paper contract is `figures --check`: it re-runs the 17 experiments
+# of the registry (~1 min) and fails if a row leaves the band it claims
+# or if the result differs from the committed FIGURES.json or from the
+# generated tables in EXPERIMENTS.md (`figures --bless` rewrites both).
+# Tier-1 runs only its three engine-free entries, as unit tests.
 #   ./ci.sh --coverage line-coverage gate only (scripts/coverage.sh):
 #                      enforces the per-crate floors in
 #                      crates/bench/baselines/coverage.floors; skips
@@ -118,6 +124,9 @@ run_benches() {
     SCALE_QUICK=1 \
         SCALE_BASELINE=crates/bench/baselines/scale.baseline \
         cargo run --release -p slingshot-bench --bin scale_bench
+
+    echo "==> paper contract (figures --check)"
+    cargo run --release -p slingshot-bench --bin figures -- --check
 
     # The benchmark (BENCHMARK.json) is a package with its own
     # [workspace], so nothing above compiles it: build it here so an API

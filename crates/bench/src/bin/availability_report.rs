@@ -34,7 +34,7 @@
 //! derived from a wrapped ring undercount outages.
 
 use slingshot::{ChaosRunner, Deployment, DeploymentBuilder, DeploymentConfig};
-use slingshot_bench::{banner, load_floors, BenchReport};
+use slingshot_bench::{artifact_path, banner, load_floors, BenchReport};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{ChaosDistribution, FaultKind, FaultTarget, Scenario};
 use slingshot_sim::slo::{self, SloConfig};
@@ -172,10 +172,9 @@ fn run_config(
 }
 
 fn write_slo_json(key: &str, json: &str) {
-    let dir = std::env::var_os("BENCH_JSON_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let path = dir.join(format!("availability_{key}.json"));
+    let Some(path) = artifact_path(&format!("availability_{key}.json")) else {
+        return;
+    };
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("could not write {}: {e}", path.display());
     }

@@ -14,7 +14,8 @@
 //! - `CHAOS_SUITE=all|handover`: `handover` restricts each seed to the
 //!   two handover-chaos scenarios on the mobility deployment (the quick
 //!   CI smoke); `all` (default) runs everything.
-//! - `BENCH_JSON_DIR`: where the JSON report and failure traces go.
+//! - `BENCH_JSON_DIR`: where the JSON report and failure traces go
+//!   (unset: neither is written).
 //!
 //! Exit status is non-zero iff any invariant was violated or a replay
 //! diverged.
@@ -23,7 +24,7 @@ use slingshot::chaos::{
     chaos_deployment, chaos_handover_deployment, chaos_pool_deployment, expectations_for,
     ChaosRunner,
 };
-use slingshot_bench::{banner, BenchReport};
+use slingshot_bench::{artifact_path, banner, BenchReport};
 use slingshot_sim::chaos::{oracle, ChaosDistribution, FaultKind, FaultTarget, Scenario};
 use slingshot_sim::slo::{self, SloConfig};
 
@@ -211,10 +212,10 @@ fn run_with_deployment(
 
 /// Write the failing run's Chrome trace into `$BENCH_JSON_DIR`.
 fn dump_failure_trace(d: &slingshot::Deployment, scenario: &Scenario, seed: u64) {
-    let dir = std::env::var_os("BENCH_JSON_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let path = dir.join(format!("chaos_fail_{}_{seed}.trace.json", scenario.name));
+    let file = format!("chaos_fail_{}_{seed}.trace.json", scenario.name);
+    let Some(path) = artifact_path(&file) else {
+        return;
+    };
     let names: Vec<String> = d.engine.node_names().to_vec();
     match std::fs::File::create(&path) {
         Ok(mut f) => {

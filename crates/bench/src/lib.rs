@@ -1,15 +1,20 @@
 //! # slingshot-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper
-//! (see DESIGN.md §4 for the index), plus Criterion micro-benchmarks.
-//! This library holds the shared scenario builders and report helpers.
+//! The experiment harness. The paper's evaluation is a registry of
+//! experiments ([`experiments::REGISTRY`], indexed in DESIGN.md §4)
+//! judged against per-row expectations ([`contract`]) by the one
+//! `figures` binary; the floored benches are binaries of their own.
+//! This library also holds the scenario builders and report helpers
+//! both share.
 
 #![forbid(unsafe_code)]
 
-use slingshot::{Deployment, DeploymentBuilder};
+pub mod contract;
+pub mod experiments;
+
 use slingshot_phy_dsp::SnrProcessConfig;
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
-use slingshot_sim::Nanos;
+use std::fmt::Display;
 
 /// The paper's three UEs (Table 1), with SNR means chosen so their
 /// behavior matches the roles they play in the figures: the phones sit
@@ -54,20 +59,10 @@ pub fn stress_cell() -> CellConfig {
     }
 }
 
-/// Standard single-RU Slingshot deployment for figures.
-pub fn figure_deployment(seed: u64, ues: Vec<UeConfig>) -> Deployment {
-    DeploymentBuilder::new()
-        .seed(seed)
-        .cell(figure_cell())
-        .ues(ues)
-        .build()
-}
-
-/// Machine-readable companion to a figure binary's stdout: scalar
-/// results and (x, y) series, written as `<name>.json` into
-/// `$BENCH_JSON_DIR` (default: the current directory). Keeps the
-/// human-readable stdout as the primary artifact while letting plot
-/// scripts and regression tooling consume the numbers directly.
+/// What a bench or an experiment measured: scalar results and (x, y)
+/// series. A bench binary writes it as `<name>.json` into
+/// `$BENCH_JSON_DIR` ([`BenchReport::write`]); a registry experiment
+/// returns it to the `figures` command, which judges and records it.
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
     name: String,
@@ -102,9 +97,43 @@ impl BenchReport {
         self.scalars.push((key.to_string(), value));
     }
 
+    /// Record a scalar at the precision it is reported at. Every
+    /// registry experiment goes through here, so `FIGURES.json` pins
+    /// the reported digits and not the last ulp of a libm call.
+    pub fn scalar_dp(&mut self, key: &str, value: f64, decimals: usize) {
+        self.scalar(key, round_dp(value, decimals));
+    }
+
+    /// `scalar_dp` under the key `metric:variant` — one metric of one
+    /// arm (a UE, a load level, a design) of an experiment.
+    pub fn scalar_of(&mut self, metric: &str, variant: impl Display, value: f64, decimals: usize) {
+        self.scalar_dp(&format!("{metric}:{variant}"), value, decimals);
+    }
+
     /// Record a named (x, y) series (e.g. a latency time series).
     pub fn series(&mut self, key: &str, points: Vec<(f64, f64)>) {
         self.series.push((key.to_string(), points));
+    }
+
+    /// Record a series at its reported precision (see `scalar_dp`).
+    pub fn series_dp(
+        &mut self,
+        key: &str,
+        points: impl IntoIterator<Item = (f64, f64)>,
+        (x_dp, y_dp): (usize, usize),
+    ) {
+        let rounded = points
+            .into_iter()
+            .map(|(x, y)| (round_dp(x, x_dp), round_dp(y, y_dp)));
+        self.series(key, rounded.collect());
+    }
+
+    pub fn scalars(&self) -> &[(String, f64)] {
+        &self.scalars
+    }
+
+    pub fn all_series(&self) -> &[(String, Vec<(f64, f64)>)] {
+        &self.series
     }
 
     /// Serialize to a JSON string (insertion order preserved).
@@ -145,15 +174,12 @@ impl BenchReport {
         out
     }
 
-    /// Write `<name>.json` into `$BENCH_JSON_DIR` (or the current
-    /// directory) and return the path. Errors are reported, not fatal:
-    /// figure binaries should not fail because the artifact directory
-    /// is read-only.
+    /// Write `<name>.json` into `$BENCH_JSON_DIR` and return the path;
+    /// no artifact when the variable is unset. Errors are reported,
+    /// not fatal: a bench should not fail because the artifact
+    /// directory is read-only.
     pub fn write(&self) -> Option<std::path::PathBuf> {
-        let dir = std::env::var_os("BENCH_JSON_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("."));
-        let path = dir.join(format!("{}.json", self.name));
+        let path = artifact_path(&format!("{}.json", self.name))?;
         match std::fs::write(&path, self.to_json()) {
             Ok(()) => {
                 println!("# wrote {}", path.display());
@@ -167,7 +193,24 @@ impl BenchReport {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// Where a bench artifact named `file` goes: `$BENCH_JSON_DIR/<file>`,
+/// or nowhere (one note on stderr) when the variable is unset.
+pub fn artifact_path(file: &str) -> Option<std::path::PathBuf> {
+    let dir = std::env::var_os("BENCH_JSON_DIR");
+    if dir.is_none() {
+        eprintln!("# BENCH_JSON_DIR unset: not writing {file}");
+    }
+    dir.map(|d| std::path::PathBuf::from(d).join(file))
+}
+
+/// `v` as the decimal `{v:.decimals$}` prints, read back.
+pub fn round_dp(v: f64, decimals: usize) -> f64 {
+    format!("{v:.decimals$}")
+        .parse()
+        .expect("a formatted f64 parses")
+}
+
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -183,7 +226,7 @@ fn json_str(s: &str) -> String {
     out
 }
 
-fn json_num(v: f64) -> String {
+pub(crate) fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -191,21 +234,12 @@ fn json_num(v: f64) -> String {
     }
 }
 
-/// Print a figure/table header in a uniform style.
+/// Print a bench header in a uniform style.
 pub fn banner(title: &str, paper: &str) {
     println!("==============================================================");
     println!("{title}");
     println!("paper reference: {paper}");
     println!("==============================================================");
-}
-
-/// Render a time series as tab-separated `t value` rows.
-pub fn print_series(label: &str, t0: Nanos, bin: Nanos, values: &[f64]) {
-    println!("# series: {label} (t_seconds\tvalue)");
-    for (i, v) in values.iter().enumerate() {
-        let t = (t0.0 + i as u64 * bin.0) as f64 / 1e9;
-        println!("{t:.3}\t{v:.3}");
-    }
 }
 
 /// Load a bench floor file: one `<key> <value>` pair per line, `#`

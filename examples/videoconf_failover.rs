@@ -50,5 +50,5 @@ fn main() {
     assert_eq!(ue.rlf_count, 0);
     println!("\nno rebuffering, no disconnect — the failover was invisible.");
     println!("compare: slingshot-baseline's backup-vRAN failover freezes the");
-    println!("stream for ~6.2 s while the UE re-attaches (run fig8_video).");
+    println!("stream for ~6.2 s while the UE re-attaches (run `figures fig8_video`).");
 }

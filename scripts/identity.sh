@@ -13,6 +13,11 @@
 # `claims`, `hashes`, `correct`, `failed`, `attempted`. Prints the first
 # differing key of every run that differs; exits 1 if any did.
 #
+# Then the paper's figures: `figures --check` in the working tree (every
+# row in its band, FIGURES.json and EXPERIMENTS.md as committed), and a
+# diff of FIGURES.json against <rev>'s — a message, not a failure, when
+# <rev> predates the file.
+#
 # Scratch space: $IDENTITY_DIR (default: a fresh mktemp -d, removed on
 # exit). Point it at a persistent directory to reuse the two builds.
 set -euo pipefail
@@ -56,7 +61,8 @@ run_side() { # <name> <source dir>
 run_side base "$work/base"
 run_side change "$root"
 
-python3 - "$work/out-base" "$work/out-change" <<'EOF'
+status=0
+python3 - "$work/out-base" "$work/out-change" <<'EOF' || status=1
 import json, sys
 from pathlib import Path
 
@@ -84,3 +90,18 @@ for f in sorted(base.glob("*/*.json")):
         print(f"DIFFERENT  seed {rel.parent} {rel.stem}: {first_diff(a, b, '')[1:]}")
 sys.exit(1 if bad else 0)
 EOF
+
+echo "== figures --check (working tree)" >&2
+(cd "$root" && cargo run --release --quiet -p slingshot-bench --bin figures -- --check >/dev/null) ||
+    status=1
+if git -C "$root" cat-file -e "$commit:FIGURES.json" 2>/dev/null; then
+    if diff <(git -C "$root" show "$commit:FIGURES.json") "$root/FIGURES.json"; then
+        echo "identical  FIGURES.json"
+    else
+        echo "DIFFERENT  FIGURES.json"
+        status=1
+    fi
+else
+    echo "skipped    FIGURES.json: $rev predates it"
+fi
+exit $status
