@@ -8,9 +8,11 @@
 //! byte-for-byte — and dumps the offending run's Chrome trace next to
 //! the JSON report for post-mortem in Perfetto.
 //!
-//! Knobs:
-//! - `--seeds <n>` / `CHAOS_SEEDS=<n>`: number of seeds (default 16).
-//!   The CI smoke uses 4; the nightly soak uses 64.
+//! Knobs (a value outside what is listed, or any command-line
+//! argument, is exit 2 and not a fallback: a typo must not soak a
+//! different suite than the one asked for):
+//! - `CHAOS_SEEDS=<n>`: number of seeds, a positive integer (default
+//!   16). The CI smoke uses 4; the nightly soak uses 64.
 //! - `CHAOS_SUITE=all|handover`: `handover` restricts each seed to the
 //!   two handover-chaos scenarios on the mobility deployment (the quick
 //!   CI smoke); `all` (default) runs everything.
@@ -242,24 +244,39 @@ fn replay_is_identical(seed: u64, scenario: &Scenario) -> bool {
     first == second
 }
 
-fn seed_count() -> u64 {
-    let mut from_env = std::env::var("CHAOS_SEEDS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--seeds" {
-            from_env = args.get(i + 1).and_then(|v| v.parse::<u64>().ok());
-        }
+/// `CHAOS_SEEDS` and whether `CHAOS_SUITE` is `handover`, or what is
+/// wrong with them — or with `arg`, since there are no arguments.
+fn knobs(
+    arg: Option<&str>,
+    seeds: Option<&str>,
+    suite: Option<&str>,
+) -> Result<(u64, bool), String> {
+    if let Some(arg) = arg {
+        return Err(format!(
+            "no arguments (got {arg}); set CHAOS_SEEDS / CHAOS_SUITE"
+        ));
     }
-    from_env.unwrap_or(16).max(1)
+    let seeds = match seeds.map(str::parse::<u64>) {
+        None => 16,
+        Some(Ok(n)) if n >= 1 => n,
+        Some(_) => return Err("CHAOS_SEEDS must be a positive integer".into()),
+    };
+    match suite {
+        None | Some("all") => Ok((seeds, false)),
+        Some("handover") => Ok((seeds, true)),
+        Some(other) => Err(format!("CHAOS_SUITE={other}: must be all or handover")),
+    }
 }
 
 fn main() {
-    let seeds = seed_count();
-    let handover_only = std::env::var("CHAOS_SUITE")
-        .map(|v| v == "handover")
-        .unwrap_or(false);
+    let arg = std::env::args().nth(1);
+    let seeds = std::env::var("CHAOS_SEEDS").ok();
+    let suite = std::env::var("CHAOS_SUITE").ok();
+    let knobs = knobs(arg.as_deref(), seeds.as_deref(), suite.as_deref());
+    let (seeds, handover_only) = knobs.unwrap_or_else(|e| {
+        eprintln!("chaos_soak: {e}");
+        std::process::exit(2);
+    });
     let suite_desc = if handover_only {
         format!("Chaos soak: {seeds} seeds x 2 handover scenarios")
     } else {
@@ -401,5 +418,25 @@ fn main() {
 
     if failures > 0 || replay_mismatches > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::knobs;
+
+    #[test]
+    fn a_knob_outside_its_values_is_an_error_not_a_fallback() {
+        assert_eq!(knobs(None, None, None), Ok((16, false)));
+        assert_eq!(knobs(None, Some("4"), Some("all")), Ok((4, false)));
+        assert_eq!(knobs(None, Some("1"), Some("handover")), Ok((1, true)));
+        for seeds in ["abc", "", "0", "-3", "4 "] {
+            let refused = knobs(None, Some(seeds), None);
+            assert!(refused.is_err(), "CHAOS_SEEDS={seeds:?}");
+        }
+        let typo = knobs(None, None, Some("hanodver")).unwrap_err();
+        assert!(typo.contains("hanodver") && typo.contains("all or handover"));
+        // The dropped flag must not fall back to 16 seeds either.
+        assert!(knobs(Some("--seeds"), Some("4"), None).is_err());
     }
 }

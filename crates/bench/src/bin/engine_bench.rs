@@ -24,17 +24,16 @@
 //! and the two trace hashes must match — throughput work must not cost
 //! determinism.
 //!
-//! Knobs:
-//!   ENGINE_MS=200        simulated milliseconds per scenario
-//!   ENGINE_QUICK=1       shrink horizon for CI smoke (40 ms)
-//!   ENGINE_BASELINE=path floor file, `<scenario> <events_per_sec>`
-//!                        lines; exit(1) below 80% of any floor
-//!   BENCH_JSON_DIR=dir   write engine_bench.json artifact
+//! One mode: 200 simulated ms per scenario (~4 s in all), every
+//! scenario held to the floors of `baselines/engine_bench.baseline`,
+//! which are compiled in — below 80 % of a floor fails the run, and so
+//! does a floor that names no scenario. `BENCH_JSON_DIR=dir` writes the
+//! `engine_bench.json` artifact.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use slingshot_bench::{banner, load_floors, BenchReport};
+use slingshot_bench::{banner, floor_failures, BenchReport};
 use slingshot_sim::engine::{Ctx, Engine, LinkParams, Message, Node, NodeId};
 use slingshot_sim::time::{Nanos, SLOT_DURATION};
 use slingshot_sim::SpanProfiler;
@@ -327,35 +326,35 @@ fn run_sharded_lanes(horizon: Nanos, profiled: bool) -> Outcome {
     finish(&engine, started)
 }
 
+type Runner = fn(Nanos, bool) -> Outcome;
+
+const SCENARIOS: [(&str, Runner); 5] = [
+    ("timer_ring", run_timer_ring),
+    ("mesh_ping", run_mesh_ping),
+    ("dup_storm", run_dup_storm),
+    ("far_timers", run_far_timers),
+    ("sharded_lanes", run_sharded_lanes),
+];
+
+const FLOORS: &str = include_str!("../../baselines/engine_bench.baseline");
+
+/// Simulated milliseconds per scenario.
+const HORIZON_MS: u64 = 200;
+
 fn main() {
     banner(
         "engine event-loop throughput",
         "calendar queue + pooled delivery hot path (Slingshot engine overhaul)",
     );
 
-    let quick = std::env::var("ENGINE_QUICK").is_ok_and(|v| v == "1");
-    let default_ms = if quick { 40 } else { 200 };
-    let ms: u64 = std::env::var("ENGINE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_ms);
-    let horizon = Nanos(ms * 1_000_000);
-
-    type Runner = fn(Nanos, bool) -> Outcome;
-    let scenarios: [(&str, Runner); 5] = [
-        ("timer_ring", run_timer_ring),
-        ("mesh_ping", run_mesh_ping),
-        ("dup_storm", run_dup_storm),
-        ("far_timers", run_far_timers),
-        ("sharded_lanes", run_sharded_lanes),
-    ];
+    let horizon = Nanos::from_millis(HORIZON_MS);
 
     let mut report = BenchReport::new(
         "engine_bench",
         "engine event-loop throughput",
         "Slingshot engine hot path",
     );
-    report.label("horizon_ms", &ms.to_string());
+    report.label("horizon_ms", &HORIZON_MS.to_string());
 
     let mut results: Vec<(String, f64)> = Vec::new();
     let mut failed = false;
@@ -364,7 +363,7 @@ fn main() {
         "{:<14} {:>12} {:>14} {:>10}  determinism",
         "scenario", "events", "events/sec", "ns/event"
     );
-    for (name, run) in scenarios {
+    for (name, run) in SCENARIOS {
         // Timed pass + determinism re-run (hashes must match).
         let a = run(horizon, false);
         let b = run(horizon, false);
@@ -401,7 +400,7 @@ fn main() {
     // four.
     println!("\nslot-loop overhead breakdown (p50 per span):");
     for name in ["timer_ring", "sharded_lanes"] {
-        let run = scenarios.iter().find(|(n, _)| *n == name).unwrap().1;
+        let run = SCENARIOS.iter().find(|(n, _)| *n == name).unwrap().1;
         let out = run(Nanos(horizon.0 / 4), true);
         let Some(profile) = out.profile else {
             continue;
@@ -420,28 +419,28 @@ fn main() {
         }
     }
 
-    // Floor check.
-    if let Ok(path) = std::env::var("ENGINE_BASELINE") {
-        let floors: HashMap<String, f64> = load_floors(&path).into_iter().collect();
-        for (name, eps) in &results {
-            let Some(&floor) = floors.get(name) else {
-                continue;
-            };
-            let min_ok = floor * 0.8;
-            if *eps < min_ok {
-                eprintln!(
-                    "engine_bench: FAIL {name}: {eps:.0} events/sec < 80% of \
-                     baseline floor {floor:.0}"
-                );
-                failed = true;
-            } else {
-                println!("baseline ok: {name} {eps:.0} >= {min_ok:.0} (floor {floor:.0})");
-            }
-        }
-    }
+    let below = floor_failures(FLOORS, &results);
+    below.iter().for_each(|f| eprintln!("engine_bench: {f}"));
+    failed |= !below.is_empty();
 
     report.write();
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The run's own floor check with speed taken out of it: what is
+    /// left to fail is a floor that names no scenario.
+    #[test]
+    fn every_floor_names_a_scenario() {
+        let names = SCENARIOS
+            .iter()
+            .map(|(name, _)| (name.to_string(), f64::INFINITY));
+        let unmatched = floor_failures(FLOORS, &names.collect::<Vec<_>>());
+        assert_eq!(unmatched, [] as [String; 0]);
     }
 }

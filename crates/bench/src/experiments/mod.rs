@@ -9,6 +9,7 @@
 
 mod ablations;
 mod figs;
+mod fleet;
 mod sections;
 
 use crate::contract::{row, Band::*, Experiment};
@@ -21,7 +22,7 @@ use slingshot_transport::{TcpReceiver, TcpSender, UdpCbrSource, UdpSink, UserApp
 
 /// Every experiment, in the paper's order; `figures` runs them in this
 /// order and `FIGURES.json` lists them in it.
-pub static REGISTRY: [Experiment; 17] = [
+pub static REGISTRY: [Experiment; 19] = [
     figs::FIG3,
     figs::FIG8,
     figs::FIG9,
@@ -39,6 +40,8 @@ pub static REGISTRY: [Experiment; 17] = [
     ablations::STATE_TRANSFER,
     ablations::TRANSPORT,
     ablations::MASSIVE_MIMO,
+    fleet::AVAILABILITY,
+    fleet::FABRIC_SCALE,
 ];
 
 /// RNTI of the UE at index `ue_idx` (the paper's three are 100–102).

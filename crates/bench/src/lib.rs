@@ -242,15 +242,22 @@ pub fn banner(title: &str, paper: &str) {
     println!("==============================================================");
 }
 
-/// Load a bench floor file: one `<key> <value>` pair per line, `#`
-/// starting a comment. An unreadable file or malformed line panics —
-/// a floor check that silently checks nothing would pass CI.
-pub fn load_floors(path: &str) -> Vec<(String, f64)> {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline file {path}: {e}"));
-    parse_floors(&text)
+/// Hold `measured` to a floor file (one `<key> <floor>` pair per line,
+/// `#` starting a comment): one message per key measured below 80 % of
+/// its floor, and per key nothing measured — a floor that checks
+/// nothing is a typo or a renamed kernel, and would pass CI for ever.
+pub fn floor_failures(floors: &str, measured: &[(String, f64)]) -> Vec<String> {
+    let judge = |(key, floor): (String, f64)| match measured.iter().find(|(k, _)| *k == key) {
+        Some((_, got)) if *got >= 0.8 * floor => None,
+        Some((_, got)) => Some(format!(
+            "REGRESSION: {key} = {got:.0}, below 80% of its floor {floor:.0}"
+        )),
+        None => Some(format!("FLOOR CHECKS NOTHING: `{key}` is not measured")),
+    };
+    parse_floors(floors).into_iter().filter_map(judge).collect()
 }
 
+/// The pairs of a floor file; a malformed line panics.
 fn parse_floors(text: &str) -> Vec<(String, f64)> {
     text.lines()
         .map(|l| l.split('#').next().unwrap_or("").trim())
@@ -290,9 +297,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot read baseline file")]
-    fn floors_reject_a_missing_file() {
-        load_floors("/nonexistent/slingshot.baseline");
+    fn a_floor_fails_below_80_percent_or_when_nothing_measures_it() {
+        let measured = [("fast".to_string(), 81.0), ("slow".to_string(), 79.0)];
+        assert_eq!(
+            floor_failures("fast 100\nslow 100\nrenamed 100\n", &measured),
+            [
+                "REGRESSION: slow = 79, below 80% of its floor 100",
+                "FLOOR CHECKS NOTHING: `renamed` is not measured"
+            ]
+        );
     }
 
     #[test]

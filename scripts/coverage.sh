@@ -30,14 +30,11 @@ LCOV="$OUT/coverage.lcov"
 echo "==> cargo llvm-cov --workspace (tests, no report yet)"
 cargo llvm-cov --workspace --no-report
 
-# Fold a tiny scale_bench run into the same profile so the sharded
-# leaf/spine execution paths (lane windows, barrier sync, spine
-# drain) are exercised end-to-end, not only through unit tests. The
-# sweep is shrunk far below the CI gate's quick mode — this is a
-# coverage probe, not a capacity measurement, so no baseline is set.
-echo "==> scale smoke under coverage (sharded fabric paths)"
-SCALE_CELLS=8 SCALE_GROUPS=2 SCALE_SHARDS=1,2 SCALE_MS=5 SCALE_REPS=1 \
-    cargo llvm-cov run --no-report -p slingshot-bench --bin scale_bench
+# Fold the fabric_scale experiment into the same profile so the
+# sharded leaf/spine execution paths (lane windows, barrier sync,
+# spine drain) are exercised end-to-end, not only through unit tests.
+echo "==> fabric_scale under coverage (sharded fabric paths)"
+cargo llvm-cov run --no-report -p slingshot-bench --bin figures -- fabric_scale
 
 echo "==> cargo llvm-cov report (lcov -> $LCOV)"
 cargo llvm-cov report --lcov --output-path "$LCOV"
