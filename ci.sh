@@ -43,12 +43,6 @@
 #   CHAOS_SUITE=all    all | handover (--quick runs handover, 1 seed);
 #                      chaos_soak exits 2 on any other value, as on a
 #                      malformed CHAOS_SEEDS
-#   KERNEL_BACKEND=    DSP kernel backend (scalar|avx2|detect);
-#                      the full gate runs tier-1 tests twice — native
-#                      detection and forced scalar — so SIMD kernels
-#                      and the scalar oracle are both exercised
-#                      (kernel_bench ignores it: it times scalar and
-#                      the detected backend side by side)
 #   BENCH_JSON_DIR=    directory for bench JSON artifacts (unset: skip)
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -128,13 +122,8 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test --workspace -q (native kernel backend)"
+echo "==> cargo test --workspace -q"
 cargo test --workspace -q
-
-echo "==> cargo test --workspace -q (KERNEL_BACKEND=scalar)"
-# Forced-scalar pass: proves the scalar oracle stands on its own and
-# that golden trace hashes don't depend on the host's SIMD features.
-KERNEL_BACKEND=scalar cargo test --workspace -q
 
 echo "==> cargo fmt --check"
 cargo fmt --check

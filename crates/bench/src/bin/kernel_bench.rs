@@ -22,8 +22,6 @@
 //! blocks of a batch, so its speed-up is a function of how many lanes
 //! are filled: the full batch is gated, a 3-of-8 batch is reported
 //! beside it so the break-even occupancy stays on record.
-//! The backend therefore always comes from the CPU; `KERNEL_BACKEND`
-//! is not read here.
 //!
 //! JSON artifact: `kernel_bench.json` in `$BENCH_JSON_DIR`, scalars
 //! keyed `<kernel>_ops_per_sec` plus `<kernel>_us` per-op times, and

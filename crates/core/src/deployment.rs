@@ -30,9 +30,8 @@ use slingshot_ran::{
     AppServerNode, CellConfig, CoreNode, CtlMsg, L2Node, Msg, PhyConfig, PhyNode, RuNode, UeConfig,
     UeNode,
 };
-use slingshot_sim::chaos::{oracle::OracleReport, Scenario};
 use slingshot_sim::{
-    Engine, KernelBackend, KernelConfig, LinkParams, Nanos, NodeId, SimRng, SlotClock, WorkerPool,
+    Engine, KernelConfig, LinkParams, Nanos, NodeId, SimRng, SlotClock, WorkerPool,
 };
 use slingshot_switch::{PktGenConfig, PortId, PortSpace};
 use slingshot_transport::UserApp;
@@ -145,9 +144,6 @@ pub struct Deployment {
     pub phy_orions: BTreeMap<u8, NodeId>,
     /// Size of the engine's DSP worker pool (1 = serial).
     pub workers: usize,
-    /// Chaos scenario staged by [`DeploymentBuilder::chaos`], consumed
-    /// by [`Deployment::run_chaos`].
-    pub chaos: Option<Scenario>,
     /// Leaf switches of a `cell_groups(g ≥ 2)` build, in group order;
     /// `switch` is then the spine. Empty on a single-switch build,
     /// where `switch` is the one middlebox.
@@ -171,8 +167,8 @@ pub const RU_ID: u8 = 0;
 pub const L2_ID: u8 = 0;
 
 /// Fluent builder for [`Deployment`] — the one entry point for every
-/// testbed shape: seed, cell count, DSP worker pool, link/detector
-/// tuning, chaos scenario staging, and trace-sink sizing.
+/// testbed shape: seed, cell count, DSP worker pool, detector tuning,
+/// and trace-sink sizing.
 #[derive(Debug, Clone, Default)]
 pub struct DeploymentBuilder {
     cfg: DeploymentConfig,
@@ -181,7 +177,6 @@ pub struct DeploymentBuilder {
     cell_groups: usize,
     shards: Option<usize>,
     trace_capacity: Option<usize>,
-    chaos: Option<Scenario>,
     ues: Vec<UeConfig>,
     kernels: Option<KernelConfig>,
 }
@@ -195,7 +190,6 @@ impl DeploymentBuilder {
             cell_groups: 1,
             shards: None,
             trace_capacity: None,
-            chaos: None,
             ues: Vec::new(),
             kernels: None,
         }
@@ -225,20 +219,11 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Pin the DSP kernel backend for every node in the deployment.
-    /// Falls back to scalar when the requested backend is not available
-    /// on this host. The default (no call) honors the `KERNEL_BACKEND`
-    /// env var and otherwise auto-detects the best backend — which is
-    /// trace-identical to scalar (every SIMD arm is bit-exact), so the
-    /// golden hashes don't depend on the host CPU.
-    pub fn kernel_backend(mut self, backend: KernelBackend) -> Self {
-        self.kernels = Some(KernelConfig::forced(backend));
-        self
-    }
-
-    /// [`DeploymentBuilder::kernel_backend`] for callers that already
-    /// hold a [`KernelConfig`] (e.g. `KernelConfig::detect()` to ignore
-    /// the environment).
+    /// Pin the DSP kernel backend for every node in the deployment
+    /// (`KernelConfig::forced(b)` falls back to scalar when the host
+    /// cannot run `b`). The default (no call) is the best backend the
+    /// CPU supports — trace-identical to scalar, since every SIMD arm
+    /// is bit-exact, so the golden hashes don't depend on the host.
     pub fn kernel_config(mut self, kernels: KernelConfig) -> Self {
         self.kernels = Some(kernels);
         self
@@ -254,19 +239,6 @@ impl DeploymentBuilder {
     /// Failure-detector tuning.
     pub fn detector(mut self, detector: PktGenConfig) -> Self {
         self.cfg.detector = detector;
-        self
-    }
-
-    /// Fronthaul / server / backhaul link parameters.
-    pub fn links(
-        mut self,
-        fronthaul: LinkParams,
-        server: LinkParams,
-        backhaul: LinkParams,
-    ) -> Self {
-        self.cfg.fronthaul_link = fronthaul;
-        self.cfg.server_link = server;
-        self.cfg.backhaul_link = backhaul;
         self
     }
 
@@ -341,13 +313,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Stage a chaos scenario to be applied by
-    /// [`Deployment::run_chaos`] after build.
-    pub fn chaos(mut self, scenario: Scenario) -> Self {
-        self.chaos = Some(scenario);
-        self
-    }
-
     /// Size the slot-aware event-trace sink (ring capacity in events).
     pub fn trace(mut self, capacity: usize) -> Self {
         self.trace_capacity = Some(capacity);
@@ -386,7 +351,6 @@ impl DeploymentBuilder {
                 d.engine.set_exec_shards(k);
             }
         }
-        d.chaos = self.chaos;
         d
     }
 }
@@ -592,6 +556,21 @@ impl Deployment {
             ue_cfgs.iter().all(|u| (u.ru_id as usize) < n_cells),
             "every UE's ru_id must address a built cell"
         );
+        if cfg.handover {
+            // The switch keys its UE directory and handover store by the
+            // RNTI's low byte; two UEs in one entry would share a
+            // serving cell, and a handover of one would move the other.
+            let mut entry_owner = BTreeMap::new();
+            for u in &ue_cfgs {
+                if let Some(other) = entry_owner.insert(u.rnti & 0xFF, u.rnti) {
+                    panic!(
+                        "UE directory entry {} taken twice: RNTI {} wraps onto RNTI {other}",
+                        u.rnti & 0xFF,
+                        u.rnti
+                    );
+                }
+            }
+        }
         let mut cell_ues: Vec<Vec<UeConfig>> = vec![Vec::new(); n_cells];
         for u in ue_cfgs {
             cell_ues[u.ru_id as usize].push(u);
@@ -910,7 +889,6 @@ impl Deployment {
             phy_nodes,
             phy_orions,
             workers: 1,
-            chaos: None,
             leaves,
             spine: (groups > 1).then_some(switch),
             attached_switch,
@@ -952,13 +930,6 @@ impl Deployment {
             .node_mut::<AppServerNode>(self.server)
             .unwrap()
             .add_app(rnti, server_app);
-    }
-
-    /// Run the chaos scenario staged by [`DeploymentBuilder::chaos`],
-    /// consuming it. Returns `None` when no scenario was staged.
-    pub fn run_chaos(&mut self) -> Option<OracleReport> {
-        let scenario = self.chaos.take()?;
-        Some(crate::chaos::run_scenario(self, &scenario))
     }
 
     /// Publish every node's own measurements and the per-link stats

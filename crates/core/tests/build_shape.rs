@@ -105,3 +105,22 @@ fn colliding_phy_ids_are_rejected_at_build_time() {
         .spare_pool(1)
         .build();
 }
+
+/// The switch keys its UE directory by the RNTI's low byte: RNTIs 100
+/// and 356 would share entry 100, so installing the second overwrites
+/// the first's serving cell and a handover of either re-points both.
+#[test]
+#[should_panic(expected = "UE directory entry 100 taken twice: RNTI 356 wraps onto RNTI 100")]
+fn rntis_sharing_a_ue_directory_entry_are_rejected_at_build_time() {
+    DeploymentBuilder::new()
+        .cell(CellConfig {
+            num_prbs: 24,
+            fidelity: Fidelity::Abstract,
+            ..CellConfig::default()
+        })
+        .cells(2)
+        .handover()
+        .ue(UeConfig::new(100, 0, "ue-a", 22.0))
+        .ue(UeConfig::new(356, 1, "ue-b", 22.0))
+        .build();
+}

@@ -6,10 +6,13 @@
 //! The kernel backend is held to the same contract: every SIMD arm is
 //! bit-exact, so the backend is invisible too.
 
-use slingshot::DeploymentBuilder;
+use slingshot::chaos::run_scenario;
+use slingshot::{Deployment, DeploymentBuilder};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{FaultKind, FaultTarget, Scenario};
-use slingshot_sim::{KernelBackend, MetricsRegistry, Nanos, SpanProfiler, SLOT_DURATION};
+use slingshot_sim::{
+    KernelBackend, KernelConfig, MetricsRegistry, Nanos, SpanProfiler, SLOT_DURATION,
+};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
 fn small_cell() -> CellConfig {
@@ -25,7 +28,7 @@ fn small_cell() -> CellConfig {
 #[derive(Clone, Copy)]
 struct Dsp {
     fidelity: Fidelity,
-    /// `None` leaves the engine default (`KERNEL_BACKEND`, else detect).
+    /// `None` leaves the engine default (the detected backend).
     backend: Option<KernelBackend>,
     /// Add a downlink flow per cell beside the uplink one.
     dl_flow: bool,
@@ -60,11 +63,25 @@ fn assert_decoded_a_multi_batch_tb(metrics: &MetricsRegistry) {
     );
 }
 
-/// Run a deployment with one uplink flow per cell and return the trace
-/// bytes, the trace hash, the engine's dispatched-event hash, and the
-/// full published-metrics dump. A Full-fidelity run must have decoded a
-/// TB spanning more than one LDPC batch.
-fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> (Vec<u8>, u64, u64, String) {
+/// Everything a run leaves behind that must not depend on workers or
+/// backend: the trace bytes, the trace hash, the engine's
+/// dispatched-event hash, and the full published-metrics dump.
+type Observed = (Vec<u8>, u64, u64, String);
+
+fn observe(d: &mut Deployment) -> Observed {
+    d.publish_metrics();
+    let trace = d.engine.event_trace();
+    (
+        trace.to_bytes(),
+        trace.hash(),
+        d.engine.trace_hash(),
+        d.engine.metrics().to_text(),
+    )
+}
+
+/// Run a deployment with one uplink flow per cell. A Full-fidelity run
+/// must have decoded a TB spanning more than one LDPC batch.
+fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> Observed {
     let ues: Vec<UeConfig> = (0..cells)
         .map(|c| UeConfig::new(100 + c as u16, c as u8, &format!("ue-c{c}"), 22.0))
         .collect();
@@ -78,7 +95,7 @@ fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> (Vec<u8>, u64, u64,
         .workers(workers)
         .ues(ues);
     if let Some(backend) = dsp.backend {
-        b = b.kernel_backend(backend);
+        b = b.kernel_config(KernelConfig::forced(backend));
     }
     let mut d = b.build();
     for i in 0..cells {
@@ -98,17 +115,39 @@ fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> (Vec<u8>, u64, u64,
         }
     }
     d.engine.run_until(Nanos::from_millis(150));
-    d.publish_metrics();
+    let observed = observe(&mut d);
     if dsp.fidelity == Fidelity::Full {
         assert_decoded_a_multi_batch_tb(d.engine.metrics());
     }
-    let trace = d.engine.event_trace();
-    (
-        trace.to_bytes(),
-        trace.hash(),
-        d.engine.trace_hash(),
-        d.engine.metrics().to_text(),
-    )
+    observed
+}
+
+/// The shape most of tier-1 runs: one Sampled cell with a one-deep
+/// spare pool and an uplink flow, through a crash of the active PHY,
+/// judged by every trace oracle.
+fn run_crash(workers: usize, kernels: KernelConfig) -> Observed {
+    let scenario =
+        Scenario::new("crash", 1600).fault(600, FaultTarget::ActivePhy, FaultKind::PhyCrash);
+    let mut d = DeploymentBuilder::new()
+        .seed(42)
+        .cell(small_cell())
+        .workers(workers)
+        .spare_pool(1)
+        .ue(UeConfig::new(100, 0, "ue100", 22.0))
+        .kernel_config(kernels)
+        .build();
+    d.add_flow(
+        0,
+        100,
+        Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
+        Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+    );
+    let report = run_scenario(&mut d, &scenario);
+    assert!(
+        report.ok(),
+        "oracle violations (workers {workers}, {kernels:?}): {report:?}"
+    );
+    observe(&mut d)
 }
 
 /// Across 8 seeds, a 4-worker run is byte-identical (trace and
@@ -139,32 +178,42 @@ fn multi_cell_parallel_matches_serial() {
     }
 }
 
-/// The backend contract above kernel level: one Full-fidelity
-/// deployment with UL and DL traffic (every DSP stage, both directions)
-/// built on each backend this host can run yields the same trace, the
-/// same dispatched-event hash and the same metrics as the scalar oracle.
-/// On a host without AVX2 only scalar is available and this passes
-/// vacuously.
+/// The backend contract above kernel level, held here and nowhere
+/// else: the scalar arms and the SIMD arms agree on whole deployments.
+/// Two shapes — Full fidelity with UL and DL traffic (every DSP stage,
+/// both directions, multi-batch LDPC) and the Sampled chaos deployment
+/// through an active-PHY crash — each built on every backend this host
+/// can run, must yield the same trace, the same dispatched-event hash
+/// and the same metrics as the scalar oracle. On a host without AVX2
+/// only scalar is available and this passes vacuously.
 #[test]
 fn kernel_backends_yield_identical_traces() {
-    // Scalar — the oracle — is always first.
-    let mut runs = KernelBackend::all_available().into_iter().map(|backend| {
+    assert_backends_agree("full UL+DL", |backend| {
         let dsp = Dsp {
             backend: Some(backend),
             ..FULL_UL_DL
         };
-        (backend, run(9, 1, 1, dsp))
+        run(9, 1, 1, dsp)
     });
-    let (_, (bytes_s, hash_s, engine_hash_s, metrics_s)) = runs.next().expect("scalar");
-    assert!(!bytes_s.is_empty(), "trace must not be empty");
-    for (backend, (bytes, hash, engine_hash, metrics)) in runs {
-        assert_eq!(hash_s, hash, "trace hash diverged on {backend}");
+    assert_backends_agree("sampled crash", |backend| {
+        run_crash(1, KernelConfig::forced(backend))
+    });
+}
+
+fn assert_backends_agree(shape: &str, run_on: impl Fn(KernelBackend) -> Observed) {
+    // Scalar — the oracle — is always first.
+    let mut backends = KernelBackend::all_available().into_iter();
+    let (bytes_s, hash_s, engine_hash_s, metrics_s) = run_on(backends.next().expect("scalar"));
+    assert!(!bytes_s.is_empty(), "{shape}: trace must not be empty");
+    for backend in backends {
+        let (bytes, hash, engine_hash, metrics) = run_on(backend);
+        assert_eq!(hash_s, hash, "{shape}: trace hash diverged on {backend}");
         assert_eq!(
             engine_hash_s, engine_hash,
-            "event hash diverged on {backend}"
+            "{shape}: event hash diverged on {backend}"
         );
-        assert_eq!(bytes_s, bytes, "trace bytes diverged on {backend}");
-        assert_eq!(metrics_s, metrics, "metrics diverged on {backend}");
+        assert_eq!(bytes_s, bytes, "{shape}: trace bytes diverged on {backend}");
+        assert_eq!(metrics_s, metrics, "{shape}: metrics diverged on {backend}");
     }
 }
 
@@ -233,28 +282,8 @@ fn profiler_never_perturbs_trace_or_metrics() {
 }
 
 /// Chaos smoke under a worker pool: a primary-PHY crash handled while
-/// slot DSP runs on 4 workers still satisfies every trace oracle, via
-/// the builder's staged-scenario path.
+/// slot DSP runs on 4 workers still satisfies every trace oracle.
 #[test]
 fn chaos_crash_scenario_passes_oracles_with_workers() {
-    let scenario =
-        Scenario::new("crash-w4", 1600).fault(600, FaultTarget::ActivePhy, FaultKind::PhyCrash);
-    let mut d = DeploymentBuilder::new()
-        .seed(42)
-        .cell(small_cell())
-        .workers(4)
-        .spare_pool(1)
-        .ue(UeConfig::new(100, 0, "ue100", 22.0))
-        .chaos(scenario)
-        .build();
-    d.add_flow(
-        0,
-        100,
-        Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
-        Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
-    );
-    let report = d.run_chaos().expect("scenario was staged");
-    assert!(report.ok(), "oracle violations under workers=4: {report:?}");
-    // The staged scenario is consumed: a second call is a no-op.
-    assert!(d.run_chaos().is_none());
+    run_crash(4, KernelConfig::detect());
 }

@@ -466,7 +466,7 @@ mod tests {
     fn null_requests_are_tiny() {
         let null = FapiMsg::UlTti(UlTtiRequest::null(1, slot()));
         assert!(encode(&null).len() <= 8, "len={}", encode(&null).len());
-        assert!(matches!(&null, FapiMsg::UlTti(u) if u.is_null()));
+        assert!(matches!(&null, FapiMsg::UlTti(u) if u.pusch.is_empty()));
     }
 
     #[test]

@@ -21,7 +21,7 @@ impl McsRow {
     }
 
     /// Information bits per modulated symbol.
-    pub fn spectral_efficiency(&self) -> f64 {
+    pub(crate) fn spectral_efficiency(&self) -> f64 {
         self.modulation.bits_per_symbol() as f64 * self.code_rate()
     }
 }

@@ -53,10 +53,6 @@ impl DlTtiRequest {
             pdsch: Vec::new(),
         }
     }
-
-    pub fn is_null(&self) -> bool {
-        self.pdsch.is_empty()
-    }
 }
 
 /// `UL_TTI.request`: uplink grants for one slot.
@@ -74,10 +70,6 @@ impl UlTtiRequest {
             slot,
             pusch: Vec::new(),
         }
-    }
-
-    pub fn is_null(&self) -> bool {
-        self.pusch.is_empty()
     }
 }
 

@@ -11,7 +11,7 @@ use bytes::{Buf, BufMut};
 use slingshot_sim::SlotId;
 
 /// eCPRI protocol revision nibble used on the wire.
-pub const ECPRI_VERSION: u8 = 1;
+pub(crate) const ECPRI_VERSION: u8 = 1;
 
 /// eCPRI message types we use (subset of the spec).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,7 +36,7 @@ pub enum EcpriMsgType {
 }
 
 impl EcpriMsgType {
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             EcpriMsgType::IqData => 0x00,
             EcpriMsgType::RtControl => 0x02,
@@ -68,7 +68,7 @@ pub enum Direction {
 }
 
 impl Direction {
-    pub fn as_u8(self) -> u8 {
+    pub(crate) fn as_u8(self) -> u8 {
         match self {
             Direction::Uplink => 0,
             Direction::Downlink => 1,
@@ -102,7 +102,7 @@ pub struct FhHeader {
 }
 
 impl FhHeader {
-    pub const WIRE_LEN: usize = 6;
+    pub(crate) const WIRE_LEN: usize = 6;
 
     pub fn write(&self, buf: &mut impl BufMut) {
         buf.put_u8(self.direction.as_u8());
@@ -150,7 +150,7 @@ pub struct EcpriHeader {
 }
 
 impl EcpriHeader {
-    pub const WIRE_LEN: usize = 4;
+    pub(crate) const WIRE_LEN: usize = 4;
 
     pub fn write(&self, buf: &mut impl BufMut) {
         buf.put_u8(ECPRI_VERSION << 4);

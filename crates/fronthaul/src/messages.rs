@@ -23,7 +23,7 @@ pub struct CSection {
 }
 
 impl CSection {
-    pub const WIRE_LEN: usize = 8;
+    pub(crate) const WIRE_LEN: usize = 8;
 
     fn write(&self, buf: &mut impl BufMut) {
         buf.put_u16(self.section_id);

@@ -69,20 +69,6 @@ impl Capture {
         times.windows(2).map(|w| (w[1] - w[0]).0).collect()
     }
 
-    /// Total captured bytes matching `pred`.
-    pub fn bytes_where<F>(&self, pred: F) -> u64
-    where
-        F: Fn(&CaptureRecord) -> bool,
-    {
-        self.inner
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|r| pred(r))
-            .map(|r| r.wire_size as u64)
-            .sum()
-    }
-
     pub fn clear(&self) {
         self.inner.lock().unwrap().clear();
     }
@@ -123,17 +109,6 @@ mod tests {
         cap.record(Nanos(450), &frame(a, 10));
         let gaps = cap.inter_packet_gaps(|r| r.src == a);
         assert_eq!(gaps, vec![100, 350]);
-    }
-
-    #[test]
-    fn bytes_where_sums_wire_size() {
-        let cap = Capture::new();
-        let a = MacAddr::for_ru(1);
-        cap.record(Nanos(0), &frame(a, 100));
-        cap.record(Nanos(1), &frame(a, 100));
-        // wire size = 14 + 100 + 4 = 118 each.
-        assert_eq!(cap.bytes_where(|r| r.src == a), 236);
-        assert_eq!(cap.bytes_where(|r| r.src == MacAddr::ZERO), 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub enum EtherType {
 }
 
 impl EtherType {
-    pub fn as_u16(self) -> u16 {
+    pub(crate) fn as_u16(self) -> u16 {
         match self {
             EtherType::Ecpri => 0xAEFE,
             EtherType::Ipv4 => 0x0800,
@@ -33,7 +33,7 @@ impl EtherType {
         }
     }
 
-    pub fn from_u16(v: u16) -> EtherType {
+    pub(crate) fn from_u16(v: u16) -> EtherType {
         match v {
             0xAEFE => EtherType::Ecpri,
             0x0800 => EtherType::Ipv4,
@@ -44,10 +44,10 @@ impl EtherType {
 }
 
 /// Ethernet header bytes on the wire (dst + src + ethertype).
-pub const ETH_HEADER_LEN: usize = 14;
+pub(crate) const ETH_HEADER_LEN: usize = 14;
 
 /// Frame check sequence length (accounted in wire size).
-pub const ETH_FCS_LEN: usize = 4;
+pub(crate) const ETH_FCS_LEN: usize = 4;
 
 /// An Ethernet II frame.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,7 +9,6 @@ use std::fmt;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
     pub const ZERO: MacAddr = MacAddr([0; 6]);
 
     /// Deterministic address for an RU, derived from its operator-assigned
@@ -33,15 +32,6 @@ impl MacAddr {
     /// physical address (paper §5.1).
     pub fn virtual_phy(ru_id: u8) -> MacAddr {
         MacAddr([0x02, 0x56, 0x50, 0x00, 0x00, ru_id])
-    }
-
-    pub fn is_broadcast(&self) -> bool {
-        *self == MacAddr::BROADCAST
-    }
-
-    /// Locally administered bit (bit 1 of the first octet).
-    pub fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 
     pub fn to_bytes(self) -> [u8; 6] {
@@ -97,7 +87,7 @@ mod tests {
     fn u64_roundtrip() {
         for mac in [
             MacAddr::ZERO,
-            MacAddr::BROADCAST,
+            MacAddr([0xff; 6]),
             MacAddr::for_ru(7),
             MacAddr::for_phy(255),
             MacAddr::virtual_phy(0),
@@ -119,18 +109,5 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), n);
-    }
-
-    #[test]
-    fn local_bit_set_on_derived() {
-        assert!(MacAddr::for_ru(1).is_local());
-        assert!(MacAddr::virtual_phy(9).is_local());
-        assert!(!MacAddr::ZERO.is_local());
-    }
-
-    #[test]
-    fn broadcast_detection() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!MacAddr::for_phy(1).is_broadcast());
     }
 }

@@ -40,8 +40,7 @@ fn bler_at(
 }
 
 fn main() {
-    // Honors KERNEL_BACKEND; detect() otherwise.
-    let kernels = DspKernels::from_env();
+    let kernels = DspKernels::detect();
     let payload: Vec<u8> = (0..125u32).map(|i| (i * 11) as u8).collect();
     let mut ch = AwgnChannel::new(SimRng::new(42));
     for iters in [4usize, 8, 16] {

@@ -6,8 +6,7 @@ use slingshot_phy_dsp::DspKernels;
 use slingshot_sim::SimRng;
 
 fn main() {
-    // Honors KERNEL_BACKEND; detect() otherwise.
-    let kernels = DspKernels::from_env();
+    let kernels = DspKernels::detect();
     let data: Vec<u8> = (0..80u32).map(|i| (i * 7) as u8).collect();
     let e = 1336usize;
     let mut ch = AwgnChannel::new(SimRng::new(9));

@@ -7,8 +7,7 @@ use slingshot_phy_dsp::DspKernels;
 use slingshot_sim::SimRng;
 
 fn main() {
-    // Honors KERNEL_BACKEND; detect() otherwise.
-    let kernels = DspKernels::from_env();
+    let kernels = DspKernels::detect();
     let payload: Vec<u8> = (0..125u32).map(|i| (i * 11) as u8).collect(); // 1024 info bits
     let mut ch = AwgnChannel::new(SimRng::new(42));
     for (m, bps) in [

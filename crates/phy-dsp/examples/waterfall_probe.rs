@@ -6,8 +6,7 @@ use slingshot_phy_dsp::DspKernels;
 use slingshot_sim::SimRng;
 
 fn main() {
-    // Honors KERNEL_BACKEND; detect() otherwise.
-    let kernels = DspKernels::from_env();
+    let kernels = DspKernels::detect();
     let payload: Vec<u8> = (0..80u32).map(|i| (i * 11) as u8).collect();
     let e_bits = 1336usize;
     let mut ch = AwgnChannel::new(SimRng::new(42));

@@ -77,7 +77,7 @@ impl BitBuf {
 
     /// Mutable limb access for word-level kernels (scrambling). The
     /// caller must preserve the tail-zero invariant.
-    pub fn words_mut(&mut self) -> &mut [u64] {
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }
 
@@ -102,7 +102,7 @@ impl BitBuf {
 
     /// Append the low `n` bits of `w` (LSB-first, `n <= 64`).
     #[inline]
-    pub fn push_word(&mut self, w: u64, n: usize) {
+    pub(crate) fn push_word(&mut self, w: u64, n: usize) {
         debug_assert!(n <= 64);
         if n == 0 {
             return;

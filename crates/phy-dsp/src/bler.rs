@@ -23,19 +23,19 @@
 use crate::channel::db_to_linear;
 
 /// Iteration-dependent decoder loss (dB), from calibration.
-pub fn base_loss_db(fec_iterations: usize) -> f64 {
+pub(crate) fn base_loss_db(fec_iterations: usize) -> f64 {
     2.8 + 6.0 / (fec_iterations.max(1) as f64)
 }
 
 /// Extra loss per modulation order above QPSK (max-log LLR penalty and
 /// constellation packing), from calibration.
-pub fn modulation_loss_db(bits_per_symbol: usize) -> f64 {
+pub(crate) fn modulation_loss_db(bits_per_symbol: usize) -> f64 {
     0.58 * (bits_per_symbol.saturating_sub(2)) as f64
 }
 
 /// Penalty for heavy puncturing of the rate-1/3 mother code, from
 /// calibration: kicks in above rate ≈ 0.5 and saturates near 0.6.
-pub fn rate_penalty_db(code_rate: f64) -> f64 {
+pub(crate) fn rate_penalty_db(code_rate: f64) -> f64 {
     2.7 * ((code_rate - 0.5) / 0.1).clamp(0.0, 1.0)
 }
 
@@ -51,7 +51,7 @@ pub fn threshold_db(bits_per_symbol: usize, code_rate: f64, fec_iterations: usiz
 
 /// Waterfall steepness (per dB): longer blocks have sharper waterfalls.
 /// Calibrated to ≈ 2–2.5 /dB at 1024-bit blocks.
-pub fn steepness(block_bits: usize) -> f64 {
+pub(crate) fn steepness(block_bits: usize) -> f64 {
     0.8 + (block_bits.max(16) as f64).ln() * 0.22
 }
 

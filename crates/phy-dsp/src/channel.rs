@@ -14,7 +14,7 @@ use crate::iq::Cplx;
 use slingshot_sim::{SimRng, WorkerPool};
 
 /// Symbols per noise-generation chunk in [`AwgnChannel::apply_with`].
-pub const CHANNEL_CHUNK: usize = 2048;
+pub(crate) const CHANNEL_CHUNK: usize = 2048;
 
 /// Convert dB to linear power ratio.
 pub fn db_to_linear(db: f64) -> f64 {
@@ -22,7 +22,7 @@ pub fn db_to_linear(db: f64) -> f64 {
 }
 
 /// Convert linear power ratio to dB.
-pub fn linear_to_db(lin: f64) -> f64 {
+pub(crate) fn linear_to_db(lin: f64) -> f64 {
     10.0 * lin.max(1e-30).log10()
 }
 
@@ -81,7 +81,7 @@ impl AwgnChannel {
     /// the channel RNG state — never on the pool's worker count. The
     /// realization differs from `apply` (different stream layout); a
     /// caller must use one variant consistently.
-    pub fn apply_with(
+    pub(crate) fn apply_with(
         &mut self,
         pool: &WorkerPool,
         symbols: &[Cplx],
@@ -194,10 +194,6 @@ impl SnrProcess {
             0.0
         };
         self.current_db - fade
-    }
-
-    pub fn current_db(&self) -> f64 {
-        self.current_db
     }
 
     /// The long-run mean the process reverts to.

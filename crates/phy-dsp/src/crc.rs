@@ -7,7 +7,7 @@
 
 /// CRC-24A generator polynomial from TS 38.212 §5.1:
 /// x^24 + x^23 + x^18 + x^17 + x^14 + x^11 + x^10 + x^7 + x^6 + x^5 + x^4 + x^3 + x + 1.
-pub const CRC24A_POLY: u32 = 0x864CFB;
+pub(crate) const CRC24A_POLY: u32 = 0x864CFB;
 
 /// CRC-16 (CCITT) generator polynomial from TS 38.212:
 /// x^16 + x^12 + x^5 + 1.

@@ -5,7 +5,7 @@
 //! batch of blocks), max-log demapping, AWGN generation and BFP
 //! pack/unpack. It is a tiny `Copy` handle wrapping
 //! the engine-carried [`KernelConfig`], constructed once per deployment
-//! (`DeploymentBuilder::kernel_backend(...)` → `Engine` → `Ctx`) and
+//! (`DeploymentBuilder::kernel_config(...)` → `Engine` → `Ctx`) and
 //! handed down the call chain like the worker pool.
 //!
 //! ## Backend contract
@@ -25,7 +25,6 @@ use crate::channel::AwgnChannel;
 use crate::iq::{BfpPrb, Cplx, SC_PER_PRB};
 use crate::ldpc::{LdpcBlockOut, LdpcCode, LdpcScratch};
 use crate::modulation::Modulation;
-use crate::scratch::default_scratch_pool;
 use crate::tbchain::{self, TbDecodeOutcome, TbParams};
 use slingshot_sim::{KernelBackend, KernelConfig, WorkerPool};
 
@@ -57,13 +56,6 @@ impl DspKernels {
     pub fn forced(backend: KernelBackend) -> DspKernels {
         DspKernels {
             cfg: KernelConfig::forced(backend),
-        }
-    }
-
-    /// Honor the `KERNEL_BACKEND` env override, else detect.
-    pub fn from_env() -> DspKernels {
-        DspKernels {
-            cfg: KernelConfig::from_env(),
         }
     }
 
@@ -204,19 +196,13 @@ impl DspKernels {
         channel.apply_with(pool, symbols, snr_db)
     }
 
-    /// Encode a transport block (serial, thread-local scratch).
+    /// Encode a transport block (serial).
     pub fn encode_tb(&self, payload: &[u8], p: &TbParams) -> Vec<Cplx> {
-        tbchain::encode_tb_with(
-            *self,
-            &WorkerPool::serial(),
-            &default_scratch_pool(),
-            payload,
-            p,
-        )
+        tbchain::encode_tb_with(*self, &WorkerPool::serial(), payload, p)
     }
 
-    /// Decode a transport block (serial, thread-local scratch),
-    /// soft-combining into the caller-owned HARQ accumulator.
+    /// Decode a transport block (serial), soft-combining into the
+    /// caller-owned HARQ accumulator.
     pub fn decode_tb(
         &self,
         acc: &mut [f32],
@@ -228,7 +214,6 @@ impl DspKernels {
         tbchain::decode_tb_with(
             *self,
             &WorkerPool::serial(),
-            &default_scratch_pool(),
             acc,
             rx_symbols,
             noise_var,
@@ -239,9 +224,9 @@ impl DspKernels {
 }
 
 impl Default for DspKernels {
-    /// Engine default: `KERNEL_BACKEND` env override, else detect.
+    /// The engine default: the best backend this host supports.
     fn default() -> DspKernels {
-        DspKernels::from_env()
+        DspKernels::detect()
     }
 }
 

@@ -27,7 +27,7 @@ impl Cplx {
         Cplx { re, im }
     }
 
-    pub fn norm_sq(self) -> f32 {
+    pub(crate) fn norm_sq(self) -> f32 {
         self.re * self.re + self.im * self.im
     }
 
@@ -35,7 +35,7 @@ impl Cplx {
         self.norm_sq().sqrt()
     }
 
-    pub fn conj(self) -> Cplx {
+    pub(crate) fn conj(self) -> Cplx {
         Cplx::new(self.re, -self.im)
     }
 
@@ -86,7 +86,7 @@ impl Neg for Cplx {
 pub const SC_PER_PRB: usize = 12;
 
 /// Mantissa width used by the BFP compressor (O-RAN's common 9-bit mode).
-pub const BFP_MANTISSA_BITS: u32 = 9;
+pub(crate) const BFP_MANTISSA_BITS: u32 = 9;
 
 /// One PRB's worth of compressed IQ: a shared exponent and 12 pairs of
 /// signed mantissas.
@@ -232,17 +232,9 @@ pub(crate) mod avx2 {
     }
 }
 
-/// Serialize a BFP PRB to bytes (exponent byte, then mantissas packed as
-/// 9-bit big-endian fields).
-pub fn bfp_to_bytes(prb: &BfpPrb) -> Vec<u8> {
-    let mut out = Vec::with_capacity(BfpPrb::WIRE_BYTES);
-    bfp_write_bytes(prb, &mut out);
-    out
-}
-
-/// Append a PRB's wire form to an existing buffer — the allocation-free
-/// path message serialization uses to pack a whole symbol's PRBs into
-/// one frame body.
+/// Append a PRB's wire form (exponent byte, then mantissas packed as
+/// 9-bit big-endian fields) to an existing buffer, so message
+/// serialization packs a whole symbol's PRBs into one frame body.
 pub fn bfp_write_bytes(prb: &BfpPrb, out: &mut Vec<u8>) {
     out.push(prb.exponent);
     let mut acc: u32 = 0;
@@ -363,7 +355,8 @@ mod tests {
     fn bfp_wire_roundtrip() {
         let s = sample_prb(0.8);
         let prb = bfp_compress(&s);
-        let bytes = bfp_to_bytes(&prb);
+        let mut bytes = Vec::new();
+        bfp_write_bytes(&prb, &mut bytes);
         assert_eq!(bytes.len(), BfpPrb::WIRE_BYTES);
         let parsed = bfp_from_bytes(&bytes).unwrap();
         assert_eq!(parsed, prb);
@@ -395,7 +388,8 @@ mod tests {
         let mut s = [Cplx::ZERO; SC_PER_PRB];
         s[3] = Cplx::new(-0.5, 0.25);
         let prb = bfp_compress(&s);
-        let bytes = bfp_to_bytes(&prb);
+        let mut bytes = Vec::new();
+        bfp_write_bytes(&prb, &mut bytes);
         let parsed = bfp_from_bytes(&bytes).unwrap();
         let d = bfp_decompress(&parsed);
         assert!((d[3].re + 0.5).abs() < 0.01);

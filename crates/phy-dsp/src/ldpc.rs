@@ -37,7 +37,7 @@ use slingshot_sim::SimRng;
 
 /// Mother code rate: 1/3 (m = 2k parity bits). Higher rates come from
 /// puncturing in the rate matcher; lower from repetition.
-pub const PARITY_FACTOR: usize = 2;
+pub(crate) const PARITY_FACTOR: usize = 2;
 
 /// Normalization factor for min-sum check updates (standard 0.75).
 const MIN_SUM_NORM: f32 = 0.75;
@@ -71,8 +71,8 @@ pub struct LdpcCode {
 
 /// Reusable decoder working set: check-to-variable messages, posterior
 /// LLRs and hard decisions. Sized on first use per code dimension and
-/// reused across decodes (the transport-block chain keeps one per slot
-/// scratch arena).
+/// reused across decodes (the transport-block chain keeps one per
+/// thread).
 ///
 /// The per-edge message arrays are deliberate: a compressed per-row
 /// representation (`(p1, p2, min_idx)` + packed sign bits — min-sum
@@ -320,7 +320,7 @@ impl LdpcCode {
     /// This is the definition — one `decode_into` per block, no copy
     /// (the hard-decision buffer is swapped out of `scratch`); the
     /// lockstep arm in [`avx2`] must match it bit for bit.
-    pub fn decode_batch_into(
+    pub(crate) fn decode_batch_into(
         &self,
         blocks: &[&[f32]],
         max_iters: usize,

@@ -32,7 +32,7 @@ pub mod ldpc;
 pub mod modulation;
 pub mod ratematch;
 pub mod scramble;
-pub mod scratch;
+mod scratch;
 pub mod snr;
 pub mod tbchain;
 
@@ -42,7 +42,6 @@ pub use dispatch::DspKernels;
 pub use iq::{Cplx, SC_PER_PRB};
 pub use ldpc::{LdpcBlockOut, LdpcCode, LdpcScratch};
 pub use modulation::Modulation;
-pub use scratch::{default_scratch_pool, DspScratch, DspScratchPool};
 pub use snr::SnrFilter;
 // Kernel backend selection originates in the sim crate (the engine
 // carries it); re-export so DSP callers have one import surface.

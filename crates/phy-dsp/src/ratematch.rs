@@ -10,11 +10,11 @@
 
 /// Redundancy-version start offsets as fractions of the buffer, matching
 /// the spirit of the 38.212 RV positions {0, 1/4, 1/2, 3/4}.
-pub const RV_COUNT: usize = 4;
+pub(crate) const RV_COUNT: usize = 4;
 
 /// Starting index in a length-`n` circular buffer for redundancy
 /// version `rv`.
-pub fn rv_start(n: usize, rv: u8) -> usize {
+pub(crate) fn rv_start(n: usize, rv: u8) -> usize {
     (n * (rv as usize % RV_COUNT)) / RV_COUNT
 }
 

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Distance the Gold sequence is fast-forwarded before use (TS 38.211).
-pub const NC: usize = 1600;
+pub(crate) const NC: usize = 1600;
 
 const MASK31: u32 = 0x7FFF_FFFF;
 
@@ -143,7 +143,7 @@ impl GoldSequence {
     /// Produce the next 64 bits of c() (bit `i` of the result is
     /// c(n+i)) and advance the generator by 64.
     #[inline]
-    pub fn next_word64(&mut self) -> u64 {
+    pub(crate) fn next_word64(&mut self) -> u64 {
         let t1 = extend_x1(self.x1);
         let t2 = extend_x2(self.x2);
         self.x1 = ((t1 >> 64) as u32) & MASK31;
@@ -248,7 +248,7 @@ pub fn cached_sequence(c_init: u32, min_bits: usize) -> Arc<Vec<u64>> {
 /// Read 64 sequence bits starting at bit `pos` from packed words (reads
 /// past the end are zero).
 #[inline]
-pub fn seq_word(seq: &[u64], pos: usize) -> u64 {
+pub(crate) fn seq_word(seq: &[u64], pos: usize) -> u64 {
     let limb = pos >> 6;
     let off = pos & 63;
     let lo = seq.get(limb).copied().unwrap_or(0) >> off;

@@ -71,10 +71,6 @@ impl SnrFilter {
         self.value_db.unwrap_or(default_db)
     }
 
-    pub fn is_converged(&self, min_updates: u64) -> bool {
-        self.updates >= min_updates
-    }
-
     pub fn updates(&self) -> u64 {
         self.updates
     }
@@ -161,9 +157,9 @@ mod tests {
     fn reset_discards_state() {
         let mut f = SnrFilter::new(0.2);
         f.update(15.0);
-        assert!(f.is_converged(1));
+        assert_eq!(f.updates(), 1);
         f.reset();
-        assert!(!f.is_converged(1));
+        assert_eq!(f.updates(), 0);
         assert_eq!(f.value_or(-3.0), -3.0);
     }
 

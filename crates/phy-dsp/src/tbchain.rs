@@ -16,10 +16,10 @@
 //! Bits move through the chain packed 64 per word ([`BitBuf`]), the
 //! scrambling sequence comes from the per-thread
 //! [`cached_sequence`] word cache, and jobs borrow their working
-//! buffers (a [`DspScratchPool`] arena, plus the decoder's per-thread
-//! scratch) so steady-state slots allocate almost nothing. All of it is bit-identical to the original
-//! byte-per-bit chain — same bits, same f32 operations in the same
-//! order — so traces and HARQ accumulators are unchanged.
+//! buffers from the thread they run on ([`WORKSPACE`]), so steady-state
+//! slots allocate almost nothing. All of it is bit-identical to the
+//! original byte-per-bit chain — same bits, same f32 operations in the
+//! same order — so traces and HARQ accumulators are unchanged.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -34,15 +34,12 @@ use crate::ldpc::{LdpcCode, BATCH_LANES};
 use crate::modulation::{modulate_packed, Modulation};
 use crate::ratematch::{rate_match_packed, rate_recover};
 use crate::scramble::{cached_sequence, descramble_llrs_packed, scramble_packed, GoldSequence};
-use crate::scratch::{DspScratchPool, DECODE_SCRATCH};
+use crate::scratch::WORKSPACE;
 use slingshot_sim::WorkerPool;
 
 /// Maximum information bits per LDPC code block (including the share of
 /// the TB CRC). Larger transport blocks are segmented.
 pub const MAX_CB_INFO_BITS: usize = 1024;
-
-/// Default min-sum iteration budget (the "FEC iterations" knob).
-pub const DEFAULT_FEC_ITERATIONS: usize = 8;
 
 /// A cached LDPC code plus its transmission (interleave) order.
 type CachedCode = (Rc<LdpcCode>, Rc<Vec<u32>>);
@@ -158,9 +155,9 @@ struct EncodeBlock {
 
 /// Encode a transport block, fanning per-code-block work (LDPC encode,
 /// rate match, scramble) out across `pool` with working buffers drawn
-/// from `scratch`. Bit-identical to the serial path for any worker
-/// count: blocks are independent, scrambling offsets are fixed in
-/// serial prepare order, and results merge in block order.
+/// from the thread each job runs on. Bit-identical to the serial path
+/// for any worker count: blocks are independent, scrambling offsets are
+/// fixed in serial prepare order, and results merge in block order.
 ///
 /// `_kernels` keeps the entry point uniform with the decode chain; the
 /// encode path is integer/LUT work with no SIMD variant today, so every
@@ -168,7 +165,6 @@ struct EncodeBlock {
 pub fn encode_tb_with(
     _kernels: DspKernels,
     pool: &WorkerPool,
-    scratch: &DspScratchPool,
     payload: &[u8],
     p: &TbParams,
 ) -> Vec<Cplx> {
@@ -205,10 +201,9 @@ pub fn encode_tb_with(
             .into_iter()
             .map(|b| {
                 let seq = Arc::clone(&seq);
-                let spool = scratch.clone();
                 move || {
                     let (code, order) = code_for(b.k);
-                    let mut s = spool.take();
+                    let mut s = WORKSPACE.take();
                     s.bits_a.clear();
                     code.encode_packed(&b.bits, &mut s.bits_a);
                     // Permute into transmission order: the systematic
@@ -221,7 +216,7 @@ pub fn encode_tb_with(
                     let mut seg = BitBuf::with_capacity(b.e);
                     rate_match_packed(&s.bits_b, b.e, rv, &mut seg);
                     scramble_packed(&mut seg, &seq, b.offset_e);
-                    spool.put(s);
+                    WORKSPACE.set(s);
                     seg
                 }
             })
@@ -272,8 +267,8 @@ type DecodedBlock = (Vec<f32>, BitBuf, usize, bool);
 
 /// Decode a transport block, fanning per-batch work (LLR demap,
 /// descramble, rate recover per block, then one LDPC batch decode) out
-/// across `pool`, with front-end buffers drawn from `scratch` and the
-/// decoder's from the thread the job runs on. A batch is up to
+/// across `pool`, with working buffers drawn from the thread the job
+/// runs on. A batch is up to
 /// [`BATCH_LANES`] *consecutive* blocks of equal `k` — they share one
 /// LDPC code, so the SIMD backend decodes them in lockstep — and
 /// [`segment_sizes`] yields at most two runs of equal `k`, so batch
@@ -281,11 +276,9 @@ type DecodedBlock = (Vec<f32>, BitBuf, usize, bool);
 /// split into per-block segments in serial prepare order and merged
 /// back in block order, so the result — including every f32 operation —
 /// is identical to the serial path for any worker count.
-#[allow(clippy::too_many_arguments)]
 pub fn decode_tb_with(
     kernels: DspKernels,
     pool: &WorkerPool,
-    scratch: &DspScratchPool,
     acc: &mut [f32],
     rx_symbols: &[Cplx],
     noise_var: f32,
@@ -332,16 +325,14 @@ pub fn decode_tb_with(
             .into_iter()
             .map(|mut batch| {
                 let seq = Arc::clone(&seq);
-                let spool = scratch.clone();
                 move || {
                     let k = batch[0].k;
                     let n = 3 * k;
                     let (code, order) = code_for(k);
-                    let mut s = spool.take();
-                    let mut d = DECODE_SCRATCH.take();
-                    d.cw_llrs.clear();
-                    d.cw_llrs.resize(batch.len() * n, 0.0);
-                    for (b, cw_llrs) in batch.iter_mut().zip(d.cw_llrs.chunks_exact_mut(n)) {
+                    let mut s = WORKSPACE.take();
+                    s.cw_llrs.clear();
+                    s.cw_llrs.resize(batch.len() * n, 0.0);
+                    for (b, cw_llrs) in batch.iter_mut().zip(s.cw_llrs.chunks_exact_mut(n)) {
                         kernels.demodulate_llr_into(
                             &b.syms,
                             modulation,
@@ -365,30 +356,29 @@ pub fn decode_tb_with(
                             cw_llrs[cw_idx as usize] = b.seg[pos];
                         }
                     }
-                    spool.put(s);
                     let mut views: [&[f32]; BATCH_LANES] = [&[]; BATCH_LANES];
-                    for (view, cw_llrs) in views.iter_mut().zip(d.cw_llrs.chunks_exact(n)) {
+                    for (view, cw_llrs) in views.iter_mut().zip(s.cw_llrs.chunks_exact(n)) {
                         *view = cw_llrs;
                     }
-                    d.out.resize_with(BATCH_LANES, Default::default);
+                    s.out.resize_with(BATCH_LANES, Default::default);
                     let ldpc_start = std::time::Instant::now();
                     kernels.ldpc_decode_batch_into(
                         &code,
                         &views[..batch.len()],
                         fec_iterations,
-                        &mut d.ldpc,
-                        &mut d.out[..batch.len()],
+                        &mut s.ldpc,
+                        &mut s.out[..batch.len()],
                     );
                     let ldpc_ns = ldpc_start.elapsed().as_nanos() as u64;
                     let decoded: Vec<DecodedBlock> = batch
                         .into_iter()
-                        .zip(&d.out)
+                        .zip(&s.out)
                         .map(|(b, o)| {
                             let info = BitBuf::from_bits(&o.hard[..k]);
                             (b.seg, info, o.iterations, o.parity_ok)
                         })
                         .collect();
-                    DECODE_SCRATCH.set(d);
+                    WORKSPACE.set(s);
                     (decoded, ldpc_ns)
                 }
             })
@@ -450,7 +440,7 @@ mod tests {
             rnti: 0x4601,
             cell_id: 42,
             rv,
-            fec_iterations: DEFAULT_FEC_ITERATIONS,
+            fec_iterations: 8,
         }
     }
 
@@ -621,11 +611,10 @@ mod tests {
         // vector: the 4-worker path must match the serial path exactly,
         // down to every f32 in the HARQ accumulator.
         let pool = WorkerPool::with_threads(4);
-        let spool = DspScratchPool::new();
         let data = payload(400, 21); // 4 code blocks
         let p = params(6448, 0);
         let serial_syms = encode_tb(&data, &p);
-        let par_syms = encode_tb_with(DspKernels::detect(), &pool, &spool, &data, &p);
+        let par_syms = encode_tb_with(DspKernels::detect(), &pool, &data, &p);
         assert_eq!(serial_syms, par_syms);
 
         let mut ch = AwgnChannel::new(SimRng::new(22));
@@ -637,7 +626,6 @@ mod tests {
         let out_par = decode_tb_with(
             DspKernels::detect(),
             &pool,
-            &spool,
             &mut acc_par,
             &rx,
             nv,
@@ -648,8 +636,37 @@ mod tests {
         assert_eq!(out_serial.payload, out_par.payload);
         assert_eq!(out_serial.ldpc_iterations, out_par.ldpc_iterations);
         assert_eq!(out_serial.all_parity_ok, out_par.all_parity_ok);
-        // Jobs returned their arenas: the pool retains them for reuse.
-        assert!(spool.idle() >= 1);
+    }
+
+    #[test]
+    fn job_on_a_thread_whose_workspace_is_taken_is_bit_identical() {
+        // A thread blocked in `WorkerPool::run` helps drain the queue,
+        // so a job can start on a thread that is already inside another
+        // job's borrow: it finds the workspace taken, works in an empty
+        // one, and must produce the same bits.
+        let data = payload(400, 23);
+        let p = params(6448, 0);
+        let syms = encode_tb(&data, &p);
+        let mut ch = AwgnChannel::new(SimRng::new(24));
+        let (rx, nv) = ch.apply(&syms, 6.0);
+        let mut acc = vec![0.0; mother_buffer_len(data.len())];
+        let out = decode_tb(&mut acc, &rx, nv, data.len(), &p);
+
+        let held = WORKSPACE.take();
+        assert!(
+            held.cw_llrs.capacity() > 0,
+            "the first run used and returned it"
+        );
+        let syms_taken = encode_tb(&data, &p);
+        let mut acc_taken = vec![0.0; mother_buffer_len(data.len())];
+        let out_taken = decode_tb(&mut acc_taken, &rx, nv, data.len(), &p);
+        WORKSPACE.set(held);
+
+        assert_eq!(syms, syms_taken);
+        assert_eq!(acc, acc_taken);
+        assert_eq!(out.payload, out_taken.payload);
+        assert_eq!(out.ldpc_iterations, out_taken.ldpc_iterations);
+        assert_eq!(out.all_parity_ok, out_taken.all_parity_ok);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use slingshot_phy_dsp::channel::{db_to_linear, AwgnChannel};
 use slingshot_phy_dsp::scramble::GoldSequence;
 use slingshot_phy_dsp::snr::estimate_snr_db;
 use slingshot_phy_dsp::tbchain::{decode_tb_with, encode_tb_with, mother_buffer_len, TbParams};
-use slingshot_phy_dsp::{Cplx, DspKernels, DspScratchPool, Modulation, SC_PER_PRB};
+use slingshot_phy_dsp::{Cplx, DspKernels, Modulation, SC_PER_PRB};
 use slingshot_sim::{Ctx, SimRng, WorkerPool};
 
 /// Cap on the representative code block's payload in Sampled mode:
@@ -38,33 +38,31 @@ const SAMPLED_PAYLOAD_CAP: usize = 125;
 
 /// PRBs per U-plane message chunk (keeps frames under typical MTU:
 /// 48 × 28 B ≈ 1.3 KB).
-pub const PRBS_PER_CHUNK: usize = 48;
+pub(crate) const PRBS_PER_CHUNK: usize = 48;
 
 /// Per-slot fronthaul buffers older than this many slots are stale:
 /// both pipelines consume a slot's fronthaul within three slots.
 const FH_RETAIN_SLOTS: u64 = 8;
 
 /// The engine's kernel backend as a DSP dispatch handle.
-pub fn kernels_of(ctx: &Ctx<'_, Msg>) -> DspKernels {
+pub(crate) fn kernels_of(ctx: &Ctx<'_, Msg>) -> DspKernels {
     DspKernels::from_config(ctx.kernel_config())
 }
 
-/// A node's DSP environment for one callback: kernel backend, worker
-/// pool and scratch arenas. Cheap shared handles, so a worker-pool job
-/// takes its own clone.
+/// A node's DSP environment for one callback: kernel backend and
+/// worker pool. Cheap shared handles, so a worker-pool job takes its
+/// own clone.
 #[derive(Clone)]
 pub struct DspEnv {
     pub kernels: DspKernels,
     pub pool: WorkerPool,
-    pub scratch: DspScratchPool,
 }
 
 impl DspEnv {
-    pub fn of(ctx: &Ctx<'_, Msg>, scratch: &DspScratchPool) -> DspEnv {
+    pub fn of(ctx: &Ctx<'_, Msg>) -> DspEnv {
         DspEnv {
             kernels: kernels_of(ctx),
             pool: ctx.worker_pool(),
-            scratch: scratch.clone(),
         }
     }
 }
@@ -84,7 +82,7 @@ pub struct TbSignal {
 }
 
 /// Pilot length of an allocation: one OFDM symbol across its PRBs.
-pub fn pilot_len(num_prb: u16) -> usize {
+pub(crate) fn pilot_len(num_prb: u16) -> usize {
     num_prb as usize * SC_PER_PRB
 }
 
@@ -209,7 +207,7 @@ impl FhAssembly {
 
     /// Drop buffers that fell [`FH_RETAIN_SLOTS`] behind `now_abs`
     /// (late or duplicate frames for slots already processed).
-    pub fn gc(&mut self, now_abs: u64) {
+    pub(crate) fn gc(&mut self, now_abs: u64) {
         self.slots.retain(|abs, _| *abs + FH_RETAIN_SLOTS > now_abs);
     }
 }
@@ -233,7 +231,7 @@ pub struct LinkParamsTb {
 
 impl LinkParamsTb {
     /// The link parameters a grant implies in a cell.
-    pub fn from_grant(
+    pub(crate) fn from_grant(
         grant: &DciEntry,
         cell_id: u16,
         data_symbols: u8,
@@ -258,7 +256,7 @@ impl LinkParamsTb {
         slingshot_fapi::e_bits(self.mcs, self.num_prb, self.data_symbols)
     }
 
-    pub fn pilot_len(&self) -> usize {
+    pub(crate) fn pilot_len(&self) -> usize {
         pilot_len(self.num_prb)
     }
 
@@ -286,7 +284,7 @@ impl LinkParamsTb {
 
 /// The UE-specific pilot sequence (QPSK from a Gold sequence keyed by
 /// RNTI), used by the receiver for SNR estimation.
-pub fn pilot_sequence(rnti: u16, cell_id: u16, len: usize) -> Vec<Cplx> {
+pub(crate) fn pilot_sequence(rnti: u16, cell_id: u16, len: usize) -> Vec<Cplx> {
     let mut g = GoldSequence::new(GoldSequence::c_init_data(rnti ^ 0x5A5A, cell_id));
     let bits = g.bits(2 * len);
     let a = std::f32::consts::FRAC_1_SQRT_2;
@@ -334,23 +332,16 @@ fn cached_pilots(rnti: u16, cell_id: u16, len: usize) -> Arc<Vec<Cplx>> {
 }
 
 /// Encode a TB for transmission under the given fidelity, fanning
-/// per-code-block work out across the environment's pool with working
-/// buffers drawn from its scratch. Bit-identical for any worker count.
-pub fn encode_signal_with(
+/// per-code-block work out across the environment's pool. Bit-identical
+/// for any worker count.
+pub(crate) fn encode_signal_with(
     dsp: &DspEnv,
     fidelity: Fidelity,
     payload: &Bytes,
     lp: &LinkParamsTb,
 ) -> TbSignal {
-    let encode = |bytes: &[u8], e_bits| {
-        encode_tb_with(
-            dsp.kernels,
-            &dsp.pool,
-            &dsp.scratch,
-            bytes,
-            &lp.tb_params(e_bits),
-        )
-    };
+    let encode =
+        |bytes: &[u8], e_bits| encode_tb_with(dsp.kernels, &dsp.pool, bytes, &lp.tb_params(e_bits));
     let pilots = match fidelity {
         Fidelity::Abstract => Vec::new(),
         _ => cached_pilots(lp.rnti, lp.cell_id, lp.pilot_len())[..lp.pilot_len()].to_vec(),
@@ -375,7 +366,7 @@ pub fn encode_signal_with(
 /// noise generation (per-chunk RNG streams: the same realization for
 /// any worker count). AWGN generation goes through the `kernels` seam;
 /// it is one scalar noise source on every backend.
-pub fn apply_channel_with(
+pub(crate) fn apply_channel_with(
     dsp: &DspEnv,
     signal: &mut TbSignal,
     snr_db: f64,
@@ -483,7 +474,7 @@ impl RxProcessPool {
 /// state, which is how the HARQ process retires when the caller `put`s
 /// it back. `lp.ndi` starts a fresh HARQ series when toggled; `rng`
 /// supplies the Abstract mode's BLER draw.
-pub fn receive_into(
+pub(crate) fn receive_into(
     dsp: &DspEnv,
     state: &mut RxSoftState,
     fidelity: Fidelity,
@@ -537,7 +528,6 @@ pub fn receive_into(
             let out = decode_tb_with(
                 dsp.kernels,
                 &dsp.pool,
-                &dsp.scratch,
                 &mut proc.llr_acc,
                 symbols,
                 noise_var,
@@ -600,7 +590,6 @@ pub fn receive_into(
 mod tests {
     use super::*;
     use slingshot_fronthaul::{fh_header, Direction};
-    use slingshot_phy_dsp::default_scratch_pool;
     use slingshot_sim::{SimRng, SlotId};
 
     /// A serial environment on the host's best backend — bit-exact
@@ -610,7 +599,6 @@ mod tests {
         DspEnv {
             kernels: DspKernels::detect(),
             pool: WorkerPool::serial(),
-            scratch: default_scratch_pool(),
         }
     }
 

@@ -18,12 +18,12 @@ use crate::sched::{Policy, Scheduler};
 use crate::slice::SliceKind;
 
 /// MAC SDU marker bytes: RLC data vs padding.
-pub const MAC_MARKER_DATA: u8 = 0x01;
-pub const MAC_MARKER_PADDING: u8 = 0x00;
+pub(crate) const MAC_MARKER_DATA: u8 = 0x01;
+pub(crate) const MAC_MARKER_PADDING: u8 = 0x00;
 
 /// Build a MAC PDU of exactly `tbs` bytes from an RLC queue (padding
 /// if short; pure padding when the queue is empty).
-pub fn build_mac_pdu(rlc: &mut RlcTx, tbs: usize) -> Bytes {
+pub(crate) fn build_mac_pdu(rlc: &mut RlcTx, tbs: usize) -> Bytes {
     let mut out = Vec::with_capacity(tbs);
     if let Some(sdu) = rlc.build_tb(tbs.saturating_sub(1)) {
         out.put_u8(MAC_MARKER_DATA);
@@ -36,7 +36,7 @@ pub fn build_mac_pdu(rlc: &mut RlcTx, tbs: usize) -> Bytes {
 }
 
 /// Parse a MAC PDU; returns the RLC SDU bytes when it carries data.
-pub fn parse_mac_pdu(pdu: &[u8]) -> Option<&[u8]> {
+pub(crate) fn parse_mac_pdu(pdu: &[u8]) -> Option<&[u8]> {
     match pdu.split_first() {
         Some((&MAC_MARKER_DATA, rest)) => Some(rest),
         _ => None,

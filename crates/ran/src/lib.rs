@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cell;
-pub mod core_net;
+mod core_net;
 pub mod fidelity;
 pub mod l2;
 pub mod mobility;
@@ -23,10 +23,10 @@ pub mod ue;
 
 pub use cell::{CellConfig, Fidelity};
 pub use core_net::{AppServerNode, CoreNode};
-pub use fidelity::{pilot_sequence, LinkParamsTb, RxOutcome, RxProcessPool, TbSignal};
+pub use fidelity::{LinkParamsTb, RxOutcome, RxProcessPool, TbSignal};
 pub use l2::L2Node;
 pub use mobility::{CrossingEvent, MobilityConfig, MobilityModel};
-pub use msg::{CtlMsg, DlAllocation, Msg, RadioDlBurst, RadioUlBurst, UserPacket, AIR_LATENCY};
+pub use msg::{CtlMsg, DlAllocation, Msg, RadioDlBurst, RadioUlBurst, UserPacket};
 pub use phy::{PhyConfig, PhyNode};
 pub use ru::RuNode;
 pub use sched::{Policy, Scheduler};

@@ -75,7 +75,7 @@ pub struct UserPacket {
 
 impl UserPacket {
     /// Approximate IP+UDP overhead added on the wire.
-    pub const HEADER_OVERHEAD: usize = 28;
+    pub(crate) const HEADER_OVERHEAD: usize = 28;
 
     pub fn wire_size(&self) -> usize {
         self.payload.len() + Self::HEADER_OVERHEAD
@@ -198,18 +198,18 @@ impl Message for Msg {
 /// Timer tokens shared across RAN nodes. Each node's `on_timer`
 /// dispatches on these well-known values; node-specific tokens start at
 /// [`timer_tokens::NODE_BASE`].
-pub mod timer_tokens {
+pub(crate) mod timer_tokens {
     /// Fires at (or just before) each slot boundary.
-    pub const SLOT_TICK: u64 = 1;
+    pub(crate) const SLOT_TICK: u64 = 1;
     /// App poll wakeup.
-    pub const APP_POLL: u64 = 2;
+    pub(crate) const APP_POLL: u64 = 2;
     /// Generic per-node timers start here.
-    pub const NODE_BASE: u64 = 100;
+    pub(crate) const NODE_BASE: u64 = 100;
 }
 
 /// Convenience: total simulated air propagation delay (RU ↔ UE). Small
 /// but nonzero to keep event ordering honest.
-pub const AIR_LATENCY: Nanos = Nanos(3_000);
+pub(crate) const AIR_LATENCY: Nanos = Nanos(3_000);
 
 #[cfg(test)]
 mod tests {

@@ -30,7 +30,6 @@ use slingshot_fapi::{
 use slingshot_fronthaul::{fh_header, CPlaneMsg, CSection, DciEntry, DciMsg, Direction, FhMessage};
 use slingshot_netsim::{EtherType, Frame, MacAddr};
 use slingshot_phy_dsp::snr::SnrFilter;
-use slingshot_phy_dsp::DspScratchPool;
 use slingshot_sim::{
     Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, SpanProfiler,
     TraceEventKind,
@@ -136,10 +135,6 @@ pub struct PhyNode {
     started_at: Option<Nanos>,
     /// DL_TTI requests awaiting their TX_Data payloads.
     pending_dl: HashMap<(u8, u64), Vec<PdschPdu>>,
-    /// Slot-scoped DSP scratch arenas, reused across TTIs and shared
-    /// with worker-pool jobs (contents never outlive one code block's
-    /// processing, so handout order cannot affect results).
-    scratch: DspScratchPool,
 }
 
 impl PhyNode {
@@ -165,7 +160,6 @@ impl PhyNode {
             processed_ul_slots: Vec::new(),
             started_at: None,
             pending_dl: HashMap::new(),
-            scratch: DspScratchPool::new(),
         }
     }
 
@@ -285,7 +279,7 @@ impl PhyNode {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let dsp = DspEnv::of(ctx, &self.scratch);
+        let dsp = DspEnv::of(ctx);
         let profiler = ctx.profiler();
         let slot_t0 = profiler.is_enabled().then(std::time::Instant::now);
         let prepare_span = profiler.span("slot_prepare", abs);

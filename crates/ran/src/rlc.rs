@@ -19,7 +19,7 @@ use slingshot_sim::Nanos;
 /// skip stays within the paper's 10 ms availability target; TBs that
 /// need a third or fourth HARQ attempt (≲0.3% at the operating BLER)
 /// surface as residual loss, as in real low-latency RLC configs.
-pub const T_REASSEMBLY: Nanos = Nanos::from_millis(10);
+pub(crate) const T_REASSEMBLY: Nanos = Nanos::from_millis(10);
 
 /// One RLC PDU header: sequence number plus segmentation flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +36,7 @@ pub struct RlcPdu {
 impl RlcPdu {
     pub const HEADER_LEN: usize = 7;
 
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         Self::HEADER_LEN + self.payload.len()
     }
 
@@ -226,7 +226,7 @@ impl RlcRx {
         RlcRx::with_timeout(T_REASSEMBLY)
     }
 
-    pub fn with_timeout(t_reassembly: Nanos) -> RlcRx {
+    pub(crate) fn with_timeout(t_reassembly: Nanos) -> RlcRx {
         RlcRx {
             t_reassembly,
             ordered: true,
@@ -295,11 +295,6 @@ impl RlcRx {
     /// Timer hook: deliver or skip past gaps whose t-Reassembly expired.
     pub fn poll_expired(&mut self, now: Nanos) -> Vec<Bytes> {
         self.drain(now)
-    }
-
-    /// Packets currently buffered in the window.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     fn drain(&mut self, now: Nanos) -> Vec<Bytes> {
@@ -545,7 +540,7 @@ mod tests {
         assert!(rx.on_tb(t(0), &[0xFF; 3]).is_empty());
         // All-zero padding parses as an empty non-final PDU: ignored.
         assert!(rx.on_tb(t(0), &[0u8; 64]).is_empty());
-        assert_eq!(rx.pending_len(), 0);
+        assert_eq!(rx.pending.len(), 0);
     }
 
     #[test]

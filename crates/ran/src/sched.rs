@@ -12,7 +12,7 @@ use crate::slice::{SliceKind, SliceProfile};
 
 /// Maximum HARQ transmissions (1 original + 3 retransmissions), as in
 /// the paper's description of 5G HARQ.
-pub const MAX_HARQ_TX: u8 = 4;
+pub(crate) const MAX_HARQ_TX: u8 = 4;
 
 /// Scheduling policy for splitting PRBs among UEs with traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +93,7 @@ enum HarqOutcome<T> {
 
 /// Redundancy-version sequence used across HARQ retransmissions
 /// (38.214's usual 0, 2, 3, 1).
-pub const RV_SEQUENCE: [u8; 4] = [0, 2, 3, 1];
+pub(crate) const RV_SEQUENCE: [u8; 4] = [0, 2, 3, 1];
 
 impl UeSchedState {
     pub fn new(rnti: u16, initial_snr_db: f64) -> UeSchedState {
@@ -109,18 +109,13 @@ impl UeSchedState {
     }
 
     /// Update uplink SNR from a CRC.indication report.
-    pub fn report_ul_snr(&mut self, snr_db: f64) {
+    pub(crate) fn report_ul_snr(&mut self, snr_db: f64) {
         const ALPHA: f64 = 0.1;
         self.ul_snr_db += ALPHA * (snr_db - self.ul_snr_db);
         self.dl_snr_db = self.ul_snr_db;
     }
 
-    /// Number of uplink HARQ processes awaiting an outcome.
-    pub fn ul_inflight(&self) -> usize {
-        self.ul_harq.procs.len()
-    }
-
-    pub fn dl_inflight(&self) -> usize {
+    pub(crate) fn dl_inflight(&self) -> usize {
         self.dl_harq.procs.len()
     }
 }
@@ -279,12 +274,12 @@ impl Scheduler {
 
     /// Assign a UE to a slice; it is scheduled under the slice's
     /// [`SliceProfile::for_kind`] policy from then on.
-    pub fn set_slice(&mut self, rnti: u16, kind: SliceKind) {
+    pub(crate) fn set_slice(&mut self, rnti: u16, kind: SliceKind) {
         self.slices.insert(rnti, kind);
     }
 
     /// A UE's slice, when it was assigned one.
-    pub fn slice_of(&self, rnti: u16) -> Option<SliceKind> {
+    pub(crate) fn slice_of(&self, rnti: u16) -> Option<SliceKind> {
         self.slices.get(&rnti).copied()
     }
 
@@ -310,7 +305,7 @@ impl Scheduler {
     /// with no registered slice is default eMBB (floor 0, weight 1.0),
     /// so a cell with no slices gets the plain policy-weighted split
     /// in `eligible` order.
-    pub fn split_prbs(&self, eligible: &[u16], total_prbs: u16) -> Vec<(u16, u16, u16)> {
+    pub(crate) fn split_prbs(&self, eligible: &[u16], total_prbs: u16) -> Vec<(u16, u16, u16)> {
         if eligible.is_empty() || total_prbs == 0 {
             return Vec::new();
         }
@@ -456,7 +451,7 @@ impl Scheduler {
     }
 
     /// Drop every in-flight HARQ series for a UE (called on detach).
-    pub fn reset_ue(&mut self, rnti: u16) {
+    pub(crate) fn reset_ue(&mut self, rnti: u16) {
         if let Some(ue) = self.ues.get_mut(&rnti) {
             ue.ul_harq.procs.clear();
             ue.dl_harq.procs.clear();
@@ -530,7 +525,7 @@ mod tests {
         // Fourth failure abandons.
         assert!(s.on_ul_crc(100, id, false, 10.0));
         assert_eq!(s.ul_harq_failures, 1);
-        assert_eq!(s.ues[&100].ul_inflight(), 0);
+        assert_eq!(s.ues[&100].ul_harq.procs.len(), 0);
     }
 
     #[test]
@@ -630,13 +625,13 @@ mod tests {
         let (_p, _b) = s
             .dl_assign(100, 0, 50, 12, |tbs| Some(Bytes::from(vec![0u8; tbs])))
             .unwrap();
-        assert_eq!(s.ues[&100].ul_inflight(), 1);
+        assert_eq!(s.ues[&100].ul_harq.procs.len(), 1);
         assert_eq!(s.ues[&100].dl_inflight(), 1);
         // Feedback never arrives (PHY crashed): expire after 30 slots.
         for _ in 0..=30 {
             s.tick(30);
         }
-        assert_eq!(s.ues[&100].ul_inflight(), 0);
+        assert_eq!(s.ues[&100].ul_harq.procs.len(), 0);
         assert_eq!(s.ues[&100].dl_inflight(), 0);
         assert_eq!(s.ul_harq_failures, 1);
         assert_eq!(s.dl_harq_failures, 1);
@@ -655,7 +650,7 @@ mod tests {
         for _ in 0..100 {
             s.tick(30); // not awaiting → no expiry
         }
-        assert_eq!(s.ues[&100].ul_inflight(), 1, "retx still pending");
+        assert_eq!(s.ues[&100].ul_harq.procs.len(), 1, "retx still pending");
     }
 
     #[test]
@@ -663,9 +658,9 @@ mod tests {
         let mut s = sched();
         let g = s.ul_grant(100, 0, 50, 12).unwrap();
         s.on_ul_crc(100, g.pdu.harq_id, false, 10.0);
-        assert_eq!(s.ues[&100].ul_inflight(), 1);
+        assert_eq!(s.ues[&100].ul_harq.procs.len(), 1);
         s.reset_ue(100);
-        assert_eq!(s.ues[&100].ul_inflight(), 0);
+        assert_eq!(s.ues[&100].ul_harq.procs.len(), 0);
     }
 
     #[test]
@@ -753,7 +748,7 @@ mod tests {
             feedback: |s, id, ok| {
                 s.on_ul_crc(100, id, ok, 18.0);
             },
-            inflight: |s| s.ues[&100].ul_inflight(),
+            inflight: |s| s.ues[&100].ul_harq.procs.len(),
             failures: |s| s.ul_harq_failures,
         },
         Link {

@@ -14,7 +14,7 @@ use bytes::Bytes;
 
 use slingshot_fronthaul::{DciEntry, UciEntry};
 use slingshot_phy_dsp::channel::AwgnChannel;
-use slingshot_phy_dsp::{DspScratchPool, SnrProcess, SnrProcessConfig};
+use slingshot_phy_dsp::{SnrProcess, SnrProcessConfig};
 use slingshot_sim::{
     Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, SLOT_DURATION,
 };
@@ -139,8 +139,6 @@ pub struct UeNode {
     grants: HashMap<u64, Vec<DciEntry>>,
     ul_tx: HashMap<u8, UlTxProc>,
     dl_pool: RxProcessPool,
-    /// Slot-scoped DSP scratch arenas, reused across TTIs.
-    scratch: DspScratchPool,
     ul_rlc: RlcTx,
     dl_rlc: RlcRx,
     pending_ucis: Vec<UciEntry>,
@@ -196,7 +194,6 @@ impl UeNode {
             grants: HashMap::new(),
             ul_tx: HashMap::new(),
             dl_pool: RxProcessPool::new(),
-            scratch: DspScratchPool::new(),
             ul_rlc: RlcTx::new(),
             dl_rlc,
             pending_ucis: Vec::new(),
@@ -300,7 +297,7 @@ impl UeNode {
         if self.state != UeState::Connected {
             return;
         }
-        let dsp = DspEnv::of(ctx, &self.scratch);
+        let dsp = DspEnv::of(ctx);
         for g in grants {
             self.ul_grants_served += 1;
             // New data or retransmission? Track NDI per HARQ process.
@@ -374,7 +371,7 @@ impl UeNode {
             self.grants.entry(abs).or_default().push(*dci);
         }
         // Decode downlink assignments addressed to us.
-        let dsp = DspEnv::of(ctx, &self.scratch);
+        let dsp = DspEnv::of(ctx);
         for dci in burst
             .dcis
             .iter()

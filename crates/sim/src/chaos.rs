@@ -118,7 +118,7 @@ impl FaultKind {
     /// Whether this fault permanently removes a PHY from service when
     /// aimed at a PHY target (used by the sampler to bound how much
     /// redundancy a random scenario may burn).
-    pub fn lethal_to_phy(&self) -> bool {
+    pub(crate) fn lethal_to_phy(&self) -> bool {
         matches!(self, FaultKind::PhyCrash | FaultKind::PhyHang { .. })
     }
 

@@ -699,13 +699,6 @@ impl<'a, M: Message> Ctx<'a, M> {
         self.lane.set_alive(node, self.id, false);
     }
 
-    /// Bring a previously killed node back (e.g., a restarted process).
-    /// Records a `NodeRevived` trace event. A revive of another lane's
-    /// node takes effect at the next slot barrier.
-    pub fn revive(&mut self, node: NodeId) {
-        self.lane.set_alive(node, self.id, true);
-    }
-
     /// Restart a killed node from inside the simulation (an
     /// orchestrator node re-launching a crashed process): revive it and
     /// re-run its `on_start` at the current time so it can re-establish
@@ -815,7 +808,7 @@ impl<M: Message> Engine<M> {
         let env = Env {
             pool: WorkerPool::serial(),
             profiler: SpanProfiler::disabled(),
-            kernels: KernelConfig::from_env(),
+            kernels: KernelConfig::detect(),
             names: Arc::new(Vec::new()),
         };
         let lane = Lane::new(SimRng::new(seed), env.clone(), Nanos::ZERO, 0);
@@ -848,9 +841,8 @@ impl<M: Message> Engine<M> {
     }
 
     /// Install the kernel backend selection nodes reach through
-    /// [`Ctx::kernel_config`]. Defaults to [`KernelConfig::from_env`]
-    /// (the `KERNEL_BACKEND` override if set, else runtime detection);
-    /// deployments pin it explicitly through the builder.
+    /// [`Ctx::kernel_config`]. Defaults to [`KernelConfig::detect`];
+    /// a deployment pins it through the builder.
     pub fn set_kernel_config(&mut self, kernels: KernelConfig) {
         self.env.kernels = kernels;
     }
@@ -1014,7 +1006,7 @@ impl<M: Message> Engine<M> {
         self.set_alive(node, NodeId::EXTERNAL, false, self.now);
     }
 
-    pub fn revive(&mut self, node: NodeId) {
+    pub(crate) fn revive(&mut self, node: NodeId) {
         self.set_alive(node, NodeId::EXTERNAL, true, self.now);
     }
 

@@ -153,7 +153,7 @@ impl<T> CalendarQueue<T> {
 
     /// The earliest pending `at`, or `None` when empty. Advances the
     /// slot cursor as a side effect (hence `&mut`).
-    pub fn peek_at(&mut self) -> Option<Nanos> {
+    pub(crate) fn peek_at(&mut self) -> Option<Nanos> {
         if self.len == 0 {
             return None;
         }
@@ -189,7 +189,7 @@ impl<T> CalendarQueue<T> {
 
     /// Drain every event in `(at, seq)` order — used when handing a
     /// queue's contents to another owner (e.g. shard enablement).
-    pub fn drain_sorted(&mut self) -> Vec<(Nanos, u64, T)> {
+    pub(crate) fn drain_sorted(&mut self) -> Vec<(Nanos, u64, T)> {
         let mut out = Vec::with_capacity(self.len);
         while let Some(e) = self.pop_le(Nanos(u64::MAX)) {
             out.push(e);

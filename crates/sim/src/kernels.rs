@@ -16,8 +16,9 @@
 //! when a detected arm loses). Selecting a backend can therefore never
 //! change a golden trace hash, and the choice comes from the CPU —
 //! there is no user-set value that trades exactness for speed. Today
-//! the max-log demapper and BFP pack/unpack carry an AVX2 arm; the
-//! LDPC decoder and the AWGN source are scalar on every backend.
+//! the max-log demapper, BFP pack/unpack and the LDPC batch decode
+//! carry an AVX2 arm; the single-block LDPC decoder and the AWGN source
+//! are scalar on every backend.
 
 use std::fmt;
 
@@ -77,17 +78,6 @@ impl KernelBackend {
             KernelBackend::Avx2 => "avx2",
         }
     }
-
-    /// Parse a backend name as accepted by the `KERNEL_BACKEND`
-    /// environment override (`scalar` / `avx2` / `detect`).
-    pub fn parse(s: &str) -> Option<KernelBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelBackend::Scalar),
-            "avx2" => Some(KernelBackend::Avx2),
-            "detect" | "auto" | "native" => Some(KernelBackend::detect()),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for KernelBackend {
@@ -127,25 +117,12 @@ impl KernelConfig {
         };
         KernelConfig { backend }
     }
-
-    /// Honor the `KERNEL_BACKEND` env override if set and valid, else
-    /// runtime-detect. This is the engine default, so
-    /// `KERNEL_BACKEND=scalar cargo test` forces the oracle everywhere
-    /// without touching any call site.
-    pub fn from_env() -> KernelConfig {
-        match std::env::var("KERNEL_BACKEND") {
-            Ok(s) => match KernelBackend::parse(&s) {
-                Some(b) => KernelConfig::forced(b),
-                None => KernelConfig::detect(),
-            },
-            Err(_) => KernelConfig::detect(),
-        }
-    }
 }
 
 impl Default for KernelConfig {
+    /// The engine default: the best backend this host supports.
     fn default() -> KernelConfig {
-        KernelConfig::from_env()
+        KernelConfig::detect()
     }
 }
 
@@ -157,20 +134,6 @@ mod tests {
     fn scalar_always_available() {
         assert!(KernelBackend::Scalar.available());
         assert_eq!(KernelBackend::all_available()[0], KernelBackend::Scalar);
-    }
-
-    #[test]
-    fn parse_round_trips_names() {
-        for b in [KernelBackend::Scalar, KernelBackend::Avx2] {
-            assert_eq!(KernelBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(KernelBackend::parse("AVX2"), Some(KernelBackend::Avx2));
-        assert_eq!(
-            KernelBackend::parse("detect"),
-            Some(KernelBackend::detect())
-        );
-        assert_eq!(KernelBackend::parse("mmx"), None);
-        assert_eq!(KernelBackend::parse("neon"), None);
     }
 
     #[test]

@@ -62,13 +62,10 @@ pub use engine::{Ctx, Engine, LinkParams, LinkStats, Message, Node, NodeId};
 pub use equeue::CalendarQueue;
 pub use kernels::{KernelBackend, KernelConfig};
 pub use metrics::{InstrumentSink, LogHistogram, MetricsRegistry};
-pub use pool::{ScratchPool, WorkerPool};
+pub use pool::WorkerPool;
 pub use profiler::{ProfilerReport, SpanGuard, SpanProfiler, StageProfile};
 pub use rng::SimRng;
 pub use slo::{CellSlo, FleetSlo, Outage, SloConfig, SloReport};
 pub use stats::{RateBins, Sampler};
-pub use time::{
-    Nanos, SlotClock, SlotId, SlotKind, TddPattern, SFN_MODULO, SLOTS_PER_FRAME,
-    SLOTS_PER_SUBFRAME, SLOT_DURATION, SUBFRAMES_PER_FRAME, SYMBOLS_PER_SLOT,
-};
+pub use time::{Nanos, SlotClock, SlotId, SlotKind, TddPattern, SLOT_DURATION};
 pub use trace::{Detection, TraceBuffer, TraceEvent, TraceEventKind};

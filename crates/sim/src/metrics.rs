@@ -10,10 +10,8 @@
 //!
 //! Metrics are keyed by `(scope, name)` where scope is typically a node
 //! name (`"switch0"`, `"orion-phy"`) or a link (`"link:ru->switch"`).
-//! Storage is `BTreeMap`, so iteration — and therefore every exporter —
-//! is deterministic. Exporters: [`MetricsRegistry::to_text`] for humans,
-//! [`MetricsRegistry::to_json`] for machine-readable `BENCH_*.json`
-//! artifacts.
+//! Storage is `BTreeMap`, so iteration — and therefore the one
+//! exporter, [`MetricsRegistry::to_text`] — is deterministic.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -194,22 +192,9 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Add `delta` to a counter, creating it at zero if absent.
-    pub fn inc(&mut self, scope: &str, name: &str, delta: u64) {
-        if let Some(c) = self
-            .counters
-            .get_mut(&(scope.to_string(), name.to_string()))
-        {
-            *c += delta;
-        } else {
-            self.counters
-                .insert((scope.to_string(), name.to_string()), delta);
-        }
-    }
-
     /// Set a counter to an absolute value (for publishing externally
     /// maintained totals, e.g. link stats, idempotently).
-    pub fn set_counter(&mut self, scope: &str, name: &str, value: u64) {
+    pub(crate) fn set_counter(&mut self, scope: &str, name: &str, value: u64) {
         self.counters
             .insert((scope.to_string(), name.to_string()), value);
     }
@@ -221,7 +206,7 @@ impl MetricsRegistry {
             .unwrap_or(0)
     }
 
-    pub fn set_gauge(&mut self, scope: &str, name: &str, value: i64) {
+    pub(crate) fn set_gauge(&mut self, scope: &str, name: &str, value: i64) {
         self.gauges
             .insert((scope.to_string(), name.to_string()), value);
     }
@@ -246,7 +231,7 @@ impl MetricsRegistry {
 
     /// Mutable handle to a histogram, creating it if absent (for hot
     /// paths that want to avoid the per-sample key lookup).
-    pub fn histogram_mut(&mut self, scope: &str, name: &str) -> &mut LogHistogram {
+    pub(crate) fn histogram_mut(&mut self, scope: &str, name: &str) -> &mut LogHistogram {
         self.histograms
             .entry((scope.to_string(), name.to_string()))
             .or_default()
@@ -254,12 +239,6 @@ impl MetricsRegistry {
 
     pub fn counters(&self) -> impl Iterator<Item = (&str, &str, u64)> {
         self.counters
-            .iter()
-            .map(|((s, n), v)| (s.as_str(), n.as_str(), *v))
-    }
-
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, &str, i64)> {
-        self.gauges
             .iter()
             .map(|((s, n), v)| (s.as_str(), n.as_str(), *v))
     }
@@ -328,128 +307,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Machine-readable JSON, deterministic key order:
-    /// `{"counters":{"scope/name":v,...},"gauges":{...},"histograms":
-    /// {"scope/name":{"count":..,"min":..,...},...}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"counters\":{");
-        for (i, ((scope, name), v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}/{}\":{v}", escape(scope), escape(name));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, ((scope, name), v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}/{}\":{v}", escape(scope), escape(name));
-        }
-        out.push_str("},\"histograms\":{");
-        let mut first = true;
-        for ((scope, name), h) in &self.histograms {
-            if h.is_empty() {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\"{}/{}\":{{\"count\":{},\"min\":{},\"max\":{},\"mean\":{:.3},\
-                 \"p50\":{},\"p99\":{},\"p999\":{},\"p99999\":{}}}",
-                escape(scope),
-                escape(name),
-                h.count(),
-                h.min().unwrap_or(0),
-                h.max().unwrap_or(0),
-                h.mean().unwrap_or(0.0),
-                h.p50().unwrap_or(0),
-                h.p99().unwrap_or(0),
-                h.p999().unwrap_or(0),
-                h.p99999().unwrap_or(0),
-            );
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// Prometheus text exposition (format 0.0.4), deterministic order.
-    ///
-    /// Scopes become a `scope` label so each metric name is one family
-    /// with exactly one `# TYPE` line. Histograms export as summaries
-    /// (`quantile` label plus `_sum`/`_count`) rather than cumulative
-    /// buckets: the log-bucket boundaries are an implementation detail
-    /// and the registry already keeps exact count/mean/percentiles.
-    pub fn to_prometheus(&self) -> String {
-        fn sanitize(s: &str) -> String {
-            let mut name: String = s
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect();
-            if name.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-                name.insert(0, '_');
-            }
-            name
-        }
-        let mut out = String::new();
-        let mut counters: BTreeMap<String, Vec<(&str, u64)>> = BTreeMap::new();
-        for ((scope, name), v) in &self.counters {
-            counters
-                .entry(sanitize(name))
-                .or_default()
-                .push((scope, *v));
-        }
-        for (name, samples) in &counters {
-            let _ = writeln!(out, "# TYPE {name} counter");
-            for (scope, v) in samples {
-                let _ = writeln!(out, "{name}{{scope=\"{}\"}} {v}", escape(scope));
-            }
-        }
-        let mut gauges: BTreeMap<String, Vec<(&str, i64)>> = BTreeMap::new();
-        for ((scope, name), v) in &self.gauges {
-            gauges.entry(sanitize(name)).or_default().push((scope, *v));
-        }
-        for (name, samples) in &gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            for (scope, v) in samples {
-                let _ = writeln!(out, "{name}{{scope=\"{}\"}} {v}", escape(scope));
-            }
-        }
-        let mut hists: BTreeMap<String, Vec<(&str, &LogHistogram)>> = BTreeMap::new();
-        for ((scope, name), h) in &self.histograms {
-            if h.is_empty() {
-                continue;
-            }
-            hists.entry(sanitize(name)).or_default().push((scope, h));
-        }
-        for (name, samples) in &hists {
-            let _ = writeln!(out, "# TYPE {name} summary");
-            for (scope, h) in samples {
-                let scope = escape(scope);
-                for (q, v) in [
-                    ("0.5", h.p50()),
-                    ("0.99", h.p99()),
-                    ("0.999", h.p999()),
-                    ("0.99999", h.p99999()),
-                ] {
-                    let _ = writeln!(
-                        out,
-                        "{name}{{scope=\"{scope}\",quantile=\"{q}\"}} {}",
-                        v.unwrap_or(0)
-                    );
-                }
-                let sum = h.mean().unwrap_or(0.0) * h.count() as f64;
-                let _ = writeln!(out, "{name}_sum{{scope=\"{scope}\"}} {sum:.0}");
-                let _ = writeln!(out, "{name}_count{{scope=\"{scope}\"}} {}", h.count());
-            }
-        }
-        out
-    }
 }
 
 /// Where a node's [`instrument`](crate::engine::Node::instrument)
@@ -478,19 +335,6 @@ impl InstrumentSink for MetricsRegistry {
         // Replace rather than merge: publishing is a snapshot.
         *self.histogram_mut(scope, name) = h.clone();
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -565,8 +409,7 @@ mod tests {
     #[test]
     fn registry_counters_gauges_histograms() {
         let mut m = MetricsRegistry::new();
-        m.inc("switch0", "dl_filtered", 2);
-        m.inc("switch0", "dl_filtered", 3);
+        m.set_counter("switch0", "dl_filtered", 5);
         m.set_gauge("orion", "active_phy", 2);
         m.observe("phy1", "fwd_ns", 120);
         m.observe("phy1", "fwd_ns", 180);
@@ -581,8 +424,8 @@ mod tests {
         let build = || {
             let mut m = MetricsRegistry::new();
             // Insert in different orders; BTreeMap normalizes.
-            m.inc("b", "z", 1);
-            m.inc("a", "y", 2);
+            m.set_counter("b", "z", 1);
+            m.set_counter("a", "y", 2);
             m.set_gauge("c", "g", -7);
             m.observe("a", "h", 42);
             m
@@ -591,25 +434,20 @@ mod tests {
             let mut m = MetricsRegistry::new();
             m.observe("a", "h", 42);
             m.set_gauge("c", "g", -7);
-            m.inc("a", "y", 2);
-            m.inc("b", "z", 1);
+            m.set_counter("a", "y", 2);
+            m.set_counter("b", "z", 1);
             m
         };
-        assert_eq!(build().to_json(), build2().to_json());
         assert_eq!(build().to_text(), build2().to_text());
-        let json = build().to_json();
-        assert!(json.contains("\"a/y\":2"));
-        assert!(json.contains("\"c/g\":-7"));
-        assert!(json.contains("\"a/h\":{\"count\":1"));
     }
 
     #[test]
     fn merge_combines() {
         let mut a = MetricsRegistry::new();
-        a.inc("s", "c", 1);
+        a.set_counter("s", "c", 1);
         a.observe("s", "h", 10);
         let mut b = MetricsRegistry::new();
-        b.inc("s", "c", 2);
+        b.set_counter("s", "c", 2);
         b.observe("s", "h", 20);
         a.merge(&b);
         assert_eq!(a.counter("s", "c"), 3);
@@ -708,30 +546,5 @@ mod tests {
         h.record_n(123, 0);
         assert_eq!(h.count(), n);
         assert_eq!(h.min(), Some(v));
-    }
-
-    #[test]
-    fn prometheus_exposition_shape() {
-        let mut m = MetricsRegistry::new();
-        m.inc("phy1", "ul_slots", 7);
-        m.inc("phy2", "ul_slots", 9);
-        m.set_gauge("orion", "active-phy", -1);
-        m.observe("phy1", "fwd_ns", 120);
-        m.observe("phy1", "fwd_ns", 180);
-        let p = m.to_prometheus();
-        // One TYPE line per family even with two scopes.
-        assert_eq!(p.matches("# TYPE ul_slots counter").count(), 1);
-        assert!(p.contains("ul_slots{scope=\"phy1\"} 7"));
-        assert!(p.contains("ul_slots{scope=\"phy2\"} 9"));
-        // Gauge name sanitized ('-' is not a legal metric char).
-        assert!(p.contains("# TYPE active_phy gauge"));
-        assert!(p.contains("active_phy{scope=\"orion\"} -1"));
-        // Histogram exports as a summary with quantiles + sum/count.
-        assert!(p.contains("# TYPE fwd_ns summary"));
-        assert!(p.contains("fwd_ns{scope=\"phy1\",quantile=\"0.5\"}"));
-        assert!(p.contains("fwd_ns_count{scope=\"phy1\"} 2"));
-        assert!(p.contains("fwd_ns_sum{scope=\"phy1\"} 300"));
-        // Deterministic: same registry, same exposition.
-        assert_eq!(p, m.to_prometheus());
     }
 }

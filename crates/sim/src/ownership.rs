@@ -24,7 +24,7 @@ pub(crate) struct Ownership(BTreeMap<u64, Vec<(u64, u64)>>);
 impl Ownership {
     /// Layer every `flip` event (a = key, b = old<<16 | new) in time
     /// order over the `initial` `(key, owner)` pairs at slot 0.
-    pub fn from_trace(
+    pub(crate) fn from_trace(
         initial: &[(u64, u64)],
         trace: &TraceBuffer,
         flip: TraceEventKind,
@@ -49,20 +49,20 @@ impl Ownership {
 
     /// The owner of `key` at `slot`; `u64::MAX` (no owner) before its
     /// first entry or for an untracked key.
-    pub fn owner_at(&self, key: u64, slot: u64) -> u64 {
+    pub(crate) fn owner_at(&self, key: u64, slot: u64) -> u64 {
         self.0.get(&key).map_or(u64::MAX, |tl| held(tl, slot))
     }
 
     /// Whether `owner` holds `key` at `slot`, give or take one slot:
     /// the grace absorbs flip-boundary races (the old owner's last
     /// in-flight slot completes while the new one's first is under way).
-    pub fn holds_near(&self, key: u64, owner: u64, slot: u64) -> bool {
+    pub(crate) fn holds_near(&self, key: u64, owner: u64, slot: u64) -> bool {
         self.0.get(&key).is_some_and(|tl| near(tl, owner, slot))
     }
 
     /// The key `owner` holds at `slot`: an exact match first, then one
     /// within the ±1-slot grace of [`Ownership::holds_near`].
-    pub fn attribute(&self, owner: u64, slot: u64) -> Option<u64> {
+    pub(crate) fn attribute(&self, owner: u64, slot: u64) -> Option<u64> {
         self.0
             .iter()
             .find(|(_, tl)| held(tl, slot) == owner)
@@ -99,7 +99,7 @@ pub(crate) struct Deliveries {
 
 impl Deliveries {
     /// Attribute against `MapFlip`s layered over `(ru, primary phy)`.
-    pub fn from_trace(initial_active: &[(u64, u64)], trace: &TraceBuffer) -> Deliveries {
+    pub(crate) fn from_trace(initial_active: &[(u64, u64)], trace: &TraceBuffer) -> Deliveries {
         let active = Ownership::from_trace(initial_active, trace, TraceEventKind::MapFlip);
         let mut produced: BTreeMap<u64, Vec<(u64, u64)>> =
             active.iter().map(|(ru, _)| (ru, Vec::new())).collect();

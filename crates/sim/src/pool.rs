@@ -184,7 +184,7 @@ impl WorkerPool {
     }
 
     /// True when `run()` executes inline on the calling thread.
-    pub fn is_serial(&self) -> bool {
+    pub(crate) fn is_serial(&self) -> bool {
         self.inner.is_none()
     }
 
@@ -266,70 +266,6 @@ impl WorkerPool {
                 Err(payload) => resume_unwind(payload),
             })
             .collect()
-    }
-}
-
-/// A shared free-list of reusable scratch objects for pool jobs.
-///
-/// Jobs running on a [`WorkerPool`] (and the serial prepare/merge code
-/// around them) `take` a scratch, use its buffers, and `put` it back,
-/// so per-slot intermediate allocations are amortized across TTIs
-/// instead of re-made every job. Which physical scratch a job receives
-/// is scheduling-dependent — that is fine for determinism because a
-/// scratch carries **no information between uses**: every consumer must
-/// fully overwrite (or clear) any buffer before reading it. Outputs
-/// therefore never depend on handout order, and N-worker traces stay
-/// byte-identical to 1-worker ones.
-///
-/// Cheap to clone — clones share the same free-list.
-pub struct ScratchPool<T> {
-    free: Arc<Mutex<Vec<T>>>,
-}
-
-impl<T> Clone for ScratchPool<T> {
-    fn clone(&self) -> Self {
-        ScratchPool {
-            free: Arc::clone(&self.free),
-        }
-    }
-}
-
-impl<T: Default> Default for ScratchPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Default> ScratchPool<T> {
-    pub fn new() -> ScratchPool<T> {
-        ScratchPool {
-            free: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// Pop a scratch from the free-list, or default-construct one when
-    /// the list is empty (the pool grows to the peak number of
-    /// concurrently live scratches and then stops allocating).
-    pub fn take(&self) -> T {
-        self.free.lock().unwrap().pop().unwrap_or_default()
-    }
-
-    /// Return a scratch for reuse.
-    pub fn put(&self, scratch: T) {
-        self.free.lock().unwrap().push(scratch);
-    }
-
-    /// Number of scratches currently parked in the free-list.
-    pub fn idle(&self) -> usize {
-        self.free.lock().unwrap().len()
-    }
-}
-
-impl<T> std::fmt::Debug for ScratchPool<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScratchPool")
-            .field("idle", &self.free.lock().unwrap().len())
-            .finish()
     }
 }
 
@@ -506,31 +442,6 @@ mod tests {
     fn single_job_panic_propagates_from_inline_path() {
         let pool = WorkerPool::with_threads(2);
         let _ = pool.run(vec![|| -> u64 { panic!("solo boom") }]);
-    }
-
-    #[test]
-    fn scratch_pool_reuses_objects() {
-        let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
-        let mut a = pool.take();
-        assert!(a.is_empty());
-        a.resize(1024, 7);
-        let cap = a.capacity();
-        pool.put(a);
-        assert_eq!(pool.idle(), 1);
-        let b = pool.take();
-        // Same allocation comes back (contents are the consumer's
-        // responsibility to clear).
-        assert_eq!(b.capacity(), cap);
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
-    fn scratch_pool_clones_share_freelist() {
-        let pool: ScratchPool<Vec<u8>> = ScratchPool::new();
-        let clone = pool.clone();
-        pool.put(vec![1, 2, 3]);
-        assert_eq!(clone.idle(), 1);
-        assert_eq!(clone.take(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -38,11 +38,11 @@ use std::time::Instant;
 use crate::metrics::{LogHistogram, MetricsRegistry};
 
 /// Stage label of the whole-slot span recorded by [`SpanProfiler::complete_slot`].
-pub const SLOT_STAGE: &str = "slot_total";
+pub(crate) const SLOT_STAGE: &str = "slot_total";
 
 /// Cap on buffered raw spans; beyond it spans still feed the stage
 /// histograms but are not kept individually (counted as dropped).
-pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
 /// One recorded wall-clock span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,14 +128,6 @@ impl SpanProfiler {
 
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The configured per-TTI budget, if any.
-    pub fn deadline_ns(&self) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .map(|i| i.deadline_ns)
-            .filter(|&d| d > 0)
     }
 
     /// Start timing a pipeline stage; the span is recorded when the
@@ -282,16 +274,6 @@ pub struct SpanGuard {
     inner: Option<SpanGuardInner>,
 }
 
-impl SpanGuard {
-    /// Elapsed nanoseconds so far (0 when the profiler is disabled).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|g| g.start.elapsed().as_nanos() as u64)
-            .unwrap_or(0)
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(g) = self.inner.take() {
@@ -388,11 +370,7 @@ mod tests {
     fn disabled_profiler_is_inert() {
         let p = SpanProfiler::disabled();
         assert!(!p.is_enabled());
-        assert_eq!(p.deadline_ns(), None);
-        {
-            let g = p.span("slot_prepare", 7);
-            assert_eq!(g.elapsed_ns(), 0);
-        }
+        drop(p.span("slot_prepare", 7));
         p.complete_slot(7, 1_000_000);
         p.record_span_ns("ldpc_decode", 7, 500);
         assert!(p.report().is_none());
@@ -407,7 +385,6 @@ mod tests {
     #[test]
     fn spans_and_slots_accumulate() {
         let p = SpanProfiler::with_deadline_ns(1_000);
-        assert_eq!(p.deadline_ns(), Some(1_000));
         {
             let _g = p.span("slot_prepare", 4);
             std::hint::black_box(0u64);

@@ -148,7 +148,7 @@ pub struct SloReport {
 
 /// Availability capped into nines: 0 drops ⇒ 9.0 ("nine nines or
 /// better"), total blackout ⇒ 0.0.
-pub fn nines_of(availability: f64) -> f64 {
+pub(crate) fn nines_of(availability: f64) -> f64 {
     if availability >= 1.0 {
         9.0
     } else if availability <= 0.0 {
@@ -367,28 +367,6 @@ impl SliceSloReport {
         }
         out
     }
-
-    /// Deterministic JSON export (fixed key order).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"slices\":[");
-        for (i, s) in self.slices.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let deadline = match s.deadline_slots {
-                Some(d) => format!("{d}"),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                out,
-                "{{\"slice\":{},\"ues\":{},\"scheduled\":{},\"max_gap_slots\":{},\
-                 \"deadline_slots\":{deadline},\"deadline_misses\":{},\"handovers\":{}}}",
-                s.slice, s.ues, s.scheduled, s.max_gap_slots, s.deadline_misses, s.handovers,
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// Derive per-slice scheduling SLOs from a trace. `deadlines` maps a
@@ -508,76 +486,6 @@ impl SloReport {
         }
         out
     }
-
-    /// Deterministic JSON export (hand-rolled like the other exporters;
-    /// key order is fixed).
-    pub fn to_json(&self) -> String {
-        let f = &self.fleet;
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"truncated\":{},\"evicted_events\":{},\"tdd_stride\":{},\"horizon_slots\":{},",
-            self.truncated, self.evicted_events, self.tdd_stride, self.horizon_slots
-        );
-        let _ = write!(
-            out,
-            "\"fleet\":{{\"cells\":{},\"expected_ttis\":{},\"delivered_ttis\":{},\
-             \"dropped_ttis\":{},\"availability\":{:.9},\"nines\":{:.3},\"outages\":{},\
-             \"mtbf_ms\":{},\"mttr_ms\":{},\"ttr_p50_ms\":{},\"ttr_p99_ms\":{},\"ttr_max_ms\":{},\
-             \"detections\":{},\"detection_p50_us\":{},\"detection_max_us\":{},\
-             \"spare_requests\":{},\"spare_grants\":{},\"spare_returns\":{},\"repairs\":{},\
-             \"worst_cell_nines\":{:.3},\"worst_cell_dropped_tti_p99\":{}}},",
-            f.cells,
-            f.expected_ttis,
-            f.delivered_ttis,
-            f.dropped_ttis,
-            f.availability,
-            f.nines,
-            f.outages,
-            ms(f.mtbf),
-            ms(f.mttr),
-            ms(f.ttr_p50),
-            ms(f.ttr_p99),
-            ms(f.ttr_max),
-            f.detections,
-            us(f.detection_p50),
-            us(f.detection_max),
-            f.spare_requests,
-            f.spare_grants,
-            f.spare_returns,
-            f.repairs,
-            f.worst_cell_nines,
-            f.worst_cell_dropped_tti_p99,
-        );
-        out.push_str("\"cells\":[");
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"ru\":{},\"expected_ttis\":{},\"delivered_ttis\":{},\"dropped_ttis\":{},\
-                 \"availability\":{:.9},\"nines\":{:.3},\"outages\":{},\"mtbf_ms\":{},\
-                 \"mttr_ms\":{},\"ttr_p50_ms\":{},\"ttr_p99_ms\":{},\"ttr_max_ms\":{},\
-                 \"dropped_tti_p99\":{}}}",
-                c.ru,
-                c.expected_ttis,
-                c.delivered_ttis,
-                c.dropped_ttis,
-                c.availability,
-                c.nines,
-                c.outages.len(),
-                ms(c.mtbf),
-                ms(c.mttr),
-                ms(c.ttr_p50),
-                ms(c.ttr_p99),
-                ms(c.ttr_max),
-                c.dropped_tti_p99,
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -636,6 +544,7 @@ mod tests {
         assert_eq!(c.mttr, None);
         assert!(!r.truncated);
         assert_eq!(r.fleet.nines, 9.0);
+        assert_eq!(r.fleet.mttr, None);
     }
 
     #[test]
@@ -786,32 +695,6 @@ mod tests {
         assert!(r.truncated);
         assert!(r.evicted_events > 0);
         assert!(r.to_text().contains("TRUNCATED"));
-        assert!(r.to_json().contains("\"truncated\":true"));
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let mut tb = TraceBuffer::new(4096);
-        deliver(&mut tb, 1, 4, 504, &[54, 59]);
-        let r = analyze(&tb, &one_cell());
-        let j = r.to_json();
-        for key in [
-            "\"truncated\":false",
-            "\"fleet\":{",
-            "\"availability\":",
-            "\"nines\":",
-            "\"mttr_ms\":",
-            "\"worst_cell_dropped_tti_p99\":",
-            "\"cells\":[{",
-            "\"ttr_p99_ms\":",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        // No-outage optional stats encode as JSON null, not a number.
-        let mut tb2 = TraceBuffer::new(4096);
-        deliver(&mut tb2, 1, 4, 504, &[]);
-        let j2 = analyze(&tb2, &one_cell()).to_json();
-        assert!(j2.contains("\"mttr_ms\":null"));
     }
 
     #[test]
@@ -847,8 +730,6 @@ mod tests {
         assert_eq!(embb.handovers, 0);
 
         assert!(r.to_text().contains("slice 1"));
-        assert!(r.to_json().contains("\"deadline_slots\":null"));
-        assert!(r.to_json().contains("\"deadline_misses\":1"));
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl RateBins {
     }
 
     /// Time at the start of bin `i`.
-    pub fn bin_start(&self, i: usize) -> Nanos {
+    pub(crate) fn bin_start(&self, i: usize) -> Nanos {
         Nanos(self.origin.0 + i as u64 * self.bin_width.0)
     }
 

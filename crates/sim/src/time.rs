@@ -93,19 +93,16 @@ impl fmt::Display for Nanos {
 pub const SLOT_DURATION: Nanos = Nanos::from_micros(500);
 
 /// Slots per 1 ms subframe at µ=1.
-pub const SLOTS_PER_SUBFRAME: u32 = 2;
+pub(crate) const SLOTS_PER_SUBFRAME: u32 = 2;
 
 /// Subframes per 10 ms radio frame.
-pub const SUBFRAMES_PER_FRAME: u32 = 10;
+pub(crate) const SUBFRAMES_PER_FRAME: u32 = 10;
 
 /// Slots per radio frame at µ=1.
-pub const SLOTS_PER_FRAME: u32 = SLOTS_PER_SUBFRAME * SUBFRAMES_PER_FRAME;
+pub(crate) const SLOTS_PER_FRAME: u32 = SLOTS_PER_SUBFRAME * SUBFRAMES_PER_FRAME;
 
 /// System frame numbers wrap at 1024, as in 3GPP.
-pub const SFN_MODULO: u32 = 1024;
-
-/// OFDM symbols per slot (normal cyclic prefix).
-pub const SYMBOLS_PER_SLOT: u32 = 14;
+pub(crate) const SFN_MODULO: u32 = 1024;
 
 /// Slots per SFN epoch: [`SlotId`]s repeat every 1024 frames (10.24 s).
 const SFN_EPOCH: u64 = SFN_MODULO as u64 * SLOTS_PER_FRAME as u64;
@@ -201,7 +198,7 @@ impl SlotId {
 
     /// Number of slots from `self` to `other`, assuming `other` is not
     /// more than half an SFN epoch ahead (handles SFN wraparound).
-    pub fn wrapping_distance(self, other: SlotId) -> i64 {
+    pub(crate) fn wrapping_distance(self, other: SlotId) -> i64 {
         nearest_offset(self.epoch_index(), other.epoch_index(), SFN_EPOCH)
     }
 
@@ -260,11 +257,6 @@ impl SlotClock {
     /// Start time of the next slot boundary strictly after `t`.
     pub fn next_slot_start(&self, t: Nanos) -> Nanos {
         self.slot_start(self.absolute_slot(t) + 1)
-    }
-
-    /// Time offset of `t` within its slot.
-    pub fn offset_in_slot(&self, t: Nanos) -> Nanos {
-        Nanos(t.saturating_sub(self.origin).0 % SLOT_DURATION.0)
     }
 
     /// The absolute slot nearest `now` that wire scalar `scalar` names.
@@ -337,24 +329,6 @@ impl TddPattern {
 
     pub fn kind(&self, abs_slot: u64) -> SlotKind {
         self.kinds[(abs_slot % self.kinds.len() as u64) as usize]
-    }
-
-    /// Fraction of slots that are uplink.
-    pub fn uplink_fraction(&self) -> f64 {
-        self.kinds
-            .iter()
-            .filter(|k| **k == SlotKind::Uplink)
-            .count() as f64
-            / self.kinds.len() as f64
-    }
-
-    /// Fraction of slots that are downlink.
-    pub fn downlink_fraction(&self) -> f64 {
-        self.kinds
-            .iter()
-            .filter(|k| **k == SlotKind::Downlink)
-            .count() as f64
-            / self.kinds.len() as f64
     }
 }
 
@@ -515,7 +489,6 @@ mod tests {
         assert_eq!(clk.absolute_slot(Nanos(500_000)), 1);
         assert_eq!(clk.next_slot_start(Nanos(0)), Nanos(500_000));
         assert_eq!(clk.next_slot_start(Nanos(500_000)), Nanos(1_000_000));
-        assert_eq!(clk.offset_in_slot(Nanos(750_000)), Nanos(250_000));
     }
 
     #[test]
@@ -535,8 +508,6 @@ mod tests {
         assert_eq!(p.kind(3), SlotKind::Special);
         assert_eq!(p.kind(4), SlotKind::Uplink);
         assert_eq!(p.kind(5), SlotKind::Downlink);
-        assert!((p.uplink_fraction() - 0.2).abs() < 1e-12);
-        assert!((p.downlink_fraction() - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl TraceEventKind {
     }
 
     /// Perfetto category, used to group related rows when filtering.
-    pub fn category(self) -> &'static str {
+    pub(crate) fn category(self) -> &'static str {
         match self {
             TraceEventKind::HeartbeatSeen
             | TraceEventKind::DetectorArmed
@@ -221,7 +221,7 @@ impl TraceEvent {
 /// Default ring capacity: enough for every lifecycle event of a
 /// multi-second failover run (~25k events) with a wide margin, while
 /// bounding memory at ~10 MB even for pathological instrumentation.
-pub const DEFAULT_TRACE_CAPACITY: usize = 262_144;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 262_144;
 
 /// Bounded ring buffer of [`TraceEvent`]s owned by the engine.
 #[derive(Debug, Clone)]
@@ -269,11 +269,6 @@ impl TraceBuffer {
         self.kind_mask = kinds.iter().fold(0u64, |m, k| m | 1u64 << (*k as u16));
     }
 
-    /// Remove any kind filter; subsequent records keep everything.
-    pub fn clear_kind_filter(&mut self) {
-        self.kind_mask = !0;
-    }
-
     /// Change the ring capacity, evicting oldest events if shrinking.
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(1);
@@ -297,7 +292,7 @@ impl TraceBuffer {
     /// Record an event with an explicit slot identity (for events whose
     /// slot is carried in a packet header rather than derived from the
     /// arrival time).
-    pub fn record_at_slot(
+    pub(crate) fn record_at_slot(
         &mut self,
         at: Nanos,
         node: NodeId,
@@ -327,31 +322,26 @@ impl TraceBuffer {
     /// Make this buffer a lane's staging area for `global`: same slot
     /// clock and kind filter, and unbounded — it is drained into
     /// `global` at every barrier, and only `global`'s ring may evict.
-    pub fn stage_for(&mut self, global: &TraceBuffer) {
+    pub(crate) fn stage_for(&mut self, global: &TraceBuffer) {
         self.clock = global.clock;
         self.kind_mask = global.kind_mask;
         self.capacity = usize::MAX;
     }
 
-    /// Take every buffered event out, preserving record order. The
+    /// Take every buffered event out, preserving record order, into a
+    /// caller-owned buffer, so barrier merges can reuse one scratch
+    /// `Vec` across slots instead of allocating per call. The
     /// `total`/`dropped_oldest` accounting is *not* reset: a staging
     /// buffer's totals keep accumulating across drains, so every lane
     /// count reports the same totals.
-    pub fn drain_events(&mut self) -> Vec<TraceEvent> {
-        self.events.drain(..).collect()
-    }
-
-    /// Like [`TraceBuffer::drain_events`] but appends into a
-    /// caller-owned buffer, so barrier merges can reuse one scratch
-    /// `Vec` across slots instead of allocating per call.
-    pub fn drain_events_into(&mut self, out: &mut Vec<TraceEvent>) {
+    pub(crate) fn drain_events_into(&mut self, out: &mut Vec<TraceEvent>) {
         out.extend(self.events.drain(..));
     }
 
     /// Append an already-built event (from a lane's staging buffer),
     /// bypassing the kind filter — staging already applied it — but
     /// honoring ring capacity.
-    pub fn append_event(&mut self, ev: TraceEvent) {
+    pub(crate) fn append_event(&mut self, ev: TraceEvent) {
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped_oldest += 1;
@@ -374,7 +364,7 @@ impl TraceBuffer {
     }
 
     /// Events evicted because the ring was full (0 in a healthy run).
-    pub fn dropped_oldest(&self) -> u64 {
+    pub(crate) fn dropped_oldest(&self) -> u64 {
         self.dropped_oldest
     }
 
@@ -624,9 +614,6 @@ mod tests {
         assert_eq!(t.total_recorded(), 2, "filtered events are not 'recorded'");
         assert_eq!(t.dropped_oldest(), 0, "filtering is not eviction");
         assert_eq!(t.of_kind(TraceEventKind::HeartbeatSeen).count(), 0);
-        t.clear_kind_filter();
-        t.record(Nanos(4), NodeId(0), TraceEventKind::HeartbeatSeen, 1, 0);
-        assert_eq!(t.of_kind(TraceEventKind::HeartbeatSeen).count(), 1);
     }
 
     #[test]

@@ -13,7 +13,7 @@ pub mod control;
 pub mod pipeline;
 pub mod pktgen;
 pub mod ports;
-pub mod resources;
+mod resources;
 pub mod tables;
 
 pub use control::ControlPlaneModel;

@@ -91,11 +91,6 @@ impl PipelineManifest {
         self.gateways += n;
         self
     }
-
-    pub fn with_extra_alus(mut self, n: u32) -> Self {
-        self.extra_alus += n;
-        self
-    }
 }
 
 /// Estimated usage as fractions of the budget (0.0–1.0 per resource).
@@ -215,7 +210,10 @@ mod tests {
 
     #[test]
     fn overbudget_detected() {
-        let m = PipelineManifest::default().with_extra_alus(100);
+        let m = PipelineManifest {
+            extra_alus: 100,
+            ..PipelineManifest::default()
+        };
         let u = estimate(&m, &ResourceBudget::default());
         assert!(!u.fits());
     }

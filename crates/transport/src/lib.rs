@@ -20,5 +20,5 @@ pub mod video;
 pub use app::{IdleApp, UserApp};
 pub use ping::{EchoResponder, PingApp};
 pub use tcp::{TcpReceiver, TcpSender};
-pub use udp::{decode_packet, encode_packet, UdpCbrSource, UdpSink};
+pub use udp::{UdpCbrSource, UdpSink};
 pub use video::{VideoReceiver, VideoSender};

@@ -21,7 +21,7 @@ const DATA_MAGIC: u8 = 0xC1;
 const ACK_MAGIC: u8 = 0xC2;
 
 /// Fixed maximum segment size (payload bytes).
-pub const MSS: usize = 1400;
+pub(crate) const MSS: usize = 1400;
 
 const DATA_HEADER: usize = 1 + 8 + 8 + 2;
 const ACK_LEN: usize = 1 + 8 + 8;

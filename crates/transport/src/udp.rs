@@ -14,7 +14,7 @@ const UDP_MAGIC: u8 = 0xD7;
 const HEADER_LEN: usize = 1 + 8 + 8;
 
 /// Encode a test packet of exactly `size` bytes (padded).
-pub fn encode_packet(seq: u64, now: Nanos, size: usize) -> Bytes {
+pub(crate) fn encode_packet(seq: u64, now: Nanos, size: usize) -> Bytes {
     let size = size.max(HEADER_LEN);
     let mut v = Vec::with_capacity(size);
     v.put_u8(UDP_MAGIC);
@@ -25,7 +25,7 @@ pub fn encode_packet(seq: u64, now: Nanos, size: usize) -> Bytes {
 }
 
 /// Decode a test packet header: (seq, send_time).
-pub fn decode_packet(payload: &[u8]) -> Option<(u64, Nanos)> {
+pub(crate) fn decode_packet(payload: &[u8]) -> Option<(u64, Nanos)> {
     let mut buf = payload;
     if buf.remaining() < HEADER_LEN || buf.get_u8() != UDP_MAGIC {
         return None;
