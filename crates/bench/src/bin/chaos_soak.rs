@@ -1,12 +1,14 @@
 //! Chaos soak harness: N seeds x M scenarios through the deterministic
-//! chaos engine, every run judged by the trace oracle.
+//! chaos engine, every run judged by the trace oracle (its invariants
+//! are the table in DESIGN.md §5c).
 //!
 //! Each seed runs the fixed scenario suite (one per major fault class)
 //! plus one scenario sampled from the randomized chaos distribution.
-//! Any oracle violation prints the seed and the full fault schedule —
-//! re-running with the same seed reproduces the failing run
-//! byte-for-byte — and dumps the offending run's Chrome trace next to
-//! the JSON report for post-mortem in Perfetto.
+//! Any oracle violation prints the seed, the full fault schedule and
+//! each violation as `[name] (section) detail` — re-running with the
+//! same seed reproduces the failing run byte-for-byte — and dumps the
+//! offending run's Chrome trace next to the JSON report for post-mortem
+//! in Perfetto.
 //!
 //! Knobs (a value outside what is listed, or any command-line
 //! argument, is exit 2 and not a fallback: a typo must not soak a
@@ -160,18 +162,15 @@ fn run_with_deployment(
     let slo_cfg = SloConfig {
         horizon_slots: scenario.horizon_slots,
         initial_active: d.initial_active(),
-        ..SloConfig::default()
     };
     let slo = slo::analyze(d.engine.event_trace(), &slo_cfg);
 
     let status = if report.ok() { "ok" } else { "VIOLATED" };
+    let judged = &report.slo.fleet;
+    let max_detection_us = judged.detection_max.map_or(0.0, |n| n.0 as f64 / 1e3);
     println!(
         "seed={chaos_seed} scenario={:<10} {status}  dropped_ttis={} detections={} max_det={:.1}us nines={:.2}",
-        scenario.name,
-        report.dropped_ttis,
-        report.detections,
-        report.max_detection_latency.0 as f64 / 1e3,
-        slo.fleet.nines,
+        scenario.name, judged.dropped_ttis, judged.detections, max_detection_us, slo.fleet.nines,
     );
     // Handover deployments also get the per-slice service view.
     if d.handover.is_some() {
@@ -195,7 +194,8 @@ fn run_with_deployment(
         eprintln!("  reproduce: CHAOS_SEEDS is irrelevant; this pair is fully determined");
         eprintln!("  schedule: {}", scenario.describe());
         for v in &report.violations {
-            eprintln!("  {v}");
+            let (name, section) = (v.invariant.name(), v.invariant.section());
+            eprintln!("  [{name}] ({section}) {}", v.detail);
         }
         for (at, what) in &runner.log {
             eprintln!("  applied @{:.3}ms: {what}", at.0 as f64 / 1e6);
@@ -204,8 +204,8 @@ fn run_with_deployment(
     }
     RunResult {
         ok: report.ok(),
-        dropped_ttis: report.dropped_ttis,
-        max_detection_us: report.max_detection_latency.0 as f64 / 1e3,
+        dropped_ttis: judged.dropped_ttis,
+        max_detection_us,
         nines: slo.fleet.nines,
         worst_cell_dropped_tti_p99: slo.fleet.worst_cell_dropped_tti_p99,
         mttr_ms: slo.fleet.mttr.map_or(0.0, |m| m.0 as f64 / 1e6),
@@ -284,7 +284,7 @@ fn main() {
     };
     banner(
         &suite_desc,
-        "invariants from paper sections 5.2 (detection), 6.1 (dropped TTIs), 4.3/4.4 (exactly-one-PHY, re-pairing + pool accounting) + per-slice mobility oracles",
+        "the oracle's invariant table, DESIGN.md section 5c",
     );
 
     let dist = ChaosDistribution::default();

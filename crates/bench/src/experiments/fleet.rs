@@ -139,7 +139,6 @@ fn availability(r: &mut BenchReport) {
         let config = SloConfig {
             horizon_slots: HORIZON_SLOTS,
             initial_active: d.initial_active(),
-            ..SloConfig::default()
         };
         let slo = slo::analyze(d.engine.event_trace(), &config);
         let fleet = &slo.fleet;

@@ -22,6 +22,7 @@ use slingshot_ran::{
     CellConfig, CtlMsg, Fidelity, MobilityConfig, Msg, PhyNode, SliceKind, UeConfig, UeNode,
 };
 use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
+use slingshot_sim::time::TDD_CYCLE_SLOTS;
 use slingshot_sim::{LinkParams, Nanos, NodeId, SLOT_DURATION};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -557,28 +558,20 @@ pub fn expectations_for(d: &Deployment, scenario: &Scenario) -> oracle::Expectat
         // A clean handover pauses a UE for at most prep + cutover
         // (~10 slots); damage windows stretch that by whatever TTI
         // budget the scenario already tolerates.
-        exp.max_handover_interruption_slots = 25 + exp.max_dropped_ttis * exp.tdd_stride;
+        exp.max_handover_interruption_slots = 25 + exp.max_dropped_ttis * TDD_CYCLE_SLOTS;
         if urllc {
-            exp.urllc_deadline_slots = Some(20 + exp.max_dropped_ttis * exp.tdd_stride);
+            exp.urllc_deadline_slots = Some(20 + exp.max_dropped_ttis * TDD_CYCLE_SLOTS);
         }
     }
     exp
 }
 
 /// Run a scenario against a deployment and judge the resulting trace
-/// with expectations derived from the injected damage.
+/// with expectations derived from the injected damage. A caller that
+/// tightens the expectations runs [`ChaosRunner`] and calls
+/// `oracle::check` itself.
 pub fn run_scenario(d: &mut Deployment, scenario: &Scenario) -> oracle::OracleReport {
     let exp = expectations_for(d, scenario);
-    run_scenario_with(d, scenario, &exp)
-}
-
-/// Run a scenario and judge against explicit expectations.
-pub fn run_scenario_with(
-    d: &mut Deployment,
-    scenario: &Scenario,
-    exp: &oracle::Expectations,
-) -> oracle::OracleReport {
-    let mut runner = ChaosRunner::new(scenario);
-    runner.run(d, scenario.horizon_slots);
-    oracle::check(d.engine.event_trace(), exp)
+    ChaosRunner::new(scenario).run(d, scenario.horizon_slots);
+    oracle::check(d.engine.event_trace(), &exp)
 }

@@ -35,8 +35,7 @@ pub mod spine;
 pub mod switch_node;
 
 pub use chaos::{
-    chaos_deployment, chaos_pool_deployment, expectations_for, run_scenario, run_scenario_with,
-    ChaosRunner,
+    chaos_deployment, chaos_pool_deployment, expectations_for, run_scenario, ChaosRunner,
 };
 pub use ctl::CtlPacket;
 pub use deployment::{

@@ -10,12 +10,12 @@ use slingshot::chaos::{
 };
 use slingshot::{OrionL2Node, SwitchNode, PRIMARY_PHY_ID, RU_ID, SECONDARY_PHY_ID};
 use slingshot_ran::{PhyNode, UeNode};
-use slingshot_sim::chaos::{oracle, ChaosDistribution, FaultKind, FaultTarget, Scenario};
-use slingshot_sim::slo::{self, SloConfig};
+use slingshot_sim::chaos::oracle::{self, Invariant};
+use slingshot_sim::chaos::{ChaosDistribution, FaultKind, FaultTarget, Scenario};
 use slingshot_sim::Nanos;
 
 /// DSL port of `failover_keeps_ue_connected_and_traffic_flowing`: kill
-/// the active PHY mid-run; the oracle's five invariants subsume the
+/// the active PHY mid-run; the oracle's invariants subsume the
 /// original's hand-rolled assertions.
 #[test]
 fn crash_scenario_passes_oracle() {
@@ -32,8 +32,9 @@ fn crash_scenario_passes_oracle() {
         report.violations,
         scenario.describe()
     );
-    assert_eq!(report.detections, 1);
-    assert!(report.dropped_ttis <= 3, "dropped {}", report.dropped_ttis);
+    let fleet = &report.slo.fleet;
+    assert_eq!(fleet.detections, 1);
+    assert!(fleet.dropped_ttis <= 3, "dropped {}", fleet.dropped_ttis);
     // The pooled spare was promoted to standby after the failover
     // consumed the secondary (§4.4 re-pairing).
     let ol2 = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
@@ -54,10 +55,13 @@ fn planned_migration_scenario_passes_oracle() {
     let report = run_scenario(&mut d, &scenario);
     assert!(report.ok(), "violations: {:?}", report.violations);
     assert_eq!(
-        report.detections, 0,
+        report.slo.fleet.detections, 0,
         "planned path must not trip the detector"
     );
-    assert_eq!(report.dropped_ttis, 0, "planned migration drops zero TTIs");
+    assert_eq!(
+        report.slo.fleet.dropped_ttis, 0,
+        "planned migration drops zero TTIs"
+    );
     // Roles swapped: the old primary is the new standby.
     let ol2 = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
     assert_eq!(ol2.primary_of(RU_ID), Some(SECONDARY_PHY_ID));
@@ -79,13 +83,12 @@ fn planned_migration_on_pool_deployment_passes_oracle() {
     let mut d = chaos_pool_deployment(12);
     let report = run_scenario(&mut d, &scenario);
     assert!(report.ok(), "violations: {:?}", report.violations);
-    assert_eq!(report.detections, 0);
-    assert_eq!(report.dropped_ttis, 0, "summed over all four cells");
-    let slo_cfg = SloConfig {
-        initial_active: d.initial_active(),
-        ..SloConfig::default()
-    };
-    for cell in slo::analyze(d.engine.event_trace(), &slo_cfg).cells {
+    assert_eq!(report.slo.fleet.detections, 0);
+    assert_eq!(
+        report.slo.fleet.dropped_ttis, 0,
+        "summed over all four cells"
+    );
+    for cell in &report.slo.cells {
         assert_eq!(cell.dropped_ttis, 0, "cell {}", cell.ru);
         assert!(cell.delivered_ttis > 300, "cell {}", cell.ru);
     }
@@ -108,7 +111,7 @@ fn hang_scenario_fails_over_without_split_brain() {
     let mut d = chaos_deployment(13);
     let report = run_scenario(&mut d, &scenario);
     assert!(report.ok(), "violations: {:?}", report.violations);
-    assert!(report.detections >= 1);
+    assert!(report.slo.fleet.detections >= 1);
     let sw = d.engine.node::<SwitchNode>(d.switch).unwrap();
     assert_eq!(
         sw.mbox.migrations_executed, 1,
@@ -133,7 +136,7 @@ fn fronthaul_partition_causes_no_false_failover() {
     let report = run_scenario(&mut d, &scenario);
     assert!(report.ok(), "violations: {:?}", report.violations);
     assert_eq!(
-        report.detections, 0,
+        report.slo.fleet.detections, 0,
         "partition must not look like a PHY death"
     );
     let sw = d.engine.node::<SwitchNode>(d.switch).unwrap();
@@ -185,12 +188,13 @@ fn orion_restart_scenario_recovers() {
     let mut d = chaos_deployment(16);
     let report = run_scenario(&mut d, &scenario);
     assert!(report.ok(), "violations: {:?}", report.violations);
-    assert_eq!(report.detections, 0, "PHYs must outlive an Orion restart");
+    let fleet = &report.slo.fleet;
+    assert_eq!(fleet.detections, 0, "PHYs must outlive an Orion restart");
     // FAPI flow resumed: uplink TTIs delivered well past the outage.
     assert!(
-        report.delivered_ttis > 300,
+        fleet.delivered_ttis > 300,
         "delivered {}",
-        report.delivered_ttis
+        fleet.delivered_ttis
     );
     let phy = d.engine.node::<PhyNode>(d.primary_phy).unwrap();
     assert!(
@@ -284,7 +288,7 @@ fn sampled_scenarios_pass_oracle() {
 
 /// The oracle really judges real runs: a crash scenario held to an
 /// impossible 1 ns detection bound must be flagged (sanity check that
-/// `run_scenario_with` is not vacuously green).
+/// the oracle is not vacuously green).
 #[test]
 fn oracle_flags_impossible_expectations() {
     let scenario =
@@ -294,12 +298,13 @@ fn oracle_flags_impossible_expectations() {
         max_detection_latency: Nanos(1),
         ..expectations_for(&d, &scenario)
     };
-    let report = slingshot::run_scenario_with(&mut d, &scenario, &exp);
+    ChaosRunner::new(&scenario).run(&mut d, scenario.horizon_slots);
+    let report = oracle::check(d.engine.event_trace(), &exp);
     assert!(
         report
             .violations
             .iter()
-            .any(|v| v.invariant == "detection-latency"),
+            .any(|v| v.invariant == Invariant::DetectionLatency),
         "in-switch detection cannot be faster than 1 ns; got {:?}",
         report.violations
     );

@@ -11,7 +11,8 @@
 
 use proptest::prelude::*;
 use slingshot::chaos::{chaos_deployment, expectations_for, ChaosRunner};
-use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
+use slingshot_sim::chaos::oracle::{self, Invariant};
+use slingshot_sim::chaos::{FaultKind, FaultTarget, Scenario};
 use slingshot_sim::Nanos;
 
 /// The supported single-fault universe: every (target, kind) pair the
@@ -88,17 +89,12 @@ proptest! {
         // Judge only the unconditional invariant: detection latency,
         // TTI budgets and repair all depend on the scenario, but two
         // PHYs must never both own a slot of the cell.
-        let exp = oracle::Expectations {
-            max_detection_latency: Nanos(u64::MAX >> 1),
-            max_dropped_ttis: u64::MAX,
-            expect_repair: false,
-            ..expectations_for(&d, &scenario)
-        };
+        let exp = expectations_for(&d, &scenario);
         let report = oracle::check(d.engine.event_trace(), &exp);
         let split: Vec<_> = report
             .violations
             .iter()
-            .filter(|v| v.invariant == "one-active-phy")
+            .filter(|v| v.invariant == Invariant::OneActivePhy)
             .collect();
         prop_assert!(
             split.is_empty(),

@@ -9,11 +9,11 @@
 //! planted in the 610–660 window hit mid-choreography.
 
 use slingshot::chaos::{
-    chaos_handover_deployment, chaos_handover_deployment_with_workers, expectations_for,
-    run_scenario_with, ChaosRunner,
+    chaos_handover_deployment, chaos_handover_deployment_with_workers, run_scenario, ChaosRunner,
 };
 use slingshot::HandoverController;
 use slingshot_ran::UeNode;
+use slingshot_sim::chaos::oracle::Invariant;
 use slingshot_sim::chaos::{FaultKind, FaultTarget, Scenario};
 use slingshot_sim::TraceEventKind;
 
@@ -41,8 +41,7 @@ fn active_phy_crash_mid_handover_across_seeds() {
     for seed in 1..=8u64 {
         let run = |workers: usize| {
             let mut d = chaos_handover_deployment_with_workers(seed, workers);
-            let exp = expectations_for(&d, &scenario);
-            let report = run_scenario_with(&mut d, &scenario, &exp);
+            let report = run_scenario(&mut d, &scenario);
             (report, d)
         };
         let (report, d) = run(1);
@@ -52,8 +51,9 @@ fn active_phy_crash_mid_handover_across_seeds() {
             report.violations,
             scenario.describe()
         );
-        assert!(report.handovers >= 1, "seed {seed}: handover must land");
-        assert_eq!(report.detections, 1, "seed {seed}: crash must be detected");
+        assert!(flip_count(&d) >= 1, "seed {seed}: handover must land");
+        let detections = report.slo.fleet.detections;
+        assert_eq!(detections, 1, "seed {seed}: crash must be detected");
         let ue = d.engine.node::<UeNode>(d.cells[0].ues[0]).unwrap();
         assert_eq!(ue.serving_ru(), 1, "seed {seed}: UE must end on cell 1");
 
@@ -93,15 +93,14 @@ fn handover_storm_with_dry_spare_pool() {
             FaultKind::HandoverStorm { requests: 8 },
         );
     let mut d = chaos_handover_deployment(51);
-    let exp = expectations_for(&d, &scenario);
-    let report = run_scenario_with(&mut d, &scenario, &exp);
+    let report = run_scenario(&mut d, &scenario);
     assert!(
         report.ok(),
         "violations: {:?}\nscenario: {}",
         report.violations,
         scenario.describe()
     );
-    assert_eq!(report.detections, 1, "the crash must be detected");
+    assert_eq!(report.slo.fleet.detections, 1, "the crash must be detected");
     let h = d
         .engine
         .node::<HandoverController>(d.handover.unwrap())
@@ -126,11 +125,10 @@ fn controller_restart_mid_handover_recovers() {
         FaultKind::OrionRestart { down_slots: 20 },
     );
     let mut d = chaos_handover_deployment(52);
-    let exp = expectations_for(&d, &scenario);
-    let report = run_scenario_with(&mut d, &scenario, &exp);
+    let report = run_scenario(&mut d, &scenario);
     assert!(report.ok(), "violations: {:?}", report.violations);
     assert!(
-        report.handovers >= 1,
+        flip_count(&d) >= 1,
         "the retried report must complete the handover"
     );
     let ue = d.engine.node::<UeNode>(d.cells[0].ues[0]).unwrap();
@@ -152,8 +150,7 @@ fn partition_during_context_transfer_is_caught_by_oracle() {
         FaultKind::LinkPartition { slots: 40 },
     );
     let mut d = chaos_handover_deployment(53);
-    let exp = expectations_for(&d, &scenario);
-    let report = run_scenario_with(&mut d, &scenario, &exp);
+    let report = run_scenario(&mut d, &scenario);
     // Control plane saw a completed handover...
     let h = d
         .engine
@@ -169,7 +166,7 @@ fn partition_during_context_transfer_is_caught_by_oracle() {
         report
             .violations
             .iter()
-            .any(|v| v.invariant == "single-serving-cell"),
+            .any(|v| v.invariant == Invariant::SingleServingCell),
         "oracle must flag the divergence, got: {:?}",
         report.violations
     );

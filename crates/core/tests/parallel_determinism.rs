@@ -145,7 +145,8 @@ fn run_crash(workers: usize, kernels: KernelConfig) -> Observed {
     let report = run_scenario(&mut d, &scenario);
     assert!(
         report.ok(),
-        "oracle violations (workers {workers}, {kernels:?}): {report:?}"
+        "oracle violations (workers {workers}, {kernels:?}): {:?}",
+        report.violations
     );
     observe(&mut d)
 }

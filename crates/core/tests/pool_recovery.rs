@@ -11,12 +11,11 @@
 //! sequence must be byte-identical between 1- and 4-worker runs.
 
 use slingshot::{
-    expectations_for, run_scenario_with, Deployment, DeploymentBuilder, DeploymentConfig,
+    expectations_for, run_scenario, ChaosRunner, Deployment, DeploymentBuilder, DeploymentConfig,
     OrionL2Node, RecoveryOrchestrator, SwitchNode,
 };
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
-use slingshot_sim::slo::{self, SloConfig};
 use slingshot_sim::Nanos;
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -73,7 +72,8 @@ fn run(seed: u64, workers: usize) -> (Deployment, oracle::OracleReport) {
     let scenario = triple_crash();
     let mut d = pool_deployment(seed, workers);
     let exp = strict_expectations(&d, &scenario);
-    let report = run_scenario_with(&mut d, &scenario, &exp);
+    ChaosRunner::new(&scenario).run(&mut d, scenario.horizon_slots);
+    let report = oracle::check(d.engine.event_trace(), &exp);
     (d, report)
 }
 
@@ -88,11 +88,13 @@ fn three_sequential_crashes_all_recover() {
     );
 
     // Every crash was detected in-switch, each within the 450 us bound.
-    assert_eq!(report.detections, 3, "one detection per crashed primary");
+    let fleet = &report.slo.fleet;
+    assert_eq!(fleet.detections, 3, "one detection per crashed primary");
+    let worst = fleet.detection_max.unwrap_or_default();
     assert!(
-        report.max_detection_latency <= Nanos::from_micros(450),
+        worst <= Nanos::from_micros(450),
         "worst detection latency {} us",
-        report.max_detection_latency.0 / 1_000
+        worst.0 / 1_000
     );
 
     // Every affected cell is re-paired at scenario end: a live primary
@@ -191,23 +193,20 @@ fn single_cell_pool_survives_three_crashes() {
         Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
         Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
     );
-    let exp = expectations_for(&d, &scenario);
-    let report = run_scenario_with(&mut d, &scenario, &exp);
+    let report = run_scenario(&mut d, &scenario);
     assert!(report.ok(), "oracle violations: {:#?}", report.violations);
-    assert_eq!(report.detections, 3, "one detection per crash");
+    let fleet = &report.slo.fleet;
+    assert_eq!(fleet.detections, 3, "one detection per crash");
+    let worst = fleet.detection_max.unwrap_or_default();
     assert!(
-        report.max_detection_latency <= Nanos::from_micros(450),
+        worst <= Nanos::from_micros(450),
         "worst detection latency {} us",
-        report.max_detection_latency.0 / 1_000
+        worst.0 / 1_000
     );
     // The crashes are 60 slots apart, so each one's blackout is its own
     // outage in the cell's delivered-TTI series: the longest outage is
     // the worst single crash.
-    let slo_cfg = SloConfig {
-        initial_active: d.initial_active(),
-        ..SloConfig::default()
-    };
-    let cell = &slo::analyze(d.engine.event_trace(), &slo_cfg).cells[0];
+    let cell = &report.slo.cells[0];
     let worst = cell.outages.iter().map(|o| o.missing_ttis).max();
     assert!(worst <= Some(3), "a single crash dropped {worst:?} TTIs");
 

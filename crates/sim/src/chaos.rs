@@ -15,17 +15,14 @@
 //!    is reproducible from one `u64` seed; harnesses print the seed on
 //!    failure so any run can be replayed byte-identically.
 //! 3. A trace-driven invariant checker ([`oracle`]) that replays the
-//!    recorded event trace after a run and asserts the paper's bounds:
-//!    detection latency, dropped-TTI count, no duplicate FAPI responses
-//!    reaching L2, exactly one active PHY per slot, and eventual
-//!    re-pairing after failover.
+//!    recorded event trace after a run and judges it against the table
+//!    of named invariants in [`oracle::Invariant::ALL`] (DESIGN.md §5c).
 //!
 //! Everything here is pure data + pure functions over the trace; nothing
 //! touches the engine directly, so the same scenarios can drive future
 //! deployments (multi-RU, baseline) through their own runners.
 
 use crate::time::Nanos;
-use crate::trace::{detections, TraceBuffer, TraceEventKind};
 use crate::SimRng;
 
 /// What a fault acts on, in deployment-symbolic terms. The runner (in
@@ -359,599 +356,28 @@ impl ChaosDistribution {
     }
 }
 
-/// Trace-driven invariant checking: replay the event trace after a run
-/// and assert the paper's bounds. Each invariant cites the claim it
-/// guards (see DESIGN.md §5c).
-pub mod oracle {
-    use super::*;
-    use crate::ownership::{scheduled_per_ue, Deliveries, Ownership};
-    use crate::slo::gaps;
-    use crate::time::SLOT_DURATION;
-
-    /// What a scenario is allowed to cost. Built per scenario by
-    /// [`Expectations::for_scenario`] so the allowance follows the
-    /// injected damage instead of being one global constant.
-    #[derive(Debug, Clone)]
-    pub struct Expectations {
-        /// Paper §5.2: in-switch detection fires within the 450 us
-        /// timeout period of the last heartbeat.
-        pub max_detection_latency: Nanos,
-        /// Paper §6.1: a PHY crash costs at most 3 dropped TTIs; link
-        /// and control-plane faults widen this budget proportionally.
-        pub max_dropped_ttis: u64,
-        /// Uplink slots per TDD cycle stride (DDDSU = every 5th slot).
-        pub tdd_stride: u64,
-        /// Whether the run must flip and end re-paired (a lethal fault
-        /// with a spare to re-pair from, or a planned migration): some
-        /// `MapFlip` must be recorded, and — as whenever `expect_pool` is
-        /// set — every cell that flipped must afterwards serve traffic
-        /// *and* keep a standby warm with null-FAPI keep-alives (§4.3's
-        /// warm standby contract).
-        pub expect_repair: bool,
-        /// `(ru, primary phy)` at slot 0 for every cell of the
-        /// deployment. The oracle layers `MapFlip` events over it to get
-        /// each cell's active-PHY timeline and judges the dropped-TTI,
-        /// one-active-PHY, duplicate-FAPI and repair invariants per cell
-        /// (a second cell delivering the same absolute slot is normal; a
-        /// PHY delivering for no declared cell is a violation).
-        pub initial_active: Vec<(u64, u64)>,
-        /// Shared spare-pool size at slot 0. When set the oracle audits
-        /// the pool ledger: every `SpareGranted`/`SpareReturned` must
-        /// carry a running count consistent with this initial size, no
-        /// grant may come from an empty pool, and every `SpareRequested`
-        /// cell must eventually be granted a spare and re-paired
-        /// (`StandbyRepaired`).
-        pub expect_pool: Option<u64>,
-        /// Handover/slice mode: `(rnti, serving ru)` at slot 0 for every
-        /// tracked UE. When non-empty the oracle reconstructs each UE's
-        /// serving-cell timeline from `HandoverFlip` events and judges
-        /// the mobility invariants: no UE scheduled by a cell that is
-        /// not its serving cell (±1 slot of cutover grace), no UE
-        /// scheduled by two cells in the same slot, and bounded service
-        /// interruption around every executed handover.
-        pub initial_serving: Vec<(u64, u64)>,
-        /// Longest tolerated gap (in slots) between the last scheduled
-        /// slot before a handover cutover and the first after it.
-        pub max_handover_interruption_slots: u64,
-        /// URLLC scheduling-cadence SLO: the longest tolerated gap (in
-        /// slots) between consecutive scheduled slots of any URLLC UE.
-        /// `None` = no deadline oracle.
-        pub urllc_deadline_slots: Option<u64>,
-        /// Per-slice dropped-TTI budgets: `(slice discriminant, max
-        /// scheduling gap in slots)`. Coarser than the URLLC deadline —
-        /// a slice-wide blackout bound that survives chaos windows.
-        pub slice_gap_budgets: Vec<(u64, u64)>,
-    }
-
-    impl Default for Expectations {
-        fn default() -> Expectations {
-            Expectations {
-                max_detection_latency: Nanos::from_micros(450),
-                max_dropped_ttis: 3,
-                tdd_stride: 5,
-                expect_repair: false,
-                initial_active: Vec::new(),
-                expect_pool: None,
-                initial_serving: Vec::new(),
-                max_handover_interruption_slots: 50,
-                urllc_deadline_slots: None,
-                slice_gap_budgets: Vec::new(),
-            }
-        }
-    }
-
-    impl Expectations {
-        /// Derive the damage budget for a scenario. `has_spare` is
-        /// whether the deployment keeps a spare PHY to re-pair with
-        /// after a failover consumes the standby.
-        pub fn for_scenario(scenario: &Scenario, has_spare: bool) -> Expectations {
-            let mut allowed: u64 = 0;
-            let mut lethal = false;
-            let mut flips = false;
-            for f in &scenario.faults {
-                match f.kind {
-                    FaultKind::PhyCrash => {
-                        if matches!(
-                            f.target,
-                            FaultTarget::ActivePhy | FaultTarget::ActivePhyOf(_)
-                        ) {
-                            allowed += 3;
-                            lethal = true;
-                        } else {
-                            allowed += 1;
-                        }
-                    }
-                    FaultKind::PhyHang { slots } => {
-                        if matches!(
-                            f.target,
-                            FaultTarget::ActivePhy | FaultTarget::ActivePhyOf(_)
-                        ) {
-                            // Detection + failover costs <= 3; a hang too
-                            // short to trip the detector instead skips up
-                            // to slots/stride TTIs outright.
-                            allowed += 3 + slots.div_ceil(5) + 1;
-                            lethal = true;
-                        } else {
-                            // A hung standby drops no traffic; it only
-                            // burns the redundancy margin.
-                            allowed += 1;
-                        }
-                    }
-                    FaultKind::LinkPartition { slots } | FaultKind::BurstLoss { slots, .. } => {
-                        allowed += slots.div_ceil(5) + 2;
-                    }
-                    FaultKind::IqCorrupt { .. } => allowed += 2,
-                    FaultKind::DupPackets { .. } | FaultKind::ReorderPackets { .. } => allowed += 1,
-                    FaultKind::OrionRestart { down_slots } => {
-                        allowed += down_slots.div_ceil(5) + 3;
-                    }
-                    FaultKind::MigrationStorm { .. } => {
-                        allowed += 1;
-                        flips = true;
-                    }
-                    FaultKind::PlannedMigration => flips = true,
-                    // A handover storm costs control-plane churn, not
-                    // PHY redundancy; each cutover may skip a TTI.
-                    FaultKind::HandoverStorm { requests } => allowed += requests as u64,
-                }
-            }
-            Expectations {
-                max_dropped_ttis: allowed.max(3),
-                expect_repair: (lethal && has_spare) || (flips && !lethal),
-                ..Expectations::default()
-            }
-        }
-    }
-
-    /// A single invariant violation, with enough detail to debug from a
-    /// CI log alone.
-    #[derive(Debug, Clone)]
-    pub struct Violation {
-        pub invariant: &'static str,
-        pub detail: String,
-    }
-
-    impl std::fmt::Display for Violation {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "[{}] {}", self.invariant, self.detail)
-        }
-    }
-
-    /// The oracle's verdict plus the derived measures it judged on.
-    #[derive(Debug, Clone)]
-    pub struct OracleReport {
-        pub violations: Vec<Violation>,
-        pub detections: usize,
-        pub max_detection_latency: Nanos,
-        /// Delivered / dropped uplink TTIs, summed over cells: each
-        /// cell's gaps are counted in its own series.
-        pub delivered_ttis: u64,
-        pub dropped_ttis: u64,
-        /// Switch-executed handover cutovers (`HandoverFlip` events).
-        pub handovers: u64,
-    }
-
-    impl OracleReport {
-        pub fn ok(&self) -> bool {
-            self.violations.is_empty()
-        }
-    }
-
-    /// Replay `trace` and check every invariant against `exp`.
-    pub fn check(trace: &TraceBuffer, exp: &Expectations) -> OracleReport {
-        let mut violations = Vec::new();
-
-        // Invariant 1: detection latency (paper §5.2, Fig. 7). Every
-        // DetectorSaturated must fire within the timeout period of the
-        // last heartbeat the switch saw from the failed PHY.
-        let dets = detections(trace.iter());
-        let mut max_latency = Nanos::ZERO;
-        for d in &dets {
-            let lat = d.latency();
-            max_latency = max_latency.max(lat);
-            if lat > exp.max_detection_latency {
-                violations.push(Violation {
-                    invariant: "detection-latency",
-                    detail: format!(
-                        "phy {} detected {} us after last heartbeat (bound {} us)",
-                        d.phy,
-                        lat.0 / 1_000,
-                        exp.max_detection_latency.0 / 1_000
-                    ),
-                });
-            }
-        }
-
-        // Invariants 2-5, judged cell by cell.
-        let (delivered_ttis, dropped_ttis) = check_cells(trace, exp, &mut violations);
-
-        // Invariant 6: pool accounting ("eventually re-paired with pool
-        // accounting"). The recovery orchestrator's grant/return ledger
-        // must balance against the configured pool size, and every cell
-        // that asked for a spare must end up granted *and* re-paired.
-        if let Some(pool0) = exp.expect_pool {
-            check_pool_ledger(trace, pool0, &mut violations);
-        }
-
-        // Invariants 7-9: mobility/slice mode — single serving cell,
-        // bounded handover interruption, per-slice scheduling deadlines.
-        if !exp.initial_serving.is_empty() {
-            check_handover(trace, exp, &mut violations);
-        }
-
-        OracleReport {
-            violations,
-            detections: dets.len(),
-            max_detection_latency: max_latency,
-            delivered_ttis,
-            dropped_ttis,
-            handovers: trace.of_kind(TraceEventKind::HandoverFlip).count() as u64,
-        }
-    }
-
-    /// Invariants 2-5, cell by cell; returns the delivered and dropped
-    /// TTI totals. Every `UlSlotProcessed` is attributed to the cell
-    /// whose active PHY produced it: `exp.initial_active` with each
-    /// `MapFlip` layered on at its stamped boundary slot, ±1 slot grace.
-    fn check_cells(
-        trace: &TraceBuffer,
-        exp: &Expectations,
-        violations: &mut Vec<Violation>,
-    ) -> (u64, u64) {
-        use std::collections::BTreeMap;
-
-        let mut flag = |invariant, detail| violations.push(Violation { invariant, detail });
-        let delivered = Deliveries::from_trace(&exp.initial_active, trace);
-
-        // Invariant 3: exactly one active PHY per cell and slot (§4.3).
-        // A producer no cell owns is a ghost replica (split brain or a
-        // leaking ex-primary); two producers for one cell's slot means
-        // the switch steered, or failed to filter, both replicas.
-        for (slot, phy) in &delivered.unowned {
-            flag(
-                "one-active-phy",
-                format!("slot {slot} processed by PHY {phy} which no cell's active mapping owns"),
-            );
-        }
-        for (ru, slot, phys) in &delivered.contested {
-            let n = phys.len();
-            flag(
-                "one-active-phy",
-                format!("cell {ru} slot {slot} processed by {n} PHYs: {phys:?}"),
-            );
-        }
-
-        // Invariant 2: dropped-TTI budget (paper §6.1, Table 1), over
-        // the gaps in each cell's own series.
-        let (mut delivered_ttis, mut dropped_ttis) = (0, 0);
-        for (&ru, slots) in &delivered.slots {
-            let dropped: u64 = gaps(ru, slots, exp.tdd_stride)
-                .iter()
-                .map(|o| o.missing_ttis)
-                .sum();
-            if dropped > exp.max_dropped_ttis {
-                let (budget, n) = (exp.max_dropped_ttis, slots.len());
-                flag(
-                    "dropped-ttis",
-                    format!("cell {ru}: {dropped} TTIs dropped (budget {budget}), {n} delivered"),
-                );
-            }
-            delivered_ttis += slots.len() as u64;
-            dropped_ttis += dropped;
-        }
-
-        // Invariant 4: no duplicate FAPI responses reaching L2 (§4.3's
-        // exactly-once delivery across failover; Orion must absorb late
-        // results from the old primary, not forward them twice). Each
-        // cell's L2-side Orion is a distinct node, so key duplicates by
-        // (forwarding node, slot).
-        let mut fapi_per_slot: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        for e in trace.of_kind(TraceEventKind::FapiToL2) {
-            *fapi_per_slot.entry((e.node.0 as u64, e.b)).or_insert(0) += 1;
-        }
-        for ((node, slot), count) in fapi_per_slot {
-            if count > 1 {
-                flag(
-                    "no-dup-fapi",
-                    format!("node {node} slot {slot}: {count} FAPI uplink responses reached L2"),
-                );
-            }
-        }
-
-        // Invariant 5: eventual re-pairing (§4.4). A cell that flipped
-        // can re-pair when the deployment has a spare pool or the flip
-        // was planned (`expect_repair`: roles merely swap); it must
-        // then, once its own last flip settles (10 slots for the control
-        // plane to finalize), both serve traffic on the new active PHY
-        // and keep a standby warm (null FAPI, a = ru).
-        let can_repair = exp.expect_pool.is_some() || exp.expect_repair;
-        let mut flipped = false;
-        for (ru, tl) in delivered.active.iter() {
-            // A timeline's first entry is its slot-0 owner, not a flip.
-            let &[_, .., (last_flip, _)] = tl else {
-                continue;
-            };
-            flipped = true;
-            if !can_repair {
-                continue;
-            }
-            let settle = last_flip + 10;
-            if delivered.slots[&ru].last().is_none_or(|&s| s <= settle) {
-                flag(
-                    "eventual-repair",
-                    format!(
-                        "cell {ru}: no uplink TTIs delivered after its last map flip (slot \
-                         {last_flip})"
-                    ),
-                );
-            }
-            let mut keep_alives = trace.of_kind(TraceEventKind::NullFapiSent);
-            if !keep_alives.any(|e| e.a == ru && e.b > settle) {
-                flag(
-                    "eventual-repair",
-                    format!(
-                        "cell {ru}: no null-FAPI keep-alives after its last map flip (slot \
-                         {last_flip}) — the cell did not re-pair"
-                    ),
-                );
-            }
-        }
-        if exp.expect_repair && !flipped {
-            let detail = "no MapFlip recorded although the scenario requires a failover";
-            flag("eventual-repair", detail.to_string());
-        }
-        (delivered_ttis, dropped_ttis)
-    }
-
-    /// The pool ledger: replay `SpareRequested`/`SpareGranted`/
-    /// `SpareReturned` chronologically against the configured initial
-    /// pool size, and require the request -> grant -> `StandbyRepaired`
-    /// chain to complete for every requesting cell.
-    fn check_pool_ledger(trace: &TraceBuffer, pool0: u64, violations: &mut Vec<Violation>) {
-        use std::collections::BTreeMap;
-
-        let mut ledger: Vec<_> = trace
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    TraceEventKind::SpareRequested
-                        | TraceEventKind::SpareGranted
-                        | TraceEventKind::SpareReturned
-                )
-            })
-            .collect();
-        ledger.sort_by_key(|e| e.at);
-
-        let mut running = pool0 as i64;
-        for e in &ledger {
-            match e.kind {
-                TraceEventKind::SpareGranted => {
-                    running -= 1;
-                    if running < 0 {
-                        violations.push(Violation {
-                            invariant: "pool-accounting",
-                            detail: format!(
-                                "cell {} granted a spare from an empty pool at {} us",
-                                e.a,
-                                e.at.0 / 1_000
-                            ),
-                        });
-                        running = 0;
-                    }
-                    let recorded = (e.b & 0xFFFF) as i64;
-                    if recorded != running {
-                        violations.push(Violation {
-                            invariant: "pool-accounting",
-                            detail: format!(
-                                "grant to cell {} recorded pool size {recorded}, ledger says \
-                                 {running}",
-                                e.a
-                            ),
-                        });
-                    }
-                }
-                TraceEventKind::SpareReturned => {
-                    running += 1;
-                    if running > pool0 as i64 {
-                        violations.push(Violation {
-                            invariant: "pool-accounting",
-                            detail: format!(
-                                "PHY {} returned to an already-full pool (size would be \
-                                 {running} > {pool0})",
-                                e.a
-                            ),
-                        });
-                        running = pool0 as i64;
-                    }
-                    if e.b as i64 != running {
-                        violations.push(Violation {
-                            invariant: "pool-accounting",
-                            detail: format!(
-                                "return of PHY {} recorded pool size {}, ledger says {running}",
-                                e.a, e.b
-                            ),
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // Chain completeness per cell: requested -> granted -> repaired.
-        let mut requested: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut granted: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut repaired: BTreeMap<u64, u64> = BTreeMap::new();
-        for e in trace.iter() {
-            match e.kind {
-                TraceEventKind::SpareRequested => *requested.entry(e.a).or_insert(0) += 1,
-                TraceEventKind::SpareGranted => *granted.entry(e.a).or_insert(0) += 1,
-                TraceEventKind::StandbyRepaired => *repaired.entry(e.a).or_insert(0) += 1,
-                _ => {}
-            }
-        }
-        for (ru, &want) in &requested {
-            let got = granted.get(ru).copied().unwrap_or(0);
-            if got < want {
-                violations.push(Violation {
-                    invariant: "pool-accounting",
-                    detail: format!(
-                        "cell {ru} requested {want} spare(s) but was granted only {got}"
-                    ),
-                });
-            }
-        }
-        for (ru, &want) in &granted {
-            let got = repaired.get(ru).copied().unwrap_or(0);
-            if got < want {
-                violations.push(Violation {
-                    invariant: "pool-accounting",
-                    detail: format!(
-                        "cell {ru} was granted {want} spare(s) but completed only {got} \
-                         re-pairing(s)"
-                    ),
-                });
-            }
-        }
-    }
-
-    /// Mobility/slice invariants. Each tracked UE's serving-cell
-    /// timeline is reconstructed from `HandoverFlip` events (a = rnti,
-    /// b = source<<16 | target) layered over `exp.initial_serving`;
-    /// every `UeScheduled` event (a = rnti | ru<<16 | slice<<24,
-    /// b = abs slot) is then judged against it.
-    fn check_handover(trace: &TraceBuffer, exp: &Expectations, violations: &mut Vec<Violation>) {
-        let serving =
-            Ownership::from_trace(&exp.initial_serving, trace, TraceEventKind::HandoverFlip);
-
-        // Scheduled slots per UE: (slot, scheduling ru, slice).
-        let sched = scheduled_per_ue(trace);
-
-        // Invariant 7: single serving cell. A schedule from a cell the
-        // timeline does not own at that slot (±1 slot of cutover grace,
-        // as the flip trace lands mid-slot) is a dual-serve leak; so is
-        // the same UE scheduled by two cells in one slot.
-        for (rnti, _) in serving.iter() {
-            // Only UEs the caller chose to track are judged.
-            let Some(evs) = sched.get(&rnti) else {
-                continue;
-            };
-            for &(slot, ru, _) in evs {
-                if !serving.holds_near(rnti, ru, slot) {
-                    violations.push(Violation {
-                        invariant: "single-serving-cell",
-                        detail: format!(
-                            "UE {rnti} scheduled by cell {ru} at slot {slot}, but its serving \
-                             cell there is {}",
-                            serving.owner_at(rnti, slot)
-                        ),
-                    });
-                }
-            }
-            for w in evs.windows(2) {
-                if w[0].0 == w[1].0 && w[0].1 != w[1].1 {
-                    violations.push(Violation {
-                        invariant: "single-serving-cell",
-                        detail: format!(
-                            "UE {rnti} scheduled by cells {} and {} in the same slot {}",
-                            w[0].1, w[1].1, w[0].0
-                        ),
-                    });
-                }
-            }
-        }
-
-        // Invariant 8: bounded handover interruption. Around every
-        // executed cutover the UE's scheduling gap must stay within
-        // budget — and a UE that was being served before its handover
-        // must be served again after it (no stranding).
-        for e in trace.of_kind(TraceEventKind::HandoverFlip) {
-            let rnti = e.a;
-            let slot = e.at.0 / SLOT_DURATION.0;
-            let Some(evs) = sched.get(&rnti) else {
-                continue;
-            };
-            let before = evs.iter().rev().find(|&&(s, _, _)| s < slot).map(|x| x.0);
-            let after = evs.iter().find(|&&(s, _, _)| s >= slot).map(|x| x.0);
-            match (before, after) {
-                (Some(b), Some(a)) if a - b > exp.max_handover_interruption_slots => {
-                    violations.push(Violation {
-                        invariant: "handover-interruption",
-                        detail: format!(
-                            "UE {rnti}: {} slots without scheduling around the cutover at \
-                             slot {slot} (budget {})",
-                            a - b,
-                            exp.max_handover_interruption_slots
-                        ),
-                    });
-                }
-                (Some(_), None) => violations.push(Violation {
-                    invariant: "handover-interruption",
-                    detail: format!(
-                        "UE {rnti} was never scheduled again after its cutover at slot {slot}"
-                    ),
-                }),
-                _ => {}
-            }
-        }
-
-        // Invariants 9a/9b: per-slice cadence. The URLLC deadline is the
-        // tight per-packet bound; `slice_gap_budgets` are the coarser
-        // per-slice dropped-TTI blackout budgets.
-        let budget_for = |slice: u64| -> Option<(&'static str, u64)> {
-            if slice == 1 {
-                if let Some(d) = exp.urllc_deadline_slots {
-                    return Some(("urllc-deadline", d));
-                }
-            }
-            exp.slice_gap_budgets
-                .iter()
-                .find(|&&(s, _)| s == slice)
-                .map(|&(_, gap)| ("slice-gap", gap))
-        };
-        for (rnti, evs) in &sched {
-            let slice = evs.first().map(|&(_, _, s)| s).unwrap_or(0);
-            let Some((invariant, budget)) = budget_for(slice) else {
-                continue;
-            };
-            let mut worst: Option<(u64, u64)> = None;
-            for w in evs.windows(2) {
-                let gap = w[1].0 - w[0].0;
-                if gap > budget && worst.is_none_or(|(g, _)| gap > g) {
-                    worst = Some((gap, w[0].0));
-                }
-            }
-            if let Some((gap, at)) = worst {
-                violations.push(Violation {
-                    invariant,
-                    detail: format!(
-                        "UE {rnti} (slice {slice}): {gap}-slot scheduling gap after slot {at} \
-                         (budget {budget})"
-                    ),
-                });
-            }
-        }
-    }
-}
+pub mod oracle;
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::{check, Expectations};
+    // The DSL and sampler tests, and the oracle's scenarios over
+    // synthetic traces; `oracle`'s witness table builds its rows from
+    // these helpers.
+    use super::oracle::{check, Expectations, Invariant};
     use super::*;
     use crate::engine::NodeId;
-    use crate::slo::{self, SloConfig};
     use crate::time::{SlotId, SLOT_DURATION};
-    use crate::trace::TraceBuffer;
+    use crate::trace::{TraceBuffer, TraceEventKind};
 
-    fn slot_time(abs: u64) -> Nanos {
+    pub(super) fn slot_time(abs: u64) -> Nanos {
         Nanos(abs * SLOT_DURATION.0)
     }
 
-    fn record(tb: &mut TraceBuffer, abs: u64, kind: TraceEventKind, a: u64, b: u64) {
+    pub(super) fn record(tb: &mut TraceBuffer, abs: u64, kind: TraceEventKind, a: u64, b: u64) {
         record_node(tb, abs, 0, kind, a, b);
     }
 
-    fn record_node(
+    pub(super) fn record_node(
         tb: &mut TraceBuffer,
         abs: u64,
         node: usize,
@@ -971,26 +397,26 @@ mod tests {
 
     /// Cell `ru` of the test layout: primary PHY `2 ru + 1`, PHY node
     /// `10 (ru + 1)`, L2-side Orion node `10 (ru + 1) + 1`.
-    fn primary(ru: u64) -> u64 {
+    pub(super) fn primary(ru: u64) -> u64 {
         2 * ru + 1
     }
 
     /// Cell `ru` delivers UL slot `abs` from `phy`, its Orion forwarding
     /// the FAPI response once.
-    fn deliver(tb: &mut TraceBuffer, ru: u64, abs: u64, phy: u64) {
+    pub(super) fn deliver(tb: &mut TraceBuffer, ru: u64, abs: u64, phy: u64) {
         let node = 10 * (ru as usize + 1);
         record_node(tb, abs, node, TraceEventKind::UlSlotProcessed, abs, phy);
         record_node(tb, abs, node + 1, TraceEventKind::FapiToL2, phy, abs);
     }
 
     /// The UL slots of a DDDSU run of `slots` slots.
-    fn ul_slots(slots: u64) -> impl Iterator<Item = u64> {
+    pub(super) fn ul_slots(slots: u64) -> impl Iterator<Item = u64> {
         (0..slots).filter(|s| s % 5 == 4)
     }
 
     /// A clean trace: every one of `cells` cells delivers every UL slot
     /// from its primary PHY.
-    fn healthy_trace(cells: u64, slots: u64) -> TraceBuffer {
+    pub(super) fn healthy_trace(cells: u64, slots: u64) -> TraceBuffer {
         let mut tb = TraceBuffer::new(1 << 16);
         for abs in ul_slots(slots) {
             for ru in 0..cells {
@@ -1001,7 +427,7 @@ mod tests {
     }
 
     /// Default expectations with `cells` cells declared.
-    fn exp_for(cells: u64) -> Expectations {
+    pub(super) fn exp_for(cells: u64) -> Expectations {
         Expectations {
             initial_active: (0..cells).map(|ru| (ru, primary(ru))).collect(),
             ..Expectations::default()
@@ -1022,16 +448,16 @@ mod tests {
             let tb = healthy_trace(cells, 500);
             let rep = check(&tb, &exp_for(cells));
             assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
-            assert_eq!(rep.dropped_ttis, 0);
-            assert_eq!(rep.delivered_ttis, 100 * cells, "per-cell sum");
+            assert_eq!(rep.slo.fleet.dropped_ttis, 0);
+            assert_eq!(rep.slo.fleet.delivered_ttis, 100 * cells, "per-cell sum");
             // With no cells declared every producer is a ghost: the
             // oracle judges declared cells, it does not guess them.
             let rep = check(&tb, &Expectations::default());
             assert!(rep
                 .violations
                 .iter()
-                .any(|v| v.invariant == "one-active-phy"));
-            assert_eq!(rep.delivered_ttis, 0);
+                .any(|v| v.invariant == Invariant::OneActivePhy));
+            assert_eq!(rep.slo.fleet.delivered_ttis, 0);
         });
     }
 
@@ -1046,7 +472,7 @@ mod tests {
             assert!(rep
                 .violations
                 .iter()
-                .any(|v| v.invariant == "one-active-phy" && v.detail.contains("PHY 99")));
+                .any(|v| v.invariant == Invariant::OneActivePhy && v.detail.contains("PHY 99")));
 
             // The last cell fails over to PHY 98 at slot 50, and both
             // replicas complete slot 49: each is within the boundary
@@ -1066,7 +492,7 @@ mod tests {
             assert!(rep
                 .violations
                 .iter()
-                .any(|v| v.invariant == "one-active-phy" && v.detail.contains(&contested)));
+                .any(|v| v.invariant == Invariant::OneActivePhy && v.detail.contains(&contested)));
         });
     }
 
@@ -1075,7 +501,10 @@ mod tests {
         let mut tb = healthy_trace(1, 100);
         record_node(&mut tb, 49, 11, TraceEventKind::FapiToL2, 2, 49);
         let rep = check(&tb, &exp_for(1));
-        assert!(rep.violations.iter().any(|v| v.invariant == "no-dup-fapi"));
+        assert!(rep
+            .violations
+            .iter()
+            .any(|v| v.invariant == Invariant::NoDupFapi));
     }
 
     #[test]
@@ -1097,11 +526,11 @@ mod tests {
             let dropped: Vec<_> = rep
                 .violations
                 .iter()
-                .filter(|v| v.invariant == "dropped-ttis")
+                .filter(|v| v.invariant == Invariant::DroppedTtis)
                 .collect();
             assert_eq!(dropped.len(), 1, "only the victim: {dropped:?}");
             assert!(dropped[0].detail.contains(&format!("cell {victim}:")));
-            assert_eq!(rep.dropped_ttis, 6);
+            assert_eq!(rep.slo.fleet.dropped_ttis, 6);
         });
     }
 
@@ -1121,13 +550,13 @@ mod tests {
         assert!(rep
             .violations
             .iter()
-            .any(|v| v.invariant == "detection-latency"));
-        assert_eq!(rep.detections, 1);
+            .any(|v| v.invariant == Invariant::DetectionLatency));
+        assert_eq!(rep.slo.fleet.detections, 1);
     }
 
     /// Cell 0 fails over from its primary to PHY 50 at slot 100 (UL
     /// slots 99 and 104 lost); every other cell is untouched.
-    fn failover_trace(cells: u64) -> TraceBuffer {
+    pub(super) fn failover_trace(cells: u64) -> TraceBuffer {
         let mut tb = TraceBuffer::new(1 << 16);
         for abs in ul_slots(250) {
             if !(95..105).contains(&abs) {
@@ -1166,10 +595,9 @@ mod tests {
             // cell 0 specifically.
             for exp in [&planned, &pooled] {
                 let rep = check(&tb, exp);
-                assert!(rep
-                    .violations
-                    .iter()
-                    .any(|v| v.invariant == "eventual-repair" && v.detail.contains("cell 0")));
+                assert!(rep.violations.iter().any(
+                    |v| v.invariant == Invariant::EventualRepair && v.detail.contains("cell 0")
+                ));
                 assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
             }
             // A lethal fault with nothing to re-pair from owes none.
@@ -1187,10 +615,9 @@ mod tests {
 
             // A scenario that demands a failover and records no flip.
             let rep = check(&healthy_trace(cells, 250), &planned);
-            assert!(rep
-                .violations
-                .iter()
-                .any(|v| v.invariant == "eventual-repair" && v.detail.contains("no MapFlip")));
+            assert!(rep.violations.iter().any(
+                |v| v.invariant == Invariant::EventualRepair && v.detail.contains("no MapFlip")
+            ));
         });
     }
 
@@ -1228,13 +655,7 @@ mod tests {
             };
             let rep = check(&tb, &exp);
             assert!(rep.ok(), "boundary {boundary}: {:?}", rep.violations);
-            assert_eq!(rep.dropped_ttis, 0);
-
-            let cfg = SloConfig {
-                initial_active: exp.initial_active.clone(),
-                ..SloConfig::default()
-            };
-            let cell = &slo::analyze(&tb, &cfg).cells[0];
+            let cell = &rep.slo.cells[0];
             assert_eq!(cell.delivered_ttis, 40, "the drained slot is cell 0's");
             assert_eq!(cell.dropped_ttis, 0);
         }
@@ -1327,7 +748,8 @@ mod tests {
         assert!(rep
             .violations
             .iter()
-            .any(|v| v.invariant == "pool-accounting" && v.detail.contains("recorded pool size")));
+            .any(|v| v.invariant == Invariant::PoolAccounting
+                && v.detail.contains("recorded pool size")));
     }
 
     #[test]
@@ -1339,10 +761,12 @@ mod tests {
             ..exp_for(1)
         };
         let rep = check(&tb, &exp);
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "pool-accounting" && v.detail.contains("already-full")));
+        assert!(
+            rep.violations
+                .iter()
+                .any(|v| v.invariant == Invariant::PoolAccounting
+                    && v.detail.contains("already-full"))
+        );
     }
 
     #[test]
@@ -1355,10 +779,9 @@ mod tests {
             ..exp_for(1)
         };
         let rep = check(&tb, &exp);
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "pool-accounting" && v.detail.contains("granted only 0")));
+        assert!(rep.violations.iter().any(
+            |v| v.invariant == Invariant::PoolAccounting && v.detail.contains("granted only 0")
+        ));
 
         // A grant whose re-pairing never completed (Orion never
         // promoted the spare to secondary).
@@ -1369,7 +792,7 @@ mod tests {
         assert!(rep
             .violations
             .iter()
-            .any(|v| v.invariant == "pool-accounting" && v.detail.contains("re-pairing")));
+            .any(|v| v.invariant == Invariant::PoolAccounting && v.detail.contains("re-pairing")));
     }
 
     #[test]
@@ -1393,7 +816,7 @@ mod tests {
 
     /// UE 100 (URLLC, slice 1) served by cell 0 every 5th slot until a
     /// handover to cell 1 at slot 100, then by cell 1.
-    fn handover_trace(interruption: u64) -> TraceBuffer {
+    pub(super) fn handover_trace(interruption: u64) -> TraceBuffer {
         let mut tb = TraceBuffer::new(1 << 16);
         for abs in (0..300u64).filter(|s| s % 5 == 4) {
             let (ru, skip) = if abs < 100 {
@@ -1410,7 +833,7 @@ mod tests {
         tb
     }
 
-    fn handover_exp() -> Expectations {
+    pub(super) fn handover_exp() -> Expectations {
         Expectations {
             initial_serving: vec![(100, 0)],
             max_handover_interruption_slots: 20,
@@ -1423,7 +846,6 @@ mod tests {
         let tb = handover_trace(0);
         let rep = check(&tb, &handover_exp());
         assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
-        assert_eq!(rep.handovers, 1);
     }
 
     #[test]
@@ -1436,7 +858,7 @@ mod tests {
         assert!(rep
             .violations
             .iter()
-            .any(|v| v.invariant == "single-serving-cell"));
+            .any(|v| v.invariant == Invariant::SingleServingCell));
     }
 
     #[test]
@@ -1449,10 +871,12 @@ mod tests {
         let b = 100 | (1 << 24);
         record(&mut tb, 99, TraceEventKind::UeScheduled, b, 99);
         let rep = check(&tb, &handover_exp());
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.invariant == "single-serving-cell" && v.detail.contains("same slot")));
+        assert!(
+            rep.violations
+                .iter()
+                .any(|v| v.invariant == Invariant::SingleServingCell
+                    && v.detail.contains("same slot"))
+        );
     }
 
     #[test]
@@ -1462,7 +886,7 @@ mod tests {
         assert!(rep
             .violations
             .iter()
-            .any(|v| v.invariant == "handover-interruption"));
+            .any(|v| v.invariant == Invariant::HandoverInterruption));
     }
 
     #[test]
@@ -1478,7 +902,7 @@ mod tests {
         assert!(rep
             .violations
             .iter()
-            .any(|v| v.invariant == "handover-interruption" && v.detail.contains("never")));
+            .any(|v| v.invariant == Invariant::HandoverInterruption && v.detail.contains("never")));
     }
 
     #[test]
@@ -1498,7 +922,7 @@ mod tests {
         assert!(rep
             .violations
             .iter()
-            .any(|v| v.invariant == "urllc-deadline"));
+            .any(|v| v.invariant == Invariant::UrllcDeadline));
     }
 
     #[test]
@@ -1510,7 +934,10 @@ mod tests {
             ..handover_exp()
         };
         let rep = check(&tb, &exp);
-        assert!(rep.violations.iter().any(|v| v.invariant == "slice-gap"));
+        assert!(rep
+            .violations
+            .iter()
+            .any(|v| v.invariant == Invariant::SliceGap));
         // URLLC deadline takes precedence for slice 1 when both are set.
         let exp = Expectations {
             urllc_deadline_slots: Some(20),
@@ -1520,6 +947,6 @@ mod tests {
         assert!(rep
             .violations
             .iter()
-            .any(|v| v.invariant == "urllc-deadline"));
+            .any(|v| v.invariant == Invariant::UrllcDeadline));
     }
 }

@@ -29,14 +29,12 @@ use std::fmt::Write as _;
 use crate::metrics::LogHistogram;
 use crate::ownership::{scheduled_per_ue, Deliveries};
 use crate::stats::Sampler;
-use crate::time::{Nanos, SLOT_DURATION};
+use crate::time::{Nanos, SLOT_DURATION, TDD_CYCLE_SLOTS};
 use crate::trace::{detections, TraceBuffer, TraceEventKind};
 
 /// Analyzer configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SloConfig {
-    /// Uplink TTI cadence in slots (DDDSU ⇒ 5: one UL slot per cycle).
-    pub tdd_stride: u64,
     /// Absolute slot the run was driven to. When non-zero, a cell that
     /// stopped delivering before the horizon is charged a trailing
     /// outage (a permanently dead cell must not look 100% available
@@ -47,16 +45,6 @@ pub struct SloConfig {
     /// `oracle::Expectations::initial_active`: the cells the report
     /// covers.
     pub initial_active: Vec<(u64, u64)>,
-}
-
-impl Default for SloConfig {
-    fn default() -> SloConfig {
-        SloConfig {
-            tdd_stride: 5,
-            horizon_slots: 0,
-            initial_active: Vec::new(),
-        }
-    }
 }
 
 /// One contiguous service interruption of one cell.
@@ -74,8 +62,8 @@ pub struct Outage {
 
 impl Outage {
     /// Outage duration in simulated time (missing TTIs × TDD cycle).
-    pub fn duration(&self, tdd_stride: u64) -> Nanos {
-        Nanos(self.missing_ttis * tdd_stride * SLOT_DURATION.0)
+    pub fn duration(&self) -> Nanos {
+        Nanos(self.missing_ttis * TDD_CYCLE_SLOTS * SLOT_DURATION.0)
     }
 }
 
@@ -142,7 +130,6 @@ pub struct SloReport {
     /// and every number here is a lower-confidence estimate.
     pub truncated: bool,
     pub evicted_events: u64,
-    pub tdd_stride: u64,
     pub horizon_slots: u64,
 }
 
@@ -161,7 +148,15 @@ pub(crate) fn nines_of(availability: f64) -> f64 {
 /// Derive the full availability report from a trace.
 pub fn analyze(trace: &TraceBuffer, cfg: &SloConfig) -> SloReport {
     let delivered = Deliveries::from_trace(&cfg.initial_active, trace);
+    from_deliveries(trace, &delivered, cfg.horizon_slots)
+}
 
+/// [`analyze`] over per-cell deliveries already derived from `trace`.
+pub(crate) fn from_deliveries(
+    trace: &TraceBuffer,
+    delivered: &Deliveries,
+    horizon_slots: u64,
+) -> SloReport {
     let mut cells = Vec::new();
     let mut all_ttr = Sampler::new();
     let mut fleet_expected = 0u64;
@@ -169,21 +164,17 @@ pub fn analyze(trace: &TraceBuffer, cfg: &SloConfig) -> SloReport {
     let mut fleet_outages = 0u64;
     let mut fleet_uptime_ns = 0u128;
     for (&ru, slots) in &delivered.slots {
-        let cell = analyze_cell(ru, slots, cfg);
+        let cell = analyze_cell(ru, slots, horizon_slots);
         for o in &cell.outages {
-            all_ttr.record_nanos(o.duration(cfg.tdd_stride));
+            all_ttr.record_nanos(o.duration());
         }
         fleet_expected += cell.expected_ttis;
         fleet_delivered += cell.delivered_ttis;
         fleet_outages += cell.outages.len() as u64;
         if let (Some(&first), Some(&last)) = (slots.first(), slots.last()) {
-            let span_end = if cfg.horizon_slots > last {
-                cfg.horizon_slots
-            } else {
-                last
-            };
+            let span_end = horizon_slots.max(last);
             let dropped_ns =
-                cell.dropped_ttis as u128 * cfg.tdd_stride as u128 * SLOT_DURATION.0 as u128;
+                cell.dropped_ttis as u128 * TDD_CYCLE_SLOTS as u128 * SLOT_DURATION.0 as u128;
             fleet_uptime_ns +=
                 ((span_end - first) as u128 * SLOT_DURATION.0 as u128).saturating_sub(dropped_ns);
         }
@@ -233,16 +224,15 @@ pub fn analyze(trace: &TraceBuffer, cfg: &SloConfig) -> SloReport {
         fleet,
         truncated: trace.dropped_oldest() > 0,
         evicted_events: trace.dropped_oldest(),
-        tdd_stride: cfg.tdd_stride,
-        horizon_slots: cfg.horizon_slots,
+        horizon_slots,
     }
 }
 
 /// Every gap in one cell's ascending delivered-TTI series: the outage
 /// list the SLO report times and the oracle's dropped-TTI budget sums.
-pub(crate) fn gaps(ru: u64, delivered: &[u64], stride: u64) -> Vec<Outage> {
+pub(crate) fn gaps(ru: u64, delivered: &[u64]) -> Vec<Outage> {
     let gap = |w: &[u64]| {
-        let missing = ((w[1] - w[0]) / stride).saturating_sub(1);
+        let missing = ((w[1] - w[0]) / TDD_CYCLE_SLOTS).saturating_sub(1);
         (missing > 0).then_some(Outage {
             ru,
             start_slot: w[0],
@@ -253,9 +243,8 @@ pub(crate) fn gaps(ru: u64, delivered: &[u64], stride: u64) -> Vec<Outage> {
     delivered.windows(2).filter_map(gap).collect()
 }
 
-fn analyze_cell(ru: u64, delivered: &[u64], cfg: &SloConfig) -> CellSlo {
-    let stride = cfg.tdd_stride.max(1);
-    let mut outages = gaps(ru, delivered, stride);
+fn analyze_cell(ru: u64, delivered: &[u64], horizon_slots: u64) -> CellSlo {
+    let mut outages = gaps(ru, delivered);
     let mut ttr = Sampler::new();
     let mut dropped_hist = LogHistogram::new();
     let delivered_n = delivered.len() as u64;
@@ -263,27 +252,27 @@ fn analyze_cell(ru: u64, delivered: &[u64], cfg: &SloConfig) -> CellSlo {
         (Some(&first), Some(&last)) => {
             let mut span_last = last;
             // Trailing blackout: the cell went quiet before the horizon.
-            if cfg.horizon_slots > last {
-                let missing = (cfg.horizon_slots - last) / stride;
+            if horizon_slots > last {
+                let missing = (horizon_slots - last) / TDD_CYCLE_SLOTS;
                 if missing > 0 {
                     outages.push(Outage {
                         ru,
                         start_slot: last,
-                        end_slot: cfg.horizon_slots,
+                        end_slot: horizon_slots,
                         missing_ttis: missing,
                     });
-                    span_last = last + missing * stride;
+                    span_last = last + missing * TDD_CYCLE_SLOTS;
                 }
             }
-            (span_last - first) / stride + 1
+            (span_last - first) / TDD_CYCLE_SLOTS + 1
         }
         // No deliveries at all: a horizon says how long the cell should
         // have served and charges it in full; without one (0) there is
         // nothing to judge.
-        _ => cfg.horizon_slots / stride,
+        _ => horizon_slots / TDD_CYCLE_SLOTS,
     };
     for o in &outages {
-        ttr.record_nanos(o.duration(stride));
+        ttr.record_nanos(o.duration());
         dropped_hist.record(o.missing_ttis);
     }
     let dropped = expected.saturating_sub(delivered_n);
@@ -292,8 +281,8 @@ fn analyze_cell(ru: u64, delivered: &[u64], cfg: &SloConfig) -> CellSlo {
     } else {
         delivered_n as f64 / expected as f64
     };
-    let observed_ns = expected as u128 * stride as u128 * SLOT_DURATION.0 as u128;
-    let outage_ns: u128 = outages.iter().map(|o| o.duration(stride).0 as u128).sum();
+    let observed_ns = expected as u128 * TDD_CYCLE_SLOTS as u128 * SLOT_DURATION.0 as u128;
+    let outage_ns: u128 = outages.iter().map(|o| o.duration().0 as u128).sum();
     CellSlo {
         ru,
         expected_ttis: expected,
@@ -574,7 +563,7 @@ mod tests {
     #[test]
     fn gaps_count_the_scheduled_ttis_never_delivered() {
         // DDDSU: UL slots every 5. Delivered 0,5,10,25,30 → 15,20 missing.
-        let found = gaps(3, &[0, 5, 10, 25, 30], 5);
+        let found = gaps(3, &[0, 5, 10, 25, 30]);
         let hole = Outage {
             ru: 3,
             start_slot: 10,
@@ -582,8 +571,8 @@ mod tests {
             missing_ttis: 2,
         };
         assert_eq!(found, [hole]);
-        assert!(gaps(3, &[], 5).is_empty());
-        assert!(gaps(3, &[7], 5).is_empty());
+        assert!(gaps(3, &[]).is_empty());
+        assert!(gaps(3, &[7]).is_empty());
     }
 
     #[test]
