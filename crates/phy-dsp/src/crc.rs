@@ -13,13 +13,17 @@ pub(crate) const CRC24A_POLY: u32 = 0x864CFB;
 /// x^16 + x^12 + x^5 + 1.
 pub const CRC16_POLY: u16 = 0x1021;
 
-/// 256-entry table for byte-at-a-time CRC-24A: entry `b` is the CRC
-/// register contribution of shifting byte `b` through the bit-serial
-/// division (exactly the inner loop of the scalar form, precomputed).
-const CRC24A_TABLE: [u32; 256] = build_crc24a_table();
+/// Slicing-by-8 tables for CRC-24A, with the 24-bit register kept in
+/// the top three bytes of a u32 (so a big-endian word XORs straight
+/// in). `[0][b]` is the register after shifting byte `b` through the
+/// bit-serial division from zero (the byte-at-a-time table); `[j][b]`
+/// is that register after `j` further zero bytes, i.e. byte `b`'s
+/// contribution when it sits `j` bytes before the end of an 8-byte
+/// group.
+const CRC24A_TABLES: [[u32; 256]; 8] = build_crc24a_tables();
 
-const fn build_crc24a_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc24a_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut b = 0usize;
     while b < 256 {
         let mut crc = (b as u32) << 16;
@@ -31,10 +35,20 @@ const fn build_crc24a_table() -> [u32; 256] {
             }
             i += 1;
         }
-        table[b] = crc & 0x00FF_FFFF;
+        t[0][b] = (crc & 0x00FF_FFFF) << 8;
         b += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut b = 0usize;
+        while b < 256 {
+            let prev = t[j - 1][b];
+            t[j][b] = (prev << 8) ^ t[0][(prev >> 24) as usize];
+            b += 1;
+        }
+        j += 1;
+    }
+    t
 }
 
 /// 256-entry table for byte-at-a-time CRC-16.
@@ -61,15 +75,29 @@ const fn build_crc16_table() -> [u16; 256] {
 }
 
 /// Compute CRC-24A over a byte slice (bit order MSB-first, zero initial
-/// value, no final XOR — matching TS 38.212). Table-driven,
-/// byte-at-a-time; identical values to the bit-serial definition.
+/// value, no final XOR — matching TS 38.212). Slicing-by-8: eight
+/// bytes per step, each through its own table, then byte-at-a-time for
+/// the tail; identical values to the bit-serial definition.
 pub fn crc24a(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0;
-    for &byte in data {
-        let idx = ((crc >> 16) as u8 ^ byte) as usize;
-        crc = ((crc << 8) & 0x00FF_FFFF) ^ CRC24A_TABLE[idx];
+    let t = &CRC24A_TABLES;
+    // The register sits in the top 24 bits (see `CRC24A_TABLES`).
+    let mut reg: u32 = 0;
+    let mut groups = data.chunks_exact(8);
+    for g in &mut groups {
+        let hi = reg ^ u32::from_be_bytes([g[0], g[1], g[2], g[3]]);
+        reg = t[7][(hi >> 24) as usize]
+            ^ t[6][(hi >> 16) as usize & 0xFF]
+            ^ t[5][(hi >> 8) as usize & 0xFF]
+            ^ t[4][hi as usize & 0xFF]
+            ^ t[3][g[4] as usize]
+            ^ t[2][g[5] as usize]
+            ^ t[1][g[6] as usize]
+            ^ t[0][g[7] as usize];
     }
-    crc
+    for &byte in groups.remainder() {
+        reg = (reg << 8) ^ t[0][((reg >> 24) as u8 ^ byte) as usize];
+    }
+    reg >> 8
 }
 
 /// Compute CRC-16 over a byte slice (table-driven, byte-at-a-time).

@@ -12,13 +12,20 @@
 //! upgrade experiment (§8.3, Fig. 11) turns: the upgraded PHY runs more
 //! iterations and therefore decodes at lower SNR.
 //!
-//! Both the information connections and the full Tanner-graph edge list
-//! are stored flattened (CSR) and built once at construction — the
-//! decoder previously rebuilt its edge list on every call. Decoding
+//! The Tanner-graph edge list is stored flattened (CSR) and built once
+//! at construction — the decoder previously rebuilt it on every call;
+//! a row's information columns are the head of its edge run. Decoding
 //! works entirely in an [`LdpcScratch`] so steady-state decodes
 //! allocate nothing; edge order is identical to the original per-call
 //! build, so every min-sum message (and thus every decode) is
 //! bit-identical.
+//!
+//! [`LdpcCode::encode`] (one byte per bit, row by row) is the encoder's
+//! reference. [`LdpcCode::encode_packed`] is the one the chain runs: it
+//! scatters each set information bit into its three rows of a packed
+//! syndrome (from the per-column rows the construction draws) and
+//! solves the staircase a word at a time with a prefix XOR, instead of
+//! one row lookup and one bit push per parity bit.
 //!
 //! [`LdpcCode::decode_into`] is the one scalar decoder and the oracle.
 //! [`LdpcCode::decode_batch_into`] decodes up to [`BATCH_LANES`] blocks
@@ -58,10 +65,9 @@ struct Lanes([f32; BATCH_LANES]);
 pub struct LdpcCode {
     k: usize,
     m: usize,
-    /// CSR over check rows: information columns of row `i` are
-    /// `info_col[info_start[i]..info_start[i+1]]`.
-    info_start: Vec<u32>,
-    info_col: Vec<u32>,
+    /// The three check rows of each information column, in draw order:
+    /// the encoder's column scatter.
+    col_rows: Vec<[u32; 3]>,
     /// CSR over the full Tanner graph: variables on row `i`'s edges are
     /// `edge_var[row_start[i]..row_start[i+1]]` — info columns first,
     /// then parity k+i, then k+i-1 for i > 0.
@@ -119,48 +125,42 @@ impl LdpcCode {
         assert!(k >= 8, "ldpc blocks shorter than 8 bits are not useful");
         let m = PARITY_FACTOR * k;
         let mut rng = SimRng::new(0x51AC_C0DE ^ (k as u64));
-        let mut row_info: Vec<Vec<usize>> = vec![Vec::new(); m];
+        let mut row_info: Vec<Vec<u32>> = vec![Vec::new(); m];
+        let mut col_rows = Vec::with_capacity(k);
         for col in 0..k {
             // Column weight 3, distinct rows.
-            let mut rows = [0usize; 3];
+            let mut rows = [0u32; 3];
             let mut chosen = 0;
             while chosen < 3 {
-                let r = rng.below(m as u64) as usize;
+                let r = rng.below(m as u64) as u32;
                 if !rows[..chosen].contains(&r) {
                     rows[chosen] = r;
                     chosen += 1;
                 }
             }
             for r in rows {
-                row_info[r].push(col);
+                row_info[r as usize].push(col as u32);
             }
+            col_rows.push(rows);
         }
-        // Flatten to CSR, and lay out the decoder's edge list once
-        // (info edges, then parity k+i, then k+i-1 when i > 0 — the
-        // exact order the decoder used to rebuild per call).
-        let mut info_start = Vec::with_capacity(m + 1);
-        let mut info_col = Vec::with_capacity(3 * k);
+        // Lay out the decoder's edge list once (info edges, then parity
+        // k+i, then k+i-1 when i > 0 — the exact order the decoder used
+        // to rebuild per call).
         let mut row_start = Vec::with_capacity(m + 1);
         let mut edge_var = Vec::with_capacity(3 * k + 2 * m);
         for (i, row) in row_info.iter().enumerate() {
-            info_start.push(info_col.len() as u32);
             row_start.push(edge_var.len() as u32);
-            for &col in row {
-                info_col.push(col as u32);
-                edge_var.push(col as u32);
-            }
+            edge_var.extend_from_slice(row);
             edge_var.push((k + i) as u32);
             if i > 0 {
                 edge_var.push((k + i - 1) as u32);
             }
         }
-        info_start.push(info_col.len() as u32);
         row_start.push(edge_var.len() as u32);
         LdpcCode {
             k,
             m,
-            info_start,
-            info_col,
+            col_rows,
             row_start,
             edge_var,
         }
@@ -179,10 +179,12 @@ impl LdpcCode {
         self.k + self.m
     }
 
-    /// Information columns of check row `i`.
+    /// Information columns of check row `i`: the head of its edge run,
+    /// before parity k+i (and k+i-1 when i > 0).
     #[inline]
     fn info_row(&self, i: usize) -> &[u32] {
-        &self.info_col[self.info_start[i] as usize..self.info_start[i + 1] as usize]
+        let parity_edges = 1 + (i > 0) as usize;
+        &self.edge_var[self.row_start[i] as usize..self.row_start[i + 1] as usize - parity_edges]
     }
 
     /// Encode systematically: output is `info ‖ parity`.
@@ -203,18 +205,39 @@ impl LdpcCode {
     }
 
     /// Encode a packed information block, appending `info ‖ parity` to
-    /// `out`. Bit-identical to [`LdpcCode::encode`].
+    /// `out`. Bit-identical to [`LdpcCode::encode`], a word at a time:
+    /// each set info bit flips its three rows of a packed row syndrome
+    /// `s`, and the staircase `p_i = p_{i-1} ^ s_i` is then a prefix
+    /// XOR within each 64-bit word plus a carry between words.
     pub fn encode_packed(&self, info: &BitBuf, out: &mut BitBuf) {
         assert_eq!(info.len(), self.k, "info length mismatch");
         out.append(info);
-        let mut prev = 0u8;
-        for i in 0..self.m {
-            let mut acc = prev;
-            for &col in self.info_row(i) {
-                acc ^= info.get(col as usize);
+        let mut syndrome = vec![0u64; self.m.div_ceil(64)];
+        for (w, &word) in info.words().iter().enumerate() {
+            // Bits past `len` are zero (`BitBuf` invariant), so every
+            // set bit is a column < k.
+            let mut rest = word;
+            while rest != 0 {
+                let col = w * 64 + rest.trailing_zeros() as usize;
+                for r in self.col_rows[col] {
+                    syndrome[r as usize >> 6] ^= 1 << (r & 63);
+                }
+                rest &= rest - 1;
             }
-            out.push(acc);
-            prev = acc;
+        }
+        // All ones when the previous word's last parity bit is set.
+        let mut carry = 0u64;
+        for (w, &s) in syndrome.iter().enumerate() {
+            let mut p = s;
+            p ^= p << 1;
+            p ^= p << 2;
+            p ^= p << 4;
+            p ^= p << 8;
+            p ^= p << 16;
+            p ^= p << 32;
+            p ^= carry;
+            carry = (p >> 63).wrapping_neg();
+            out.push_word(p, (self.m - 64 * w).min(64));
         }
     }
 

@@ -52,13 +52,22 @@ pub fn rate_match_packed(
 
 /// Accumulate received LLRs for `e` transmitted bits back into
 /// mother-codeword LLR positions. `acc` has length n and may already
-/// contain LLRs from earlier (re)transmissions.
+/// contain LLRs from earlier (re)transmissions. Adds over contiguous
+/// runs of the circular buffer (the RV offset to the end, then whole
+/// passes from 0) — the same additions, in the same order, as indexing
+/// `(start + i) % n`.
 pub fn rate_recover(acc: &mut [f32], rx_llrs: &[f32], rv: u8) {
     let n = acc.len();
     assert!(n > 0);
-    let start = rv_start(n, rv);
-    for (i, l) in rx_llrs.iter().enumerate() {
-        acc[(start + i) % n] += *l;
+    let mut pos = rv_start(n, rv);
+    let mut rest = rx_llrs;
+    while !rest.is_empty() {
+        let run = rest.len().min(n - pos);
+        for (a, l) in acc[pos..pos + run].iter_mut().zip(&rest[..run]) {
+            *a += *l;
+        }
+        rest = &rest[run..];
+        pos = 0;
     }
 }
 

@@ -17,9 +17,14 @@
 //! scrambling sequence comes from the per-thread
 //! [`cached_sequence`] word cache, and jobs borrow their working
 //! buffers from the thread they run on ([`WORKSPACE`]), so steady-state
-//! slots allocate almost nothing. All of it is bit-identical to the
-//! original byte-per-bit chain — same bits, same f32 operations in the
-//! same order — so traces and HARQ accumulators are unchanged.
+//! slots allocate almost nothing. No stage moves one bit per call: the
+//! LDPC encoder solves its parity a word at a time
+//! ([`LdpcCode::encode_packed`]), the parity interleave gathers 64 bits
+//! per pushed word, and rate recovery adds over contiguous runs of the
+//! circular buffer rather than indexing modulo `n`. All of it is
+//! bit-identical to the original byte-per-bit chain — same bits, same
+//! f32 operations in the same order — so traces and HARQ accumulators
+//! are unchanged.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -207,11 +212,17 @@ pub fn encode_tb_with(
                     s.bits_a.clear();
                     code.encode_packed(&b.bits, &mut s.bits_a);
                     // Permute into transmission order: the systematic
-                    // prefix is the identity, the parity part is strided.
+                    // prefix is the identity, the parity part is strided
+                    // and gathered 64 bits per pushed word.
                     s.bits_b.clear();
                     s.bits_b.append_range(&s.bits_a, 0, b.k);
-                    for &idx in &order[b.k..] {
-                        s.bits_b.push(s.bits_a.get(idx as usize));
+                    let cw = s.bits_a.words();
+                    for idxs in order[b.k..].chunks(64) {
+                        let mut word = 0u64;
+                        for (j, &idx) in idxs.iter().enumerate() {
+                            word |= ((cw[idx as usize >> 6] >> (idx & 63)) & 1) << j;
+                        }
+                        s.bits_b.push_word(word, idxs.len());
                     }
                     let mut seg = BitBuf::with_capacity(b.e);
                     rate_match_packed(&s.bits_b, b.e, rv, &mut seg);

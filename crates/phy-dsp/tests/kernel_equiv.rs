@@ -19,7 +19,7 @@ use slingshot_phy_dsp::crc::{attach_crc24a, check_crc24a, crc16, crc24a};
 use slingshot_phy_dsp::iq::SC_PER_PRB;
 use slingshot_phy_dsp::ldpc::{LdpcBlockOut, LdpcCode, LdpcScratch, BATCH_LANES};
 use slingshot_phy_dsp::modulation::{modulate, modulate_packed, Modulation};
-use slingshot_phy_dsp::ratematch::{rate_match, rate_match_packed};
+use slingshot_phy_dsp::ratematch::{rate_match, rate_match_packed, rate_recover};
 use slingshot_phy_dsp::scramble::{
     cached_sequence, descramble_llrs_packed, scramble_bits_with, scramble_packed, GoldSequence,
 };
@@ -292,21 +292,45 @@ impl LdpcRef {
     }
 }
 
+/// Both encoders against the reference for one random block of `k`
+/// info bits. The packed one appends to a buffer that already holds an
+/// odd number of bits, so its output starts mid-word.
+fn check_encode(k: usize, seed: u64) -> Result<(), TestCaseError> {
+    let reference = LdpcRef::new(k);
+    let code = LdpcCode::new(k);
+    let mut rng = SimRng::new(seed);
+    let info: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
+    let expect = reference.encode(&info);
+    prop_assert_eq!(code.encode(&info), expect.clone(), "k={}", k);
+    let lead: Vec<u8> = (0..2 * rng.below(70) + 1)
+        .map(|_| (rng.next_u64() & 1) as u8)
+        .collect();
+    let mut packed = BitBuf::from_bits(&lead);
+    code.encode_packed(&BitBuf::from_bits(&info), &mut packed);
+    let got = packed.to_bits();
+    prop_assert_eq!(&got[..lead.len()], &lead[..], "k={} lead", k);
+    prop_assert_eq!(&got[lead.len()..], &expect[..], "k={}", k);
+    prop_assert!(code.parity_ok(&expect));
+    Ok(())
+}
+
+/// Info lengths at the word edges of the info bits (31..33, 63..65),
+/// the production maximum (1 023, 1 024) and `kernel_bench`'s k = 6 144.
+#[test]
+fn ldpc_encode_matches_reference_at_word_edges() {
+    for k in [31, 32, 33, 63, 64, 65, 1023, 1024, 6144] {
+        if let Err(e) = check_encode(k, 0xED6E ^ k as u64) {
+            panic!("{e}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn ldpc_encode_matches_reference(k in 8usize..160, seed in any::<u64>()) {
-        let reference = LdpcRef::new(k);
-        let code = LdpcCode::new(k);
-        let mut rng = SimRng::new(seed);
-        let info: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
-        let expect = reference.encode(&info);
-        prop_assert_eq!(code.encode(&info), expect.clone());
-        let mut packed = BitBuf::new();
-        code.encode_packed(&BitBuf::from_bits(&info), &mut packed);
-        prop_assert_eq!(packed.to_bits(), expect.clone());
-        prop_assert!(code.parity_ok(&expect));
+    fn ldpc_encode_matches_reference(k in 8usize..1025, seed in any::<u64>()) {
+        check_encode(k, seed)?;
     }
 
     #[test]
@@ -486,6 +510,30 @@ proptest! {
         let mut packed = BitBuf::new();
         rate_match_packed(&BitBuf::from_bits(&coded), e, rv, &mut packed);
         prop_assert_eq!(packed.to_bits(), expect);
+    }
+
+    #[test]
+    fn rate_recover_matches_modulo_indexing(
+        acc0 in proptest::collection::vec(-8.0f32..8.0, 1..600),
+        llrs in proptest::collection::vec(-8.0f32..8.0, 1205),
+        rv in 0u8..4,
+        e_idx in 0usize..5,
+    ) {
+        // Puncturing, the exact buffer, one and two-plus wraps; the
+        // accumulator starts non-zero, as under chase combining.
+        let n = acc0.len();
+        let e = [1, n - 1, n, n + 1, 2 * n + 5][e_idx];
+        let rx = &llrs[..e];
+        let mut expect = acc0.clone();
+        let start = n * rv as usize / 4;
+        for (i, l) in rx.iter().enumerate() {
+            expect[(start + i) % n] += *l;
+        }
+        let mut got = acc0.clone();
+        rate_recover(&mut got, rx, rv);
+        for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "acc[{}] n={} e={} rv={}", i, n, e, rv);
+        }
     }
 
     #[test]
