@@ -17,9 +17,10 @@
 #                      the paper contract and the benchmark package's
 #                      --check and unit tests
 #
-# The paper contract is `figures --check`: it re-runs the 19 experiments
-# of the registry (~75 s; fleet availability and fabric scale are two of
-# them) and fails if a row leaves the band it claims
+# The paper contract is `figures --check`: it re-runs the 20 experiments
+# of the registry (~85 s; fleet availability, fabric scale and the BLER
+# model's calibration against the full chain are three of them) and
+# fails if a row leaves the band it claims
 # or if the result differs from the committed FIGURES.json or from the
 # generated tables in EXPERIMENTS.md (`figures --bless` rewrites both).
 # Tier-1 runs only its three engine-free entries, as unit tests.

@@ -28,6 +28,7 @@ use slingshot::chaos::{
     chaos_deployment, chaos_handover_deployment, chaos_pool_deployment, expectations_for,
     ChaosRunner,
 };
+use slingshot::Deployment;
 use slingshot_bench::{artifact_path, banner, BenchReport};
 use slingshot_sim::chaos::{oracle, ChaosDistribution, FaultKind, FaultTarget, Scenario};
 use slingshot_sim::slo::{self, SloConfig};
@@ -104,6 +105,54 @@ fn handover_scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// One run of the soak: `scenario` on `deployment(seed)`, with every
+/// crash held to `tti_budget` dropped TTIs where the deployment's
+/// default budget is not the one to judge by.
+struct Case {
+    deployment: fn(u64) -> Deployment,
+    seed: u64,
+    tti_budget: Option<u64>,
+    scenario: Scenario,
+}
+
+/// What chaos seed `seed` runs, in order: the fixed suite on the
+/// single-cell deployment, the pool suite on the 4-cell / 2-spare pool
+/// (every crash held to the per-cell single-failure budget), the
+/// handover suite on the two-cell mobility deployment, and one
+/// scenario sampled from `dist`. `handover_only` keeps only the
+/// handover suite.
+fn cases(seed: u64, handover_only: bool, dist: &ChaosDistribution) -> Vec<Case> {
+    let suite = |deployment, stride: u64, tti_budget, scenarios: Vec<Scenario>| {
+        let numbered = scenarios.into_iter().zip(stride * seed..);
+        numbered.map(move |(scenario, seed)| Case {
+            deployment,
+            seed,
+            tti_budget,
+            scenario,
+        })
+    };
+    let handover = suite(chaos_handover_deployment, 3000, None, handover_scenarios());
+    if handover_only {
+        return handover.collect();
+    }
+    let random = Case {
+        deployment: chaos_deployment,
+        seed,
+        tti_budget: None,
+        scenario: dist.sample(seed),
+    };
+    suite(chaos_deployment, 1000, None, fixed_scenarios())
+        .chain(suite(
+            chaos_pool_deployment,
+            2000,
+            Some(3),
+            pool_scenarios(),
+        ))
+        .chain(handover)
+        .chain([random])
+        .collect()
+}
+
 struct RunResult {
     ok: bool,
     dropped_ttis: u64,
@@ -116,41 +165,11 @@ struct RunResult {
     mttr_ms: f64,
 }
 
-/// Run one (deployment seed, scenario) pair and report violations.
-fn run_one(deploy_seed: u64, scenario: &Scenario, chaos_seed: u64) -> RunResult {
-    run_with_deployment(chaos_deployment(deploy_seed), scenario, chaos_seed, None)
-}
-
-/// Like [`run_one`] but on the shared-pool deployment, holding every
-/// crash to the per-cell single-failure TTI budget.
-fn run_one_pool(deploy_seed: u64, scenario: &Scenario, chaos_seed: u64) -> RunResult {
-    run_with_deployment(
-        chaos_pool_deployment(deploy_seed),
-        scenario,
-        chaos_seed,
-        Some(3),
-    )
-}
-
-/// Like [`run_one`] but on the two-cell mobility deployment with the
-/// handover controller and per-slice oracle armed.
-fn run_one_handover(deploy_seed: u64, scenario: &Scenario, chaos_seed: u64) -> RunResult {
-    run_with_deployment(
-        chaos_handover_deployment(deploy_seed),
-        scenario,
-        chaos_seed,
-        None,
-    )
-}
-
-fn run_with_deployment(
-    mut d: slingshot::Deployment,
-    scenario: &Scenario,
-    chaos_seed: u64,
-    tti_budget: Option<u64>,
-) -> RunResult {
+/// Run one case under `chaos_seed` and report violations.
+fn run_case(case: &Case, chaos_seed: u64) -> RunResult {
+    let (mut d, scenario) = ((case.deployment)(case.seed), &case.scenario);
     let mut exp = expectations_for(&d, scenario);
-    if let Some(budget) = tti_budget {
+    if let Some(budget) = case.tti_budget {
         exp.max_dropped_ttis = budget;
     }
     let mut runner = ChaosRunner::new(scenario);
@@ -212,8 +231,38 @@ fn run_with_deployment(
     }
 }
 
+/// What the soak sums over every run, and the worst run of each seed
+/// as (seed, value) series for the JSON report.
+#[derive(Default)]
+struct Totals {
+    runs: u64,
+    failures: u64,
+    dropped_ttis: u64,
+    worst_detection_us: f64,
+    min_nines: Vec<(f64, f64)>,
+    worst_p99: Vec<(f64, f64)>,
+    max_mttr_ms: Vec<(f64, f64)>,
+}
+
+impl Totals {
+    fn add_seed(&mut self, seed: u64, runs: &[RunResult]) {
+        self.runs += runs.len() as u64;
+        self.failures += runs.iter().filter(|r| !r.ok).count() as u64;
+        self.dropped_ttis += runs.iter().map(|r| r.dropped_ttis).sum::<u64>();
+        let detection = runs.iter().map(|r| r.max_detection_us);
+        self.worst_detection_us = detection.fold(self.worst_detection_us, f64::max);
+        let x = seed as f64;
+        let nines = runs.iter().map(|r| r.nines).fold(f64::INFINITY, f64::min);
+        self.min_nines.push((x, nines));
+        let p99 = runs.iter().map(|r| r.worst_cell_dropped_tti_p99).max();
+        self.worst_p99.push((x, p99.unwrap_or(0) as f64));
+        let mttr = runs.iter().map(|r| r.mttr_ms).fold(0.0, f64::max);
+        self.max_mttr_ms.push((x, mttr));
+    }
+}
+
 /// Write the failing run's Chrome trace into `$BENCH_JSON_DIR`.
-fn dump_failure_trace(d: &slingshot::Deployment, scenario: &Scenario, seed: u64) {
+fn dump_failure_trace(d: &Deployment, scenario: &Scenario, seed: u64) {
     let file = format!("chaos_fail_{}_{seed}.trace.json", scenario.name);
     let Some(path) = artifact_path(&file) else {
         return;
@@ -288,90 +337,13 @@ fn main() {
     );
 
     let dist = ChaosDistribution::default();
-    let fixed = if handover_only {
-        Vec::new()
-    } else {
-        fixed_scenarios()
-    };
-    let pool = if handover_only {
-        Vec::new()
-    } else {
-        pool_scenarios()
-    };
-    let handover = handover_scenarios();
-    let mut runs = 0u64;
-    let mut failures = 0u64;
-    let mut replay_mismatches = 0u64;
-    let mut worst_detection_us = 0f64;
-    let mut total_dropped = 0u64;
-    // Per-seed availability summary: the worst run of each seed, as
-    // (seed, value) series in the JSON report.
-    let mut seed_min_nines: Vec<(f64, f64)> = Vec::new();
-    let mut seed_worst_p99: Vec<(f64, f64)> = Vec::new();
-    let mut seed_max_mttr_ms: Vec<(f64, f64)> = Vec::new();
-
+    let mut totals = Totals::default();
     for seed in 0..seeds {
-        let mut min_nines = f64::INFINITY;
-        let mut worst_p99 = 0u64;
-        let mut max_mttr_ms = 0f64;
-        let mut tally = |r: &RunResult,
-                         runs: &mut u64,
-                         failures: &mut u64,
-                         total_dropped: &mut u64,
-                         worst_detection_us: &mut f64| {
-            *runs += 1;
-            *failures += u64::from(!r.ok);
-            *total_dropped += r.dropped_ttis;
-            *worst_detection_us = worst_detection_us.max(r.max_detection_us);
-            min_nines = min_nines.min(r.nines);
-            worst_p99 = worst_p99.max(r.worst_cell_dropped_tti_p99);
-            max_mttr_ms = max_mttr_ms.max(r.mttr_ms);
-        };
-        for (idx, scenario) in fixed.iter().enumerate() {
-            let r = run_one(1000 * seed + idx as u64, scenario, seed);
-            tally(
-                &r,
-                &mut runs,
-                &mut failures,
-                &mut total_dropped,
-                &mut worst_detection_us,
-            );
-        }
-        for (idx, scenario) in pool.iter().enumerate() {
-            let r = run_one_pool(2000 * seed + idx as u64, scenario, seed);
-            tally(
-                &r,
-                &mut runs,
-                &mut failures,
-                &mut total_dropped,
-                &mut worst_detection_us,
-            );
-        }
-        for (idx, scenario) in handover.iter().enumerate() {
-            let r = run_one_handover(3000 * seed + idx as u64, scenario, seed);
-            tally(
-                &r,
-                &mut runs,
-                &mut failures,
-                &mut total_dropped,
-                &mut worst_detection_us,
-            );
-        }
-        if !handover_only {
-            let random = dist.sample(seed);
-            let r = run_one(seed, &random, seed);
-            tally(
-                &r,
-                &mut runs,
-                &mut failures,
-                &mut total_dropped,
-                &mut worst_detection_us,
-            );
-        }
-        seed_min_nines.push((seed as f64, min_nines));
-        seed_worst_p99.push((seed as f64, worst_p99 as f64));
-        seed_max_mttr_ms.push((seed as f64, max_mttr_ms));
+        let cases = cases(seed, handover_only, &dist);
+        let runs: Vec<RunResult> = cases.iter().map(|c| run_case(c, seed)).collect();
+        totals.add_seed(seed, &runs);
     }
+    let mut replay_mismatches = 0u64;
 
     // Determinism spot check: the first two seeds' randomized runs must
     // replay byte-identically (the property that makes every failing
@@ -388,9 +360,16 @@ fn main() {
         }
     }
 
+    let Totals {
+        runs,
+        failures,
+        dropped_ttis,
+        worst_detection_us,
+        ..
+    } = totals;
     println!(
         "\n{runs} runs, {failures} violations, {replay_mismatches} replay mismatches, \
-         worst detection {worst_detection_us:.1} us, {total_dropped} dropped TTIs total"
+         worst detection {worst_detection_us:.1} us, {dropped_ttis} dropped TTIs total"
     );
 
     let mut report = BenchReport::new(
@@ -403,17 +382,12 @@ fn main() {
     report.scalar("violations", failures as f64);
     report.scalar("replay_mismatches", replay_mismatches as f64);
     report.scalar("worst_detection_us", worst_detection_us);
-    report.scalar("total_dropped_ttis", total_dropped as f64);
-    report.scalar(
-        "min_seed_nines",
-        seed_min_nines
-            .iter()
-            .map(|p| p.1)
-            .fold(f64::INFINITY, f64::min),
-    );
-    report.series("per_seed_min_nines", seed_min_nines);
-    report.series("per_seed_worst_cell_dropped_tti_p99", seed_worst_p99);
-    report.series("per_seed_max_mttr_ms", seed_max_mttr_ms);
+    report.scalar("total_dropped_ttis", dropped_ttis as f64);
+    let min_nines = totals.min_nines.iter().map(|p| p.1);
+    report.scalar("min_seed_nines", min_nines.fold(f64::INFINITY, f64::min));
+    report.series("per_seed_min_nines", totals.min_nines);
+    report.series("per_seed_worst_cell_dropped_tti_p99", totals.worst_p99);
+    report.series("per_seed_max_mttr_ms", totals.max_mttr_ms);
     report.write();
 
     if failures > 0 || replay_mismatches > 0 {
@@ -423,7 +397,36 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::knobs;
+    use super::*;
+
+    /// A deployment seed is how a failing run is reproduced, so which
+    /// seed each scenario runs on is pinned, not only how many run.
+    #[test]
+    fn a_seed_runs_its_scenarios_on_pinned_deployment_seeds_and_budgets() {
+        let dist = ChaosDistribution::default();
+        let pinned = |handover_only| {
+            let cases = cases(3, handover_only, &dist).into_iter();
+            let row = |c: Case| (c.scenario.name, c.seed, c.tti_budget);
+            cases.map(row).collect::<Vec<_>>()
+        };
+        let handover = [
+            ("ho-crash".to_string(), 9000, None),
+            ("ho-storm".to_string(), 9001, None),
+        ];
+        let mut all = vec![
+            ("crash".to_string(), 3000, None),
+            ("hang".to_string(), 3001, None),
+            ("planned".to_string(), 3002, None),
+            ("fh-burst".to_string(), 3003, None),
+            ("pool-3crash".to_string(), 6000, Some(3)),
+            ("pool-4crash".to_string(), 6001, Some(3)),
+            ("pool-planned".to_string(), 6002, Some(3)),
+        ];
+        all.extend(handover.clone());
+        all.push((dist.sample(3).name, 3, None));
+        assert_eq!(pinned(false), all);
+        assert_eq!(pinned(true), handover);
+    }
 
     #[test]
     fn a_knob_outside_its_values_is_an_error_not_a_fallback() {

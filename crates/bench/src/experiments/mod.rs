@@ -8,6 +8,7 @@
 //! typed look-ups of what the run left behind.
 
 mod ablations;
+mod calibration;
 mod figs;
 mod fleet;
 mod sections;
@@ -22,7 +23,7 @@ use slingshot_transport::{TcpReceiver, TcpSender, UdpCbrSource, UdpSink, UserApp
 
 /// Every experiment, in the paper's order; `figures` runs them in this
 /// order and `FIGURES.json` lists them in it.
-pub static REGISTRY: [Experiment; 19] = [
+pub static REGISTRY: [Experiment; 20] = [
     figs::FIG3,
     figs::FIG8,
     figs::FIG9,
@@ -42,6 +43,7 @@ pub static REGISTRY: [Experiment; 19] = [
     ablations::MASSIVE_MIMO,
     fleet::AVAILABILITY,
     fleet::FABRIC_SCALE,
+    calibration::BLER_MODEL,
 ];
 
 /// RNTI of the UE at index `ue_idx` (the paper's three are 100–102).

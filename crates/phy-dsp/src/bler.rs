@@ -4,10 +4,11 @@
 //! up to 50 migrations/s) cannot afford running the full LDPC chain for
 //! every transport block. This module provides a closed-form BLER as a
 //! function of SNR, modulation order, code rate, block length, and
-//! decoder iteration budget, **calibrated against the full chain** (see
-//! `examples/gap_probe.rs` and the `bler_calibration_*` tests): the
-//! 50 %-BLER gap from Shannon was measured across rate × modulation ×
-//! iterations and fit as
+//! decoder iteration budget, **calibrated against the full chain** (the
+//! `bler_model` entry of the bench crate's `figures` registry, which
+//! `figures --check` holds to its rows, and the `bler_calibration_*`
+//! tests): the 50 %-BLER gap from Shannon was measured across rate ×
+//! modulation × iterations and fit as
 //!
 //! ```text
 //! gap(dB) = base(iters) + 0.58·(bits_per_symbol − 2) + rate_penalty
@@ -143,7 +144,7 @@ mod tests {
     }
 
     /// Calibration checks against the full LDPC chain, at the corners
-    /// of the fitted surface (see examples/gap_probe.rs for the data).
+    /// of the fitted surface (the data is `figures bler_model`).
     #[test]
     fn bler_calibration_against_full_chain() {
         use crate::channel::AwgnChannel;

@@ -97,17 +97,6 @@ impl LogHistogram {
         self.max = self.max.max(v);
     }
 
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(v)] += n;
-        self.count += n;
-        self.sum += v as u128 * n as u128;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -528,23 +517,5 @@ mod tests {
         low.merge(&LogHistogram::new());
         assert_eq!(low.count(), before);
         assert_eq!(low.min(), Some(1));
-    }
-
-    #[test]
-    fn record_n_sum_does_not_overflow_u64() {
-        let mut h = LogHistogram::new();
-        // v * n = 2^40 * 2^26 = 2^66 > u64::MAX: the u128 accumulator
-        // must keep the mean exact where a u64 sum would have wrapped.
-        let v = 1u64 << 40;
-        let n = 1u64 << 26;
-        h.record_n(v, n);
-        assert_eq!(h.count(), n);
-        assert_eq!(h.mean(), Some(v as f64));
-        assert_eq!(h.min(), Some(v));
-        assert_eq!(h.max(), Some(v));
-        // n = 0 records nothing.
-        h.record_n(123, 0);
-        assert_eq!(h.count(), n);
-        assert_eq!(h.min(), Some(v));
     }
 }

@@ -86,7 +86,8 @@ pub enum TraceEventKind {
     /// `a` = consecutive missing streak, `b` = absolute slot.
     SlotDeadlineMiss = 16,
     /// A PHY finished uplink processing for a slot and delivered the
-    /// TTI. `a` = absolute slot, `b` = PHY server node id.
+    /// TTI. `a` = absolute slot, `b` = PHY id (`PhyConfig::phy_id`, the
+    /// id ownership attributes deliveries by; not the node id).
     UlSlotProcessed = 17,
     /// Orion accepted a FAPI uplink response from a PHY and forwarded it
     /// to L2. `a` = source PHY id, `b` = absolute slot. The chaos oracle

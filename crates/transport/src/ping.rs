@@ -64,15 +64,6 @@ impl PingApp {
             self.received as f64 / self.sent as f64
         }
     }
-
-    /// The largest RTT observed in a time window.
-    pub fn max_rtt_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        self.rtts
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, r)| *r)
-            .max()
-    }
 }
 
 impl UserApp for PingApp {
@@ -175,18 +166,5 @@ mod tests {
 
     fn echoed(e: &EchoResponder) -> u64 {
         e.echoed
-    }
-
-    #[test]
-    fn max_rtt_window() {
-        let mut ping = PingApp::new(Nanos(10 * MS), Nanos(0));
-        ping.rtts.push((Nanos(5 * MS), Nanos(20 * MS)));
-        ping.rtts.push((Nanos(15 * MS), Nanos(60 * MS)));
-        ping.rtts.push((Nanos(25 * MS), Nanos(30 * MS)));
-        assert_eq!(
-            ping.max_rtt_in(Nanos(0), Nanos(20 * MS)),
-            Some(Nanos(60 * MS))
-        );
-        assert_eq!(ping.max_rtt_in(Nanos(30 * MS), Nanos(40 * MS)), None);
     }
 }

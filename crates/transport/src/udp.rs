@@ -93,7 +93,7 @@ impl UserApp for UdpCbrSource {
     }
 }
 
-/// The receiving side: tracks per-bin goodput, loss, and one-way delay.
+/// The receiving side: tracks per-bin goodput and loss.
 #[derive(Debug)]
 pub struct UdpSink {
     pub bins: RateBins,
@@ -105,7 +105,6 @@ pub struct UdpSink {
     highest_seq: Option<u64>,
     pub total_rx: u64,
     pub total_lost: u64,
-    pub delay_samples: Vec<(Nanos, Nanos)>,
 }
 
 impl UdpSink {
@@ -117,7 +116,6 @@ impl UdpSink {
             highest_seq: None,
             total_rx: 0,
             total_lost: 0,
-            delay_samples: Vec::new(),
         }
     }
 
@@ -149,13 +147,12 @@ impl UdpSink {
 
 impl UserApp for UdpSink {
     fn on_packet(&mut self, now: Nanos, payload: &[u8]) {
-        let Some((seq, sent)) = decode_packet(payload) else {
+        let Some((seq, _)) = decode_packet(payload) else {
             return;
         };
         self.bins.record(now, payload.len() as u64);
         self.rx_packets.record(now, 1);
         self.total_rx += 1;
-        self.delay_samples.push((now, now.saturating_sub(sent)));
         match self.highest_seq {
             None => self.highest_seq = Some(seq),
             Some(h) if seq > h => {
@@ -255,13 +252,5 @@ mod tests {
         // Lose 30 packets in one bin.
         sink.on_packet(Nanos(15 * MS), &encode_packet(40, Nanos(0), 500));
         assert!(sink.max_bin_loss_rate() > 0.9);
-    }
-
-    #[test]
-    fn delay_samples_recorded() {
-        let mut sink = UdpSink::new(Nanos(0), Nanos(10 * MS));
-        sink.on_packet(Nanos(5 * MS), &encode_packet(0, Nanos(2 * MS), 100));
-        assert_eq!(sink.delay_samples.len(), 1);
-        assert_eq!(sink.delay_samples[0].1, Nanos(3 * MS));
     }
 }
