@@ -14,8 +14,8 @@
 //! `engine_bench` are the two standalone micro harnesses.
 //!
 //! It also holds the backend contract (DESIGN.md §5h): every kernel
-//! that has a SIMD arm (demap, BFP compress, BFP decompress, the LDPC
-//! batch decode) is timed as `DspKernels::scalar()` and
+//! that has a SIMD arm (demap, BFP compress, BFP decompress, AWGN, the
+//! LDPC batch decode) is timed as `DspKernels::scalar()` and
 //! `DspKernels::detect()` in this one process, interleaved, min-of-N,
 //! and the run fails when a detected non-scalar arm is not faster than
 //! the scalar code it duplicates. The LDPC arm's lanes run across the
@@ -39,7 +39,8 @@ use slingshot_phy_dsp::ldpc::BATCH_LANES;
 use slingshot_phy_dsp::modulation::modulate_packed_into;
 use slingshot_phy_dsp::scramble::{cached_sequence, descramble_llrs_packed, scramble_packed};
 use slingshot_phy_dsp::{
-    BitBuf, Cplx, DspKernels, KernelBackend, LdpcBlockOut, LdpcCode, LdpcScratch, Modulation,
+    AwgnChannel, BitBuf, Cplx, DspKernels, KernelBackend, LdpcBlockOut, LdpcCode, LdpcScratch,
+    Modulation,
 };
 use slingshot_sim::SimRng;
 
@@ -274,17 +275,25 @@ fn measure_kernels(budget: Duration) -> Measured {
     // codewords at mixed SNRs, so lanes retire at different iterations
     // and the batch runs as long as its slowest block (1 dB does not
     // converge in 8 iterations) — the shape a transport block has. The
-    // 3-of-8 row is the first three blocks with five lanes empty.
-    let batch_llrs: Vec<Vec<f32>> = [4.0f32, 6.0, 3.0, 8.0, 1.0, 5.0, 2.0, 4.0]
+    // blocks arrive in transmission order, as HARQ segments do, through
+    // a shuffled interleave. The 3-of-8 row is the first three blocks
+    // with five lanes empty.
+    let mut shuffle = SimRng::new(60);
+    let mut order: Vec<u32> = (0..code.n() as u32).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, shuffle.below(i as u64 + 1) as usize);
+    }
+    let batch_segs: Vec<Vec<f32>> = [4.0f32, 6.0, 3.0, 8.0, 1.0, 5.0, 2.0, 4.0]
         .iter()
         .enumerate()
         .map(|(lane, &snr_db)| {
             let mut cw = BitBuf::with_capacity(code.n());
             code.encode_packed(&random_bitbuf(1024, 40 + lane as u64), &mut cw);
-            bpsk_llrs(&cw, snr_db, 50 + lane as u64)
+            let llrs = bpsk_llrs(&cw, snr_db, 50 + lane as u64);
+            order.iter().map(|&v| llrs[v as usize]).collect()
         })
         .collect();
-    let batch_views: Vec<&[f32]> = batch_llrs.iter().map(|b| &b[..]).collect();
+    let batch_views: Vec<&[f32]> = batch_segs.iter().map(|b| &b[..]).collect();
     let mut out_s = vec![LdpcBlockOut::default(); BATCH_LANES];
     let mut out_d = out_s.clone();
     let mut scratch_s = LdpcScratch::default();
@@ -298,6 +307,7 @@ fn measure_kernels(budget: Duration) -> Measured {
             &mut || {
                 scalar.ldpc_decode_batch_into(
                     &code,
+                    &order,
                     black_box(views),
                     8,
                     &mut scratch_s,
@@ -308,6 +318,7 @@ fn measure_kernels(budget: Duration) -> Measured {
             &mut || {
                 kernels.ldpc_decode_batch_into(
                     &code,
+                    &order,
                     black_box(views),
                     8,
                     &mut scratch,
@@ -323,6 +334,22 @@ fn measure_kernels(budget: Duration) -> Measured {
             gated,
         );
     }
+
+    // AWGN over one 2 048-symbol chunk: the libm Box–Muller against the
+    // certified-polynomial arm (the same noise, DESIGN.md §5h).
+    let awgn_syms: Vec<Cplx> = syms.iter().cycle().take(2048).copied().collect();
+    let mut channel_s = AwgnChannel::new(SimRng::new(8));
+    let mut channel_d = AwgnChannel::new(SimRng::new(8));
+    let r = interleaved_min_us(
+        budget,
+        &mut || {
+            black_box(scalar.awgn_apply(&mut channel_s, black_box(&awgn_syms), 12.0));
+        },
+        &mut || {
+            black_box(kernels.awgn_apply(&mut channel_d, black_box(&awgn_syms), 12.0));
+        },
+    );
+    record_arm("awgn_2048", r, true);
     let (mut demod_s, mut demod_d): (Vec<f32>, Vec<f32>) = (Vec::new(), Vec::new());
     let r = interleaved_min_us(
         budget,

@@ -15,11 +15,13 @@
 //! it on this repo's own measurements (`kernel_bench` fails when a
 //! detected arm loses), so backend selection can never change a golden
 //! trace hash (`tests/kernel_equiv.rs` proves this per available
-//! backend). Demap, BFP and the LDPC *batch* decode carry an AVX2 arm
-//! (lanes across the code blocks of a batch, [`crate::ldpc::avx2`]);
-//! the single-block LDPC decode — the oracle the batch arm is held to —
-//! and AWGN are one scalar implementation on every backend and pass
-//! through here so callers keep a single seam.
+//! backend). Demap, BFP, AWGN and the LDPC *batch* decode carry an
+//! AVX2 arm: lanes across the code blocks of a batch
+//! ([`crate::ldpc::avx2`]), and for AWGN f64 polynomials whose every
+//! sample is certified to round to libm's f32 or recomputed with libm
+//! ([`crate::channel::avx2`]). The single-block LDPC decode — the oracle
+//! the batch arm is held to — is one scalar implementation on every
+//! backend and passes through here so callers keep a single seam.
 
 use crate::channel::AwgnChannel;
 use crate::iq::{BfpPrb, Cplx, SC_PER_PRB};
@@ -82,7 +84,7 @@ impl DspKernels {
     }
 
     #[inline]
-    fn use_avx2(&self) -> bool {
+    pub(crate) fn use_avx2(&self) -> bool {
         self.cfg.backend == KernelBackend::Avx2
     }
 
@@ -100,25 +102,31 @@ impl DspKernels {
     }
 
     /// LDPC decode of up to [`crate::ldpc::BATCH_LANES`] blocks of one
-    /// code; `out[b]` is bit-exactly what [`LdpcCode::decode_into`]
-    /// yields for `blocks[b]` on every backend. AVX2 runs the blocks in
-    /// lockstep, one per lane; a batch of one has no lanes to fill and
-    /// takes the scalar decoder, untransposed, like the scalar backend.
+    /// code, each given in transmission order: `order` is a permutation
+    /// of `0..n`, and block `b`'s codeword LLR `order[p]` is
+    /// `segs[b][p]`. `out[b]` is bit-exactly what
+    /// [`LdpcCode::decode_into`] yields for that codeword on every
+    /// backend. AVX2 runs the blocks in lockstep, one per lane, reading
+    /// the segments straight into the lanes; a batch of one has no lanes
+    /// to fill and takes the scalar decoder, like the scalar backend.
     pub fn ldpc_decode_batch_into(
         &self,
         code: &LdpcCode,
-        blocks: &[&[f32]],
+        order: &[u32],
+        segs: &[&[f32]],
         max_iters: usize,
         scratch: &mut LdpcScratch,
         out: &mut [LdpcBlockOut],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if self.use_avx2() && blocks.len() > 1 {
+        if self.use_avx2() && segs.len() > 1 {
             // SAFETY: backend is only Avx2 when the feature was detected.
-            unsafe { crate::ldpc::avx2::decode_batch_into(code, blocks, max_iters, scratch, out) };
+            unsafe {
+                crate::ldpc::avx2::decode_batch_into(code, order, segs, max_iters, scratch, out)
+            };
             return;
         }
-        code.decode_batch_into(blocks, max_iters, scratch, out);
+        code.decode_batch_into(order, segs, max_iters, scratch, out);
     }
 
     /// Max-log LLR demap into `out` (cleared first; bit-exact across
@@ -173,19 +181,22 @@ impl DspKernels {
         crate::iq::bfp_decompress_scalar(prb)
     }
 
-    /// AWGN at `snr_db` (serial): [`AwgnChannel::apply`] on every
-    /// backend — one noise source, so one realization per seed.
+    /// AWGN at `snr_db` (serial), [`AwgnChannel::apply`]. One noise
+    /// source, so one realization per seed: the scalar backend runs the
+    /// libm Box–Muller, and the AVX2 arm returns the same f32 noise
+    /// (polynomials certified per sample, libm where they cannot be).
     pub fn awgn_apply(
         &self,
         channel: &mut AwgnChannel,
         symbols: &[Cplx],
         snr_db: f64,
     ) -> (Vec<Cplx>, f32) {
-        channel.apply(symbols, snr_db)
+        channel.apply_on(*self, symbols, snr_db)
     }
 
     /// AWGN at `snr_db`, chunk-parallel over `pool` (worker-count
-    /// independent): [`AwgnChannel::apply_with`] on every backend.
+    /// independent), [`AwgnChannel::apply_with`]; the same noise on every
+    /// backend, as [`DspKernels::awgn_apply`].
     pub fn awgn_apply_with(
         &self,
         channel: &mut AwgnChannel,
@@ -193,7 +204,13 @@ impl DspKernels {
         symbols: &[Cplx],
         snr_db: f64,
     ) -> (Vec<Cplx>, f32) {
-        channel.apply_with(pool, symbols, snr_db)
+        channel.apply_with(*self, pool, symbols, snr_db)
+    }
+
+    /// Pure noise symbols, [`AwgnChannel::garbage`]; the same noise on
+    /// every backend, as [`DspKernels::awgn_apply`].
+    pub fn awgn_garbage(&self, channel: &mut AwgnChannel, len: usize) -> (Vec<Cplx>, f32) {
+        channel.garbage_on(*self, len)
     }
 
     /// Encode a transport block (serial).

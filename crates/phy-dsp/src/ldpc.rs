@@ -29,8 +29,9 @@
 //!
 //! [`LdpcCode::decode_into`] is the one scalar decoder and the oracle.
 //! [`LdpcCode::decode_batch_into`] decodes up to [`BATCH_LANES`] blocks
-//! *of the same code* and is defined as that decoder run once per
-//! block; its AVX2 arm ([`avx2`], reached through
+//! *of the same code*, read in transmission order through the
+//! interleave, and is defined as that decoder run once per block; its
+//! AVX2 arm ([`avx2`], reached through
 //! `DspKernels::ldpc_decode_batch_into`) runs the blocks in lockstep,
 //! one block per f32 lane. Every block of a batch shares this code's
 //! Tanner graph, so the row sweep walks the edge list once and each
@@ -98,23 +99,28 @@ pub struct LdpcScratch {
     pub total: Vec<f32>,
     pub hard: Vec<u8>,
     /// The lockstep batch decoder's check-to-variable messages (per
-    /// edge) and posteriors (per variable), lane-interleaved. Empty
-    /// until the first multi-block batch on the AVX2 backend.
+    /// edge) and posteriors (per variable), lane-interleaved, and the
+    /// posterior sign of each variable in each lane (bit `b` of byte
+    /// `v`). Empty until the first multi-block batch on the AVX2
+    /// backend; never zeroed after that (every decode writes each entry
+    /// before it reads it).
     #[cfg(target_arch = "x86_64")]
     lane_c2v: Vec<Lanes>,
     #[cfg(target_arch = "x86_64")]
     lane_total: Vec<Lanes>,
+    #[cfg(target_arch = "x86_64")]
+    signs: Vec<u8>,
 }
 
 /// One block's result from [`LdpcCode::decode_batch_into`]: what
 /// [`LdpcCode::decode_into`] returns, plus the hard-decision word it
-/// leaves in [`LdpcScratch::hard`] (`[..k]` info bits, `[k..n]` parity
-/// decisions).
+/// leaves in [`LdpcScratch::hard`], packed (`[..k]` info bits, `[k..n]`
+/// parity decisions).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LdpcBlockOut {
     pub parity_ok: bool,
     pub iterations: usize,
-    pub hard: Vec<u8>,
+    pub hard: BitBuf,
 }
 
 impl LdpcCode {
@@ -296,28 +302,31 @@ impl LdpcCode {
         scratch: &mut LdpcScratch,
     ) -> (bool, usize) {
         assert_eq!(channel_llrs.len(), self.n(), "llr length mismatch");
-        let m = self.m;
-        let edge_count = *self.row_start.last().unwrap() as usize;
+        // Posterior (total) LLR per variable.
+        scratch.total.clear();
+        scratch.total.extend_from_slice(channel_llrs);
+        let result = self.decode_totals(max_iters, scratch);
+        harden(&scratch.total, &mut scratch.hard);
+        result
+    }
 
+    /// The min-sum loop of [`LdpcCode::decode_into`], starting from the
+    /// channel LLRs already in `scratch.total` and leaving the final
+    /// posteriors there.
+    fn decode_totals(&self, max_iters: usize, scratch: &mut LdpcScratch) -> (bool, usize) {
+        let edge_count = *self.row_start.last().unwrap() as usize;
         // Check-to-variable messages, initialized to zero.
         scratch.c2v.clear();
         scratch.c2v.resize(edge_count, 0.0);
         // No zero-fill: each row sweep writes its `v2c` entries in the
         // first pass before the second reads them.
         scratch.v2c.resize(edge_count, 0.0);
-        // Posterior (total) LLR per variable.
-        scratch.total.clear();
-        scratch.total.extend_from_slice(channel_llrs);
-        let mut iters = 0;
 
         if self.parity_ok_totals(&scratch.total) {
-            harden(&scratch.total, &mut scratch.hard);
             return (true, 0);
         }
-
         for it in 1..=max_iters {
-            iters = it;
-            for row in 0..m {
+            for row in 0..self.m {
                 let (s, e) = (
                     self.row_start[row] as usize,
                     self.row_start[row + 1] as usize,
@@ -330,31 +339,46 @@ impl LdpcCode {
                 );
             }
             if self.parity_ok_totals(&scratch.total) {
-                harden(&scratch.total, &mut scratch.hard);
-                return (true, iters);
+                return (true, it);
             }
         }
-        harden(&scratch.total, &mut scratch.hard);
-        (false, iters)
+        (false, max_iters)
     }
 
-    /// Decode up to [`BATCH_LANES`] blocks of this code: `out[b]` gets
-    /// exactly what [`LdpcCode::decode_into`] yields for `blocks[b]`.
-    /// This is the definition — one `decode_into` per block, no copy
-    /// (the hard-decision buffer is swapped out of `scratch`); the
-    /// lockstep arm in [`avx2`] must match it bit for bit.
+    /// Decode up to [`BATCH_LANES`] blocks of this code, each given in
+    /// transmission order: `order` is a permutation of `0..n`, and block
+    /// `b`'s codeword LLR `order[p]` is `segs[b][p]`. `out[b]` gets
+    /// exactly what [`LdpcCode::decode_into`] yields for that codeword.
+    /// This is the definition — per block, the scatter straight into the
+    /// posteriors, then `decode_into`'s loop; the lockstep arm in
+    /// [`avx2`] must match it bit for bit.
     pub(crate) fn decode_batch_into(
         &self,
-        blocks: &[&[f32]],
+        order: &[u32],
+        segs: &[&[f32]],
         max_iters: usize,
         scratch: &mut LdpcScratch,
         out: &mut [LdpcBlockOut],
     ) {
-        assert!(blocks.len() <= BATCH_LANES, "batch wider than the lanes");
-        assert_eq!(out.len(), blocks.len(), "one result slot per block");
-        for (llrs, o) in blocks.iter().zip(out.iter_mut()) {
-            (o.parity_ok, o.iterations) = self.decode_into(llrs, max_iters, scratch);
-            std::mem::swap(&mut o.hard, &mut scratch.hard);
+        assert!(segs.len() <= BATCH_LANES, "batch wider than the lanes");
+        assert_eq!(out.len(), segs.len(), "one result slot per block");
+        assert_eq!(order.len(), self.n(), "interleave length mismatch");
+        for (seg, o) in segs.iter().zip(out.iter_mut()) {
+            assert_eq!(seg.len(), self.n(), "llr length mismatch");
+            // No clear: the permutation writes every posterior.
+            scratch.total.resize(self.n(), 0.0);
+            for (&l, &v) in seg.iter().zip(order) {
+                scratch.total[v as usize] = l;
+            }
+            (o.parity_ok, o.iterations) = self.decode_totals(max_iters, scratch);
+            o.hard.clear();
+            for chunk in scratch.total.chunks(64) {
+                let word = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (j, l)| w | ((*l < 0.0) as u64) << j);
+                o.hard.push_word(word, chunk.len());
+            }
         }
     }
 
@@ -470,7 +494,13 @@ fn row_sweep_scalar(vars: &[u32], c2v: &mut [f32], vc: &mut [f32], total: &mut [
 /// snapshotted into `out` then, exactly where `decode_into` returns.
 /// Retired lanes keep computing — their values are never read again —
 /// and the batch stops when no lane is live or at `max_iters`. Unused
-/// lanes hold all-zero LLRs and are never live.
+/// lanes repeat block 0 and are never live.
+///
+/// Input and output stay in lane layout: the tx-order segments are read
+/// in step, eight lanes per position, and stored through the interleave
+/// straight into the posteriors (no de-interleaved copy, no transpose,
+/// no zero fill), and the hard decisions leave packed from the sign
+/// bytes the parity pass writes.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use super::{Lanes, LdpcBlockOut, LdpcCode, LdpcScratch, BATCH_LANES, MIN_SUM_NORM};
@@ -481,47 +511,51 @@ pub(crate) mod avx2 {
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn decode_batch_into(
         code: &LdpcCode,
-        blocks: &[&[f32]],
+        order: &[u32],
+        segs: &[&[f32]],
         max_iters: usize,
         scratch: &mut LdpcScratch,
         out: &mut [LdpcBlockOut],
     ) {
-        assert!(blocks.len() <= BATCH_LANES, "batch wider than the lanes");
-        assert_eq!(out.len(), blocks.len(), "one result slot per block");
+        assert!(segs.len() <= BATCH_LANES, "batch wider than the lanes");
+        assert_eq!(out.len(), segs.len(), "one result slot per block");
         let n = code.n();
+        assert_eq!(order.len(), n, "interleave length mismatch");
+        for seg in segs {
+            assert_eq!(seg.len(), n, "llr length mismatch");
+        }
         let edge_count = *code.row_start.last().unwrap() as usize;
 
-        let c2v = &mut scratch.lane_c2v;
-        c2v.clear();
-        c2v.resize(edge_count, Lanes::default());
-        // Transpose the blocks into lanes; unused lanes stay 0.0.
-        let total = &mut scratch.lane_total;
-        total.clear();
-        total.resize(n, Lanes::default());
-        for llrs in blocks {
-            assert_eq!(llrs.len(), n, "llr length mismatch");
-        }
-        for (var, t) in total.iter_mut().enumerate() {
-            for (lane, llrs) in blocks.iter().enumerate() {
-                t.0[lane] = llrs[var];
-            }
+        // No zero-fill: the first sweep writes every message before any
+        // read (each edge is on one row), the permutation writes every
+        // posterior, and each parity pass every sign byte. `signs` is
+        // padded to whole 64-bit hard-decision words.
+        scratch.lane_c2v.resize(edge_count, Lanes::default());
+        scratch.lane_total.resize(n, Lanes::default());
+        scratch.signs.resize(n.next_multiple_of(64), 0);
+        let (c2v, total, signs) = (
+            &mut scratch.lane_c2v[..],
+            &mut scratch.lane_total[..],
+            &mut scratch.signs[..],
+        );
+        // Read the tx-order segments in step and store each position's
+        // eight lanes at its codeword index: one line written per
+        // position, where gathering by codeword index would touch eight.
+        // Unused lanes repeat block 0: never live, never read back.
+        let mut lanes = [segs[0]; BATCH_LANES];
+        lanes[..segs.len()].copy_from_slice(segs);
+        for (p, &v) in order.iter().enumerate() {
+            let [s0, s1, s2, s3, s4, s5, s6, s7] = lanes.map(|seg| seg[p]);
+            store(
+                &mut total[v as usize],
+                _mm256_setr_ps(s0, s1, s2, s3, s4, s5, s6, s7),
+            );
         }
 
         // Bit `b` set: block `b` has not passed parity yet.
-        let mut live = (1u32 << blocks.len()) - 1;
-        let mut retire = |lanes: u32, parity_ok: bool, iterations: usize, total: &[Lanes]| {
-            for (lane, o) in out.iter_mut().enumerate() {
-                if lanes & (1 << lane) != 0 {
-                    o.parity_ok = parity_ok;
-                    o.iterations = iterations;
-                    o.hard.clear();
-                    o.hard.extend(total.iter().map(|t| (t.0[lane] < 0.0) as u8));
-                }
-            }
-        };
-
-        let passed = live & parity_pass_mask(code, total, live);
-        retire(passed, true, 0, total);
+        let mut live = (1u32 << segs.len()) - 1;
+        let passed = live & parity_pass_mask(code, total, signs, live);
+        retire(passed, true, 0, signs, n, out);
         live &= !passed;
         for it in 1..=max_iters {
             if live == 0 {
@@ -532,15 +566,51 @@ pub(crate) mod avx2 {
                     code.row_start[row] as usize,
                     code.row_start[row + 1] as usize,
                 );
-                row_sweep(&code.edge_var[s..e], &mut c2v[s..e], total);
+                if it == 1 {
+                    row_sweep::<true>(&code.edge_var[s..e], &mut c2v[s..e], total);
+                } else {
+                    row_sweep::<false>(&code.edge_var[s..e], &mut c2v[s..e], total);
+                }
             }
-            let passed = live & parity_pass_mask(code, total, live);
-            retire(passed, true, it, total);
+            let passed = live & parity_pass_mask(code, total, signs, live);
+            retire(passed, true, it, signs, n, out);
             live &= !passed;
         }
         // Lanes still live ran out of iterations: `decode_into`'s
-        // `(false, max_iters)` exit.
-        retire(live, false, max_iters, total);
+        // `(false, max_iters)` exit. `signs` is from the last pass.
+        retire(live, false, max_iters, signs, n, out);
+    }
+
+    /// Snapshot the lanes in `lanes` into `out`: verdict, iteration
+    /// count, and the `n` hard decisions, packed 32 at a time from the
+    /// sign bytes (shift lane `b`'s bit to each byte's top, `movemask`).
+    #[target_feature(enable = "avx2")]
+    fn retire(
+        lanes: u32,
+        parity_ok: bool,
+        iterations: usize,
+        signs: &[u8],
+        n: usize,
+        out: &mut [LdpcBlockOut],
+    ) {
+        for (lane, o) in out.iter_mut().enumerate() {
+            if lanes & (1 << lane) == 0 {
+                continue;
+            }
+            o.parity_ok = parity_ok;
+            o.iterations = iterations;
+            o.hard.clear();
+            let to_top = _mm_cvtsi32_si128(7 - lane as i32);
+            let half = |bytes: &[u8]| {
+                // SAFETY: `bytes` is 32 bytes (a half of a 64-byte chunk).
+                let v = unsafe { _mm256_loadu_si256(bytes.as_ptr().cast()) };
+                _mm256_movemask_epi8(_mm256_sll_epi16(v, to_top)) as u32 as u64
+            };
+            for (w, chunk) in signs.chunks_exact(64).enumerate() {
+                let word = half(&chunk[..32]) | half(&chunk[32..]) << 32;
+                o.hard.push_word(word, (n - 64 * w).min(64));
+            }
+        }
     }
 
     #[inline]
@@ -559,19 +629,23 @@ pub(crate) mod avx2 {
     }
 
     /// One check-row sweep for all eight lanes: `row_sweep_scalar` with
-    /// every scalar a vector.
+    /// every scalar a vector. `FIRST` is the first iteration's sweep,
+    /// where `decode_into`'s messages are still its zero fill: it
+    /// subtracts a `+0.0` register instead of loading the (stale)
+    /// message, and the store then initialises it.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn row_sweep(vars: &[u32], c2v: &mut [Lanes], total: &mut [Lanes]) {
+    fn row_sweep<const FIRST: bool>(vars: &[u32], c2v: &mut [Lanes], total: &mut [Lanes]) {
         let zero = _mm256_setzero_ps();
         let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
         let sign_bit = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN));
+        let message = |msg: &Lanes| if FIRST { zero } else { load(msg) };
 
         let mut neg_parity = zero; // all-ones lanes where the parity is odd
         let mut min1 = _mm256_set1_ps(f32::INFINITY);
         let mut min2 = min1;
         for (&v, msg) in vars.iter().zip(c2v.iter()) {
-            let v2c = _mm256_sub_ps(load(&total[v as usize]), load(msg));
+            let v2c = _mm256_sub_ps(load(&total[v as usize]), message(msg));
             let a = _mm256_and_ps(v2c, abs_mask);
             neg_parity = _mm256_xor_ps(neg_parity, _mm256_cmp_ps::<_CMP_LT_OQ>(v2c, zero));
             let demoted = _mm256_max_ps(min1, a);
@@ -582,7 +656,7 @@ pub(crate) mod avx2 {
         let p1 = _mm256_mul_ps(norm, min1);
         let p2 = _mm256_mul_ps(norm, min2);
         for (&v, msg) in vars.iter().zip(c2v.iter_mut()) {
-            let v2c = _mm256_sub_ps(load(&total[v as usize]), load(msg));
+            let v2c = _mm256_sub_ps(load(&total[v as usize]), message(msg));
             let is_min = _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_and_ps(v2c, abs_mask), min1);
             let mag = _mm256_blendv_ps(p1, p2, is_min);
             let neg = _mm256_cmp_ps::<_CMP_LT_OQ>(v2c, zero);
@@ -594,28 +668,35 @@ pub(crate) mod avx2 {
     }
 
     /// Bit `b` set: lane `b`'s posterior signs satisfy every parity
-    /// check ([`LdpcCode::parity_ok_totals`] per lane). Stops at the
-    /// first row by which every lane in `live` has failed; bits outside
-    /// `live` are then unspecified.
+    /// check ([`LdpcCode::parity_ok_totals`] per lane). First writes
+    /// every variable's sign byte (`total < 0.0` per lane, one
+    /// `movemask`), then XORs bytes per row. Stops at the first row by
+    /// which every lane in `live` has failed; bits outside `live` are
+    /// then unspecified.
     #[target_feature(enable = "avx2")]
-    fn parity_pass_mask(code: &LdpcCode, total: &[Lanes], live: u32) -> u32 {
+    fn parity_pass_mask(code: &LdpcCode, total: &[Lanes], signs: &mut [u8], live: u32) -> u32 {
         let zero = _mm256_setzero_ps();
-        let neg_at = |v: usize| _mm256_cmp_ps::<_CMP_LT_OQ>(load(&total[v]), zero);
-        let mut failed = zero;
-        let mut prev = zero;
+        for (s, t) in signs.iter_mut().zip(total) {
+            *s = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(load(t), zero)) as u8;
+        }
+        let live = live as u8;
+        let mut failed = 0u8;
+        let mut prev = 0u8;
         for i in 0..code.m {
-            let cur = neg_at(code.k + i);
-            let mut acc = _mm256_xor_ps(prev, cur);
+            let cur = signs[code.k + i];
+            let mut acc = prev ^ cur;
             for &col in code.info_row(i) {
-                acc = _mm256_xor_ps(acc, neg_at(col as usize));
+                // SAFETY: construction stores only column indices < k,
+                // and `signs` holds at least n > k bytes.
+                acc ^= unsafe { *signs.get_unchecked(col as usize) };
             }
-            failed = _mm256_or_ps(failed, acc);
-            if _mm256_movemask_ps(failed) as u32 & live == live {
+            failed |= acc;
+            if failed & live == live {
                 break;
             }
             prev = cur;
         }
-        !(_mm256_movemask_ps(failed) as u32)
+        !failed as u32
     }
 }
 

@@ -276,25 +276,36 @@ pub fn scramble_packed(bits: &mut crate::bits::BitBuf, seq: &[u64], offset: usiz
 
 /// Descramble soft LLRs in place against packed sequence words starting
 /// at bit `offset`: where c(n)=1 the transmitted bit was flipped, so
-/// the LLR sign flips back.
+/// the LLR sign flips back. Branchless: each sequence bit becomes a
+/// sign-bit mask XORed into its LLR, which is exactly Rust's f32
+/// negation (a sign-bit flip, NaN and -0.0 included).
 pub fn descramble_llrs_packed(llrs: &mut [f32], seq: &[u64], offset: usize) {
-    let mut i = 0;
-    let n = llrs.len();
-    while i < n {
-        let take = (n - i).min(64);
-        let mut w = seq_word(seq, offset + i);
-        if take < 64 {
-            w &= (1u64 << take) - 1;
+    for (i, chunk) in llrs.chunks_mut(64).enumerate() {
+        let w = seq_word(seq, offset + 64 * i);
+        for (g, lanes) in chunk.chunks_mut(8).enumerate() {
+            let masks = &SIGN_MASKS[(w >> (8 * g)) as usize & 0xFF];
+            for (l, m) in lanes.iter_mut().zip(masks) {
+                *l = f32::from_bits(l.to_bits() ^ m);
+            }
         }
-        while w != 0 {
-            let j = w.trailing_zeros() as usize;
-            let l = &mut llrs[i + j];
-            *l = -*l;
-            w &= w - 1;
-        }
-        i += take;
     }
 }
+
+/// `SIGN_MASKS[b][j]` is the f32 sign bit if bit `j` of sequence byte
+/// `b` is set, else 0: one sequence byte expanded to eight lane masks.
+static SIGN_MASKS: [[u32; 8]; 256] = {
+    let mut table = [[0u32; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 8 {
+            table[b][j] = ((b as u32 >> j) & 1) << 31;
+            j += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// Scramble a bit vector (values 0/1) in place.
 pub fn scramble_bits(bits: &mut [u8], c_init: u32) {

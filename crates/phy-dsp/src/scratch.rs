@@ -1,8 +1,8 @@
 //! The thread's DSP workspace.
 //!
 //! Every job in the transport-block chain needs the same working set:
-//! demapped LLRs, the rate-recovered codeword view, packed-bit staging
-//! for the encoder and the LDPC decoder's message buffers. Allocating
+//! demapped LLRs, packed-bit staging for the encoder, the channel's
+//! uniform draws and the LDPC decoder's message buffers. Allocating
 //! those per TB per TTI is pure churn — the sizes recur every slot — so
 //! a job borrows the [`Workspace`] of the thread it runs on: it
 //! `take()`s [`WORKSPACE`] and `set()`s it back, and the next job on
@@ -32,9 +32,10 @@ pub(crate) struct Workspace {
     pub bits_a: BitBuf,
     /// Encode: the tx-ordered circular buffer.
     pub bits_b: BitBuf,
-    /// De-interleaved mother-codeword LLRs fed to the LDPC decoder, one
-    /// `n`-float run per block of the batch.
-    pub cw_llrs: Vec<f32>,
+    /// The AVX2 channel arm's serially drawn Box–Muller uniforms, one
+    /// draw block at a time.
+    pub awgn_u1: Vec<f64>,
+    pub awgn_u2: Vec<f64>,
     /// LDPC min-sum message buffers.
     pub ldpc: LdpcScratch,
     /// Per-block decode results.

@@ -54,7 +54,8 @@ thread_local! {
 }
 
 /// The LDPC code and its cached transmission (interleave) order for
-/// information length `k`.
+/// information length `k`: `order[pos]` is the codeword index sent at
+/// circular-buffer position `pos`.
 fn code_for(k: usize) -> CachedCode {
     CODE_CACHE.with(|c| {
         c.borrow_mut()
@@ -338,12 +339,9 @@ pub fn decode_tb_with(
                 let seq = Arc::clone(&seq);
                 move || {
                     let k = batch[0].k;
-                    let n = 3 * k;
                     let (code, order) = code_for(k);
                     let mut s = WORKSPACE.take();
-                    s.cw_llrs.clear();
-                    s.cw_llrs.resize(batch.len() * n, 0.0);
-                    for (b, cw_llrs) in batch.iter_mut().zip(s.cw_llrs.chunks_exact_mut(n)) {
+                    for b in batch.iter_mut() {
                         kernels.demodulate_llr_into(
                             &b.syms,
                             modulation,
@@ -360,22 +358,21 @@ pub fn decode_tb_with(
                         s.llr_e.resize(b.e, 0.0);
                         descramble_llrs_packed(&mut s.llr_e, &seq, b.offset_e);
                         // The HARQ accumulator lives in transmission
-                        // (interleaved) order; de-interleave into the
-                        // decoder's codeword view.
+                        // (interleaved) order; the decoder reads it
+                        // through the interleave, straight into its
+                        // posteriors.
                         rate_recover(&mut b.seg, &s.llr_e, rv);
-                        for (pos, &cw_idx) in order.iter().enumerate() {
-                            cw_llrs[cw_idx as usize] = b.seg[pos];
-                        }
                     }
-                    let mut views: [&[f32]; BATCH_LANES] = [&[]; BATCH_LANES];
-                    for (view, cw_llrs) in views.iter_mut().zip(s.cw_llrs.chunks_exact(n)) {
-                        *view = cw_llrs;
+                    let mut segs: [&[f32]; BATCH_LANES] = [&[]; BATCH_LANES];
+                    for (view, b) in segs.iter_mut().zip(&batch) {
+                        *view = &b.seg;
                     }
                     s.out.resize_with(BATCH_LANES, Default::default);
                     let ldpc_start = std::time::Instant::now();
                     kernels.ldpc_decode_batch_into(
                         &code,
-                        &views[..batch.len()],
+                        &order,
+                        &segs[..batch.len()],
                         fec_iterations,
                         &mut s.ldpc,
                         &mut s.out[..batch.len()],
@@ -384,10 +381,7 @@ pub fn decode_tb_with(
                     let decoded: Vec<DecodedBlock> = batch
                         .into_iter()
                         .zip(&s.out)
-                        .map(|(b, o)| {
-                            let info = BitBuf::from_bits(&o.hard[..k]);
-                            (b.seg, info, o.iterations, o.parity_ok)
-                        })
+                        .map(|(b, o)| (b.seg, o.hard.slice(0, k), o.iterations, o.parity_ok))
                         .collect();
                     WORKSPACE.set(s);
                     (decoded, ldpc_ns)
@@ -665,7 +659,7 @@ mod tests {
 
         let held = WORKSPACE.take();
         assert!(
-            held.cw_llrs.capacity() > 0,
+            held.llr_e.capacity() > 0,
             "the first run used and returned it"
         );
         let syms_taken = encode_tb(&data, &p);

@@ -25,7 +25,7 @@ use slingshot_phy_dsp::scramble::{
 };
 use slingshot_phy_dsp::Cplx;
 use slingshot_phy_dsp::{mother_buffer_len, DspKernels, KernelBackend, TbParams};
-use slingshot_sim::SimRng;
+use slingshot_sim::{SimRng, WorkerPool};
 
 // ---------------------------------------------------------------- CRC
 
@@ -147,10 +147,26 @@ proptest! {
 
     #[test]
     fn packed_descramble_matches_scalar(
-        llrs in proptest::collection::vec(-8.0f32..8.0, 0..1200),
+        mut llrs in proptest::collection::vec(-8.0f32..8.0, 0..1200),
         c_init in any::<u32>(),
         offset in 0usize..200,
+        seed in any::<u64>(),
     ) {
+        // A sprinkle of the values where a sign flip is not a
+        // subtraction: ±0.0, ±∞ and NaN (with a payload).
+        let mut rng = SimRng::new(seed);
+        for _ in 0..llrs.len() / 8 {
+            let special = [
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                f32::from_bits(0xFFC0_1234),
+            ];
+            let at = rng.below(llrs.len() as u64) as usize;
+            llrs[at] = special[rng.below(special.len() as u64) as usize];
+        }
         let mut expect = llrs.clone();
         let mut g = GoldSequence::new(c_init);
         g.skip(offset);
@@ -703,6 +719,59 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn awgn_bit_exact_across_backends(seed in any::<u64>(), snr_db in -20.0f64..60.0) {
+        let pool = WorkerPool::with_threads(2);
+        // Lengths around the 2 048-sample draw block and chunk: empty,
+        // one, one short, exact, one over, and several chunks plus a
+        // short last quad.
+        for len in [0usize, 1, 2047, 2048, 2049, 3 * 2048 + 17] {
+            let mut rng = SimRng::new(seed ^ len as u64);
+            let symbols: Vec<Cplx> = (0..len)
+                .map(|_| Cplx::new(rng.gaussian() as f32, rng.gaussian() as f32))
+                .collect();
+            let run = |kernels: DspKernels| {
+                let mut ch = AwgnChannel::new(SimRng::new(seed ^ 0xA96));
+                let (serial, nv) = kernels.awgn_apply(&mut ch, &symbols, snr_db);
+                let (chunked, nv_chunked) =
+                    kernels.awgn_apply_with(&mut ch, &pool, &symbols, snr_db);
+                let (garbage, _) = kernels.awgn_garbage(&mut ch, len);
+                let bits = |v: &[Cplx]| -> Vec<(u32, u32)> {
+                    v.iter().map(|s| (s.re.to_bits(), s.im.to_bits())).collect()
+                };
+                (bits(&serial), bits(&chunked), bits(&garbage), nv.to_bits(), nv_chunked.to_bits())
+            };
+            let expect = run(DspKernels::scalar());
+            prop_assert_eq!(expect.0.len(), len);
+            for backend in KernelBackend::all_available() {
+                let got = run(DspKernels::forced(backend));
+                prop_assert!(got.0 == expect.0, "apply differs on {} (len {})", backend, len);
+                prop_assert!(got.1 == expect.1, "apply_with differs on {} (len {})", backend, len);
+                prop_assert!(got.2 == expect.2, "garbage differs on {} (len {})", backend, len);
+                prop_assert_eq!((got.3, got.4), (expect.3, expect.4));
+            }
+        }
+    }
+}
+
+/// `n` codeword indices in a random transmission order: `order[p]` is
+/// the codeword index at tx position `p`.
+fn random_interleave(n: usize, rng: &mut SimRng) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    order
+}
+
+/// `llrs` (codeword order) laid out in tx order.
+fn to_tx_order(llrs: &[f32], order: &[u32]) -> Vec<f32> {
+    order.iter().map(|&v| llrs[v as usize]).collect()
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
@@ -750,23 +819,49 @@ proptest! {
                 llrs
             })
             .collect();
-        let views: Vec<&[f32]> = blocks.iter().map(|b| &b[..]).collect();
+        // The batch entry reads tx-order segments through the
+        // interleave.
+        let order = random_interleave(n, &mut rng);
+        let segs: Vec<Vec<f32>> = blocks.iter().map(|b| to_tx_order(b, &order)).collect();
+        let views: Vec<&[f32]> = segs.iter().map(|b| &b[..]).collect();
         let mut scratch = LdpcScratch::default();
         let expect: Vec<LdpcBlockOut> = blocks
             .iter()
             .map(|llrs| {
                 let (parity_ok, iterations) = code.decode_into(llrs, max_iters, &mut scratch);
-                LdpcBlockOut { parity_ok, iterations, hard: scratch.hard.clone() }
+                LdpcBlockOut { parity_ok, iterations, hard: BitBuf::from_bits(&scratch.hard) }
             })
             .collect();
+        // A larger code's full batch leaves every lane buffer of the
+        // scratch dirty (messages, posteriors, sign bytes) past what
+        // this batch uses: nothing of it may leak into the result.
+        let big = LdpcCode::new(k + 1 + rng.below(64) as usize);
+        let big_order = random_interleave(big.n(), &mut rng);
+        let big_segs: Vec<Vec<f32>> = (0..BATCH_LANES)
+            .map(|_| (0..big.n()).map(|_| 4.0 * rng.gaussian() as f32 - 1.0).collect())
+            .collect();
+        let big_views: Vec<&[f32]> = big_segs.iter().map(|b| &b[..]).collect();
+        let mut big_out = vec![LdpcBlockOut::default(); BATCH_LANES];
         for backend in KernelBackend::all_available() {
+            let kernels = DspKernels::forced(backend);
+            kernels.ldpc_decode_batch_into(
+                &big,
+                &big_order,
+                &big_views,
+                3,
+                &mut scratch,
+                &mut big_out,
+            );
             // Result slots arrive dirty, as they do from a reused arena.
             let mut got = vec![
-                LdpcBlockOut { parity_ok: true, iterations: 99, hard: vec![7; 5] };
+                LdpcBlockOut {
+                    parity_ok: true,
+                    iterations: 99,
+                    hard: BitBuf::from_bits(&[1, 0, 1, 1, 1]),
+                };
                 batch
             ];
-            DspKernels::forced(backend)
-                .ldpc_decode_batch_into(&code, &views, max_iters, &mut scratch, &mut got);
+            kernels.ldpc_decode_batch_into(&code, &order, &views, max_iters, &mut scratch, &mut got);
             for (lane, (g, e)) in got.iter().zip(&expect).enumerate() {
                 prop_assert_eq!(g.hard.len(), n);
                 prop_assert_eq!(g, e, "lane {} of {} on {}", lane, batch, backend);

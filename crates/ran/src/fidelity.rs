@@ -364,8 +364,8 @@ pub(crate) fn encode_signal_with(
 
 /// Pass a signal through the channel at `snr_db` with chunk-parallel
 /// noise generation (per-chunk RNG streams: the same realization for
-/// any worker count). AWGN generation goes through the `kernels` seam;
-/// it is one scalar noise source on every backend.
+/// any worker count). AWGN generation goes through the `kernels` seam:
+/// one noise source, the same f32 noise on every backend.
 pub(crate) fn apply_channel_with(
     dsp: &DspEnv,
     signal: &mut TbSignal,
