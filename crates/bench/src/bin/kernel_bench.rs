@@ -21,7 +21,9 @@
 //! the scalar code it duplicates. The LDPC arm's lanes run across the
 //! blocks of a batch, so its speed-up is a function of how many lanes
 //! are filled: the full batch is gated, a 3-of-8 batch is reported
-//! beside it so the break-even occupancy stays on record.
+//! beside it so the break-even occupancy stays on record, and a full
+//! batch whose blocks all converge within 1-4 iterations is gated too,
+//! because there the per-iteration parity check is a larger share.
 //!
 //! JSON artifact: `kernel_bench.json` in `$BENCH_JSON_DIR`, scalars
 //! keyed `<kernel>_ops_per_sec` plus `<kernel>_us` per-op times, and
@@ -177,9 +179,9 @@ fn measure_kernels(budget: Duration) -> Measured {
     report.label("backend", kernels.name());
     let mut measured: Vec<(String, f64)> = Vec::new();
 
-    println!("{:<28} {:>14} {:>12}", "kernel", "ops/sec", "µs/op");
+    println!("{:<36} {:>14} {:>12}", "kernel", "ops/sec", "µs/op");
     let mut record = |key: &str, (ops, us): (f64, f64), report: &mut BenchReport| {
-        println!("{key:<28} {ops:>14.0} {us:>12.2}");
+        println!("{key:<36} {ops:>14.0} {us:>12.2}");
         report.scalar(&format!("{key}_ops_per_sec"), ops);
         report.scalar(&format!("{key}_us"), us);
         measured.push((key.to_string(), ops));
@@ -274,34 +276,47 @@ fn measure_kernels(budget: Duration) -> Measured {
     // LDPC batch decode at the production block size, per block: eight
     // codewords at mixed SNRs, so lanes retire at different iterations
     // and the batch runs as long as its slowest block (1 dB does not
-    // converge in 8 iterations) — the shape a transport block has. The
-    // blocks arrive in transmission order, as HARQ segments do, through
-    // a shuffled interleave. The 3-of-8 row is the first three blocks
-    // with five lanes empty.
+    // converge in 8 iterations). The blocks arrive in transmission
+    // order, as HARQ segments do, through a shuffled interleave. The
+    // 3-of-8 row is the first three blocks with five lanes empty. The
+    // converging row is the same codewords at SNRs where every block
+    // decodes within 1-4 iterations (1.9 per block, 4 per batch):
+    // `full_ul`'s shape, where lanes pass late, so the per-iteration
+    // parity check costs what it costs in a slot.
     let mut shuffle = SimRng::new(60);
     let mut order: Vec<u32> = (0..code.n() as u32).collect();
     for i in (1..order.len()).rev() {
         order.swap(i, shuffle.below(i as u64 + 1) as usize);
     }
-    let batch_segs: Vec<Vec<f32>> = [4.0f32, 6.0, 3.0, 8.0, 1.0, 5.0, 2.0, 4.0]
-        .iter()
-        .enumerate()
-        .map(|(lane, &snr_db)| {
-            let mut cw = BitBuf::with_capacity(code.n());
-            code.encode_packed(&random_bitbuf(1024, 40 + lane as u64), &mut cw);
-            let llrs = bpsk_llrs(&cw, snr_db, 50 + lane as u64);
-            order.iter().map(|&v| llrs[v as usize]).collect()
-        })
-        .collect();
-    let batch_views: Vec<&[f32]> = batch_segs.iter().map(|b| &b[..]).collect();
+    let batch_at = |snrs_db: [f32; BATCH_LANES]| -> Vec<Vec<f32>> {
+        snrs_db
+            .iter()
+            .enumerate()
+            .map(|(lane, &snr_db)| {
+                let mut cw = BitBuf::with_capacity(code.n());
+                code.encode_packed(&random_bitbuf(1024, 40 + lane as u64), &mut cw);
+                let llrs = bpsk_llrs(&cw, snr_db, 50 + lane as u64);
+                order.iter().map(|&v| llrs[v as usize]).collect()
+            })
+            .collect()
+    };
+    let mixed = batch_at([4.0, 6.0, 3.0, 8.0, 1.0, 5.0, 2.0, 4.0]);
+    let converging = batch_at([8.0, 6.0, 5.0, 4.0, 7.0, 3.5, 6.0, 3.0]);
+    let mixed_views: Vec<&[f32]> = mixed.iter().map(Vec::as_slice).collect();
+    let converging_views: Vec<&[f32]> = converging.iter().map(Vec::as_slice).collect();
     let mut out_s = vec![LdpcBlockOut::default(); BATCH_LANES];
     let mut out_d = out_s.clone();
     let mut scratch_s = LdpcScratch::default();
-    for (kernel, lanes, gated) in [
-        ("ldpc_decode_batch8_k1024", BATCH_LANES, true),
-        ("ldpc_decode_batch3of8_k1024", 3, false),
+    for (kernel, views, gated) in [
+        ("ldpc_decode_batch8_k1024", &mixed_views[..], true),
+        ("ldpc_decode_batch3of8_k1024", &mixed_views[..3], false),
+        (
+            "ldpc_decode_batch8_converging_k1024",
+            &converging_views[..],
+            true,
+        ),
     ] {
-        let views = &batch_views[..lanes];
+        let lanes = views.len();
         let (scalar_us, detected_us) = interleaved_min_us(
             budget,
             &mut || {
@@ -390,7 +405,7 @@ fn measure_kernels(budget: Duration) -> Measured {
     record_arm("bfp_decompress_prb", r, true);
 
     println!(
-        "\n{:<28} {:>12} {:>12} {:>9}",
+        "\n{:<36} {:>12} {:>12} {:>9}",
         "backend arm",
         "scalar µs",
         format!("{} µs", kernels.name()),
@@ -398,7 +413,7 @@ fn measure_kernels(budget: Duration) -> Measured {
     );
     for a in &arms {
         println!(
-            "{:<28} {:>12.3} {:>12.3} {:>8.2}x{}",
+            "{:<36} {:>12.3} {:>12.3} {:>8.2}x{}",
             a.kernel,
             a.scalar_us,
             a.detected_us,

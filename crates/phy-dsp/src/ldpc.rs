@@ -38,7 +38,10 @@
 //! posterior / message is one contiguous 8-float vector — no gathers —
 //! and each lane computes exactly what [`row_sweep_scalar`] computes,
 //! in its order, so a lane's result is bit-identical to `decode_into`
-//! on that block alone (DESIGN.md §5h).
+//! on that block alone (DESIGN.md §5h). Its per-iteration parity check
+//! is the encoder's column scatter run on posterior sign bytes: one
+//! exact syndrome for all eight lanes, where `decode_into` walks the
+//! rows of its one block.
 
 use crate::bits::BitBuf;
 use slingshot_sim::SimRng;
@@ -67,7 +70,8 @@ pub struct LdpcCode {
     k: usize,
     m: usize,
     /// The three check rows of each information column, in draw order:
-    /// the encoder's column scatter.
+    /// the encoder's column scatter, and the lockstep decoder's parity
+    /// check.
     col_rows: Vec<[u32; 3]>,
     /// CSR over the full Tanner graph: variables on row `i`'s edges are
     /// `edge_var[row_start[i]..row_start[i+1]]` — info columns first,
@@ -99,9 +103,10 @@ pub struct LdpcScratch {
     pub total: Vec<f32>,
     pub hard: Vec<u8>,
     /// The lockstep batch decoder's check-to-variable messages (per
-    /// edge) and posteriors (per variable), lane-interleaved, and the
+    /// edge) and posteriors (per variable), lane-interleaved, the
     /// posterior sign of each variable in each lane (bit `b` of byte
-    /// `v`). Empty until the first multi-block batch on the AVX2
+    /// `v`), and each check row's syndrome in each lane (bit `b` of byte
+    /// `i`). Empty until the first multi-block batch on the AVX2
     /// backend; never zeroed after that (every decode writes each entry
     /// before it reads it).
     #[cfg(target_arch = "x86_64")]
@@ -110,6 +115,8 @@ pub struct LdpcScratch {
     lane_total: Vec<Lanes>,
     #[cfg(target_arch = "x86_64")]
     signs: Vec<u8>,
+    #[cfg(target_arch = "x86_64")]
+    syndrome: Vec<u8>,
 }
 
 /// One block's result from [`LdpcCode::decode_batch_into`]: what
@@ -528,15 +535,18 @@ pub(crate) mod avx2 {
 
         // No zero-fill: the first sweep writes every message before any
         // read (each edge is on one row), the permutation writes every
-        // posterior, and each parity pass every sign byte. `signs` is
-        // padded to whole 64-bit hard-decision words.
+        // posterior, and each parity pass every sign byte and every
+        // syndrome byte. `signs` is padded to whole 64-bit hard-decision
+        // words.
         scratch.lane_c2v.resize(edge_count, Lanes::default());
         scratch.lane_total.resize(n, Lanes::default());
         scratch.signs.resize(n.next_multiple_of(64), 0);
-        let (c2v, total, signs) = (
+        scratch.syndrome.resize(code.m, 0);
+        let (c2v, total, signs, syndrome) = (
             &mut scratch.lane_c2v[..],
             &mut scratch.lane_total[..],
             &mut scratch.signs[..],
+            &mut scratch.syndrome[..code.m],
         );
         // Read the tx-order segments in step and store each position's
         // eight lanes at its codeword index: one line written per
@@ -554,25 +564,19 @@ pub(crate) mod avx2 {
 
         // Bit `b` set: block `b` has not passed parity yet.
         let mut live = (1u32 << segs.len()) - 1;
-        let passed = live & parity_pass_mask(code, total, signs, live);
+        let passed = live & parity_pass_mask(code, total, signs, syndrome);
         retire(passed, true, 0, signs, n, out);
         live &= !passed;
         for it in 1..=max_iters {
             if live == 0 {
                 break;
             }
-            for row in 0..code.m {
-                let (s, e) = (
-                    code.row_start[row] as usize,
-                    code.row_start[row + 1] as usize,
-                );
-                if it == 1 {
-                    row_sweep::<true>(&code.edge_var[s..e], &mut c2v[s..e], total);
-                } else {
-                    row_sweep::<false>(&code.edge_var[s..e], &mut c2v[s..e], total);
-                }
+            if it == 1 {
+                sweep::<true>(code, c2v, total);
+            } else {
+                sweep::<false>(code, c2v, total);
             }
-            let passed = live & parity_pass_mask(code, total, signs, live);
+            let passed = live & parity_pass_mask(code, total, signs, syndrome);
             retire(passed, true, it, signs, n, out);
             live &= !passed;
         }
@@ -628,14 +632,51 @@ pub(crate) mod avx2 {
         unsafe { _mm256_store_ps(l.0.as_mut_ptr(), v) }
     }
 
-    /// One check-row sweep for all eight lanes: `row_sweep_scalar` with
-    /// every scalar a vector. `FIRST` is the first iteration's sweep,
-    /// where `decode_into`'s messages are still its zero fill: it
-    /// subtracts a `+0.0` register instead of loading the (stale)
-    /// message, and the store then initialises it.
+    /// One min-sum iteration over every check row, in row order. Row
+    /// `i`'s staircase edges, parity `k+i` and then `k+i-1` (`i > 0`),
+    /// are the last of its edge run and are addressed by position: only
+    /// the information columns are read from the edge list.
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn row_sweep<const FIRST: bool>(vars: &[u32], c2v: &mut [Lanes], total: &mut [Lanes]) {
+    fn sweep<const FIRST: bool>(code: &LdpcCode, c2v: &mut [Lanes], total: &mut [Lanes]) {
+        let (info_total, parity) = total.split_at_mut(code.k);
+        let edges = |row: usize| code.row_start[row] as usize..code.row_start[row + 1] as usize;
+        let r = edges(0);
+        let Some((info_msgs, [cur_msg])) = c2v[r.clone()].split_last_chunk_mut() else {
+            unreachable!("row 0 ends in parity k");
+        };
+        let info = &code.edge_var[r.start..r.end - 1];
+        row_sweep::<FIRST, 1>(info, info_msgs, info_total, [(&mut parity[0], cur_msg)]);
+        for row in 1..code.m {
+            let r = edges(row);
+            let Some((info_msgs, [cur_msg, prev_msg])) = c2v[r.clone()].split_last_chunk_mut()
+            else {
+                unreachable!("row i > 0 ends in parity k+i, k+i-1");
+            };
+            let [prev, cur] = &mut parity[row - 1..row + 1] else {
+                unreachable!("a two-element range");
+            };
+            let info = &code.edge_var[r.start..r.end - 2];
+            let stair = [(cur, cur_msg), (prev, prev_msg)];
+            row_sweep::<FIRST, 2>(info, info_msgs, info_total, stair);
+        }
+    }
+
+    /// One check-row sweep for all eight lanes: `row_sweep_scalar` with
+    /// every scalar a vector, over the row's information edges (`info`
+    /// into `info_total`, messages `info_msgs`) and then its `P`
+    /// staircase edges (posterior, message) in edge order. `FIRST` is
+    /// the first iteration's sweep, where `decode_into`'s messages are
+    /// still its zero fill: it subtracts a `+0.0` register instead of
+    /// loading the (stale) message, and the store then initialises it.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn row_sweep<const FIRST: bool, const P: usize>(
+        info: &[u32],
+        info_msgs: &mut [Lanes],
+        info_total: &mut [Lanes],
+        stair: [(&mut Lanes, &mut Lanes); P],
+    ) {
         let zero = _mm256_setzero_ps();
         let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
         let sign_bit = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN));
@@ -644,59 +685,77 @@ pub(crate) mod avx2 {
         let mut neg_parity = zero; // all-ones lanes where the parity is odd
         let mut min1 = _mm256_set1_ps(f32::INFINITY);
         let mut min2 = min1;
-        for (&v, msg) in vars.iter().zip(c2v.iter()) {
-            let v2c = _mm256_sub_ps(load(&total[v as usize]), message(msg));
+        let mut fold = |v2c: __m256| {
             let a = _mm256_and_ps(v2c, abs_mask);
             neg_parity = _mm256_xor_ps(neg_parity, _mm256_cmp_ps::<_CMP_LT_OQ>(v2c, zero));
             let demoted = _mm256_max_ps(min1, a);
             min1 = _mm256_min_ps(a, min1);
             min2 = _mm256_min_ps(demoted, min2);
+        };
+        for (&v, msg) in info.iter().zip(info_msgs.iter()) {
+            fold(_mm256_sub_ps(load(&info_total[v as usize]), message(msg)));
         }
+        for (t, msg) in &stair {
+            fold(_mm256_sub_ps(load(t), message(msg)));
+        }
+        // The row's sign parity goes into both magnitudes once, so an
+        // edge's message is its magnitude XOR its own sign: the same
+        // bits as `mag ^ (neg_parity ^ neg)`.
         let norm = _mm256_set1_ps(MIN_SUM_NORM);
-        let p1 = _mm256_mul_ps(norm, min1);
-        let p2 = _mm256_mul_ps(norm, min2);
-        for (&v, msg) in vars.iter().zip(c2v.iter_mut()) {
-            let v2c = _mm256_sub_ps(load(&total[v as usize]), message(msg));
+        let row_sign = _mm256_and_ps(neg_parity, sign_bit);
+        let p1 = _mm256_xor_ps(_mm256_mul_ps(norm, min1), row_sign);
+        let p2 = _mm256_xor_ps(_mm256_mul_ps(norm, min2), row_sign);
+        let update = |t: &mut Lanes, msg: &mut Lanes| {
+            let v2c = _mm256_sub_ps(load(t), message(msg));
             let is_min = _mm256_cmp_ps::<_CMP_EQ_OQ>(_mm256_and_ps(v2c, abs_mask), min1);
-            let mag = _mm256_blendv_ps(p1, p2, is_min);
             let neg = _mm256_cmp_ps::<_CMP_LT_OQ>(v2c, zero);
-            let sign = _mm256_and_ps(_mm256_xor_ps(neg_parity, neg), sign_bit);
-            let new_c2v = _mm256_xor_ps(mag, sign);
-            store(&mut total[v as usize], _mm256_add_ps(v2c, new_c2v));
+            let new_c2v = _mm256_xor_ps(
+                _mm256_blendv_ps(p1, p2, is_min),
+                _mm256_and_ps(neg, sign_bit),
+            );
+            store(t, _mm256_add_ps(v2c, new_c2v));
             store(msg, new_c2v);
+        };
+        for (&v, msg) in info.iter().zip(info_msgs.iter_mut()) {
+            update(&mut info_total[v as usize], msg);
+        }
+        for (t, msg) in stair {
+            update(t, msg);
         }
     }
 
     /// Bit `b` set: lane `b`'s posterior signs satisfy every parity
-    /// check ([`LdpcCode::parity_ok_totals`] per lane). First writes
-    /// every variable's sign byte (`total < 0.0` per lane, one
-    /// `movemask`), then XORs bytes per row. Stops at the first row by
-    /// which every lane in `live` has failed; bits outside `live` are
-    /// then unspecified.
+    /// check ([`LdpcCode::parity_ok_totals`] per lane), exact for all
+    /// eight lanes. First writes every variable's sign byte (`total <
+    /// 0.0` per lane, one `movemask`), then each row's syndrome byte:
+    /// the staircase term `sign[k+i] ^ sign[k+i-1]` (`sign[k]` for row
+    /// 0), then each information column's sign byte XORed into its three
+    /// rows through `col_rows`, the encoder's scatter; then an OR over
+    /// the rows. No row walk and no early exit: a pass costs the same
+    /// whichever lanes fail, and no loop's length depends on a row's
+    /// degree.
     #[target_feature(enable = "avx2")]
-    fn parity_pass_mask(code: &LdpcCode, total: &[Lanes], signs: &mut [u8], live: u32) -> u32 {
+    fn parity_pass_mask(
+        code: &LdpcCode,
+        total: &[Lanes],
+        signs: &mut [u8],
+        syndrome: &mut [u8],
+    ) -> u32 {
         let zero = _mm256_setzero_ps();
         for (s, t) in signs.iter_mut().zip(total) {
             *s = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(load(t), zero)) as u8;
         }
-        let live = live as u8;
-        let mut failed = 0u8;
-        let mut prev = 0u8;
-        for i in 0..code.m {
-            let cur = signs[code.k + i];
-            let mut acc = prev ^ cur;
-            for &col in code.info_row(i) {
-                // SAFETY: construction stores only column indices < k,
-                // and `signs` holds at least n > k bytes.
-                acc ^= unsafe { *signs.get_unchecked(col as usize) };
-            }
-            failed |= acc;
-            if failed & live == live {
-                break;
-            }
-            prev = cur;
+        let parity = &signs[code.k..code.n()];
+        syndrome[0] = parity[0];
+        for ((syn, &cur), &prev) in syndrome[1..].iter_mut().zip(&parity[1..]).zip(parity) {
+            *syn = cur ^ prev;
         }
-        !failed as u32
+        for (&sign, rows) in signs.iter().zip(&code.col_rows) {
+            for &r in rows {
+                syndrome[r as usize] ^= sign;
+            }
+        }
+        !syndrome.iter().fold(0u8, |failed, &syn| failed | syn) as u32
     }
 }
 

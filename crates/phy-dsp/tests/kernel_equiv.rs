@@ -777,11 +777,15 @@ proptest! {
     #[test]
     fn ldpc_batch_matches_per_block_decode(
         k in 8usize..220,
+        k_idx in 0usize..16,
         seed in any::<u64>(),
         batch in 1usize..BATCH_LANES + 1,
         iters_idx in 0usize..4,
     ) {
         let max_iters = [0usize, 1, 8, 30][iters_idx];
+        // Besides the range, m = 2k that is not a multiple of 32 or 64
+        // at the smallest codes and at the production size.
+        let k = [8, 9, 1019].get(k_idx).copied().unwrap_or(k);
         let code = LdpcCode::new(k);
         let n = code.n();
         let mut rng = SimRng::new(seed);
@@ -791,12 +795,18 @@ proptest! {
         // the chain and a saturated demapper feed the decoder:
         // punctured / erased positions (0.0), -0.0, ±INFINITY and NaN
         // (which the compares and the min/max folds must skip exactly
-        // as the scalar selects do).
+        // as the scalar selects do). The fifth class is a noiseless
+        // codeword with one sign flipped, in an information column, in
+        // parity k (row 0's only staircase edge) or in parity n - 1 (the
+        // last row's): `decode_into` fails its iteration-0 check, and a
+        // lane check that drops that column's scatter or that staircase
+        // term would pass it there instead.
         let blocks: Vec<Vec<f32>> = (0..batch)
             .map(|_| {
                 let info: Vec<u8> = (0..k).map(|_| (rng.next_u64() & 1) as u8).collect();
                 let cw = code.encode(&info);
-                let snr_db = [f32::INFINITY, 4.0, 0.0, -8.0][rng.below(4) as usize];
+                let class = rng.below(5) as usize;
+                let snr_db = [f32::INFINITY, 4.0, 0.0, -8.0, f32::INFINITY][class];
                 let sigma2 = 10f32.powf(-snr_db / 10.0);
                 let mut llrs: Vec<f32> = cw
                     .iter()
@@ -809,7 +819,10 @@ proptest! {
                         2.0 * y / sigma2
                     })
                     .collect();
-                if rng.below(3) == 0 {
+                if class == 4 {
+                    let flip = [rng.below(k as u64) as usize, k, n - 1][rng.below(3) as usize];
+                    llrs[flip] = -llrs[flip];
+                } else if rng.below(3) == 0 {
                     for _ in 0..n / 4 {
                         let special =
                             [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 0.0, 0.0, 0.0];
