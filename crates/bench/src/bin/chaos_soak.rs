@@ -28,10 +28,13 @@ use slingshot::chaos::{
     chaos_deployment, chaos_handover_deployment, chaos_pool_deployment, expectations_for,
     ChaosRunner,
 };
-use slingshot::Deployment;
+use slingshot::{Deployment, DeploymentBuilder};
 use slingshot_bench::{artifact_path, banner, BenchReport};
+use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{oracle, ChaosDistribution, FaultKind, FaultTarget, Scenario};
 use slingshot_sim::slo::{self, SloConfig};
+use slingshot_sim::Nanos;
+use slingshot_transport::{UdpCbrSource, UdpSink};
 
 /// One scenario per major fault class, exercised under every seed's
 /// deployment (traffic timing, channel noise and link jitter all vary
@@ -105,6 +108,44 @@ fn handover_scenarios() -> Vec<Scenario> {
     ]
 }
 
+/// The §8 co-located deployment: two cells whose PHYs are each one
+/// cell's primary and the other's hot standby (`crossed_standbys`),
+/// with the single-cell testbed's cell and its 4 Mbps uplink flow on a
+/// UE in each cell.
+fn crossed_deployment(seed: u64) -> Deployment {
+    let mut d = DeploymentBuilder::new()
+        .seed(seed)
+        .cell(CellConfig {
+            num_prbs: 51,
+            fidelity: Fidelity::Sampled,
+            ..CellConfig::default()
+        })
+        .cells(2)
+        .crossed_standbys()
+        .ue(UeConfig::new(100, 0, "ue100", 22.0))
+        .ue(UeConfig::new(101, 1, "ue101", 22.0))
+        .build();
+    for (ue_idx, rnti) in [(0, 100), (1, 101)] {
+        d.add_flow(
+            ue_idx,
+            rnti,
+            Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
+            Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+        );
+    }
+    d
+}
+
+/// A crash of cell 0's primary, which is also cell 1's standby: cell 0
+/// fails over onto cell 1's primary, and the survivor serves both.
+fn crossed_scenarios() -> Vec<Scenario> {
+    vec![Scenario::new("crossed-crash", 2400).fault(
+        1000,
+        FaultTarget::ActivePhyOf(0),
+        FaultKind::PhyCrash,
+    )]
+}
+
 /// One run of the soak: `scenario` on `deployment(seed)`, with every
 /// crash held to `tti_budget` dropped TTIs where the deployment's
 /// default budget is not the one to judge by.
@@ -118,9 +159,9 @@ struct Case {
 /// What chaos seed `seed` runs, in order: the fixed suite on the
 /// single-cell deployment, the pool suite on the 4-cell / 2-spare pool
 /// (every crash held to the per-cell single-failure budget), the
-/// handover suite on the two-cell mobility deployment, and one
-/// scenario sampled from `dist`. `handover_only` keeps only the
-/// handover suite.
+/// handover suite on the two-cell mobility deployment, the crossed
+/// suite on the co-located deployment, and one scenario sampled from
+/// `dist`. `handover_only` keeps only the handover suite.
 fn cases(seed: u64, handover_only: bool, dist: &ChaosDistribution) -> Vec<Case> {
     let suite = |deployment, stride: u64, tti_budget, scenarios: Vec<Scenario>| {
         let numbered = scenarios.into_iter().zip(stride * seed..);
@@ -149,6 +190,7 @@ fn cases(seed: u64, handover_only: bool, dist: &ChaosDistribution) -> Vec<Case> 
             pool_scenarios(),
         ))
         .chain(handover)
+        .chain(suite(crossed_deployment, 4000, None, crossed_scenarios()))
         .chain([random])
         .collect()
 }
@@ -329,7 +371,7 @@ fn main() {
     let suite_desc = if handover_only {
         format!("Chaos soak: {seeds} seeds x 2 handover scenarios")
     } else {
-        format!("Chaos soak: {seeds} seeds x (4 fixed + 3 pool + 2 handover + 1 random) scenarios")
+        format!("Chaos soak: {seeds} seeds x (4 fixed + 3 pool + 2 handover + 1 crossed + 1 random) scenarios")
     };
     banner(
         &suite_desc,
@@ -423,6 +465,7 @@ mod tests {
             ("pool-planned".to_string(), 6002, Some(3)),
         ];
         all.extend(handover.clone());
+        all.push(("crossed-crash".to_string(), 12000, None));
         all.push((dist.sample(3).name, 3, None));
         assert_eq!(pinned(false), all);
         assert_eq!(pinned(true), handover);

@@ -35,7 +35,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use slingshot_bench::{banner, floor_failures, BenchReport};
-use slingshot_phy_dsp::crc::{attach_crc24a, crc16};
+use slingshot_phy_dsp::crc::attach_crc24a;
 use slingshot_phy_dsp::iq::SC_PER_PRB;
 use slingshot_phy_dsp::ldpc::BATCH_LANES;
 use slingshot_phy_dsp::modulation::modulate_packed_into;
@@ -193,10 +193,6 @@ fn measure_kernels(budget: Duration) -> Measured {
         black_box(attach_crc24a(black_box(&payload)));
     });
     record("crc24a_1500B", r, &mut report);
-    let r = measure(budget, || {
-        black_box(crc16(black_box(&payload)));
-    });
-    record("crc16_1500B", r, &mut report);
 
     // Word-packed (de)scrambling of an 8 kbit block.
     let seq = cached_sequence(0xC0FFEE, 8192);

@@ -3,7 +3,7 @@
 
 use super::*;
 use slingshot::nfapi::{handshake_time, AssocState, SctpLikeEndpoint};
-use slingshot::{OrionL2Node, SwitchNode, SECONDARY_PHY_ID};
+use slingshot::{OrionL2Node, SwitchNode};
 use slingshot_switch::PktGenConfig;
 
 #[rustfmt::skip]
@@ -57,7 +57,8 @@ fn detector(r: &mut BenchReport) {
         // A detector that false-fires notified Orion long before the
         // kill: it has no detection latency to report.
         if false_positives == 0 {
-            let notified = node::<OrionL2Node>(&killed, killed.orion_l2).last_failure_notified;
+            let notified =
+                node::<OrionL2Node>(&killed, killed.cells[0].orion_l2).last_failure_notified;
             let latency = notified.expect("the failure is notified") - kill_at;
             r.scalar_of("detect_us", &key, latency.as_micros(), 1);
         }
@@ -86,20 +87,20 @@ fn standby(r: &mut BenchReport) {
     let mut rlf = 0.0;
     for (label, duplicate, seed) in [("null_fapis", false, 61), ("duplicate_work", true, 62)] {
         let mut d = one_ue(seed);
-        let orion = d.orion_l2;
+        let orion = d.cells[0].orion_l2;
         node_mut::<OrionL2Node>(&mut d, orion).duplicate_standby = duplicate;
         add_ul_udp(&mut d, 15_000_000, 1200);
         let loaded = Nanos::from_secs(3);
         run(&mut d, Event::None, loaded);
-        let primary = node::<PhyNode>(&d, d.primary_phy).cpu_utilization(loaded);
-        let standby = node::<PhyNode>(&d, d.secondary_phy).cpu_utilization(loaded);
+        let primary = node::<PhyNode>(&d, d.cells[0].primary_phy).cpu_utilization(loaded);
+        let standby = node::<PhyNode>(&d, d.cells[0].secondary_phy).cpu_utilization(loaded);
         r.scalar_of("primary_cpu_pct", label, primary * 100.0, 2);
         r.scalar_of("standby_cpu_pct", label, standby * 100.0, 2);
         let overhead = standby / primary.max(1e-9) * 100.0;
         r.scalar_of("standby_over_primary_cpu_pct", label, overhead, 0);
         // Either design must then fail over cleanly.
         run(&mut d, Event::Kill(loaded), Nanos::from_secs(4));
-        let failovers = node::<OrionL2Node>(&d, d.orion_l2).failovers;
+        let failovers = node::<OrionL2Node>(&d, d.cells[0].orion_l2).failovers;
         r.scalar_of("failovers", label, failovers as f64, 0);
         rlf += rlf_total(&d);
     }
@@ -144,8 +145,8 @@ fn migration_path(r: &mut BenchReport) {
     for seed in 72..77 {
         let mut d = loaded(seed);
         run(&mut d, Event::None, at);
-        let switch = d.switch;
-        node_mut::<SwitchNode>(&mut d, switch).request_control_plane_remap(0, SECONDARY_PHY_ID);
+        let (switch, standby) = (d.switch, d.cells[0].secondary_phy_id);
+        node_mut::<SwitchNode>(&mut d, switch).request_control_plane_remap(0, standby);
         run(&mut d, Event::None, end);
         let remaps = &node::<SwitchNode>(&d, d.switch).cp_remap_latencies;
         remaps.iter().for_each(|l| latency.record_nanos(*l));
@@ -198,7 +199,7 @@ fn busy_boundary(seed: u64) -> Nanos {
     let mut boundary = Nanos::from_millis(800);
     loop {
         d.engine.run_until(boundary + SETTLE);
-        if node::<PhyNode>(&d, d.primary_phy).soft_state_bytes(0) > 0 {
+        if node::<PhyNode>(&d, d.cells[0].primary_phy).soft_state_bytes(0) > 0 {
             return boundary;
         }
         boundary += Nanos(SLOT_DURATION.0 * TDD_CYCLE_SLOTS);
@@ -225,7 +226,7 @@ fn state_transfer(r: &mut BenchReport) {
             // Orion aligns "three slots out" up to the cycle boundary.
             let request_at = *boundary - Nanos(SLOT_DURATION.0 * 4);
             run(&mut d, Event::Planned(request_at), *boundary + SETTLE);
-            let (old, new) = (d.primary_phy, d.secondary_phy);
+            let (old, new) = (d.cells[0].primary_phy, d.cells[0].secondary_phy);
             let old: &mut PhyNode = node_mut(&mut d, old);
             bytes += old.soft_state_bytes(0);
             let pool = old.take_soft_state(0).filter(|_| transfer);
@@ -236,7 +237,7 @@ fn state_transfer(r: &mut BenchReport) {
             let (failed_before, decoded_before) = (new.ul_crc_failures, new.ul_tbs_decoded);
             // The 100 ms after the boundary.
             run(&mut d, Event::None, *boundary + Nanos::from_millis(100));
-            let new: &PhyNode = node(&d, d.secondary_phy);
+            let new: &PhyNode = node(&d, d.cells[0].secondary_phy);
             failures += new.ul_crc_failures - failed_before;
             decoded += new.ul_tbs_decoded - decoded_before;
             rlf += rlf_total(&d);

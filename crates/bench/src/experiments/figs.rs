@@ -122,7 +122,7 @@ fn fig9(r: &mut BenchReport) {
     }
     run(&mut d, Event::Kill(fail_at), Nanos::from_millis(2700));
 
-    let notified = node::<OrionL2Node>(&d, d.orion_l2).last_failure_notified;
+    let notified = node::<OrionL2Node>(&d, d.cells[0].orion_l2).last_failure_notified;
     let notified = notified.expect("the failure is notified");
     r.scalar("killed_at_s", fail_at.as_secs());
     r.scalar_dp("failure_notified_s", notified.as_secs(), 6);
@@ -257,7 +257,7 @@ fn fig11(r: &mut BenchReport) {
     let with_new_build = builder(111, cell).secondary_fec_iterations(16);
     let mut d = with_new_build.ues(ues.clone()).build();
     // …and the old build, at a quarter of it.
-    let old = d.primary_phy;
+    let old = d.cells[0].primary_phy;
     node_mut::<PhyNode>(&mut d, old).set_fec_iterations(2);
     let half_s = Nanos::from_millis(500);
     for i in 0..ues.len() {

@@ -164,7 +164,7 @@ fn rlf_total(d: &Deployment) -> f64 {
 /// either did (one uplink slot per TDD cycle).
 fn dropped_ul_ttis(d: &Deployment) -> usize {
     let mut slots: Vec<u64> = Vec::new();
-    for phy in [d.primary_phy, d.secondary_phy] {
+    for phy in [d.cells[0].primary_phy, d.cells[0].secondary_phy] {
         slots.extend(&node::<PhyNode>(d, phy).processed_ul_slots);
     }
     slots.sort_unstable();

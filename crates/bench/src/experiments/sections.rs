@@ -2,7 +2,7 @@
 //! §8.5, §8.6).
 
 use super::*;
-use slingshot::{FhMbox, ForwardingModel, OrionL2Node, OrionPhyNode, SwitchNode, PRIMARY_PHY_ID};
+use slingshot::{FhMbox, ForwardingModel, OrionL2Node, OrionPhyNode, SwitchNode};
 use slingshot_baseline::{migrate_batch, VmMigrationConfig};
 use slingshot_ran::{CtlMsg, L2Node, Msg};
 use slingshot_sim::SimRng;
@@ -54,7 +54,7 @@ fn table2(r: &mut BenchReport) {
         let mut t = WARMUP + interval;
         while t < WARMUP + MEASURE {
             let migrate = CtlMsg::PlannedMigration { ru_id: 0 };
-            d.engine.post(t, d.orion_l2, Msg::Ctl(migrate));
+            d.engine.post(t, d.cells[0].orion_l2, Msg::Ctl(migrate));
             t += interval;
         }
         run(&mut d, Event::None, END);
@@ -65,7 +65,7 @@ fn table2(r: &mut BenchReport) {
         let blackouts = sink.bins.zero_bins_between(WARMUP, WARMUP + MEASURE);
         // HARQ series the scheduler abandoned at max retransmissions:
         // the discarded soft state showing up as broken sequences.
-        let sched = &node::<L2Node>(&d, d.l2).sched;
+        let sched = &node::<L2Node>(&d, d.cells[0].l2).sched;
         let harq = (sched.ul_harq_failures + sched.dl_harq_failures) as f64;
         let at = format!("{rate}/s");
         r.scalar_of("blackouts", &at, blackouts as f64, 0);
@@ -162,7 +162,7 @@ fn sec82(r: &mut BenchReport) {
         // Kill at a varying offset within the slot.
         let kill_at = Nanos(Nanos::from_millis(700).0 + i * 53_000);
         run(&mut d, Event::Kill(kill_at), Nanos::from_millis(1500));
-        let notified = node::<OrionL2Node>(&d, d.orion_l2).last_failure_notified;
+        let notified = node::<OrionL2Node>(&d, d.cells[0].orion_l2).last_failure_notified;
         let latency = notified.expect("the failure is notified") - kill_at;
         detect.record_nanos(latency);
         let dropped = dropped_ul_ttis(&d);
@@ -213,8 +213,8 @@ fn sec85(r: &mut BenchReport) {
     let mut cpu = Vec::new();
     // The primary's share prints to 3 decimals, the standby's to 4.
     let phys = [
-        ("primary", d.primary_phy, 3),
-        ("secondary", d.secondary_phy, 4),
+        ("primary", d.cells[0].primary_phy, 3),
+        ("secondary", d.cells[0].secondary_phy, 4),
     ];
     for (label, id, dp) in phys {
         let phy: &PhyNode = node(&d, id);
@@ -227,10 +227,10 @@ fn sec85(r: &mut BenchReport) {
     // A standby that duplicated the primary's work would sit at 1.0.
     r.scalar_dp("standby_over_primary_cpu", cpu[1] / cpu[0].max(1e-12), 4);
     // Null-FAPI bytes reaching the standby server's Orion from the L2 side.
-    let to_standby = node::<OrionPhyNode>(&d, d.orion_secondary).rx_bytes_from_l2;
+    let to_standby = node::<OrionPhyNode>(&d, d.cells[0].orion_secondary).rx_bytes_from_l2;
     let mbytes_per_s = to_standby as f64 / end.as_secs() / 1e6;
     r.scalar_dp("null_fapi_mbytes_per_s", mbytes_per_s, 3);
-    let sent = node::<OrionL2Node>(&d, d.orion_l2).null_fapi_sent;
+    let sent = node::<OrionL2Node>(&d, d.cells[0].orion_l2).null_fapi_sent;
     r.scalar("null_fapi_sent", sent as f64);
 }
 
@@ -279,9 +279,9 @@ fn sec86(r: &mut BenchReport) {
         }
         run(&mut d, Event::None, Nanos::from_secs(3));
         let mbox = &node::<SwitchNode>(&d, d.switch).mbox;
-        let gap = mbox.max_dl_gap(PRIMARY_PHY_ID);
+        let gap = mbox.max_dl_gap(d.cells[0].primary_phy_id);
         r.scalar_of("max_dl_gap_us", label, gap.as_micros(), 0);
-        let stats = d.engine.link_stats(d.primary_phy, d.switch);
+        let stats = d.engine.link_stats(d.cells[0].primary_phy, d.switch);
         r.scalar_of("dl_packets", label, stats.expect("the link").sent as f64, 0);
     }
     let detector = PktGenConfig::paper_default();

@@ -26,7 +26,7 @@ use slingshot_sim::time::TDD_CYCLE_SLOTS;
 use slingshot_sim::{LinkParams, Nanos, NodeId, SLOT_DURATION};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
-use crate::deployment::{Deployment, DeploymentConfig, RU_ID};
+use crate::deployment::{Deployment, DeploymentConfig};
 use crate::orion::OrionL2Node;
 use crate::switch_node::SwitchNode;
 
@@ -257,11 +257,12 @@ impl ChaosRunner {
                 }
             }
             Op::PostPlanned(count) => {
+                let (orion_l2, ru_id) = (d.cells[0].orion_l2, d.cells[0].ru_id);
                 for k in 0..count {
                     d.engine.post(
                         now + Nanos(10_000 * k as u64),
-                        d.orion_l2,
-                        Msg::Ctl(CtlMsg::PlannedMigration { ru_id: RU_ID }),
+                        orion_l2,
+                        Msg::Ctl(CtlMsg::PlannedMigration { ru_id }),
                     );
                 }
                 self.note(now, format!("post {count} planned-migration request(s)"));
@@ -329,8 +330,8 @@ fn resolve_phy_node(d: &mut Deployment, target: FaultTarget) -> Option<NodeId> {
 pub fn resolve_phy_id(d: &mut Deployment, target: FaultTarget) -> Option<u8> {
     match target {
         // The data plane is the ground truth for who serves the RU.
-        FaultTarget::ActivePhy => resolve_phy_id(d, FaultTarget::ActivePhyOf(RU_ID)),
-        FaultTarget::StandbyPhy => resolve_phy_id(d, FaultTarget::StandbyPhyOf(RU_ID)),
+        FaultTarget::ActivePhy => resolve_phy_id(d, FaultTarget::ActivePhyOf(0)),
+        FaultTarget::StandbyPhy => resolve_phy_id(d, FaultTarget::StandbyPhyOf(0)),
         FaultTarget::ActivePhyOf(ru) => {
             // In a fabric build the RU's leaf middlebox owns the
             // RU→PHY register; single-switch builds resolve to the one
@@ -362,16 +363,17 @@ fn orion_node_of(d: &Deployment, phy_id: u8) -> Option<NodeId> {
 fn resolve_links(d: &mut Deployment, target: FaultTarget) -> Vec<(NodeId, NodeId)> {
     // Each endpoint's links terminate at the switch it is cabled to:
     // its leaf in a fabric build, the shared switch otherwise.
+    let (ru, orion_l2) = (d.cells[0].ru, d.cells[0].orion_l2);
     match target {
         FaultTarget::Fronthaul => {
-            let sw = d.switch_for_node(d.ru);
-            vec![(d.ru, sw), (sw, d.ru)]
+            let sw = d.switch_for_node(ru);
+            vec![(ru, sw), (sw, ru)]
         }
-        FaultTarget::FronthaulUplink => vec![(d.ru, d.switch_for_node(d.ru))],
-        FaultTarget::FronthaulDownlink => vec![(d.switch_for_node(d.ru), d.ru)],
+        FaultTarget::FronthaulUplink => vec![(ru, d.switch_for_node(ru))],
+        FaultTarget::FronthaulDownlink => vec![(d.switch_for_node(ru), ru)],
         FaultTarget::OrionL2 => {
-            let sw = d.switch_for_node(d.orion_l2);
-            vec![(d.orion_l2, sw), (sw, d.orion_l2)]
+            let sw = d.switch_for_node(orion_l2);
+            vec![(orion_l2, sw), (sw, orion_l2)]
         }
         FaultTarget::HandoverController => match d.handover {
             Some(ho) => {
@@ -398,7 +400,7 @@ fn resolve_links(d: &mut Deployment, target: FaultTarget) -> Vec<(NodeId, NodeId
 /// targets.
 fn resolve_process_node(d: &mut Deployment, target: FaultTarget) -> Option<NodeId> {
     match target {
-        FaultTarget::OrionL2 => Some(d.orion_l2),
+        FaultTarget::OrionL2 => Some(d.cells[0].orion_l2),
         FaultTarget::HandoverController => d.handover,
         FaultTarget::ActivePhy
         | FaultTarget::StandbyPhy

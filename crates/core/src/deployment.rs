@@ -6,11 +6,13 @@
 //! configurable; defaults approximate the paper's testbed (Table 1).
 //!
 //! Entry point: [`DeploymentBuilder`]. There is one construction,
-//! parameterised by `(cells, cell_groups, spare_pool, handover)`: every
-//! cell is the same RU / L2 / PHY-pair / Orion unit behind its group's
-//! middlebox switch; shared spares, the recovery orchestrator and the
-//! handover controller hang off the *service switch* — the one switch
-//! when there is one group, a spine joining the leaf switches
+//! parameterised by `(cells, cell_groups, spare_pool, handover,
+//! crossed_standbys)`: every cell is the same RU / L2 / PHY-pair / Orion
+//! unit behind its group's middlebox switch (with crossed standbys, §8's
+//! co-location, a cell brings only its primary and borrows the next
+//! cell's as its standby); shared spares, the recovery orchestrator and
+//! the handover controller hang off the *service switch* — the one
+//! switch when there is one group, a spine joining the leaf switches
 //! otherwise. The classic testbed is the default `cells(1)`; a
 //! four-cell one with slot DSP on a worker pool is:
 //!
@@ -109,20 +111,10 @@ pub struct CellDeployment {
     pub secondary_phy_id: u8,
 }
 
-/// Node ids of a built deployment.
-///
-/// Cell 0's handles are mirrored in the legacy top-level fields
-/// (`ru`, `primary_phy`, …); `cells` holds every cell, in order.
+/// Node ids of a built deployment; `cells` holds every cell, in order.
 pub struct Deployment {
     pub engine: Engine<Msg>,
     pub switch: NodeId,
-    pub ru: NodeId,
-    pub primary_phy: NodeId,
-    pub secondary_phy: NodeId,
-    pub orion_primary: NodeId,
-    pub orion_secondary: NodeId,
-    pub orion_l2: NodeId,
-    pub l2: NodeId,
     pub core: NodeId,
     pub server: NodeId,
     /// All UEs across all cells, flattened in cell order.
@@ -160,12 +152,6 @@ pub struct Deployment {
     pub cfg: DeploymentConfig,
 }
 
-/// Cell 0's ids (cell `i` uses RU id `i` and PHY ids `2i+1` / `2i+2`).
-pub const PRIMARY_PHY_ID: u8 = 1;
-pub const SECONDARY_PHY_ID: u8 = 2;
-pub const RU_ID: u8 = 0;
-pub const L2_ID: u8 = 0;
-
 /// Fluent builder for [`Deployment`] — the one entry point for every
 /// testbed shape: seed, cell count, DSP worker pool, detector tuning,
 /// and trace-sink sizing.
@@ -179,6 +165,7 @@ pub struct DeploymentBuilder {
     trace_capacity: Option<usize>,
     ues: Vec<UeConfig>,
     kernels: Option<KernelConfig>,
+    crossed: bool,
 }
 
 impl DeploymentBuilder {
@@ -192,6 +179,7 @@ impl DeploymentBuilder {
             trace_capacity: None,
             ues: Vec::new(),
             kernels: None,
+            crossed: false,
         }
     }
 
@@ -301,6 +289,17 @@ impl DeploymentBuilder {
         self
     }
 
+    /// Co-locate primaries and standbys (§8): cell `i` builds only its
+    /// primary PHY (id `2i+1`) and takes cell `(i+1) mod n`'s primary as
+    /// its hot standby, so every PHY process serves one cell and runs
+    /// null FAPI for another and no server holds only a standby.
+    /// Structural knob; requires `cells(n >= 2)` on one switch, with no
+    /// spare pool, handover plane or upgraded secondary build.
+    pub fn crossed_standbys(mut self) -> Self {
+        self.crossed = true;
+        self
+    }
+
     /// Add one UE (its `ru_id` selects the cell).
     pub fn ue(mut self, ue: UeConfig) -> Self {
         self.ues.push(ue);
@@ -334,7 +333,27 @@ impl DeploymentBuilder {
                 "handover() requires cells(n >= 2) on the single-switch topology"
             );
         }
-        let mut d = Deployment::construct(self.cfg, self.cells, self.cell_groups, self.ues);
+        if self.crossed {
+            for (conflict, with) in [
+                (self.cells < 2, "cells(1)"),
+                (self.cell_groups > 1, "cell_groups(g >= 2)"),
+                (self.cfg.spare_pool > 0, "spare_pool(m > 0)"),
+                (self.cfg.handover, "handover()"),
+                (
+                    self.cfg.secondary_fec_iterations.is_some(),
+                    "secondary_fec_iterations()",
+                ),
+            ] {
+                assert!(!conflict, "crossed_standbys() conflicts with {with}");
+            }
+        }
+        let mut d = Deployment::construct(
+            self.cfg,
+            self.cells,
+            self.cell_groups,
+            self.crossed,
+            self.ues,
+        );
         d.workers = self.workers;
         d.engine.set_worker_pool(WorkerPool::new(self.workers));
         if let Some(kernels) = self.kernels {
@@ -406,6 +425,8 @@ struct Construction {
     plans: Vec<SwitchPlan>,
     /// Every PHY id handed out so far → its engine node.
     phy_nodes: BTreeMap<u8, NodeId>,
+    /// Crossed standbys: cells build no secondary PHY of their own.
+    crossed: bool,
 }
 
 impl Construction {
@@ -428,7 +449,10 @@ impl Construction {
 
     /// Create cell `i`'s nodes and attach its six switch-facing
     /// endpoints to middlebox switch `sw`. Cell `i` uses RU id `i`,
-    /// cell id `base + i` and PHY ids `2i+1` / `2i+2`.
+    /// cell id `base + i` and PHY ids `2i+1` / `2i+2`. A crossed cell
+    /// builds no secondary PHY or its Orion (four endpoints); its
+    /// secondary fields name its own primary until
+    /// [`Deployment::construct`] points them at the next cell's.
     fn add_cell(&mut self, i: usize, sw: usize, ue_cfgs: &[UeConfig]) -> CellDeployment {
         let ru_id = i as u8;
         let pri_id = (2 * i + 1) as u8;
@@ -442,18 +466,18 @@ impl Construction {
         }
         let l2 = self.engine.add_node(&format!("c{i}-l2"), Box::new(l2n));
         let primary_phy = self.add_phy(&format!("c{i}-phy-primary"), pri_id, &cell, None);
-        let secondary_phy = self.add_phy(
-            &format!("c{i}-phy-secondary"),
-            sec_id,
-            &cell,
-            self.cfg.secondary_fec_iterations,
-        );
-        let [orion_primary, orion_secondary] = [pri_id, sec_id].map(|id| {
+        let secondary_phy = (!self.crossed).then(|| {
+            let name = format!("c{i}-phy-secondary");
+            self.add_phy(&name, sec_id, &cell, self.cfg.secondary_fec_iterations)
+        });
+        let mut add_orion = |id: u8| {
             self.engine.add_node(
                 &format!("c{i}-orion-phy{id}"),
                 Box::new(OrionPhyNode::new(id, ru_id)),
             )
-        });
+        };
+        let orion_primary = add_orion(pri_id);
+        let orion_secondary = secondary_phy.map(|_| add_orion(sec_id));
         let orion_l2 = self.engine.add_node(
             &format!("c{i}-orion-l2"),
             Box::new(OrionL2Node::new(ru_id, self.clock)),
@@ -476,16 +500,19 @@ impl Construction {
         let plan = &mut self.plans[sw];
         let ru_port = plan.attach(ru, ru_mac, fronthaul);
         let pri_port = plan.attach(primary_phy, MacAddr::for_phy(pri_id), server);
-        let sec_port = plan.attach(secondary_phy, MacAddr::for_phy(sec_id), server);
+        let sec_port = secondary_phy.map(|phy| plan.attach(phy, MacAddr::for_phy(sec_id), server));
         plan.attach(orion_l2, orion_l2_mac(ru_id), server);
         plan.attach(orion_primary, orion_phy_mac(pri_id), server);
-        plan.attach(orion_secondary, orion_phy_mac(sec_id), server);
+        if let Some(orion) = orion_secondary {
+            plan.attach(orion, orion_phy_mac(sec_id), server);
+        }
         let mbox = plan.mbox.as_mut().expect("cells sit behind a middlebox");
         mbox.install_ru(ru_id, ru_mac, ru_port, pri_id);
-        mbox.install_phy(pri_id, MacAddr::for_phy(pri_id), pri_port);
-        mbox.install_phy(sec_id, MacAddr::for_phy(sec_id), sec_port);
-        mbox.enroll_failure_detection(pri_id);
-        mbox.enroll_failure_detection(sec_id);
+        let secondary = sec_port.map(|port| (sec_id, port));
+        for (id, port) in [(pri_id, pri_port)].into_iter().chain(secondary) {
+            mbox.install_phy(id, MacAddr::for_phy(id), port);
+            mbox.enroll_failure_detection(id);
+        }
         if self.cfg.handover {
             for u in ue_cfgs {
                 mbox.install_ue(u.rnti, ru_id);
@@ -497,14 +524,14 @@ impl Construction {
             l2,
             orion_l2,
             primary_phy,
-            secondary_phy,
+            secondary_phy: secondary_phy.unwrap_or(primary_phy),
             orion_primary,
-            orion_secondary,
+            orion_secondary: orion_secondary.unwrap_or(orion_primary),
             ues,
             ru_id,
             cell_id: cell.cell_id,
             primary_phy_id: pri_id,
-            secondary_phy_id: sec_id,
+            secondary_phy_id: if self.crossed { pri_id } else { sec_id },
         }
     }
 
@@ -537,15 +564,21 @@ impl Deployment {
     /// id, and the engine is staged for `groups + 1` dispatch lanes
     /// (lane 0 the spine domain, lane `1 + g` leaf group `g`).
     ///
+    /// With `crossed` (one group, no spares, no handover plane), cell
+    /// `i` builds only its primary PHY and takes cell `(i+1) mod n`'s
+    /// primary, and that PHY's Orion, as its standby (§8 co-location).
+    ///
     /// Node-add order is a contract — `NodeId`s are in every trace
     /// record: `server`, `core`, each cell in order (`c{i}-l2`, the PHY
-    /// pair, their Orions, `c{i}-orion-l2`, `c{i}-ru`, its UEs), spares
+    /// pair, their Orions, `c{i}-orion-l2`, `c{i}-ru`, its UEs; a
+    /// crossed cell has only `c{i}-phy-primary` and its Orion), spares
     /// as `[phy, orion]` pairs, `recovery`, `handover`, then `switch` —
     /// or `leaf0..` then `spine`. RNG forks follow the same order.
     fn construct(
         cfg: DeploymentConfig,
         n_cells: usize,
         groups: usize,
+        crossed: bool,
         ue_cfgs: Vec<UeConfig>,
     ) -> Deployment {
         assert!(
@@ -616,15 +649,29 @@ impl Deployment {
             rng: SimRng::new(cfg.seed ^ 0x5113_6507),
             plans,
             phy_nodes: BTreeMap::new(),
+            crossed,
             cfg,
         };
 
         // --- nodes, in contract order ---
         let server = c.engine.add_node("server", Box::new(AppServerNode::new()));
         let core = c.engine.add_node("core", Box::new(CoreNode::new()));
-        let cells: Vec<CellDeployment> = (0..n_cells)
+        let mut cells: Vec<CellDeployment> = (0..n_cells)
             .map(|i| c.add_cell(i, group_of_cell[i], &cell_ues[i]))
             .collect();
+        if crossed {
+            let primaries: Vec<_> = cells
+                .iter()
+                .map(|c| (c.primary_phy, c.orion_primary, c.primary_phy_id))
+                .collect();
+            for (i, cell) in cells.iter_mut().enumerate() {
+                (
+                    cell.secondary_phy,
+                    cell.orion_secondary,
+                    cell.secondary_phy_id,
+                ) = primaries[(i + 1) % n_cells];
+            }
+        }
         // Spares take the PHY ids after every cell pair.
         let spares: Vec<(u8, NodeId, NodeId)> = (0..c.cfg.spare_pool)
             .map(|j| c.add_spare((2 * n_cells + 1 + j) as u8, service))
@@ -830,7 +877,10 @@ impl Deployment {
             engine.connect_duplex(core, cell.l2, cfg.backhaul_link.clone());
             engine.connect_duplex(cell.l2, cell.orion_l2, shm.clone());
             engine.connect_duplex(cell.primary_phy, cell.orion_primary, shm.clone());
-            engine.connect_duplex(cell.secondary_phy, cell.orion_secondary, shm.clone());
+            // A crossed standby is the next cell's primary, linked there.
+            if !crossed {
+                engine.connect_duplex(cell.secondary_phy, cell.orion_secondary, shm.clone());
+            }
         }
         for (_, phy, orion) in &spares {
             engine.connect_duplex(*phy, *orion, shm.clone());
@@ -868,17 +918,9 @@ impl Deployment {
             (lane_of, groups + 1)
         });
 
-        let c0 = cells[0].clone();
         Deployment {
             engine,
             switch,
-            ru: c0.ru,
-            primary_phy: c0.primary_phy,
-            secondary_phy: c0.secondary_phy,
-            orion_primary: c0.orion_primary,
-            orion_secondary: c0.orion_secondary,
-            orion_l2: c0.orion_l2,
-            l2: c0.l2,
             core,
             server,
             ues: all_ues,
@@ -951,20 +993,18 @@ impl Deployment {
             .collect()
     }
 
-    /// SIGKILL the primary PHY at `at` (the §8 failover trigger).
+    /// SIGKILL cell 0's primary PHY at `at` (the §8 failover trigger).
     pub fn kill_primary_at(&mut self, at: Nanos) {
         // Killing is immediate from the engine; to do it at a future
         // time we use a one-shot control: run to `at` first.
         self.engine.run_until(at);
-        self.engine.kill(self.primary_phy);
+        self.engine.kill(self.cells[0].primary_phy);
     }
 
-    /// Request a planned migration of the RU to the secondary PHY.
+    /// Request a planned migration of cell 0's RU to its secondary PHY.
     pub fn planned_migration_at(&mut self, at: Nanos) {
-        self.engine.post(
-            at,
-            self.orion_l2,
-            Msg::Ctl(CtlMsg::PlannedMigration { ru_id: RU_ID }),
-        );
+        let cell = &self.cells[0];
+        let request = Msg::Ctl(CtlMsg::PlannedMigration { ru_id: cell.ru_id });
+        self.engine.post(at, cell.orion_l2, request);
     }
 }

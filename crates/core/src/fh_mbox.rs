@@ -294,6 +294,12 @@ impl FhMbox {
         }
     }
 
+    /// PHY ids enrolled in failure detection, in the detector's
+    /// (ascending) scan order.
+    pub fn enrolled_phys(&self) -> &[usize] {
+        &self.enrolled_scan
+    }
+
     /// Plain (non-fronthaul) host installation: servers, Orion nodes.
     pub fn install_host(&mut self, mac: MacAddr, port: PortId) {
         self.port_table.insert(mac.as_u64(), port.0 as u64).unwrap();

@@ -14,7 +14,9 @@
 //! - [`ctl`]: the `migrate_on_slot` / failure-notification packets.
 //! - [`switch_node`]: the engine node hosting the middlebox program,
 //!   with in-switch vs software forwarding models (the §5 ablation).
-//! - [`deployment`]: a builder wiring the full testbed of Fig. 4(b).
+//! - [`deployment`]: the one builder of every testbed shape — the
+//!   Fig. 4(b) testbed, N cells, fabrics, spare pools, and the §8
+//!   co-located (crossed-standby) deployment.
 //! - [`chaos`]: the deployment-aware chaos runner — expands
 //!   `slingshot_sim::chaos` scenarios into timed kill/stall/degrade
 //!   operations against the live topology and judges the resulting
@@ -27,7 +29,6 @@ pub mod ctl;
 pub mod deployment;
 pub mod fh_mbox;
 pub mod handover;
-pub mod multi_ru;
 pub mod nfapi;
 pub mod orion;
 pub mod recovery;
@@ -38,13 +39,9 @@ pub use chaos::{
     chaos_deployment, chaos_pool_deployment, expectations_for, run_scenario, ChaosRunner,
 };
 pub use ctl::CtlPacket;
-pub use deployment::{
-    CellDeployment, Deployment, DeploymentBuilder, DeploymentConfig, L2_ID, PRIMARY_PHY_ID, RU_ID,
-    SECONDARY_PHY_ID,
-};
+pub use deployment::{CellDeployment, Deployment, DeploymentBuilder, DeploymentConfig};
 pub use fh_mbox::FhMbox;
 pub use handover::{handover_mac, HandoverController};
-pub use multi_ru::{CellNodes, DualRuDeployment};
 pub use orion::{orion_l2_mac, orion_phy_mac, OrionCost, OrionL2Node, OrionPhyNode};
 pub use recovery::{recovery_mac, RecoveryOrchestrator};
 pub use spine::SpineSwitchNode;

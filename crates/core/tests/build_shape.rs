@@ -1,34 +1,45 @@
 //! Shape of the one deployment construction across its parameter
-//! space `(cells, cell_groups, spare_pool, handover)`: node count, PHY
-//! directories, and which switch every endpoint is cabled to.
+//! space `(cells, cell_groups, spare_pool, handover, crossed_standbys)`:
+//! node count, PHY directories, and which switch every endpoint is
+//! cabled to.
 
-use slingshot::DeploymentBuilder;
+use slingshot::{DeploymentBuilder, SwitchNode};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
+
+fn abstract_cells() -> DeploymentBuilder {
+    DeploymentBuilder::new().cell(CellConfig {
+        num_prbs: 24,
+        fidelity: Fidelity::Abstract,
+        ..CellConfig::default()
+    })
+}
 
 #[test]
 fn build_shape_follows_the_parameters() {
     let table = [
-        (1, 1, 0, false),
-        (1, 1, 1, false),
-        (1, 1, 2, false),
-        (4, 1, 2, false),
-        (2, 1, 1, true),
-        (8, 2, 2, false),
-        (16, 4, 0, false),
+        (1, 1, 0, false, false),
+        (1, 1, 1, false, false),
+        (1, 1, 2, false, false),
+        (4, 1, 2, false, false),
+        (2, 1, 1, true, false),
+        (8, 2, 2, false, false),
+        (16, 4, 0, false, false),
+        (2, 1, 0, false, true),
+        (3, 1, 0, false, true),
     ];
-    for (cells, groups, pool, handover) in table {
-        let case = format!("cells={cells} groups={groups} pool={pool} handover={handover}");
-        let mut b = DeploymentBuilder::new()
-            .cell(CellConfig {
-                num_prbs: 24,
-                fidelity: Fidelity::Abstract,
-                ..CellConfig::default()
-            })
+    for (cells, groups, pool, handover, crossed) in table {
+        let case = format!(
+            "cells={cells} groups={groups} pool={pool} handover={handover} crossed={crossed}"
+        );
+        let mut b = abstract_cells()
             .cells(cells)
             .cell_groups(groups)
             .spare_pool(pool);
         if handover {
             b = b.handover();
+        }
+        if crossed {
+            b = b.crossed_standbys();
         }
         for i in 0..cells {
             b = b.ue(UeConfig::new(
@@ -40,11 +51,17 @@ fn build_shape_follows_the_parameters() {
         }
         let d = b.build();
 
-        // server + core, 7 nodes + 1 UE per cell, [phy, orion] per
-        // spare, the two optional services, then the switch(es).
+        // server + core, 7 nodes (5 crossed) + 1 UE per cell, [phy,
+        // orion] per spare, the two optional services, then the
+        // switch(es).
         let switches = if groups == 1 { 1 } else { groups + 1 };
-        let nodes =
-            2 + 8 * cells + 2 * pool + usize::from(pool > 0) + usize::from(handover) + switches;
+        let per_cell = if crossed { 6 } else { 8 };
+        let nodes = 2
+            + per_cell * cells
+            + 2 * pool
+            + usize::from(pool > 0)
+            + usize::from(handover)
+            + switches;
         assert_eq!(d.engine.node_names().len(), nodes, "{case}");
         assert_eq!(d.cells.len(), cells, "{case}");
         assert_eq!(d.leaves.len(), switches - 1, "{case}");
@@ -53,10 +70,47 @@ fn build_shape_follows_the_parameters() {
         assert_eq!(d.recovery.is_some(), pool > 0, "{case}");
         assert_eq!(d.handover.is_some(), handover, "{case}");
 
-        // Every PHY id — cell pairs, then spares — is in both directories.
-        let phy_ids: Vec<u8> = (1..=(2 * cells + pool) as u8).collect();
+        // Every PHY id — cell pairs (crossed: primaries only), then
+        // spares — is in both directories, and each cell PHY is enrolled
+        // in failure detection once.
+        let phy_ids: Vec<u8> = if crossed {
+            (0..cells).map(|i| (2 * i + 1) as u8).collect()
+        } else {
+            (1..=(2 * cells + pool) as u8).collect()
+        };
         assert_eq!(d.phy_nodes.keys().copied().collect::<Vec<_>>(), phy_ids);
         assert_eq!(d.phy_orions.keys().copied().collect::<Vec<_>>(), phy_ids);
+        if groups == 1 {
+            let sw = d.engine.node::<SwitchNode>(d.switch).unwrap();
+            let enrolled: Vec<u8> = sw.mbox.enrolled_phys().iter().map(|&id| id as u8).collect();
+            assert_eq!(enrolled, phy_ids[..phy_ids.len() - pool], "{case}");
+        }
+
+        // Crossed: cell i's standby is cell i+1's primary, and every
+        // cell starts on its own primary.
+        let initial: Vec<(u64, u64)> = (0..cells).map(|i| (i as u64, 2 * i as u64 + 1)).collect();
+        assert_eq!(d.initial_active(), initial, "{case}");
+        if crossed {
+            let names: Vec<String> = (0..cells)
+                .flat_map(|i| {
+                    [
+                        format!("c{i}-l2"),
+                        format!("c{i}-phy-primary"),
+                        format!("c{i}-orion-phy{}", 2 * i + 1),
+                        format!("c{i}-orion-l2"),
+                        format!("c{i}-ru"),
+                        format!("ue{i}"),
+                    ]
+                })
+                .collect();
+            assert_eq!(d.engine.node_names()[2..nodes - 1], names[..], "{case}");
+            for (i, cell) in d.cells.iter().enumerate() {
+                let next = &d.cells[(i + 1) % cells];
+                assert_eq!(cell.secondary_phy_id, next.primary_phy_id, "{case}");
+                assert_eq!(cell.secondary_phy, next.primary_phy, "{case}");
+                assert_eq!(cell.orion_secondary, next.orion_primary, "{case}");
+            }
+        }
 
         // A cell's six endpoints share its middlebox switch; spine-side
         // services sit on the service switch.
@@ -95,15 +149,7 @@ fn build_shape_follows_the_parameters() {
 #[test]
 #[should_panic(expected = "spare-phy1 wraps to id 1, already held by c0-phy-primary")]
 fn colliding_phy_ids_are_rejected_at_build_time() {
-    DeploymentBuilder::new()
-        .cell(CellConfig {
-            num_prbs: 24,
-            fidelity: Fidelity::Abstract,
-            ..CellConfig::default()
-        })
-        .cells(128)
-        .spare_pool(1)
-        .build();
+    abstract_cells().cells(128).spare_pool(1).build();
 }
 
 /// The switch keys its UE directory by the RNTI's low byte: RNTIs 100
@@ -112,15 +158,33 @@ fn colliding_phy_ids_are_rejected_at_build_time() {
 #[test]
 #[should_panic(expected = "UE directory entry 100 taken twice: RNTI 356 wraps onto RNTI 100")]
 fn rntis_sharing_a_ue_directory_entry_are_rejected_at_build_time() {
-    DeploymentBuilder::new()
-        .cell(CellConfig {
-            num_prbs: 24,
-            fidelity: Fidelity::Abstract,
-            ..CellConfig::default()
-        })
+    abstract_cells()
         .cells(2)
         .handover()
         .ue(UeConfig::new(100, 0, "ue-a", 22.0))
         .ue(UeConfig::new(356, 1, "ue-b", 22.0))
+        .build();
+}
+
+/// Crossed standbys are built in one shape only, §8's: every cell
+/// behind one middlebox, no spare pool. A fabric is refused ...
+#[test]
+#[should_panic(expected = "crossed_standbys() conflicts with cell_groups(g >= 2)")]
+fn crossed_standbys_across_cell_groups_are_rejected_at_build_time() {
+    abstract_cells()
+        .cells(4)
+        .cell_groups(2)
+        .crossed_standbys()
+        .build();
+}
+
+/// ... and so is a spare pool.
+#[test]
+#[should_panic(expected = "crossed_standbys() conflicts with spare_pool(m > 0)")]
+fn crossed_standbys_with_a_spare_pool_are_rejected_at_build_time() {
+    abstract_cells()
+        .cells(2)
+        .spare_pool(1)
+        .crossed_standbys()
         .build();
 }

@@ -8,7 +8,7 @@
 use slingshot::chaos::{
     chaos_deployment, chaos_pool_deployment, expectations_for, run_scenario, ChaosRunner,
 };
-use slingshot::{OrionL2Node, SwitchNode, PRIMARY_PHY_ID, RU_ID, SECONDARY_PHY_ID};
+use slingshot::{OrionL2Node, SwitchNode};
 use slingshot_ran::{PhyNode, UeNode};
 use slingshot_sim::chaos::oracle::{self, Invariant};
 use slingshot_sim::chaos::{ChaosDistribution, FaultKind, FaultTarget, Scenario};
@@ -37,8 +37,8 @@ fn crash_scenario_passes_oracle() {
     assert!(fleet.dropped_ttis <= 3, "dropped {}", fleet.dropped_ttis);
     // The pooled spare was promoted to standby after the failover
     // consumed the secondary (§4.4 re-pairing).
-    let ol2 = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
-    assert_eq!(ol2.standby_of(RU_ID), Some(d.spare_phys[0].0));
+    let ol2 = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
+    assert_eq!(ol2.standby_of(d.cells[0].ru_id), Some(d.spare_phys[0].0));
     let ue = d.engine.node::<UeNode>(d.ues[0]).unwrap();
     assert_eq!(ue.rlf_count, 0);
 }
@@ -63,9 +63,15 @@ fn planned_migration_scenario_passes_oracle() {
         "planned migration drops zero TTIs"
     );
     // Roles swapped: the old primary is the new standby.
-    let ol2 = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
-    assert_eq!(ol2.primary_of(RU_ID), Some(SECONDARY_PHY_ID));
-    assert_eq!(ol2.standby_of(RU_ID), Some(PRIMARY_PHY_ID));
+    let ol2 = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
+    assert_eq!(
+        ol2.primary_of(d.cells[0].ru_id),
+        Some(d.cells[0].secondary_phy_id)
+    );
+    assert_eq!(
+        ol2.standby_of(d.cells[0].ru_id),
+        Some(d.cells[0].primary_phy_id)
+    );
 }
 
 /// The same planned migration on the four-cell pool deployment. The
@@ -92,8 +98,11 @@ fn planned_migration_on_pool_deployment_passes_oracle() {
         assert_eq!(cell.dropped_ttis, 0, "cell {}", cell.ru);
         assert!(cell.delivered_ttis > 300, "cell {}", cell.ru);
     }
-    let ol2 = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
-    assert_eq!(ol2.primary_of(RU_ID), Some(SECONDARY_PHY_ID));
+    let ol2 = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
+    assert_eq!(
+        ol2.primary_of(d.cells[0].ru_id),
+        Some(d.cells[0].secondary_phy_id)
+    );
 }
 
 /// A gray failure: the active PHY wedges (missing every TTI deadline)
@@ -167,8 +176,8 @@ fn dup_and_reorder_scenario_passes_oracle() {
     let report = run_scenario(&mut d, &scenario);
     assert!(report.ok(), "violations: {:?}", report.violations);
     // The link actually duplicated frames (the fault was live).
-    let stats = d.engine.link_stats(d.switch, d.ru).unwrap();
-    let stats_ul = d.engine.link_stats(d.ru, d.switch).unwrap();
+    let stats = d.engine.link_stats(d.switch, d.cells[0].ru).unwrap();
+    let stats_ul = d.engine.link_stats(d.cells[0].ru, d.switch).unwrap();
     assert!(
         stats.duplicated + stats_ul.duplicated > 0,
         "dup fault never fired"
@@ -196,7 +205,7 @@ fn orion_restart_scenario_recovers() {
         "delivered {}",
         fleet.delivered_ttis
     );
-    let phy = d.engine.node::<PhyNode>(d.primary_phy).unwrap();
+    let phy = d.engine.node::<PhyNode>(d.cells[0].primary_phy).unwrap();
     assert!(
         phy.crash_time.is_none(),
         "loss guard must keep the PHY alive"
@@ -242,8 +251,8 @@ fn chained_faults_resolve_targets_at_apply_time() {
         .engine
         .node_mut::<SwitchNode>(d.switch)
         .unwrap()
-        .active_phy(RU_ID);
-    assert_eq!(active, SECONDARY_PHY_ID);
+        .active_phy(d.cells[0].ru_id);
+    assert_eq!(active, d.cells[0].secondary_phy_id);
 }
 
 /// Same deployment seed + same scenario = byte-identical event trace —

@@ -2,9 +2,7 @@
 //! the full deployment (switch middlebox + failure detector + Orion +
 //! complete vRAN stack).
 
-use slingshot::{
-    Deployment, DeploymentBuilder, DeploymentConfig, OrionL2Node, SwitchNode, SECONDARY_PHY_ID,
-};
+use slingshot::{Deployment, DeploymentBuilder, DeploymentConfig, OrionL2Node, SwitchNode};
 use slingshot_ran::{CellConfig, Fidelity, PhyNode, RuNode, UeConfig, UeNode, UeState};
 use slingshot_sim::slo::{self, SloConfig};
 use slingshot_sim::trace::detections;
@@ -61,9 +59,9 @@ fn steady_state_traffic_flows_through_slingshot() {
         "filtered={}",
         sw.mbox.dl_filtered
     );
-    let sec = d.engine.node::<PhyNode>(d.secondary_phy).unwrap();
+    let sec = d.engine.node::<PhyNode>(d.cells[0].secondary_phy).unwrap();
     assert!(sec.crash_time.is_none(), "standby must stay alive");
-    let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+    let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
     assert!(orion.null_fapi_sent > 3000);
     assert!(orion.dropped_standby_msgs > 0);
 }
@@ -77,7 +75,7 @@ fn failover_keeps_ue_connected_and_traffic_flowing() {
 
     // 1. Failure detected within the detector bound (450 µs + tick +
     //    propagation) of the last heartbeat (≤ ~1 ms after the kill).
-    let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+    let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
     let notified = orion.last_failure_notified.expect("failure detected");
     let detect_ms = (notified - kill_at).as_millis();
     assert!(detect_ms < 1.0, "detection took {detect_ms} ms");
@@ -130,7 +128,7 @@ fn failover_drops_at_most_three_ttis() {
     // slots are every 5th (DDDSU), so consecutive processed UL slots
     // differ by 5 in steady state.
     let mut slots: Vec<u64> = Vec::new();
-    for phy in [d.primary_phy, d.secondary_phy] {
+    for phy in [d.cells[0].primary_phy, d.cells[0].secondary_phy] {
         slots.extend(&d.engine.node::<PhyNode>(phy).unwrap().processed_ul_slots);
     }
     slots.sort_unstable();
@@ -152,14 +150,14 @@ fn planned_migration_drops_zero_ttis_and_no_blackout() {
     d.planned_migration_at(Nanos::from_millis(500));
     d.engine.run_until(Nanos::from_millis(1500));
 
-    let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+    let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
     assert_eq!(orion.planned_migrations, 1);
     let sw = d.engine.node::<SwitchNode>(d.switch).unwrap();
     assert_eq!(sw.mbox.migrations_executed, 1);
 
     // Zero dropped uplink TTIs: every UL slot processed by one PHY.
     let mut slots: Vec<u64> = Vec::new();
-    for phy in [d.primary_phy, d.secondary_phy] {
+    for phy in [d.cells[0].primary_phy, d.cells[0].secondary_phy] {
         slots.extend(&d.engine.node::<PhyNode>(phy).unwrap().processed_ul_slots);
     }
     slots.sort_unstable();
@@ -189,7 +187,7 @@ fn planned_migration_drops_zero_ttis_and_no_blackout() {
 
     // The old primary is still alive and is now the hot standby
     // receiving null FAPIs (roles swapped).
-    let old_primary = d.engine.node::<PhyNode>(d.primary_phy).unwrap();
+    let old_primary = d.engine.node::<PhyNode>(d.cells[0].primary_phy).unwrap();
     assert!(old_primary.crash_time.is_none(), "old primary survives");
 }
 
@@ -198,7 +196,7 @@ fn ru_stays_lit_through_failover() {
     let mut d = deployment_with_ul_flow(5);
     d.kill_primary_at(Nanos::from_millis(500));
     d.engine.run_until(Nanos::from_millis(1500));
-    let ru = d.engine.node::<RuNode>(d.ru).unwrap();
+    let ru = d.engine.node::<RuNode>(d.cells[0].ru).unwrap();
     // D/S slots per second = 4/5 × 2000 = 1600; over 1.5 s ≈ 2400.
     // A handful may go dark around the failover; the cell must not
     // stay dark (the §8.1 baseline's failure mode).
@@ -224,7 +222,7 @@ fn trace_derives_detection_latency_and_dropped_ttis() {
     let dets = detections(trace.iter());
     assert_eq!(dets.len(), 1, "exactly one detection in the trace");
     let det = &dets[0];
-    assert_eq!(det.phy, slingshot::PRIMARY_PHY_ID as u64);
+    assert_eq!(det.phy, d.cells[0].primary_phy_id as u64);
     assert!(det.at > kill_at, "saturation after the kill");
     assert!(
         det.latency() <= Nanos(450_000),
@@ -282,7 +280,7 @@ fn failure_detection_latency_distribution() {
         let kill_at = Nanos(Nanos::from_millis(400).0 + i * 137_000);
         d.kill_primary_at(kill_at);
         d.engine.run_until(kill_at + Nanos::from_millis(20));
-        let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+        let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
         let notified = orion.last_failure_notified.expect("detected");
         sampler.record((notified - kill_at).0);
     }
@@ -305,7 +303,7 @@ fn switch_capture_measures_heartbeat_gaps() {
         .unwrap()
         .enable_capture();
     d.engine.run_until(Nanos::from_millis(500));
-    let primary_mac = slingshot_netsim::MacAddr::for_phy(slingshot::PRIMARY_PHY_ID);
+    let primary_mac = slingshot_netsim::MacAddr::for_phy(d.cells[0].primary_phy_id);
     let gaps = cap.inter_packet_gaps(|r| r.src == primary_mac);
     assert!(gaps.len() > 500, "captured {} gaps", gaps.len());
     let max_gap = *gaps.iter().max().unwrap();
@@ -315,13 +313,11 @@ fn switch_capture_measures_heartbeat_gaps() {
     );
     // Consistent with the mbox's own in-pipeline measurement.
     let sw = d.engine.node::<SwitchNode>(d.switch).unwrap();
-    let mbox_gap = sw.mbox.max_dl_gap(slingshot::PRIMARY_PHY_ID).0;
+    let mbox_gap = sw.mbox.max_dl_gap(d.cells[0].primary_phy_id).0;
     assert!(
         (mbox_gap as i64 - max_gap as i64).abs() < 50_000,
         "capture {max_gap} vs mbox {mbox_gap}"
     );
-    // Unused variable silence for SECONDARY id import coherence.
-    let _ = SECONDARY_PHY_ID;
 }
 
 /// The fronthaul latency budget: one-way RU↔PHY must stay well under

@@ -79,8 +79,9 @@ fn corrupting_fronthaul_never_panics_and_flows() {
     let bad = LinkParams::with_bandwidth(Nanos(20_000), 25_000_000_000)
         .corrupt_chance(0.02)
         .drop_chance(0.005);
-    d.engine.reconfigure_link(d.ru, d.switch, bad.clone());
-    d.engine.reconfigure_link(d.switch, d.ru, bad);
+    d.engine
+        .reconfigure_link(d.cells[0].ru, d.switch, bad.clone());
+    d.engine.reconfigure_link(d.switch, d.cells[0].ru, bad);
     d.engine.run_until(Nanos::from_secs(2));
     let (rx, _) = sink_stats(&d);
     assert!(rx > 300, "rx={rx}");
@@ -93,16 +94,17 @@ fn lossy_fapi_transport_triggers_orion_loss_guard() {
     let mut d = with_flow(3);
     // Heavy loss on the L2-side Orion → switch leg (FAPI datagrams).
     let lossy = LinkParams::with_bandwidth(Nanos(2_000), 100_000_000_000).drop_chance(0.05);
-    d.engine.reconfigure_link(d.orion_l2, d.switch, lossy);
+    d.engine
+        .reconfigure_link(d.cells[0].orion_l2, d.switch, lossy);
     d.engine.run_until(Nanos::from_secs(2));
     // §6.1: Orion injected nulls for the lost slots; the PHY survived.
     let guard = d
         .engine
-        .node::<OrionPhyNode>(d.orion_primary)
+        .node::<OrionPhyNode>(d.cells[0].orion_primary)
         .unwrap()
         .loss_nulls_injected;
     assert!(guard > 50, "nulls injected = {guard}");
-    let phy = d.engine.node::<PhyNode>(d.primary_phy).unwrap();
+    let phy = d.engine.node::<PhyNode>(d.cells[0].primary_phy).unwrap();
     assert!(
         phy.crash_time.is_none(),
         "PHY must not starve under FAPI datagram loss"
@@ -128,7 +130,7 @@ fn failover_still_works_under_background_loss() {
         .fault(1600, FaultTarget::ActivePhy, FaultKind::PhyCrash);
     let mut d = with_flow(4);
     ChaosRunner::new(&scenario).run(&mut d, scenario.horizon_slots);
-    let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+    let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
     assert_eq!(orion.failovers, 1);
     let ue = d.engine.node::<UeNode>(d.ues[0]).unwrap();
     assert_eq!(ue.rlf_count, 0);
@@ -138,7 +140,11 @@ fn failover_still_works_under_background_loss() {
 #[test]
 fn jittery_server_links_keep_fapi_within_budget() {
     let mut d = with_flow(5);
-    for n in [d.orion_l2, d.orion_primary, d.orion_secondary] {
+    for n in [
+        d.cells[0].orion_l2,
+        d.cells[0].orion_primary,
+        d.cells[0].orion_secondary,
+    ] {
         d.engine.reconfigure_link(
             n,
             d.switch,
@@ -151,7 +157,7 @@ fn jittery_server_links_keep_fapi_within_budget() {
         );
     }
     d.engine.run_until(Nanos::from_secs(2));
-    let phy = d.engine.node::<PhyNode>(d.primary_phy).unwrap();
+    let phy = d.engine.node::<PhyNode>(d.cells[0].primary_phy).unwrap();
     assert!(phy.crash_time.is_none());
     let (rx, loss) = sink_stats(&d);
     assert!(rx > 500 && loss < 0.1, "rx={rx} loss={loss}");

@@ -1,9 +1,13 @@
 //! Multi-RU co-location tests: two cells sharing two PHY processes
-//! with crossed primary/secondary roles (§8's deployment note).
+//! with crossed primary/secondary roles (§8's deployment note), built
+//! by `DeploymentBuilder::crossed_standbys` and judged by the same
+//! trace oracle and SLO analyzer as every other deployment.
 
-use slingshot::{DeploymentConfig, DualRuDeployment, OrionL2Node, SwitchNode};
+use slingshot::{Deployment, DeploymentBuilder, DeploymentConfig, OrionL2Node, SwitchNode};
 use slingshot_ran::{CellConfig, Fidelity, PhyNode, UeConfig, UeNode, UeState};
-use slingshot_sim::Nanos;
+use slingshot_sim::chaos::oracle;
+use slingshot_sim::slo::{self, SloConfig};
+use slingshot_sim::{Nanos, SLOT_DURATION};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
 fn cfg(seed: u64) -> DeploymentConfig {
@@ -18,31 +22,28 @@ fn cfg(seed: u64) -> DeploymentConfig {
     }
 }
 
-fn build(seed: u64) -> DualRuDeployment {
-    let ues0 = vec![UeConfig::new(100, 0, "cell0-ue", 22.0)];
-    let ues1 = vec![UeConfig {
-        ru_id: 1,
-        ..UeConfig::new(200, 1, "cell1-ue", 22.0)
-    }];
-    let mut d = DualRuDeployment::build(cfg(seed), ues0, ues1);
-    d.add_flow(
-        0,
-        0,
-        100,
-        Box::new(UdpCbrSource::new(3_000_000, 900, Nanos::ZERO)),
-        Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
-    );
-    d.add_flow(
-        1,
-        0,
-        200,
-        Box::new(UdpCbrSource::new(3_000_000, 900, Nanos::ZERO)),
-        Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
-    );
+/// Cell 0: primary PHY 1, standby PHY 3; cell 1: primary PHY 3,
+/// standby PHY 1. One UE per cell, each with a 3 Mbps uplink flow.
+fn build(seed: u64) -> Deployment {
+    let mut d = DeploymentBuilder::new()
+        .config(cfg(seed))
+        .cells(2)
+        .crossed_standbys()
+        .ue(UeConfig::new(100, 0, "cell0-ue", 22.0))
+        .ue(UeConfig::new(200, 1, "cell1-ue", 22.0))
+        .build();
+    for (ue_idx, rnti) in [(0, 100), (1, 200)] {
+        d.add_flow(
+            ue_idx,
+            rnti,
+            Box::new(UdpCbrSource::new(3_000_000, 900, Nanos::ZERO)),
+            Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+        );
+    }
     d
 }
 
-fn sink_rx(d: &DualRuDeployment, rnti: u16) -> u64 {
+fn sink_rx(d: &Deployment, rnti: u16) -> u64 {
     let sink: &UdpSink = d
         .engine
         .node::<slingshot_ran::AppServerNode>(d.server)
@@ -59,7 +60,7 @@ fn both_cells_flow_with_crossed_standbys() {
     assert!(sink_rx(&d, 100) > 300, "cell0 rx={}", sink_rx(&d, 100));
     assert!(sink_rx(&d, 200) > 300, "cell1 rx={}", sink_rx(&d, 200));
     // Each PHY does real work (one cell) AND null slots (the other).
-    for phy in [d.phy1, d.phy2] {
+    for phy in [d.cells[0].primary_phy, d.cells[1].primary_phy] {
         let p = d.engine.node::<PhyNode>(phy).unwrap();
         assert!(p.work_slots > 100, "work={}", p.work_slots);
         assert!(p.null_slots > 1000, "null={}", p.null_slots);
@@ -70,17 +71,43 @@ fn both_cells_flow_with_crossed_standbys() {
 fn one_phy_crash_fails_over_one_cell_without_disturbing_the_other() {
     let mut d = build(2);
     d.engine.run_until(Nanos::from_millis(700));
-    d.engine.kill(d.phy1); // primary of cell 0, standby of cell 1
+    d.engine.kill(d.cells[0].primary_phy); // primary of cell 0, standby of cell 1
     d.engine.run_until(Nanos::from_millis(2000));
 
-    // Cell 0 failed over to PHY 2 and stayed connected.
+    // The trace agrees: every invariant holds, and each cell dropped at
+    // most the paper's 3 TTIs — cell 1's deliveries from PHY 3 count as
+    // its own even once PHY 3 serves cell 0 too.
+    let initial_active = d.initial_active();
+    let exp = oracle::Expectations {
+        initial_active: initial_active.clone(),
+        ..oracle::Expectations::default()
+    };
+    let report = oracle::check(d.engine.event_trace(), &exp);
+    assert!(report.ok(), "violations: {:?}", report.violations);
+    let horizon_slots = Nanos::from_millis(2000).0 / SLOT_DURATION.0;
+    let slo_cfg = SloConfig {
+        horizon_slots,
+        initial_active,
+    };
+    let slo = slo::analyze(d.engine.event_trace(), &slo_cfg);
+    assert_eq!(slo.cells.len(), 2);
+    for cell in &slo.cells {
+        assert!(
+            cell.dropped_ttis <= 3,
+            "ru {}: {} dropped TTIs",
+            cell.ru,
+            cell.dropped_ttis
+        );
+    }
+
+    // Cell 0 failed over to PHY 3 and stayed connected.
     let orion0 = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
     assert_eq!(orion0.failovers, 1);
     let ue0 = d.engine.node::<UeNode>(d.cells[0].ues[0]).unwrap();
     assert_eq!(ue0.rlf_count, 0);
     assert_eq!(ue0.state, UeState::Connected);
 
-    // Cell 1 (already on PHY 2) was never disturbed; it lost only its
+    // Cell 1 (already on PHY 3) was never disturbed; it lost only its
     // standby.
     let orion1 = d.engine.node::<OrionL2Node>(d.cells[1].orion_l2).unwrap();
     assert_eq!(orion1.failovers, 0, "cell1 must not fail over");
@@ -91,13 +118,13 @@ fn one_phy_crash_fails_over_one_cell_without_disturbing_the_other() {
     let sw = d.engine.node::<SwitchNode>(d.switch).unwrap();
     assert_eq!(sw.mbox.migrations_executed, 1);
 
-    // Both cells' traffic still flows — co-resident on PHY 2.
+    // Both cells' traffic still flows — co-resident on PHY 3.
     let before0 = sink_rx(&d, 100);
     let before1 = sink_rx(&d, 200);
     d.engine.run_until(Nanos::from_millis(3000));
     assert!(sink_rx(&d, 100) > before0 + 100, "cell0 resumed");
     assert!(sink_rx(&d, 200) > before1 + 100, "cell1 kept flowing");
-    let survivor = d.engine.node::<PhyNode>(d.phy2).unwrap();
+    let survivor = d.engine.node::<PhyNode>(d.cells[1].primary_phy).unwrap();
     assert!(survivor.crash_time.is_none());
 }
 
@@ -106,7 +133,7 @@ fn dual_ru_deterministic() {
     let run = |seed| {
         let mut d = build(seed);
         d.engine.run_until(Nanos::from_millis(600));
-        d.engine.kill(d.phy1);
+        d.engine.kill(d.cells[0].primary_phy);
         d.engine.run_until(Nanos::from_millis(1000));
         (d.engine.trace_hash(), d.engine.dispatched())
     };

@@ -218,7 +218,7 @@ fn single_cell_pool_survives_three_crashes() {
         .active_phy(0);
     let standby = d
         .engine
-        .node::<OrionL2Node>(d.orion_l2)
+        .node::<OrionL2Node>(d.cells[0].orion_l2)
         .expect("orion node")
         .standby_of(0)
         .expect("standby bound after the third recovery");

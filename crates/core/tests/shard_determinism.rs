@@ -301,7 +301,7 @@ fn fabric_directories_resolve_switches() {
     assert!(single.leaves.is_empty());
     assert_eq!(single.engine.lane_loads().len(), 1);
     assert_eq!(single.switch_for_ru(1), single.switch);
-    assert_eq!(single.switch_for_node(single.ru), single.switch);
+    assert_eq!(single.switch_for_node(single.cells[0].ru), single.switch);
 }
 
 /// The port-collision audit at city scale: a 128-cell single-switch

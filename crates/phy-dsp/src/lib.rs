@@ -5,7 +5,7 @@
 //! reimplemented from scratch so that decode success and failure emerge
 //! from real coding/modulation math under channel noise:
 //!
-//! - [`crc`]: CRC-24A / CRC-16 (TS 38.212 polynomials)
+//! - [`crc`]: the CRC-24A every transport block carries (TS 38.212)
 //! - [`scramble`]: length-31 Gold sequence scrambling (TS 38.211)
 //! - [`modulation`]: Gray-mapped QPSK…256-QAM with max-log LLR demapping
 //! - [`ldpc`]: systematic staircase LDPC, normalized min-sum decoding

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use slingshot_phy_dsp::bits::BitBuf;
 use slingshot_phy_dsp::channel::AwgnChannel;
-use slingshot_phy_dsp::crc::{attach_crc24a, check_crc24a, crc16, crc24a};
+use slingshot_phy_dsp::crc::{attach_crc24a, check_crc24a, crc24a};
 use slingshot_phy_dsp::iq::SC_PER_PRB;
 use slingshot_phy_dsp::ldpc::{LdpcBlockOut, LdpcCode, LdpcScratch, BATCH_LANES};
 use slingshot_phy_dsp::modulation::{modulate, modulate_packed, Modulation};
@@ -44,29 +44,12 @@ fn crc24a_ref(data: &[u8]) -> u32 {
     crc & 0x00FF_FFFF
 }
 
-/// Pre-rewrite CRC-16 (CCITT).
-fn crc16_ref(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0;
-    for &byte in data {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
-            let msb = crc & 0x8000 != 0;
-            crc <<= 1;
-            if msb {
-                crc ^= 0x1021;
-            }
-        }
-    }
-    crc
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn crc_tables_match_bitwise_reference(data in proptest::collection::vec(any::<u8>(), 0..300)) {
         prop_assert_eq!(crc24a(&data), crc24a_ref(&data));
-        prop_assert_eq!(crc16(&data), crc16_ref(&data));
         let attached = attach_crc24a(&data);
         prop_assert_eq!(check_crc24a(&attached), Some(&data[..]));
     }

@@ -60,14 +60,21 @@ impl Ownership {
         self.0.get(&key).is_some_and(|tl| near(tl, owner, slot))
     }
 
-    /// The key `owner` holds at `slot`: an exact match first, then one
-    /// within the ±1-slot grace of [`Ownership::holds_near`].
-    pub(crate) fn attribute(&self, owner: u64, slot: u64) -> Option<u64> {
-        self.0
-            .iter()
-            .find(|(_, tl)| held(tl, slot) == owner)
-            .or_else(|| self.0.iter().find(|(_, tl)| near(tl, owner, slot)))
-            .map(|(&key, _)| key)
+    /// Every key `owner` holds at `slot` (one owner may hold several,
+    /// as a crossed-standby PHY does after a failover); when none
+    /// matches exactly, every key it holds within the ±1-slot grace of
+    /// [`Ownership::holds_near`].
+    pub(crate) fn attribute(&self, owner: u64, slot: u64) -> Vec<u64> {
+        let exact = self.keys_where(|tl| held(tl, slot) == owner);
+        if !exact.is_empty() {
+            return exact;
+        }
+        self.keys_where(|tl| near(tl, owner, slot))
+    }
+
+    fn keys_where(&self, hit: impl Fn(&[(u64, u64)]) -> bool) -> Vec<u64> {
+        let keys = self.0.iter().filter(|(_, tl)| hit(tl));
+        keys.map(|(&key, _)| key).collect()
     }
 }
 
@@ -83,8 +90,13 @@ fn near(timeline: &[(u64, u64)], owner: u64, slot: u64) -> bool {
         .any(|&s| held(timeline, s) == owner)
 }
 
-/// Every `UlSlotProcessed` in a trace, attributed to the cell whose
+/// Every `UlSlotProcessed` in a trace, attributed to each cell whose
 /// active PHY produced it.
+///
+/// A PHY active for two cells at once (a crossed standby that took over
+/// its neighbour's cell) has each of its deliveries credited to both:
+/// the event names the PHY and the slot but not the RU, so a slot it
+/// delivered for only one of the two also counts for the other.
 pub(crate) struct Deliveries {
     /// The active-PHY timelines the attribution used.
     pub active: Ownership,
@@ -105,9 +117,12 @@ impl Deliveries {
             active.iter().map(|(ru, _)| (ru, Vec::new())).collect();
         let mut unowned = Vec::new();
         for e in trace.of_kind(TraceEventKind::UlSlotProcessed) {
-            match active.attribute(e.b, e.a) {
-                Some(ru) => produced.entry(ru).or_default().push((e.a, e.b)),
-                None => unowned.push((e.a, e.b)),
+            let rus = active.attribute(e.b, e.a);
+            if rus.is_empty() {
+                unowned.push((e.a, e.b));
+            }
+            for ru in rus {
+                produced.entry(ru).or_default().push((e.a, e.b));
             }
         }
         let mut slots = BTreeMap::new();
@@ -154,6 +169,31 @@ mod tests {
     use super::*;
     use crate::engine::NodeId;
     use crate::time::{Nanos, SlotId};
+
+    fn record(tb: &mut TraceBuffer, abs: u64, kind: TraceEventKind, a: u64, b: u64) {
+        let (at, slot) = (Nanos(abs * SLOT_DURATION.0), SlotId::from_absolute(abs));
+        tb.record_at_slot(at, NodeId(0), slot, kind, a, b);
+    }
+
+    /// Crossed standbys: cell 0 (PHY 1) fails over onto PHY 3, already
+    /// cell 1's primary. From the flip on, PHY 3's deliveries are both
+    /// cells' — before it, cell 1's alone.
+    #[test]
+    fn a_phy_active_for_two_cells_delivers_for_both() {
+        let mut tb = TraceBuffer::new(1024);
+        for s in (4..100).step_by(5) {
+            if s < 50 {
+                record(&mut tb, s, TraceEventKind::UlSlotProcessed, s, 1);
+            }
+            record(&mut tb, s, TraceEventKind::UlSlotProcessed, s, 3);
+        }
+        record(&mut tb, 52, TraceEventKind::MapFlip, 0, (1 << 16) | 3);
+        let d = Deliveries::from_trace(&[(0, 1), (1, 3)], &tb);
+        let every: Vec<u64> = (4..100).step_by(5).collect();
+        assert_eq!(d.slots[&0], every);
+        assert_eq!(d.slots[&1], every);
+        assert!(d.contested.is_empty() && d.unowned.is_empty());
+    }
 
     fn flip_at(at_slot: u64, stamped: SlotId) -> TraceEvent {
         TraceEvent {

@@ -8,7 +8,7 @@
 //! cargo run --release --example live_upgrade
 //! ```
 
-use slingshot::{DeploymentBuilder, DeploymentConfig, PRIMARY_PHY_ID, SECONDARY_PHY_ID};
+use slingshot::{DeploymentBuilder, DeploymentConfig};
 use slingshot_ran::{AppServerNode, CellConfig, Fidelity, PhyNode, UeConfig, UeNode};
 use slingshot_sim::Nanos;
 use slingshot_transport::{UdpCbrSource, UdpSink};
@@ -34,7 +34,7 @@ fn main() {
     // The currently deployed build is older than the scheduler assumes:
     // it decodes with only 2 iterations.
     d.engine
-        .node_mut::<PhyNode>(d.primary_phy)
+        .node_mut::<PhyNode>(d.cells[0].primary_phy)
         .unwrap()
         .set_fec_iterations(2);
 
@@ -66,10 +66,9 @@ fn main() {
         "downtime during the upgrade: UE radio-link failures = {} (zero-downtime)",
         ue.rlf_count
     );
-    let old = d.engine.node::<PhyNode>(d.primary_phy).unwrap();
+    let old = d.engine.node::<PhyNode>(d.cells[0].primary_phy).unwrap();
     println!(
         "old build still alive as the new hot standby (crashed: {})",
         old.crash_time.is_some()
     );
-    let _ = (PRIMARY_PHY_ID, SECONDARY_PHY_ID);
 }

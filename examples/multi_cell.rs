@@ -10,7 +10,7 @@
 //! cargo run --release --example multi_cell
 //! ```
 
-use slingshot::{DeploymentConfig, DualRuDeployment, OrionL2Node};
+use slingshot::{DeploymentBuilder, DeploymentConfig, OrionL2Node};
 use slingshot_ran::{CellConfig, Fidelity, PhyNode, UeConfig, UeNode};
 use slingshot_sim::Nanos;
 use slingshot_transport::{UdpCbrSource, UdpSink};
@@ -25,27 +25,32 @@ fn main() {
         seed: 77,
         ..DeploymentConfig::default()
     };
-    let ues0 = vec![UeConfig::new(100, 0, "cell0-phone", 22.0)];
-    let ues1 = vec![UeConfig {
-        ru_id: 1,
-        ..UeConfig::new(200, 1, "cell1-phone", 22.0)
-    }];
-    let mut d = DualRuDeployment::build(cfg, ues0, ues1);
-    for (cell, rnti) in [(0usize, 100u16), (1, 200)] {
+    let mut d = DeploymentBuilder::new()
+        .config(cfg)
+        .cells(2)
+        .crossed_standbys()
+        .ue(UeConfig::new(100, 0, "cell0-phone", 22.0))
+        .ue(UeConfig::new(200, 1, "cell1-phone", 22.0))
+        .build();
+    for (ue_idx, rnti) in [(0, 100), (1, 200)] {
         d.add_flow(
-            cell,
-            0,
+            ue_idx,
             rnti,
             Box::new(UdpCbrSource::new(3_000_000, 900, Nanos::ZERO)),
             Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
         );
     }
-    println!("cell 0: primary = PHY 1 (standby PHY 2)");
-    println!("cell 1: primary = PHY 2 (standby PHY 1)\n");
+    for cell in &d.cells {
+        println!(
+            "cell {}: primary = PHY {} (standby PHY {})",
+            cell.ru_id, cell.primary_phy_id, cell.secondary_phy_id
+        );
+    }
+    println!();
 
     d.engine.run_until(Nanos::from_millis(800));
     println!("t=0.8 s: killing PHY 1 (cell 0's primary, cell 1's standby)");
-    d.engine.kill(d.phy1);
+    d.engine.kill(d.cells[0].primary_phy);
     d.engine.run_until(Nanos::from_millis(2500));
 
     for (i, label) in ["cell 0", "cell 1"].iter().enumerate() {
@@ -59,9 +64,9 @@ fn main() {
             println!("  event @ {:.6}s: {e}", t.as_secs());
         }
     }
-    let survivor = d.engine.node::<PhyNode>(d.phy2).unwrap();
+    let survivor = d.engine.node::<PhyNode>(d.cells[1].primary_phy).unwrap();
     println!(
-        "\nPHY 2 now carries both cells: work slots={}, crashed={}",
+        "\nPHY 3 now carries both cells: work slots={}, crashed={}",
         survivor.work_slots,
         survivor.crash_time.is_some()
     );

@@ -51,7 +51,7 @@ fn main() {
     d.engine.run_until(Nanos::from_millis(2500));
 
     // 6. What happened?
-    let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+    let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
     let detected = orion.last_failure_notified.expect("failure detected");
     println!(
         "in-switch detector fired at t={:.6} s ({} µs after the kill)",

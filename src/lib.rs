@@ -34,7 +34,7 @@
 //! d.engine.run_until(Nanos::from_millis(700));
 //!
 //! // The in-switch detector fired within its 450 µs + tick budget…
-//! let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+//! let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
 //! let detect = orion.last_failure_notified.unwrap() - Nanos::from_millis(300);
 //! assert!(detect < Nanos::from_millis(1));
 //! // …and the UE rode through the failover without radio-link failure.

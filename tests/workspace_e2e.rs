@@ -86,7 +86,7 @@ fn three_ues_survive_repeated_planned_migrations() {
         d.planned_migration_at(Nanos::from_millis(ms));
     }
     d.engine.run_until(Nanos::from_millis(2500));
-    let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+    let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
     assert_eq!(orion.planned_migrations, 4);
     let sw = d.engine.node::<SwitchNode>(d.switch).unwrap();
     assert_eq!(sw.mbox.migrations_executed, 4);
@@ -127,7 +127,7 @@ fn spare_phy_takes_over_after_double_failure() {
     // orchestrator grants the pooled spare as the new standby.
     d.kill_primary_at(Nanos::from_millis(500));
     d.engine.run_until(Nanos::from_millis(1500));
-    let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+    let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
     assert_eq!(orion.failovers, 1);
     let trace = d.engine.event_trace();
     for kind in [
@@ -138,9 +138,9 @@ fn spare_phy_takes_over_after_double_failure() {
     }
     // Second failure: the new primary (old secondary) dies; the spare
     // must take over.
-    d.engine.kill(d.secondary_phy);
+    d.engine.kill(d.cells[0].secondary_phy);
     d.engine.run_until(Nanos::from_millis(3000));
-    let orion = d.engine.node::<OrionL2Node>(d.orion_l2).unwrap();
+    let orion = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
     assert_eq!(orion.failovers, 2, "second failover onto the spare");
     let ue = d.engine.node::<UeNode>(d.ues[0]).unwrap();
     assert_eq!(ue.rlf_count, 0, "UE survives both failures");
