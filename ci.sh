@@ -3,7 +3,8 @@
 #
 # Usage:
 #   ./ci.sh            full gate: release build, full test suite, fmt,
-#                      clippy, a chaos smoke, the two floored micro
+#                      clippy, rustdoc (warnings are errors), a chaos
+#                      smoke, the two floored micro
 #                      harnesses (kernel, engine), the paper contract
 #                      (`figures --check`), and the benchmark package's
 #                      --check and unit tests
@@ -131,6 +132,11 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Intra-doc links name public items; a link to a deleted or private
+# item is an error here, not a silent broken link.
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> chaos smoke (CHAOS_SEEDS=${CHAOS_SEEDS:-4})"
 CHAOS_SEEDS="${CHAOS_SEEDS:-4}" cargo run --release -p slingshot-bench --bin chaos_soak

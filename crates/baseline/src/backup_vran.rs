@@ -182,9 +182,7 @@ impl BaselineDeployment {
         // Primary stack: UEs pre-attached.
         let mut l2a = L2Node::new(cell.clone(), clock, RU);
         for u in &ue_cfgs {
-            if u.preattached {
-                l2a.preattach_ue(u.rnti, u.snr.mean_db);
-            }
+            l2a.preattach_ue(u.rnti, u.snr.mean_db);
         }
         let primary_l2 = engine.add_node("l2-primary", Box::new(l2a));
         let primary_phy = engine.add_node(

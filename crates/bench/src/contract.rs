@@ -100,7 +100,7 @@ impl Experiment {
         report
     }
 
-    /// One [`COLUMNS`] record per expectation, judged against `report`.
+    /// One `COLUMNS` record per expectation, judged against `report`.
     pub fn rows(&self, report: &BenchReport) -> Vec<[String; 6]> {
         let judge = |e: &Expect| {
             let values: Vec<f64> = if e.band == Band::NonDecreasing {

@@ -1,9 +1,9 @@
 //! The paper's figures: Fig. 3 and Figs. 8–12.
 
 use super::*;
-use slingshot::{OrionCost, OrionL2Node};
+use slingshot::{OrionL2Node, ORION_PER_BYTE_NS, ORION_PER_MSG};
 use slingshot_baseline::{migrate_batch, BaselineDeployment, VmMigrationConfig};
-use slingshot_sim::SimRng;
+use slingshot_sim::{slot_kind, SimRng, SlotKind};
 use slingshot_transport::{EchoResponder, PingApp, VideoReceiver, VideoSender};
 
 #[rustfmt::skip]
@@ -330,7 +330,6 @@ fn fig12(r: &mut BenchReport) {
 
 /// 10 s of slot-paced FAPI traffic at `dl_bps`.
 fn orion_added_delay(dl_bps: f64, seed: u64) -> Sampler {
-    let cost = OrionCost::default();
     let mut rng = SimRng::new(seed);
     let mut added = Sampler::new();
     let (mut busy_l2, mut busy_phy) = (Nanos::ZERO, Nanos::ZERO);
@@ -341,7 +340,11 @@ fn orion_added_delay(dl_bps: f64, seed: u64) -> Sampler {
         // Each slot carries UL_TTI + DL_TTI (small); DL slots add
         // TX_Data segmented into ≤ 8 KB FAPI messages.
         let mut msgs: Vec<usize> = vec![48, 64];
-        let mut rem = if s % 5 < 3 { bytes_per_dl_slot } else { 0 };
+        let mut rem = if slot_kind(s) == SlotKind::Downlink {
+            bytes_per_dl_slot
+        } else {
+            0
+        };
         while rem > 0 {
             let take = rem.min(8192);
             msgs.push(take + 32);
@@ -350,7 +353,7 @@ fn orion_added_delay(dl_bps: f64, seed: u64) -> Sampler {
         for bytes in msgs {
             // Jittered arrival within the first 100 µs of the slot.
             let arrival = now + Nanos(rng.below(100_000));
-            let svc = cost.per_msg + Nanos((bytes as f64 * cost.per_byte_ns) as u64);
+            let svc = ORION_PER_MSG + Nanos((bytes as f64 * ORION_PER_BYTE_NS) as u64);
             busy_l2 = busy_l2.max(arrival) + svc;
             // Wire: 100 GbE serialization + 2 µs propagation.
             let wire = Nanos((bytes as u64 * 8 * 1_000_000_000) / 100_000_000_000) + Nanos(2_000);

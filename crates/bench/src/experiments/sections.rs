@@ -6,7 +6,7 @@ use slingshot::{FhMbox, ForwardingModel, OrionL2Node, OrionPhyNode, SwitchNode};
 use slingshot_baseline::{migrate_batch, VmMigrationConfig};
 use slingshot_ran::{CtlMsg, L2Node, Msg};
 use slingshot_sim::SimRng;
-use slingshot_switch::{estimate, PktGenConfig, ResourceBudget, PIPELINE_LATENCY};
+use slingshot_switch::{estimate, PktGenConfig};
 
 #[rustfmt::skip]
 pub(super) const TABLE2: Experiment = Experiment {
@@ -98,9 +98,10 @@ pub(super) const SEC5: Experiment = Experiment {
 };
 
 fn sec5(r: &mut BenchReport) {
-    let software = ForwardingModel::software_default();
-    let in_switch = ForwardingModel::InSwitch;
-    let models = [("in_switch", in_switch), ("software", software)];
+    let models = [
+        ("in_switch", ForwardingModel::InSwitch),
+        ("software", ForwardingModel::Software),
+    ];
     let (mut tails, mut received) = (Vec::new(), Vec::new());
     for (seed, (label, model)) in (51..).zip(models) {
         // The forwarding-cost model, sampled over as many frames as a
@@ -108,12 +109,7 @@ fn sec5(r: &mut BenchReport) {
         let mut rng = SimRng::new(seed);
         let mut cost = Sampler::new();
         for _ in 0..2_000_000 {
-            cost.record_nanos(match model {
-                ForwardingModel::InSwitch => PIPELINE_LATENCY,
-                ForwardingModel::Software { base, tail_mean } => {
-                    base + Nanos(rng.exponential(tail_mean.0 as f64) as u64)
-                }
-            });
+            cost.record_nanos(model.delay(&mut rng));
         }
         r.scalar_of("median_us", label, us(cost.median()), 2);
         r.scalar_of("p99_us", label, us(cost.p99()), 2);
@@ -261,7 +257,7 @@ fn sec86(r: &mut BenchReport) {
     // More RUs and PHYs mostly grow SRAM (the paper's note), visible
     // once entry counts pass the hash-way block floor.
     for (scale, n) in [("256", 256), ("16k", 16384)] {
-        let usage = estimate(&FhMbox::manifest(n, n), &ResourceBudget::default());
+        let usage = estimate(&FhMbox::manifest(n, n));
         r.scalar_of("crossbar_pct", scale, usage.crossbar * 100.0, 1);
         r.scalar_of("alu_pct", scale, usage.alu * 100.0, 1);
         r.scalar_of("gateway_pct", scale, usage.gateway * 100.0, 1);

@@ -88,9 +88,10 @@ enum Op {
     /// Revive the process killed by the paired `KillProcess`, re-running
     /// its startup path with retained configuration.
     RestartProcess,
-    /// Post `n` planned-migration requests to the L2-side Orion, spaced
-    /// 10 µs apart (1 = a planned migration, >1 = a request storm).
-    PostPlanned(u32),
+    /// Post `n` planned-migration requests to the target cell's L2-side
+    /// Orion, spaced 10 µs apart (1 = a planned migration, >1 = a
+    /// request storm).
+    PostPlanned(FaultTarget, u32),
     /// Post `n` forced measurement reports to the handover controller,
     /// 10 µs apart, cycling over the deployment's UEs (a handover
     /// storm). Each report claims the next cell over is stronger.
@@ -150,9 +151,9 @@ impl ChaosRunner {
                     ops.push((t1, i, Op::RestartProcess));
                 }
                 FaultKind::MigrationStorm { requests } => {
-                    ops.push((t0, i, Op::PostPlanned(requests)));
+                    ops.push((t0, i, Op::PostPlanned(f.target, requests)));
                 }
-                FaultKind::PlannedMigration => ops.push((t0, i, Op::PostPlanned(1))),
+                FaultKind::PlannedMigration => ops.push((t0, i, Op::PostPlanned(f.target, 1))),
                 FaultKind::HandoverStorm { requests } => {
                     ops.push((t0, i, Op::PostMeasurements(requests)));
                 }
@@ -256,8 +257,21 @@ impl ChaosRunner {
                     self.note(now, format!("restart {}", d.engine.node_name(node)));
                 }
             }
-            Op::PostPlanned(count) => {
-                let (orion_l2, ru_id) = (d.cells[0].orion_l2, d.cells[0].ru_id);
+            Op::PostPlanned(target, count) => {
+                // A per-cell PHY role names its cell; every other target
+                // means cell 0.
+                let cell = match target {
+                    FaultTarget::ActivePhyOf(i) | FaultTarget::StandbyPhyOf(i) => i as usize,
+                    _ => 0,
+                };
+                let Some(c) = d.cells.get(cell) else {
+                    self.note(
+                        now,
+                        format!("planned migration {target}: no such cell, skipped"),
+                    );
+                    return;
+                };
+                let (orion_l2, ru_id) = (c.orion_l2, c.ru_id);
                 for k in 0..count {
                     d.engine.post(
                         now + Nanos(10_000 * k as u64),
@@ -265,7 +279,10 @@ impl ChaosRunner {
                         Msg::Ctl(CtlMsg::PlannedMigration { ru_id }),
                     );
                 }
-                self.note(now, format!("post {count} planned-migration request(s)"));
+                self.note(
+                    now,
+                    format!("post {count} planned-migration request(s) to cell {cell}"),
+                );
             }
             Op::PostMeasurements(count) => {
                 let Some(ctl) = d.handover else {

@@ -461,7 +461,7 @@ impl Construction {
         cell.cell_id += i as u16;
 
         let mut l2n = L2Node::new(cell.clone(), self.clock, ru_id);
-        for u in ue_cfgs.iter().filter(|u| u.preattached) {
+        for u in ue_cfgs {
             l2n.preattach_ue(u.rnti, u.snr.mean_db);
         }
         let l2 = self.engine.add_node(&format!("c{i}-l2"), Box::new(l2n));

@@ -286,14 +286,6 @@ impl FhMbox {
         }
     }
 
-    pub fn unenroll_failure_detection(&mut self, phy_id: u8) {
-        self.fail_enrolled.write(phy_id as usize, 0);
-        self.fail_seen.write(phy_id as usize, 0);
-        if let Ok(at) = self.enrolled_scan.binary_search(&(phy_id as usize)) {
-            self.enrolled_scan.remove(at);
-        }
-    }
-
     /// PHY ids enrolled in failure detection, in the detector's
     /// (ascending) scan order.
     pub fn enrolled_phys(&self) -> &[usize] {
@@ -638,7 +630,7 @@ mod tests {
     use bytes::Bytes;
     use slingshot_fronthaul::{fh_header, CPlaneMsg, FhMessage, UPlaneMsg};
     use slingshot_sim::SlotId;
-    use slingshot_switch::{estimate, ResourceBudget};
+    use slingshot_switch::estimate;
 
     fn mbox() -> FhMbox {
         let mut m = FhMbox::new(PktGenConfig::paper_default(), MacAddr::for_l2(0));
@@ -1133,9 +1125,10 @@ mod tests {
 
     #[test]
     fn unenrolled_phy_not_monitored() {
+        // PHYs 1 and 2 are installed but never enrolled: their silence
+        // is not a failure.
         let mut m = mbox();
-        m.enroll_failure_detection(1);
-        m.unenroll_failure_detection(1);
+        assert!(m.enrolled_phys().is_empty());
         for _ in 0..200 {
             assert!(m.on_generator_tick(Nanos(0)).is_empty());
         }
@@ -1167,7 +1160,7 @@ mod tests {
 
     #[test]
     fn resources_fit_at_256_rus() {
-        let usage = estimate(&FhMbox::manifest(256, 256), &ResourceBudget::default());
+        let usage = estimate(&FhMbox::manifest(256, 256));
         assert!(usage.fits(), "{usage:?}");
         // Paper §8.6 scale: each resource in single-digit to low-teens %.
         assert!(usage.crossbar < 0.20, "crossbar={}", usage.crossbar);

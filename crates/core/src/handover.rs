@@ -33,6 +33,14 @@ use crate::ctl::CtlPacket;
 /// Timer-token base for per-UE handover timeouts (token = base + rnti).
 const TIMER_HO_BASE: u64 = 940;
 
+/// Slots of preparation between arming and the cutover boundary
+/// (context transfer + command delivery must fit inside).
+const PREP_SLOTS: u64 = 4;
+
+/// Abandon an attempt stuck longer than this many slots (lost context
+/// transfer, dead L2, partitioned link...).
+const TIMEOUT_SLOTS: u64 = 100;
+
 /// MAC address of the handover controller process.
 pub fn handover_mac() -> MacAddr {
     MacAddr([0x02, 0x4F, 0x52, 0x00, 0x04, 0x01])
@@ -67,12 +75,6 @@ pub struct HandoverController {
     /// the RRC message riding the source cell's downlink).
     ue_nodes: BTreeMap<u16, NodeId>,
     in_flight: BTreeMap<u16, Attempt>,
-    /// Slots of preparation between arming and the cutover boundary
-    /// (context transfer + command delivery must fit inside).
-    pub prep_slots: u64,
-    /// Abandon an attempt stuck longer than this many slots (lost
-    /// context transfer, dead L2, partitioned link...).
-    pub timeout_slots: u64,
     /// Observability.
     pub started: u64,
     pub completed: u64,
@@ -90,8 +92,6 @@ impl HandoverController {
             l2_nodes: BTreeMap::new(),
             ue_nodes: BTreeMap::new(),
             in_flight: BTreeMap::new(),
-            prep_slots: 4,
-            timeout_slots: 100,
             started: 0,
             completed: 0,
             aborted: 0,
@@ -148,12 +148,12 @@ impl HandoverController {
             Nanos::from_micros(50),
             Msg::Ctl(CtlMsg::HandoverContextRequest { rnti, target_ru }),
         );
-        // +1 so the timer lands strictly after `timeout_slots` worth of
+        // +1 so the timer lands strictly after `TIMEOUT_SLOTS` worth of
         // age even when the attempt starts mid-slot (the age guard
         // below distinguishes this timer from a reused token).
         let now_abs = self.clock.absolute_slot(ctx.now());
         ctx.timer_at(
-            self.clock.slot_start(now_abs + self.timeout_slots + 1),
+            self.clock.slot_start(now_abs + TIMEOUT_SLOTS + 1),
             TIMER_HO_BASE + rnti as u64,
         );
         true
@@ -176,7 +176,7 @@ impl Node<Msg> for HandoverController {
             return;
         };
         let age = ctx.now().saturating_sub(att.started);
-        if age < Nanos(self.timeout_slots * slingshot_sim::SLOT_DURATION.0) {
+        if age < Nanos(TIMEOUT_SLOTS * slingshot_sim::SLOT_DURATION.0) {
             // A newer attempt reused the token; let its own timer act.
             return;
         }
@@ -231,7 +231,7 @@ impl Node<Msg> for HandoverController {
                 // Arm the data-plane cutover in the switch's UE
                 // directory at an aligned boundary...
                 let now_abs = self.clock.absolute_slot(ctx.now());
-                let scalar = scalar_of(align_to_tdd_cycle(now_abs + self.prep_slots));
+                let scalar = scalar_of(align_to_tdd_cycle(now_abs + PREP_SLOTS));
                 CtlPacket::HandoverOnSlot {
                     rnti,
                     source_ru,

@@ -42,7 +42,9 @@ pub use ctl::CtlPacket;
 pub use deployment::{CellDeployment, Deployment, DeploymentBuilder, DeploymentConfig};
 pub use fh_mbox::FhMbox;
 pub use handover::{handover_mac, HandoverController};
-pub use orion::{orion_l2_mac, orion_phy_mac, OrionCost, OrionL2Node, OrionPhyNode};
+pub use orion::{
+    orion_l2_mac, orion_phy_mac, OrionL2Node, OrionPhyNode, ORION_PER_BYTE_NS, ORION_PER_MSG,
+};
 pub use recovery::{recovery_mac, RecoveryOrchestrator};
 pub use spine::SpineSwitchNode;
 pub use switch_node::{ForwardingModel, SwitchNode};

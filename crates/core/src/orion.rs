@@ -39,21 +39,11 @@ pub fn orion_l2_mac(l2_id: u8) -> MacAddr {
     MacAddr([0x02, 0x4F, 0x52, 0x00, 0x02, l2_id])
 }
 
-/// Busy-poll forwarding cost model (one core, FIFO).
-#[derive(Debug, Clone, Copy)]
-pub struct OrionCost {
-    pub per_msg: Nanos,
-    pub per_byte_ns: f64,
-}
+/// Busy-poll forwarding cost per message (one core, FIFO).
+pub const ORION_PER_MSG: Nanos = Nanos(800);
 
-impl Default for OrionCost {
-    fn default() -> OrionCost {
-        OrionCost {
-            per_msg: Nanos(800),
-            per_byte_ns: 0.2,
-        }
-    }
-}
+/// Busy-poll forwarding cost per payload byte, ns.
+pub const ORION_PER_BYTE_NS: f64 = 0.2;
 
 #[derive(Debug, Default)]
 struct CostState {
@@ -63,9 +53,9 @@ struct CostState {
 impl CostState {
     /// FIFO service: returns the completion time for a message of
     /// `bytes` arriving at `now`.
-    fn service(&mut self, now: Nanos, bytes: usize, cost: &OrionCost) -> Nanos {
+    fn service(&mut self, now: Nanos, bytes: usize) -> Nanos {
         let start = self.busy_until.max(now);
-        let dur = cost.per_msg + Nanos((bytes as f64 * cost.per_byte_ns) as u64);
+        let dur = ORION_PER_MSG + Nanos((bytes as f64 * ORION_PER_BYTE_NS) as u64);
         self.busy_until = start + dur;
         self.busy_until
     }
@@ -82,7 +72,6 @@ pub struct OrionPhyNode {
     switch: Option<NodeId>,
     phy: Option<NodeId>,
     clock: SlotClock,
-    cost: OrionCost,
     state: CostState,
     /// Started RUs and the latest absolute slot each has TTI requests
     /// for — the §6.1 loss guard: if a datagram is lost, Orion injects
@@ -113,7 +102,6 @@ impl OrionPhyNode {
             switch: None,
             phy: None,
             clock: SlotClock::new(Nanos::ZERO),
-            cost: OrionCost::default(),
             state: CostState::default(),
             ru_last_slot: BTreeMap::new(),
             fwd_latency: slingshot_sim::LogHistogram::new(),
@@ -247,7 +235,7 @@ impl Node<Msg> for OrionPhyNode {
                     _ => {}
                 }
                 self.rx_bytes_from_l2 += frame.wire_size() as u64;
-                let done = self.state.service(now, frame.payload.len(), &self.cost);
+                let done = self.state.service(now, frame.payload.len());
                 self.fwd_latency.record((done - now).0);
                 self.forwarded_to_phy += 1;
                 if let Some(phy) = self.phy {
@@ -260,7 +248,7 @@ impl Node<Msg> for OrionPhyNode {
                 let peer = self.peer_for(fapi_msg.ru_id());
                 let payload = fapi::encode(&fapi_msg);
                 let now = ctx.now();
-                let done = self.state.service(now, payload.len(), &self.cost);
+                let done = self.state.service(now, payload.len());
                 let frame = Frame::new(peer, self.mac, EtherType::Ipv4, payload);
                 self.forwarded_to_l2 += 1;
                 if let Some(sw) = self.switch {
@@ -280,9 +268,10 @@ impl Node<Msg> for OrionPhyNode {
     }
 }
 
-/// Per-RU binding state at the L2-side Orion.
+/// The L2-side Orion's RU and the PHYs serving it.
 #[derive(Debug)]
 struct RuBinding {
+    ru_id: u8,
     primary: u8,
     secondary: Option<u8>,
     /// Slots ≥ this boundary are served by `secondary` (a migration in
@@ -298,29 +287,29 @@ struct RuBinding {
 
 /// The L2-side Orion.
 pub struct OrionL2Node {
-    pub l2_id: u8,
     mac: MacAddr,
     clock: SlotClock,
     switch: Option<NodeId>,
     l2: Option<NodeId>,
     switch_mac: MacAddr,
-    cost: OrionCost,
     state: CostState,
-    bindings: BTreeMap<u8, RuBinding>,
-    /// PHY id → that server's Orion MAC (the deployment's server pool).
-    phy_pool: BTreeMap<u8, MacAddr>,
+    /// Set once, by [`OrionL2Node::bind_ru`].
+    binding: Option<RuBinding>,
+    /// The PHY servers this Orion has been configured with (the
+    /// management plane's view of the pool): indications from any
+    /// other source are ignored.
+    phy_pool: Vec<u8>,
     /// The shared-pool recovery orchestrator, if one is deployed: asked
     /// for a replacement standby after a failover consumes the old one.
     recovery_mac: Option<MacAddr>,
-    /// RU id → (granted spare, absolute slot boundary at which it is
-    /// promoted to secondary and initialized).
-    pending_standby: BTreeMap<u8, (u8, u64)>,
+    /// A granted spare and the absolute slot boundary at which it is
+    /// promoted to secondary and initialized.
+    pending_standby: Option<(u8, u64)>,
     /// Ablation switch: duplicate the primary's *real* FAPI requests to
     /// the standby instead of null ones (the naïve hot-standby design
     /// §6.2 argues against — it doubles PHY compute).
     pub duplicate_standby: bool,
     /// Instrumentation.
-    pub events: Vec<(Nanos, String)>,
     pub failovers: u64,
     pub planned_migrations: u64,
     pub dropped_standby_msgs: u64,
@@ -335,20 +324,17 @@ pub struct OrionL2Node {
 impl OrionL2Node {
     pub fn new(l2_id: u8, clock: SlotClock) -> OrionL2Node {
         OrionL2Node {
-            l2_id,
             mac: orion_l2_mac(l2_id),
             clock,
             switch: None,
             l2: None,
             switch_mac: MacAddr::ZERO,
-            cost: OrionCost::default(),
             state: CostState::default(),
-            bindings: BTreeMap::new(),
-            phy_pool: BTreeMap::new(),
+            binding: None,
+            phy_pool: Vec::new(),
             recovery_mac: None,
-            pending_standby: BTreeMap::new(),
+            pending_standby: None,
             duplicate_standby: false,
-            events: Vec::new(),
             failovers: 0,
             planned_migrations: 0,
             dropped_standby_msgs: 0,
@@ -369,8 +355,10 @@ impl OrionL2Node {
     }
 
     /// Register a PHY server in the pool (management-plane config).
-    pub fn register_phy_server(&mut self, phy_id: u8) {
-        self.phy_pool.insert(phy_id, orion_phy_mac(phy_id));
+    fn register_phy_server(&mut self, phy_id: u8) {
+        if !self.phy_pool.contains(&phy_id) {
+            self.phy_pool.push(phy_id);
+        }
     }
 
     /// Point this Orion at a shared-pool recovery orchestrator: when a
@@ -381,34 +369,38 @@ impl OrionL2Node {
         self.recovery_mac = Some(mac);
     }
 
-    /// Bind an RU to its primary and (optional) secondary PHY.
+    /// Bind this Orion's RU to its primary and (optional) secondary
+    /// PHY.
     pub fn bind_ru(&mut self, ru_id: u8, primary: u8, secondary: Option<u8>) {
         self.register_phy_server(primary);
         if let Some(s) = secondary {
             self.register_phy_server(s);
         }
-        self.bindings.insert(
+        self.binding = Some(RuBinding {
             ru_id,
-            RuBinding {
-                primary,
-                secondary,
-                migrate_at: None,
-                failover: false,
-                config: None,
-                started: false,
-            },
-        );
+            primary,
+            secondary,
+            migrate_at: None,
+            failover: false,
+            config: None,
+            started: false,
+        });
+    }
+
+    /// The binding, if it is `ru_id`'s.
+    fn binding_of(&self, ru_id: u8) -> Option<&RuBinding> {
+        self.binding.as_ref().filter(|b| b.ru_id == ru_id)
     }
 
     /// The PHY currently bound as primary for `ru_id` (chaos targeting
     /// and test assertions).
     pub fn primary_of(&self, ru_id: u8) -> Option<u8> {
-        self.bindings.get(&ru_id).map(|b| b.primary)
+        self.binding_of(ru_id).map(|b| b.primary)
     }
 
     /// The PHY currently bound as hot standby for `ru_id`, if any.
     pub fn standby_of(&self, ru_id: u8) -> Option<u8> {
-        self.bindings.get(&ru_id).and_then(|b| b.secondary)
+        self.binding_of(ru_id).and_then(|b| b.secondary)
     }
 
     /// The PHY that owns slot `abs` for this RU.
@@ -422,18 +414,11 @@ impl OrionL2Node {
     fn send_udp(&mut self, ctx: &mut Ctx<'_, Msg>, dst: MacAddr, msg: &FapiMsg) {
         let payload = fapi::encode(msg);
         let now = ctx.now();
-        let done = self.state.service(now, payload.len(), &self.cost);
+        let done = self.state.service(now, payload.len());
         let frame = Frame::new(dst, self.mac, EtherType::Ipv4, payload);
         if let Some(sw) = self.switch {
             ctx.send_link_in(sw, done - now, Msg::Eth(frame));
         }
-    }
-
-    fn orion_mac_of(&self, phy_id: u8) -> MacAddr {
-        self.phy_pool
-            .get(&phy_id)
-            .copied()
-            .unwrap_or_else(|| orion_phy_mac(phy_id))
     }
 
     /// Fan one per-slot request out: the real `msg` to the PHY that
@@ -449,23 +434,23 @@ impl OrionL2Node {
         null: Option<FapiMsg>,
     ) {
         let abs = self.clock.abs_of_slot(ctx.now(), slot);
-        let b = self.bindings.get(&ru_id).expect("binding");
+        let b = self.binding_of(ru_id).expect("binding");
         let owner = Self::owner_of(b, abs);
         let other = if owner == b.primary {
             b.secondary
         } else {
             Some(b.primary)
         };
-        self.send_udp(ctx, self.orion_mac_of(owner), msg);
+        self.send_udp(ctx, orion_phy_mac(owner), msg);
         let Some(o) = other else {
             return;
         };
         if self.duplicate_standby {
-            self.send_udp(ctx, self.orion_mac_of(o), msg);
+            self.send_udp(ctx, orion_phy_mac(o), msg);
         } else if let Some(null) = null {
             self.null_fapi_sent += 1;
             ctx.trace(TraceEventKind::NullFapiSent, ru_id as u64, abs);
-            self.send_udp(ctx, self.orion_mac_of(o), &null);
+            self.send_udp(ctx, orion_phy_mac(o), &null);
         }
     }
 
@@ -473,24 +458,24 @@ impl OrionL2Node {
     /// to the other PHY.
     fn on_l2_request(&mut self, ctx: &mut Ctx<'_, Msg>, msg: FapiMsg) {
         let ru_id = msg.ru_id();
-        let Some(binding) = self.bindings.get_mut(&ru_id) else {
+        let Some(binding) = self.binding.as_mut().filter(|b| b.ru_id == ru_id) else {
             return;
         };
         match &msg {
             FapiMsg::Config(c) => {
                 binding.config = Some(c.clone());
                 let (p, s) = (binding.primary, binding.secondary);
-                self.send_udp(ctx, self.orion_mac_of(p), &msg);
+                self.send_udp(ctx, orion_phy_mac(p), &msg);
                 if let Some(s) = s {
-                    self.send_udp(ctx, self.orion_mac_of(s), &msg);
+                    self.send_udp(ctx, orion_phy_mac(s), &msg);
                 }
             }
             FapiMsg::Start { .. } | FapiMsg::Stop { .. } => {
                 binding.started = matches!(msg, FapiMsg::Start { .. });
                 let (p, s) = (binding.primary, binding.secondary);
-                self.send_udp(ctx, self.orion_mac_of(p), &msg);
+                self.send_udp(ctx, orion_phy_mac(p), &msg);
                 if let Some(s) = s {
-                    self.send_udp(ctx, self.orion_mac_of(s), &msg);
+                    self.send_udp(ctx, orion_phy_mac(s), &msg);
                 }
             }
             FapiMsg::UlTti(req) => {
@@ -514,15 +499,15 @@ impl OrionL2Node {
     /// primary's pipelined late results (§7, Fig. 7).
     fn on_phy_indication(&mut self, ctx: &mut Ctx<'_, Msg>, src: MacAddr, msg: FapiMsg) {
         let ru_id = msg.ru_id();
-        let Some(b) = self.bindings.get(&ru_id) else {
+        let Some(b) = self.binding.as_ref().filter(|b| b.ru_id == ru_id) else {
             return;
         };
-        let src_phy = self
+        let Some(src_phy) = self
             .phy_pool
             .iter()
-            .find(|(_, m)| **m == src)
-            .map(|(id, _)| *id);
-        let Some(src_phy) = src_phy else {
+            .copied()
+            .find(|&id| orion_phy_mac(id) == src)
+        else {
             return;
         };
         let slot_abs = msg.slot().map(|s| self.clock.abs_of_slot(ctx.now(), s));
@@ -551,7 +536,7 @@ impl OrionL2Node {
                 ctx.trace_at_slot(TraceEventKind::FapiToL2, slot, src_phy as u64, abs);
             }
             let now = ctx.now();
-            let done = self.state.service(now, 64, &self.cost);
+            let done = self.state.service(now, 64);
             if let Some(l2) = self.l2 {
                 ctx.send_in(l2, done - now, Msg::FapiShm(msg));
             }
@@ -570,12 +555,10 @@ impl OrionL2Node {
     /// Sends `migrate_on_slot` to the switch.
     fn start_migration(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, boundary_abs: u64) {
         let boundary_abs = align_to_tdd_cycle(boundary_abs);
-        let Some(b) = self.bindings.get_mut(&ru_id) else {
+        let Some(b) = self.binding.as_mut().filter(|b| b.ru_id == ru_id) else {
             return;
         };
         let Some(sec) = b.secondary else {
-            self.events
-                .push((ctx.now(), format!("ru{ru_id}: no secondary available")));
             return;
         };
         if b.migrate_at.is_some() {
@@ -588,10 +571,6 @@ impl OrionL2Node {
             slot_scalar: scalar_of(boundary_abs),
         }
         .send(ctx, self.switch, self.switch_mac, self.mac);
-        self.events.push((
-            ctx.now(),
-            format!("ru{ru_id}: migrate to phy{sec} at abs slot {boundary_abs}"),
-        ));
     }
 
     /// Finalize role swap once the pipeline has drained past the
@@ -599,44 +578,33 @@ impl OrionL2Node {
     /// standby; after a failover it is dead, so the cell asks the
     /// shared pool for a replacement rather than staying
     /// one-crash-from-outage.
-    fn finalize_migrations(&mut self, ctx: &mut Ctx<'_, Msg>, now_abs: u64) {
-        let ru_ids: Vec<u8> = self.bindings.keys().copied().collect();
-        for ru_id in ru_ids {
-            let Some(b) = self.bindings.get_mut(&ru_id) else {
-                continue;
-            };
-            let Some(m) = b.migrate_at else { continue };
-            if now_abs < m + 4 {
-                continue;
+    fn finalize_migration(&mut self, ctx: &mut Ctx<'_, Msg>, now_abs: u64) {
+        let Some(b) = self.binding.as_mut() else {
+            return;
+        };
+        let Some(m) = b.migrate_at else { return };
+        if now_abs < m + 4 {
+            return;
+        }
+        let old_primary = b.primary;
+        b.primary = b.secondary.take().expect("migration had a secondary");
+        b.migrate_at = None;
+        let failed = b.failover;
+        b.failover = false;
+        if !failed {
+            b.secondary = Some(old_primary);
+        } else if let Some(rec) = self.recovery_mac {
+            let ru_id = b.ru_id;
+            CtlPacket::SpareRequest {
+                ru_id,
+                failed_phy_id: old_primary,
             }
-            let old_primary = b.primary;
-            let sec = b.secondary.take().expect("migration had a secondary");
-            b.primary = sec;
-            b.migrate_at = None;
-            let failed = b.failover;
-            b.failover = false;
-            if !failed {
-                b.secondary = Some(old_primary);
-            } else if let Some(rec) = self.recovery_mac {
-                CtlPacket::SpareRequest {
-                    ru_id,
-                    failed_phy_id: old_primary,
-                }
-                .send(ctx, self.switch, rec, self.mac);
-                ctx.trace(
-                    TraceEventKind::SpareRequested,
-                    ru_id as u64,
-                    old_primary as u64,
-                );
-                self.events.push((
-                    ctx.now(),
-                    format!("ru{ru_id}: requesting pool spare (phy{old_primary} drained)"),
-                ));
-            }
-            self.events.push((
-                ctx.now(),
-                format!("ru{ru_id}: migration finalized; primary=phy{sec}"),
-            ));
+            .send(ctx, self.switch, rec, self.mac);
+            ctx.trace(
+                TraceEventKind::SpareRequested,
+                ru_id as u64,
+                old_primary as u64,
+            );
         }
     }
 
@@ -644,37 +612,26 @@ impl OrionL2Node {
     /// the RU's new secondary and initialize it from the stored CONFIG
     /// (§6.3) — the cell is survivable again once the standby's null
     /// FAPI keepalive starts flowing.
-    fn promote_granted_standbys(&mut self, ctx: &mut Ctx<'_, Msg>, now_abs: u64) {
-        let ready: Vec<(u8, u8)> = self
-            .pending_standby
-            .iter()
-            .filter(|(_, (_, boundary))| now_abs >= *boundary)
-            .map(|(ru, (phy, _))| (*ru, *phy))
-            .collect();
-        for (ru_id, phy) in ready {
-            self.pending_standby.remove(&ru_id);
-            let Some(b) = self.bindings.get_mut(&ru_id) else {
-                continue;
-            };
-            if b.secondary.is_some() {
-                continue; // already re-paired by other means
-            }
-            b.secondary = Some(phy);
-            let cfg = b.config.clone();
-            let started = b.started;
-            self.register_phy_server(phy);
-            if let Some(cfg) = cfg {
-                self.send_udp(ctx, self.orion_mac_of(phy), &FapiMsg::Config(cfg));
-                if started {
-                    self.send_udp(ctx, self.orion_mac_of(phy), &FapiMsg::Start { ru_id });
-                }
-            }
-            ctx.trace(TraceEventKind::StandbyRepaired, ru_id as u64, phy as u64);
-            self.events.push((
-                ctx.now(),
-                format!("ru{ru_id}: re-paired with pooled phy{phy}"),
-            ));
+    fn promote_granted_standby(&mut self, ctx: &mut Ctx<'_, Msg>, now_abs: u64) {
+        let Some((phy, _)) = self.pending_standby.take_if(|(_, b)| now_abs >= *b) else {
+            return;
+        };
+        let Some(b) = self.binding.as_mut() else {
+            return;
+        };
+        if b.secondary.is_some() {
+            return; // already re-paired by other means
         }
+        b.secondary = Some(phy);
+        let (ru_id, cfg, started) = (b.ru_id, b.config.clone(), b.started);
+        self.register_phy_server(phy);
+        if let Some(cfg) = cfg {
+            self.send_udp(ctx, orion_phy_mac(phy), &FapiMsg::Config(cfg));
+            if started {
+                self.send_udp(ctx, orion_phy_mac(phy), &FapiMsg::Start { ru_id });
+            }
+        }
+        ctx.trace(TraceEventKind::StandbyRepaired, ru_id as u64, phy as u64);
     }
 }
 
@@ -686,8 +643,8 @@ impl Node<Msg> for OrionL2Node {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
         if token == TIMER_SLOT {
             let abs = self.clock.absolute_slot(ctx.now());
-            self.finalize_migrations(ctx, abs);
-            self.promote_granted_standbys(ctx, abs);
+            self.finalize_migration(ctx, abs);
+            self.promote_granted_standby(ctx, abs);
             ctx.timer_at(self.clock.slot_start(abs + 1), TIMER_SLOT);
         }
     }
@@ -712,36 +669,29 @@ impl Node<Msg> for OrionL2Node {
                                 let now = ctx.now();
                                 self.last_failure_notified = Some(now);
                                 ctx.trace(TraceEventKind::FailureNotifyReceived, phy_id as u64, 0);
-                                self.events
-                                    .push((now, format!("failure notification: phy{phy_id}")));
-                                // Failover every RU whose primary died: the
+                                // Fail over if our RU's primary died: the
                                 // next slot boundary is the migration point.
                                 let next_abs = self.clock.absolute_slot(now) + 1;
-                                let rus: Vec<u8> = self
-                                    .bindings
-                                    .iter()
-                                    .filter(|(_, b)| b.primary == phy_id && b.migrate_at.is_none())
-                                    .map(|(id, _)| *id)
-                                    .collect();
-                                for ru_id in rus {
+                                if let Some(b) = self
+                                    .binding
+                                    .as_mut()
+                                    .filter(|b| b.primary == phy_id && b.migrate_at.is_none())
+                                {
+                                    b.failover = true;
+                                    let ru_id = b.ru_id;
                                     self.failovers += 1;
-                                    if let Some(b) = self.bindings.get_mut(&ru_id) {
-                                        b.failover = true;
-                                    }
                                     self.start_migration(ctx, ru_id, next_abs);
                                 }
                             }
-                            Some(CtlPacket::SpareGrant { ru_id, phy_id }) => {
+                            Some(CtlPacket::SpareGrant { ru_id, phy_id })
+                                if self.binding_of(ru_id).is_some() =>
+                            {
                                 // The pool answered: promote at an aligned
                                 // boundary a couple of slots out, same
                                 // discipline as a migration.
-                                let boundary =
-                                    align_to_tdd_cycle(self.clock.absolute_slot(ctx.now()) + 2);
-                                self.pending_standby.insert(ru_id, (phy_id, boundary));
-                                self.events.push((
-                                ctx.now(),
-                                format!("ru{ru_id}: pool granted phy{phy_id}, standby at {boundary}"),
-                            ));
+                                let now_abs = self.clock.absolute_slot(ctx.now());
+                                let boundary = align_to_tdd_cycle(now_abs + 2);
+                                self.pending_standby = Some((phy_id, boundary));
                             }
                             _ => {}
                         }
@@ -786,22 +736,19 @@ mod tests {
 
     #[test]
     fn cost_state_fifo_queueing() {
-        let cost = OrionCost {
-            per_msg: Nanos(1_000),
-            per_byte_ns: 1.0,
-        };
         let mut st = CostState::default();
-        // First message: 1000 + 500 ns.
-        assert_eq!(st.service(Nanos(0), 500, &cost), Nanos(1_500));
+        // First message: 800 + 500 × 0.2 ns.
+        assert_eq!(st.service(Nanos(0), 500), Nanos(900));
         // Second, arriving immediately: queues behind the first.
-        assert_eq!(st.service(Nanos(0), 500, &cost), Nanos(3_000));
+        assert_eq!(st.service(Nanos(0), 500), Nanos(1_800));
         // Third, arriving after the queue drained: no wait.
-        assert_eq!(st.service(Nanos(10_000), 100, &cost), Nanos(11_100));
+        assert_eq!(st.service(Nanos(10_000), 100), Nanos(10_820));
     }
 
     #[test]
     fn owner_flips_at_boundary() {
         let b = RuBinding {
+            ru_id: 0,
             primary: 1,
             secondary: Some(2),
             migrate_at: Some(100),

@@ -35,6 +35,11 @@ use crate::ctl::CtlPacket;
 /// Timer-token base for per-PHY scrub timers (token = base + phy id).
 const TIMER_SCRUB_BASE: u64 = 920;
 
+/// Hold-off between a failure notification and the scrub-restart, in
+/// slots: long enough for the failover to finalize and for the dead
+/// primary's last pipelined results to be irrelevant.
+const SCRUB_DELAY_SLOTS: u64 = 40;
+
 /// MAC address of the recovery orchestrator process.
 pub fn recovery_mac() -> MacAddr {
     MacAddr([0x02, 0x4F, 0x52, 0x00, 0x03, 0x01])
@@ -57,10 +62,6 @@ pub struct RecoveryOrchestrator {
     l2_macs: BTreeMap<u8, MacAddr>,
     /// PHYs with a scrub timer in flight.
     scrubbing: BTreeSet<u8>,
-    /// Hold-off between a failure notification and the scrub-restart,
-    /// in slots: long enough for the failover to finalize and for the
-    /// dead primary's last pipelined results to be irrelevant.
-    pub scrub_delay_slots: u64,
     /// Observability.
     pub grants: u64,
     pub requests_queued: u64,
@@ -79,7 +80,6 @@ impl RecoveryOrchestrator {
             inventory: BTreeMap::new(),
             l2_macs: BTreeMap::new(),
             scrubbing: BTreeSet::new(),
-            scrub_delay_slots: 40,
             grants: 0,
             requests_queued: 0,
             scrubs_completed: 0,
@@ -165,7 +165,7 @@ impl RecoveryOrchestrator {
         self.scrubbing.insert(phy_id);
         let now_abs = self.clock.absolute_slot(ctx.now());
         ctx.timer_at(
-            self.clock.slot_start(now_abs + self.scrub_delay_slots),
+            self.clock.slot_start(now_abs + SCRUB_DELAY_SLOTS),
             TIMER_SCRUB_BASE + phy_id as u64,
         );
     }

@@ -24,25 +24,25 @@ const TIMER_CP_REMAP: u64 = 901;
 pub enum ForwardingModel {
     /// Tofino-style: fixed pipeline latency, no jitter (§5).
     InSwitch,
-    /// DPDK software middlebox: base cost + exponential-ish tail. The
-    /// paper measures ≈10 µs added at p99.999.
-    Software { base: Nanos, tail_mean: Nanos },
+    /// DPDK software middlebox: a fixed base cost plus an exponential
+    /// tail. The paper measures ≈10 µs added at p99.999.
+    Software,
 }
 
-impl ForwardingModel {
-    pub fn software_default() -> ForwardingModel {
-        ForwardingModel::Software {
-            base: Nanos(2_000),
-            tail_mean: Nanos(900),
-        }
-    }
+/// The software middlebox's fixed per-packet cost.
+pub(crate) const SOFTWARE_BASE: Nanos = Nanos(2_000);
 
-    pub(crate) fn delay(&self, rng: &mut SimRng) -> Nanos {
+/// Mean of the software middlebox's exponential latency tail.
+pub(crate) const SOFTWARE_TAIL_MEAN: Nanos = Nanos(900);
+
+impl ForwardingModel {
+    /// One packet's forwarding delay.
+    pub fn delay(&self, rng: &mut SimRng) -> Nanos {
         match self {
             ForwardingModel::InSwitch => PIPELINE_LATENCY,
-            ForwardingModel::Software { base, tail_mean } => {
-                let tail = rng.exponential(tail_mean.0 as f64) as u64;
-                *base + Nanos(tail)
+            ForwardingModel::Software => {
+                let tail = rng.exponential(SOFTWARE_TAIL_MEAN.0 as f64) as u64;
+                SOFTWARE_BASE + Nanos(tail)
             }
         }
     }

@@ -12,7 +12,7 @@ use slingshot::{OrionL2Node, SwitchNode};
 use slingshot_ran::{PhyNode, UeNode};
 use slingshot_sim::chaos::oracle::{self, Invariant};
 use slingshot_sim::chaos::{ChaosDistribution, FaultKind, FaultTarget, Scenario};
-use slingshot_sim::Nanos;
+use slingshot_sim::{Nanos, TraceEventKind};
 
 /// DSL port of `failover_keeps_ue_connected_and_traffic_flowing`: kill
 /// the active PHY mid-run; the oracle's invariants subsume the
@@ -102,6 +102,38 @@ fn planned_migration_on_pool_deployment_passes_oracle() {
     assert_eq!(
         ol2.primary_of(d.cells[0].ru_id),
         Some(d.cells[0].secondary_phy_id)
+    );
+}
+
+/// A planned migration aimed at one cell of the pool deployment moves
+/// that cell: the only map flip is RU 2's, and cell 0 keeps its
+/// primary.
+#[test]
+fn planned_migration_moves_its_target_cell() {
+    let scenario = Scenario::new("pool-planned-cell2", 2400).fault(
+        1000,
+        FaultTarget::ActivePhyOf(2),
+        FaultKind::PlannedMigration,
+    );
+    let mut d = chaos_pool_deployment(12);
+    let report = run_scenario(&mut d, &scenario);
+    assert!(report.ok(), "violations: {:?}", report.violations);
+    let flips: Vec<_> = d
+        .engine
+        .event_trace()
+        .of_kind(TraceEventKind::MapFlip)
+        .collect();
+    assert_eq!(flips.len(), 1, "{flips:?}");
+    assert_eq!(flips[0].a, 2);
+    let ol2 = d.engine.node::<OrionL2Node>(d.cells[0].orion_l2).unwrap();
+    assert_eq!(
+        ol2.primary_of(d.cells[0].ru_id),
+        Some(d.cells[0].primary_phy_id)
+    );
+    let ol2 = d.engine.node::<OrionL2Node>(d.cells[2].orion_l2).unwrap();
+    assert_eq!(
+        ol2.primary_of(d.cells[2].ru_id),
+        Some(d.cells[2].secondary_phy_id)
     );
 }
 

@@ -95,7 +95,7 @@ fn independent_ues_run_concurrent_attempts() {
 fn stuck_attempt_times_out_and_aborts() {
     let (mut engine, ctl) = controller_rig();
     engine.post(Nanos::from_micros(10), ctl, report(100, 0, 1));
-    // timeout_slots = 100 -> 50 ms; run well past it.
+    // The controller's 100-slot attempt timeout is 50 ms; run well past it.
     engine.run_until(Nanos::from_millis(80));
     let h = engine.node::<HandoverController>(ctl).unwrap();
     assert_eq!(h.aborted, 1);

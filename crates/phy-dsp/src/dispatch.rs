@@ -17,9 +17,9 @@
 //! trace hash (`tests/kernel_equiv.rs` proves this per available
 //! backend). Demap, BFP, AWGN and the LDPC *batch* decode carry an
 //! AVX2 arm: lanes across the code blocks of a batch
-//! ([`crate::ldpc::avx2`]), and for AWGN f64 polynomials whose every
+//! (`ldpc::avx2`), and for AWGN f64 polynomials whose every
 //! sample is certified to round to libm's f32 or recomputed with libm
-//! ([`crate::channel::avx2`]). The single-block LDPC decode — the oracle
+//! (`channel::avx2`). The single-block LDPC decode — the oracle
 //! the batch arm is held to — is one scalar implementation on every
 //! backend and passes through here so callers keep a single seam.
 
@@ -195,7 +195,7 @@ impl DspKernels {
     }
 
     /// AWGN at `snr_db`, chunk-parallel over `pool` (worker-count
-    /// independent), [`AwgnChannel::apply_with`]; the same noise on every
+    /// independent), `AwgnChannel::apply_with`; the same noise on every
     /// backend, as [`DspKernels::awgn_apply`].
     pub fn awgn_apply_with(
         &self,

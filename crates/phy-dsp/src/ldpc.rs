@@ -28,15 +28,15 @@
 //! one row lookup and one bit push per parity bit.
 //!
 //! [`LdpcCode::decode_into`] is the one scalar decoder and the oracle.
-//! [`LdpcCode::decode_batch_into`] decodes up to [`BATCH_LANES`] blocks
+//! `LdpcCode::decode_batch_into` decodes up to [`BATCH_LANES`] blocks
 //! *of the same code*, read in transmission order through the
 //! interleave, and is defined as that decoder run once per block; its
-//! AVX2 arm ([`avx2`], reached through
+//! AVX2 arm (`avx2`, reached through
 //! `DspKernels::ldpc_decode_batch_into`) runs the blocks in lockstep,
 //! one block per f32 lane. Every block of a batch shares this code's
 //! Tanner graph, so the row sweep walks the edge list once and each
 //! posterior / message is one contiguous 8-float vector — no gathers —
-//! and each lane computes exactly what [`row_sweep_scalar`] computes,
+//! and each lane computes exactly what `row_sweep_scalar` computes,
 //! in its order, so a lane's result is bit-identical to `decode_into`
 //! on that block alone (DESIGN.md §5h). Its per-iteration parity check
 //! is the encoder's column scatter run on posterior sign bytes: one
@@ -53,7 +53,7 @@ pub(crate) const PARITY_FACTOR: usize = 2;
 /// Normalization factor for min-sum check updates (standard 0.75).
 const MIN_SUM_NORM: f32 = 0.75;
 
-/// Most blocks one [`LdpcCode::decode_batch_into`] call takes: the f32
+/// Most blocks one `LdpcCode::decode_batch_into` call takes: the f32
 /// lanes of a 256-bit vector, one code block per lane.
 pub const BATCH_LANES: usize = 8;
 
@@ -119,7 +119,7 @@ pub struct LdpcScratch {
     syndrome: Vec<u8>,
 }
 
-/// One block's result from [`LdpcCode::decode_batch_into`]: what
+/// One block's result from `LdpcCode::decode_batch_into`: what
 /// [`LdpcCode::decode_into`] returns, plus the hard-decision word it
 /// leaves in [`LdpcScratch::hard`], packed (`[..k]` info bits, `[k..n]`
 /// parity decisions).

@@ -11,7 +11,7 @@
 //! `x(n+i)`, and because the recurrences reach back at most 31
 //! positions, the next 28 sequence bits are a pure function of the
 //! preceding 31 — so a u128 holds three 28-bit extension rounds and
-//! [`GoldSequence::next_word64`] emits 64 bits of c() per call.
+//! `GoldSequence::next_word64` emits 64 bits of c() per call.
 //! [`GoldSequence::skip`] jumps in O(log n) by applying precomputed
 //! powers of the 31×31 GF(2) state-transition matrix (the matrices
 //! depend only on the fixed polynomials, never on `c_init`, so they are

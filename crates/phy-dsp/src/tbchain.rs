@@ -16,7 +16,7 @@
 //! Bits move through the chain packed 64 per word ([`BitBuf`]), the
 //! scrambling sequence comes from the per-thread
 //! [`cached_sequence`] word cache, and jobs borrow their working
-//! buffers from the thread they run on ([`WORKSPACE`]), so steady-state
+//! buffers from the thread they run on (`WORKSPACE`), so steady-state
 //! slots allocate almost nothing. No stage moves one bit per call: the
 //! LDPC encoder solves its parity a word at a time
 //! ([`LdpcCode::encode_packed`]), the parity interleave gathers 64 bits

@@ -2,7 +2,16 @@
 //! (Table 1): 100 MHz carrier at 30 kHz SCS (273 PRBs), TDD "DDDSU",
 //! 500 µs TTIs.
 
-use slingshot_sim::{Nanos, TddPattern};
+use slingshot_sim::Nanos;
+
+/// FAPI slot advance: L2 issues requests for slot n at n − advance.
+pub(crate) const FAPI_ADVANCE_SLOTS: u64 = 2;
+
+/// The UE's radio-link-failure timeout (paper: 50 ms).
+pub(crate) const RLF_TIMEOUT: Nanos = Nanos::from_millis(50);
+
+/// Time a UE takes to reattach after RLF (paper measures 6.2 s).
+pub(crate) const REATTACH_DELAY: Nanos = Nanos::from_millis(6200);
 
 /// How faithfully the PHY runs the DSP chain. See DESIGN.md §2 — the
 /// full chain for every code block is unaffordable for minute-long
@@ -20,22 +29,17 @@ pub enum Fidelity {
     Abstract,
 }
 
-/// Cell configuration shared by L2, PHY, RU, and UEs.
+/// Cell configuration shared by L2, PHY, RU, and UEs. The testbed's
+/// fixed values — the TDD pattern (`slingshot_sim::TDD_PATTERN`), the
+/// FAPI advance and the UE's RLF and reattach timers — are constants.
 #[derive(Debug, Clone)]
 pub struct CellConfig {
     pub cell_id: u16,
     /// 273 PRBs = 100 MHz at 30 kHz SCS.
     pub num_prbs: u16,
-    pub tdd: TddPattern,
     /// OFDM data symbols per slot available to the shared channel
     /// (14 minus pilot and control overhead).
     pub data_symbols: u8,
-    /// FAPI slot advance: L2 issues requests for slot n at n − advance.
-    pub fapi_advance_slots: u64,
-    /// The UE's radio-link-failure timeout (paper: 50 ms).
-    pub rlf_timeout: Nanos,
-    /// Time a UE takes to reattach after RLF (paper measures 6.2 s).
-    pub reattach_delay: Nanos,
     /// DSP fidelity mode.
     pub fidelity: Fidelity,
     /// Min-sum iteration budget of PHYs (upgradable, §8.3).
@@ -62,11 +66,7 @@ impl Default for CellConfig {
         CellConfig {
             cell_id: 1,
             num_prbs: 273,
-            tdd: TddPattern::dddsu(),
             data_symbols: 12,
-            fapi_advance_slots: 2,
-            rlf_timeout: Nanos::from_millis(50),
-            reattach_delay: Nanos::from_millis(6200),
             fidelity: Fidelity::Sampled,
             fec_iterations: 8,
             la_margin_db: 2.0,
@@ -92,16 +92,18 @@ impl CellConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slingshot_sim::SlotKind;
+    use crate::phy::CRASH_AFTER_MISSING_SLOTS;
+    use slingshot_sim::TDD_PATTERN;
 
     #[test]
     fn default_matches_paper_testbed() {
         let c = CellConfig::default();
         assert_eq!(c.num_prbs, 273);
-        assert_eq!(c.tdd.len(), 5);
-        assert_eq!(c.tdd.kind(4), SlotKind::Uplink);
-        assert_eq!(c.rlf_timeout, Nanos::from_millis(50));
-        assert_eq!(c.reattach_delay, Nanos::from_millis(6200));
+        assert_eq!(TDD_PATTERN, "DDDSU");
+        assert_eq!(RLF_TIMEOUT, Nanos::from_millis(50));
+        assert_eq!(REATTACH_DELAY, Nanos::from_millis(6200));
+        assert_eq!(FAPI_ADVANCE_SLOTS, 2);
+        assert_eq!(CRASH_AFTER_MISSING_SLOTS, 3);
     }
 
     #[test]

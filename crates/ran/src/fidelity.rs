@@ -89,7 +89,7 @@ pub(crate) fn pilot_len(num_prb: u16) -> usize {
 impl TbSignal {
     /// Serialize into fronthaul messages, handed to `emit` in wire
     /// order: pilots ‖ data as one flat IQ stream, padded to a whole
-    /// PRB, BFP-compressed into U-plane chunks of [`PRBS_PER_CHUNK`]
+    /// PRB, BFP-compressed into U-plane chunks of `PRBS_PER_CHUNK`
     /// tagged with the allocation's start PRB (chunk index in the
     /// symbol field), then the shadow frame. `hdr` carries direction,
     /// slot and RU port. The signal is consumed: its pilot buffer
@@ -401,7 +401,7 @@ pub struct RxProcessPool {
 
 /// One HARQ process's soft state, moved out of an [`RxProcessPool`]
 /// while a (possibly pool-executed) decode owns it. Opaque: callers
-/// only shuttle it between [`RxProcessPool::take`], [`receive_into`],
+/// only shuttle it between [`RxProcessPool::take`], `receive_into`,
 /// and [`RxProcessPool::put`].
 #[derive(Debug, Default)]
 pub struct RxSoftState(RxProc);

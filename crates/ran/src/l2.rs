@@ -9,9 +9,11 @@ use std::collections::BTreeMap;
 use bytes::{BufMut, Bytes};
 
 use slingshot_fapi::{ConfigRequest, DlTtiRequest, FapiMsg, TxDataRequest, UlTtiRequest};
-use slingshot_sim::{Ctx, Node, NodeId, SlotClock, SlotId, SlotKind, TraceEventKind};
+use slingshot_sim::{
+    slot_kind, Ctx, Node, NodeId, SlotClock, SlotId, SlotKind, TraceEventKind, TDD_PATTERN,
+};
 
-use crate::cell::CellConfig;
+use crate::cell::{CellConfig, FAPI_ADVANCE_SLOTS};
 use crate::msg::{timer_tokens, CtlMsg, Msg, UserPacket};
 use crate::rlc::{RlcRx, RlcTx};
 use crate::sched::{Policy, Scheduler};
@@ -78,11 +80,7 @@ pub struct L2Node {
     /// legacy golden trace hashes are untouched.
     trace_sched: bool,
     /// Stats.
-    pub ul_packets_up: u64,
     pub dl_packets_queued: u64,
-    pub slots_driven: u64,
-    pub handovers_out: u64,
-    pub handovers_in: u64,
 }
 
 impl L2Node {
@@ -103,11 +101,7 @@ impl L2Node {
             started: false,
             handover_ctl: None,
             trace_sched: false,
-            ul_packets_up: 0,
             dl_packets_queued: 0,
-            slots_driven: 0,
-            handovers_out: 0,
-            handovers_in: 0,
         }
     }
 
@@ -141,7 +135,7 @@ impl L2Node {
         );
     }
 
-    /// Assign a preattached UE to a traffic slice (activates the
+    /// Assign an attached UE to a traffic slice (activates the
     /// slice-aware PRB split in the scheduler).
     pub fn set_ue_slice(&mut self, rnti: u16, slice: SliceKind) {
         self.sched.set_slice(rnti, slice);
@@ -167,9 +161,8 @@ impl L2Node {
     /// Drive one slot: issue the FAPI requests for `target` (= now +
     /// advance).
     fn drive_slot(&mut self, ctx: &mut Ctx<'_, Msg>, target_abs: u64) {
-        self.slots_driven += 1;
         let slot = SlotId::from_absolute(target_abs);
-        let kind = self.cell.tdd.kind(target_abs);
+        let kind = slot_kind(target_abs);
         let data_symbols = self.cell.data_symbols;
         let num_prbs = self.cell.num_prbs;
         let ues = self.connected_ues();
@@ -254,7 +247,6 @@ impl L2Node {
                     };
                     if let Some(sdu) = parse_mac_pdu(&tb.payload) {
                         for packet in ue.ul_rlc.on_tb(now, sdu) {
-                            self.ul_packets_up += 1;
                             if let Some(core) = self.core {
                                 ctx.send(
                                     core,
@@ -288,7 +280,7 @@ impl Node<Msg> for L2Node {
                 ru_id: self.ru_id,
                 cell_id: self.cell.cell_id,
                 num_prbs: self.cell.num_prbs,
-                tdd_pattern: "DDDSU".into(),
+                tdd_pattern: TDD_PATTERN.into(),
             }),
         );
         self.send_fapi(ctx, FapiMsg::Start { ru_id: self.ru_id });
@@ -306,14 +298,13 @@ impl Node<Msg> for L2Node {
         let now = ctx.now();
         let abs = self.clock.absolute_slot(now);
         self.sched.tick(30);
-        self.drive_slot(ctx, abs + self.cell.fapi_advance_slots);
+        self.drive_slot(ctx, abs + FAPI_ADVANCE_SLOTS);
         // Release any uplink packets held past their reassembly window.
         let rntis: Vec<u16> = self.ues.keys().copied().collect();
         for rnti in rntis {
             let ue = self.ues.get_mut(&rnti).expect("ue exists");
             let released = ue.ul_rlc.poll_expired(now);
             for packet in released {
-                self.ul_packets_up += 1;
                 if let Some(core) = self.core {
                     ctx.send(
                         core,
@@ -390,7 +381,6 @@ impl Node<Msg> for L2Node {
                 }
                 self.sched.reset_ue(rnti);
                 ctx.trace(TraceEventKind::HarqReset, rnti as u64, 0);
-                self.handovers_out += 1;
                 if from != NodeId::EXTERNAL {
                     ctx.send_in(
                         from,
@@ -438,7 +428,6 @@ impl Node<Msg> for L2Node {
                     self.sched.set_slice(rnti, kind);
                 }
                 ctx.trace(TraceEventKind::HarqReset, rnti as u64, 0);
-                self.handovers_in += 1;
             }
             Msg::Ctl(complete @ CtlMsg::HandoverComplete { .. }) => {
                 // UE came up on us post-cutover; notify the controller

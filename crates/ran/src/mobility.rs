@@ -10,46 +10,47 @@
 //! serving by a hysteresis margin, sustained for a time-to-trigger) for
 //! the network-initiated handover machinery to consume.
 
-/// Corridor mobility parameters.
+/// Cell-site positions along the corridor, metres; index = RU id.
+pub(crate) const SITES_M: [f64; 2] = [0.0, 120.0];
+
+/// Corridor length, metres (positions live in `[0, LENGTH_M]`).
+pub const LENGTH_M: f64 = 120.0;
+
+/// SNR at the reference distance from a site, dB.
+pub(crate) const SNR_AT_REF_DB: f64 = 34.0;
+
+/// Reference distance for the path-loss model, metres.
+pub const REF_DIST_M: f64 = 10.0;
+
+/// Log-distance path-loss exponent (free space 2, urban 3–4).
+pub(crate) const PATHLOSS_EXP: f64 = 3.0;
+
+/// A3 hysteresis: a neighbour must beat the serving cell's mean SNR by
+/// this margin (dB) to start the time-to-trigger window.
+pub(crate) const HYSTERESIS_DB: f64 = 1.0;
+
+/// Slots the margin must hold before a crossing event fires.
+pub const TIME_TO_TRIGGER_SLOTS: u32 = 16;
+
+/// A UE's walk along the two-site corridor the constants above
+/// describe.
 #[derive(Debug, Clone)]
 pub struct MobilityConfig {
-    /// Cell-site positions along the corridor, metres; index = RU id.
-    pub sites_m: Vec<f64>,
     /// Initial UE position, metres.
     pub start_m: f64,
     /// Speed, metres/second. The sign is the initial direction; the UE
     /// bounces elastically at the corridor ends.
     pub velocity_mps: f64,
-    /// Corridor length, metres (positions live in `[0, length_m]`).
-    pub length_m: f64,
-    /// SNR at the reference distance from a site, dB.
-    pub snr_at_ref_db: f64,
-    /// Reference distance for the path-loss model, metres.
-    pub ref_dist_m: f64,
-    /// Log-distance path-loss exponent (free space 2, urban 3–4).
-    pub pathloss_exp: f64,
-    /// A3 hysteresis: a neighbour must beat the serving cell's mean
-    /// SNR by this margin (dB) to start the time-to-trigger window.
-    pub hysteresis_db: f64,
-    /// Slots the margin must hold before a crossing event fires.
-    pub time_to_trigger_slots: u32,
 }
 
 impl MobilityConfig {
-    /// A two-site corridor tuned so a UE starting near the midpoint
-    /// crosses the cell edge within a chaos-scenario horizon
-    /// (~hundreds of slots at 500 µs/slot).
+    /// A walk tuned so a UE starting near the midpoint crosses the cell
+    /// edge within a chaos-scenario horizon (~hundreds of slots at
+    /// 500 µs/slot).
     pub fn two_cell_corridor() -> MobilityConfig {
         MobilityConfig {
-            sites_m: vec![0.0, 120.0],
             start_m: 50.0,
             velocity_mps: 40.0,
-            length_m: 120.0,
-            snr_at_ref_db: 34.0,
-            ref_dist_m: 10.0,
-            pathloss_exp: 3.0,
-            hysteresis_db: 1.0,
-            time_to_trigger_slots: 16,
         }
     }
 }
@@ -85,9 +86,8 @@ pub struct MobilityModel {
 
 impl MobilityModel {
     pub fn new(cfg: MobilityConfig, serving_ru: u8) -> MobilityModel {
-        assert!(!cfg.sites_m.is_empty(), "at least one cell site");
-        assert!((serving_ru as usize) < cfg.sites_m.len());
-        let pos_m = cfg.start_m.clamp(0.0, cfg.length_m);
+        assert!((serving_ru as usize) < SITES_M.len());
+        let pos_m = cfg.start_m.clamp(0.0, LENGTH_M);
         let dir = if cfg.velocity_mps < 0.0 { -1.0 } else { 1.0 };
         MobilityModel {
             cfg,
@@ -111,16 +111,16 @@ impl MobilityModel {
     /// Mean SNR (dB) the UE would see from `ru` at its current
     /// position, from the log-distance path-loss model.
     pub fn mean_snr_db(&self, ru: u8) -> f64 {
-        let site = self.cfg.sites_m[ru as usize];
-        let d = (self.pos_m - site).abs().max(self.cfg.ref_dist_m);
-        self.cfg.snr_at_ref_db - 10.0 * self.cfg.pathloss_exp * (d / self.cfg.ref_dist_m).log10()
+        let site = SITES_M[ru as usize];
+        let d = (self.pos_m - site).abs().max(REF_DIST_M);
+        SNR_AT_REF_DB - 10.0 * PATHLOSS_EXP * (d / REF_DIST_M).log10()
     }
 
     /// Best non-serving site by mean SNR at the current position
     /// (lowest RU id wins ties, deterministically).
     fn best_neighbour(&self) -> Option<(u8, f64)> {
         let mut best: Option<(u8, f64)> = None;
-        for ru in 0..self.cfg.sites_m.len() as u8 {
+        for ru in 0..SITES_M.len() as u8 {
             if ru == self.serving {
                 continue;
             }
@@ -143,8 +143,8 @@ impl MobilityModel {
         if self.pos_m < 0.0 {
             self.pos_m = -self.pos_m;
             self.dir = 1.0;
-        } else if self.pos_m > self.cfg.length_m {
-            self.pos_m = 2.0 * self.cfg.length_m - self.pos_m;
+        } else if self.pos_m > LENGTH_M {
+            self.pos_m = 2.0 * LENGTH_M - self.pos_m;
             self.dir = -1.0;
         }
         if self.armed {
@@ -152,14 +152,14 @@ impl MobilityModel {
         }
         let serving_snr = self.mean_snr_db(self.serving);
         let (target, target_snr) = self.best_neighbour()?;
-        if target_snr > serving_snr + self.cfg.hysteresis_db {
+        if target_snr > serving_snr + HYSTERESIS_DB {
             if self.candidate == Some(target) {
                 self.ttt_count += 1;
             } else {
                 self.candidate = Some(target);
                 self.ttt_count = 1;
             }
-            if self.ttt_count >= self.cfg.time_to_trigger_slots {
+            if self.ttt_count >= TIME_TO_TRIGGER_SLOTS {
                 self.armed = true;
                 return Some(CrossingEvent {
                     serving_ru: self.serving,
@@ -178,7 +178,7 @@ impl MobilityModel {
     /// The handover completed: the target is now the serving cell and
     /// crossing detection re-arms (for the journey back).
     pub fn confirm_handover(&mut self, target_ru: u8) {
-        assert!((target_ru as usize) < self.cfg.sites_m.len());
+        assert!((target_ru as usize) < SITES_M.len());
         self.serving = target_ru;
         self.candidate = None;
         self.ttt_count = 0;
@@ -222,9 +222,8 @@ mod tests {
 
     #[test]
     fn crossing_fires_once_past_midpoint_with_ttt() {
-        let cfg = MobilityConfig::two_cell_corridor();
-        let ttt = cfg.time_to_trigger_slots;
-        let mut m = MobilityModel::new(cfg, 0);
+        let ttt = TIME_TO_TRIGGER_SLOTS;
+        let mut m = MobilityModel::new(MobilityConfig::two_cell_corridor(), 0);
         let mut events = Vec::new();
         for slot in 0..4_000u64 {
             if let Some(e) = m.step(0.0005) {
@@ -267,10 +266,10 @@ mod tests {
         let mut cfg = MobilityConfig::two_cell_corridor();
         cfg.velocity_mps = -300.0;
         cfg.start_m = 5.0;
-        let mut m = MobilityModel::new(cfg.clone(), 0);
+        let mut m = MobilityModel::new(cfg, 0);
         for _ in 0..50_000 {
             m.step(0.0005);
-            assert!(m.position_m() >= 0.0 && m.position_m() <= cfg.length_m);
+            assert!(m.position_m() >= 0.0 && m.position_m() <= LENGTH_M);
         }
     }
 }

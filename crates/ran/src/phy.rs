@@ -35,7 +35,7 @@ use slingshot_sim::{
     TraceEventKind,
 };
 
-use crate::cell::CellConfig;
+use crate::cell::{CellConfig, FAPI_ADVANCE_SLOTS};
 use crate::fidelity::{
     encode_signal_with, kernels_of, receive_into, DspEnv, FhAssembly, LinkParamsTb, RxProcessPool,
 };
@@ -50,16 +50,17 @@ pub struct PhyConfig {
     /// Min-sum decoder iterations — the §8.3 upgrade knob. Overrides
     /// the cell default.
     pub fec_iterations: usize,
-    /// Crash after this many consecutive slots without FAPI requests.
-    pub crash_after_missing: u32,
 }
+
+/// A PHY crashes after this many consecutive slots without FAPI
+/// requests, as FlexRAN aborts when its L2 stops feeding it.
+pub(crate) const CRASH_AFTER_MISSING_SLOTS: u32 = 3;
 
 impl PhyConfig {
     pub fn new(phy_id: u8) -> PhyConfig {
         PhyConfig {
             phy_id,
             fec_iterations: 8,
-            crash_after_missing: 3,
         }
     }
 }
@@ -648,7 +649,7 @@ impl Node<Msg> for PhyNode {
                     .filter(|(_, r)| r.started)
                     .map(|(id, _)| *id)
                     .collect();
-                let expect = abs + self.cell.fapi_advance_slots;
+                let expect = abs + FAPI_ADVANCE_SLOTS;
                 let mut must_crash = false;
                 for ru_id in ru_ids {
                     self.send_fapi(ctx, FapiMsg::SlotInd(SlotIndication { ru_id, slot }));
@@ -664,7 +665,7 @@ impl Node<Msg> for PhyNode {
                                 ru.missing_streak as u64,
                                 expect,
                             );
-                            if ru.missing_streak >= self.cfg.crash_after_missing {
+                            if ru.missing_streak >= CRASH_AFTER_MISSING_SLOTS {
                                 must_crash = true;
                             }
                         }

@@ -20,7 +20,7 @@ use slingshot_sim::{
 };
 use slingshot_transport::UserApp;
 
-use crate::cell::CellConfig;
+use crate::cell::{CellConfig, REATTACH_DELAY, RLF_TIMEOUT};
 use crate::fidelity::{
     apply_channel_with, encode_signal_with, receive_into, DspEnv, LinkParamsTb, RxProcessPool,
 };
@@ -45,8 +45,6 @@ pub struct UeConfig {
     /// Human-readable label ("OnePlus N10", "Samsung A52s", "RPi").
     pub name: String,
     pub snr: SnrProcessConfig,
-    /// Attached from t=0 (pre-camped), as in the paper's experiments.
-    pub preattached: bool,
     /// Traffic class for slice-aware scheduling and per-slice SLOs.
     pub slice: SliceKind,
     /// Deterministic corridor mobility; `None` pins the UE in place
@@ -64,7 +62,6 @@ impl UeConfig {
                 mean_db: mean_snr_db,
                 ..Default::default()
             },
-            preattached: true,
             slice: SliceKind::Embb,
             mobility: None,
         }
@@ -158,11 +155,6 @@ impl UeNode {
     pub fn new(cfg: UeConfig, cell: CellConfig, clock: SlotClock, mut rng: SimRng) -> UeNode {
         let channel = AwgnChannel::new(rng.fork("channel"));
         let snr = SnrProcess::new(cfg.snr.clone(), rng.fork("snr"));
-        let state = if cfg.preattached {
-            UeState::Connected
-        } else {
-            UeState::Idle
-        };
         let mean = cfg.snr.mean_db;
         let dl_rlc = if cell.rlc_ordered {
             RlcRx::new()
@@ -186,7 +178,7 @@ impl UeNode {
             cells: HashMap::new(),
             pending_handover: None,
             ho_report_time: None,
-            state,
+            state: UeState::Connected, // pre-camped, as in the paper
             last_dl_burst: Nanos::ZERO,
             last_served: Nanos::ZERO,
             ru: None,
@@ -351,8 +343,8 @@ impl UeNode {
                 // Cell is back: begin the reattach procedure (random
                 // access, RRC re-establishment, core signaling) — the
                 // measured multi-second outage of §8.1.
-                self.state = UeState::Attaching(now + self.cell.reattach_delay);
-                ctx.timer(self.cell.reattach_delay, TIMER_ATTACH_DONE);
+                self.state = UeState::Attaching(now + REATTACH_DELAY);
+                ctx.timer(REATTACH_DELAY, TIMER_ATTACH_DONE);
                 return;
             }
             UeState::Attaching(_) => return,
@@ -517,8 +509,8 @@ impl Node<Msg> for UeNode {
                 self.current_snr_db = self.snr.step();
                 // Radio-link failure detection: the cell went dark, or
                 // it is radiating but no longer serving us.
-                let dark = now.saturating_sub(self.last_dl_burst) > self.cell.rlf_timeout;
-                let unserved = now.saturating_sub(self.last_served) > self.cell.rlf_timeout;
+                let dark = now.saturating_sub(self.last_dl_burst) > RLF_TIMEOUT;
+                let unserved = now.saturating_sub(self.last_served) > RLF_TIMEOUT;
                 if self.state == UeState::Connected && (dark || unserved) {
                     self.state = UeState::Idle;
                     self.rlf_count += 1;

@@ -48,9 +48,7 @@ fn build(seed: u64, ue_cfgs: Vec<UeConfig>, cell: CellConfig) -> Testbed {
     let core = engine.add_node("core", Box::new(CoreNode::new()));
     let mut l2n = L2Node::new(cell.clone(), clock, 0);
     for cfg in &ue_cfgs {
-        if cfg.preattached {
-            l2n.preattach_ue(cfg.rnti, cfg.snr.mean_db);
-        }
+        l2n.preattach_ue(cfg.rnti, cfg.snr.mean_db);
     }
     let l2 = engine.add_node("l2", Box::new(l2n));
     let phyn = PhyNode::new(PhyConfig::new(1), cell.clone(), clock, rng.fork("phy"));

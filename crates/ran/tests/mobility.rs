@@ -3,6 +3,7 @@
 //! shape, and the A3 arm/abort/confirm protocol the UE and handover
 //! controller rely on.
 
+use slingshot_ran::mobility::{LENGTH_M, REF_DIST_M, TIME_TO_TRIGGER_SLOTS};
 use slingshot_ran::{MobilityConfig, MobilityModel, SliceKind, SliceProfile, UeConfig};
 
 const DT: f64 = 0.0005; // one 500 µs slot
@@ -31,7 +32,7 @@ fn cloned_model_stays_bit_identical() {
 #[test]
 fn snr_field_is_symmetric_and_peaks_at_sites() {
     let cfg = MobilityConfig::two_cell_corridor();
-    let mid = cfg.length_m / 2.0;
+    let mid = LENGTH_M / 2.0;
     // Walk the corridor; serving cell 0's SNR must fall monotonically
     // with distance from site 0 (beyond the reference distance).
     let mut prev = f64::INFINITY;
@@ -42,14 +43,14 @@ fn snr_field_is_symmetric_and_peaks_at_sites() {
         let m = MobilityModel::new(c, 0);
         let s0 = m.mean_snr_db(0);
         let s1 = m.mean_snr_db(1);
-        if x as f64 >= cfg.ref_dist_m {
+        if x as f64 >= REF_DIST_M {
             assert!(s0 <= prev + 1e-9, "snr rose at {x} m");
             prev = s0;
         }
         // Two-site symmetric layout: the fields mirror around the
         // midpoint.
         let mut cm = cfg.clone();
-        cm.start_m = cfg.length_m - x as f64;
+        cm.start_m = LENGTH_M - x as f64;
         cm.velocity_mps = 0.0;
         let mirror = MobilityModel::new(cm, 0);
         assert!(
@@ -68,9 +69,8 @@ fn snr_field_is_symmetric_and_peaks_at_sites() {
 /// confirm ends the cycle.
 #[test]
 fn abort_rearms_detection_until_confirm() {
-    let cfg = MobilityConfig::two_cell_corridor();
-    let ttt = cfg.time_to_trigger_slots as u64;
-    let mut m = MobilityModel::new(cfg, 0);
+    let ttt = TIME_TO_TRIGGER_SLOTS as u64;
+    let mut m = MobilityModel::new(MobilityConfig::two_cell_corridor(), 0);
     let mut crossings = Vec::new();
     for slot in 0..3_000u64 {
         if let Some(e) = m.step(DT) {

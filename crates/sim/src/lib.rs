@@ -67,5 +67,5 @@ pub use profiler::{ProfilerReport, SpanGuard, SpanProfiler, StageProfile};
 pub use rng::SimRng;
 pub use slo::{CellSlo, FleetSlo, Outage, SloConfig, SloReport};
 pub use stats::{RateBins, Sampler};
-pub use time::{Nanos, SlotClock, SlotId, SlotKind, TddPattern, SLOT_DURATION};
+pub use time::{slot_kind, Nanos, SlotClock, SlotId, SlotKind, SLOT_DURATION, TDD_PATTERN};
 pub use trace::{Detection, TraceBuffer, TraceEvent, TraceEventKind};

@@ -9,8 +9,7 @@
 //!
 //! The profiler is **disabled by default** and zero-cost when disabled:
 //! [`SpanProfiler::span`] returns an inert guard without reading the
-//! clock. A deployment opts in with [`Engine::set_profiler`]
-//! (`crate::engine::Engine::set_profiler`) before the run; the handle is
+//! clock. A deployment opts in with [`Engine::set_profiler`](crate::Engine::set_profiler) before the run; the handle is
 //! a cheap `Arc` clone, so PHY nodes can move copies into worker-pool
 //! job closures and record spans from any thread.
 //!

@@ -19,9 +19,10 @@
 //!   lifecycle events yield the spare-pool ledger.
 //!
 //! Because the trace buffer is a bounded ring, a long run may have
-//! evicted its oldest events; [`SloReport::truncated`] surfaces
-//! [`TraceBuffer::dropped_oldest`] so downstream reports never present
-//! numbers from a silently clipped window as full-horizon availability.
+//! evicted its oldest events; [`SloReport::truncated`] surfaces the
+//! trace's eviction count (`TraceBuffer::dropped_oldest`) so downstream
+//! reports never present numbers from a silently clipped window as
+//! full-horizon availability.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -141,8 +141,14 @@ pub fn abs_of_scalar(near_abs: u64, scalar: u16) -> u64 {
     near_abs.saturating_add_signed(nearest_offset(near_abs, scalar as u64, SCALAR_EPOCH))
 }
 
-/// TDD cycle length (DDDSU).
-pub const TDD_CYCLE_SLOTS: u64 = 5;
+/// The testbed's TDD pattern (Table 1), one letter per slot: three
+/// downlink slots, a special slot, an uplink slot. Its 393 µs worst
+/// downlink gap is what the 450 µs detector timeout is derived from
+/// (§5.2), so it is a constant, not a setting.
+pub const TDD_PATTERN: &str = "DDDSU";
+
+/// TDD cycle length in slots.
+pub const TDD_CYCLE_SLOTS: u64 = TDD_PATTERN.len() as u64;
 
 /// Round `abs` up to the start of a TDD cycle. Every on-slot boundary
 /// (migration, standby install, handover) lands here so that an uplink
@@ -189,7 +195,7 @@ impl SlotId {
 
     /// The absolute slot index *within the current SFN epoch* (SFN wraps
     /// at 1024 frames = 10.24 s). Comparisons across a wrap must use
-    /// [`SlotId::wrapping_distance`].
+    /// `SlotId::wrapping_distance`.
     pub fn epoch_index(self) -> u64 {
         self.sfn as u64 * SLOTS_PER_FRAME as u64
             + self.subframe as u64 * SLOTS_PER_SUBFRAME as u64
@@ -281,54 +287,12 @@ pub enum SlotKind {
     Uplink,
 }
 
-/// The TDD pattern used by the paper's cell ("DDDSU").
-#[derive(Debug, Clone)]
-pub struct TddPattern {
-    kinds: Vec<SlotKind>,
-}
-
-impl TddPattern {
-    /// The paper's DDDSU pattern.
-    pub fn dddsu() -> TddPattern {
-        TddPattern {
-            kinds: vec![
-                SlotKind::Downlink,
-                SlotKind::Downlink,
-                SlotKind::Downlink,
-                SlotKind::Special,
-                SlotKind::Uplink,
-            ],
-        }
-    }
-
-    /// Build an arbitrary pattern from a string of 'D', 'S', 'U'.
-    pub fn parse(s: &str) -> Option<TddPattern> {
-        let kinds = s
-            .chars()
-            .map(|c| match c {
-                'D' | 'd' => Some(SlotKind::Downlink),
-                'S' | 's' => Some(SlotKind::Special),
-                'U' | 'u' => Some(SlotKind::Uplink),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>()?;
-        if kinds.is_empty() {
-            None
-        } else {
-            Some(TddPattern { kinds })
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.kinds.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
-    }
-
-    pub fn kind(&self, abs_slot: u64) -> SlotKind {
-        self.kinds[(abs_slot % self.kinds.len() as u64) as usize]
+/// The role of absolute slot `abs` in [`TDD_PATTERN`].
+pub fn slot_kind(abs: u64) -> SlotKind {
+    match TDD_PATTERN.as_bytes()[(abs % TDD_CYCLE_SLOTS) as usize] {
+        b'D' => SlotKind::Downlink,
+        b'S' => SlotKind::Special,
+        _ => SlotKind::Uplink,
     }
 }
 
@@ -424,7 +388,18 @@ mod tests {
         ] {
             assert_eq!(align_to_tdd_cycle(abs), aligned);
         }
-        assert_eq!(TDD_CYCLE_SLOTS, TddPattern::dddsu().len() as u64);
+        assert_eq!(TDD_CYCLE_SLOTS, 5);
+    }
+
+    #[test]
+    fn aligned_boundary_opens_a_cycle() {
+        // The rule `align_to_tdd_cycle` states: a boundary is the first
+        // downlink slot after an uplink slot.
+        for x in 1..=10 {
+            let b = align_to_tdd_cycle(x);
+            assert_eq!(slot_kind(b), SlotKind::Downlink, "x={x}");
+            assert_eq!(slot_kind(b - 1), SlotKind::Uplink, "x={x}");
+        }
     }
 
     #[test]
@@ -501,21 +476,16 @@ mod tests {
 
     #[test]
     fn tdd_dddsu() {
-        let p = TddPattern::dddsu();
-        assert_eq!(p.len(), 5);
-        assert_eq!(p.kind(0), SlotKind::Downlink);
-        assert_eq!(p.kind(2), SlotKind::Downlink);
-        assert_eq!(p.kind(3), SlotKind::Special);
-        assert_eq!(p.kind(4), SlotKind::Uplink);
-        assert_eq!(p.kind(5), SlotKind::Downlink);
-    }
-
-    #[test]
-    fn tdd_parse() {
-        let p = TddPattern::parse("DDSU").unwrap();
-        assert_eq!(p.len(), 4);
-        assert_eq!(p.kind(3), SlotKind::Uplink);
-        assert!(TddPattern::parse("DDX").is_none());
-        assert!(TddPattern::parse("").is_none());
+        assert_eq!(TDD_PATTERN, "DDDSU");
+        for (abs, kind) in [
+            (0, SlotKind::Downlink),
+            (2, SlotKind::Downlink),
+            (3, SlotKind::Special),
+            (4, SlotKind::Uplink),
+            (5, SlotKind::Downlink),
+            (2004, SlotKind::Uplink),
+        ] {
+            assert_eq!(slot_kind(abs), kind, "abs={abs}");
+        }
     }
 }

@@ -20,5 +20,5 @@ pub use control::ControlPlaneModel;
 pub use pipeline::{PortId, SwitchAction, SwitchProgram, PIPELINE_LATENCY};
 pub use pktgen::PktGenConfig;
 pub use ports::PortSpace;
-pub use resources::{estimate, PipelineManifest, ResourceBudget, ResourceUsage};
+pub use resources::{estimate, PipelineManifest, ResourceUsage};
 pub use tables::{ExactTable, RegisterArray, TableFull};

@@ -7,34 +7,29 @@
 //! and branch points, and costing them against per-pipeline budgets
 //! modeled on a Tofino-1 profile (12 stages × per-stage units).
 
-/// Per-pipeline resource budgets (a Tofino-1-like profile: 12 MAU
-/// stages; units are per-pipeline totals).
-#[derive(Debug, Clone)]
-pub struct ResourceBudget {
-    /// Total match crossbar input bytes (12 stages × 128 B exact + 64 B
-    /// ternary ≈ 2304 B; we use bytes of match key capacity).
-    pub crossbar_bytes: u32,
-    /// Stateful/meter ALU instances (4 per stage × 12).
-    pub alus: u32,
-    /// Gateway (conditional) units (16 per stage × 12).
-    pub gateways: u32,
-    /// SRAM: 80 blocks of 128 Kb per stage × 12, in kilobits.
-    pub sram_kbits: u32,
-    /// Hash distribution bits (≈ 4992 per pipe).
-    pub hash_bits: u32,
+/// Per-pipeline resource budgets (units are per-pipeline totals).
+struct Budget {
+    crossbar_bytes: u32,
+    alus: u32,
+    gateways: u32,
+    sram_kbits: u32,
+    hash_bits: u32,
 }
 
-impl Default for ResourceBudget {
-    fn default() -> ResourceBudget {
-        ResourceBudget {
-            crossbar_bytes: 2304,
-            alus: 48,
-            gateways: 192,
-            sram_kbits: 12 * 80 * 128,
-            hash_bits: 4992,
-        }
-    }
-}
+/// The Tofino-1 profile: 12 MAU stages.
+const TOFINO1: Budget = Budget {
+    // Match crossbar input bytes (12 stages × 128 B exact + 64 B
+    // ternary ≈ 2304 B; bytes of match key capacity).
+    crossbar_bytes: 2304,
+    // Stateful/meter ALU instances (4 per stage × 12).
+    alus: 48,
+    // Gateway (conditional) units (16 per stage × 12).
+    gateways: 192,
+    // SRAM: 80 blocks of 128 Kb per stage × 12, in kilobits.
+    sram_kbits: 12 * 80 * 128,
+    // Hash distribution bits (≈ 4992 per pipe).
+    hash_bits: 4992,
+};
 
 /// A declared exact-match table's resource footprint inputs.
 #[derive(Debug, Clone)]
@@ -62,8 +57,6 @@ pub struct PipelineManifest {
     pub registers: Vec<RegisterDecl>,
     /// Conditional branch points in the program.
     pub gateways: u32,
-    /// Extra ALUs for arithmetic outside registers (e.g. header math).
-    pub extra_alus: u32,
 }
 
 impl PipelineManifest {
@@ -118,12 +111,12 @@ impl ResourceUsage {
     }
 }
 
-/// Estimate a manifest's usage against a budget.
-pub fn estimate(manifest: &PipelineManifest, budget: &ResourceBudget) -> ResourceUsage {
+/// Estimate a manifest's usage of one Tofino-1 pipeline.
+pub fn estimate(manifest: &PipelineManifest) -> ResourceUsage {
     let mut crossbar_bytes = 0u32;
     let mut sram_kbits = 0f64;
     let mut hash_bits = 0u32;
-    let mut alus = manifest.extra_alus;
+    let mut alus = 0;
 
     for t in &manifest.tables {
         // The compiler replicates match keys across crossbar units and
@@ -153,11 +146,11 @@ pub fn estimate(manifest: &PipelineManifest, budget: &ResourceBudget) -> Resourc
     }
 
     ResourceUsage {
-        crossbar: crossbar_bytes as f64 / budget.crossbar_bytes as f64,
-        alu: alus as f64 / budget.alus as f64,
-        gateway: manifest.gateways as f64 / budget.gateways as f64,
-        sram: sram_kbits / budget.sram_kbits as f64,
-        hash_bits: hash_bits as f64 / budget.hash_bits as f64,
+        crossbar: crossbar_bytes as f64 / TOFINO1.crossbar_bytes as f64,
+        alu: alus as f64 / TOFINO1.alus as f64,
+        gateway: manifest.gateways as f64 / TOFINO1.gateways as f64,
+        sram: sram_kbits / TOFINO1.sram_kbits as f64,
+        hash_bits: hash_bits as f64 / TOFINO1.hash_bits as f64,
     }
 }
 
@@ -173,7 +166,7 @@ mod tests {
 
     #[test]
     fn empty_manifest_zero_usage() {
-        let u = estimate(&PipelineManifest::default(), &ResourceBudget::default());
+        let u = estimate(&PipelineManifest::default());
         assert_eq!(u.crossbar, 0.0);
         assert_eq!(u.alu, 0.0);
         assert!(u.fits());
@@ -185,9 +178,8 @@ mod tests {
         let big = PipelineManifest::default()
             .table("a", 256, 48, 8)
             .table("b", 65536, 48, 48);
-        let b = ResourceBudget::default();
-        let us = estimate(&small, &b);
-        let ub = estimate(&big, &b);
+        let us = estimate(&small);
+        let ub = estimate(&big);
         assert!(ub.sram > us.sram);
         assert!(ub.crossbar > us.crossbar);
         assert!(ub.hash_bits > us.hash_bits);
@@ -196,7 +188,7 @@ mod tests {
     #[test]
     fn registers_cost_alus() {
         let m = PipelineManifest::default().register("ctr", 256, 32, 2);
-        let u = estimate(&m, &ResourceBudget::default());
+        let u = estimate(&m);
         assert!((u.alu - 2.0 / 48.0).abs() < 1e-12);
     }
 
@@ -204,17 +196,15 @@ mod tests {
     fn sram_blocks_round_up() {
         // 1 bit still costs one 128 Kb block.
         let m = PipelineManifest::default().register("tiny", 1, 1, 1);
-        let u = estimate(&m, &ResourceBudget::default());
+        let u = estimate(&m);
         assert!(u.sram >= 128.0 / (12.0 * 80.0 * 128.0) - 1e-12);
     }
 
     #[test]
     fn overbudget_detected() {
-        let m = PipelineManifest {
-            extra_alus: 100,
-            ..PipelineManifest::default()
-        };
-        let u = estimate(&m, &ResourceBudget::default());
+        // 100 stateful ALUs against the pipeline's 48.
+        let m = PipelineManifest::default().register("wide", 1, 1, 100);
+        let u = estimate(&m);
         assert!(!u.fits());
     }
 }

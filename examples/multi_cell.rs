@@ -12,7 +12,7 @@
 
 use slingshot::{DeploymentBuilder, DeploymentConfig, OrionL2Node};
 use slingshot_ran::{CellConfig, Fidelity, PhyNode, UeConfig, UeNode};
-use slingshot_sim::Nanos;
+use slingshot_sim::{Nanos, TraceEventKind};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
 fn main() {
@@ -60,9 +60,24 @@ fn main() {
             "{label}: failovers={} | UE {:?}, RLF={}",
             orion.failovers, ue.state, ue.rlf_count
         );
-        for (t, e) in &orion.events {
-            println!("  event @ {:.6}s: {e}", t.as_secs());
-        }
+    }
+    let failover_kinds = [
+        TraceEventKind::FailureNotifyReceived,
+        TraceEventKind::MigrateArmed,
+        TraceEventKind::MapFlip,
+        TraceEventKind::SpareRequested,
+        TraceEventKind::StandbyRepaired,
+    ];
+    let trace = d.engine.event_trace();
+    for ev in trace.iter().filter(|e| failover_kinds.contains(&e.kind)) {
+        println!(
+            "  {} @ {:.6}s: {} a={} b={:#x}",
+            d.engine.node_name(ev.node),
+            ev.at.as_secs(),
+            ev.kind.as_str(),
+            ev.a,
+            ev.b
+        );
     }
     let survivor = d.engine.node::<PhyNode>(d.cells[1].primary_phy).unwrap();
     println!(

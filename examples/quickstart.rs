@@ -8,8 +8,17 @@
 
 use slingshot::{DeploymentBuilder, DeploymentConfig, OrionL2Node, SwitchNode};
 use slingshot_ran::{AppServerNode, CellConfig, Fidelity, UeConfig, UeNode, UeState};
-use slingshot_sim::Nanos;
+use slingshot_sim::{Nanos, TraceEventKind};
 use slingshot_transport::{UdpCbrSource, UdpSink};
+
+/// The control-plane steps of a failover, as the trace records them.
+const FAILOVER_KINDS: [TraceEventKind; 5] = [
+    TraceEventKind::FailureNotifyReceived,
+    TraceEventKind::MigrateArmed,
+    TraceEventKind::MapFlip,
+    TraceEventKind::SpareRequested,
+    TraceEventKind::StandbyRepaired,
+];
 
 fn main() {
     // 1. Configure the cell. `Sampled` fidelity runs a real LDPC-coded
@@ -58,8 +67,16 @@ fn main() {
         detected.as_secs(),
         (detected - Nanos::from_millis(1000)).as_micros()
     );
-    for (t, e) in &orion.events {
-        println!("  orion event @ {:.6}s: {e}", t.as_secs());
+    let trace = d.engine.event_trace();
+    for ev in trace.iter().filter(|e| FAILOVER_KINDS.contains(&e.kind)) {
+        println!(
+            "  {} @ {:.6}s: {} a={} b={:#x}",
+            d.engine.node_name(ev.node),
+            ev.at.as_secs(),
+            ev.kind.as_str(),
+            ev.a,
+            ev.b
+        );
     }
     let sw = d.engine.node::<SwitchNode>(d.switch).unwrap();
     println!(
