@@ -38,7 +38,6 @@ const RU: u8 = 0;
 /// connection; see DESIGN.md §2.)
 pub struct StackSelector {
     switch: Option<NodeId>,
-    switch_mac: MacAddr,
     primary_l2: Option<NodeId>,
     backup_l2: Option<NodeId>,
     active_is_backup: bool,
@@ -51,7 +50,6 @@ impl StackSelector {
     pub fn new() -> StackSelector {
         StackSelector {
             switch: None,
-            switch_mac: MacAddr::ZERO,
             primary_l2: None,
             backup_l2: None,
             active_is_backup: false,
@@ -60,15 +58,8 @@ impl StackSelector {
         }
     }
 
-    pub fn wire(
-        &mut self,
-        switch: NodeId,
-        switch_mac: MacAddr,
-        primary_l2: NodeId,
-        backup_l2: NodeId,
-    ) {
+    pub fn wire(&mut self, switch: NodeId, primary_l2: NodeId, backup_l2: NodeId) {
         self.switch = Some(switch);
-        self.switch_mac = switch_mac;
         self.primary_l2 = Some(primary_l2);
         self.backup_l2 = Some(backup_l2);
     }
@@ -110,7 +101,7 @@ impl Node<Msg> for StackSelector {
                         .send(
                             ctx,
                             self.switch,
-                            self.switch_mac,
+                            FhMbox::SWITCH_MAC,
                             failover_ctl_mac(),
                         );
                     }
@@ -225,7 +216,6 @@ impl BaselineDeployment {
         mbox.install_phy(BACKUP_PHY, MacAddr::for_phy(BACKUP_PHY), PortId(3));
         mbox.install_host(failover_ctl_mac(), PortId(4));
         mbox.enroll_failure_detection(PRIMARY_PHY);
-        let switch_mac = mbox.switch_mac;
         let mut swn = SwitchNode::new(mbox, ForwardingModel::InSwitch, rng.fork("switch"));
         swn.attach(PortId(1), ru);
         swn.attach(PortId(2), primary_phy);
@@ -241,7 +231,7 @@ impl BaselineDeployment {
         engine
             .node_mut::<StackSelector>(selector)
             .unwrap()
-            .wire(switch, switch_mac, primary_l2, backup_l2);
+            .wire(switch, primary_l2, backup_l2);
         engine
             .node_mut::<L2Node>(primary_l2)
             .unwrap()

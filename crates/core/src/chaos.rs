@@ -342,13 +342,12 @@ fn resolve_phy_node(d: &mut Deployment, target: FaultTarget) -> Option<NodeId> {
 }
 
 /// The PHY id currently playing the symbolic role, read from the live
-/// control/data plane. `ActivePhy`/`StandbyPhy` are cell-0 aliases of
-/// the per-cell `ActivePhyOf`/`StandbyPhyOf` targets.
+/// control/data plane. `ActivePhy` is the cell-0 alias of
+/// `ActivePhyOf(0)`.
 pub fn resolve_phy_id(d: &mut Deployment, target: FaultTarget) -> Option<u8> {
     match target {
         // The data plane is the ground truth for who serves the RU.
         FaultTarget::ActivePhy => resolve_phy_id(d, FaultTarget::ActivePhyOf(0)),
-        FaultTarget::StandbyPhy => resolve_phy_id(d, FaultTarget::StandbyPhyOf(0)),
         FaultTarget::ActivePhyOf(ru) => {
             // In a fabric build the RU's leaf middlebox owns the
             // RU→PHY register; single-switch builds resolve to the one
@@ -399,16 +398,15 @@ fn resolve_links(d: &mut Deployment, target: FaultTarget) -> Vec<(NodeId, NodeId
             }
             None => Vec::new(),
         },
-        FaultTarget::ActivePhy
-        | FaultTarget::StandbyPhy
-        | FaultTarget::ActivePhyOf(_)
-        | FaultTarget::StandbyPhyOf(_) => match resolve_phy_node(d, target) {
-            Some(phy) => {
-                let sw = d.switch_for_node(phy);
-                vec![(phy, sw), (sw, phy)]
+        FaultTarget::ActivePhy | FaultTarget::ActivePhyOf(_) | FaultTarget::StandbyPhyOf(_) => {
+            match resolve_phy_node(d, target) {
+                Some(phy) => {
+                    let sw = d.switch_for_node(phy);
+                    vec![(phy, sw), (sw, phy)]
+                }
+                None => Vec::new(),
             }
-            None => Vec::new(),
-        },
+        }
     }
 }
 
@@ -419,10 +417,7 @@ fn resolve_process_node(d: &mut Deployment, target: FaultTarget) -> Option<NodeI
     match target {
         FaultTarget::OrionL2 => Some(d.cells[0].orion_l2),
         FaultTarget::HandoverController => d.handover,
-        FaultTarget::ActivePhy
-        | FaultTarget::StandbyPhy
-        | FaultTarget::ActivePhyOf(_)
-        | FaultTarget::StandbyPhyOf(_) => {
+        FaultTarget::ActivePhy | FaultTarget::ActivePhyOf(_) | FaultTarget::StandbyPhyOf(_) => {
             let phy_id = resolve_phy_id(d, target)?;
             orion_node_of(d, phy_id)
         }

@@ -425,6 +425,8 @@ struct Construction {
     plans: Vec<SwitchPlan>,
     /// Every PHY id handed out so far → its engine node.
     phy_nodes: BTreeMap<u8, NodeId>,
+    /// Every PHY id handed out so far → its PHY-side Orion node.
+    phy_orions: BTreeMap<u8, NodeId>,
     /// Crossed standbys: cells build no secondary PHY of their own.
     crossed: bool,
 }
@@ -444,6 +446,14 @@ impl Construction {
                 self.engine.node_name(owner)
             );
         }
+        node
+    }
+
+    /// Create PHY `id`'s Orion as node `name`.
+    fn add_phy_orion(&mut self, name: &str, id: u8, l2_id: u8) -> NodeId {
+        let orion = OrionPhyNode::new(id, l2_id);
+        let node = self.engine.add_node(name, Box::new(orion));
+        self.phy_orions.insert(id, node);
         node
     }
 
@@ -470,12 +480,7 @@ impl Construction {
             let name = format!("c{i}-phy-secondary");
             self.add_phy(&name, sec_id, &cell, self.cfg.secondary_fec_iterations)
         });
-        let mut add_orion = |id: u8| {
-            self.engine.add_node(
-                &format!("c{i}-orion-phy{id}"),
-                Box::new(OrionPhyNode::new(id, ru_id)),
-            )
-        };
+        let mut add_orion = |id: u8| self.add_phy_orion(&format!("c{i}-orion-phy{id}"), id, ru_id);
         let orion_primary = add_orion(pri_id);
         let orion_secondary = secondary_phy.map(|_| add_orion(sec_id));
         let orion_l2 = self.engine.add_node(
@@ -541,10 +546,7 @@ impl Construction {
     fn add_spare(&mut self, id: u8, sw: usize) -> (u8, NodeId, NodeId) {
         let cell = self.cfg.cell.clone();
         let phy = self.add_phy(&format!("spare-phy{id}"), id, &cell, None);
-        let orion = self.engine.add_node(
-            &format!("spare-orion-phy{id}"),
-            Box::new(OrionPhyNode::new(id, 0)),
-        );
+        let orion = self.add_phy_orion(&format!("spare-orion-phy{id}"), id, 0);
         let plan = &mut self.plans[sw];
         plan.attach(phy, MacAddr::for_phy(id), &self.cfg.server_link);
         plan.attach(orion, orion_phy_mac(id), &self.cfg.server_link);
@@ -649,6 +651,7 @@ impl Deployment {
             rng: SimRng::new(cfg.seed ^ 0x5113_6507),
             plans,
             phy_nodes: BTreeMap::new(),
+            phy_orions: BTreeMap::new(),
             crossed,
             cfg,
         };
@@ -694,6 +697,7 @@ impl Deployment {
             mut rng,
             mut plans,
             phy_nodes,
+            phy_orions,
             ..
         } = c;
         let switches: Vec<NodeId> = plans
@@ -765,7 +769,6 @@ impl Deployment {
         }
 
         // --- wiring ---
-        let switch_mac = FhMbox::SWITCH_MAC;
         let all_ues: Vec<NodeId> = cells.iter().flat_map(|c| c.ues.iter().copied()).collect();
         engine.node_mut::<AppServerNode>(server).unwrap().wire(core);
         {
@@ -804,10 +807,10 @@ impl Deployment {
             }
             {
                 let o = engine.node_mut::<OrionL2Node>(cell.orion_l2).unwrap();
-                o.wire(sw, cell.l2, switch_mac);
+                o.wire(sw, cell.l2);
                 o.bind_ru(cell.ru_id, cell.primary_phy_id, Some(cell.secondary_phy_id));
                 if recovery.is_some() {
-                    o.set_recovery_orchestrator(recovery_mac());
+                    o.use_spare_pool();
                 }
             }
             // With the handover plane every RU's radio broadcast domain
@@ -841,19 +844,17 @@ impl Deployment {
         }
         if let Some(rec) = recovery {
             let r = engine.node_mut::<RecoveryOrchestrator>(rec).unwrap();
-            r.wire(switch, switch_mac);
+            r.wire(switch);
+            for (&id, &phy) in &phy_nodes {
+                r.register_phy(id, phy);
+            }
             for (id, phy, _) in &spares {
                 r.add_spare(*id, *phy);
-            }
-            for cell in &cells {
-                r.register_cell(cell.ru_id, orion_l2_mac(cell.ru_id));
-                r.register_phy(cell.primary_phy_id, cell.primary_phy);
-                r.register_phy(cell.secondary_phy_id, cell.secondary_phy);
             }
         }
         if let Some(ho) = handover {
             let h = engine.node_mut::<HandoverController>(ho).unwrap();
-            h.wire(switch, switch_mac, core);
+            h.wire(switch, core);
             for (cell, ues) in cells.iter().zip(&cell_ues) {
                 h.register_cell(cell.ru_id, cell.l2);
                 for (u, node) in ues.iter().zip(&cell.ues) {
@@ -884,15 +885,6 @@ impl Deployment {
         }
         for (_, phy, orion) in &spares {
             engine.connect_duplex(*phy, *orion, shm.clone());
-        }
-
-        let mut phy_orions = BTreeMap::new();
-        for cell in &cells {
-            phy_orions.insert(cell.primary_phy_id, cell.orion_primary);
-            phy_orions.insert(cell.secondary_phy_id, cell.orion_secondary);
-        }
-        for (id, _, orion) in &spares {
-            phy_orions.insert(*id, *orion);
         }
 
         // Lane 0 is the spine domain (everything not behind a leaf);

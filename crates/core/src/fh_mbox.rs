@@ -170,8 +170,6 @@ pub struct FhMbox {
     pub detector: PktGenConfig,
     /// Where failure notifications are sent (every L2-side Orion).
     notify_macs: Vec<MacAddr>,
-    /// The switch's own MAC for control packets addressed to it.
-    pub switch_mac: MacAddr,
     /// Per-PHY downlink heartbeat gap statistics (simulation-side
     /// observability, mirroring the paper's timestamp-and-mirror P4
     /// measurement of §8.6): (last arrival, max gap seen).
@@ -227,7 +225,6 @@ impl FhMbox {
             fail_seen: RegisterArray::new("fail_seen", 256, 1),
             detector,
             notify_macs,
-            switch_mac: FhMbox::SWITCH_MAC,
             dl_gap_stats: vec![(Nanos::ZERO, Nanos::ZERO); 256],
             migrations_executed: 0,
             standby_installs: 0,
@@ -426,7 +423,7 @@ impl FhMbox {
 impl SwitchProgram for FhMbox {
     fn process(&mut self, now: Nanos, _ingress: PortId, frame: Frame) -> Vec<SwitchAction> {
         match frame.ethertype {
-            EtherType::SlingshotCtl if frame.dst == self.switch_mac => {
+            EtherType::SlingshotCtl if frame.dst == FhMbox::SWITCH_MAC => {
                 self.ctl_packets += 1;
                 match CtlPacket::from_bytes(&frame.payload) {
                     Some(CtlPacket::MigrateOnSlot {
@@ -599,7 +596,7 @@ impl SwitchProgram for FhMbox {
                 for (i, mac) in self.notify_macs.clone().into_iter().enumerate() {
                     let frame = Frame::new(
                         mac,
-                        self.switch_mac,
+                        FhMbox::SWITCH_MAC,
                         EtherType::SlingshotCtl,
                         pkt.to_bytes(),
                     );
@@ -713,12 +710,11 @@ mod tests {
             dest_phy_id: 2,
             slot_scalar: 100,
         };
-        let switch_mac = m.switch_mac;
         m.process(
             Nanos(0),
             PortId(4),
             Frame::new(
-                switch_mac,
+                FhMbox::SWITCH_MAC,
                 MacAddr::for_l2(0),
                 EtherType::SlingshotCtl,
                 cmd.to_bytes(),
@@ -755,12 +751,11 @@ mod tests {
             dest_phy_id: 2,
             slot_scalar: 50,
         };
-        let switch_mac = m.switch_mac;
         m.process(
             Nanos(0),
             PortId(4),
             Frame::new(
-                switch_mac,
+                FhMbox::SWITCH_MAC,
                 MacAddr::ZERO,
                 EtherType::SlingshotCtl,
                 cmd.to_bytes(),
@@ -781,12 +776,11 @@ mod tests {
             dest_phy_id: 2,
             slot_scalar: 2, // just after the 5120-scalar wrap
         };
-        let switch_mac = m.switch_mac;
         m.process(
             Nanos(0),
             PortId(4),
             Frame::new(
-                switch_mac,
+                FhMbox::SWITCH_MAC,
                 MacAddr::ZERO,
                 EtherType::SlingshotCtl,
                 cmd.to_bytes(),
@@ -927,12 +921,11 @@ mod tests {
             phy_id: 3,
             slot_scalar: 100,
         };
-        let switch_mac = m.switch_mac;
         m.process(
             Nanos(0),
             PortId(4),
             Frame::new(
-                switch_mac,
+                FhMbox::SWITCH_MAC,
                 MacAddr::ZERO,
                 EtherType::SlingshotCtl,
                 cmd.to_bytes(),
@@ -974,12 +967,11 @@ mod tests {
             target_ru: 1,
             slot_scalar: 200,
         };
-        let switch_mac = m.switch_mac;
         m.process(
             Nanos(0),
             PortId(4),
             Frame::new(
-                switch_mac,
+                FhMbox::SWITCH_MAC,
                 MacAddr::ZERO,
                 EtherType::SlingshotCtl,
                 cmd.to_bytes(),
@@ -1027,12 +1019,11 @@ mod tests {
             target_ru: 0,
             slot_scalar: 3,
         };
-        let switch_mac = m.switch_mac;
         m.process(
             Nanos(0),
             PortId(4),
             Frame::new(
-                switch_mac,
+                FhMbox::SWITCH_MAC,
                 MacAddr::ZERO,
                 EtherType::SlingshotCtl,
                 cmd.to_bytes(),
@@ -1088,7 +1079,7 @@ mod tests {
             m.install_ue(100, 0);
             let arm = |m: &mut FhMbox, scalar: u16| {
                 let frame = Frame::new(
-                    m.switch_mac,
+                    FhMbox::SWITCH_MAC,
                     MacAddr::ZERO,
                     EtherType::SlingshotCtl,
                     cmd(scalar).to_bytes(),

@@ -29,6 +29,7 @@ use slingshot_sim::time::{align_to_tdd_cycle, scalar_of};
 use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SlotClock};
 
 use crate::ctl::CtlPacket;
+use crate::fh_mbox::FhMbox;
 
 /// Timer-token base for per-UE handover timeouts (token = base + rnti).
 const TIMER_HO_BASE: u64 = 940;
@@ -67,7 +68,6 @@ pub struct HandoverController {
     mac: MacAddr,
     clock: SlotClock,
     switch: Option<NodeId>,
-    switch_mac: MacAddr,
     core: Option<NodeId>,
     /// RU id → that cell's L2 node (signaling plane).
     l2_nodes: BTreeMap<u8, NodeId>,
@@ -87,7 +87,6 @@ impl HandoverController {
             mac: handover_mac(),
             clock,
             switch: None,
-            switch_mac: MacAddr::ZERO,
             core: None,
             l2_nodes: BTreeMap::new(),
             ue_nodes: BTreeMap::new(),
@@ -98,9 +97,8 @@ impl HandoverController {
         }
     }
 
-    pub fn wire(&mut self, switch: NodeId, switch_mac: MacAddr, core: NodeId) {
+    pub fn wire(&mut self, switch: NodeId, core: NodeId) {
         self.switch = Some(switch);
-        self.switch_mac = switch_mac;
         self.core = Some(core);
     }
 
@@ -238,7 +236,7 @@ impl Node<Msg> for HandoverController {
                     target_ru,
                     slot_scalar: scalar,
                 }
-                .send(ctx, self.switch, self.switch_mac, self.mac);
+                .send(ctx, self.switch, FhMbox::SWITCH_MAC, self.mac);
                 // ...and command the UE to re-tune at the same slot.
                 if let Some(&ue) = self.ue_nodes.get(&rnti) {
                     ctx.send_in(

@@ -26,12 +26,23 @@ use slingshot_sim::time::{align_to_tdd_cycle, scalar_of};
 use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SlotClock, SlotId, TraceEventKind};
 
 use crate::ctl::CtlPacket;
+use crate::fh_mbox::FhMbox;
+use crate::recovery::recovery_mac;
 
 const TIMER_SLOT: u64 = 910;
 
 /// MAC address of an Orion process co-located with PHY `id`.
 pub fn orion_phy_mac(phy_id: u8) -> MacAddr {
     MacAddr([0x02, 0x4F, 0x52, 0x00, 0x01, phy_id])
+}
+
+/// The PHY id whose co-located Orion answers on `mac`: the inverse of
+/// [`orion_phy_mac`], `None` for any other address.
+pub fn orion_phy_id(mac: MacAddr) -> Option<u8> {
+    match mac.0 {
+        [0x02, 0x4F, 0x52, 0x00, 0x01, phy_id] => Some(phy_id),
+        _ => None,
+    }
 }
 
 /// MAC address of the Orion process co-located with L2 `id`.
@@ -291,17 +302,13 @@ pub struct OrionL2Node {
     clock: SlotClock,
     switch: Option<NodeId>,
     l2: Option<NodeId>,
-    switch_mac: MacAddr,
     state: CostState,
     /// Set once, by [`OrionL2Node::bind_ru`].
     binding: Option<RuBinding>,
-    /// The PHY servers this Orion has been configured with (the
-    /// management plane's view of the pool): indications from any
-    /// other source are ignored.
-    phy_pool: Vec<u8>,
-    /// The shared-pool recovery orchestrator, if one is deployed: asked
-    /// for a replacement standby after a failover consumes the old one.
-    recovery_mac: Option<MacAddr>,
+    /// A shared spare pool is deployed: its recovery orchestrator is
+    /// asked for a replacement standby after a failover consumes the
+    /// old one.
+    spare_pool: bool,
     /// A granted spare and the absolute slot boundary at which it is
     /// promoted to secondary and initialized.
     pending_standby: Option<(u8, u64)>,
@@ -328,11 +335,9 @@ impl OrionL2Node {
             clock,
             switch: None,
             l2: None,
-            switch_mac: MacAddr::ZERO,
             state: CostState::default(),
             binding: None,
-            phy_pool: Vec::new(),
-            recovery_mac: None,
+            spare_pool: false,
             pending_standby: None,
             duplicate_standby: false,
             failovers: 0,
@@ -344,38 +349,25 @@ impl OrionL2Node {
         }
     }
 
-    pub fn wire(&mut self, switch: NodeId, l2: NodeId, switch_mac: MacAddr) {
+    pub fn wire(&mut self, switch: NodeId, l2: NodeId) {
         self.switch = Some(switch);
         self.l2 = Some(l2);
-        self.switch_mac = switch_mac;
     }
 
     pub fn mac(&self) -> MacAddr {
         self.mac
     }
 
-    /// Register a PHY server in the pool (management-plane config).
-    fn register_phy_server(&mut self, phy_id: u8) {
-        if !self.phy_pool.contains(&phy_id) {
-            self.phy_pool.push(phy_id);
-        }
-    }
-
-    /// Point this Orion at a shared-pool recovery orchestrator: when a
-    /// failover drains the cell's standby, a
-    /// [`CtlPacket::SpareRequest`] is sent there instead of leaving the
-    /// cell unpaired.
-    pub fn set_recovery_orchestrator(&mut self, mac: MacAddr) {
-        self.recovery_mac = Some(mac);
+    /// A shared spare pool is deployed: when a failover drains the
+    /// cell's standby, a [`CtlPacket::SpareRequest`] goes to its
+    /// recovery orchestrator instead of leaving the cell unpaired.
+    pub fn use_spare_pool(&mut self) {
+        self.spare_pool = true;
     }
 
     /// Bind this Orion's RU to its primary and (optional) secondary
     /// PHY.
     pub fn bind_ru(&mut self, ru_id: u8, primary: u8, secondary: Option<u8>) {
-        self.register_phy_server(primary);
-        if let Some(s) = secondary {
-            self.register_phy_server(s);
-        }
         self.binding = Some(RuBinding {
             ru_id,
             primary,
@@ -502,12 +494,7 @@ impl OrionL2Node {
         let Some(b) = self.binding.as_ref().filter(|b| b.ru_id == ru_id) else {
             return;
         };
-        let Some(src_phy) = self
-            .phy_pool
-            .iter()
-            .copied()
-            .find(|&id| orion_phy_mac(id) == src)
-        else {
+        let Some(src_phy) = orion_phy_id(src) else {
             return;
         };
         let slot_abs = msg.slot().map(|s| self.clock.abs_of_slot(ctx.now(), s));
@@ -570,7 +557,7 @@ impl OrionL2Node {
             dest_phy_id: sec,
             slot_scalar: scalar_of(boundary_abs),
         }
-        .send(ctx, self.switch, self.switch_mac, self.mac);
+        .send(ctx, self.switch, FhMbox::SWITCH_MAC, self.mac);
     }
 
     /// Finalize role swap once the pipeline has drained past the
@@ -593,13 +580,13 @@ impl OrionL2Node {
         b.failover = false;
         if !failed {
             b.secondary = Some(old_primary);
-        } else if let Some(rec) = self.recovery_mac {
+        } else if self.spare_pool {
             let ru_id = b.ru_id;
             CtlPacket::SpareRequest {
                 ru_id,
                 failed_phy_id: old_primary,
             }
-            .send(ctx, self.switch, rec, self.mac);
+            .send(ctx, self.switch, recovery_mac(), self.mac);
             ctx.trace(
                 TraceEventKind::SpareRequested,
                 ru_id as u64,
@@ -624,7 +611,6 @@ impl OrionL2Node {
         }
         b.secondary = Some(phy);
         let (ru_id, cfg, started) = (b.ru_id, b.config.clone(), b.started);
-        self.register_phy_server(phy);
         if let Some(cfg) = cfg {
             self.send_udp(ctx, orion_phy_mac(phy), &FapiMsg::Config(cfg));
             if started {
@@ -732,6 +718,20 @@ mod tests {
         assert_ne!(orion_phy_mac(1), orion_l2_mac(1));
         assert_ne!(orion_phy_mac(1), orion_phy_mac(2));
         assert_ne!(orion_phy_mac(1), MacAddr::for_phy(1));
+        // `orion_phy_id` inverts `orion_phy_mac` and names no other
+        // address a PHY-side Orion could be confused with.
+        for id in 0..=u8::MAX {
+            assert_eq!(orion_phy_id(orion_phy_mac(id)), Some(id));
+            assert_eq!(orion_phy_id(orion_l2_mac(id)), None);
+            assert_eq!(orion_phy_id(MacAddr::for_phy(id)), None);
+        }
+        for other in [
+            recovery_mac(),
+            crate::handover::handover_mac(),
+            FhMbox::SWITCH_MAC,
+        ] {
+            assert_eq!(orion_phy_id(other), None);
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@ use slingshot_sim::time::{align_to_tdd_cycle, scalar_of};
 use slingshot_sim::{Ctx, InstrumentSink, Nanos, Node, NodeId, SlotClock, TraceEventKind};
 
 use crate::ctl::CtlPacket;
+use crate::fh_mbox::FhMbox;
+use crate::orion::orion_l2_mac;
 
 /// Timer-token base for per-PHY scrub timers (token = base + phy id).
 const TIMER_SCRUB_BASE: u64 = 920;
@@ -50,7 +52,6 @@ pub struct RecoveryOrchestrator {
     mac: MacAddr,
     clock: SlotClock,
     switch: Option<NodeId>,
-    switch_mac: MacAddr,
     /// Free spares, FIFO: grants cycle through the pool instead of
     /// hammering one server.
     pool: VecDeque<u8>,
@@ -58,8 +59,6 @@ pub struct RecoveryOrchestrator {
     pending: VecDeque<(u8, u8)>,
     /// PHY id → engine node, for restart-and-scrub of dead processes.
     inventory: BTreeMap<u8, NodeId>,
-    /// RU id → that cell's L2-side Orion MAC (where grants are sent).
-    l2_macs: BTreeMap<u8, MacAddr>,
     /// PHYs with a scrub timer in flight.
     scrubbing: BTreeSet<u8>,
     /// Observability.
@@ -74,11 +73,9 @@ impl RecoveryOrchestrator {
             mac: recovery_mac(),
             clock,
             switch: None,
-            switch_mac: MacAddr::ZERO,
             pool: VecDeque::new(),
             pending: VecDeque::new(),
             inventory: BTreeMap::new(),
-            l2_macs: BTreeMap::new(),
             scrubbing: BTreeSet::new(),
             grants: 0,
             requests_queued: 0,
@@ -86,9 +83,8 @@ impl RecoveryOrchestrator {
         }
     }
 
-    pub fn wire(&mut self, switch: NodeId, switch_mac: MacAddr) {
+    pub fn wire(&mut self, switch: NodeId) {
         self.switch = Some(switch);
-        self.switch_mac = switch_mac;
     }
 
     pub fn mac(&self) -> MacAddr {
@@ -105,11 +101,6 @@ impl RecoveryOrchestrator {
     pub fn add_spare(&mut self, phy_id: u8, node: NodeId) {
         self.register_phy(phy_id, node);
         self.pool.push_back(phy_id);
-    }
-
-    /// Register the cell owning `ru_id` (grants go to its L2 Orion).
-    pub fn register_cell(&mut self, ru_id: u8, l2_orion: MacAddr) {
-        self.l2_macs.insert(ru_id, l2_orion);
     }
 
     /// Free spares currently in the pool (test/oracle visibility).
@@ -137,15 +128,15 @@ impl RecoveryOrchestrator {
             phy_id: phy,
             slot_scalar: scalar_of(align_to_tdd_cycle(now_abs + 2)),
         }
-        .send(ctx, self.switch, self.switch_mac, self.mac);
+        .send(ctx, self.switch, FhMbox::SWITCH_MAC, self.mac);
         // Control-plane half: the cell's Orion replays init-FAPI and
         // binds the spare as its new secondary.
-        let l2 = self
-            .l2_macs
-            .get(&ru_id)
-            .copied()
-            .unwrap_or_else(|| crate::orion::orion_l2_mac(ru_id));
-        CtlPacket::SpareGrant { ru_id, phy_id: phy }.send(ctx, self.switch, l2, self.mac);
+        CtlPacket::SpareGrant { ru_id, phy_id: phy }.send(
+            ctx,
+            self.switch,
+            orion_l2_mac(ru_id),
+            self.mac,
+        );
         self.grants += 1;
         ctx.trace(
             TraceEventKind::SpareGranted,

@@ -22,8 +22,11 @@ fn fault_from(idx: u8, p: f64, dur: u64, hold: Nanos) -> (FaultTarget, FaultKind
     match idx {
         0 => (FaultTarget::ActivePhy, FaultKind::PhyCrash),
         1 => (FaultTarget::ActivePhy, FaultKind::PhyHang { slots: dur }),
-        2 => (FaultTarget::StandbyPhy, FaultKind::PhyCrash),
-        3 => (FaultTarget::StandbyPhy, FaultKind::PhyHang { slots: dur }),
+        2 => (FaultTarget::StandbyPhyOf(0), FaultKind::PhyCrash),
+        3 => (
+            FaultTarget::StandbyPhyOf(0),
+            FaultKind::PhyHang { slots: dur },
+        ),
         4 => (
             FaultTarget::Fronthaul,
             FaultKind::BurstLoss { p, slots: dur },

@@ -68,7 +68,6 @@ impl PhyConfig {
 /// Per-RU (carrier) PHY state.
 struct RuCtx {
     cell_id: u16,
-    ru_mac: MacAddr,
     started: bool,
     /// FAPI requests by absolute slot.
     ul_tti: HashMap<u64, Vec<PuschPdu>>,
@@ -240,26 +239,27 @@ impl PhyNode {
         }
     }
 
-    fn send_fh(&mut self, ctx: &mut Ctx<'_, Msg>, ru_mac: MacAddr, msg: &FhMessage) {
-        let frame = Frame::new(ru_mac, self.mac, EtherType::Ecpri, msg.to_bytes());
+    fn send_fh(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, msg: &FhMessage) {
+        let dst = MacAddr::for_ru(ru_id);
+        let frame = Frame::new(dst, self.mac, EtherType::Ecpri, msg.to_bytes());
         if let Some(sw) = self.switch {
             ctx.send(sw, Msg::Eth(frame));
         }
     }
 
     fn heartbeat(&mut self, ctx: &mut Ctx<'_, Msg>, slot: SlotId) {
-        let targets: Vec<(u8, MacAddr)> = self
+        let targets: Vec<u8> = self
             .rus
             .iter()
             .filter(|(_, r)| r.started)
-            .map(|(id, r)| (*id, r.ru_mac))
+            .map(|(id, _)| *id)
             .collect();
-        for (ru_id, ru_mac) in targets {
+        for ru_id in targets {
             let msg = FhMessage::CPlane(CPlaneMsg {
                 hdr: fh_header(Direction::Downlink, slot, 0, ru_id),
                 sections: Vec::new(),
             });
-            self.send_fh(ctx, ru_mac, &msg);
+            self.send_fh(ctx, ru_id, &msg);
         }
     }
 
@@ -313,7 +313,6 @@ impl PhyNode {
         let Some(ru) = self.rus.get(&ru_id) else {
             return;
         };
-        let ru_mac = ru.ru_mac;
         let cell_id = ru.cell_id;
         let hdr = fh_header(Direction::Downlink, slot, 0, ru_id);
         // Alive marker: a C-plane with the scheduled sections.
@@ -327,7 +326,7 @@ impl PhyNode {
                 beam_id: 0,
             })
             .collect();
-        self.send_fh(ctx, ru_mac, &FhMessage::CPlane(CPlaneMsg { hdr, sections }));
+        self.send_fh(ctx, ru_id, &FhMessage::CPlane(CPlaneMsg { hdr, sections }));
         if pdsch.is_empty() {
             self.busy_ns_total += CPU_NULL_SLOT_NS;
             self.null_slots += 1;
@@ -363,10 +362,10 @@ impl PhyNode {
                         CPU_SLOT_BASE_NS + (e_bits as f64 * CPU_ENCODE_PER_EBIT_NS) as u64;
                     entries.push(dci);
                     signal.pack(dsp.kernels, hdr, dci.start_prb, dci.rnti, |m| {
-                        phy.send_fh(ctx, ru_mac, m)
+                        phy.send_fh(ctx, ru_id, m)
                     });
                 }
-                phy.send_fh(ctx, ru_mac, &FhMessage::Dci(DciMsg { hdr, entries }));
+                phy.send_fh(ctx, ru_id, &FhMessage::Dci(DciMsg { hdr, entries }));
             },
         );
     }
@@ -521,7 +520,6 @@ impl PhyNode {
                     c.ru_id,
                     RuCtx {
                         cell_id: c.cell_id,
-                        ru_mac: MacAddr::for_ru(c.ru_id),
                         started: false,
                         ul_tti: HashMap::new(),
                         dl_seen: HashMap::new(),
@@ -549,12 +547,12 @@ impl PhyNode {
             }
             FapiMsg::UlTti(req) => {
                 let abs = self.clock.abs_of_slot(ctx.now(), req.slot);
-                let (ru_mac, started) = match self.rus.get_mut(&req.ru_id) {
+                let started = match self.rus.get_mut(&req.ru_id) {
                     Some(ru) => {
                         ru.any_fapi_seen = true;
                         ru.missing_streak = 0;
                         ru.ul_tti.insert(abs, req.pusch.clone());
-                        (ru.ru_mac, ru.started)
+                        ru.started
                     }
                     None => return,
                 };
@@ -570,7 +568,7 @@ impl PhyNode {
                         .collect();
                     self.send_fh(
                         ctx,
-                        ru_mac,
+                        req.ru_id,
                         &FhMessage::Dci(DciMsg {
                             hdr: fh_header(Direction::Downlink, carry, 0, req.ru_id),
                             entries,

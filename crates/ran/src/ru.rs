@@ -23,9 +23,6 @@ pub struct RuNode {
     /// Attached UEs (radio broadcast domain).
     ues: Vec<NodeId>,
     mac: MacAddr,
-    /// Where uplink fronthaul is addressed: the virtual PHY address by
-    /// default (the in-switch middlebox translates it).
-    pub uplink_dst: MacAddr,
     /// Downlink fronthaul being assembled per slot. Any frame for a
     /// slot — the heartbeat C-plane included — means the PHY fed it.
     dl_rx: FhAssembly,
@@ -44,7 +41,6 @@ impl RuNode {
             switch: None,
             ues: Vec::new(),
             mac: MacAddr::for_ru(ru_id),
-            uplink_dst: MacAddr::virtual_phy(ru_id),
             dl_rx: FhAssembly::default(),
             ul_pending: Vec::new(),
             bursts_tx: 0,
@@ -62,8 +58,11 @@ impl RuNode {
         self.mac
     }
 
+    /// Uplink fronthaul goes to the RU's virtual PHY address, which the
+    /// in-switch middlebox translates to the active PHY (§5.1).
     fn send_fh(&mut self, ctx: &mut Ctx<'_, Msg>, msg: &FhMessage) {
-        let frame = Frame::new(self.uplink_dst, self.mac, EtherType::Ecpri, msg.to_bytes());
+        let dst = MacAddr::virtual_phy(self.ru_id);
+        let frame = Frame::new(dst, self.mac, EtherType::Ecpri, msg.to_bytes());
         if let Some(sw) = self.switch {
             ctx.send(sw, Msg::Eth(frame));
             self.ul_frames_tx += 1;

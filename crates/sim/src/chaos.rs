@@ -34,8 +34,6 @@ pub enum FaultTarget {
     /// The PHY currently serving the RU (resolved at injection time).
     /// Alias for `ActivePhyOf(0)`, kept for single-cell scenarios.
     ActivePhy,
-    /// The current standby PHY for the RU. Alias for `StandbyPhyOf(0)`.
-    StandbyPhy,
     /// The PHY currently serving cell `ru` in a multi-cell deployment
     /// (resolved at injection time, so it tracks earlier failovers).
     ActivePhyOf(u8),
@@ -57,7 +55,6 @@ impl std::fmt::Display for FaultTarget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FaultTarget::ActivePhy => f.write_str("active-phy"),
-            FaultTarget::StandbyPhy => f.write_str("standby-phy"),
             FaultTarget::ActivePhyOf(ru) => write!(f, "active-phy[cell{ru}]"),
             FaultTarget::StandbyPhyOf(ru) => write!(f, "standby-phy[cell{ru}]"),
             FaultTarget::Fronthaul => f.write_str("fronthaul"),
