@@ -24,6 +24,8 @@
 //! Exit status is non-zero iff any invariant was violated or a replay
 //! diverged.
 
+use std::collections::BTreeMap;
+
 use slingshot::chaos::{
     chaos_deployment, chaos_handover_deployment, chaos_pool_deployment, expectations_for,
     ChaosRunner,
@@ -67,7 +69,10 @@ fn fixed_scenarios() -> Vec<Scenario> {
 /// the oracle holds every crash to the single-failure bounds and audits
 /// the pool ledger. `pool-planned` keeps the multi-cell planned path
 /// judged: cell 0 migrates (its old primary drains the last
-/// pre-boundary slot) while a neighbour crashes.
+/// pre-boundary slot) while a neighbour crashes. `pool-recycle` makes a
+/// recycled PHY active in a foreign cell: cell 0's primary is scrubbed
+/// back into the pool and granted to cell 1, whose active PHY then dies
+/// so that the recycled one serves.
 fn pool_scenarios() -> Vec<Scenario> {
     vec![
         Scenario::new("pool-3crash", 1700)
@@ -82,6 +87,14 @@ fn pool_scenarios() -> Vec<Scenario> {
         Scenario::new("pool-planned", 1700)
             .fault(700, FaultTarget::OrionL2, FaultKind::PlannedMigration)
             .fault(760, FaultTarget::ActivePhyOf(2), FaultKind::PhyCrash),
+        // The pool grants spares 9 (to cell 0) and 10 (to cell 2), then
+        // cell 0's scrubbed PHY 1 to cell 1; the last crash flips cell 1
+        // onto PHY 1.
+        Scenario::new("pool-recycle", 1900)
+            .fault(700, FaultTarget::ActivePhyOf(0), FaultKind::PhyCrash)
+            .fault(760, FaultTarget::ActivePhyOf(2), FaultKind::PhyCrash)
+            .fault(820, FaultTarget::ActivePhyOf(1), FaultKind::PhyCrash)
+            .fault(880, FaultTarget::ActivePhyOf(1), FaultKind::PhyCrash),
     ]
 }
 
@@ -144,6 +157,24 @@ fn crossed_scenarios() -> Vec<Scenario> {
         FaultTarget::ActivePhyOf(0),
         FaultKind::PhyCrash,
     )]
+}
+
+/// The most crashes `scenario` aims at one cell's active PHY (at least
+/// one). The oracle sums each cell's dropped TTIs over the run, so a
+/// per-crash budget scales by it.
+fn most_crashes_on_one_cell(scenario: &Scenario) -> u64 {
+    let mut per_cell = BTreeMap::new();
+    for f in &scenario.faults {
+        let ru = match f.target {
+            FaultTarget::ActivePhy => 0,
+            FaultTarget::ActivePhyOf(ru) => ru,
+            _ => continue,
+        };
+        if f.kind == FaultKind::PhyCrash {
+            *per_cell.entry(ru).or_insert(0) += 1;
+        }
+    }
+    per_cell.into_values().max().unwrap_or(1)
 }
 
 /// One run of the soak: `scenario` on `deployment(seed)`, with every
@@ -212,7 +243,7 @@ fn run_case(case: &Case, chaos_seed: u64) -> RunResult {
     let (mut d, scenario) = ((case.deployment)(case.seed), &case.scenario);
     let mut exp = expectations_for(&d, scenario);
     if let Some(budget) = case.tti_budget {
-        exp.max_dropped_ttis = budget;
+        exp.max_dropped_ttis = budget * most_crashes_on_one_cell(scenario);
     }
     let mut runner = ChaosRunner::new(scenario);
     runner.run(&mut d, scenario.horizon_slots);
@@ -371,7 +402,7 @@ fn main() {
     let suite_desc = if handover_only {
         format!("Chaos soak: {seeds} seeds x 2 handover scenarios")
     } else {
-        format!("Chaos soak: {seeds} seeds x (4 fixed + 3 pool + 2 handover + 1 crossed + 1 random) scenarios")
+        format!("Chaos soak: {seeds} seeds x (4 fixed + 4 pool + 2 handover + 1 crossed + 1 random) scenarios")
     };
     banner(
         &suite_desc,
@@ -463,12 +494,19 @@ mod tests {
             ("pool-3crash".to_string(), 6000, Some(3)),
             ("pool-4crash".to_string(), 6001, Some(3)),
             ("pool-planned".to_string(), 6002, Some(3)),
+            ("pool-recycle".to_string(), 6003, Some(3)),
         ];
         all.extend(handover.clone());
         all.push(("crossed-crash".to_string(), 12000, None));
         all.push((dist.sample(3).name, 3, None));
         assert_eq!(pinned(false), all);
         assert_eq!(pinned(true), handover);
+        // The budget is per crash; `pool-recycle` crashes cell 1 twice.
+        let crashes: Vec<u64> = pool_scenarios()
+            .iter()
+            .map(most_crashes_on_one_cell)
+            .collect();
+        assert_eq!(crashes, [1, 1, 1, 2]);
     }
 
     #[test]

@@ -450,8 +450,8 @@ impl Construction {
     }
 
     /// Create PHY `id`'s Orion as node `name`.
-    fn add_phy_orion(&mut self, name: &str, id: u8, l2_id: u8) -> NodeId {
-        let orion = OrionPhyNode::new(id, l2_id);
+    fn add_phy_orion(&mut self, name: &str, id: u8) -> NodeId {
+        let orion = OrionPhyNode::new(id);
         let node = self.engine.add_node(name, Box::new(orion));
         self.phy_orions.insert(id, node);
         node
@@ -480,7 +480,7 @@ impl Construction {
             let name = format!("c{i}-phy-secondary");
             self.add_phy(&name, sec_id, &cell, self.cfg.secondary_fec_iterations)
         });
-        let mut add_orion = |id: u8| self.add_phy_orion(&format!("c{i}-orion-phy{id}"), id, ru_id);
+        let mut add_orion = |id: u8| self.add_phy_orion(&format!("c{i}-orion-phy{id}"), id);
         let orion_primary = add_orion(pri_id);
         let orion_secondary = secondary_phy.map(|_| add_orion(sec_id));
         let orion_l2 = self.engine.add_node(
@@ -546,7 +546,7 @@ impl Construction {
     fn add_spare(&mut self, id: u8, sw: usize) -> (u8, NodeId, NodeId) {
         let cell = self.cfg.cell.clone();
         let phy = self.add_phy(&format!("spare-phy{id}"), id, &cell, None);
-        let orion = self.add_phy_orion(&format!("spare-orion-phy{id}"), id, 0);
+        let orion = self.add_phy_orion(&format!("spare-orion-phy{id}"), id);
         let plan = &mut self.plans[sw];
         plan.attach(phy, MacAddr::for_phy(id), &self.cfg.server_link);
         plan.attach(orion, orion_phy_mac(id), &self.cfg.server_link);
@@ -796,15 +796,6 @@ impl Deployment {
                     }
                 }
             }
-            for (phy, orion) in [
-                (cell.primary_phy, cell.orion_primary),
-                (cell.secondary_phy, cell.orion_secondary),
-            ] {
-                engine.node_mut::<PhyNode>(phy).unwrap().wire(sw, orion);
-                let o = engine.node_mut::<OrionPhyNode>(orion).unwrap();
-                o.wire(sw, phy);
-                o.route_ru(cell.ru_id, orion_l2_mac(cell.ru_id));
-            }
             {
                 let o = engine.node_mut::<OrionL2Node>(cell.orion_l2).unwrap();
                 o.wire(sw, cell.l2);
@@ -829,18 +820,15 @@ impl Deployment {
                     .wire(cell.ru, cell.l2);
             }
         }
-        for (_, phy, orion) in &spares {
+        // A PHY and its Orion reach the network through the switch the
+        // PHY is cabled to.
+        for (id, &phy) in &phy_nodes {
+            let (orion, sw) = (phy_orions[id], attached_switch[&phy]);
+            engine.node_mut::<PhyNode>(phy).unwrap().wire(sw, orion);
             engine
-                .node_mut::<PhyNode>(*phy)
+                .node_mut::<OrionPhyNode>(orion)
                 .unwrap()
-                .wire(switch, *orion);
-            let o = engine.node_mut::<OrionPhyNode>(*orion).unwrap();
-            o.wire(switch, *phy);
-            // A pooled spare may end up serving any cell: pre-route every
-            // RU's indications to that cell's L2-side Orion.
-            for cell in &cells {
-                o.route_ru(cell.ru_id, orion_l2_mac(cell.ru_id));
-            }
+                .wire(sw, phy);
         }
         if let Some(rec) = recovery {
             let r = engine.node_mut::<RecoveryOrchestrator>(rec).unwrap();

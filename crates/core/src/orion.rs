@@ -17,7 +17,6 @@
 //! the Fig. 12 latency measurements are produced by executed code.
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 use slingshot_fapi::{self as fapi, FapiMsg};
 use slingshot_netsim::{EtherType, Frame, MacAddr};
@@ -76,10 +75,6 @@ impl CostState {
 pub struct OrionPhyNode {
     pub phy_id: u8,
     mac: MacAddr,
-    peer_l2_orion: MacAddr,
-    /// Per-RU peer override (a PHY process can serve RUs belonging to
-    /// different L2 processes — the co-located multi-RU deployment).
-    peer_by_ru: HashMap<u8, MacAddr>,
     switch: Option<NodeId>,
     phy: Option<NodeId>,
     clock: SlotClock,
@@ -104,12 +99,10 @@ pub struct OrionPhyNode {
 }
 
 impl OrionPhyNode {
-    pub fn new(phy_id: u8, l2_id: u8) -> OrionPhyNode {
+    pub fn new(phy_id: u8) -> OrionPhyNode {
         OrionPhyNode {
             phy_id,
             mac: orion_phy_mac(phy_id),
-            peer_l2_orion: orion_l2_mac(l2_id),
-            peer_by_ru: HashMap::new(),
             switch: None,
             phy: None,
             clock: SlotClock::new(Nanos::ZERO),
@@ -130,18 +123,6 @@ impl OrionPhyNode {
 
     pub fn mac(&self) -> MacAddr {
         self.mac
-    }
-
-    /// Route a specific RU's indications to a specific L2-side Orion.
-    pub fn route_ru(&mut self, ru_id: u8, l2_orion: MacAddr) {
-        self.peer_by_ru.insert(ru_id, l2_orion);
-    }
-
-    fn peer_for(&self, ru_id: u8) -> MacAddr {
-        self.peer_by_ru
-            .get(&ru_id)
-            .copied()
-            .unwrap_or(self.peer_l2_orion)
     }
 
     /// §6.1 loss guard: cover a slot whose requests never arrived with
@@ -253,10 +234,10 @@ impl Node<Msg> for OrionPhyNode {
                     ctx.send_in(phy, done - now, Msg::FapiShm(fapi_msg));
                 }
             }
-            // PHY → network (indications toward the L2-side Orion
-            // owning this RU).
+            // PHY → network (indications toward the L2-side Orion of
+            // the RU they name, whichever cell this PHY was built for).
             Msg::FapiShm(fapi_msg) => {
-                let peer = self.peer_for(fapi_msg.ru_id());
+                let peer = orion_l2_mac(fapi_msg.ru_id());
                 let payload = fapi::encode(&fapi_msg);
                 let now = ctx.now();
                 let done = self.state.service(now, payload.len());

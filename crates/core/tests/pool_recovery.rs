@@ -16,7 +16,7 @@ use slingshot::{
 };
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
-use slingshot_sim::Nanos;
+use slingshot_sim::{Nanos, TraceEventKind};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
 /// Crashes 60 slots apart: wider than the orchestrator's 40-slot scrub
@@ -225,4 +225,82 @@ fn single_cell_pool_survives_three_crashes() {
     assert_ne!(active, standby);
     assert!(d.engine.is_alive(d.phy_nodes[&active]));
     assert!(d.engine.is_alive(d.phy_nodes[&standby]));
+}
+
+/// A scrubbed ex-primary recycled into another cell delivers that
+/// cell's uplink. Two cells and a one-deep pool, crashes 60 slots apart
+/// (wider than the 40-slot scrub): cell 0's primary, PHY 1, dies and is
+/// scrubbed back into the pool; it is granted to cell 1 as its standby
+/// when cell 1's primary dies; and it becomes cell 1's active PHY when
+/// cell 1's second PHY dies. From that flip on, every UL slot PHY 1
+/// decodes must reach cell 1's L2-side Orion as a `FapiToL2` for RU 1.
+#[test]
+fn recycled_spare_delivers_uplink_in_its_new_cell() {
+    const HORIZON: u64 = 1400;
+    let scenario = Scenario::new("pool-recycle", HORIZON)
+        .fault(700, FaultTarget::ActivePhyOf(0), FaultKind::PhyCrash)
+        .fault(760, FaultTarget::ActivePhyOf(1), FaultKind::PhyCrash)
+        .fault(820, FaultTarget::ActivePhyOf(1), FaultKind::PhyCrash);
+    let mut d = DeploymentBuilder::new()
+        .seed(0x9001)
+        .cell(CellConfig {
+            num_prbs: 51,
+            fidelity: Fidelity::Sampled,
+            ..CellConfig::default()
+        })
+        .cells(2)
+        .spare_pool(1)
+        .ue(UeConfig::new(100, 0, "ue0", 22.0))
+        .ue(UeConfig::new(101, 1, "ue1", 22.0))
+        .build();
+    for (ue_idx, rnti) in [(0, 100), (1, 101)] {
+        d.add_flow(
+            ue_idx,
+            rnti,
+            Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
+            Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+        );
+    }
+    let report = run_scenario(&mut d, &scenario);
+
+    let trace = d.engine.event_trace();
+    let (phy1, c1_orion_l2) = (d.phy_nodes[&1], d.cells[1].orion_l2);
+    assert_eq!(d.engine.node_name(c1_orion_l2), "c1-orion-l2");
+    // The flip of RU 1 onto PHY 1 (`b` = old PHY << 16 | new PHY).
+    let flip = trace
+        .iter()
+        .find(|e| e.kind == TraceEventKind::MapFlip && e.a == 1 && e.b & 0xFFFF == 1)
+        .expect("recycled PHY 1 becomes cell 1's active PHY");
+    // After the scrub PHY 1 serves RU 1 only, so every UL slot it
+    // decodes past the flip is RU 1's; the last few slots may still be
+    // in flight at the horizon.
+    let decoded: Vec<u64> = trace
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::UlSlotProcessed && e.node == phy1)
+        .filter(|e| e.at > flip.at && e.a + 4 < HORIZON)
+        .map(|e| e.a)
+        .collect();
+    assert!(
+        decoded.len() >= 50,
+        "PHY 1 decoded only {} UL slots for RU 1",
+        decoded.len()
+    );
+    let delivered = |abs: u64| {
+        trace.iter().any(|e| {
+            e.kind == TraceEventKind::FapiToL2 && e.node == c1_orion_l2 && e.a == 1 && e.b == abs
+        })
+    };
+    let lost: Vec<u64> = decoded
+        .iter()
+        .copied()
+        .filter(|&abs| !delivered(abs))
+        .collect();
+    assert!(
+        lost.is_empty(),
+        "{} of {} UL slots PHY 1 decoded for RU 1 never reached c1-orion-l2 (first: {:?})",
+        lost.len(),
+        decoded.len(),
+        lost.first()
+    );
+    assert!(report.ok(), "oracle violations: {:#?}", report.violations);
 }
