@@ -431,6 +431,8 @@ struct Lane<M: Message> {
     /// Set on any member liveness transition; cleared when the fleet
     /// snapshot is rebuilt. Lets quiescent barriers skip the rebuild.
     alive_dirty: bool,
+    /// Draws of the link model on the links this lane owns; nothing
+    /// else reads it.
     rng: SimRng,
     /// FNV hash over this lane's dispatched `(time, dst, kind)` stream.
     hash: u64,
@@ -722,14 +724,6 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// snapshot (stale by at most one slot) for any other.
     pub fn is_alive(&self, node: NodeId) -> bool {
         self.lane.node_alive(node)
-    }
-
-    /// The lane's RNG stream (the engine's root stream on a one-lane
-    /// engine, pre-split per lane otherwise, so draws stay
-    /// shard-invariant). Nodes normally hold their own forked
-    /// [`SimRng`] and use this only for incidental draws.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.lane.rng
     }
 
     /// Record a structured trace event attributed to this node, stamped
