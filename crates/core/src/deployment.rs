@@ -33,7 +33,7 @@ use slingshot_ran::{
     UeNode,
 };
 use slingshot_sim::{
-    Engine, KernelConfig, LinkParams, Nanos, NodeId, SimRng, SlotClock, WorkerPool,
+    Engine, KernelConfig, LinkParams, Nanos, NodeId, SimRng, SlotClock, WorkerPool, SLOT_DURATION,
 };
 use slingshot_switch::{PktGenConfig, PortId, PortSpace};
 use slingshot_transport::UserApp;
@@ -114,6 +114,11 @@ pub struct CellDeployment {
 /// Node ids of a built deployment; `cells` holds every cell, in order.
 pub struct Deployment {
     pub engine: Engine<Msg>,
+    /// The service switch: the one middlebox of a single-switch build,
+    /// the spine of a `cell_groups(g ≥ 2)` fabric. A single-switch
+    /// build partitioned by cell (see [`Deployment::leaves`]) has no
+    /// service switch, and this is cell 0's partition. A cell's own
+    /// middlebox is always [`Deployment::switch_for_ru`].
     pub switch: NodeId,
     pub core: NodeId,
     pub server: NodeId,
@@ -136,19 +141,27 @@ pub struct Deployment {
     pub phy_orions: BTreeMap<u8, NodeId>,
     /// Size of the engine's DSP worker pool (1 = serial).
     pub workers: usize,
-    /// Leaf switches of a `cell_groups(g ≥ 2)` build, in group order;
-    /// `switch` is then the spine. Empty on a single-switch build,
-    /// where `switch` is the one middlebox.
+    /// The middlebox switches when there is more than one, in cell
+    /// order, named `leaf0..`: the leaves of a `cell_groups(g ≥ 2)`
+    /// fabric, or the per-cell partitions of a single-switch build
+    /// whose cells share nothing within a slot (≥ 2 cells, no spare
+    /// pool, handover plane or crossed standbys, and a backhaul link of
+    /// at least one slot). A partition is a leaf with no spine: it holds
+    /// only its cell's RU and PHY pair, detects only those two PHYs, and
+    /// notifies only its cell's L2-side Orion; no frame crosses
+    /// partitions. Empty when one switch serves every cell.
     pub leaves: Vec<NodeId>,
-    /// The spine switch of a `cell_groups(g ≥ 2)` build.
+    /// The spine switch of a `cell_groups(g ≥ 2)` build; `None` for a
+    /// single-switch build, partitioned or not.
     pub spine: Option<NodeId>,
     /// Endpoint node → the switch it is cabled to (see
     /// [`Deployment::switch_for_node`]).
     attached_switch: BTreeMap<NodeId, NodeId>,
-    /// Engine lane map staged by a `cell_groups(g ≥ 2)` build; the
-    /// builder consumes it (after trace sizing) to install the
-    /// dispatch lanes.
-    fabric_lanes: Option<(Vec<u32>, usize)>,
+    /// Engine lane map staged by a build with more than one middlebox
+    /// switch (one lane per leaf or partition, plus lane 0); the
+    /// builder consumes it (after trace sizing) to install the dispatch
+    /// lanes.
+    lanes: Option<(Vec<u32>, usize)>,
     pub cfg: DeploymentConfig,
 }
 
@@ -263,6 +276,15 @@ impl DeploymentBuilder {
     /// the trace) and shards the engine into `g + 1` dispatch lanes
     /// (one per leaf plus the spine domain), synchronized at slot
     /// boundaries.
+    ///
+    /// With `1`, a build whose cells share nothing within a slot (≥ 2
+    /// cells, no spare pool, handover plane or crossed standbys, and a
+    /// backhaul link of at least one slot) still gets one lane per
+    /// cell: its switch is built as one partition per cell (see
+    /// [`Deployment::leaves`]), and lane 0 holds `server` and `core`.
+    /// Every slot-level result is that of the unpartitioned switch; only
+    /// the trace's order among same-instant events of different cells
+    /// changes.
     pub fn cell_groups(mut self, g: usize) -> Self {
         assert!(g >= 1, "at least one cell group");
         self.cell_groups = g;
@@ -273,7 +295,8 @@ impl DeploymentBuilder {
     /// into per slot window. Purely an *execution* knob: for any value
     /// (and any worker count) the event trace is byte-identical — only
     /// wall-clock changes. Defaults to the lane count; no effect on
-    /// single-switch (`cell_groups(1)`) builds.
+    /// single-switch (`cell_groups(1)`) builds, whose per-cell
+    /// partitions, when they have them, always run one job per lane.
     pub fn shards(mut self, k: usize) -> Self {
         assert!(k >= 1, "at least one shard");
         self.shards = Some(k);
@@ -363,10 +386,11 @@ impl DeploymentBuilder {
             d.engine.event_trace_mut().set_capacity(cap);
         }
         // Install dispatch lanes after trace sizing so per-lane staging
-        // buffers are forked with the final ring capacity.
-        if let Some((lane_of, lanes)) = d.fabric_lanes.take() {
+        // buffers are forked with the final ring capacity. A
+        // partitioned single switch runs one job per lane.
+        if let Some((lane_of, lanes)) = d.lanes.take() {
             d.engine.enable_shards(lane_of, lanes);
-            if let Some(k) = self.shards {
+            if let Some(k) = self.shards.filter(|_| d.spine.is_some()) {
                 d.engine.set_exec_shards(k);
             }
         }
@@ -570,12 +594,21 @@ impl Deployment {
     /// `i` builds only its primary PHY and takes cell `(i+1) mod n`'s
     /// primary, and that PHY's Orion, as its standby (§8 co-location).
     ///
+    /// With one group whose cells share nothing within a slot — ≥ 2
+    /// cells, no spare pool, no handover plane, no crossed standbys, and
+    /// a backhaul link of at least one slot, so core ↔ L2 traffic never
+    /// lands inside the slot it was sent in — the switch is built as
+    /// one partition per cell (a leaf with no spine), and the engine is
+    /// staged for `n_cells + 1` lanes: lane 0 `server` and `core`, lane
+    /// `1 + i` cell `i` and its partition.
+    ///
     /// Node-add order is a contract — `NodeId`s are in every trace
     /// record: `server`, `core`, each cell in order (`c{i}-l2`, the PHY
     /// pair, their Orions, `c{i}-orion-l2`, `c{i}-ru`, its UEs; a
     /// crossed cell has only `c{i}-phy-primary` and its Orion), spares
     /// as `[phy, orion]` pairs, `recovery`, `handover`, then `switch` —
-    /// or `leaf0..` then `spine`. RNG forks follow the same order.
+    /// or `leaf0..`, then `spine` in a fabric. RNG forks follow the same
+    /// order.
     fn construct(
         cfg: DeploymentConfig,
         n_cells: usize,
@@ -610,19 +643,26 @@ impl Deployment {
         for u in ue_cfgs {
             cell_ues[u.ru_id as usize].push(u);
         }
-        // The first `n_cells % groups` groups get one extra cell.
-        let group_of_cell: Vec<usize> = (0..groups)
+        let partitioned = groups == 1
+            && n_cells >= 2
+            && cfg.spare_pool == 0
+            && !cfg.handover
+            && !crossed
+            && cfg.backhaul_link.latency >= SLOT_DURATION;
+        let middleboxes = if partitioned { n_cells } else { groups };
+        // The first `n_cells % middleboxes` get one extra cell.
+        let group_of_cell: Vec<usize> = (0..middleboxes)
             .flat_map(|g| {
-                let size = n_cells / groups + usize::from(g < n_cells % groups);
+                let size = n_cells / middleboxes + usize::from(g < n_cells % middleboxes);
                 std::iter::repeat_n(g, size)
             })
             .collect();
 
-        // One middlebox per group. Failure notifications fan out to the
-        // group's own L2-side Orions and, when a spare pool is
-        // deployed, to the recovery orchestrator (it schedules the dead
-        // server's scrub-and-return).
-        let mut plans: Vec<SwitchPlan> = (0..groups)
+        // One middlebox per group (or per cell, partitioned). Failure
+        // notifications fan out to its own L2-side Orions and, when a
+        // spare pool is deployed, to the recovery orchestrator (it
+        // schedules the dead server's scrub-and-return).
+        let mut plans: Vec<SwitchPlan> = (0..middleboxes)
             .map(|g| {
                 let mut notify: Vec<MacAddr> = (0..n_cells)
                     .filter(|i| group_of_cell[*i] == g)
@@ -631,7 +671,7 @@ impl Deployment {
                 if cfg.spare_pool > 0 {
                     notify.push(recovery_mac());
                 }
-                let name = if groups == 1 {
+                let name = if middleboxes == 1 {
                     "switch".to_string()
                 } else {
                     format!("leaf{g}")
@@ -643,7 +683,9 @@ impl Deployment {
         if groups > 1 {
             plans.push(SwitchPlan::new("spine".to_string(), None));
         }
-        let service = plans.len() - 1;
+        // Where the shared services attach (never used when
+        // partitioned: a partitioned build has none).
+        let service = if groups > 1 { groups } else { 0 };
 
         let mut c = Construction {
             engine: Engine::new(cfg.seed),
@@ -744,12 +786,15 @@ impl Deployment {
         // spares and their Orions) to the leaf's uplink — the latter
         // also covers post-grant forwarding, since InstallStandby fills
         // the PHY/address directories but not the port table.
-        let leaves = if groups > 1 {
-            switches[..groups].to_vec()
+        // Partitions have no spine.
+        let leaves = if middleboxes > 1 {
+            switches[..middleboxes].to_vec()
         } else {
             Vec::new()
         };
-        for (g, &leaf) in leaves.iter().enumerate() {
+        let spine = (groups > 1).then_some(switch);
+        let fabric_leaves = if spine.is_some() { &leaves[..] } else { &[] };
+        for (g, &leaf) in fabric_leaves.iter().enumerate() {
             let up = plans[g].ports.alloc();
             let down = plans[service].ports.alloc();
             let sw = engine.node_mut::<SwitchNode>(leaf).unwrap();
@@ -876,10 +921,10 @@ impl Deployment {
         }
 
         // Lane 0 is the spine domain (everything not behind a leaf);
-        // lane `1 + g` holds leaf `g` and its cells. Cross-lane traffic
-        // (backhaul, spare-pool control, leaf↔spine frames)
-        // synchronizes at slot boundaries.
-        let fabric_lanes = (groups > 1).then(|| {
+        // lane `1 + g` holds leaf (or partition) `g` and its cells.
+        // Cross-lane traffic (backhaul, spare-pool control, leaf↔spine
+        // frames) synchronizes at slot boundaries.
+        let lanes = (middleboxes > 1).then(|| {
             let mut lane_of = vec![0u32; engine.node_names().len()];
             for cell in &cells {
                 let lane = 1 + group_of_cell[cell.ru_id as usize] as u32;
@@ -895,7 +940,7 @@ impl Deployment {
                     lane_of[node.0] = lane;
                 }
             }
-            (lane_of, groups + 1)
+            (lane_of, middleboxes + 1)
         });
 
         Deployment {
@@ -912,15 +957,16 @@ impl Deployment {
             phy_orions,
             workers: 1,
             leaves,
-            spine: (groups > 1).then_some(switch),
+            spine,
             attached_switch,
-            fabric_lanes,
+            lanes,
             cfg,
         }
     }
 
     /// The switch whose middlebox serves `ru_id`: its leaf in a fabric
-    /// build, the one shared switch otherwise.
+    /// build, its partition in a partitioned single-switch build, the
+    /// one shared switch otherwise.
     pub fn switch_for_ru(&self, ru_id: u8) -> NodeId {
         self.cells
             .get(ru_id as usize)
@@ -928,9 +974,10 @@ impl Deployment {
     }
 
     /// The switch an endpoint node is cabled to: its leaf (or the
-    /// spine, for spine-side services) in a fabric build, the one
-    /// shared switch otherwise. Nodes with no switch port (UEs, L2s,
-    /// core) resolve to the service switch.
+    /// spine, for spine-side services) in a fabric build, its cell's
+    /// partition in a partitioned one, the one shared switch otherwise.
+    /// Nodes with no switch port (UEs, L2s, core) resolve to
+    /// [`Deployment::switch`].
     pub fn switch_for_node(&self, node: NodeId) -> NodeId {
         *self.attached_switch.get(&node).unwrap_or(&self.switch)
     }

@@ -289,6 +289,11 @@ impl FhMbox {
         &self.enrolled_scan
     }
 
+    /// Where failure notifications go, in send order.
+    pub fn notify_targets(&self) -> &[MacAddr] {
+        &self.notify_macs
+    }
+
     /// Plain (non-fronthaul) host installation: servers, Orion nodes.
     pub fn install_host(&mut self, mac: MacAddr, port: PortId) {
         self.port_table.insert(mac.as_u64(), port.0 as u64).unwrap();

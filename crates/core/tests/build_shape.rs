@@ -3,8 +3,9 @@
 //! node count, PHY directories, and which switch every endpoint is
 //! cabled to.
 
-use slingshot::{DeploymentBuilder, SwitchNode};
+use slingshot::{orion_l2_mac, DeploymentBuilder, DeploymentConfig, SwitchNode};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
+use slingshot_sim::{LinkParams, Nanos, SLOT_DURATION};
 
 fn abstract_cells() -> DeploymentBuilder {
     DeploymentBuilder::new().cell(CellConfig {
@@ -142,6 +143,93 @@ fn build_shape_follows_the_parameters() {
             assert_eq!(d.switch_for_node(node), d.switch, "{case}");
         }
     }
+}
+
+/// Four cells that share nothing within a slot get one middlebox
+/// partition and one engine lane each: a partition enrolls exactly its
+/// cell's two PHYs, notifies exactly its cell's L2-side Orion and
+/// shares a lane with every node of its cell; `server` and `core` sit
+/// in lane 0.
+#[test]
+fn uncoupled_cells_get_a_partition_and_a_lane_each() {
+    let mut b = abstract_cells().cells(4);
+    for i in 0..4u8 {
+        b = b.ue(UeConfig::new(100 + i as u16, i, &format!("ue{i}"), 22.0));
+    }
+    let d = b.build();
+    assert_eq!(d.leaves.len(), 4);
+    assert_eq!(d.spine, None);
+    assert_eq!(d.switch, d.leaves[0]);
+    assert_eq!(d.engine.lane_loads().len(), 5);
+    assert_eq!(d.engine.lane_index(d.server), 0);
+    assert_eq!(d.engine.lane_index(d.core), 0);
+    for (i, cell) in d.cells.iter().enumerate() {
+        let part = d.switch_for_ru(cell.ru_id);
+        assert_eq!(part, d.leaves[i]);
+        assert_eq!(d.engine.node_name(part), format!("leaf{i}"));
+        let mbox = &d.engine.node::<SwitchNode>(part).unwrap().mbox;
+        let pair = [cell.primary_phy_id as usize, cell.secondary_phy_id as usize];
+        assert_eq!(mbox.enrolled_phys(), pair, "cell {i}");
+        assert_eq!(
+            mbox.notify_targets(),
+            [orion_l2_mac(cell.ru_id)],
+            "cell {i}"
+        );
+        let lane = d.engine.lane_index(part);
+        assert_eq!(lane, 1 + i, "cell {i}");
+        let nodes = [
+            cell.ru,
+            cell.l2,
+            cell.orion_l2,
+            cell.primary_phy,
+            cell.secondary_phy,
+            cell.orion_primary,
+            cell.orion_secondary,
+        ];
+        for node in nodes.iter().chain(&cell.ues) {
+            let name = d.engine.node_name(*node);
+            assert_eq!(d.engine.lane_index(*node), lane, "{name}");
+        }
+    }
+}
+
+/// Anything that couples cells within a slot keeps the one switch and
+/// the one lane: a spare pool, the handover plane, crossed standbys, or
+/// a backhaul shorter than a slot (core ↔ L2 traffic would land inside
+/// the slot it was sent in).
+#[test]
+fn coupled_cells_keep_one_switch_and_one_lane() {
+    let cell = CellConfig {
+        num_prbs: 24,
+        fidelity: Fidelity::Abstract,
+        ..CellConfig::default()
+    };
+    let backhaul = |latency: Nanos| {
+        DeploymentBuilder::new().config(DeploymentConfig {
+            cell: cell.clone(),
+            backhaul_link: LinkParams::ideal(latency),
+            ..DeploymentConfig::default()
+        })
+    };
+    let cases = [
+        ("spare_pool(1)", abstract_cells().spare_pool(1)),
+        ("handover()", abstract_cells().handover()),
+        ("crossed_standbys()", abstract_cells().crossed_standbys()),
+        ("short backhaul", backhaul(SLOT_DURATION - Nanos(1))),
+    ];
+    for (case, b) in cases {
+        let d = b.cells(4).build();
+        assert!(d.leaves.is_empty(), "{case}");
+        assert_eq!(d.spine, None, "{case}");
+        assert_eq!(d.engine.lane_loads().len(), 1, "{case}");
+        assert_eq!(d.engine.node_name(d.switch), "switch", "{case}");
+        for cell in &d.cells {
+            assert_eq!(d.switch_for_ru(cell.ru_id), d.switch, "{case}");
+        }
+    }
+    // A backhaul of exactly one slot is long enough.
+    let d = backhaul(SLOT_DURATION).cells(4).build();
+    assert_eq!(d.leaves.len(), 4);
 }
 
 /// PHY ids are `u8`: the 257th PHY would wrap onto cell 0's primary

@@ -98,6 +98,11 @@ fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> Observed {
         b = b.kernel_config(KernelConfig::forced(backend));
     }
     let mut d = b.build();
+    // These cells share nothing within a slot, so each is its own lane
+    // (DESIGN.md §5g): at 4 workers a multi-cell run dispatches lanes
+    // in parallel as well as fanning out DSP.
+    let lanes = if cells > 1 { cells + 1 } else { 1 };
+    assert_eq!(d.engine.lane_loads().len(), lanes);
     for i in 0..cells {
         d.add_flow(
             i,
@@ -165,8 +170,8 @@ fn four_workers_match_single_worker_across_seeds() {
     }
 }
 
-/// The same holds on a multi-cell deployment, where per-cell slot work
-/// is interleaved in the queue and the merge order matters most.
+/// The same holds on a multi-cell deployment, whose cells run in lanes
+/// of their own, so the barrier merge order matters most.
 #[test]
 fn multi_cell_parallel_matches_serial() {
     for seed in [3u64, 7] {

@@ -1,4 +1,5 @@
-//! Sharded-engine determinism battery for leaf/spine fabric builds.
+//! Sharded-engine determinism battery for leaf/spine fabric builds and
+//! for single-switch builds partitioned one lane per cell.
 //!
 //! The fabric contract: `cell_groups(g)` is a *structural* knob (it
 //! changes the topology and therefore the trace), while `shards(k)` and
@@ -9,7 +10,7 @@
 //! pool) to prove the recovery plane survives the lane split.
 
 use slingshot::{Deployment, DeploymentBuilder, DeploymentConfig};
-use slingshot_ran::{CellConfig, Fidelity, UeConfig};
+use slingshot_ran::{AppServerNode, CellConfig, Fidelity, PhyNode, UeConfig};
 use slingshot_sim::{LinkParams, Nanos, SpanProfiler, TraceEventKind};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -258,9 +259,95 @@ fn cross_shard_spare_grant_recovers_and_stays_deterministic() {
     );
 }
 
+/// What four one-UE cells delivered, whatever switches they sat behind:
+/// per-UE bytes at the server, each cell's UL slots in decode order
+/// (from the trace), and per-cell `(UL TBs decoded, CRC failures)`.
+#[derive(Debug, PartialEq)]
+struct Delivered {
+    ue_bytes: Vec<u64>,
+    ul_slots: Vec<Vec<u64>>,
+    tbs: Vec<(u64, u64)>,
+}
+
+/// [`build_fabric`] (no spare pool) run for 400 slots: what it
+/// delivered, and its trace bytes.
+fn run_cells(groups: usize, workers: usize) -> (Delivered, Vec<u8>) {
+    let mut d = build_fabric(11, groups, 1, workers, 0);
+    d.engine.run_until(Nanos::from_millis(200));
+    let server = d.engine.node::<AppServerNode>(d.server).unwrap();
+    let ue_bytes = (0..4u16)
+        .map(|i| {
+            let sink = server.app::<UdpSink>(100 + i, 0).unwrap();
+            sink.bins.bins().iter().sum()
+        })
+        .collect();
+    let trace = d.engine.event_trace();
+    assert_eq!(
+        trace.len() as u64,
+        trace.total_recorded(),
+        "trace ring truncated"
+    );
+    let ul_slots = d
+        .cells
+        .iter()
+        .map(|cell| {
+            trace
+                .of_kind(TraceEventKind::UlSlotProcessed)
+                .filter(|e| e.node == cell.primary_phy || e.node == cell.secondary_phy)
+                .map(|e| e.a)
+                .collect()
+        })
+        .collect();
+    let tbs = d
+        .cells
+        .iter()
+        .map(|cell| {
+            let phy = d.engine.node::<PhyNode>(cell.primary_phy).unwrap();
+            (phy.ul_tbs_decoded, phy.ul_crc_failures)
+        })
+        .collect();
+    let delivered = Delivered {
+        ue_bytes,
+        ul_slots,
+        tbs,
+    };
+    (delivered, trace.to_bytes())
+}
+
+/// Four uncoupled cells on one switch are partitioned one lane per
+/// cell; on a four-leaf fabric they get the same lanes behind leaves
+/// joined by a spine. Both deliver exactly the same bytes, UL slots and
+/// TB outcomes at 1 and 4 workers, and each build's trace is
+/// byte-identical across its two worker counts.
+#[test]
+fn partitioned_switch_delivers_what_a_four_leaf_fabric_delivers() {
+    let (single_1, single_trace_1) = run_cells(1, 1);
+    let (single_4, single_trace_4) = run_cells(1, 4);
+    let (fabric_1, fabric_trace_1) = run_cells(4, 1);
+    let (fabric_4, fabric_trace_4) = run_cells(4, 4);
+    assert!(single_1.ue_bytes.iter().all(|&b| b > 0), "{single_1:?}");
+    // DDDSU: one UL slot in five, 80 in 400 slots.
+    assert!(
+        single_1.ul_slots.iter().all(|s| s.len() >= 75),
+        "{single_1:?}"
+    );
+    assert_eq!(single_1, single_4, "partitioned switch: 1 vs 4 workers");
+    assert_eq!(single_1, fabric_1, "partitioned switch vs fabric");
+    assert_eq!(fabric_1, fabric_4, "fabric: 1 vs 4 workers");
+    assert!(
+        single_trace_1 == single_trace_4,
+        "partitioned trace moved with workers"
+    );
+    assert!(
+        fabric_trace_1 == fabric_trace_4,
+        "fabric trace moved with workers"
+    );
+}
+
 /// Structural sanity: a fabric build exposes its leaves and spine, maps
-/// each RU to its owning leaf, and the single-switch build still maps
-/// everything to the one shared switch.
+/// each RU to its owning leaf, and a single-switch build whose cells
+/// are coupled (here by a spare pool) still maps everything to the one
+/// shared switch.
 #[test]
 fn fabric_directories_resolve_switches() {
     let mut b = DeploymentBuilder::new()
@@ -295,6 +382,7 @@ fn fabric_directories_resolve_switches() {
         .seed(1)
         .cell(small_cell())
         .cells(2)
+        .spare_pool(1)
         .ue(UeConfig::new(100, 0, "ue0", 22.0))
         .ue(UeConfig::new(101, 1, "ue1", 22.0))
         .build();

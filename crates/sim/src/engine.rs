@@ -860,9 +860,10 @@ impl<M: Message> Engine<M> {
         self.env.profiler.clone()
     }
 
-    /// Index of the lane that owns `node`. Ids the engine never
-    /// registered ([`NodeId::EXTERNAL`]) resolve to lane 0.
-    fn lane_index(&self, node: NodeId) -> usize {
+    /// Index of the dispatch lane that owns `node` (0 on a one-lane
+    /// engine). Ids the engine never registered ([`NodeId::EXTERNAL`])
+    /// resolve to lane 0.
+    pub fn lane_index(&self, node: NodeId) -> usize {
         self.lane_of.get(node.0).copied().unwrap_or(0) as usize
     }
 
