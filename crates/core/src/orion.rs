@@ -520,17 +520,18 @@ impl OrionL2Node {
 
     /// Begin migrating `ru_id`'s processing to its secondary at slot
     /// boundary `boundary_abs` (rounded up to a TDD-cycle start).
-    /// Sends `migrate_on_slot` to the switch.
-    fn start_migration(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, boundary_abs: u64) {
+    /// Sends `migrate_on_slot` to the switch; `false` when there is no
+    /// secondary to migrate to or a migration is already under way.
+    fn start_migration(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, boundary_abs: u64) -> bool {
         let boundary_abs = align_to_tdd_cycle(boundary_abs);
         let Some(b) = self.binding.as_mut().filter(|b| b.ru_id == ru_id) else {
-            return;
+            return false;
         };
         let Some(sec) = b.secondary else {
-            return;
+            return false;
         };
         if b.migrate_at.is_some() {
-            return; // one migration at a time per RU
+            return false; // one migration at a time per RU
         }
         b.migrate_at = Some(boundary_abs);
         CtlPacket::MigrateOnSlot {
@@ -539,6 +540,7 @@ impl OrionL2Node {
             slot_scalar: scalar_of(boundary_abs),
         }
         .send(ctx, self.switch, FhMbox::SWITCH_MAC, self.mac);
+        true
     }
 
     /// Finalize role swap once the pipeline has drained past the
@@ -647,7 +649,15 @@ impl Node<Msg> for OrionL2Node {
                                     b.failover = true;
                                     let ru_id = b.ru_id;
                                     self.failovers += 1;
-                                    self.start_migration(ctx, ru_id, next_abs);
+                                    // The failed PHY will not serve this RU
+                                    // again: stop its Orion's §6.1 loss guard
+                                    // from covering the RU with null requests.
+                                    // A planned migration keeps the old
+                                    // primary as standby, so it sends none.
+                                    if self.start_migration(ctx, ru_id, next_abs) {
+                                        let stop = FapiMsg::Stop { ru_id };
+                                        self.send_udp(ctx, orion_phy_mac(phy_id), &stop);
+                                    }
                                 }
                             }
                             Some(CtlPacket::SpareGrant { ru_id, phy_id })

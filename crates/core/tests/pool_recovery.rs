@@ -11,8 +11,9 @@
 //! sequence must be byte-identical between 1- and 4-worker runs.
 
 use slingshot::{
-    expectations_for, run_scenario, ChaosRunner, Deployment, DeploymentBuilder, DeploymentConfig,
-    OrionL2Node, RecoveryOrchestrator, SwitchNode,
+    chaos_pool_deployment, expectations_for, run_scenario, ChaosRunner, Deployment,
+    DeploymentBuilder, DeploymentConfig, OrionL2Node, OrionPhyNode, RecoveryOrchestrator,
+    SwitchNode,
 };
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
@@ -303,4 +304,50 @@ fn recycled_spare_delivers_uplink_in_its_new_cell() {
         lost.first()
     );
     assert!(report.ok(), "oracle violations: {:#?}", report.violations);
+}
+
+/// A PHY-side Orion stops covering an RU once that RU has failed over
+/// away from its PHY. The §6.1 loss guard fills holes in an RU's
+/// request stream with null UL_TTI + DL_TTI pairs; the L2-side Orion
+/// now sends the failed PHY's Orion a FAPI `Stop` for the RU, so the
+/// guard does not fill every slot for the rest of the run — into the
+/// dead PHY, and after the scrub into the recycled one. `chaos_soak`'s
+/// `pool-recycle` run (four cells, two spares; crashes of cells 0, 2,
+/// 1, 1) crashes PHYs 1, 5, 3 and 4: each of their Orions must inject
+/// no more nulls than a PHY that never crashed, give or take a few.
+#[test]
+fn failed_over_phy_orion_stops_guarding_its_old_ru() {
+    let scenario = Scenario::new("pool-recycle", 1900)
+        .fault(700, FaultTarget::ActivePhyOf(0), FaultKind::PhyCrash)
+        .fault(760, FaultTarget::ActivePhyOf(2), FaultKind::PhyCrash)
+        .fault(820, FaultTarget::ActivePhyOf(1), FaultKind::PhyCrash)
+        .fault(880, FaultTarget::ActivePhyOf(1), FaultKind::PhyCrash);
+    let mut d = chaos_pool_deployment(6003);
+    let report = run_scenario(&mut d, &scenario);
+    assert!(report.ok(), "oracle violations: {:?}", report.violations);
+
+    let killed: Vec<u64> = d
+        .engine
+        .event_trace()
+        .of_kind(TraceEventKind::NodeKilled)
+        .map(|e| e.a)
+        .collect();
+    let nulls = |id: u8| {
+        let orion = d.engine.node::<OrionPhyNode>(d.phy_orions[&id]).unwrap();
+        orion.loss_nulls_injected
+    };
+    let (crashed, healthy): (Vec<u8>, Vec<u8>) = d
+        .phy_nodes
+        .keys()
+        .copied()
+        .partition(|id| killed.contains(&(d.phy_nodes[id].0 as u64)));
+    assert_eq!(crashed, [1, 3, 4, 5]);
+    let healthy_max = healthy.iter().map(|&id| nulls(id)).max().unwrap();
+    for id in crashed {
+        assert!(
+            nulls(id) <= healthy_max + 8,
+            "crashed PHY {id}'s Orion injected {} nulls, a healthy PHY's at most {healthy_max}",
+            nulls(id)
+        );
+    }
 }
