@@ -35,8 +35,9 @@
 #                      builds the benchmark package at <rev> and in the
 #                      working tree, runs the five workloads at two
 #                      seeds and exits 1 if any simulated result
-#                      (sim, claims, hashes, correct, failed/attempted)
-#                      differs
+#                      (sim, claims, hashes, correct, failed) differs;
+#                      a run whose results agree but whose hashes moved
+#                      is named `hashes only`
 #
 # Knobs (all optional; defaults shown):
 #   CHAOS_SEEDS=4      seeds for the chaos smoke (nightly workflow: 64);

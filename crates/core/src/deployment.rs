@@ -144,12 +144,12 @@ pub struct Deployment {
     /// The middlebox switches when there is more than one, in cell
     /// order, named `leaf0..`: the leaves of a `cell_groups(g ≥ 2)`
     /// fabric, or the per-cell partitions of a single-switch build
-    /// whose cells share nothing within a slot (≥ 2 cells, no spare
-    /// pool, handover plane or crossed standbys, and a backhaul link of
-    /// at least one slot). A partition is a leaf with no spine: it holds
-    /// only its cell's RU and PHY pair, detects only those two PHYs, and
-    /// notifies only its cell's L2-side Orion; no frame crosses
-    /// partitions. Empty when one switch serves every cell.
+    /// whose cells share nothing within a slot (see
+    /// [`DeploymentBuilder::cell_groups`]). A partition is a leaf with
+    /// no spine: it holds only its cell's RU and PHY pair, detects only
+    /// those two PHYs, and notifies only its cell's L2-side Orion; no
+    /// frame crosses partitions. Empty when one switch serves every
+    /// cell.
     pub leaves: Vec<NodeId>,
     /// The spine switch of a `cell_groups(g ≥ 2)` build; `None` for a
     /// single-switch build, partitioned or not.
@@ -793,7 +793,7 @@ impl Deployment {
             Vec::new()
         };
         let spine = (groups > 1).then_some(switch);
-        let fabric_leaves = if spine.is_some() { &leaves[..] } else { &[] };
+        let fabric_leaves: &[NodeId] = if spine.is_some() { &leaves } else { &[] };
         for (g, &leaf) in fabric_leaves.iter().enumerate() {
             let up = plans[g].ports.alloc();
             let down = plans[service].ports.alloc();
