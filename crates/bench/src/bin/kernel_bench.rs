@@ -21,9 +21,12 @@
 //! the scalar code it duplicates. The LDPC arm's lanes run across the
 //! blocks of a batch, so its speed-up is a function of how many lanes
 //! are filled: the full batch is gated, a 3-of-8 batch is reported
-//! beside it so the break-even occupancy stays on record, and a full
+//! beside it so the occupancy curve stays on record, and a full
 //! batch whose blocks all converge within 1-4 iterations is gated too,
-//! because there the per-iteration parity check is a larger share.
+//! because there the per-iteration parity check is a larger share. A
+//! batch of one block (one live lane) is gated as well: every
+//! non-empty batch takes the arm, and a Sampled cell decodes one code
+//! block per TB.
 //!
 //! JSON artifact: `kernel_bench.json` in `$BENCH_JSON_DIR`, scalars
 //! keyed `<kernel>_ops_per_sec` plus `<kernel>_us` per-op times, and
@@ -278,7 +281,11 @@ fn measure_kernels(budget: Duration) -> Measured {
     // converging row is the same codewords at SNRs where every block
     // decodes within 1-4 iterations (1.9 per block, 4 per batch):
     // `full_ul`'s shape, where lanes pass late, so the per-iteration
-    // parity check costs what it costs in a slot.
+    // parity check costs what it costs in a slot. The batch-of-one rows
+    // are the shape a Sampled cell decodes (one code block per TB), on
+    // one live lane: the mixed set's 1 dB block, which runs all eight
+    // iterations, is gated; the converging set's 3 dB block, which
+    // passes within a few, is reported.
     let mut shuffle = SimRng::new(60);
     let mut order: Vec<u32> = (0..code.n() as u32).collect();
     for i in (1..order.len()).rev() {
@@ -310,6 +317,12 @@ fn measure_kernels(budget: Duration) -> Measured {
             "ldpc_decode_batch8_converging_k1024",
             &converging_views[..],
             true,
+        ),
+        ("ldpc_decode_batch1_k1024", &mixed_views[4..5], true),
+        (
+            "ldpc_decode_batch1_converging_k1024",
+            &converging_views[7..],
+            false,
         ),
     ] {
         let lanes = views.len();

@@ -19,9 +19,10 @@
 //! AVX2 arm: lanes across the code blocks of a batch
 //! (`ldpc::avx2`), and for AWGN f64 polynomials whose every
 //! sample is certified to round to libm's f32 or recomputed with libm
-//! (`channel::avx2`). The single-block LDPC decode — the oracle
-//! the batch arm is held to — is one scalar implementation on every
-//! backend and passes through here so callers keep a single seam.
+//! (`channel::avx2`). Every non-empty batch takes the lockstep arm on
+//! AVX2, a batch of one block included (one live lane). The scalar
+//! min-sum of [`LdpcCode::decode_into`] is the oracle the arm is held
+//! to; [`DspKernels::ldpc_decode_into`] runs it on every backend.
 
 use crate::channel::AwgnChannel;
 use crate::iq::{BfpPrb, Cplx, SC_PER_PRB};
@@ -107,8 +108,11 @@ impl DspKernels {
     /// `segs[b][p]`. `out[b]` is bit-exactly what
     /// [`LdpcCode::decode_into`] yields for that codeword on every
     /// backend. AVX2 runs the blocks in lockstep, one per lane, reading
-    /// the segments straight into the lanes; a batch of one has no lanes
-    /// to fill and takes the scalar decoder, like the scalar backend.
+    /// the segments straight into the lanes; a batch of one is one live
+    /// lane, which still beats the scalar decoder (`kernel_bench`'s
+    /// `ldpc_decode_batch1_k1024` row holds that). The scalar backend
+    /// runs the definition, `LdpcCode::decode_batch_into`'s per-block
+    /// loop.
     pub fn ldpc_decode_batch_into(
         &self,
         code: &LdpcCode,
@@ -119,7 +123,7 @@ impl DspKernels {
         out: &mut [LdpcBlockOut],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if self.use_avx2() && segs.len() > 1 {
+        if self.use_avx2() && !segs.is_empty() {
             // SAFETY: backend is only Avx2 when the feature was detected.
             unsafe {
                 crate::ldpc::avx2::decode_batch_into(code, order, segs, max_iters, scratch, out)

@@ -106,9 +106,11 @@ pub struct LdpcScratch {
     /// edge) and posteriors (per variable), lane-interleaved, the
     /// posterior sign of each variable in each lane (bit `b` of byte
     /// `v`), and each check row's syndrome in each lane (bit `b` of byte
-    /// `i`). Empty until the first multi-block batch on the AVX2
-    /// backend; never zeroed after that (every decode writes each entry
-    /// before it reads it).
+    /// `i`). Empty until the first batch on the AVX2 backend (one
+    /// block is a batch: every non-empty batch takes the lockstep arm
+    /// there, so a Sampled deployment, one block per TB, allocates them
+    /// too); never zeroed after that (every decode writes each entry
+    /// before it reads it). A scalar-backend scratch never grows them.
     #[cfg(target_arch = "x86_64")]
     lane_c2v: Vec<Lanes>,
     #[cfg(target_arch = "x86_64")]
