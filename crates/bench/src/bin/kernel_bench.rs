@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use slingshot_bench::{banner, floor_failures, BenchReport};
 use slingshot_phy_dsp::crc::attach_crc24a;
-use slingshot_phy_dsp::iq::SC_PER_PRB;
+use slingshot_phy_dsp::iq::{bfp_from_bytes, bfp_write_bytes, BfpPrb, SC_PER_PRB};
 use slingshot_phy_dsp::ldpc::BATCH_LANES;
 use slingshot_phy_dsp::modulation::modulate_packed_into;
 use slingshot_phy_dsp::scramble::{cached_sequence, descramble_llrs_packed, scramble_packed};
@@ -258,6 +258,19 @@ fn measure_kernels(budget: Duration) -> Measured {
     });
     record("modulate_1k_qam64", r, &mut report);
 
+    // The BFP wire codec, one PRB written and parsed back: the U-plane
+    // body of every fronthaul frame goes through these two.
+    let prb_samples: [Cplx; SC_PER_PRB] =
+        std::array::from_fn(|i| Cplx::new((i as f32 * 0.4).cos(), (i as f32 * 0.4).sin()));
+    let wire_prb = scalar.bfp_compress(&prb_samples);
+    let mut wire = Vec::with_capacity(BfpPrb::WIRE_BYTES);
+    let r = measure(budget, || {
+        wire.clear();
+        bfp_write_bytes(black_box(&wire_prb), &mut wire);
+        black_box(bfp_from_bytes(black_box(&wire)));
+    });
+    record("bfp_wire_prb", r, &mut report);
+
     // The kernels with a backend arm: scalar and detected timed
     // interleaved in this process; the table row is the detected arm.
     let mut arms: Vec<ArmTiming> = Vec::new();
@@ -389,8 +402,6 @@ fn measure_kernels(budget: Duration) -> Measured {
     record_arm("demap_1k_qam64", r, true);
 
     // BFP fronthaul compression, one PRB each way.
-    let prb_samples: [Cplx; SC_PER_PRB] =
-        std::array::from_fn(|i| Cplx::new((i as f32 * 0.4).cos(), (i as f32 * 0.4).sin()));
     let r = interleaved_min_us(
         budget,
         &mut || {
@@ -401,14 +412,13 @@ fn measure_kernels(budget: Duration) -> Measured {
         },
     );
     record_arm("bfp_compress_prb", r, true);
-    let prb = scalar.bfp_compress(&prb_samples);
     let r = interleaved_min_us(
         budget,
         &mut || {
-            black_box(scalar.bfp_decompress(black_box(&prb)));
+            black_box(scalar.bfp_decompress(black_box(&wire_prb)));
         },
         &mut || {
-            black_box(kernels.bfp_decompress(black_box(&prb)));
+            black_box(kernels.bfp_decompress(black_box(&wire_prb)));
         },
     );
     record_arm("bfp_decompress_prb", r, true);

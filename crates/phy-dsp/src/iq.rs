@@ -128,13 +128,13 @@ fn bfp_pack_fixed(fixed: &[i64; 2 * SC_PER_PRB]) -> BfpPrb {
         max_abs = max_abs.max(f.abs());
     }
     // Choose the smallest exponent such that max_abs >> exp fits in the
-    // signed mantissa range. Exponent is capped at the wire field's
-    // 8-bit range; anything larger saturates the mantissas.
+    // signed mantissa range: shift out every bit of max_abs above the
+    // mantissa's 8 magnitude bits. Exponent is capped at 40; anything
+    // larger saturates the mantissas.
     let limit = (1i64 << (BFP_MANTISSA_BITS - 1)) - 1;
-    let mut exponent = 0u8;
-    while exponent < 40 && (max_abs >> exponent) > limit {
-        exponent += 1;
-    }
+    let exponent = (i64::BITS - max_abs.leading_zeros())
+        .saturating_sub(BFP_MANTISSA_BITS - 1)
+        .min(40) as u8;
     let mut mantissas = [0i16; 2 * SC_PER_PRB];
     for (m, f) in mantissas.iter_mut().zip(fixed.iter()) {
         *m = (f >> exponent).clamp(-(limit + 1), limit) as i16;
@@ -232,52 +232,46 @@ pub(crate) mod avx2 {
     }
 }
 
+/// Mantissas per wire group: 8 × 9 bits = 72 bits, nine whole bytes,
+/// so a PRB's 24 mantissas are three groups with no bit left over.
+const GROUP_MANTISSAS: usize = 8;
+const GROUP_BITS: u32 = GROUP_MANTISSAS as u32 * BFP_MANTISSA_BITS;
+const GROUP_BYTES: usize = GROUP_BITS as usize / 8;
+
 /// Append a PRB's wire form (exponent byte, then mantissas packed as
 /// 9-bit big-endian fields) to an existing buffer, so message
-/// serialization packs a whole symbol's PRBs into one frame body.
+/// serialization packs a whole symbol's PRBs into one frame body. Each
+/// group of eight mantissas is assembled in one `u128` and written as
+/// its low nine bytes.
 pub fn bfp_write_bytes(prb: &BfpPrb, out: &mut Vec<u8>) {
     out.push(prb.exponent);
-    let mut acc: u32 = 0;
-    let mut nbits: u32 = 0;
-    for &m in &prb.mantissas {
-        let v = (m as u16) & ((1 << BFP_MANTISSA_BITS) - 1);
-        acc = (acc << BFP_MANTISSA_BITS) | v as u32;
-        nbits += BFP_MANTISSA_BITS;
-        while nbits >= 8 {
-            nbits -= 8;
-            out.push((acc >> nbits) as u8);
-        }
-    }
-    if nbits > 0 {
-        out.push((acc << (8 - nbits)) as u8);
+    let mask = (1u16 << BFP_MANTISSA_BITS) - 1;
+    for group in prb.mantissas.chunks_exact(GROUP_MANTISSAS) {
+        let word = group.iter().fold(0u128, |w, &m| {
+            (w << BFP_MANTISSA_BITS) | ((m as u16) & mask) as u128
+        });
+        out.extend_from_slice(&word.to_be_bytes()[16 - GROUP_BYTES..]);
     }
 }
 
-/// Parse a BFP PRB from bytes.
+/// Parse a BFP PRB from bytes (`None` if fewer than
+/// [`BfpPrb::WIRE_BYTES`]). Each nine-byte group is read as one `u128`;
+/// a mantissa is its field shifted to the top and arithmetically
+/// shifted back down, which sign-extends it from 9 bits.
 pub fn bfp_from_bytes(b: &[u8]) -> Option<BfpPrb> {
-    if b.len() < BfpPrb::WIRE_BYTES {
-        return None;
-    }
-    let exponent = b[0];
+    let (&exponent, body) = b.get(..BfpPrb::WIRE_BYTES)?.split_first()?;
     let mut mantissas = [0i16; 2 * SC_PER_PRB];
-    let mut acc: u32 = 0;
-    let mut nbits: u32 = 0;
-    let mut idx = 1;
-    for m in mantissas.iter_mut() {
-        while nbits < BFP_MANTISSA_BITS {
-            acc = (acc << 8) | b[idx] as u32;
-            idx += 1;
-            nbits += 8;
+    for (group, bytes) in mantissas
+        .chunks_exact_mut(GROUP_MANTISSAS)
+        .zip(body.chunks_exact(GROUP_BYTES))
+    {
+        let mut be = [0u8; 16];
+        be[16 - GROUP_BYTES..].copy_from_slice(bytes);
+        let word = u128::from_be_bytes(be);
+        for (i, m) in group.iter_mut().enumerate() {
+            let to_top = u128::BITS - GROUP_BITS + BFP_MANTISSA_BITS * i as u32;
+            *m = ((word << to_top) as i128 >> (u128::BITS - BFP_MANTISSA_BITS)) as i16;
         }
-        nbits -= BFP_MANTISSA_BITS;
-        let raw = ((acc >> nbits) & ((1 << BFP_MANTISSA_BITS) - 1)) as u16;
-        // Sign-extend from 9 bits.
-        let sign_bit = 1u16 << (BFP_MANTISSA_BITS - 1);
-        *m = if raw & sign_bit != 0 {
-            (raw | !((1 << BFP_MANTISSA_BITS) - 1)) as i16
-        } else {
-            raw as i16
-        };
     }
     Some(BfpPrb {
         exponent,

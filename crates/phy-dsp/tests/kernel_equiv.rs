@@ -4,7 +4,8 @@
 //! The references here are deliberate re-implementations of the
 //! pre-rewrite code (bitwise CRC long division, the one-bit-per-step
 //! Gold LFSR, per-symbol PAM arithmetic, the per-call edge-list min-sum
-//! decoder), kept self-contained in this test so drift in the
+//! decoder, the stepping BFP exponent search and the bit-accumulator
+//! BFP wire codec), kept self-contained in this test so drift in the
 //! production kernels cannot silently drift the oracle too.
 //!
 //! Equality is exact: bits are compared as integers and every f32 is
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use slingshot_phy_dsp::bits::BitBuf;
 use slingshot_phy_dsp::channel::AwgnChannel;
 use slingshot_phy_dsp::crc::{attach_crc24a, check_crc24a, crc24a};
-use slingshot_phy_dsp::iq::SC_PER_PRB;
+use slingshot_phy_dsp::iq::{bfp_from_bytes, bfp_write_bytes, BfpPrb, SC_PER_PRB};
 use slingshot_phy_dsp::ldpc::{LdpcBlockOut, LdpcCode, LdpcScratch, BATCH_LANES};
 use slingshot_phy_dsp::modulation::{modulate, modulate_packed, Modulation};
 use slingshot_phy_dsp::ratematch::{rate_match, rate_match_packed, rate_recover};
@@ -561,6 +562,164 @@ proptest! {
                     prop_assert_eq!(((word >> j) & 1) as u8, b);
                 }
             }
+        }
+    }
+}
+
+// ------------------------------------------------------ BFP wire codec
+
+const MANTISSA_BITS: u32 = 9;
+
+/// Pre-rewrite BFP compressor: f64 rounding to 2^12 fixed point, then
+/// the smallest exponent found by stepping up from 0 (capped at 40).
+fn bfp_compress_ref(samples: &[Cplx; SC_PER_PRB]) -> BfpPrb {
+    let mut fixed = [0i64; 2 * SC_PER_PRB];
+    for (i, s) in samples.iter().enumerate() {
+        fixed[2 * i] = (s.re as f64 * 4096.0).round() as i64;
+        fixed[2 * i + 1] = (s.im as f64 * 4096.0).round() as i64;
+    }
+    let max_abs = fixed.iter().map(|f| f.abs()).max().unwrap();
+    let limit = (1i64 << (MANTISSA_BITS - 1)) - 1;
+    let mut exponent = 0u8;
+    while exponent < 40 && (max_abs >> exponent) > limit {
+        exponent += 1;
+    }
+    let mut mantissas = [0i16; 2 * SC_PER_PRB];
+    for (m, f) in mantissas.iter_mut().zip(fixed.iter()) {
+        *m = (f >> exponent).clamp(-(limit + 1), limit) as i16;
+    }
+    BfpPrb {
+        exponent,
+        mantissas,
+    }
+}
+
+/// Pre-rewrite wire writer: one byte at a time out of a bit accumulator.
+fn bfp_write_bytes_ref(prb: &BfpPrb, out: &mut Vec<u8>) {
+    out.push(prb.exponent);
+    let mut acc: u32 = 0;
+    let mut nbits: u32 = 0;
+    for &m in &prb.mantissas {
+        let v = (m as u16) & ((1 << MANTISSA_BITS) - 1);
+        acc = (acc << MANTISSA_BITS) | v as u32;
+        nbits += MANTISSA_BITS;
+        while nbits >= 8 {
+            nbits -= 8;
+            out.push((acc >> nbits) as u8);
+        }
+    }
+    if nbits > 0 {
+        out.push((acc << (8 - nbits)) as u8);
+    }
+}
+
+/// Pre-rewrite wire parser: one byte at a time into a bit accumulator,
+/// sign-extended by testing bit 8.
+fn bfp_from_bytes_ref(b: &[u8]) -> Option<BfpPrb> {
+    if b.len() < BfpPrb::WIRE_BYTES {
+        return None;
+    }
+    let exponent = b[0];
+    let mut mantissas = [0i16; 2 * SC_PER_PRB];
+    let mut acc: u32 = 0;
+    let mut nbits: u32 = 0;
+    let mut idx = 1;
+    for m in mantissas.iter_mut() {
+        while nbits < MANTISSA_BITS {
+            acc = (acc << 8) | b[idx] as u32;
+            idx += 1;
+            nbits += 8;
+        }
+        nbits -= MANTISSA_BITS;
+        let raw = ((acc >> nbits) & ((1 << MANTISSA_BITS) - 1)) as u16;
+        let sign_bit = 1u16 << (MANTISSA_BITS - 1);
+        *m = if raw & sign_bit != 0 {
+            (raw | !((1 << MANTISSA_BITS) - 1)) as i16
+        } else {
+            raw as i16
+        };
+    }
+    Some(BfpPrb {
+        exponent,
+        mantissas,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A U-plane body (PRBs back to back after the message header) is
+    /// written and parsed exactly as the bit loops did, whatever the
+    /// mantissas: every PRB carries both extremes, -256 and 255.
+    #[test]
+    fn bfp_wire_codec_matches_bit_loops(
+        prbs in proptest::collection::vec(
+            (
+                0u8..41,
+                proptest::collection::vec(-256i16..256, 2 * SC_PER_PRB),
+                0usize..2 * SC_PER_PRB,
+                0usize..2 * SC_PER_PRB,
+            ),
+            1..8,
+        ),
+        header in proptest::collection::vec(any::<u8>(), 0..6),
+    ) {
+        let prbs: Vec<BfpPrb> = prbs
+            .into_iter()
+            .map(|(exponent, m, lo, hi)| {
+                let mut mantissas: [i16; 2 * SC_PER_PRB] = m.try_into().unwrap();
+                mantissas[lo] = -256;
+                mantissas[hi] = 255;
+                BfpPrb { exponent, mantissas }
+            })
+            .collect();
+        let (mut body, mut expect) = (header.clone(), header.clone());
+        for p in &prbs {
+            bfp_write_bytes(p, &mut body);
+            bfp_write_bytes_ref(p, &mut expect);
+        }
+        prop_assert_eq!(&body, &expect);
+        prop_assert_eq!(body.len(), header.len() + prbs.len() * BfpPrb::WIRE_BYTES);
+        for (i, p) in prbs.iter().enumerate() {
+            let at = &body[header.len() + i * BfpPrb::WIRE_BYTES..];
+            let got = bfp_from_bytes(at);
+            prop_assert_eq!(got.as_ref(), Some(p));
+            prop_assert_eq!(got, bfp_from_bytes_ref(at));
+        }
+        let first = &body[header.len()..];
+        for len in 0..BfpPrb::WIRE_BYTES {
+            prop_assert_eq!(bfp_from_bytes(&first[..len]), None);
+        }
+    }
+
+    /// Every exponent 0..=40 is chosen as the stepping search chose it,
+    /// at its boundary: the block's largest fixed-point value is forced
+    /// to 255 << e (fits exponent e) or 256 << e (needs e + 1).
+    #[test]
+    fn bfp_exponent_matches_stepping_search(
+        e in 0u32..41,
+        over in any::<bool>(),
+        raw in proptest::collection::vec((-1.0f32..1.0, -1.0f32..1.0), SC_PER_PRB),
+        edge in 0usize..2 * SC_PER_PRB,
+        negative in any::<bool>(),
+    ) {
+        let peak = ((255 + over as u64) << e) as f32 / 4096.0;
+        let mut axes = [0f32; 2 * SC_PER_PRB];
+        for (i, &(re, im)) in raw.iter().enumerate() {
+            axes[2 * i] = re * peak;
+            axes[2 * i + 1] = im * peak;
+        }
+        axes[edge] = if negative { -peak } else { peak };
+        let samples: [Cplx; SC_PER_PRB] =
+            std::array::from_fn(|i| Cplx::new(axes[2 * i], axes[2 * i + 1]));
+        let expect = bfp_compress_ref(&samples);
+        for backend in KernelBackend::all_available() {
+            prop_assert_eq!(
+                DspKernels::forced(backend).bfp_compress(&samples),
+                expect.clone(),
+                "backend {}",
+                backend
+            );
         }
     }
 }
