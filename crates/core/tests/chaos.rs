@@ -8,11 +8,11 @@
 use slingshot::chaos::{
     chaos_deployment, chaos_pool_deployment, expectations_for, run_scenario, ChaosRunner,
 };
-use slingshot::{OrionL2Node, SwitchNode};
-use slingshot_ran::{PhyNode, UeNode};
+use slingshot::{DeploymentBuilder, DeploymentConfig, OrionL2Node, SwitchNode};
+use slingshot_ran::{CellConfig, Fidelity, PhyNode, UeConfig, UeNode};
 use slingshot_sim::chaos::oracle::{self, Invariant};
 use slingshot_sim::chaos::{ChaosDistribution, FaultKind, FaultTarget, Scenario};
-use slingshot_sim::{Nanos, TraceEventKind};
+use slingshot_sim::{Nanos, NodeId, TraceEvent, TraceEventKind, SLOT_DURATION};
 
 /// DSL port of `failover_keeps_ue_connected_and_traffic_flowing`: kill
 /// the active PHY mid-run; the oracle's invariants subsume the
@@ -137,6 +137,11 @@ fn planned_migration_moves_its_target_cell() {
     );
 }
 
+/// The absolute slot a trace event was recorded in.
+fn slot_of(e: &TraceEvent) -> u64 {
+    e.at.0 / SLOT_DURATION.0
+}
+
 /// A gray failure: the active PHY wedges (missing every TTI deadline)
 /// without dying. The detector must fire on the missing heartbeats and
 /// the RU must migrate; when the revenant wakes up it must not cause a
@@ -160,6 +165,63 @@ fn hang_scenario_fails_over_without_split_brain() {
     );
     // The revenant's downlink never reached the RU again.
     assert!(sw.mbox.dl_filtered > 0, "zombie downlink must be filtered");
+}
+
+/// A healthy PHY's FAPI request for a slot lands just after that slot's
+/// boundary check, every slot: that is not a miss, and the trace
+/// records none.
+#[test]
+fn healthy_run_records_no_slot_deadline_miss() {
+    let scenario = Scenario::new("healthy", 2400);
+    let mut d = chaos_deployment(12);
+    let report = run_scenario(&mut d, &scenario);
+    assert!(report.ok(), "violations: {:?}", report.violations);
+    let trace = d.engine.event_trace();
+    assert!(trace.of_kind(TraceEventKind::UlSlotProcessed).count() > 400);
+    assert_eq!(trace.of_kind(TraceEventKind::SlotDeadlineMiss).count(), 0);
+}
+
+/// Without a spare pool nothing scrubs the hung PHY: it wakes at slot
+/// 1040 still serving an RU it lost (the failover's `Stop` was dropped
+/// while it was wedged), receives no FAPI request, records a miss at
+/// each of the next two boundaries (streaks 2 and 3; the streak-1
+/// boundary on waking is every healthy slot's) and is killed by the
+/// FAPI-liveness rule at the third, slot 1042 — the slot it died at
+/// when every boundary was traced as a miss.
+#[test]
+fn starved_revenant_records_misses_then_dies() {
+    let cfg = DeploymentConfig {
+        cell: CellConfig {
+            num_prbs: 51,
+            fidelity: Fidelity::Sampled,
+            ..CellConfig::default()
+        },
+        seed: 13,
+        ..DeploymentConfig::default()
+    };
+    let mut d = DeploymentBuilder::new()
+        .config(cfg)
+        .ue(UeConfig::new(100, 0, "ue100", 22.0))
+        .build();
+    let scenario = Scenario::new("hang-no-pool", 1200).fault(
+        1000,
+        FaultTarget::ActivePhy,
+        FaultKind::PhyHang { slots: 40 },
+    );
+    let report = run_scenario(&mut d, &scenario);
+    assert!(report.ok(), "violations: {:?}", report.violations);
+    let node = d.cells[0].primary_phy;
+    let trace = d.engine.event_trace();
+    let misses: Vec<(NodeId, u64, u64, u64)> = trace
+        .of_kind(TraceEventKind::SlotDeadlineMiss)
+        .map(|e| (e.node, slot_of(e), e.a, e.b))
+        .collect();
+    assert_eq!(misses, [(node, 1041, 2, 1043), (node, 1042, 3, 1044)]);
+    let killed: Vec<(u64, u64)> = trace
+        .of_kind(TraceEventKind::NodeKilled)
+        .map(|e| (e.a, slot_of(e)))
+        .collect();
+    assert_eq!(killed, [(node.0 as u64, 1042)]);
 }
 
 /// DSL port of the fronthaul outage coverage: a short full partition of

@@ -658,11 +658,20 @@ impl Node<Msg> for PhyNode {
                             ru.missing_streak = 0;
                         } else {
                             ru.missing_streak += 1;
-                            ctx.trace(
-                                TraceEventKind::SlotDeadlineMiss,
-                                ru.missing_streak as u64,
-                                expect,
-                            );
+                            // The L2 sends slot `expect`'s requests at
+                            // this same boundary, so a streak of 1 is
+                            // every healthy slot (the request lands
+                            // later and resets it). A streak of 2 or
+                            // more means no FAPI message for this RU
+                            // arrived in the whole slot since the last
+                            // check: a real miss.
+                            if ru.missing_streak > 1 {
+                                ctx.trace(
+                                    TraceEventKind::SlotDeadlineMiss,
+                                    ru.missing_streak as u64,
+                                    expect,
+                                );
+                            }
                             if ru.missing_streak >= CRASH_AFTER_MISSING_SLOTS {
                                 must_crash = true;
                             }

@@ -82,8 +82,12 @@ pub enum TraceEventKind {
     NodeRevived = 14,
     /// The L2 reset HARQ/RLC state for a UE. `a` = RNTI.
     HarqReset = 15,
-    /// A PHY missed its slot deadline (no FAPI download in time).
-    /// `a` = consecutive missing streak, `b` = absolute slot.
+    /// A PHY went a whole slot without a FAPI request for an RU it
+    /// serves (its missing streak reached 2; the streak is 1 at every
+    /// healthy slot boundary, before that slot's request lands). A
+    /// streak of `CRASH_AFTER_MISSING_SLOTS` (3) kills it.
+    /// `a` = consecutive missing streak, `b` = absolute slot the
+    /// request was due for.
     SlotDeadlineMiss = 16,
     /// A PHY finished uplink processing for a slot and delivered the
     /// TTI. `a` = absolute slot, `b` = PHY id (`PhyConfig::phy_id`, the
