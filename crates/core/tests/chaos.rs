@@ -8,7 +8,7 @@
 use slingshot::chaos::{
     chaos_deployment, chaos_pool_deployment, expectations_for, run_scenario, ChaosRunner,
 };
-use slingshot::{DeploymentBuilder, DeploymentConfig, OrionL2Node, SwitchNode};
+use slingshot::{DeploymentBuilder, DeploymentConfig, OrionL2Node, OrionPhyNode, SwitchNode};
 use slingshot_ran::{CellConfig, Fidelity, PhyNode, UeConfig, UeNode};
 use slingshot_sim::chaos::oracle::{self, Invariant};
 use slingshot_sim::chaos::{ChaosDistribution, FaultKind, FaultTarget, Scenario};
@@ -144,9 +144,13 @@ fn slot_of(e: &TraceEvent) -> u64 {
 
 /// A gray failure: the active PHY wedges (missing every TTI deadline)
 /// without dying. The detector must fire on the missing heartbeats and
-/// the RU must migrate; when the revenant wakes up it must not cause a
-/// split brain — the switch filters its downlink and its Orion's loss
-/// guard keeps it idling on null FAPI as an unpaired warm process.
+/// the RU must migrate; the revenant must not cause a split brain. The
+/// failover sends its Orion a FAPI `Stop`, so the loss guard stops
+/// covering the RU with nulls, and the recovery orchestrator scrubs the
+/// revenant and returns it to the spare pool at slot 1040, when the
+/// hang ends: it wakes with no RU, never feeds the RU again, and records
+/// nothing after the hang began. The switch's `dl_filtered` counts the
+/// standbys' downlink, not the revenant's.
 #[test]
 fn hang_scenario_fails_over_without_split_brain() {
     let scenario = Scenario::new("hang-active", 2600).fault(
@@ -163,8 +167,55 @@ fn hang_scenario_fails_over_without_split_brain() {
         sw.mbox.migrations_executed, 1,
         "exactly one data-plane remap"
     );
-    // The revenant's downlink never reached the RU again.
-    assert!(sw.mbox.dl_filtered > 0, "zombie downlink must be filtered");
+    assert!(sw.mbox.dl_filtered > 0, "standby downlink is filtered");
+
+    let (revenant, successor) = (d.cells[0].primary_phy_id, d.cells[0].secondary_phy_id);
+    let trace = d.engine.event_trace();
+    let flips: Vec<&TraceEvent> = trace.of_kind(TraceEventKind::MapFlip).collect();
+    assert_eq!(flips.len(), 1, "{flips:?}");
+    assert_eq!(
+        flips[0].b,
+        (revenant as u64) << 16 | successor as u64,
+        "the RU leaves the revenant for its standby"
+    );
+    let returned: Vec<(u64, u64)> = trace
+        .of_kind(TraceEventKind::SpareReturned)
+        .map(|e| (e.a, slot_of(e)))
+        .collect();
+    assert_eq!(
+        returned,
+        [(revenant as u64, 1040)],
+        "scrubbed into the pool"
+    );
+    // No downlink of the revenant reaches the RU: the map never points
+    // back at it, and after the flip the switch sees none at all (no
+    // heartbeat, nothing filtered).
+    let from_revenant = trace.iter().filter(|e| {
+        e.at > flips[0].at
+            && matches!(
+                e.kind,
+                TraceEventKind::HeartbeatSeen | TraceEventKind::DlFiltered
+            )
+            && e.a == revenant as u64
+    });
+    assert_eq!(from_revenant.count(), 0, "revenant downlink after the flip");
+    let node = d.cells[0].primary_phy;
+    let last = trace.iter().filter(|e| e.node == node).map(slot_of).max();
+    assert!(last < Some(1000), "revenant recorded at slot {last:?}");
+    // Its Orion stopped guarding the RU: no more nulls than the
+    // successor's Orion, which never lost a datagram either.
+    let nulls = |id: u8| {
+        d.engine
+            .node::<OrionPhyNode>(d.phy_orions[&id])
+            .unwrap()
+            .loss_nulls_injected
+    };
+    assert!(
+        nulls(revenant) <= nulls(successor) + 2,
+        "revenant's Orion injected {} nulls, the successor's {}",
+        nulls(revenant),
+        nulls(successor)
+    );
 }
 
 /// A healthy PHY's FAPI request for a slot lands just after that slot's

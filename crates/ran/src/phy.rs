@@ -188,9 +188,15 @@ impl PhyNode {
     /// Chaos hook: wedge or un-wedge the PHY's poll loop. While stalled
     /// it emits no heartbeats, processes no slots, and drops every
     /// incoming message — but stays alive. Un-stalling resumes the slot
-    /// cadence; a PHY that was failed-over-from in the meantime will be
-    /// starved of FAPI requests and crash itself cleanly a few slots
-    /// later (the FAPI-liveness rule).
+    /// cadence. A PHY that was failed over from in the meantime also
+    /// dropped the FAPI `Stop` the failover sent its Orion, so it still
+    /// counts the lost RU as started. With a spare pool the recovery
+    /// orchestrator scrubs it (`scrub` clears the RU and the stall) and
+    /// returns it to the pool, so it wakes with no RU and idles there.
+    /// Without one it wakes starved of FAPI requests: it records a
+    /// `SlotDeadlineMiss` at its second and third boundaries awake and
+    /// crashes itself cleanly at the third (the FAPI-liveness rule,
+    /// `CRASH_AFTER_MISSING_SLOTS`).
     pub fn set_stalled(&mut self, stalled: bool) {
         self.stalled = stalled;
     }

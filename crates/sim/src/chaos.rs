@@ -75,9 +75,10 @@ pub enum FaultKind {
     /// The PHY stays alive but misses its TTI deadlines for `slots`
     /// slots: no heartbeats, no uplink processing (a wedged DPDK poll
     /// loop, a long GC pause). After the window it resumes — by then the
-    /// switch has usually failed over, so the revenant's downlink is
-    /// filtered and it idles on null FAPI as an unpaired warm process
-    /// (no split brain).
+    /// switch has usually failed over, and the revenant never feeds the
+    /// RU again (no split brain): with a spare pool it has been scrubbed
+    /// back into the pool, without one it is starved of FAPI requests
+    /// and the FAPI-liveness rule kills it a few slots later.
     PhyHang { slots: u64 },
     /// Drop every packet in both directions for `slots` slots.
     LinkPartition { slots: u64 },
