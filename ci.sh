@@ -38,6 +38,14 @@
 #                      (sim, claims, hashes, correct, failed) differs;
 #                      a run whose results agree but whose hashes moved
 #                      is named `hashes only`
+#   scripts/ab.sh <rev> <workload> [pairs] [seconds] [seed]
+#                      the companion for a performance claim: builds the
+#                      benchmark package at <rev> and in the working
+#                      tree, runs them in interleaved pairs (alternating
+#                      which goes first) and prints the five end-to-end
+#                      metrics per pair, medians with quartiles, the
+#                      median pair ratio, pairs won and an exact sign
+#                      test (`resolved` when p < 0.05)
 #
 # Knobs (all optional; defaults shown):
 #   CHAOS_SEEDS=4      seeds for the chaos smoke (nightly workflow: 64);
