@@ -668,9 +668,9 @@ impl Node<Msg> for PhyNode {
                             // this same boundary, so a streak of 1 is
                             // every healthy slot (the request lands
                             // later and resets it). A streak of 2 or
-                            // more means no FAPI message for this RU
-                            // arrived in the whole slot since the last
-                            // check: a real miss.
+                            // more means no UL_TTI or DL_TTI for this
+                            // RU arrived in the whole slot since the
+                            // last check: a real miss.
                             if ru.missing_streak > 1 {
                                 ctx.trace(
                                     TraceEventKind::SlotDeadlineMiss,
