@@ -4,7 +4,10 @@
 # Usage:
 #   ./ci.sh            full gate: release build, full test suite, fmt,
 #                      clippy, rustdoc (warnings are errors), a chaos
-#                      smoke, the two floored micro
+#                      smoke, the two examples that assert the failover
+#                      lifecycle from the trace (trace_failover,
+#                      quickstart; run in a temp dir so their output
+#                      stays out of the tree), the two floored micro
 #                      harnesses (kernel, engine), the paper contract
 #                      (`figures --check`), and the benchmark package's
 #                      --check and unit tests
@@ -149,6 +152,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> chaos smoke (CHAOS_SEEDS=${CHAOS_SEEDS:-4})"
 CHAOS_SEEDS="${CHAOS_SEEDS:-4}" cargo run --release -p slingshot-bench --bin chaos_soak
+
+# Both examples panic if the failover lifecycle they read back from the
+# trace is out of order; `cargo test` only compiles them. trace_failover
+# writes its JSON into the working directory, so run from a temp dir.
+echo "==> examples that assert on the trace (trace_failover, quickstart)"
+root=$PWD
+example_dir=$(mktemp -d)
+for example in trace_failover quickstart; do
+    (cd "$example_dir" &&
+        cargo run -q --release --manifest-path "$root/Cargo.toml" --example "$example" >/dev/null)
+done
+rm -rf "$example_dir"
 
 run_benches
 

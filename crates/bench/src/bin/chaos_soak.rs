@@ -285,6 +285,12 @@ fn run_case(case: &Case, chaos_seed: u64) -> RunResult {
         );
         eprintln!("  reproduce: CHAOS_SEEDS is irrelevant; this pair is fully determined");
         eprintln!("  schedule: {}", scenario.describe());
+        if report.slo.truncated {
+            eprintln!(
+                "  trace ring evicted {} events: the oracle judged a truncated window",
+                report.slo.evicted_events
+            );
+        }
         for v in &report.violations {
             let (name, section) = (v.invariant.name(), v.invariant.section());
             eprintln!("  [{name}] ({section}) {}", v.detail);

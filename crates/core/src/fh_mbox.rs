@@ -187,10 +187,6 @@ pub struct FhMbox {
     /// Events discarded because `pending_trace` hit its cap (only
     /// possible when nothing drains the queue).
     pub trace_overflow: u64,
-    /// Per-PHY scalar of the last slot a `HeartbeatSeen` event was
-    /// traced for, +1 (0 = none): heartbeats are coalesced to one trace
-    /// event per (PHY, slot) to bound trace volume.
-    hb_traced: Vec<u32>,
 }
 
 impl FhMbox {
@@ -234,7 +230,6 @@ impl FhMbox {
             ctl_packets: 0,
             pending_trace: Vec::new(),
             trace_overflow: 0,
-            hb_traced: vec![0; 256],
         }
     }
 
@@ -519,17 +514,6 @@ impl SwitchProgram for FhMbox {
                             );
                         }
                         self.fail_seen.write(phy_id as usize, 1);
-                        // Heartbeats are the highest-volume event in the
-                        // system; trace at most one per (PHY, slot).
-                        if self.hb_traced[phy_id as usize] != scalar as u32 + 1 {
-                            self.hb_traced[phy_id as usize] = scalar as u32 + 1;
-                            self.stage_trace(
-                                TraceEventKind::HeartbeatSeen,
-                                phy_id,
-                                scalar as u64,
-                                Some(SlotId::from_scalar(scalar)),
-                            );
-                        }
                         {
                             let (last, max_gap) = &mut self.dl_gap_stats[phy_id as usize];
                             if last.0 > 0 {
@@ -552,12 +536,6 @@ impl SwitchProgram for FhMbox {
                             // control-plane packets from a hot-standby
                             // secondary PHY").
                             self.dl_filtered += 1;
-                            self.stage_trace(
-                                TraceEventKind::DlFiltered,
-                                phy_id,
-                                scalar as u64,
-                                Some(SlotId::from_scalar(scalar)),
-                            );
                             return vec![SwitchAction::Drop];
                         }
                         self.forward_by_table(frame)
@@ -614,11 +592,6 @@ impl SwitchProgram for FhMbox {
                     out.extend(self.forward_by_table(frame));
                 }
             } else {
-                // One progress event per outage, at half saturation —
-                // tracing every 9 µs tick would flood the ring.
-                if c == n / 2 {
-                    self.stage_trace(TraceEventKind::DetectorTick, phy as u64, c, None);
-                }
                 self.fail_counters.write(phy, c);
             }
         }

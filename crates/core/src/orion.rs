@@ -510,11 +510,6 @@ impl OrionL2Node {
             }
         } else {
             self.dropped_standby_msgs += 1;
-            ctx.trace(
-                TraceEventKind::DupResponseDropped,
-                src_phy as u64,
-                slot_abs.unwrap_or(0),
-            );
         }
     }
 

@@ -9,7 +9,13 @@ use slingshot_sim::Nanos;
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
 /// Run the failover scenario to completion and return the trace bytes
-/// plus the trace hash.
+/// plus the trace hash. The kill lands 400 µs into a slot, after the
+/// primary's second downlink frame of that slot, whose arrival time
+/// depends on the seed: it is the last heartbeat, so the
+/// detection (`DetectorSaturated.at` and `.b`) and the notification
+/// after it move with the seed. A kill on the slot boundary would leave
+/// the boundary-aligned frame as the last heartbeat, and the trace,
+/// which records decisions and not frames, the same for every seed.
 fn run_failover(seed: u64) -> (Vec<u8>, u64) {
     let mut d = DeploymentBuilder::new()
         .seed(seed)
@@ -26,7 +32,7 @@ fn run_failover(seed: u64) -> (Vec<u8>, u64) {
         Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
         Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
     );
-    d.kill_primary_at(Nanos::from_millis(400));
+    d.kill_primary_at(Nanos::from_micros(400_400));
     d.engine.run_until(Nanos::from_millis(900));
     let trace = d.engine.event_trace();
     (trace.to_bytes(), trace.hash())

@@ -233,8 +233,11 @@ pub struct OracleReport {
 }
 
 impl OracleReport {
+    /// No invariant was violated over a whole trace. A ring that evicted
+    /// events (`slo.truncated`) leaves a window the invariants cannot
+    /// vouch for, so it is never ok.
     pub fn ok(&self) -> bool {
-        self.violations.is_empty()
+        self.violations.is_empty() && !self.slo.truncated
     }
 }
 

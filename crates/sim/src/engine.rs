@@ -1979,9 +1979,9 @@ mod tests {
                 self.on_timer(ctx, 0);
             }
             fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _t: u64) {
-                ctx.trace(TraceEventKind::HeartbeatSeen, 0, 0);
+                ctx.trace(TraceEventKind::NullFapiSent, 0, 0);
                 ctx.trace(TraceEventKind::MapFlip, 0, 0);
-                ctx.trace(TraceEventKind::DlFiltered, 0, 0);
+                ctx.trace(TraceEventKind::FapiToL2, 0, 0);
             }
             fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
         }

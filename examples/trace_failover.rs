@@ -1,9 +1,11 @@
 //! A PHY failover as a slot timeline: runs the §8.2 failover scenario,
 //! then exports the engine's structured event trace as Chrome
 //! `trace_event` JSON — open `trace_failover.json` in
-//! `chrome://tracing` or <https://ui.perfetto.dev> to see the heartbeat
-//! gap, detector saturation, failure notification, and RU→PHY map flip
-//! on one nanosecond-resolution timeline.
+//! `chrome://tracing` or <https://ui.perfetto.dev> to see detector
+//! saturation, failure notification, and RU→PHY map flip on one
+//! nanosecond-resolution timeline. Heartbeats are not traced: the
+//! heartbeat gap is the span from `DetectorSaturated.b`, the last
+//! heartbeat's arrival, to the saturation.
 //!
 //! The run also opts into the wall-clock slot profiler (a side channel
 //! that never touches the deterministic trace) and finishes with the
