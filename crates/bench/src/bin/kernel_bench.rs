@@ -26,12 +26,16 @@
 //! because there the per-iteration parity check is a larger share. A
 //! batch of one block (one live lane) is gated as well: every
 //! non-empty batch takes the arm, and a Sampled cell decodes one code
-//! block per TB.
+//! block per TB. Because lanes pay, the PHYs of a lane share one batch
+//! per instant: `ldpc_decode_instant4_k1024` decodes four such blocks
+//! as one batch, and the run fails when that is not faster than the
+//! same four as one-block batches.
 //!
 //! JSON artifact: `kernel_bench.json` in `$BENCH_JSON_DIR`, scalars
 //! keyed `<kernel>_ops_per_sec` plus `<kernel>_us` per-op times, and
 //! `<kernel>_scalar_us` / `<kernel>_speedup` for the kernels with a
-//! backend arm; the `labels.backend` field records the detected
+//! backend arm, `<kernel>_alone_us` / `<kernel>_speedup` for the
+//! shared-batch row; the `labels.backend` field records the detected
 //! backend.
 
 use std::hint::black_box;
@@ -111,6 +115,29 @@ impl ArmTiming {
     }
 }
 
+/// Per-block time of blocks decoded as one shared lockstep batch
+/// against the same blocks decoded as one-block batches, both on the
+/// detected backend.
+struct SharedBatchTiming {
+    kernel: &'static str,
+    alone_us: f64,
+    shared_us: f64,
+}
+
+impl SharedBatchTiming {
+    fn speedup(&self) -> f64 {
+        self.alone_us / self.shared_us
+    }
+
+    /// Whether sharing a batch failed to pay: on a SIMD backend the
+    /// shared batch fills lanes one-block batches leave empty, so it
+    /// must be faster. The scalar backend decodes a batch block by
+    /// block, so there the two sides run the same code.
+    fn loses(&self, backend: KernelBackend) -> bool {
+        backend != KernelBackend::Scalar && self.speedup() <= 1.0
+    }
+}
+
 /// The kernels whose SIMD arm broke the backend contract: `backend` is
 /// not scalar and the arm was not faster than scalar. On a host that
 /// detects `Scalar` both sides ran the same code, so nothing can lose.
@@ -149,12 +176,14 @@ fn bpsk_llrs(cw: &BitBuf, snr_db: f32, seed: u64) -> Vec<f32> {
 
 const FLOORS: &str = include_str!("../../baselines/kernel_bench.baseline");
 
-/// What one run measured: the JSON report, ops/sec per kernel, and the
-/// scalar-vs-detected timing of every kernel with a backend arm.
+/// What one run measured: the JSON report, ops/sec per kernel, the
+/// scalar-vs-detected timing of every kernel with a backend arm, and
+/// the shared-batch row's timing against one-block batches.
 struct Measured {
     report: BenchReport,
     ops_per_sec: Vec<(String, f64)>,
     arms: Vec<ArmTiming>,
+    shared: SharedBatchTiming,
 }
 
 /// Time every kernel for `budget` each, printing the table as it goes.
@@ -372,6 +401,47 @@ fn measure_kernels(budget: Duration) -> Measured {
         );
     }
 
+    // One uplink instant of the `failover` deployment: four cells each
+    // decode one 1 024-bit block, and the lane decodes the four as one
+    // shared batch (four live lanes) — against the same blocks as four
+    // one-block batches, each cell's own, as decoding per TB ran them.
+    // Both sides on the detected backend, per block; the four are the
+    // converging set's first blocks (1-4 iterations, the regime of the
+    // deployment's 22 dB uplink). Gated: on a SIMD backend the shared
+    // batch must beat four one-lane batches.
+    let instant = &converging_views[..4];
+    let (alone_us, shared_us) = interleaved_min_us(
+        budget,
+        &mut || {
+            for block in instant.chunks(1) {
+                kernels.ldpc_decode_batch_into(
+                    &code,
+                    &order,
+                    black_box(block),
+                    8,
+                    &mut scratch_s,
+                    &mut out_s[..1],
+                );
+                black_box(&out_s);
+            }
+        },
+        &mut || {
+            kernels.ldpc_decode_batch_into(
+                &code,
+                &order,
+                black_box(instant),
+                8,
+                &mut scratch,
+                &mut out_d[..4],
+            );
+            black_box(&out_d);
+        },
+    );
+    let shared = SharedBatchTiming {
+        kernel: "ldpc_decode_instant4_k1024",
+        alone_us: alone_us / 4.0,
+        shared_us: shared_us / 4.0,
+    };
     // AWGN over one 2 048-symbol chunk: the libm Box–Muller against the
     // certified-polynomial arm (the same noise, DESIGN.md §5h).
     let awgn_syms: Vec<Cplx> = syms.iter().cycle().take(2048).copied().collect();
@@ -422,6 +492,11 @@ fn measure_kernels(budget: Duration) -> Measured {
         },
     );
     record_arm("bfp_decompress_prb", r, true);
+    record(
+        shared.kernel,
+        (1e6 / shared.shared_us, shared.shared_us),
+        &mut report,
+    );
 
     println!(
         "\n{:<36} {:>12} {:>12} {:>9}",
@@ -447,10 +522,21 @@ fn measure_kernels(budget: Duration) -> Measured {
         report.scalar(&format!("{}_speedup", a.kernel), a.speedup());
     }
 
+    println!(
+        "{:<36} {:>12.3} {:>12.3} {:>8.2}x  (1-block batches vs one shared batch)",
+        shared.kernel,
+        shared.alone_us,
+        shared.shared_us,
+        shared.speedup()
+    );
+    report.scalar(&format!("{}_alone_us", shared.kernel), shared.alone_us);
+    report.scalar(&format!("{}_speedup", shared.kernel), shared.speedup());
+
     Measured {
         report,
         ops_per_sec: measured,
         arms,
+        shared,
     }
 }
 
@@ -468,9 +554,18 @@ fn main() {
             a.speedup()
         );
     }
+    let shared_loses = m.shared.loses(detected.backend());
+    if shared_loses {
+        eprintln!(
+            "SHARED BATCH: {} on {} is {:.2}x one-block batches — one lockstep batch per instant must beat a batch per block (DESIGN.md §5h)",
+            m.shared.kernel,
+            detected.name(),
+            m.shared.speedup()
+        );
+    }
     let below = floor_failures(FLOORS, &m.ops_per_sec);
     below.iter().for_each(|f| eprintln!("{f}"));
-    if !losers.is_empty() || !below.is_empty() {
+    if !losers.is_empty() || shared_loses || !below.is_empty() {
         std::process::exit(1);
     }
 }
@@ -522,6 +617,18 @@ mod tests {
         let names = measured.into_iter().map(|(k, _)| (k, f64::INFINITY));
         let unmatched = floor_failures(FLOORS, &names.collect::<Vec<_>>());
         assert_eq!(unmatched, [] as [String; 0]);
+    }
+
+    #[test]
+    fn shared_batch_loses_only_on_a_simd_backend_and_only_when_not_faster() {
+        let timing = |alone_us, shared_us| SharedBatchTiming {
+            kernel: "instant",
+            alone_us,
+            shared_us,
+        };
+        assert!(!timing(120.0, 55.0).loses(KernelBackend::Avx2));
+        assert!(timing(50.0, 50.0).loses(KernelBackend::Avx2));
+        assert!(!timing(50.0, 52.0).loses(KernelBackend::Scalar));
     }
 
     #[test]

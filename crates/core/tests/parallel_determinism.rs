@@ -6,12 +6,12 @@
 //! The kernel backend is held to the same contract: every SIMD arm is
 //! bit-exact, so the backend is invisible too.
 
-use slingshot::chaos::run_scenario;
+use slingshot::chaos::{chaos_pool_deployment, run_scenario};
 use slingshot::{Deployment, DeploymentBuilder};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{FaultKind, FaultTarget, Scenario};
 use slingshot_sim::{
-    KernelBackend, KernelConfig, MetricsRegistry, Nanos, SpanProfiler, SLOT_DURATION,
+    KernelBackend, KernelConfig, MetricsRegistry, Nanos, SpanProfiler, WorkerPool, SLOT_DURATION,
 };
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -234,6 +234,40 @@ fn full_fidelity_four_workers_match_single_worker() {
     assert_eq!(engine_hash_1, engine_hash_4, "event hash diverged");
     assert_eq!(bytes_1, bytes_4, "trace bytes diverged");
     assert_eq!(metrics_1, metrics_4, "metrics diverged");
+}
+
+/// A coupled Sampled deployment — four cells and two spares in one
+/// lane, whose PHYs decode each uplink instant's blocks in shared
+/// lockstep batches — leaves the same trace and metrics (the batch and
+/// code-block counters among them) at every worker count, shard count
+/// and backend.
+#[test]
+fn coupled_sampled_deployment_matches_across_workers_shards_and_backends() {
+    let observe_with = |workers: usize, shards: usize, backend: Option<KernelBackend>| {
+        let mut d = chaos_pool_deployment(5);
+        d.engine.set_worker_pool(WorkerPool::with_threads(workers));
+        d.engine.set_exec_shards(shards);
+        if let Some(b) = backend {
+            d.engine.set_kernel_config(KernelConfig::forced(b));
+        }
+        d.engine.run_until(Nanos::from_millis(100));
+        observe(&mut d)
+    };
+    let reference = observe_with(1, 1, None);
+    assert!(
+        reference.3.contains("ldpc_batches"),
+        "the PHYs publish their batch counter"
+    );
+    for (workers, shards) in [(1, 4), (4, 1), (4, 4)] {
+        assert!(
+            reference == observe_with(workers, shards, None),
+            "workers={workers} shards={shards} diverged"
+        );
+    }
+    assert!(
+        reference == observe_with(1, 1, Some(KernelBackend::Scalar)),
+        "the scalar backend diverged"
+    );
 }
 
 /// The wall-clock profiler is a side channel: enabling it (with a tight

@@ -39,7 +39,7 @@ use crate::ldpc::{LdpcCode, BATCH_LANES};
 use crate::modulation::{modulate_packed, Modulation};
 use crate::ratematch::{rate_match_packed, rate_recover};
 use crate::scramble::{cached_sequence, descramble_llrs_packed, scramble_packed, GoldSequence};
-use crate::scratch::WORKSPACE;
+use crate::scratch::{Workspace, WORKSPACE};
 use slingshot_sim::WorkerPool;
 
 /// Maximum information bits per LDPC code block (including the share of
@@ -258,36 +258,270 @@ pub struct TbDecodeOutcome {
     pub ldpc_ns: u64,
 }
 
-/// Per-code-block unit of decode work: the block's symbol window, its
-/// bit offset into the codeword / scrambling sequence, and its HARQ
-/// accumulator segment (moved out and merged back after the batch).
-struct DecodeBlock {
+/// One code block of a received transport block, from [`prepare_tb`]
+/// to [`finish_tb`]: its symbol window and front-end parameters, its
+/// HARQ accumulator segment (transmission order) — soft-combined with
+/// this transmission in the batch job — and the decoder's verdict.
+#[derive(Debug)]
+struct RxBlock {
     k: usize,
     e: usize,
     /// Bits of the first symbol in the window that belong to the
     /// previous block (symbol-boundary overlap).
     lead: usize,
+    /// The block's bit offset into the codeword / scrambling sequence.
     offset_e: usize,
     syms: Vec<Cplx>,
+    modulation: Modulation,
+    noise_var: f32,
+    rv: u8,
+    seq: Arc<Vec<u64>>,
     seg: Vec<f32>,
+    info: BitBuf,
+    iterations: usize,
+    parity_ok: bool,
 }
 
-/// What a decode job hands back per code block: the updated HARQ
-/// segment, the decoded info bits, iterations spent and the parity
-/// verdict.
-type DecodedBlock = (Vec<f32>, BitBuf, usize, bool);
+impl RxBlock {
+    /// The per-block front end: LLR demap of the symbol window, trim of
+    /// the lead bits, erasures for missing tail symbols (lost
+    /// fronthaul), descramble, and rate recovery soft-combined into the
+    /// HARQ segment — which lives in transmission (interleaved) order,
+    /// so the decoder reads it through the interleave, straight into its
+    /// posteriors.
+    fn front_end(&mut self, kernels: DspKernels, s: &mut Workspace) {
+        let syms = std::mem::take(&mut self.syms);
+        kernels.demodulate_llr_into(&syms, self.modulation, self.noise_var, &mut s.demod_llrs);
+        let lo = self.lead.min(s.demod_llrs.len());
+        let hi = (self.lead + self.e).min(s.demod_llrs.len());
+        s.llr_e.clear();
+        s.llr_e.extend_from_slice(&s.demod_llrs[lo..hi]);
+        s.llr_e.resize(self.e, 0.0);
+        descramble_llrs_packed(&mut s.llr_e, &self.seq, self.offset_e);
+        rate_recover(&mut self.seg, &s.llr_e, self.rv);
+    }
+}
 
-/// Decode a transport block, fanning per-batch work (LLR demap,
-/// descramble, rate recover per block, then one LDPC batch decode) out
-/// across `pool`, with working buffers drawn from the thread the job
-/// runs on. A batch is up to
-/// [`BATCH_LANES`] *consecutive* blocks of equal `k` — they share one
-/// LDPC code, so the SIMD backend decodes them in lockstep — and
-/// [`segment_sizes`] yields at most two runs of equal `k`, so batch
-/// composition depends only on the TB's size. The HARQ accumulator is
-/// split into per-block segments in serial prepare order and merged
-/// back in block order, so the result — including every f32 operation —
-/// is identical to the serial path for any worker count.
+/// A received transport block between its three decode steps:
+/// [`prepare_tb`] (split into code blocks), [`decode_prepared`] (each
+/// block's front end and LDPC, batched with the blocks of any other TBs
+/// decoded at the same time) and [`finish_tb`] (HARQ merge, CRC).
+/// `Default` is the empty TB, with no code blocks.
+#[derive(Debug, Default)]
+pub struct PreparedTb {
+    total_bits: usize,
+    fec_iterations: usize,
+    blocks: Vec<RxBlock>,
+}
+
+impl PreparedTb {
+    /// Code blocks the TB segments into.
+    pub fn code_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+}
+
+/// Prepare a transport block for decoding: split it into code blocks,
+/// each with its window of `rx_symbols` (missing tail symbols, lost
+/// fronthaul, become erasures), its front-end parameters and a copy of
+/// its segment of the HARQ accumulator `acc` (which [`finish_tb`]
+/// writes back). The DSP — demap, descramble, rate recovery — runs in
+/// [`decode_prepared`]'s batch job with the block's LDPC decode, so
+/// both share one thread and its cache.
+pub fn prepare_tb(
+    acc: &[f32],
+    rx_symbols: &[Cplx],
+    noise_var: f32,
+    payload_bytes: usize,
+    p: &TbParams,
+) -> PreparedTb {
+    let bps = p.modulation.bits_per_symbol();
+    let total_bits = (payload_bytes + 3) * 8;
+    let ks = segment_sizes(total_bits);
+    let es = e_split(p.e_bits, &ks);
+    debug_assert_eq!(acc.len(), ks.iter().map(|k| 3 * k).sum::<usize>());
+    let seq = cached_sequence(GoldSequence::c_init_data(p.rnti, p.cell_id), p.e_bits);
+    let mut blocks = Vec::with_capacity(ks.len());
+    let mut llr_off = 0;
+    let mut acc_off = 0;
+    for (&k, &e) in ks.iter().zip(&es) {
+        let n = 3 * k;
+        // The block's coded bits [llr_off, llr_off+e) live in symbols
+        // [s0, s1); the first symbol may straddle the block boundary.
+        let s0 = (llr_off / bps).min(rx_symbols.len());
+        let s1 = (llr_off + e).div_ceil(bps).min(rx_symbols.len());
+        blocks.push(RxBlock {
+            k,
+            e,
+            lead: llr_off - (llr_off / bps) * bps,
+            offset_e: llr_off,
+            syms: rx_symbols[s0..s1].to_vec(),
+            modulation: p.modulation,
+            noise_var,
+            rv: p.rv,
+            seq: Arc::clone(&seq),
+            seg: acc[acc_off..acc_off + n].to_vec(),
+            info: BitBuf::default(),
+            iterations: 0,
+            parity_ok: false,
+        });
+        llr_off += e;
+        acc_off += n;
+    }
+    PreparedTb {
+        total_bits,
+        fec_iterations: p.fec_iterations,
+        blocks,
+    }
+}
+
+/// One lockstep batch of [`decode_prepared`]: its code group and its
+/// blocks as `(tb, block)` indices, in submission order.
+struct Batch {
+    k: usize,
+    fec_iterations: usize,
+    members: Vec<(usize, usize)>,
+}
+
+/// Decode every code block of `tbs` in lockstep batches: the blocks of
+/// all the TBs, in submission order (TB order, then block order),
+/// grouped by `(k, fec_iterations)` into batches of at most
+/// [`BATCH_LANES`] — a block joins the newest batch of its group while
+/// that has a free lane, else opens a new one. Each batch is one job on
+/// `pool`, with the working buffers of the thread it runs on: its
+/// blocks' front ends, then one lockstep decode. Composition never
+/// changes a block's outcome: [`DspKernels::ldpc_decode_batch_into`]
+/// gives each lane exactly what a one-block decode would, so the result
+/// is identical for any mix of TBs and any worker count. Returns each
+/// batch's wall-clock nanoseconds inside the decoder, in batch order
+/// (host-dependent; for profiling only — never feed it back into
+/// simulation logic).
+pub fn decode_prepared(kernels: DspKernels, pool: &WorkerPool, tbs: &mut [PreparedTb]) -> Vec<u64> {
+    let mut batches: Vec<Batch> = Vec::new();
+    for (t, tb) in tbs.iter().enumerate() {
+        for (b, block) in tb.blocks.iter().enumerate() {
+            let (k, fec_iterations) = (block.k, tb.fec_iterations);
+            let newest = batches
+                .iter_mut()
+                .rev()
+                .find(|x| x.k == k && x.fec_iterations == fec_iterations);
+            match newest {
+                Some(batch) if batch.members.len() < BATCH_LANES => batch.members.push((t, b)),
+                _ => batches.push(Batch {
+                    k,
+                    fec_iterations,
+                    members: vec![(t, b)],
+                }),
+            }
+        }
+    }
+
+    // Blocks move into their batch's job and come back decoded.
+    let mut slots: Vec<Vec<Option<RxBlock>>> = tbs
+        .iter_mut()
+        .map(|tb| {
+            std::mem::take(&mut tb.blocks)
+                .into_iter()
+                .map(Some)
+                .collect()
+        })
+        .collect();
+    let jobs: Vec<_> = batches
+        .iter()
+        .map(|batch| {
+            let (k, fec_iterations) = (batch.k, batch.fec_iterations);
+            let mut blocks: Vec<RxBlock> = batch
+                .members
+                .iter()
+                .map(|&(t, b)| slots[t][b].take().expect("a block joins one batch"))
+                .collect();
+            move || {
+                let (code, order) = code_for(k);
+                let mut s = WORKSPACE.take();
+                for block in blocks.iter_mut() {
+                    block.front_end(kernels, &mut s);
+                }
+                let mut views: [&[f32]; BATCH_LANES] = [&[]; BATCH_LANES];
+                for (view, block) in views.iter_mut().zip(&blocks) {
+                    *view = &block.seg;
+                }
+                let lanes = blocks.len();
+                s.out.resize_with(BATCH_LANES, Default::default);
+                let ldpc_start = std::time::Instant::now();
+                kernels.ldpc_decode_batch_into(
+                    &code,
+                    &order,
+                    &views[..lanes],
+                    fec_iterations,
+                    &mut s.ldpc,
+                    &mut s.out[..lanes],
+                );
+                let ldpc_ns = ldpc_start.elapsed().as_nanos() as u64;
+                for (block, o) in blocks.iter_mut().zip(&s.out) {
+                    block.info = o.hard.slice(0, k);
+                    block.iterations = o.iterations;
+                    block.parity_ok = o.parity_ok;
+                }
+                WORKSPACE.set(s);
+                (blocks, ldpc_ns)
+            }
+        })
+        .collect();
+
+    let mut batch_ns = Vec::with_capacity(jobs.len());
+    for (batch, (blocks, ldpc_ns)) in batches.iter().zip(pool.run(jobs)) {
+        for (&(t, b), block) in batch.members.iter().zip(blocks) {
+            slots[t][b] = Some(block);
+        }
+        batch_ns.push(ldpc_ns);
+    }
+    for (tb, blocks) in tbs.iter_mut().zip(slots) {
+        tb.blocks = blocks
+            .into_iter()
+            .map(|b| b.expect("every block was decoded"))
+            .collect();
+    }
+    batch_ns
+}
+
+/// Finish a decoded transport block: write each code block's combined
+/// segment back into the HARQ accumulator `acc` (the one `tb` was
+/// prepared from), concatenate the info bits and check the TB CRC.
+/// `ldpc_ns` is left 0: [`decode_prepared`] reports LDPC time per
+/// batch, and a batch may serve several TBs.
+pub fn finish_tb(acc: &mut [f32], tb: PreparedTb) -> TbDecodeOutcome {
+    debug_assert_eq!(
+        acc.len(),
+        tb.blocks.iter().map(|b| b.seg.len()).sum::<usize>()
+    );
+    let mut info_bits = BitBuf::with_capacity(tb.total_bits);
+    let mut iterations = 0;
+    let mut all_parity_ok = true;
+    let mut acc_off = 0;
+    for block in tb.blocks {
+        acc[acc_off..acc_off + block.seg.len()].copy_from_slice(&block.seg);
+        acc_off += block.seg.len();
+        info_bits.append(&block.info);
+        iterations += block.iterations;
+        all_parity_ok &= block.parity_ok;
+    }
+    let bytes = info_bits.to_bytes_msb();
+    let payload = check_crc24a(&bytes).map(|p| p.to_vec());
+    TbDecodeOutcome {
+        payload,
+        ldpc_iterations: iterations,
+        all_parity_ok,
+        ldpc_ns: 0,
+    }
+}
+
+/// Decode one transport block: [`prepare_tb`], [`decode_prepared`] on
+/// this TB alone, [`finish_tb`], soft-combining into the caller-owned
+/// HARQ accumulator `acc`. Its batches are runs of up to
+/// [`BATCH_LANES`] consecutive blocks of equal `k` ([`segment_sizes`]
+/// yields at most two runs), so they depend only on the TB's size. The
+/// result — including every f32 of `acc` — is identical for any worker
+/// count, and to decoding the TB batched with any others.
 pub fn decode_tb_with(
     kernels: DspKernels,
     pool: &WorkerPool,
@@ -297,121 +531,11 @@ pub fn decode_tb_with(
     payload_bytes: usize,
     p: &TbParams,
 ) -> TbDecodeOutcome {
-    let bps = p.modulation.bits_per_symbol();
-    let total_bits = (payload_bytes + 3) * 8;
-    let ks = segment_sizes(total_bits);
-    let es = e_split(p.e_bits, &ks);
-    debug_assert_eq!(acc.len(), ks.iter().map(|k| 3 * k).sum::<usize>());
-    let seq = cached_sequence(GoldSequence::c_init_data(p.rnti, p.cell_id), p.e_bits);
-
-    let mut batches: Vec<Vec<DecodeBlock>> = Vec::new();
-    let mut llr_off = 0;
-    let mut acc_off = 0;
-    for (&k, &e) in ks.iter().zip(&es) {
-        let n = 3 * k;
-        // The block's coded bits [llr_off, llr_off+e) live in symbols
-        // [s0, s1); the first symbol may straddle the block boundary.
-        let s0 = (llr_off / bps).min(rx_symbols.len());
-        let s1 = (llr_off + e).div_ceil(bps).min(rx_symbols.len());
-        let block = DecodeBlock {
-            k,
-            e,
-            lead: llr_off - (llr_off / bps) * bps,
-            offset_e: llr_off,
-            syms: rx_symbols[s0..s1].to_vec(),
-            seg: acc[acc_off..acc_off + n].to_vec(),
-        };
-        match batches.last_mut() {
-            Some(batch) if batch[0].k == k && batch.len() < BATCH_LANES => batch.push(block),
-            _ => batches.push(vec![block]),
-        }
-        llr_off += e;
-        acc_off += n;
-    }
-
-    let rv = p.rv;
-    let fec_iterations = p.fec_iterations;
-    let modulation = p.modulation;
-    let results = pool.run(
-        batches
-            .into_iter()
-            .map(|mut batch| {
-                let seq = Arc::clone(&seq);
-                move || {
-                    let k = batch[0].k;
-                    let (code, order) = code_for(k);
-                    let mut s = WORKSPACE.take();
-                    for b in batch.iter_mut() {
-                        kernels.demodulate_llr_into(
-                            &b.syms,
-                            modulation,
-                            noise_var,
-                            &mut s.demod_llrs,
-                        );
-                        // Trim the lead bits belonging to the previous
-                        // block and pad missing tail symbols (lost
-                        // fronthaul packets) as erasures.
-                        let lo = b.lead.min(s.demod_llrs.len());
-                        let hi = (b.lead + b.e).min(s.demod_llrs.len());
-                        s.llr_e.clear();
-                        s.llr_e.extend_from_slice(&s.demod_llrs[lo..hi]);
-                        s.llr_e.resize(b.e, 0.0);
-                        descramble_llrs_packed(&mut s.llr_e, &seq, b.offset_e);
-                        // The HARQ accumulator lives in transmission
-                        // (interleaved) order; the decoder reads it
-                        // through the interleave, straight into its
-                        // posteriors.
-                        rate_recover(&mut b.seg, &s.llr_e, rv);
-                    }
-                    let mut segs: [&[f32]; BATCH_LANES] = [&[]; BATCH_LANES];
-                    for (view, b) in segs.iter_mut().zip(&batch) {
-                        *view = &b.seg;
-                    }
-                    s.out.resize_with(BATCH_LANES, Default::default);
-                    let ldpc_start = std::time::Instant::now();
-                    kernels.ldpc_decode_batch_into(
-                        &code,
-                        &order,
-                        &segs[..batch.len()],
-                        fec_iterations,
-                        &mut s.ldpc,
-                        &mut s.out[..batch.len()],
-                    );
-                    let ldpc_ns = ldpc_start.elapsed().as_nanos() as u64;
-                    let decoded: Vec<DecodedBlock> = batch
-                        .into_iter()
-                        .zip(&s.out)
-                        .map(|(b, o)| (b.seg, o.hard.slice(0, k), o.iterations, o.parity_ok))
-                        .collect();
-                    WORKSPACE.set(s);
-                    (decoded, ldpc_ns)
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let mut info_bits = BitBuf::with_capacity(total_bits);
-    let mut iterations = 0;
-    let mut all_parity_ok = true;
-    let mut ldpc_ns = 0u64;
-    let mut acc_off = 0;
-    for (decoded, batch_ldpc_ns) in results {
-        for (seg, info, iters, parity_ok) in decoded {
-            acc[acc_off..acc_off + seg.len()].copy_from_slice(&seg);
-            acc_off += seg.len();
-            info_bits.append(&info);
-            iterations += iters;
-            all_parity_ok &= parity_ok;
-        }
-        ldpc_ns += batch_ldpc_ns;
-    }
-    let bytes = info_bits.to_bytes_msb();
-    let payload = check_crc24a(&bytes).map(|p| p.to_vec());
+    let mut tb = prepare_tb(acc, rx_symbols, noise_var, payload_bytes, p);
+    let batch_ns = decode_prepared(kernels, pool, std::slice::from_mut(&mut tb));
     TbDecodeOutcome {
-        payload,
-        ldpc_iterations: iterations,
-        all_parity_ok,
-        ldpc_ns,
+        ldpc_ns: batch_ns.iter().sum(),
+        ..finish_tb(acc, tb)
     }
 }
 
@@ -672,6 +796,151 @@ mod tests {
         assert_eq!(out.payload, out_taken.payload);
         assert_eq!(out.ldpc_iterations, out_taken.ldpc_iterations);
         assert_eq!(out.all_parity_ok, out_taken.all_parity_ok);
+    }
+
+    /// One received TB of a batching mix: its parameters, the symbols
+    /// as received, and the HARQ accumulator before this decode.
+    struct Reception {
+        payload_bytes: usize,
+        p: TbParams,
+        rx: Vec<Cplx>,
+        nv: f32,
+        acc: Vec<f32>,
+    }
+
+    /// Receive `payload_bytes` at `snr` dB: the symbols of redundancy
+    /// version `rv` (its last `lost` symbols missing, as a short burst),
+    /// into a fresh accumulator or — `combine` — one already holding a
+    /// failed-or-not rv-0 reception of the same TB.
+    #[allow(clippy::too_many_arguments)]
+    fn reception(
+        ch: &mut AwgnChannel,
+        payload_bytes: usize,
+        e_bits: usize,
+        rv: u8,
+        fec_iterations: usize,
+        snr: f64,
+        lost: usize,
+        combine: bool,
+    ) -> Reception {
+        let data = payload(payload_bytes, payload_bytes as u64);
+        let p = TbParams {
+            modulation: Modulation::Qpsk,
+            rv,
+            fec_iterations,
+            ..params(e_bits, rv)
+        };
+        let mut acc = vec![0.0; mother_buffer_len(payload_bytes)];
+        if combine {
+            let first = TbParams { rv: 0, ..p.clone() };
+            let (rx0, nv0) = ch.apply(&encode_tb(&data, &first), snr);
+            decode_tb(&mut acc, &rx0, nv0, payload_bytes, &first);
+        }
+        let (mut rx, nv) = ch.apply(&encode_tb(&data, &p), snr);
+        rx.truncate(rx.len() - lost.min(rx.len()));
+        Reception {
+            payload_bytes,
+            p,
+            rx,
+            nv,
+            acc,
+        }
+    }
+
+    /// Decode `mix` one TB at a time and as one batching call, on
+    /// `kernels`; every payload, iteration total, parity verdict and
+    /// HARQ accumulator bit must agree. Returns the batch count of the
+    /// joint call.
+    fn assert_joint_decode_identical(
+        kernels: DspKernels,
+        pool: &WorkerPool,
+        mix: &[Reception],
+    ) -> usize {
+        let mut joint: Vec<PreparedTb> = mix
+            .iter()
+            .map(|r| prepare_tb(&r.acc, &r.rx, r.nv, r.payload_bytes, &r.p))
+            .collect();
+        let batches = decode_prepared(kernels, pool, &mut joint).len();
+        for (i, (r, tb)) in mix.iter().zip(joint).enumerate() {
+            let mut acc_alone = r.acc.clone();
+            let alone = decode_tb_with(
+                kernels,
+                pool,
+                &mut acc_alone,
+                &r.rx,
+                r.nv,
+                r.payload_bytes,
+                &r.p,
+            );
+            let mut acc_joint = r.acc.clone();
+            let together = finish_tb(&mut acc_joint, tb);
+            let what = format!("{} TB {i} of {}", kernels.name(), mix.len());
+            assert_eq!(alone.payload, together.payload, "{what}: payload");
+            assert_eq!(
+                alone.ldpc_iterations, together.ldpc_iterations,
+                "{what}: iterations"
+            );
+            assert_eq!(
+                alone.all_parity_ok, together.all_parity_ok,
+                "{what}: parity"
+            );
+            let bits = |a: &[f32]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&acc_alone),
+                bits(&acc_joint),
+                "{what}: HARQ accumulator"
+            );
+        }
+        batches
+    }
+
+    #[test]
+    fn batching_across_tbs_is_bit_identical_to_one_tb_at_a_time() {
+        let pool = WorkerPool::with_threads(2);
+        let mut rng = SimRng::new(31);
+        let mut ch = AwgnChannel::new(SimRng::new(32));
+        for kernels in [DspKernels::scalar(), DspKernels::detect()] {
+            // A later TB's overflow batch opens after an earlier TB's
+            // second-k batch: 1 121 bytes segment into [1000, 999 x 8],
+            // 997 bytes into [1000 x 8], so the second TB fills the
+            // first's k = 1000 batch to eight lanes and opens a third
+            // batch after the k = 999 one.
+            let mix = [
+                reception(&mut ch, 1121, 18_000, 0, 8, 2.0, 0, false),
+                reception(&mut ch, 997, 16_000, 2, 8, 2.0, 40, true),
+            ];
+            assert_eq!(assert_joint_decode_identical(kernels, &pool, &mix), 3);
+            for _ in 0..4 {
+                let tbs = 2 + rng.below(4) as usize;
+                let mix: Vec<Reception> = (0..tbs)
+                    .map(|_| {
+                        // 1..=26 code blocks, runs of k and k+1.
+                        let payload_bytes = 8 + rng.below(3_300) as usize;
+                        let info = (payload_bytes + 3) * 8;
+                        let e_bits = 2 * (info + rng.below(info as u64) as usize);
+                        let rv = if rng.chance(0.5) { 0 } else { 2 };
+                        let fec = if rng.chance(0.5) { 4 } else { 8 };
+                        let snr = 0.5 + rng.below(30) as f64 / 10.0;
+                        let lost = if rng.chance(0.3) {
+                            1 + rng.below(200) as usize
+                        } else {
+                            0
+                        };
+                        reception(
+                            &mut ch,
+                            payload_bytes,
+                            e_bits,
+                            rv,
+                            fec,
+                            snr,
+                            lost,
+                            rng.chance(0.5),
+                        )
+                    })
+                    .collect();
+                assert_joint_decode_identical(kernels, &pool, &mix);
+            }
+        }
     }
 
     #[test]

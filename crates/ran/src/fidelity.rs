@@ -28,7 +28,9 @@ use slingshot_phy_dsp::bler;
 use slingshot_phy_dsp::channel::{db_to_linear, AwgnChannel};
 use slingshot_phy_dsp::scramble::GoldSequence;
 use slingshot_phy_dsp::snr::estimate_snr_db;
-use slingshot_phy_dsp::tbchain::{decode_tb_with, encode_tb_with, mother_buffer_len, TbParams};
+use slingshot_phy_dsp::tbchain::{
+    decode_prepared, encode_tb_with, finish_tb, mother_buffer_len, prepare_tb, PreparedTb, TbParams,
+};
 use slingshot_phy_dsp::{Cplx, DspKernels, Modulation, SC_PER_PRB};
 use slingshot_sim::{Ctx, SimRng, WorkerPool};
 
@@ -401,8 +403,9 @@ pub struct RxProcessPool {
 
 /// One HARQ process's soft state, moved out of an [`RxProcessPool`]
 /// while a (possibly pool-executed) decode owns it. Opaque: callers
-/// only shuttle it between [`RxProcessPool::take`], `receive_into`,
-/// and [`RxProcessPool::put`].
+/// only shuttle it between [`RxProcessPool::take`], `receive_into`
+/// (or `receive_prepare` and `receive_finish`), and
+/// [`RxProcessPool::put`].
 #[derive(Debug, Default)]
 pub struct RxSoftState(RxProc);
 
@@ -415,9 +418,26 @@ pub struct RxOutcome {
     pub snr_db: f64,
     /// Decoder iterations spent (compute-cost proxy; 0 in Abstract).
     pub iterations: usize,
-    /// Wall-clock nanoseconds inside the LDPC decoder (profiling only;
-    /// 0 in Abstract and on the lost-IQ path).
-    pub ldpc_ns: u64,
+}
+
+/// A reception whose decode is pending: the prepared TB, which the
+/// caller decodes with [`decode_prepared`] — alone or batched with
+/// other receptions' — before [`receive_finish`].
+#[derive(Debug)]
+pub(crate) struct RxDecode {
+    pub(crate) tb: PreparedTb,
+    snr_db: f64,
+    /// Full fidelity delivers the decoded bits; Sampled, the shadow.
+    full: bool,
+    shadow: Bytes,
+}
+
+/// What [`receive_prepare`] leaves: the outcome, when no LDPC decode is
+/// needed (Abstract, lost IQ), else the pending decode.
+#[derive(Debug)]
+pub(crate) enum Reception {
+    Done(RxOutcome),
+    Decode(RxDecode),
 }
 
 impl RxProcessPool {
@@ -466,7 +486,8 @@ impl RxProcessPool {
 
 /// Attempt to receive one TB transmission into caller-held soft state,
 /// with per-code-block decode work fanned out across the environment's
-/// pool. Identical outcome for any worker count.
+/// pool: [`receive_prepare`], the LDPC decode of this TB alone, then
+/// [`receive_finish`]. Identical outcome for any worker count.
 ///
 /// The receiver takes the state out of its pool, may run this inside a
 /// worker-pool job (everything here is `Send`-clean), and puts the
@@ -482,6 +503,26 @@ pub(crate) fn receive_into(
     lp: &LinkParamsTb,
     rng: &mut SimRng,
 ) -> RxOutcome {
+    match receive_prepare(state, fidelity, signal, lp, rng) {
+        Reception::Done(outcome) => outcome,
+        Reception::Decode(mut rx) => {
+            decode_prepared(dsp.kernels, &dsp.pool, std::slice::from_mut(&mut rx.tb));
+            receive_finish(state, rx)
+        }
+    }
+}
+
+/// Everything of [`receive_into`] before the TB's decode: HARQ series
+/// reset, SNR estimate, and in Full and Sampled mode the TB's split
+/// into code blocks ([`prepare_tb`]). Abstract mode and lost IQ finish
+/// here.
+pub(crate) fn receive_prepare(
+    state: &mut RxSoftState,
+    fidelity: Fidelity,
+    signal: &TbSignal,
+    lp: &LinkParamsTb,
+    rng: &mut SimRng,
+) -> Reception {
     let (expected_bytes, ndi) = (lp.tb_bytes, lp.ndi);
     let proc = &mut state.0;
     if proc.ndi != ndi || (proc.llr_acc.is_empty() && proc.snr_acc.is_empty()) {
@@ -499,7 +540,8 @@ pub(crate) fn receive_into(
     };
     match fidelity {
         Fidelity::Full | Fidelity::Sampled => {
-            let (coded_bytes, e_bits) = if fidelity == Fidelity::Full {
+            let full = fidelity == Fidelity::Full;
+            let (coded_bytes, e_bits) = if full {
                 (expected_bytes, lp.e_bits())
             } else {
                 lp.sampled_split(expected_bytes)
@@ -512,45 +554,31 @@ pub(crate) fn receive_into(
             if signal.symbols.is_empty() {
                 // Lost IQ (e.g., dropped fronthaul): nothing to
                 // combine; decoding garbage fails.
-                return RxOutcome {
+                return Reception::Done(RxOutcome {
                     payload: None,
                     snr_db,
                     iterations: 0,
-                    ldpc_ns: 0,
-                };
+                });
             }
             let noise_var = (1.0 / db_to_linear(snr_db)).max(1e-6) as f32;
             // Trim any transport padding (fronthaul PRB/chunk
             // rounding) to the exact coded-symbol count; short
-            // bursts become erasures inside `decode_tb_with`.
+            // bursts become erasures in the decode's front end.
             let expected_syms = e_bits / lp.modulation.bits_per_symbol();
             let symbols = &signal.symbols[..signal.symbols.len().min(expected_syms)];
-            let out = decode_tb_with(
-                dsp.kernels,
-                &dsp.pool,
-                &mut proc.llr_acc,
+            let tb = prepare_tb(
+                &proc.llr_acc,
                 symbols,
                 noise_var,
                 coded_bytes,
                 &lp.tb_params(e_bits),
             );
-            let payload = out.payload.map(|p| {
-                if fidelity == Fidelity::Full {
-                    Bytes::from(p)
-                } else {
-                    signal.shadow.clone()
-                }
-            });
-            if payload.is_some() {
-                proc.llr_acc.clear();
-                proc.snr_acc.clear();
-            }
-            RxOutcome {
-                payload,
+            Reception::Decode(RxDecode {
+                tb,
                 snr_db,
-                iterations: out.ldpc_iterations,
-                ldpc_ns: out.ldpc_ns,
-            }
+                full,
+                shadow: signal.shadow.clone(),
+            })
         }
         Fidelity::Abstract => {
             proc.snr_acc.push(snr_db);
@@ -576,13 +604,32 @@ pub(crate) fn receive_into(
                 proc.llr_acc.clear();
                 proc.snr_acc.clear();
             }
-            RxOutcome {
+            Reception::Done(RxOutcome {
                 payload,
                 snr_db,
                 iterations: 0,
-                ldpc_ns: 0,
-            }
+            })
         }
+    }
+}
+
+/// Everything of [`receive_into`] after the decode of `rx.tb`:
+/// HARQ merge into `state` (the state `rx` was prepared from), CRC, and
+/// the payload — retiring the HARQ process on success.
+pub(crate) fn receive_finish(state: &mut RxSoftState, rx: RxDecode) -> RxOutcome {
+    let proc = &mut state.0;
+    let out = finish_tb(&mut proc.llr_acc, rx.tb);
+    let payload = out
+        .payload
+        .map(|p| if rx.full { Bytes::from(p) } else { rx.shadow });
+    if payload.is_some() {
+        proc.llr_acc.clear();
+        proc.snr_acc.clear();
+    }
+    RxOutcome {
+        payload,
+        snr_db: rx.snr_db,
+        iterations: out.ldpc_iterations,
     }
 }
 

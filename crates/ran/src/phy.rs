@@ -18,6 +18,12 @@
 //!   primary still produces results for pre-boundary slots afterwards.
 //! - **Null FAPI ≈ free**: per-slot CPU cost is accounted; null slots
 //!   cost ~0 (§8.5).
+//!
+//! The PHYs of one engine lane share the LDPC decoder at each slot
+//! boundary: a slot tick only queues its uplink code blocks in the
+//! lane's `UlBatch` and defers the rest of the tick ([`Ctx::defer`]);
+//! the first continuation decodes every queued block in shared lockstep
+//! batches, and each continuation then sends its own PHY's results.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -30,14 +36,16 @@ use slingshot_fapi::{
 use slingshot_fronthaul::{fh_header, CPlaneMsg, CSection, DciEntry, DciMsg, Direction, FhMessage};
 use slingshot_netsim::{EtherType, Frame, MacAddr};
 use slingshot_phy_dsp::snr::SnrFilter;
+use slingshot_phy_dsp::tbchain::{decode_prepared, PreparedTb};
+use slingshot_phy_dsp::DspKernels;
 use slingshot_sim::{
-    Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, SpanProfiler,
-    TraceEventKind,
+    Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, TraceEventKind, WorkerPool,
 };
 
 use crate::cell::{CellConfig, FAPI_ADVANCE_SLOTS};
 use crate::fidelity::{
-    encode_signal_with, kernels_of, receive_into, DspEnv, FhAssembly, LinkParamsTb, RxProcessPool,
+    encode_signal_with, kernels_of, receive_finish, receive_prepare, DspEnv, FhAssembly,
+    LinkParamsTb, Reception, RxDecode, RxOutcome, RxProcessPool, RxSoftState,
 };
 use crate::msg::{timer_tokens, CtlMsg, Msg};
 
@@ -82,6 +90,74 @@ struct RuCtx {
     /// Consecutive slots with no FAPI requests.
     missing_streak: u32,
     any_fapi_seen: bool,
+}
+
+/// The uplink TBs the PHYs of one engine lane queued at one instant,
+/// decoded together by the first continuation that needs them (a
+/// [`Ctx::lane_state`]).
+#[derive(Default)]
+pub(crate) struct UlBatch {
+    at: Nanos,
+    tbs: Vec<PreparedTb>,
+    /// `tbs[..decoded]` have been through the decoder.
+    decoded: usize,
+    /// Code blocks queued at this instant.
+    blocks: usize,
+    /// Wall-clock nanoseconds the flushes at this instant took, when
+    /// the profiler times them (profiling only).
+    decode_ns: u64,
+}
+
+impl UlBatch {
+    /// Queue `tb` for decoding at `now`; the ticket names it to
+    /// [`UlBatch::take`]. What an earlier instant left (the TBs of a PHY
+    /// killed or scrubbed before its continuation) is dropped.
+    fn submit(&mut self, now: Nanos, tb: PreparedTb) -> usize {
+        if self.at != now {
+            self.tbs.clear();
+            self.decoded = 0;
+            self.blocks = 0;
+            self.decode_ns = 0;
+            self.at = now;
+        }
+        self.blocks += tb.code_blocks();
+        self.tbs.push(tb);
+        self.tbs.len() - 1
+    }
+
+    /// Decode every TB queued since the last flush, in shared lockstep
+    /// batches; returns each batch's wall-clock nanoseconds.
+    fn flush(&mut self, kernels: DspKernels, pool: &WorkerPool) -> Vec<u64> {
+        let batch_ns = decode_prepared(kernels, pool, &mut self.tbs[self.decoded..]);
+        self.decoded = self.tbs.len();
+        batch_ns
+    }
+
+    /// The decoded TB of `ticket`, queued at this instant.
+    fn take(&mut self, ticket: usize) -> PreparedTb {
+        std::mem::take(&mut self.tbs[ticket])
+    }
+}
+
+/// One PDU's reception between the slot tick and its continuation.
+enum UlRx {
+    Done(RxOutcome),
+    /// Queued in the lane's [`UlBatch`] under a ticket.
+    Queued(usize, RxDecode),
+}
+
+/// One RU's uplink slot between the tick that queued its decodes and
+/// the continuation that sends its indications.
+struct UlSlot {
+    ru_id: u8,
+    abs: u64,
+    pdus: Vec<PuschPdu>,
+    /// Per PDU, in order: its HARQ soft state and its reception.
+    rx: Vec<(RxSoftState, UlRx)>,
+    /// Code blocks it queued in the lane's batch.
+    blocks: usize,
+    /// Wall-clock nanoseconds the tick spent on it (profiling only).
+    tick_ns: u64,
 }
 
 /// CPU cost model constants (rough FlexRAN-like shape: decode cost
@@ -131,10 +207,19 @@ pub struct PhyNode {
     pub work_slots: u64,
     pub ul_tbs_decoded: u64,
     pub ul_crc_failures: u64,
+    /// LDPC code blocks this PHY queued for decoding.
+    pub ul_code_blocks: u64,
+    /// Lockstep LDPC batches this PHY's continuations ran. The first
+    /// continuation at an instant decodes every block its lane queued,
+    /// so summed over a lane's PHYs this is the lane's batch count.
+    pub ldpc_batches: u64,
     pub processed_ul_slots: Vec<u64>,
     started_at: Option<Nanos>,
     /// DL_TTI requests awaiting their TX_Data payloads.
     pending_dl: HashMap<(u8, u64), Vec<PdschPdu>>,
+    /// Uplink slots the current slot tick queued, finished by its
+    /// continuation.
+    ul_slots: Vec<UlSlot>,
 }
 
 impl PhyNode {
@@ -157,9 +242,12 @@ impl PhyNode {
             work_slots: 0,
             ul_tbs_decoded: 0,
             ul_crc_failures: 0,
+            ul_code_blocks: 0,
+            ldpc_batches: 0,
             processed_ul_slots: Vec::new(),
             started_at: None,
             pending_dl: HashMap::new(),
+            ul_slots: Vec::new(),
         }
     }
 
@@ -209,6 +297,7 @@ impl PhyNode {
     pub fn scrub(&mut self) {
         self.rus.clear();
         self.pending_dl.clear();
+        self.ul_slots.clear();
         self.crashed = false;
         self.stalled = false;
         self.crash_time = None;
@@ -269,43 +358,6 @@ impl PhyNode {
         }
     }
 
-    /// Run one slot's DSP through the prepare → jobs → merge scaffold.
-    /// `prepare` runs serially and does everything that touches shared
-    /// or ordered state, returning pure jobs; those fan out over the
-    /// worker pool; `merge` consumes their results serially, in
-    /// submission order, and does all the sends — so worker count never
-    /// changes the trace. The wall-clock TTI accounting (a side
-    /// channel; inert when the profiler is disabled) lives here.
-    fn run_slot<T, F>(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        abs: u64,
-        prepare: impl FnOnce(&mut PhyNode, &DspEnv, &SpanProfiler) -> Vec<F>,
-        merge: impl FnOnce(&mut PhyNode, &mut Ctx<'_, Msg>, &DspEnv, Vec<T>),
-    ) where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let dsp = DspEnv::of(ctx);
-        let profiler = ctx.profiler();
-        let slot_t0 = profiler.is_enabled().then(std::time::Instant::now);
-        let prepare_span = profiler.span("slot_prepare", abs);
-        let jobs = prepare(self, &dsp, &profiler);
-        drop(prepare_span);
-        // Jobs may themselves fan out per code block through the same
-        // pool — nested submission is safe because waiting workers help
-        // drain the queue.
-        let jobs_span = profiler.span("slot_jobs", abs);
-        let results = dsp.pool.run(jobs);
-        drop(jobs_span);
-        let merge_span = profiler.span("slot_merge", abs);
-        merge(self, ctx, &dsp, results);
-        drop(merge_span);
-        if let Some(t0) = slot_t0 {
-            profiler.complete_slot(abs, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
     /// Process downlink work for slot `n` (requests arrived ~2 slots in
     /// advance): encode PDSCH and emit fronthaul to the RU.
     fn process_dl(
@@ -341,44 +393,60 @@ impl PhyNode {
         self.work_slots += 1;
         let payloads: HashMap<u16, Bytes> = tbs.into_iter().collect();
         let abs = slot.epoch_index();
-        let fidelity = self.cell.fidelity;
-        self.run_slot(
-            ctx,
-            abs,
-            // One self-contained encode job per PDU with a payload.
-            |phy, dsp, profiler| {
-                let (data_symbols, iters) = (phy.cell.data_symbols, phy.cfg.fec_iterations);
-                let job = |pdu: &PdschPdu| {
-                    let payload = payloads.get(&pdu.rnti)?.clone();
-                    let dci = dci_of(pdu, false, slot);
-                    let lp = LinkParamsTb::from_grant(&dci, cell_id, data_symbols, iters);
-                    let (dsp, profiler) = (dsp.clone(), profiler.clone());
-                    Some(move || {
-                        let _encode_span = profiler.span("dl_encode", abs);
-                        let signal = encode_signal_with(&dsp, fidelity, &payload, &lp);
-                        (dci, lp.e_bits(), signal)
-                    })
-                };
-                pdsch.iter().filter_map(job).collect()
-            },
-            |phy, ctx, dsp, signals| {
-                let mut entries = Vec::new();
-                for (dci, e_bits, signal) in signals {
-                    phy.busy_ns_total +=
-                        CPU_SLOT_BASE_NS + (e_bits as f64 * CPU_ENCODE_PER_EBIT_NS) as u64;
-                    entries.push(dci);
-                    signal.pack(dsp.kernels, hdr, dci.start_prb, dci.rnti, |m| {
-                        phy.send_fh(ctx, ru_id, m)
-                    });
-                }
-                phy.send_fh(ctx, ru_id, &FhMessage::Dci(DciMsg { hdr, entries }));
-            },
-        );
+        // Serial prepare → parallel jobs → serial merge: one
+        // self-contained encode job per PDU with a payload, and every
+        // send in PDU order after the pool returns, so worker count
+        // never changes the trace. The wall-clock TTI accounting is a
+        // side channel, inert when the profiler is disabled.
+        let dsp = DspEnv::of(ctx);
+        let profiler = ctx.profiler();
+        let slot_t0 = profiler.is_enabled().then(std::time::Instant::now);
+        let prepare_span = profiler.span("slot_prepare", abs);
+        let (fidelity, data_symbols) = (self.cell.fidelity, self.cell.data_symbols);
+        let iters = self.cfg.fec_iterations;
+        let jobs: Vec<_> = pdsch
+            .iter()
+            .filter_map(|pdu| {
+                let payload = payloads.get(&pdu.rnti)?.clone();
+                let dci = dci_of(pdu, false, slot);
+                let lp = LinkParamsTb::from_grant(&dci, cell_id, data_symbols, iters);
+                let (dsp, profiler) = (dsp.clone(), profiler.clone());
+                Some(move || {
+                    let _encode_span = profiler.span("dl_encode", abs);
+                    let signal = encode_signal_with(&dsp, fidelity, &payload, &lp);
+                    (dci, lp.e_bits(), signal)
+                })
+            })
+            .collect();
+        drop(prepare_span);
+        let jobs_span = profiler.span("slot_jobs", abs);
+        let signals = dsp.pool.run(jobs);
+        drop(jobs_span);
+        let merge_span = profiler.span("slot_merge", abs);
+        let mut entries = Vec::new();
+        for (dci, e_bits, signal) in signals {
+            self.busy_ns_total +=
+                CPU_SLOT_BASE_NS + (e_bits as f64 * CPU_ENCODE_PER_EBIT_NS) as u64;
+            entries.push(dci);
+            signal.pack(dsp.kernels, hdr, dci.start_prb, dci.rnti, |m| {
+                self.send_fh(ctx, ru_id, m)
+            });
+        }
+        self.send_fh(ctx, ru_id, &FhMessage::Dci(DciMsg { hdr, entries }));
+        drop(merge_span);
+        if let Some(t0) = slot_t0 {
+            profiler.complete_slot(abs, t0.elapsed().as_nanos() as u64);
+        }
     }
 
-    /// Process uplink slot `abs` (its fronthaul arrived during abs+1;
-    /// we run at the abs+2 boundary — the 3-slot pipeline of Fig. 7).
-    fn process_ul(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, abs: u64) {
+    /// Queue uplink slot `abs` (its fronthaul arrived during abs+1; we
+    /// run at the abs+2 boundary — the 3-slot pipeline of Fig. 7): in
+    /// PDU order, fronthaul reassembly, CSI bookkeeping, HARQ
+    /// soft-state checkout, RNG stream splits and the reception up to
+    /// the TB's decode. The TBs join the lane's [`UlBatch`], whose
+    /// flush fans the decode out over the worker pool, and
+    /// [`PhyNode::finish_ul`] sends the results.
+    fn queue_ul(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, abs: u64) {
         let Some(ru) = self.rus.get_mut(&ru_id) else {
             return;
         };
@@ -400,116 +468,190 @@ impl PhyNode {
             abs,
             self.cfg.phy_id as u64,
         );
-        let fidelity = self.cell.fidelity;
-        let iters = self.cfg.fec_iterations;
-        self.run_slot(
-            ctx,
+        let profiler = ctx.profiler();
+        let tick_t0 = profiler.is_enabled().then(std::time::Instant::now);
+        let _prepare_span = profiler.span("slot_prepare", abs);
+        let (fidelity, iters) = (self.cell.fidelity, self.cfg.fec_iterations);
+        let now = ctx.now();
+        let batch = ctx.lane_state::<UlBatch>();
+        let mut rx = Vec::with_capacity(pdus.len());
+        let mut blocks = 0;
+        for (i, pdu) in pdus.iter().enumerate() {
+            let lp = LinkParamsTb::from_grant(
+                &dci_of(pdu, true, slot),
+                ru.cell_id,
+                self.cell.data_symbols,
+                iters,
+            );
+            let mut signal = data.take(pdu.start_prb, pdu.rnti, lp.pilot_len());
+            // Massive-MIMO extension (§10): a PHY without fresh channel
+            // knowledge for this UE operates with reduced effective SNR
+            // until its precoding/equalization state reconverges.
+            let reconverge = self.cell.mimo_reconverge_slots;
+            if reconverge > 0 {
+                let entry = ru.csi.entry(pdu.rnti).or_insert((0, abs));
+                // Long silence ⇒ stale CSI: reacquire from scratch.
+                if abs.saturating_sub(entry.1) > reconverge {
+                    entry.0 = 0;
+                }
+                entry.1 = abs;
+                let progress = (entry.0 as f64 / reconverge as f64).min(1.0);
+                entry.0 += 1;
+                signal.snr_db -= self.cell.mimo_cold_penalty_db * (1.0 - progress);
+            }
+            let mut state = ru.rx_pool.take(pdu.rnti, pdu.harq_id);
+            let mut rng = self.rng.split(i as u64);
+            let decode_span = profiler.span("ul_decode", abs);
+            let reception = receive_prepare(&mut state, fidelity, &signal, &lp, &mut rng);
+            drop(decode_span);
+            rx.push(match reception {
+                Reception::Done(outcome) => (state, UlRx::Done(outcome)),
+                Reception::Decode(mut decode) => {
+                    blocks += decode.tb.code_blocks();
+                    let ticket = batch.submit(now, std::mem::take(&mut decode.tb));
+                    (state, UlRx::Queued(ticket, decode))
+                }
+            });
+        }
+        self.ul_code_blocks += blocks as u64;
+        self.ul_slots.push(UlSlot {
+            ru_id,
             abs,
-            // Fronthaul reassembly, CSI bookkeeping, HARQ soft-state
-            // checkout and RNG stream splits, in PDU order; the decode
-            // jobs are pure.
-            |phy, dsp, profiler| {
-                let ru = phy.rus.get_mut(&ru_id).expect("ru exists");
-                let mut jobs = Vec::with_capacity(pdus.len());
-                for (i, pdu) in pdus.iter().enumerate() {
-                    let lp = LinkParamsTb::from_grant(
-                        &dci_of(pdu, true, slot),
-                        ru.cell_id,
-                        phy.cell.data_symbols,
-                        iters,
-                    );
-                    let mut signal = data.take(pdu.start_prb, pdu.rnti, lp.pilot_len());
-                    // Massive-MIMO extension (§10): a PHY without fresh
-                    // channel knowledge for this UE operates with reduced
-                    // effective SNR until its precoding/equalization state
-                    // reconverges.
-                    let reconverge = phy.cell.mimo_reconverge_slots;
-                    if reconverge > 0 {
-                        let entry = ru.csi.entry(pdu.rnti).or_insert((0, abs));
-                        // Long silence ⇒ stale CSI: reacquire from scratch.
-                        if abs.saturating_sub(entry.1) > reconverge {
-                            entry.0 = 0;
-                        }
-                        entry.1 = abs;
-                        let progress = (entry.0 as f64 / reconverge as f64).min(1.0);
-                        entry.0 += 1;
-                        signal.snr_db -= phy.cell.mimo_cold_penalty_db * (1.0 - progress);
+            pdus,
+            rx,
+            blocks,
+            tick_ns: tick_t0.map_or(0, |t| t.elapsed().as_nanos() as u64),
+        });
+    }
+
+    /// Finish the uplink slots this instant's tick queued: decode what
+    /// the lane queued and no continuation has decoded yet (the first
+    /// PHY here decodes the whole lane's queue), then per slot return
+    /// the soft state, account CPU, update SNR filters and send the
+    /// FAPI indications, in PDU order. A slot whose RU the PHY no longer
+    /// serves is dropped whole.
+    fn finish_ul(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let slots = std::mem::take(&mut self.ul_slots);
+        let Some(first) = slots.first() else {
+            return;
+        };
+        let profiler = ctx.profiler();
+        let (mut decode_ns, mut lane_blocks) = (0, 0);
+        if slots.iter().any(|ul| ul.blocks > 0) {
+            let abs = first.abs;
+            let dsp = DspEnv::of(ctx);
+            let batch = ctx.lane_state::<UlBatch>();
+            let flush_t0 = profiler.is_enabled().then(std::time::Instant::now);
+            let decode_span = profiler.span("ul_decode", abs);
+            let batch_ns = batch.flush(dsp.kernels, &dsp.pool);
+            drop(decode_span);
+            if let Some(t0) = flush_t0 {
+                batch.decode_ns += t0.elapsed().as_nanos() as u64;
+            }
+            (decode_ns, lane_blocks) = (batch.decode_ns, batch.blocks as u64);
+            for ns in &batch_ns {
+                profiler.record_span_ns("ldpc_decode", abs, *ns);
+            }
+            self.ldpc_batches += batch_ns.len() as u64;
+        }
+        for ul in slots {
+            // A slot is charged its blocks' share of the lane's decode,
+            // so the lane's slot totals add up to the work it did.
+            let share_ns = (decode_ns * ul.blocks as u64)
+                .checked_div(lane_blocks)
+                .unwrap_or(0);
+            let merge_t0 = profiler.is_enabled().then(std::time::Instant::now);
+            let merge_span = profiler.span("slot_merge", ul.abs);
+            let (abs, tick_ns) = (ul.abs, ul.tick_ns);
+            self.merge_ul(ctx, ul);
+            drop(merge_span);
+            if let Some(t0) = merge_t0 {
+                let merge_ns = t0.elapsed().as_nanos() as u64;
+                profiler.complete_slot(abs, tick_ns + share_ns + merge_ns);
+            }
+        }
+    }
+
+    fn merge_ul(&mut self, ctx: &mut Ctx<'_, Msg>, ul: UlSlot) {
+        let UlSlot {
+            ru_id,
+            abs,
+            pdus,
+            rx,
+            ..
+        } = ul;
+        let Some(ru) = self.rus.get_mut(&ru_id) else {
+            return;
+        };
+        let slot = SlotId::from_absolute(abs);
+        let iters = self.cfg.fec_iterations;
+        let batch = ctx.lane_state::<UlBatch>();
+        let results: Vec<(RxSoftState, RxOutcome)> = rx
+            .into_iter()
+            .map(|(mut state, r)| {
+                let outcome = match r {
+                    UlRx::Done(outcome) => outcome,
+                    UlRx::Queued(ticket, mut decode) => {
+                        decode.tb = batch.take(ticket);
+                        receive_finish(&mut state, decode)
                     }
-                    let mut state = ru.rx_pool.take(pdu.rnti, pdu.harq_id);
-                    let mut rng = phy.rng.split(i as u64);
-                    let (dsp, profiler) = (dsp.clone(), profiler.clone());
-                    jobs.push(move || {
-                        let decode_span = profiler.span("ul_decode", abs);
-                        let outcome =
-                            receive_into(&dsp, &mut state, fidelity, &signal, &lp, &mut rng);
-                        drop(decode_span);
-                        if outcome.ldpc_ns > 0 {
-                            profiler.record_span_ns("ldpc_decode", abs, outcome.ldpc_ns);
-                        }
-                        (state, outcome)
-                    });
-                }
-                jobs
-            },
-            // Soft-state return, CPU accounting, SNR filters and FAPI
-            // indications, in PDU order.
-            |phy, ctx, _dsp, results| {
-                let ru = phy.rus.get_mut(&ru_id).expect("ru exists");
-                let mut crcs = Vec::new();
-                let mut rx_tbs = Vec::new();
-                let mut busy = CPU_SLOT_BASE_NS;
-                for (pdu, (state, outcome)) in pdus.iter().zip(results) {
-                    ru.rx_pool.put(pdu.rnti, pdu.harq_id, state);
-                    // Decode cost scales with iterations × transport-block
-                    // bits (the whole TB: in reduced-fidelity modes the
-                    // representative block's iteration count stands in for
-                    // all code blocks).
-                    let iters_used = if outcome.iterations > 0 {
-                        outcome.iterations
-                    } else {
-                        iters / 2 + 1
-                    };
-                    busy += (iters_used as f64
-                        * (pdu.tb_bytes as f64 * 8.0 / 1000.0)
-                        * CPU_DECODE_PER_ITER_KBIT_NS) as u64
-                        + 2_000;
-                    // SNR moving-average filter (§4.2 inter-TTI state).
-                    let filt = ru
-                        .snr_filters
-                        .entry(pdu.rnti)
-                        .or_insert_with(|| SnrFilter::new(0.1));
-                    let reported = if outcome.snr_db.is_finite() {
-                        filt.update(outcome.snr_db)
-                    } else {
-                        filt.value_or(-10.0)
-                    };
-                    let ok = outcome.payload.is_some();
-                    phy.ul_tbs_decoded += 1;
-                    if !ok {
-                        phy.ul_crc_failures += 1;
-                    }
-                    crcs.push(CrcEntry {
-                        rnti: pdu.rnti,
-                        harq_id: pdu.harq_id,
-                        ok,
-                        snr_x10: (reported * 10.0) as i16,
-                    });
-                    if let Some(payload) = outcome.payload {
-                        rx_tbs.push(RxTb {
-                            rnti: pdu.rnti,
-                            harq_id: pdu.harq_id,
-                            payload,
-                        });
-                    }
-                }
-                phy.busy_ns_total += busy;
-                phy.send_fapi(ctx, FapiMsg::CrcInd(CrcIndication { ru_id, slot, crcs }));
-                if !rx_tbs.is_empty() {
-                    let tbs = rx_tbs;
-                    phy.send_fapi(ctx, FapiMsg::RxData(RxDataIndication { ru_id, slot, tbs }));
-                }
-            },
-        );
+                };
+                (state, outcome)
+            })
+            .collect();
+        let mut crcs = Vec::new();
+        let mut rx_tbs = Vec::new();
+        let mut busy = CPU_SLOT_BASE_NS;
+        for (pdu, (state, outcome)) in pdus.iter().zip(results) {
+            ru.rx_pool.put(pdu.rnti, pdu.harq_id, state);
+            // Decode cost scales with iterations × transport-block bits
+            // (the whole TB: in reduced-fidelity modes the
+            // representative block's iteration count stands in for all
+            // code blocks).
+            let iters_used = if outcome.iterations > 0 {
+                outcome.iterations
+            } else {
+                iters / 2 + 1
+            };
+            busy += (iters_used as f64
+                * (pdu.tb_bytes as f64 * 8.0 / 1000.0)
+                * CPU_DECODE_PER_ITER_KBIT_NS) as u64
+                + 2_000;
+            // SNR moving-average filter (§4.2 inter-TTI state).
+            let filt = ru
+                .snr_filters
+                .entry(pdu.rnti)
+                .or_insert_with(|| SnrFilter::new(0.1));
+            let reported = if outcome.snr_db.is_finite() {
+                filt.update(outcome.snr_db)
+            } else {
+                filt.value_or(-10.0)
+            };
+            let ok = outcome.payload.is_some();
+            self.ul_tbs_decoded += 1;
+            if !ok {
+                self.ul_crc_failures += 1;
+            }
+            crcs.push(CrcEntry {
+                rnti: pdu.rnti,
+                harq_id: pdu.harq_id,
+                ok,
+                snr_x10: (reported * 10.0) as i16,
+            });
+            if let Some(payload) = outcome.payload {
+                rx_tbs.push(RxTb {
+                    rnti: pdu.rnti,
+                    harq_id: pdu.harq_id,
+                    payload,
+                });
+            }
+        }
+        self.busy_ns_total += busy;
+        self.send_fapi(ctx, FapiMsg::CrcInd(CrcIndication { ru_id, slot, crcs }));
+        if !rx_tbs.is_empty() {
+            let tbs = rx_tbs;
+            self.send_fapi(ctx, FapiMsg::RxData(RxDataIndication { ru_id, slot, tbs }));
+        }
     }
 
     fn crash(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -517,6 +659,63 @@ impl PhyNode {
         self.crash_time = Some(ctx.now());
         let me = ctx.id();
         ctx.kill(me);
+    }
+
+    /// The rest of slot tick `abs` after its uplink decodes were
+    /// queued, in the order a tick always sent: uplink results,
+    /// SLOT.indications, FAPI liveness (and the crash it may call for),
+    /// the next tick.
+    fn end_tick(&mut self, ctx: &mut Ctx<'_, Msg>, abs: u64) {
+        self.finish_ul(ctx);
+        let slot = SlotId::from_absolute(abs);
+        let ru_ids: Vec<u8> = self
+            .rus
+            .iter()
+            .filter(|(_, r)| r.started)
+            .map(|(id, _)| *id)
+            .collect();
+        let expect = abs + FAPI_ADVANCE_SLOTS;
+        let mut must_crash = false;
+        for ru_id in ru_ids {
+            self.send_fapi(ctx, FapiMsg::SlotInd(SlotIndication { ru_id, slot }));
+            let ru = self.rus.get_mut(&ru_id).expect("ru exists");
+            let have = ru.ul_tti.contains_key(&expect) || ru.dl_seen.contains_key(&expect);
+            if ru.any_fapi_seen {
+                if have {
+                    ru.missing_streak = 0;
+                } else {
+                    ru.missing_streak += 1;
+                    // The L2 sends slot `expect`'s requests at this
+                    // same boundary, so a streak of 1 is every healthy
+                    // slot (the request lands later and resets it). A
+                    // streak of 2 or more means no UL_TTI or DL_TTI for
+                    // this RU arrived in the whole slot since the last
+                    // check: a real miss.
+                    if ru.missing_streak > 1 {
+                        ctx.trace(
+                            TraceEventKind::SlotDeadlineMiss,
+                            ru.missing_streak as u64,
+                            expect,
+                        );
+                    }
+                    if ru.missing_streak >= CRASH_AFTER_MISSING_SLOTS {
+                        must_crash = true;
+                    }
+                }
+            }
+            // GC stale per-slot maps.
+            ru.dl_seen.retain(|k, _| *k + 8 > abs);
+            ru.ul_rx.gc(abs);
+            ru.ul_tti.retain(|k, _| *k + 8 > abs);
+        }
+        self.busy_ns_total += CPU_NULL_SLOT_NS;
+        if must_crash {
+            // FlexRAN aborts when the L2 stops feeding it slot requests
+            // — the behavior that makes null FAPIs necessary (§6.2).
+            self.crash(ctx);
+            return;
+        }
+        ctx.timer_at(self.clock.slot_start(abs + 1), timer_tokens::SLOT_TICK);
     }
 
     fn on_fapi(&mut self, ctx: &mut Ctx<'_, Msg>, msg: FapiMsg) {
@@ -639,64 +838,22 @@ impl Node<Msg> for PhyNode {
                 // length (§8.6 measures 393 µs).
                 let jitter = Nanos(self.rng.below(90_000));
                 ctx.timer(Nanos(250_000) + jitter, TIMER_HEARTBEAT);
-                // Pipelined uplink: emit slot (abs-2)'s results now.
+                // Pipelined uplink: slot (abs-2)'s results are due now.
+                // Its code blocks join the lane's batch; when any did,
+                // the rest of the tick waits for the instant's other
+                // PHYs to queue theirs.
+                self.ul_slots.clear();
                 if abs >= 2 {
                     let ru_ids: Vec<u8> = self.rus.keys().copied().collect();
                     for ru_id in ru_ids {
-                        self.process_ul(ctx, ru_id, abs - 2);
+                        self.queue_ul(ctx, ru_id, abs - 2);
                     }
                 }
-                // SLOT.indications + FAPI liveness.
-                let ru_ids: Vec<u8> = self
-                    .rus
-                    .iter()
-                    .filter(|(_, r)| r.started)
-                    .map(|(id, _)| *id)
-                    .collect();
-                let expect = abs + FAPI_ADVANCE_SLOTS;
-                let mut must_crash = false;
-                for ru_id in ru_ids {
-                    self.send_fapi(ctx, FapiMsg::SlotInd(SlotIndication { ru_id, slot }));
-                    let ru = self.rus.get_mut(&ru_id).expect("ru exists");
-                    let have = ru.ul_tti.contains_key(&expect) || ru.dl_seen.contains_key(&expect);
-                    if ru.any_fapi_seen {
-                        if have {
-                            ru.missing_streak = 0;
-                        } else {
-                            ru.missing_streak += 1;
-                            // The L2 sends slot `expect`'s requests at
-                            // this same boundary, so a streak of 1 is
-                            // every healthy slot (the request lands
-                            // later and resets it). A streak of 2 or
-                            // more means no UL_TTI or DL_TTI for this
-                            // RU arrived in the whole slot since the
-                            // last check: a real miss.
-                            if ru.missing_streak > 1 {
-                                ctx.trace(
-                                    TraceEventKind::SlotDeadlineMiss,
-                                    ru.missing_streak as u64,
-                                    expect,
-                                );
-                            }
-                            if ru.missing_streak >= CRASH_AFTER_MISSING_SLOTS {
-                                must_crash = true;
-                            }
-                        }
-                    }
-                    // GC stale per-slot maps.
-                    ru.dl_seen.retain(|k, _| *k + 8 > abs);
-                    ru.ul_rx.gc(abs);
-                    ru.ul_tti.retain(|k, _| *k + 8 > abs);
+                if self.ul_slots.iter().any(|ul| ul.blocks > 0) {
+                    ctx.defer(timer_tokens::SLOT_TICK);
+                } else {
+                    self.end_tick(ctx, abs);
                 }
-                self.busy_ns_total += CPU_NULL_SLOT_NS;
-                if must_crash {
-                    // FlexRAN aborts when the L2 stops feeding it slot
-                    // requests — the behavior that makes null FAPIs
-                    // necessary (§6.2).
-                    self.crash(ctx);
-                    return;
-                }
-                ctx.timer_at(self.clock.slot_start(abs + 1), timer_tokens::SLOT_TICK);
             }
             TIMER_HEARTBEAT => {
                 if self.stalled {
@@ -707,6 +864,23 @@ impl Node<Msg> for PhyNode {
             }
             _ => {}
         }
+    }
+
+    /// The continuation of a slot tick that queued uplink code blocks.
+    /// A PHY killed since its tick gets none; one scrubbed since has
+    /// nothing left to send; one wedged since drops the slot's results
+    /// and keeps only its clock interrupt, as a stalled tick does.
+    fn on_deferred(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+        if token != timer_tokens::SLOT_TICK {
+            return;
+        }
+        let abs = self.clock.absolute_slot(ctx.now());
+        if self.stalled {
+            self.ul_slots.clear();
+            ctx.timer_at(self.clock.slot_start(abs + 1), timer_tokens::SLOT_TICK);
+            return;
+        }
+        self.end_tick(ctx, abs);
     }
 
     fn on_msg(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
@@ -768,6 +942,8 @@ impl Node<Msg> for PhyNode {
         sink.counter(scope, "work_slots", self.work_slots);
         sink.counter(scope, "ul_tbs_decoded", self.ul_tbs_decoded);
         sink.counter(scope, "ul_crc_failures", self.ul_crc_failures);
+        sink.counter(scope, "ul_code_blocks", self.ul_code_blocks);
+        sink.counter(scope, "ldpc_batches", self.ldpc_batches);
         sink.counter(
             scope,
             "processed_ul_slots",

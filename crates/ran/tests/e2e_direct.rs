@@ -5,7 +5,10 @@
 
 use slingshot_netsim::{EtherType, Frame, MacAddr};
 use slingshot_ran::*;
-use slingshot_sim::{Ctx, Engine, LinkParams, Nanos, Node, NodeId, SimRng, SlotClock};
+use slingshot_sim::{
+    slot_kind, Ctx, Engine, LinkParams, Nanos, Node, NodeId, SimRng, SlotClock, SlotKind,
+    SLOT_DURATION,
+};
 use slingshot_transport::{EchoResponder, PingApp, UdpCbrSource, UdpSink};
 
 /// A dumb switch: static MAC → node routing, with the virtual PHY
@@ -39,7 +42,39 @@ struct Testbed {
     ues: Vec<NodeId>,
 }
 
+/// A PHY that a message from outside the simulation wedges
+/// ([`PhyNode::set_stalled`]) at that very instant, between any two of
+/// its callbacks; it is otherwise the PHY it wraps.
+struct Wedgeable(PhyNode);
+
+impl Node<Msg> for Wedgeable {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.0.on_start(ctx);
+    }
+
+    fn on_msg(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
+        if from == NodeId::EXTERNAL {
+            self.0.set_stalled(true);
+        } else {
+            self.0.on_msg(ctx, from, msg);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+        self.0.on_timer(ctx, token);
+    }
+
+    fn on_deferred(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+        self.0.on_deferred(ctx, token);
+    }
+}
+
 fn build(seed: u64, ue_cfgs: Vec<UeConfig>, cell: CellConfig) -> Testbed {
+    build_with(seed, ue_cfgs, cell, false)
+}
+
+/// [`build`], with the PHY [`Wedgeable`] when `wedgeable`.
+fn build_with(seed: u64, ue_cfgs: Vec<UeConfig>, cell: CellConfig, wedgeable: bool) -> Testbed {
     let mut engine: Engine<Msg> = Engine::new(seed);
     let clock = SlotClock::new(Nanos::ZERO);
     let mut rng = SimRng::new(seed ^ 0xBEEF);
@@ -53,7 +88,11 @@ fn build(seed: u64, ue_cfgs: Vec<UeConfig>, cell: CellConfig) -> Testbed {
     let l2 = engine.add_node("l2", Box::new(l2n));
     let phyn = PhyNode::new(PhyConfig::new(1), cell.clone(), clock, rng.fork("phy"));
     let phy_mac = phyn.mac();
-    let phy = engine.add_node("phy", Box::new(phyn));
+    let phy = if wedgeable {
+        engine.add_node("phy", Box::new(Wedgeable(phyn)))
+    } else {
+        engine.add_node("phy", Box::new(phyn))
+    };
     let run = RuNode::new(0, clock);
     let ru_mac = run.mac();
     let ru = engine.add_node("ru", Box::new(run));
@@ -75,7 +114,10 @@ fn build(seed: u64, ue_cfgs: Vec<UeConfig>, cell: CellConfig) -> Testbed {
     engine.node_mut::<AppServerNode>(server).unwrap().wire(core);
     engine.node_mut::<CoreNode>(core).unwrap().wire(l2, server);
     engine.node_mut::<L2Node>(l2).unwrap().wire(phy, core);
-    engine.node_mut::<PhyNode>(phy).unwrap().wire(sw, l2);
+    match engine.node_mut::<PhyNode>(phy) {
+        Some(p) => p.wire(sw, l2),
+        None => engine.node_mut::<Wedgeable>(phy).unwrap().0.wire(sw, l2),
+    }
     engine.node_mut::<RuNode>(ru).unwrap().wire(sw, ues.clone());
     for ue in &ues {
         engine.node_mut::<UeNode>(*ue).unwrap().wire(ru, l2);
@@ -251,6 +293,61 @@ fn phy_crash_darkens_cell_then_ue_reattaches() {
     tb.engine.run_until(Nanos::from_millis(9000));
     let ue = tb.engine.node::<UeNode>(tb.ues[0]).unwrap();
     assert_ne!(ue.state, UeState::Connected);
+}
+
+/// A PHY wedged between the slot tick that queued an uplink decode and
+/// that tick's continuation sends nothing for the slot, as a wedged
+/// tick would not, but keeps its clock interrupt: un-wedged, it decodes
+/// again.
+fn wedgeable_phy(tb: &Testbed) -> &PhyNode {
+    &tb.engine.node::<Wedgeable>(tb.phy).unwrap().0
+}
+
+#[test]
+fn phy_wedged_before_its_continuation_drops_the_slot_and_keeps_ticking() {
+    let cell = CellConfig {
+        num_prbs: 51,
+        fidelity: Fidelity::Sampled,
+        ..CellConfig::default()
+    };
+    let mut tb = build_with(4, one_ue(22.0), cell, true);
+    tb.engine
+        .node_mut::<UeNode>(tb.ues[0])
+        .unwrap()
+        .add_app(Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)));
+    let slot = SLOT_DURATION.0;
+    // A tick that runs an uplink slot: slot n's uplink at the n + 2 tick.
+    let mut abs = Nanos::from_millis(100).0 / slot;
+    while slot_kind(abs - 2) != SlotKind::Uplink {
+        abs += 1;
+    }
+    let t = Nanos(abs * slot);
+    tb.engine.run_until(t - Nanos(1));
+    let (decoded, queued) = (
+        wedgeable_phy(&tb).ul_tbs_decoded,
+        wedgeable_phy(&tb).processed_ul_slots.len(),
+    );
+    tb.engine.post(t, tb.phy, Msg::Ctl(CtlMsg::PhyScrub));
+    tb.engine.run_until(t);
+    assert_eq!(wedgeable_phy(&tb).processed_ul_slots.len(), queued + 1);
+    assert_eq!(
+        wedgeable_phy(&tb).ul_tbs_decoded,
+        decoded,
+        "a wedged PHY sent its slot"
+    );
+    tb.engine.run_until(t + Nanos::from_millis(5));
+    assert_eq!(wedgeable_phy(&tb).ul_tbs_decoded, decoded);
+    tb.engine
+        .node_mut::<Wedgeable>(tb.phy)
+        .unwrap()
+        .0
+        .set_stalled(false);
+    tb.engine.run_until(t + Nanos::from_millis(50));
+    assert!(
+        wedgeable_phy(&tb).ul_tbs_decoded > decoded,
+        "the cadence resumed"
+    );
+    assert!(wedgeable_phy(&tb).crash_time.is_none());
 }
 
 #[test]

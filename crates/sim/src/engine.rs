@@ -8,7 +8,10 @@
 //! re-partitions it into several. There is one execution model for
 //! every lane count ([`Engine::run_until`]): windows that end at slot
 //! barriers, lanes independent inside a window, cross-lane effects
-//! applied serially at the barrier.
+//! applied serially at the barrier. Within a lane, a node may defer a
+//! continuation to the end of the current instant ([`Ctx::defer`]),
+//! and the members share lane-owned state ([`Ctx::lane_state`]): the
+//! PHYs of a lane pool an instant's LDPC work into shared batches so.
 //!
 //! Nodes exchange messages of a single application-defined type `M`
 //! (an enum in the higher-level crates covering Ethernet frames, radio
@@ -26,6 +29,7 @@
 //! independent of the pool's worker count.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::equeue::CalendarQueue;
@@ -94,6 +98,10 @@ pub trait Node<M: Message>: Any + Send {
 
     /// A timer scheduled by this node has fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _token: u64) {}
+
+    /// A continuation this node deferred with [`Ctx::defer`] runs: every
+    /// event at the current instant has been dispatched.
+    fn on_deferred(&mut self, _ctx: &mut Ctx<'_, M>, _token: u64) {}
 
     /// Publish everything this node measures under `scope` (its name),
     /// as absolute totals: [`Engine::publish_node_metrics`] snapshots
@@ -276,6 +284,11 @@ enum EventKind<M> {
     /// Re-run the node's `on_start` — used by [`Engine::restart`] to model
     /// a process restart that re-establishes its timer chains.
     Start,
+    /// An end-of-instant continuation ([`Ctx::defer`]). Never queued:
+    /// the lane runs it from its deferral list.
+    Deferred {
+        token: u64,
+    },
 }
 
 /// `Lane::local` sentinel: node is not a member of this lane.
@@ -446,6 +459,12 @@ struct Lane<M: Message> {
     /// Staged trace events, merged into the engine's buffer at barriers.
     trace: TraceBuffer,
     outbox: Vec<Outbound<M>>,
+    /// End-of-instant continuations `(node, token)` in deferral order
+    /// ([`Ctx::defer`]); a kill cancels its node's entries in place by
+    /// setting the node to [`NodeId::EXTERNAL`].
+    deferred: VecDeque<(NodeId, u64)>,
+    /// Lane-owned state, one value per type ([`Ctx::lane_state`]).
+    states: Vec<Box<dyn Any + Send>>,
     env: Env,
 }
 
@@ -467,6 +486,8 @@ impl<M: Message> Lane<M> {
             busy_ns: 0,
             trace: TraceBuffer::default(),
             outbox: Vec::new(),
+            deferred: VecDeque::new(),
+            states: Vec::new(),
             env,
         }
     }
@@ -495,15 +516,21 @@ impl<M: Message> Lane<M> {
         }
     }
 
-    /// Set a member's liveness. `true` when this was a transition, which
-    /// the caller then traces — repeated kills do not pollute the
-    /// timeline.
-    fn flip_alive(&mut self, slot: usize, alive: bool) -> bool {
+    /// Set the liveness of `node`, a member in `slot`. `true` when this
+    /// was a transition, which the caller then traces — repeated kills
+    /// do not pollute the timeline. A kill cancels the node's pending
+    /// continuations, so a node revived at the same instant gets none.
+    fn flip_alive(&mut self, node: NodeId, slot: usize, alive: bool) -> bool {
         if self.alive[slot] == alive {
             return false;
         }
         self.alive[slot] = alive;
         self.alive_dirty = true;
+        if !alive {
+            for entry in self.deferred.iter_mut().filter(|(n, _)| *n == node) {
+                entry.0 = NodeId::EXTERNAL;
+            }
+        }
         true
     }
 
@@ -512,7 +539,7 @@ impl<M: Message> Lane<M> {
     fn set_alive(&mut self, node: NodeId, actor: NodeId, alive: bool) {
         match self.slot_of(node) {
             Some(slot) => {
-                if self.flip_alive(slot, alive) {
+                if self.flip_alive(node, slot, alive) {
                     self.trace
                         .record(self.now, actor, alive_kind(alive), node.0 as u64, 0);
                 }
@@ -593,17 +620,45 @@ impl<M: Message> Lane<M> {
             EventKind::Msg { from, msg } => node.on_msg(&mut ctx, from, msg),
             EventKind::Timer { token } => node.on_timer(&mut ctx, token),
             EventKind::Start => node.on_start(&mut ctx),
+            EventKind::Deferred { token } => node.on_deferred(&mut ctx, token),
         }
         self.nodes[slot] = Some(node);
     }
 
+    /// Mix one dispatch `(time, dst, kind)` into the stream hash.
+    fn hash_dispatch(&mut self, at: Nanos, dst: NodeId, kind_tag: u64) {
+        for v in [at.0, dst.0 as u64, kind_tag] {
+            self.hash ^= v;
+            self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Run the first pending end-of-instant continuation, if its node
+    /// is still a live member.
+    fn run_deferred(&mut self) {
+        let Some((node, token)) = self.deferred.pop_front() else {
+            return;
+        };
+        if let Some(slot) = self.slot_of(node).filter(|&s| self.alive[s]) {
+            self.hash_dispatch(self.now, node, 4);
+            self.deliver(slot, node, EventKind::Deferred { token });
+        }
+    }
+
     /// Advance to `until`: pop and dispatch every queued event at or
     /// before it, against lane-local state only. Runs inside a worker
-    /// job that owns the lane for the duration of the window.
+    /// job that owns the lane for the duration of the window. Whenever
+    /// no event is left at the current instant, the first continuation
+    /// deferred at it runs; the clock moves — and the window returns —
+    /// only once none is left.
     fn run_window(&mut self, until: Nanos) {
         let window_t0 = std::time::Instant::now();
         let _window_span = self.env.profiler.span("lane_dispatch", until.0 / SLOT_NS);
         loop {
+            if !self.deferred.is_empty() && self.queue.peek_at().is_none_or(|at| at > self.now) {
+                self.run_deferred();
+                continue;
+            }
             let popped = {
                 let _s = self.env.profiler.span("queue_pop", self.now.0 / SLOT_NS);
                 self.queue.pop_le(until)
@@ -623,11 +678,9 @@ impl<M: Message> Lane<M> {
                 EventKind::Msg { .. } => 1,
                 EventKind::Timer { .. } => 2,
                 EventKind::Start => 3,
+                EventKind::Deferred { .. } => unreachable!("continuations are never queued"),
             };
-            for v in [at.0, dst.0 as u64, kind_tag] {
-                self.hash ^= v;
-                self.hash = self.hash.wrapping_mul(FNV_PRIME);
-            }
+            self.hash_dispatch(at, dst, kind_tag);
             self.dispatched += 1;
             self.deliver(slot, dst, kind);
         }
@@ -718,6 +771,38 @@ impl<'a, M: Message> Ctx<'a, M> {
                 actor: self.id,
             });
         }
+    }
+
+    /// Run this node's [`Node::on_deferred`] with `token` once every
+    /// event at the current instant has been dispatched — including
+    /// events queued at this instant after the deferral, by callbacks
+    /// and by earlier continuations alike — and before the clock moves.
+    /// The lane's continuations run in deferral order, one at a time,
+    /// each when no event is left at the instant. A window ends an
+    /// instant too: the lane runs its continuations before a window
+    /// returns, so cross-lane deliveries quantized to the barrier
+    /// instant arrive after them. A node killed before its continuation
+    /// runs gets nothing, even if revived at the same instant.
+    pub fn defer(&mut self, token: u64) {
+        self.lane.deferred.push_back((self.id, token));
+    }
+
+    /// State of type `T` owned by this node's lane and shared by its
+    /// members, created with `T::default()` on first use: work that the
+    /// nodes of one lane pool at one instant (say, queued for a
+    /// [`Ctx::defer`] continuation to run as one batch). It moves with
+    /// the lane, so it is never a thread-local: a pool worker that helps
+    /// while it waits can run another lane's window on the same thread.
+    pub fn lane_state<T: Default + Send + 'static>(&mut self) -> &mut T {
+        let states = &mut self.lane.states;
+        let i = match states.iter().position(|s| s.is::<T>()) {
+            Some(i) => i,
+            None => {
+                states.push(Box::new(T::default()));
+                states.len() - 1
+            }
+        };
+        states[i].downcast_mut().expect("state of type T")
     }
 
     /// Liveness of `node`: exact for a node of this lane, the barrier
@@ -988,7 +1073,7 @@ impl<M: Message> Engine<M> {
     fn set_alive(&mut self, node: NodeId, actor: NodeId, alive: bool, at: Nanos) {
         let lane = self.home_mut(node);
         let slot = lane.slot_of(node).expect("not a registered node");
-        if lane.flip_alive(slot, alive) {
+        if lane.flip_alive(node, slot, alive) {
             self.trace
                 .record(at, actor, alive_kind(alive), node.0 as u64, 0);
         }
@@ -2002,6 +2087,169 @@ mod tests {
             assert!(trace.iter().all(|ev| ev.kind == TraceEventKind::MapFlip));
             assert_eq!(trace.dropped_oldest(), 0, "{lanes} lane(s)");
         }
+    }
+
+    /// A shared callback log: `"<time> <node> <event>"` lines.
+    type Log = Arc<std::sync::Mutex<Vec<String>>>;
+
+    /// Logs every callback. A message records its value in the lane's
+    /// `Vec<u64>` state and defers a continuation with the value as
+    /// token; the value 7 also kills and restarts `peer` at once. The
+    /// continuation logs the lane state, and token 1 sends `peer` a
+    /// zero-delay message 9.
+    struct Deferrer {
+        name: &'static str,
+        peer: NodeId,
+        log: Log,
+    }
+
+    impl Deferrer {
+        fn add(e: &mut Engine<TestMsg>, name: &'static str, peer: usize, log: &Log) -> NodeId {
+            let log = Arc::clone(log);
+            let peer = NodeId(peer);
+            e.add_node(name, Box::new(Deferrer { name, peer, log }))
+        }
+
+        fn note(&self, ctx: &Ctx<'_, TestMsg>, what: String) {
+            let line = format!("{} {} {what}", ctx.now().0, self.name);
+            self.log.lock().unwrap().push(line);
+        }
+    }
+
+    impl Node<TestMsg> for Deferrer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            self.note(ctx, "start".into());
+        }
+
+        fn on_msg(&mut self, ctx: &mut Ctx<'_, TestMsg>, _from: NodeId, msg: TestMsg) {
+            self.note(ctx, format!("msg{}", msg.0));
+            ctx.lane_state::<Vec<u64>>().push(msg.0);
+            if msg.0 == 7 {
+                ctx.kill(self.peer);
+                ctx.restart(self.peer);
+            }
+            ctx.defer(msg.0);
+        }
+
+        fn on_deferred(&mut self, ctx: &mut Ctx<'_, TestMsg>, token: u64) {
+            let seen = ctx.lane_state::<Vec<u64>>().clone();
+            self.note(ctx, format!("cont{token} {seen:?}"));
+            if token == 1 {
+                ctx.send_in(self.peer, Nanos::ZERO, TestMsg(9, 0));
+            }
+        }
+    }
+
+    /// The log from t > 0 (after the start-up callbacks).
+    fn after_start(log: &Log) -> Vec<String> {
+        let log = log.lock().unwrap();
+        log.iter()
+            .filter(|l| !l.starts_with("0 "))
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn continuations_run_after_every_event_at_their_instant_in_deferral_order() {
+        at_each_lane_count(|mut e, shard| {
+            let log = Log::default();
+            let a = Deferrer::add(&mut e, "a", 1, &log);
+            let b = Deferrer::add(&mut e, "b", 0, &log);
+            shard(&mut e);
+            e.post(Nanos(100), a, TestMsg(1, 0));
+            e.post(Nanos(100), b, TestMsg(2, 0));
+            e.post(Nanos(100), a, TestMsg(3, 0));
+            e.post(Nanos(200), b, TestMsg(4, 0));
+            let dispatched = e.dispatched();
+            e.run_until(Nanos(1000));
+            // b's continuation waits for the zero-delay message a's
+            // earlier continuation sent at the same instant; the one that
+            // message deferred runs last, and 200 starts afresh.
+            assert_eq!(
+                after_start(&log),
+                [
+                    "100 a msg1",
+                    "100 b msg2",
+                    "100 a msg3",
+                    "100 a cont1 [1, 2, 3]",
+                    "100 b msg9",
+                    "100 b cont2 [1, 2, 3, 9]",
+                    "100 a cont3 [1, 2, 3, 9]",
+                    "100 b cont9 [1, 2, 3, 9]",
+                    "200 b msg4",
+                    "200 b cont4 [1, 2, 3, 9, 4]",
+                ]
+            );
+            // Continuations are hashed, not counted as queue events.
+            assert_eq!(e.dispatched() - dispatched, 5);
+        });
+    }
+
+    #[test]
+    fn a_node_killed_before_its_continuation_gets_none() {
+        at_each_lane_count(|mut e, shard| {
+            let log = Log::default();
+            let a = Deferrer::add(&mut e, "a", 1, &log);
+            let b = Deferrer::add(&mut e, "b", 0, &log);
+            shard(&mut e);
+            e.post(Nanos(100), a, TestMsg(2, 0));
+            e.post(Nanos(100), b, TestMsg(7, 0));
+            e.run_until(Nanos(1000));
+            // b kills and restarts a between a's deferral and its turn:
+            // the revived a starts again but its continuation is gone.
+            assert_eq!(
+                after_start(&log),
+                [
+                    "100 a msg2",
+                    "100 b msg7",
+                    "100 a start",
+                    "100 b cont7 [2, 7]",
+                ]
+            );
+            assert!(e.is_alive(a));
+        });
+    }
+
+    #[test]
+    fn a_window_ending_at_until_runs_its_continuations_before_returning() {
+        at_each_lane_count(|mut e, shard| {
+            let log = Log::default();
+            let a = Deferrer::add(&mut e, "a", 1, &log);
+            Deferrer::add(&mut e, "b", 0, &log);
+            shard(&mut e);
+            e.post(Nanos(100), a, TestMsg(3, 0));
+            e.run_until(Nanos(100));
+            assert_eq!(e.now(), Nanos(100));
+            assert_eq!(after_start(&log), ["100 a msg3", "100 a cont3 [3]"]);
+        });
+    }
+
+    #[test]
+    fn lane_state_is_shared_within_a_lane_and_private_to_it() {
+        let log = Log::default();
+        let mut e = engine();
+        let a = Deferrer::add(&mut e, "a", 1, &log);
+        let b = Deferrer::add(&mut e, "b", 0, &log);
+        let c = Deferrer::add(&mut e, "c", 0, &log);
+        e.enable_shards(vec![1, 1, 0], 2);
+        e.set_worker_pool(WorkerPool::new(2));
+        for (i, node) in [a, b, c].into_iter().enumerate() {
+            e.post(Nanos(100), node, TestMsg(i as u64 + 2, 0));
+        }
+        e.run_until(Nanos(1000));
+        let mut got = after_start(&log);
+        got.sort();
+        assert_eq!(
+            got,
+            [
+                "100 a cont2 [2, 3]",
+                "100 a msg2",
+                "100 b cont3 [2, 3]",
+                "100 b msg3",
+                "100 c cont4 [4]",
+                "100 c msg4",
+            ]
+        );
     }
 
     #[test]
