@@ -14,7 +14,7 @@
 //! the handover controller hang off the *service switch* — the one
 //! switch when there is one group, a spine joining the leaf switches
 //! otherwise. The classic testbed is the default `cells(1)`; a
-//! four-cell one with slot DSP on a worker pool is:
+//! four-cell one whose cell lanes run on four workers is:
 //!
 //! ```ignore
 //! let mut d = DeploymentBuilder::new()
@@ -139,7 +139,8 @@ pub struct Deployment {
     pub phy_nodes: BTreeMap<u8, NodeId>,
     /// Every PHY id → its PHY-side Orion node.
     pub phy_orions: BTreeMap<u8, NodeId>,
-    /// Size of the engine's DSP worker pool (1 = serial).
+    /// Size of the worker pool the engine runs its lanes on (1 =
+    /// serial).
     pub workers: usize,
     /// The middlebox switches when there is more than one, in cell
     /// order, named `leaf0..`: the leaves of a `cell_groups(g ≥ 2)`
@@ -166,7 +167,7 @@ pub struct Deployment {
 }
 
 /// Fluent builder for [`Deployment`] — the one entry point for every
-/// testbed shape: seed, cell count, DSP worker pool, detector tuning,
+/// testbed shape: seed, cell count, worker pool, detector tuning,
 /// and trace-sink sizing.
 #[derive(Debug, Clone, Default)]
 pub struct DeploymentBuilder {
@@ -211,9 +212,13 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Size of the engine's DSP worker pool. `1` (the default) keeps
-    /// every slot serial; `n > 1` fans per-PDU / per-code-block work
-    /// out while preserving the byte-identical event trace.
+    /// Size of the worker pool the engine runs its lanes on: up to `n`
+    /// lanes advance at once, and every callback, its DSP included,
+    /// runs serially on its lane's thread. `1` (the default) runs every
+    /// lane in turn; the event trace is byte-identical for any `n`. A
+    /// build the engine runs as one lane — one cell, or cells coupled
+    /// within a slot (spare pool, `handover()`, crossed standbys; see
+    /// DESIGN.md §5g) — gains nothing from `n > 1`.
     pub fn workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one worker");
         self.workers = n;

@@ -1,8 +1,9 @@
-//! The worker-pool contract: fanning slot DSP out over N workers must
-//! not move a single byte of the event trace (or any metric) relative
-//! to the serial single-worker run. Dispatch order, RNG draws, and
-//! merge order are all pinned in the serial prepare/merge phases, so
-//! the pool size is invisible to everything the simulation observes.
+//! The worker-pool contract: running engine lanes on N workers must not
+//! move a single byte of the event trace (or any metric) relative to
+//! the serial single-worker run. Lanes carry pre-split RNG streams and
+//! merge in lane order at every slot barrier, and a callback's DSP runs
+//! serially on its lane's thread, so the pool size is invisible to
+//! everything the simulation observes.
 //! The kernel backend is held to the same contract: every SIMD arm is
 //! bit-exact, so the backend is invisible too.
 
@@ -100,7 +101,7 @@ fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> Observed {
     let mut d = b.build();
     // These cells share nothing within a slot, so each is its own lane
     // (DESIGN.md §5g): at 4 workers a multi-cell run dispatches lanes
-    // in parallel as well as fanning out DSP.
+    // in parallel.
     let lanes = if cells > 1 { cells + 1 } else { 1 };
     assert_eq!(d.engine.lane_loads().len(), lanes);
     for i in 0..cells {
@@ -223,9 +224,9 @@ fn assert_backends_agree(shape: &str, run_on: impl Fn(KernelBackend) -> Observed
     }
 }
 
-/// The same Full-fidelity deployment at 1 and 4 workers: a TB's LDPC
-/// batches are the pool's jobs, and their composition comes from the
-/// TB's size alone, so the worker count still cannot move a byte.
+/// The same Full-fidelity deployment at 1 and 4 workers: its one lane
+/// decodes a TB's LDPC batches in place, their composition set by the
+/// TB's size alone, so the worker count cannot move a byte.
 #[test]
 fn full_fidelity_four_workers_match_single_worker() {
     let (bytes_1, hash_1, engine_hash_1, metrics_1) = run(9, 1, 1, FULL_UL_DL);
@@ -321,8 +322,8 @@ fn profiler_never_perturbs_trace_or_metrics() {
     }
 }
 
-/// Chaos smoke under a worker pool: a primary-PHY crash handled while
-/// slot DSP runs on 4 workers still satisfies every trace oracle.
+/// Chaos smoke under a worker pool: a primary-PHY crash handled on an
+/// engine with 4 workers still satisfies every trace oracle.
 #[test]
 fn chaos_crash_scenario_passes_oracles_with_workers() {
     run_crash(4, KernelConfig::detect());

@@ -12,7 +12,7 @@
 
 use crate::dispatch::DspKernels;
 use crate::iq::Cplx;
-use slingshot_sim::{SimRng, WorkerPool};
+use slingshot_sim::SimRng;
 
 /// Symbols per noise-generation chunk in [`AwgnChannel::apply_with`],
 /// and per draw block of the AVX2 arm.
@@ -120,37 +120,23 @@ impl AwgnChannel {
         (out, noise_var)
     }
 
-    /// Chunked-parallel variant of [`AwgnChannel::apply`]. Noise draws
-    /// come from per-chunk streams split off one fork of the channel
-    /// RNG *in serial chunk order*, so the realization depends only on
-    /// the channel RNG state — never on the pool's worker count. The
-    /// realization differs from `apply` (different stream layout); a
-    /// caller must use one variant consistently.
+    /// Chunked variant of [`AwgnChannel::apply`]: chunk `i` of
+    /// [`CHANNEL_CHUNK`] symbols draws its noise from stream `split(i)`
+    /// of one fork of the channel RNG, the splits taken in chunk order.
+    /// The realization differs from `apply` (different stream layout);
+    /// a caller must use one variant consistently.
     pub(crate) fn apply_with(
         &mut self,
         kernels: DspKernels,
-        pool: &WorkerPool,
         symbols: &[Cplx],
         snr_db: f64,
     ) -> (Vec<Cplx>, f32) {
         let noise_var = (1.0 / db_to_linear(snr_db)) as f32;
         let per_axis = (noise_var / 2.0).sqrt();
         let mut base = self.rng.fork("awgn-chunks");
-        let jobs: Vec<_> = symbols
-            .chunks(CHANNEL_CHUNK)
-            .enumerate()
-            .map(|(i, chunk)| {
-                let mut rng = base.split(i as u64);
-                let mut chunk = chunk.to_vec();
-                move || {
-                    noise_into(kernels, &mut rng, per_axis, &mut chunk, true);
-                    chunk
-                }
-            })
-            .collect();
-        let mut out = Vec::with_capacity(symbols.len());
-        for part in pool.run(jobs) {
-            out.extend(part);
+        let mut out = symbols.to_vec();
+        for (i, chunk) in out.chunks_mut(CHANNEL_CHUNK).enumerate() {
+            noise_into(kernels, &mut base.split(i as u64), per_axis, chunk, true);
         }
         (out, noise_var)
     }
@@ -683,27 +669,37 @@ mod tests {
     }
 
     #[test]
-    fn apply_with_is_worker_count_independent() {
+    fn apply_with_realization_is_pinned() {
+        // A known answer for the chunked realization: per-chunk streams
+        // `split(i)` of one fork, over three chunks and a short fourth,
+        // on every backend. The pin is an FNV-1a hash of the output's
+        // f32 bits; the channel stream must have advanced by the one
+        // draw of the fork.
         let symbols = vec![Cplx::new(1.0, -1.0); 3 * CHANNEL_CHUNK + 17];
-        let mut ch1 = AwgnChannel::new(SimRng::new(9));
-        let mut ch4 = AwgnChannel::new(SimRng::new(9));
-        let (a, nv_a) = ch1.apply_with(DspKernels::scalar(), &WorkerPool::serial(), &symbols, 12.0);
-        let (b, nv_b) = ch4.apply_with(
-            DspKernels::detect(),
-            &WorkerPool::with_threads(4),
-            &symbols,
-            12.0,
-        );
-        assert_eq!(a, b);
-        assert_eq!(nv_a, nv_b);
-        // Noise power still matches the requested SNR.
-        let measured: f32 = a
-            .iter()
-            .zip(&symbols)
-            .map(|(x, s)| (*x - *s).norm_sq())
-            .sum::<f32>()
-            / a.len() as f32;
-        assert!((measured - nv_a).abs() < 0.005, "measured={measured}");
+        for kernels in [DspKernels::scalar(), DspKernels::detect()] {
+            let mut ch = AwgnChannel::new(SimRng::new(9));
+            let (a, nv) = ch.apply_with(kernels, &symbols, 12.0);
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for x in a.iter().flat_map(|s| [s.re.to_bits(), s.im.to_bits()]) {
+                h = (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            assert_eq!(
+                h,
+                0x35e7_eeaf_a470_6d2f,
+                "realization on {}",
+                kernels.name()
+            );
+            assert_eq!(nv.to_bits(), 0x3d81_3856);
+            assert_eq!(ch.rng.next_u64(), 0x4061_9b85_d152_fbf9);
+            // Noise power still matches the requested SNR.
+            let measured: f32 = a
+                .iter()
+                .zip(&symbols)
+                .map(|(x, s)| (*x - *s).norm_sq())
+                .sum::<f32>()
+                / a.len() as f32;
+            assert!((measured - nv).abs() < 0.005, "measured={measured}");
+        }
     }
 
     /// The AVX2 arm's `y = r·cos θ`, `r·sin θ` against libm's before

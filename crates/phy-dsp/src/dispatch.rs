@@ -6,7 +6,7 @@
 //! pack/unpack. It is a tiny `Copy` handle wrapping
 //! the engine-carried [`KernelConfig`], constructed once per deployment
 //! (`DeploymentBuilder::kernel_config(...)` → `Engine` → `Ctx`) and
-//! handed down the call chain like the worker pool.
+//! handed down the call chain.
 //!
 //! ## Backend contract
 //!
@@ -29,11 +29,11 @@ use crate::iq::{BfpPrb, Cplx, SC_PER_PRB};
 use crate::ldpc::{LdpcBlockOut, LdpcCode, LdpcScratch};
 use crate::modulation::Modulation;
 use crate::tbchain::{self, TbDecodeOutcome, TbParams};
-use slingshot_sim::{KernelBackend, KernelConfig, WorkerPool};
+use slingshot_sim::{KernelBackend, KernelConfig};
 
 /// Backend-dispatched entry points for the hot DSP kernels.
 ///
-/// Cheap to copy; capture it by value in worker closures.
+/// Cheap to copy; pass it by value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DspKernels {
     cfg: KernelConfig,
@@ -198,17 +198,16 @@ impl DspKernels {
         channel.apply_on(*self, symbols, snr_db)
     }
 
-    /// AWGN at `snr_db`, chunk-parallel over `pool` (worker-count
-    /// independent), `AwgnChannel::apply_with`; the same noise on every
-    /// backend, as [`DspKernels::awgn_apply`].
+    /// AWGN at `snr_db` from per-chunk noise streams,
+    /// `AwgnChannel::apply_with`; the same noise on every backend, as
+    /// [`DspKernels::awgn_apply`].
     pub fn awgn_apply_with(
         &self,
         channel: &mut AwgnChannel,
-        pool: &WorkerPool,
         symbols: &[Cplx],
         snr_db: f64,
     ) -> (Vec<Cplx>, f32) {
-        channel.apply_with(*self, pool, symbols, snr_db)
+        channel.apply_with(*self, symbols, snr_db)
     }
 
     /// Pure noise symbols, [`AwgnChannel::garbage`]; the same noise on
@@ -217,13 +216,13 @@ impl DspKernels {
         channel.garbage_on(*self, len)
     }
 
-    /// Encode a transport block (serial).
+    /// Encode a transport block, [`tbchain::encode_tb`].
     pub fn encode_tb(&self, payload: &[u8], p: &TbParams) -> Vec<Cplx> {
-        tbchain::encode_tb_with(*self, &WorkerPool::serial(), payload, p)
+        tbchain::encode_tb(*self, payload, p)
     }
 
-    /// Decode a transport block (serial), soft-combining into the
-    /// caller-owned HARQ accumulator.
+    /// Decode a transport block, soft-combining into the caller-owned
+    /// HARQ accumulator, [`tbchain::decode_tb`].
     pub fn decode_tb(
         &self,
         acc: &mut [f32],
@@ -232,15 +231,7 @@ impl DspKernels {
         payload_bytes: usize,
         p: &TbParams,
     ) -> TbDecodeOutcome {
-        tbchain::decode_tb_with(
-            *self,
-            &WorkerPool::serial(),
-            acc,
-            rx_symbols,
-            noise_var,
-            payload_bytes,
-            p,
-        )
+        tbchain::decode_tb(*self, acc, rx_symbols, noise_var, payload_bytes, p)
     }
 }
 

@@ -327,8 +327,8 @@ pub fn descramble_llrs(llrs: &mut [f32], c_init: u32) {
 }
 
 /// Descramble with an already-positioned generator (advances it by
-/// `llrs.len()`). Lets per-code-block jobs each descramble their own
-/// slice from a clone positioned at the block boundary.
+/// `llrs.len()`). Lets each code block descramble its own slice from a
+/// clone positioned at the block boundary.
 pub fn descramble_llrs_with(llrs: &mut [f32], g: &mut GoldSequence) {
     for l in llrs.iter_mut() {
         if g.step() == 1 {

@@ -1,27 +1,27 @@
 //! The thread's DSP workspace.
 //!
-//! Every job in the transport-block chain needs the same working set:
-//! demapped LLRs, packed-bit staging for the encoder, the channel's
-//! uniform draws and the LDPC decoder's message buffers. Allocating
-//! those per TB per TTI is pure churn — the sizes recur every slot — so
-//! a job borrows the [`Workspace`] of the thread it runs on: it
-//! `take()`s [`WORKSPACE`] and `set()`s it back, and the next job on
-//! that thread reuses the buffers. One per thread, not per node: a
-//! batch's decoder state (~0.4 MB at k = 1024, most of it the
-//! lane-interleaved messages) multiplied by nodes × workers would be
-//! the largest thing the process holds. A job that finds the workspace
-//! already taken (it runs inside another job's borrow) gets an empty
-//! one and allocates; workspace contents never carry information
-//! between uses (every consumer clears or fully overwrites a buffer
-//! before reading it), so which workspace a job gets has no effect on
-//! results and worker scheduling stays trace-invisible.
+//! Every call into the transport-block chain needs the same working
+//! set: demapped LLRs, packed-bit staging for the encoder, the
+//! channel's uniform draws and the LDPC decoder's message buffers.
+//! Allocating those per TB per TTI is pure churn — the sizes recur
+//! every slot — so a call borrows the [`Workspace`] of the thread it
+//! runs on: it `take()`s [`WORKSPACE`] and `set()`s it back, and the
+//! next call on that thread reuses the buffers. One per thread, not per
+//! node: a batch's decoder state (~0.4 MB at k = 1024, most of it the
+//! lane-interleaved messages) multiplied by nodes would be the largest
+//! thing the process holds. A call that finds the workspace already
+//! taken (it runs inside another call's borrow) gets an empty one and
+//! allocates; workspace contents never carry information between uses
+//! (every consumer clears or fully overwrites a buffer before reading
+//! it), so which workspace a call gets has no effect on results, and
+//! which pool thread runs a lane stays trace-invisible.
 
 use std::cell::RefCell;
 
 use crate::bits::BitBuf;
 use crate::ldpc::{LdpcBlockOut, LdpcScratch};
 
-/// Reusable working set for one encode job or one decode batch.
+/// Reusable working set for one TB encode or one run of decode batches.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     /// Demapper output for a block's symbol window.

@@ -15,8 +15,8 @@
 //!
 //! Bits move through the chain packed 64 per word ([`BitBuf`]), the
 //! scrambling sequence comes from the per-thread
-//! [`cached_sequence`] word cache, and jobs borrow their working
-//! buffers from the thread they run on (`WORKSPACE`), so steady-state
+//! [`cached_sequence`] word cache, and the chain borrows its working
+//! buffers from the calling thread (`WORKSPACE`), so steady-state
 //! slots allocate almost nothing. No stage moves one bit per call: the
 //! LDPC encoder solves its parity a word at a time
 //! ([`LdpcCode::encode_packed`]), the parity interleave gathers 64 bits
@@ -40,7 +40,6 @@ use crate::modulation::{modulate_packed, Modulation};
 use crate::ratematch::{rate_match_packed, rate_recover};
 use crate::scramble::{cached_sequence, descramble_llrs_packed, scramble_packed, GoldSequence};
 use crate::scratch::{Workspace, WORKSPACE};
-use slingshot_sim::WorkerPool;
 
 /// Maximum information bits per LDPC code block (including the share of
 /// the TB CRC). Larger transport blocks are segmented.
@@ -149,31 +148,15 @@ fn e_split(e_bits: usize, ks: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Per-code-block unit of encode work, prepared serially so jobs are
-/// self-contained (owned packed info bits and the block's bit offset
-/// into the codeword / scrambling sequence).
-struct EncodeBlock {
-    k: usize,
-    e: usize,
-    offset_e: usize,
-    bits: BitBuf,
-}
-
-/// Encode a transport block, fanning per-code-block work (LDPC encode,
-/// rate match, scramble) out across `pool` with working buffers drawn
-/// from the thread each job runs on. Bit-identical to the serial path
-/// for any worker count: blocks are independent, scrambling offsets are
-/// fixed in serial prepare order, and results merge in block order.
+/// Encode a transport block: per code block, LDPC encode, the parity
+/// interleave and rate matching, appended in block order; then one
+/// scramble of the whole coded TB and modulation. Working buffers come
+/// from the calling thread's workspace.
 ///
 /// `_kernels` keeps the entry point uniform with the decode chain; the
 /// encode path is integer/LUT work with no SIMD variant today, so every
 /// backend runs the same code.
-pub fn encode_tb_with(
-    _kernels: DspKernels,
-    pool: &WorkerPool,
-    payload: &[u8],
-    p: &TbParams,
-) -> Vec<Cplx> {
+pub fn encode_tb(_kernels: DspKernels, payload: &[u8], p: &TbParams) -> Vec<Cplx> {
     let bps = p.modulation.bits_per_symbol();
     assert!(
         p.e_bits.is_multiple_of(bps),
@@ -187,58 +170,31 @@ pub fn encode_tb_with(
     let es = e_split(p.e_bits, &ks);
     let seq = cached_sequence(GoldSequence::c_init_data(p.rnti, p.cell_id), p.e_bits);
 
-    let mut blocks = Vec::with_capacity(ks.len());
+    let mut s = WORKSPACE.take();
+    let mut tx_bits = BitBuf::with_capacity(p.e_bits);
     let mut offset = 0;
-    let mut offset_e = 0;
     for (&k, &e) in ks.iter().zip(&es) {
-        blocks.push(EncodeBlock {
-            k,
-            e,
-            offset_e,
-            bits: bits.slice(offset, k),
-        });
-        offset_e += e;
+        let (code, order) = code_for(k);
+        s.bits_a.clear();
+        code.encode_packed(&bits.slice(offset, k), &mut s.bits_a);
+        // Permute into transmission order: the systematic prefix is the
+        // identity, the parity part is strided and gathered 64 bits per
+        // pushed word.
+        s.bits_b.clear();
+        s.bits_b.append_range(&s.bits_a, 0, k);
+        let cw = s.bits_a.words();
+        for idxs in order[k..].chunks(64) {
+            let mut word = 0u64;
+            for (j, &idx) in idxs.iter().enumerate() {
+                word |= ((cw[idx as usize >> 6] >> (idx & 63)) & 1) << j;
+            }
+            s.bits_b.push_word(word, idxs.len());
+        }
+        rate_match_packed(&s.bits_b, e, p.rv, &mut tx_bits);
         offset += k;
     }
-
-    let rv = p.rv;
-    let segs = pool.run(
-        blocks
-            .into_iter()
-            .map(|b| {
-                let seq = Arc::clone(&seq);
-                move || {
-                    let (code, order) = code_for(b.k);
-                    let mut s = WORKSPACE.take();
-                    s.bits_a.clear();
-                    code.encode_packed(&b.bits, &mut s.bits_a);
-                    // Permute into transmission order: the systematic
-                    // prefix is the identity, the parity part is strided
-                    // and gathered 64 bits per pushed word.
-                    s.bits_b.clear();
-                    s.bits_b.append_range(&s.bits_a, 0, b.k);
-                    let cw = s.bits_a.words();
-                    for idxs in order[b.k..].chunks(64) {
-                        let mut word = 0u64;
-                        for (j, &idx) in idxs.iter().enumerate() {
-                            word |= ((cw[idx as usize >> 6] >> (idx & 63)) & 1) << j;
-                        }
-                        s.bits_b.push_word(word, idxs.len());
-                    }
-                    let mut seg = BitBuf::with_capacity(b.e);
-                    rate_match_packed(&s.bits_b, b.e, rv, &mut seg);
-                    scramble_packed(&mut seg, &seq, b.offset_e);
-                    WORKSPACE.set(s);
-                    seg
-                }
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let mut tx_bits = BitBuf::with_capacity(p.e_bits);
-    for seg in &segs {
-        tx_bits.append(seg);
-    }
+    WORKSPACE.set(s);
+    scramble_packed(&mut tx_bits, &seq, 0);
     modulate_packed(&tx_bits, p.modulation)
 }
 
@@ -261,7 +217,8 @@ pub struct TbDecodeOutcome {
 /// One code block of a received transport block, from [`prepare_tb`]
 /// to [`finish_tb`]: its symbol window and front-end parameters, its
 /// HARQ accumulator segment (transmission order) — soft-combined with
-/// this transmission in the batch job — and the decoder's verdict.
+/// this transmission just before its batch decodes — and the decoder's
+/// verdict.
 #[derive(Debug)]
 struct RxBlock {
     k: usize,
@@ -326,8 +283,8 @@ impl PreparedTb {
 /// fronthaul, become erasures), its front-end parameters and a copy of
 /// its segment of the HARQ accumulator `acc` (which [`finish_tb`]
 /// writes back). The DSP — demap, descramble, rate recovery — runs in
-/// [`decode_prepared`]'s batch job with the block's LDPC decode, so
-/// both share one thread and its cache.
+/// [`decode_prepared`] right before the block's batch decode, so both
+/// share the cache.
 pub fn prepare_tb(
     acc: &[f32],
     rx_symbols: &[Cplx],
@@ -387,16 +344,15 @@ struct Batch {
 /// all the TBs, in submission order (TB order, then block order),
 /// grouped by `(k, fec_iterations)` into batches of at most
 /// [`BATCH_LANES`] — a block joins the newest batch of its group while
-/// that has a free lane, else opens a new one. Each batch is one job on
-/// `pool`, with the working buffers of the thread it runs on: its
+/// that has a free lane, else opens a new one. Batches decode in place,
+/// in batch order, with the calling thread's working buffers: their
 /// blocks' front ends, then one lockstep decode. Composition never
 /// changes a block's outcome: [`DspKernels::ldpc_decode_batch_into`]
 /// gives each lane exactly what a one-block decode would, so the result
-/// is identical for any mix of TBs and any worker count. Returns each
-/// batch's wall-clock nanoseconds inside the decoder, in batch order
-/// (host-dependent; for profiling only — never feed it back into
-/// simulation logic).
-pub fn decode_prepared(kernels: DspKernels, pool: &WorkerPool, tbs: &mut [PreparedTb]) -> Vec<u64> {
+/// is identical for any mix of TBs. Returns each batch's wall-clock
+/// nanoseconds inside the decoder, in batch order (host-dependent; for
+/// profiling only — never feed it back into simulation logic).
+pub fn decode_prepared(kernels: DspKernels, tbs: &mut [PreparedTb]) -> Vec<u64> {
     let mut batches: Vec<Batch> = Vec::new();
     for (t, tb) in tbs.iter().enumerate() {
         for (b, block) in tb.blocks.iter().enumerate() {
@@ -416,71 +372,37 @@ pub fn decode_prepared(kernels: DspKernels, pool: &WorkerPool, tbs: &mut [Prepar
         }
     }
 
-    // Blocks move into their batch's job and come back decoded.
-    let mut slots: Vec<Vec<Option<RxBlock>>> = tbs
-        .iter_mut()
-        .map(|tb| {
-            std::mem::take(&mut tb.blocks)
-                .into_iter()
-                .map(Some)
-                .collect()
-        })
-        .collect();
-    let jobs: Vec<_> = batches
-        .iter()
-        .map(|batch| {
-            let (k, fec_iterations) = (batch.k, batch.fec_iterations);
-            let mut blocks: Vec<RxBlock> = batch
-                .members
-                .iter()
-                .map(|&(t, b)| slots[t][b].take().expect("a block joins one batch"))
-                .collect();
-            move || {
-                let (code, order) = code_for(k);
-                let mut s = WORKSPACE.take();
-                for block in blocks.iter_mut() {
-                    block.front_end(kernels, &mut s);
-                }
-                let mut views: [&[f32]; BATCH_LANES] = [&[]; BATCH_LANES];
-                for (view, block) in views.iter_mut().zip(&blocks) {
-                    *view = &block.seg;
-                }
-                let lanes = blocks.len();
-                s.out.resize_with(BATCH_LANES, Default::default);
-                let ldpc_start = std::time::Instant::now();
-                kernels.ldpc_decode_batch_into(
-                    &code,
-                    &order,
-                    &views[..lanes],
-                    fec_iterations,
-                    &mut s.ldpc,
-                    &mut s.out[..lanes],
-                );
-                let ldpc_ns = ldpc_start.elapsed().as_nanos() as u64;
-                for (block, o) in blocks.iter_mut().zip(&s.out) {
-                    block.info = o.hard.slice(0, k);
-                    block.iterations = o.iterations;
-                    block.parity_ok = o.parity_ok;
-                }
-                WORKSPACE.set(s);
-                (blocks, ldpc_ns)
-            }
-        })
-        .collect();
-
-    let mut batch_ns = Vec::with_capacity(jobs.len());
-    for (batch, (blocks, ldpc_ns)) in batches.iter().zip(pool.run(jobs)) {
-        for (&(t, b), block) in batch.members.iter().zip(blocks) {
-            slots[t][b] = Some(block);
+    let mut s = WORKSPACE.take();
+    s.out.resize_with(BATCH_LANES, Default::default);
+    let mut batch_ns = Vec::with_capacity(batches.len());
+    for batch in &batches {
+        let (code, order) = code_for(batch.k);
+        for &(t, b) in &batch.members {
+            tbs[t].blocks[b].front_end(kernels, &mut s);
         }
-        batch_ns.push(ldpc_ns);
+        let mut views: [&[f32]; BATCH_LANES] = [&[]; BATCH_LANES];
+        for (view, &(t, b)) in views.iter_mut().zip(&batch.members) {
+            *view = &tbs[t].blocks[b].seg;
+        }
+        let lanes = batch.members.len();
+        let ldpc_start = std::time::Instant::now();
+        kernels.ldpc_decode_batch_into(
+            &code,
+            &order,
+            &views[..lanes],
+            batch.fec_iterations,
+            &mut s.ldpc,
+            &mut s.out[..lanes],
+        );
+        batch_ns.push(ldpc_start.elapsed().as_nanos() as u64);
+        for (&(t, b), o) in batch.members.iter().zip(&s.out) {
+            let block = &mut tbs[t].blocks[b];
+            block.info = o.hard.slice(0, batch.k);
+            block.iterations = o.iterations;
+            block.parity_ok = o.parity_ok;
+        }
     }
-    for (tb, blocks) in tbs.iter_mut().zip(slots) {
-        tb.blocks = blocks
-            .into_iter()
-            .map(|b| b.expect("every block was decoded"))
-            .collect();
-    }
+    WORKSPACE.set(s);
     batch_ns
 }
 
@@ -520,11 +442,10 @@ pub fn finish_tb(acc: &mut [f32], tb: PreparedTb) -> TbDecodeOutcome {
 /// HARQ accumulator `acc`. Its batches are runs of up to
 /// [`BATCH_LANES`] consecutive blocks of equal `k` ([`segment_sizes`]
 /// yields at most two runs), so they depend only on the TB's size. The
-/// result — including every f32 of `acc` — is identical for any worker
-/// count, and to decoding the TB batched with any others.
-pub fn decode_tb_with(
+/// result — including every f32 of `acc` — is identical to decoding the
+/// TB batched with any others.
+pub fn decode_tb(
     kernels: DspKernels,
-    pool: &WorkerPool,
     acc: &mut [f32],
     rx_symbols: &[Cplx],
     noise_var: f32,
@@ -532,7 +453,7 @@ pub fn decode_tb_with(
     p: &TbParams,
 ) -> TbDecodeOutcome {
     let mut tb = prepare_tb(acc, rx_symbols, noise_var, payload_bytes, p);
-    let batch_ns = decode_prepared(kernels, pool, std::slice::from_mut(&mut tb));
+    let batch_ns = decode_prepared(kernels, std::slice::from_mut(&mut tb));
     TbDecodeOutcome {
         ldpc_ns: batch_ns.iter().sum(),
         ..finish_tb(acc, tb)
@@ -735,44 +656,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_encode_decode_bit_identical_to_serial() {
-        // Multi-block TB with noise and a truncated (lost-tail) symbol
-        // vector: the 4-worker path must match the serial path exactly,
-        // down to every f32 in the HARQ accumulator.
-        let pool = WorkerPool::with_threads(4);
-        let data = payload(400, 21); // 4 code blocks
-        let p = params(6448, 0);
-        let serial_syms = encode_tb(&data, &p);
-        let par_syms = encode_tb_with(DspKernels::detect(), &pool, &data, &p);
-        assert_eq!(serial_syms, par_syms);
-
-        let mut ch = AwgnChannel::new(SimRng::new(22));
-        let (mut rx, nv) = ch.apply(&serial_syms, 6.0);
-        rx.truncate(rx.len() - 100); // lost fronthaul tail → erasures
-        let mut acc_serial = vec![0.0; mother_buffer_len(data.len())];
-        let mut acc_par = acc_serial.clone();
-        let out_serial = decode_tb(&mut acc_serial, &rx, nv, data.len(), &p);
-        let out_par = decode_tb_with(
-            DspKernels::detect(),
-            &pool,
-            &mut acc_par,
-            &rx,
-            nv,
-            data.len(),
-            &p,
-        );
-        assert_eq!(acc_serial, acc_par);
-        assert_eq!(out_serial.payload, out_par.payload);
-        assert_eq!(out_serial.ldpc_iterations, out_par.ldpc_iterations);
-        assert_eq!(out_serial.all_parity_ok, out_par.all_parity_ok);
-    }
-
-    #[test]
     fn job_on_a_thread_whose_workspace_is_taken_is_bit_identical() {
-        // A thread blocked in `WorkerPool::run` helps drain the queue,
-        // so a job can start on a thread that is already inside another
-        // job's borrow: it finds the workspace taken, works in an empty
-        // one, and must produce the same bits.
+        // A chain call that starts on a thread whose workspace is
+        // already borrowed finds it taken, works in an empty one, and
+        // must produce the same bits.
         let data = payload(400, 23);
         let p = params(6448, 0);
         let syms = encode_tb(&data, &p);
@@ -851,27 +738,16 @@ mod tests {
     /// `kernels`; every payload, iteration total, parity verdict and
     /// HARQ accumulator bit must agree. Returns the batch count of the
     /// joint call.
-    fn assert_joint_decode_identical(
-        kernels: DspKernels,
-        pool: &WorkerPool,
-        mix: &[Reception],
-    ) -> usize {
+    fn assert_joint_decode_identical(kernels: DspKernels, mix: &[Reception]) -> usize {
         let mut joint: Vec<PreparedTb> = mix
             .iter()
             .map(|r| prepare_tb(&r.acc, &r.rx, r.nv, r.payload_bytes, &r.p))
             .collect();
-        let batches = decode_prepared(kernels, pool, &mut joint).len();
+        let batches = decode_prepared(kernels, &mut joint).len();
         for (i, (r, tb)) in mix.iter().zip(joint).enumerate() {
             let mut acc_alone = r.acc.clone();
-            let alone = decode_tb_with(
-                kernels,
-                pool,
-                &mut acc_alone,
-                &r.rx,
-                r.nv,
-                r.payload_bytes,
-                &r.p,
-            );
+            let alone =
+                super::decode_tb(kernels, &mut acc_alone, &r.rx, r.nv, r.payload_bytes, &r.p);
             let mut acc_joint = r.acc.clone();
             let together = finish_tb(&mut acc_joint, tb);
             let what = format!("{} TB {i} of {}", kernels.name(), mix.len());
@@ -896,7 +772,6 @@ mod tests {
 
     #[test]
     fn batching_across_tbs_is_bit_identical_to_one_tb_at_a_time() {
-        let pool = WorkerPool::with_threads(2);
         let mut rng = SimRng::new(31);
         let mut ch = AwgnChannel::new(SimRng::new(32));
         for kernels in [DspKernels::scalar(), DspKernels::detect()] {
@@ -909,7 +784,7 @@ mod tests {
                 reception(&mut ch, 1121, 18_000, 0, 8, 2.0, 0, false),
                 reception(&mut ch, 997, 16_000, 2, 8, 2.0, 40, true),
             ];
-            assert_eq!(assert_joint_decode_identical(kernels, &pool, &mix), 3);
+            assert_eq!(assert_joint_decode_identical(kernels, &mix), 3);
             for _ in 0..4 {
                 let tbs = 2 + rng.below(4) as usize;
                 let mix: Vec<Reception> = (0..tbs)
@@ -938,7 +813,7 @@ mod tests {
                         )
                     })
                     .collect();
-                assert_joint_decode_identical(kernels, &pool, &mix);
+                assert_joint_decode_identical(kernels, &mix);
             }
         }
     }

@@ -26,7 +26,7 @@ use slingshot_phy_dsp::scramble::{
 };
 use slingshot_phy_dsp::Cplx;
 use slingshot_phy_dsp::{mother_buffer_len, DspKernels, KernelBackend, TbParams};
-use slingshot_sim::{SimRng, WorkerPool};
+use slingshot_sim::SimRng;
 
 // ---------------------------------------------------------------- CRC
 
@@ -865,7 +865,6 @@ proptest! {
 
     #[test]
     fn awgn_bit_exact_across_backends(seed in any::<u64>(), snr_db in -20.0f64..60.0) {
-        let pool = WorkerPool::with_threads(2);
         // Lengths around the 2 048-sample draw block and chunk: empty,
         // one, one short, exact, one over, and several chunks plus a
         // short last quad.
@@ -877,8 +876,7 @@ proptest! {
             let run = |kernels: DspKernels| {
                 let mut ch = AwgnChannel::new(SimRng::new(seed ^ 0xA96));
                 let (serial, nv) = kernels.awgn_apply(&mut ch, &symbols, snr_db);
-                let (chunked, nv_chunked) =
-                    kernels.awgn_apply_with(&mut ch, &pool, &symbols, snr_db);
+                let (chunked, nv_chunked) = kernels.awgn_apply_with(&mut ch, &symbols, snr_db);
                 let (garbage, _) = kernels.awgn_garbage(&mut ch, len);
                 let bits = |v: &[Cplx]| -> Vec<(u32, u32)> {
                     v.iter().map(|s| (s.re.to_bits(), s.im.to_bits())).collect()

@@ -29,10 +29,10 @@ use slingshot_phy_dsp::channel::{db_to_linear, AwgnChannel};
 use slingshot_phy_dsp::scramble::GoldSequence;
 use slingshot_phy_dsp::snr::estimate_snr_db;
 use slingshot_phy_dsp::tbchain::{
-    decode_prepared, encode_tb_with, finish_tb, mother_buffer_len, prepare_tb, PreparedTb, TbParams,
+    decode_prepared, finish_tb, mother_buffer_len, prepare_tb, PreparedTb, TbParams,
 };
 use slingshot_phy_dsp::{Cplx, DspKernels, Modulation, SC_PER_PRB};
-use slingshot_sim::{Ctx, SimRng, WorkerPool};
+use slingshot_sim::{Ctx, SimRng};
 
 /// Cap on the representative code block's payload in Sampled mode:
 /// 125 bytes + 3-byte CRC = 1024 info bits = one code block.
@@ -49,24 +49,6 @@ const FH_RETAIN_SLOTS: u64 = 8;
 /// The engine's kernel backend as a DSP dispatch handle.
 pub(crate) fn kernels_of(ctx: &Ctx<'_, Msg>) -> DspKernels {
     DspKernels::from_config(ctx.kernel_config())
-}
-
-/// A node's DSP environment for one callback: kernel backend and
-/// worker pool. Cheap shared handles, so a worker-pool job takes its
-/// own clone.
-#[derive(Clone)]
-pub struct DspEnv {
-    pub kernels: DspKernels,
-    pub pool: WorkerPool,
-}
-
-impl DspEnv {
-    pub fn of(ctx: &Ctx<'_, Msg>) -> DspEnv {
-        DspEnv {
-            kernels: kernels_of(ctx),
-            pool: ctx.worker_pool(),
-        }
-    }
 }
 
 /// A transport block as it travels over the air / fronthaul.
@@ -333,17 +315,14 @@ fn cached_pilots(rnti: u16, cell_id: u16, len: usize) -> Arc<Vec<Cplx>> {
     })
 }
 
-/// Encode a TB for transmission under the given fidelity, fanning
-/// per-code-block work out across the environment's pool. Bit-identical
-/// for any worker count.
-pub(crate) fn encode_signal_with(
-    dsp: &DspEnv,
+/// Encode a TB for transmission under the given fidelity.
+pub(crate) fn encode_signal(
+    kernels: DspKernels,
     fidelity: Fidelity,
     payload: &Bytes,
     lp: &LinkParamsTb,
 ) -> TbSignal {
-    let encode =
-        |bytes: &[u8], e_bits| encode_tb_with(dsp.kernels, &dsp.pool, bytes, &lp.tb_params(e_bits));
+    let encode = |bytes: &[u8], e_bits| kernels.encode_tb(bytes, &lp.tb_params(e_bits));
     let pilots = match fidelity {
         Fidelity::Abstract => Vec::new(),
         _ => cached_pilots(lp.rnti, lp.cell_id, lp.pilot_len())[..lp.pilot_len()].to_vec(),
@@ -364,12 +343,12 @@ pub(crate) fn encode_signal_with(
     }
 }
 
-/// Pass a signal through the channel at `snr_db` with chunk-parallel
-/// noise generation (per-chunk RNG streams: the same realization for
-/// any worker count). AWGN generation goes through the `kernels` seam:
-/// one noise source, the same f32 noise on every backend.
-pub(crate) fn apply_channel_with(
-    dsp: &DspEnv,
+/// Pass a signal through the channel at `snr_db`, its noise drawn from
+/// per-chunk RNG streams (`DspKernels::awgn_apply_with`). AWGN
+/// generation goes through the `kernels` seam: one noise source, the
+/// same f32 noise on every backend.
+pub(crate) fn apply_channel(
+    kernels: DspKernels,
     signal: &mut TbSignal,
     snr_db: f64,
     channel: &mut AwgnChannel,
@@ -377,10 +356,7 @@ pub(crate) fn apply_channel_with(
     signal.snr_db = snr_db;
     for iq in [&mut signal.pilots, &mut signal.symbols] {
         if !iq.is_empty() {
-            *iq = dsp
-                .kernels
-                .awgn_apply_with(channel, &dsp.pool, iq, snr_db)
-                .0;
+            *iq = kernels.awgn_apply_with(channel, iq, snr_db).0;
         }
     }
 }
@@ -468,8 +444,8 @@ impl RxProcessPool {
 
     /// Move a HARQ process's soft state out of the pool (a fresh,
     /// empty state when the process has none). Pairs with
-    /// [`RxProcessPool::put`]; this is what lets a `Send` decode job
-    /// own the state while the pool stays behind.
+    /// [`RxProcessPool::put`]; this is what lets a reception queued at
+    /// the slot tick own the state until its continuation merges it.
     pub fn take(&mut self, rnti: u16, harq_id: u8) -> RxSoftState {
         RxSoftState(self.procs.remove(&(rnti, harq_id)).unwrap_or_default())
     }
@@ -484,19 +460,16 @@ impl RxProcessPool {
     }
 }
 
-/// Attempt to receive one TB transmission into caller-held soft state,
-/// with per-code-block decode work fanned out across the environment's
-/// pool: [`receive_prepare`], the LDPC decode of this TB alone, then
-/// [`receive_finish`]. Identical outcome for any worker count.
+/// Attempt to receive one TB transmission into caller-held soft state:
+/// [`receive_prepare`], the LDPC decode of this TB alone, then
+/// [`receive_finish`].
 ///
-/// The receiver takes the state out of its pool, may run this inside a
-/// worker-pool job (everything here is `Send`-clean), and puts the
-/// state back in serial merge order. A successful decode empties the
-/// state, which is how the HARQ process retires when the caller `put`s
-/// it back. `lp.ndi` starts a fresh HARQ series when toggled; `rng`
+/// The receiver takes the state out of its pool and puts it back after.
+/// A successful decode empties the state, which is how the HARQ process
+/// retires when the caller `put`s it back. `lp.ndi` starts a fresh HARQ series when toggled; `rng`
 /// supplies the Abstract mode's BLER draw.
 pub(crate) fn receive_into(
-    dsp: &DspEnv,
+    kernels: DspKernels,
     state: &mut RxSoftState,
     fidelity: Fidelity,
     signal: &TbSignal,
@@ -506,7 +479,7 @@ pub(crate) fn receive_into(
     match receive_prepare(state, fidelity, signal, lp, rng) {
         Reception::Done(outcome) => outcome,
         Reception::Decode(mut rx) => {
-            decode_prepared(dsp.kernels, &dsp.pool, std::slice::from_mut(&mut rx.tb));
+            decode_prepared(kernels, std::slice::from_mut(&mut rx.tb));
             receive_finish(state, rx)
         }
     }
@@ -639,18 +612,14 @@ mod tests {
     use slingshot_fronthaul::{fh_header, Direction};
     use slingshot_sim::{SimRng, SlotId};
 
-    /// A serial environment on the host's best backend — bit-exact
-    /// with scalar by contract, so every outcome below is
-    /// backend-independent.
-    fn dsp() -> DspEnv {
-        DspEnv {
-            kernels: DspKernels::detect(),
-            pool: WorkerPool::serial(),
-        }
+    /// The host's best backend — bit-exact with scalar by contract, so
+    /// every outcome below is backend-independent.
+    fn kernels() -> DspKernels {
+        DspKernels::detect()
     }
 
     fn encode_signal(fidelity: Fidelity, payload: &Bytes, lp: &LinkParamsTb) -> TbSignal {
-        encode_signal_with(&dsp(), fidelity, payload, lp)
+        super::encode_signal(kernels(), fidelity, payload, lp)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -670,7 +639,7 @@ mod tests {
             ..*lp
         };
         let mut state = procs.take(lp.rnti, harq_id);
-        let out = receive_into(&dsp(), &mut state, fidelity, signal, &lp, rng);
+        let out = receive_into(kernels(), &mut state, fidelity, signal, &lp, rng);
         procs.put(lp.rnti, harq_id, state);
         out
     }
@@ -710,7 +679,7 @@ mod tests {
         let l = lp(0);
         let data = payload(200);
         let mut sig = encode_signal(fidelity, &data, &l);
-        apply_channel_with(&dsp(), &mut sig, snr_db, &mut ch);
+        apply_channel(kernels(), &mut sig, snr_db, &mut ch);
         let mut pool = RxProcessPool::new();
         let out = receive(&mut pool, fidelity, &sig, &l, data.len(), 0, true, &mut rng);
         out.payload.as_ref() == Some(&data)
@@ -749,7 +718,7 @@ mod tests {
         let l = lp(0);
         let data = payload(100);
         let mut sig = encode_signal(Fidelity::Full, &data, &l);
-        apply_channel_with(&dsp(), &mut sig, 15.0, &mut ch);
+        apply_channel(kernels(), &mut sig, 15.0, &mut ch);
         let mut pool = RxProcessPool::new();
         let out = receive(
             &mut pool,
@@ -781,7 +750,7 @@ mod tests {
             let snr = 2.5;
             let l0 = lp(0);
             let mut s0 = encode_signal(Fidelity::Sampled, &data, &l0);
-            apply_channel_with(&dsp(), &mut s0, snr, &mut ch);
+            apply_channel(kernels(), &mut s0, snr, &mut ch);
             let o0 = receive(
                 &mut pool,
                 Fidelity::Sampled,
@@ -798,7 +767,7 @@ mod tests {
             }
             let l1 = lp(2);
             let mut s1 = encode_signal(Fidelity::Sampled, &data, &l1);
-            apply_channel_with(&dsp(), &mut s1, snr, &mut ch);
+            apply_channel(kernels(), &mut s1, snr, &mut ch);
             let o1 = receive(
                 &mut pool,
                 Fidelity::Sampled,
@@ -970,7 +939,7 @@ mod tests {
     ) -> (Vec<FhMessage>, TbSignal) {
         let slot = SlotId::from_absolute(5119);
         let mut sent = Vec::new();
-        signal.pack(dsp().kernels, fh_header(dir, slot, 0, 2), 7, 0x4601, |m| {
+        signal.pack(kernels(), fh_header(dir, slot, 0, 2), 7, 0x4601, |m| {
             sent.push(FhMessage::from_bytes(&m.to_bytes()).expect("parses"))
         });
         assert!(sent.iter().all(|m| m.direction() == dir));
@@ -984,7 +953,7 @@ mod tests {
         order(&mut delivered);
         let mut rx = FhAssembly::default();
         for m in delivered {
-            rx.absorb(dsp().kernels, 5119, m);
+            rx.absorb(kernels(), 5119, m);
         }
         let mut buf = rx.remove(5119).unwrap_or_default();
         (sent, buf.take(7, 0x4601, pilot_len(num_prb)))

@@ -39,13 +39,13 @@ use slingshot_phy_dsp::snr::SnrFilter;
 use slingshot_phy_dsp::tbchain::{decode_prepared, PreparedTb};
 use slingshot_phy_dsp::DspKernels;
 use slingshot_sim::{
-    Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, TraceEventKind, WorkerPool,
+    Ctx, InstrumentSink, Nanos, Node, NodeId, SimRng, SlotClock, SlotId, TraceEventKind,
 };
 
 use crate::cell::{CellConfig, FAPI_ADVANCE_SLOTS};
 use crate::fidelity::{
-    encode_signal_with, kernels_of, receive_finish, receive_prepare, DspEnv, FhAssembly,
-    LinkParamsTb, Reception, RxDecode, RxOutcome, RxProcessPool, RxSoftState,
+    encode_signal, kernels_of, receive_finish, receive_prepare, FhAssembly, LinkParamsTb,
+    Reception, RxDecode, RxOutcome, RxProcessPool, RxSoftState,
 };
 use crate::msg::{timer_tokens, CtlMsg, Msg};
 
@@ -127,8 +127,8 @@ impl UlBatch {
 
     /// Decode every TB queued since the last flush, in shared lockstep
     /// batches; returns each batch's wall-clock nanoseconds.
-    fn flush(&mut self, kernels: DspKernels, pool: &WorkerPool) -> Vec<u64> {
-        let batch_ns = decode_prepared(kernels, pool, &mut self.tbs[self.decoded..]);
+    fn flush(&mut self, kernels: DspKernels) -> Vec<u64> {
+        let batch_ns = decode_prepared(kernels, &mut self.tbs[self.decoded..]);
         self.decoded = self.tbs.len();
         batch_ns
     }
@@ -393,42 +393,32 @@ impl PhyNode {
         self.work_slots += 1;
         let payloads: HashMap<u16, Bytes> = tbs.into_iter().collect();
         let abs = slot.epoch_index();
-        // Serial prepare → parallel jobs → serial merge: one
-        // self-contained encode job per PDU with a payload, and every
-        // send in PDU order after the pool returns, so worker count
-        // never changes the trace. The wall-clock TTI accounting is a
-        // side channel, inert when the profiler is disabled.
-        let dsp = DspEnv::of(ctx);
+        // Encode every PDU with a payload, then send in PDU order. The
+        // wall-clock TTI accounting is a side channel, inert when the
+        // profiler is disabled.
+        let kernels = kernels_of(ctx);
         let profiler = ctx.profiler();
         let slot_t0 = profiler.is_enabled().then(std::time::Instant::now);
-        let prepare_span = profiler.span("slot_prepare", abs);
         let (fidelity, data_symbols) = (self.cell.fidelity, self.cell.data_symbols);
         let iters = self.cfg.fec_iterations;
-        let jobs: Vec<_> = pdsch
-            .iter()
-            .filter_map(|pdu| {
-                let payload = payloads.get(&pdu.rnti)?.clone();
-                let dci = dci_of(pdu, false, slot);
-                let lp = LinkParamsTb::from_grant(&dci, cell_id, data_symbols, iters);
-                let (dsp, profiler) = (dsp.clone(), profiler.clone());
-                Some(move || {
-                    let _encode_span = profiler.span("dl_encode", abs);
-                    let signal = encode_signal_with(&dsp, fidelity, &payload, &lp);
-                    (dci, lp.e_bits(), signal)
-                })
-            })
-            .collect();
-        drop(prepare_span);
-        let jobs_span = profiler.span("slot_jobs", abs);
-        let signals = dsp.pool.run(jobs);
-        drop(jobs_span);
+        let mut signals = Vec::with_capacity(pdsch.len());
+        for pdu in &pdsch {
+            let Some(payload) = payloads.get(&pdu.rnti) else {
+                continue;
+            };
+            let dci = dci_of(pdu, false, slot);
+            let lp = LinkParamsTb::from_grant(&dci, cell_id, data_symbols, iters);
+            let _encode_span = profiler.span("dl_encode", abs);
+            let signal = encode_signal(kernels, fidelity, payload, &lp);
+            signals.push((dci, lp.e_bits(), signal));
+        }
         let merge_span = profiler.span("slot_merge", abs);
         let mut entries = Vec::new();
         for (dci, e_bits, signal) in signals {
             self.busy_ns_total +=
                 CPU_SLOT_BASE_NS + (e_bits as f64 * CPU_ENCODE_PER_EBIT_NS) as u64;
             entries.push(dci);
-            signal.pack(dsp.kernels, hdr, dci.start_prb, dci.rnti, |m| {
+            signal.pack(kernels, hdr, dci.start_prb, dci.rnti, |m| {
                 self.send_fh(ctx, ru_id, m)
             });
         }
@@ -443,9 +433,9 @@ impl PhyNode {
     /// run at the abs+2 boundary — the 3-slot pipeline of Fig. 7): in
     /// PDU order, fronthaul reassembly, CSI bookkeeping, HARQ
     /// soft-state checkout, RNG stream splits and the reception up to
-    /// the TB's decode. The TBs join the lane's [`UlBatch`], whose
-    /// flush fans the decode out over the worker pool, and
-    /// [`PhyNode::finish_ul`] sends the results.
+    /// the TB's decode. The TBs join the lane's [`UlBatch`], which the
+    /// lane's first continuation decodes, and [`PhyNode::finish_ul`]
+    /// sends the results.
     fn queue_ul(&mut self, ctx: &mut Ctx<'_, Msg>, ru_id: u8, abs: u64) {
         let Some(ru) = self.rus.get_mut(&ru_id) else {
             return;
@@ -539,11 +529,11 @@ impl PhyNode {
         let (mut decode_ns, mut lane_blocks) = (0, 0);
         if slots.iter().any(|ul| ul.blocks > 0) {
             let abs = first.abs;
-            let dsp = DspEnv::of(ctx);
+            let kernels = kernels_of(ctx);
             let batch = ctx.lane_state::<UlBatch>();
             let flush_t0 = profiler.is_enabled().then(std::time::Instant::now);
             let decode_span = profiler.span("ul_decode", abs);
-            let batch_ns = batch.flush(dsp.kernels, &dsp.pool);
+            let batch_ns = batch.flush(kernels);
             drop(decode_span);
             if let Some(t0) = flush_t0 {
                 batch.decode_ns += t0.elapsed().as_nanos() as u64;

@@ -22,7 +22,7 @@ use slingshot_transport::UserApp;
 
 use crate::cell::{CellConfig, REATTACH_DELAY, RLF_TIMEOUT};
 use crate::fidelity::{
-    apply_channel_with, encode_signal_with, receive_into, DspEnv, LinkParamsTb, RxProcessPool,
+    apply_channel, encode_signal, kernels_of, receive_into, LinkParamsTb, RxProcessPool,
 };
 use crate::l2::{build_mac_pdu, parse_mac_pdu};
 use crate::mobility::{MobilityConfig, MobilityModel};
@@ -289,7 +289,7 @@ impl UeNode {
         if self.state != UeState::Connected {
             return;
         }
-        let dsp = DspEnv::of(ctx);
+        let kernels = kernels_of(ctx);
         for g in grants {
             self.ul_grants_served += 1;
             // New data or retransmission? Track NDI per HARQ process.
@@ -315,10 +315,10 @@ impl UeNode {
             };
             let lp = self.link_params(&g);
             let encode_span = ctx.profiler().span("ue_encode", abs);
-            let mut signal = encode_signal_with(&dsp, self.cell.fidelity, &payload, &lp);
+            let mut signal = encode_signal(kernels, self.cell.fidelity, &payload, &lp);
             drop(encode_span);
             let channel_span = ctx.profiler().span("channel", abs);
-            apply_channel_with(&dsp, &mut signal, self.current_snr_db, &mut self.channel);
+            apply_channel(kernels, &mut signal, self.current_snr_db, &mut self.channel);
             drop(channel_span);
             let burst = RadioUlBurst {
                 ru_id: self.serving_ru,
@@ -363,7 +363,7 @@ impl UeNode {
             self.grants.entry(abs).or_default().push(*dci);
         }
         // Decode downlink assignments addressed to us.
-        let dsp = DspEnv::of(ctx);
+        let kernels = kernels_of(ctx);
         for dci in burst
             .dcis
             .iter()
@@ -380,7 +380,7 @@ impl UeNode {
             // Receiver-side channel: noise applied at the UE antenna.
             let mut signal = alloc.signal.clone();
             let channel_span = ctx.profiler().span("channel", burst.slot.epoch_index());
-            apply_channel_with(&dsp, &mut signal, self.current_snr_db, &mut self.channel);
+            apply_channel(kernels, &mut signal, self.current_snr_db, &mut self.channel);
             drop(channel_span);
             // The whole TB decode is one span; its LDPC share is not
             // re-recorded under `ldpc_decode`, which stays the child of
@@ -388,7 +388,7 @@ impl UeNode {
             let decode_span = ctx.profiler().span("ue_decode", burst.slot.epoch_index());
             let mut state = self.dl_pool.take(dci.rnti, dci.harq_id);
             let fidelity = self.cell.fidelity;
-            let out = receive_into(&dsp, &mut state, fidelity, &signal, &lp, &mut self.rng);
+            let out = receive_into(kernels, &mut state, fidelity, &signal, &lp, &mut self.rng);
             self.dl_pool.put(dci.rnti, dci.harq_id, state);
             drop(decode_span);
             let ok = out.payload.is_some();

@@ -22,11 +22,11 @@
 //! Dispatch is deterministic: the same master seed and the same
 //! sequence of API calls produce byte-identical event traces (see
 //! [`Engine::trace_hash`]), whatever the number of threads. Lane
-//! windows run as jobs on the engine's [`WorkerPool`], and nodes may
-//! offload pure compute within one callback to the same pool
-//! ([`Ctx::worker_pool`]); because lanes and jobs carry pre-split RNG
-//! streams and results merge in a fixed order, the trace is
-//! independent of the pool's worker count.
+//! windows are the only parallel work: they run as jobs on the
+//! engine's [`WorkerPool`], and a node's callback runs serially on the
+//! thread that runs its lane; because lanes carry pre-split RNG streams
+//! and merge in lane order at each barrier, the trace is independent of
+//! the pool's worker count.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -401,7 +401,6 @@ enum Outbound<M> {
 /// any point between runs is seen by the next window.
 #[derive(Clone)]
 struct Env {
-    pool: WorkerPool,
     profiler: SpanProfiler,
     kernels: KernelConfig,
     /// Node names, indexed by `NodeId`.
@@ -791,8 +790,8 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// members, created with `T::default()` on first use: work that the
     /// nodes of one lane pool at one instant (say, queued for a
     /// [`Ctx::defer`] continuation to run as one batch). It moves with
-    /// the lane, so it is never a thread-local: a pool worker that helps
-    /// while it waits can run another lane's window on the same thread.
+    /// the lane, so it is never a thread-local: from one window to the
+    /// next, a lane's window may run on any thread of the pool.
     pub fn lane_state<T: Default + Send + 'static>(&mut self) -> &mut T {
         let states = &mut self.lane.states;
         let i = match states.iter().position(|s| s.is::<T>()) {
@@ -827,14 +826,6 @@ impl<'a, M: Message> Ctx<'a, M> {
             .record_at_slot(self.lane.now, self.id, slot, kind, a, b);
     }
 
-    /// The engine's compute worker pool (a cheap shared handle). Pure
-    /// per-slot DSP work may fan out here; everything observable through
-    /// this `Ctx` must still happen serially, in submission order, so
-    /// worker count never changes the trace.
-    pub fn worker_pool(&self) -> WorkerPool {
-        self.lane.env.pool.clone()
-    }
-
     /// The engine's kernel backend selection (a `Copy` config). Nodes
     /// build their DSP dispatch handle from this once per callback, so
     /// every kernel in the deployment runs the same implementation
@@ -860,6 +851,8 @@ pub struct Engine<M: Message> {
     /// Node id -> owning lane.
     lane_of: Vec<u32>,
     env: Env,
+    /// The pool lane windows run on.
+    pool: WorkerPool,
     /// The merged event trace (lanes stage into their own buffers).
     trace: TraceBuffer,
     metrics: MetricsRegistry,
@@ -885,7 +878,6 @@ impl<M: Message> Engine<M> {
     /// here on, every link, and the root RNG stream.
     pub fn new(seed: u64) -> Engine<M> {
         let env = Env {
-            pool: WorkerPool::serial(),
             profiler: SpanProfiler::disabled(),
             kernels: KernelConfig::detect(),
             names: Arc::new(Vec::new()),
@@ -895,6 +887,7 @@ impl<M: Message> Engine<M> {
             lanes: vec![Some(lane)],
             lane_of: Vec::new(),
             env,
+            pool: WorkerPool::serial(),
             trace: TraceBuffer::default(),
             metrics: MetricsRegistry::new(),
             now: Nanos::ZERO,
@@ -906,17 +899,12 @@ impl<M: Message> Engine<M> {
         }
     }
 
-    /// Install the compute worker pool nodes reach through
-    /// [`Ctx::worker_pool`] and lane windows run on. Defaults to the
-    /// inline serial pool; a deployment that wants parallel slot
-    /// processing installs a shared threaded pool here.
+    /// Install the worker pool lane windows run on. Defaults to the
+    /// inline serial pool; an engine of several lanes runs up to the
+    /// pool's worker count of them at once. Nodes never reach the pool:
+    /// a callback runs serially on the thread that runs its lane.
     pub fn set_worker_pool(&mut self, pool: WorkerPool) {
-        self.env.pool = pool;
-    }
-
-    /// The engine's compute worker pool (a cheap shared handle).
-    pub fn worker_pool(&self) -> WorkerPool {
-        self.env.pool.clone()
+        self.pool = pool;
     }
 
     /// Install the kernel backend selection nodes reach through
@@ -1161,10 +1149,6 @@ impl<M: Message> Engine<M> {
         &self.metrics
     }
 
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// Copy every link's counters into the metrics registry, one scope
     /// per link (`link:<from>-><to>`), with `sent`/`dropped`/
     /// `corrupted`/`bytes` counters. Idempotent: counters are set, not
@@ -1397,7 +1381,7 @@ impl<M: Message> Engine<M> {
                 }
             })
             .collect();
-        let done = self.env.pool.run(jobs);
+        let done = self.pool.run(jobs);
         for (slot, lane) in self.lanes.iter_mut().zip(done.into_iter().flatten()) {
             *slot = Some(lane);
         }

@@ -1,10 +1,9 @@
 //! Kernel backend selection shared between the engine and the DSP
 //! crates.
 //!
-//! The simulation engine carries a [`KernelConfig`] exactly like it
-//! carries a [`crate::pool::WorkerPool`]: a tiny `Copy` handle that
-//! nodes read through `Ctx` and hand to whichever compute kernels they
-//! invoke. The enum lives here (not in `phy-dsp`) because `phy-dsp`
+//! The simulation engine carries a [`KernelConfig`]: a tiny `Copy`
+//! handle that nodes read through `Ctx` and hand to whichever compute
+//! kernels they invoke. The enum lives here (not in `phy-dsp`) because `phy-dsp`
 //! depends on this crate, so the engine cannot name `phy-dsp` types —
 //! the DSP crate wraps this config in its own dispatch handle.
 //!
@@ -16,9 +15,9 @@
 //! when a detected arm loses). Selecting a backend can therefore never
 //! change a golden trace hash, and the choice comes from the CPU —
 //! there is no user-set value that trades exactness for speed. Today
-//! the max-log demapper, BFP pack/unpack and the LDPC batch decode
-//! carry an AVX2 arm; the single-block LDPC decoder and the AWGN source
-//! are scalar on every backend.
+//! the max-log demapper, BFP pack/unpack, the AWGN source and the LDPC
+//! batch decode carry an AVX2 arm; the single-block LDPC decoder is
+//! scalar on every backend.
 
 use std::fmt;
 

@@ -35,11 +35,12 @@
 //! Real vRAN software busy-polls on dedicated cores; in a simulation,
 //! an async runtime would add nondeterminism without modeling value, so
 //! (per the project's networking guides) we use event-driven synchronous
-//! code and replace wall-clock waiting with simulated time. Pure DSP
-//! compute *within* one event, however, may fan out across the
-//! [`pool::WorkerPool`]: jobs carry pre-split RNG streams and results
-//! merge in submission order, so worker count never changes the trace
-//! (see DESIGN.md §5d).
+//! code and replace wall-clock waiting with simulated time. The
+//! parallelism is whole lanes: the engine runs lane windows on the
+//! [`pool::WorkerPool`], lanes carry pre-split RNG streams and merge in
+//! lane order at each slot barrier, and a callback runs serially on its
+//! lane's thread, so worker count never changes the trace (see
+//! DESIGN.md §5d).
 
 #![forbid(unsafe_code)]
 

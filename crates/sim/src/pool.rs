@@ -1,22 +1,20 @@
-//! Fixed worker pool for deterministic parallel slot processing.
+//! Fixed worker pool the engine runs its lane windows on.
 //!
-//! The simulator's event dispatch stays strictly serial — only *pure
-//! compute* (tbchain encode/decode, channel application) is offloaded
-//! here. A caller submits a batch of closures and blocks until all of
-//! them have run; results come back in submission order, so the merged
-//! output is independent of scheduling. Combined with per-job RNG
-//! streams split *before* submission (see [`crate::rng::SimRng::split`])
-//! this makes an N-worker run byte-identical to the 1-worker run: the
-//! pool only changes *when* a job executes, never *what* it computes or
-//! the order its result is observed in.
+//! Lanes are the simulator's only parallel work: each window, the
+//! engine submits its lanes as a batch of closures and blocks until all
+//! of them have run; results come back in submission order, so the
+//! merged output is independent of scheduling. Combined with per-lane
+//! RNG streams split *before* submission (see
+//! [`crate::rng::SimRng::split`]) this makes an N-worker run
+//! byte-identical to the 1-worker run: the pool only changes *when* a
+//! job executes, never *what* it computes or the order its result is
+//! observed in. Nodes never reach the pool.
 //!
-//! Two details matter for the data path built on top:
+//! Two details matter for the engine built on top:
 //!
 //! - **Help-while-waiting:** a thread blocked in [`WorkerPool::run`]
-//!   executes queued jobs itself while its batch is incomplete. This
-//!   makes nested submission (a per-PDU job that internally fans out
-//!   per-code-block jobs) deadlock-free even when every worker is a
-//!   waiter.
+//!   executes queued jobs itself while its batch is incomplete, so the
+//!   engine's own thread runs lanes alongside the workers.
 //! - **Serial mode:** `workers <= 1` spawns no threads at all and runs
 //!   jobs inline, so the 1-worker configuration exercises the *same*
 //!   job-granular code path as the N-worker one — the determinism
@@ -190,8 +188,7 @@ impl WorkerPool {
 
     /// Execute a batch of jobs and return their results in submission
     /// order. Blocks until the whole batch is complete; the calling
-    /// thread helps drain the queue while it waits (which also makes
-    /// nested `run()` calls from inside jobs safe). A panicking job
+    /// thread helps drain the queue while it waits. A panicking job
     /// re-panics here on the caller.
     pub fn run<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where

@@ -2,21 +2,21 @@
 //!
 //! The deterministic trace ([`crate::trace`]) records *simulated* time
 //! and must stay byte-identical across worker counts and host machines.
-//! Wall-clock measurements — how long the serial prepare, the parallel
-//! DSP jobs, and the serial merge actually took on this host — therefore
-//! live here, in a profiler buffer that is never hashed and never feeds
-//! back into the simulation.
+//! Wall-clock measurements — how long a slot's prepare, DSP and merge
+//! actually took on this host — therefore live here, in a profiler
+//! buffer that is never hashed and never feeds back into the
+//! simulation.
 //!
 //! The profiler is **disabled by default** and zero-cost when disabled:
 //! [`SpanProfiler::span`] returns an inert guard without reading the
 //! clock. A deployment opts in with [`Engine::set_profiler`](crate::Engine::set_profiler) before the run; the handle is
-//! a cheap `Arc` clone, so PHY nodes can move copies into worker-pool
-//! job closures and record spans from any thread.
+//! a cheap `Arc` clone, so the nodes of lanes running on different
+//! pool threads record spans into one buffer.
 //!
 //! What it collects:
-//! - per-stage wall-clock histograms (`slot_prepare`, `slot_jobs`,
-//!   `slot_merge`, `dl_encode`, `ul_decode`, `ldpc_decode`, `channel`,
-//!   `ue_encode`, `ue_decode`)
+//! - per-stage wall-clock histograms (`slot_prepare`, `slot_merge`,
+//!   `dl_encode`, `ul_decode`, `ldpc_decode`, `channel`, `ue_encode`,
+//!   `ue_decode`)
 //! - per-TTI totals against a configurable deadline budget, with a
 //!   deadline-miss counter (the vRAN "did the slot fit in 500 µs on
 //!   this host" question)

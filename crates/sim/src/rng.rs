@@ -49,10 +49,10 @@ impl SimRng {
     }
 
     /// Derive an independent child generator for a numbered shard (the
-    /// numeric analog of [`SimRng::fork`]). Used to pre-split per-job
-    /// streams *in serial submission order* before work fans out to a
-    /// worker pool: each job owns its stream, so the draws it makes are
-    /// independent of worker count and scheduling.
+    /// numeric analog of [`SimRng::fork`]). Used to pre-split streams
+    /// *in a fixed order* — one per engine lane, per PDU, per AWGN
+    /// chunk — so each consumer owns its stream and the draws it makes
+    /// are independent of worker count and scheduling.
     pub fn split(&mut self, shard: u64) -> SimRng {
         // Mix the shard index through splitmix64 so adjacent shards land
         // far apart in seed space, then combine with a fresh draw from

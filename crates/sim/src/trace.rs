@@ -65,8 +65,9 @@ pub enum TraceEventKind {
     /// The RU→PHY steering map changed. `a` = RU id, `b` = packed
     /// (old PHY << 16) | new PHY.
     MapFlip = 8,
-    /// Orion issued a null FAPI response to mask a missing PHY reply.
-    /// `a` = RU id, `b` = absolute slot.
+    /// Orion sent the standby PHY of a pair the null form of a per-slot
+    /// FAPI request, the keep-alive that holds it in lockstep with the
+    /// L2 (`OrionL2Node::fan_out`). `a` = RU id, `b` = absolute slot.
     NullFapiSent = 10,
     /// A late response from a pipelined slot was drained to the L2
     /// after failover. `a` = PHY id, `b` = absolute slot.

@@ -139,7 +139,8 @@ fn main() {
 
     // --- wall-clock slot profile (side channel; host-dependent) ---
     let profiler = d.engine.profiler();
-    profiler.publish(d.engine.metrics_mut());
+    let mut metrics = d.engine.metrics().clone();
+    profiler.publish(&mut metrics);
     if let Some(p) = profiler.report() {
         println!("{}", p.to_text());
     }
@@ -151,5 +152,5 @@ fn main() {
         spans.len()
     );
 
-    println!("metrics snapshot:\n{}", d.engine.metrics().to_text());
+    println!("metrics snapshot:\n{}", metrics.to_text());
 }
