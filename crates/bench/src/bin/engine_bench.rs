@@ -13,9 +13,17 @@
 //!   — the zero-copy duplicate path and reorder holds.
 //! - `far_timers`: a 3:1 mix of near timers and timers up to ~200
 //!   slots ahead — calendar bucket wrap and the global-min sweep.
-//! - `sharded_lanes`: 4 lanes x 16 nodes of timer churn — per-window
-//!   lane hand-off to the pool, outbox drain and the lane-trace merge
-//!   across more than one lane.
+//! - `sharded_lanes`: 4 lanes x 16 nodes of timer churn — the window
+//!   loop over more than one lane, outbox drain and the lane-trace
+//!   merge.
+//! - `sharded_lanes_w2`: the same at 2 workers — the lane runner, one
+//!   runner thread plus the caller claiming lanes per window. Reported,
+//!   never floored (what two threads buy depends on the host's free
+//!   cores); its trace hash must equal `sharded_lanes`'.
+//!
+//! Every row also prints its windows' summed critical path (the
+//! busiest unit of lanes per window) against the lanes' summed busy
+//! time ([`Engine::window_timing`]).
 //!
 //! Each scenario reports events/sec and ns/event; a second profiled
 //! pass breaks the slot loop down by stage (queue_push / queue_pop /
@@ -36,7 +44,7 @@ use std::time::Instant;
 use slingshot_bench::{banner, floor_failures, BenchReport};
 use slingshot_sim::engine::{Ctx, Engine, LinkParams, Message, Node, NodeId};
 use slingshot_sim::time::{Nanos, SLOT_DURATION};
-use slingshot_sim::SpanProfiler;
+use slingshot_sim::{SpanProfiler, WindowTiming};
 
 /// Minimal wire-capable message for the link scenarios.
 #[derive(Debug, Clone)]
@@ -175,6 +183,7 @@ struct Outcome {
     wall_secs: f64,
     trace_hash: u64,
     lanes: usize,
+    timing: WindowTiming,
     profile: Option<HashMap<String, (u64, u64)>>, // stage -> (p50_ns, count)
 }
 
@@ -191,6 +200,7 @@ fn finish(engine: &Engine<BenchMsg>, started: Instant) -> Outcome {
         wall_secs,
         trace_hash: engine.trace_hash(),
         lanes: engine.lane_loads().len(),
+        timing: engine.window_timing(),
         profile,
     }
 }
@@ -302,6 +312,14 @@ fn run_far_timers(horizon: Nanos, profiled: bool) -> Outcome {
 }
 
 fn run_sharded_lanes(horizon: Nanos, profiled: bool) -> Outcome {
+    sharded_lanes(horizon, profiled, 1)
+}
+
+fn run_sharded_lanes_w2(horizon: Nanos, profiled: bool) -> Outcome {
+    sharded_lanes(horizon, profiled, 2)
+}
+
+fn sharded_lanes(horizon: Nanos, profiled: bool, workers: usize) -> Outcome {
     let mut engine: Engine<BenchMsg> = Engine::new(15);
     if profiled {
         engine.set_profiler(SpanProfiler::enabled());
@@ -320,7 +338,7 @@ fn run_sharded_lanes(horizon: Nanos, profiled: bool) -> Outcome {
             lane_of.push(lane as u32);
         }
     }
-    engine.enable_shards(lane_of, lanes);
+    engine.enable_shards(lane_of, lanes, workers);
     let started = Instant::now();
     engine.run_for(horizon);
     finish(&engine, started)
@@ -328,12 +346,13 @@ fn run_sharded_lanes(horizon: Nanos, profiled: bool) -> Outcome {
 
 type Runner = fn(Nanos, bool) -> Outcome;
 
-const SCENARIOS: [(&str, Runner); 5] = [
+const SCENARIOS: [(&str, Runner); 6] = [
     ("timer_ring", run_timer_ring),
     ("mesh_ping", run_mesh_ping),
     ("dup_storm", run_dup_storm),
     ("far_timers", run_far_timers),
     ("sharded_lanes", run_sharded_lanes),
+    ("sharded_lanes_w2", run_sharded_lanes_w2),
 ];
 
 const FLOORS: &str = include_str!("../../baselines/engine_bench.baseline");
@@ -360,39 +379,51 @@ fn main() {
     let mut failed = false;
 
     println!(
-        "{:<14} {:>12} {:>14} {:>10}  determinism",
-        "scenario", "events", "events/sec", "ns/event"
+        "{:<16} {:>12} {:>14} {:>10} {:>17}  determinism",
+        "scenario", "events", "events/sec", "ns/event", "crit/busy ms"
     );
+    let mut hashes = HashMap::new();
     for (name, run) in SCENARIOS {
-        // Timed pass + determinism re-run (hashes must match).
+        // Timed pass + determinism re-run (hashes must match, and a
+        // 2-worker run must match its 1-worker twin).
         let a = run(horizon, false);
         let b = run(horizon, false);
-        if a.trace_hash != b.trace_hash {
+        let twin = name.strip_suffix("_w2").map(|w1| hashes[w1]);
+        let deterministic = a.trace_hash == b.trace_hash && twin.is_none_or(|h| h == a.trace_hash);
+        if !deterministic {
             eprintln!(
                 "engine_bench: FAIL {name}: trace hash differs across identical runs \
-                 ({:#x} vs {:#x})",
+                 ({:#x} vs {:#x}, 1-worker twin {twin:#x?})",
                 a.trace_hash, b.trace_hash
             );
             failed = true;
         }
+        hashes.insert(name, a.trace_hash);
         let best_secs = a.wall_secs.min(b.wall_secs);
         let eps = a.events as f64 / best_secs.max(1e-9);
         let ns_per_event = 1e9 / eps.max(1e-9);
+        let WindowTiming {
+            busy_ns,
+            critical_ns,
+            ..
+        } = a.timing;
         println!(
-            "{:<14} {:>12} {:>14.0} {:>10.1}  {}",
+            "{:<16} {:>12} {:>14.0} {:>10.1} {:>8.1}/{:<8.1}  {}",
             name,
             a.events,
             eps,
             ns_per_event,
-            if a.trace_hash == b.trace_hash {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
+            critical_ns as f64 / 1e6,
+            busy_ns as f64 / 1e6,
+            if deterministic { "ok" } else { "MISMATCH" }
         );
         report.scalar(&format!("{name}_events_per_sec"), eps);
         report.scalar(&format!("{name}_ns_per_event"), ns_per_event);
         report.scalar(&format!("{name}_lanes"), a.lanes as f64);
+        report.scalar(
+            &format!("{name}_critical_over_busy"),
+            critical_ns as f64 / busy_ns.max(1) as f64,
+        );
         results.push((name.to_string(), eps));
     }
 

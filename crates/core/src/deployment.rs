@@ -33,7 +33,7 @@ use slingshot_ran::{
     UeNode,
 };
 use slingshot_sim::{
-    Engine, KernelConfig, LinkParams, Nanos, NodeId, SimRng, SlotClock, WorkerPool, SLOT_DURATION,
+    Engine, KernelConfig, LinkParams, Nanos, NodeId, SimRng, SlotClock, SLOT_DURATION,
 };
 use slingshot_switch::{PktGenConfig, PortId, PortSpace};
 use slingshot_transport::UserApp;
@@ -139,9 +139,6 @@ pub struct Deployment {
     pub phy_nodes: BTreeMap<u8, NodeId>,
     /// Every PHY id → its PHY-side Orion node.
     pub phy_orions: BTreeMap<u8, NodeId>,
-    /// Size of the worker pool the engine runs its lanes on (1 =
-    /// serial).
-    pub workers: usize,
     /// The middlebox switches when there is more than one, in cell
     /// order, named `leaf0..`: the leaves of a `cell_groups(g ≥ 2)`
     /// fabric, or the per-cell partitions of a single-switch build
@@ -167,7 +164,7 @@ pub struct Deployment {
 }
 
 /// Fluent builder for [`Deployment`] — the one entry point for every
-/// testbed shape: seed, cell count, worker pool, detector tuning,
+/// testbed shape: seed, cell count, worker count, detector tuning,
 /// and trace-sink sizing.
 #[derive(Debug, Clone, Default)]
 pub struct DeploymentBuilder {
@@ -212,13 +209,16 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Size of the worker pool the engine runs its lanes on: up to `n`
-    /// lanes advance at once, and every callback, its DSP included,
-    /// runs serially on its lane's thread. `1` (the default) runs every
-    /// lane in turn; the event trace is byte-identical for any `n`. A
-    /// build the engine runs as one lane — one cell, or cells coupled
-    /// within a slot (spare pool, `handover()`, crossed standbys; see
-    /// DESIGN.md §5g) — gains nothing from `n > 1`.
+    /// How many threads run the engine's lanes: `w − 1` runner threads
+    /// the engine spawns plus the caller of `run_until`, with
+    /// `w = min(n, available parallelism)`, claiming units of lanes
+    /// ([`DeploymentBuilder::shards`]) as they come free. A callback,
+    /// its DSP included, runs serially on the thread that claimed its
+    /// lane. `1` (the default) spawns nothing and runs every lane on
+    /// the caller in lane order; the trace is byte-identical for any
+    /// `n`. A build the engine runs as one lane — one cell, or cells
+    /// coupled within a slot (spare pool, `handover()`, crossed
+    /// standbys; see DESIGN.md §5g) — gains nothing from `n > 1`.
     pub fn workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one worker");
         self.workers = n;
@@ -296,12 +296,14 @@ impl DeploymentBuilder {
         self
     }
 
-    /// How many parallel jobs the sharded engine chunks its lane set
-    /// into per slot window. Purely an *execution* knob: for any value
-    /// (and any worker count) the event trace is byte-identical — only
+    /// How many units the sharded engine chunks its lane set into per
+    /// slot window: contiguous, near-even runs of lanes, each claimed
+    /// and run whole by one of the [`DeploymentBuilder::workers`]
+    /// threads. Purely an *execution* knob: for any value (and any
+    /// worker count) the event trace is byte-identical — only
     /// wall-clock changes. Defaults to the lane count; no effect on
     /// single-switch (`cell_groups(1)`) builds, whose per-cell
-    /// partitions, when they have them, always run one job per lane.
+    /// partitions, when they have them, always run one unit per lane.
     pub fn shards(mut self, k: usize) -> Self {
         assert!(k >= 1, "at least one shard");
         self.shards = Some(k);
@@ -382,8 +384,6 @@ impl DeploymentBuilder {
             self.crossed,
             self.ues,
         );
-        d.workers = self.workers;
-        d.engine.set_worker_pool(WorkerPool::new(self.workers));
         if let Some(kernels) = self.kernels {
             d.engine.set_kernel_config(kernels);
         }
@@ -392,9 +392,9 @@ impl DeploymentBuilder {
         }
         // Install dispatch lanes after trace sizing so per-lane staging
         // buffers are forked with the final ring capacity. A
-        // partitioned single switch runs one job per lane.
+        // partitioned single switch runs one unit per lane.
         if let Some((lane_of, lanes)) = d.lanes.take() {
-            d.engine.enable_shards(lane_of, lanes);
+            d.engine.enable_shards(lane_of, lanes, self.workers);
             if let Some(k) = self.shards.filter(|_| d.spine.is_some()) {
                 d.engine.set_exec_shards(k);
             }
@@ -960,7 +960,6 @@ impl Deployment {
             handover,
             phy_nodes,
             phy_orions,
-            workers: 1,
             leaves,
             spine,
             attached_switch,

@@ -1,9 +1,10 @@
-//! The worker-pool contract: running engine lanes on N workers must not
-//! move a single byte of the event trace (or any metric) relative to
-//! the serial single-worker run. Lanes carry pre-split RNG streams and
-//! merge in lane order at every slot barrier, and a callback's DSP runs
-//! serially on its lane's thread, so the pool size is invisible to
-//! everything the simulation observes.
+//! The worker contract: running engine lanes on N workers must not move
+//! a single byte of the event trace (or any metric) relative to the
+//! single-worker run. Lanes carry pre-split RNG streams and merge in
+//! lane order at every slot barrier, and a callback's DSP runs serially
+//! on its lane's thread, so the worker count is invisible to everything
+//! the simulation observes. Every worker-count case runs a build of
+//! several lanes — the worker count of a one-lane build picks nothing.
 //! The kernel backend is held to the same contract: every SIMD arm is
 //! bit-exact, so the backend is invisible too.
 
@@ -12,7 +13,7 @@ use slingshot::{Deployment, DeploymentBuilder};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::chaos::{FaultKind, FaultTarget, Scenario};
 use slingshot_sim::{
-    KernelBackend, KernelConfig, MetricsRegistry, Nanos, SpanProfiler, WorkerPool, SLOT_DURATION,
+    KernelBackend, KernelConfig, MetricsRegistry, Nanos, SpanProfiler, SLOT_DURATION,
 };
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -100,8 +101,8 @@ fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> Observed {
     }
     let mut d = b.build();
     // These cells share nothing within a slot, so each is its own lane
-    // (DESIGN.md §5g): at 4 workers a multi-cell run dispatches lanes
-    // in parallel.
+    // (DESIGN.md §5g): at several workers a multi-cell run dispatches
+    // lanes in parallel.
     let lanes = if cells > 1 { cells + 1 } else { 1 };
     assert_eq!(d.engine.lane_loads().len(), lanes);
     for i in 0..cells {
@@ -128,26 +129,36 @@ fn run(seed: u64, cells: usize, workers: usize, dsp: Dsp) -> Observed {
     observed
 }
 
-/// The shape most of tier-1 runs: one Sampled cell with a one-deep
-/// spare pool and an uplink flow, through a crash of the active PHY,
-/// judged by every trace oracle.
-fn run_crash(workers: usize, kernels: KernelConfig) -> Observed {
+/// `cells` Sampled cells with an uplink flow each, through a crash of
+/// cell 0's active PHY, judged by every trace oracle. One cell gets a
+/// one-deep spare pool: the shape most of tier-1 runs, one lane.
+/// Several get none, so that each cell is a lane of its own (a pool
+/// would couple them into one, DESIGN.md §5g).
+fn run_crash(cells: usize, workers: usize, kernels: KernelConfig) -> Observed {
     let scenario =
         Scenario::new("crash", 1600).fault(600, FaultTarget::ActivePhy, FaultKind::PhyCrash);
+    let ues: Vec<UeConfig> = (0..cells)
+        .map(|c| UeConfig::new(100 + c as u16, c as u8, &format!("ue{c}"), 22.0))
+        .collect();
     let mut d = DeploymentBuilder::new()
         .seed(42)
         .cell(small_cell())
+        .cells(cells)
         .workers(workers)
-        .spare_pool(1)
-        .ue(UeConfig::new(100, 0, "ue100", 22.0))
+        .spare_pool(usize::from(cells == 1))
+        .ues(ues)
         .kernel_config(kernels)
         .build();
-    d.add_flow(
-        0,
-        100,
-        Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
-        Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
-    );
+    let lanes = if cells > 1 { cells + 1 } else { 1 };
+    assert_eq!(d.engine.lane_loads().len(), lanes);
+    for c in 0..cells {
+        d.add_flow(
+            c,
+            100 + c as u16,
+            Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
+            Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+        );
+    }
     let report = run_scenario(&mut d, &scenario);
     assert!(
         report.ok(),
@@ -157,13 +168,14 @@ fn run_crash(workers: usize, kernels: KernelConfig) -> Observed {
     observe(&mut d)
 }
 
-/// Across 8 seeds, a 4-worker run is byte-identical (trace and
-/// metrics) to the 1-worker run of the same seed.
+/// Across 8 seeds, a 4-worker run of four cells, each in a lane of its
+/// own, is byte-identical (trace and metrics) to the 1-worker run of
+/// the same seed.
 #[test]
 fn four_workers_match_single_worker_across_seeds() {
     for seed in 1..=8u64 {
-        let (bytes_1, hash_1, _, metrics_1) = run(seed, 1, 1, SAMPLED_UL);
-        let (bytes_4, hash_4, _, metrics_4) = run(seed, 1, 4, SAMPLED_UL);
+        let (bytes_1, hash_1, _, metrics_1) = run(seed, 4, 1, SAMPLED_UL);
+        let (bytes_4, hash_4, _, metrics_4) = run(seed, 4, 4, SAMPLED_UL);
         assert!(!bytes_1.is_empty(), "trace must not be empty (seed {seed})");
         assert_eq!(hash_1, hash_4, "trace hash diverged at seed {seed}");
         assert_eq!(bytes_1, bytes_4, "trace bytes diverged at seed {seed}");
@@ -203,7 +215,7 @@ fn kernel_backends_yield_identical_traces() {
         run(9, 1, 1, dsp)
     });
     assert_backends_agree("sampled crash", |backend| {
-        run_crash(1, KernelConfig::forced(backend))
+        run_crash(1, 1, KernelConfig::forced(backend))
     });
 }
 
@@ -224,13 +236,14 @@ fn assert_backends_agree(shape: &str, run_on: impl Fn(KernelBackend) -> Observed
     }
 }
 
-/// The same Full-fidelity deployment at 1 and 4 workers: its one lane
-/// decodes a TB's LDPC batches in place, their composition set by the
-/// TB's size alone, so the worker count cannot move a byte.
+/// Four Full-fidelity cells, each in a lane of its own, at 1 and 4
+/// workers: a lane decodes its TBs' LDPC batches in place, their
+/// composition set by the TBs alone, so the thread that runs the lane
+/// cannot move a byte.
 #[test]
 fn full_fidelity_four_workers_match_single_worker() {
-    let (bytes_1, hash_1, engine_hash_1, metrics_1) = run(9, 1, 1, FULL_UL_DL);
-    let (bytes_4, hash_4, engine_hash_4, metrics_4) = run(9, 1, 4, FULL_UL_DL);
+    let (bytes_1, hash_1, engine_hash_1, metrics_1) = run(9, 4, 1, FULL_UL_DL);
+    let (bytes_4, hash_4, engine_hash_4, metrics_4) = run(9, 4, 4, FULL_UL_DL);
     assert_eq!(hash_1, hash_4, "trace hash diverged");
     assert_eq!(engine_hash_1, engine_hash_4, "event hash diverged");
     assert_eq!(bytes_1, bytes_4, "trace bytes diverged");
@@ -240,33 +253,25 @@ fn full_fidelity_four_workers_match_single_worker() {
 /// A coupled Sampled deployment — four cells and two spares in one
 /// lane, whose PHYs decode each uplink instant's blocks in shared
 /// lockstep batches — leaves the same trace and metrics (the batch and
-/// code-block counters among them) at every worker count, shard count
-/// and backend.
+/// code-block counters among them) on the scalar backend as on the
+/// detected one.
 #[test]
-fn coupled_sampled_deployment_matches_across_workers_shards_and_backends() {
-    let observe_with = |workers: usize, shards: usize, backend: Option<KernelBackend>| {
+fn coupled_sampled_deployment_matches_across_backends() {
+    let observe_with = |backend: Option<KernelBackend>| {
         let mut d = chaos_pool_deployment(5);
-        d.engine.set_worker_pool(WorkerPool::with_threads(workers));
-        d.engine.set_exec_shards(shards);
         if let Some(b) = backend {
             d.engine.set_kernel_config(KernelConfig::forced(b));
         }
         d.engine.run_until(Nanos::from_millis(100));
         observe(&mut d)
     };
-    let reference = observe_with(1, 1, None);
+    let reference = observe_with(None);
     assert!(
         reference.3.contains("ldpc_batches"),
         "the PHYs publish their batch counter"
     );
-    for (workers, shards) in [(1, 4), (4, 1), (4, 4)] {
-        assert!(
-            reference == observe_with(workers, shards, None),
-            "workers={workers} shards={shards} diverged"
-        );
-    }
     assert!(
-        reference == observe_with(1, 1, Some(KernelBackend::Scalar)),
+        reference == observe_with(Some(KernelBackend::Scalar)),
         "the scalar backend diverged"
     );
 }
@@ -277,19 +282,25 @@ fn coupled_sampled_deployment_matches_across_workers_shards_and_backends() {
 /// an explicit `publish`.
 #[test]
 fn profiler_never_perturbs_trace_or_metrics() {
-    let run_profiled = |seed: u64, workers: usize| {
+    let run_profiled = |seed: u64, cells: usize, workers: usize| {
+        let ues: Vec<UeConfig> = (0..cells)
+            .map(|c| UeConfig::new(100 + c as u16, c as u8, &format!("ue-c{c}"), 22.0))
+            .collect();
         let mut d = DeploymentBuilder::new()
             .seed(seed)
             .cell(small_cell())
+            .cells(cells)
             .workers(workers)
-            .ue(UeConfig::new(100, 0, "ue-c0", 22.0))
+            .ues(ues)
             .build();
-        d.add_flow(
-            0,
-            100,
-            Box::new(UdpCbrSource::new(3_000_000, 900, Nanos::ZERO)),
-            Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
-        );
+        for c in 0..cells {
+            d.add_flow(
+                c,
+                100 + c as u16,
+                Box::new(UdpCbrSource::new(3_000_000, 900, Nanos::ZERO)),
+                Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+            );
+        }
         d.engine
             .set_profiler(SpanProfiler::with_deadline_ns(SLOT_DURATION.0));
         d.engine.run_until(Nanos::from_millis(150));
@@ -301,7 +312,7 @@ fn profiler_never_perturbs_trace_or_metrics() {
     };
     for seed in [5u64, 11] {
         let (bytes_off, hash_off, _, metrics_off) = run(seed, 1, 1, SAMPLED_UL);
-        let (bytes_on, hash_on, metrics_on) = run_profiled(seed, 1);
+        let (bytes_on, hash_on, metrics_on) = run_profiled(seed, 1, 1);
         assert_eq!(
             hash_off, hash_on,
             "profiler changed trace hash (seed {seed})"
@@ -314,17 +325,24 @@ fn profiler_never_perturbs_trace_or_metrics() {
             metrics_off, metrics_on,
             "profiler leaked into metrics without publish (seed {seed})"
         );
-        let (bytes_w4, ..) = run_profiled(seed, 4);
+        // Four cells in lanes of their own, profiled at 4 workers.
+        let (bytes_4_off, ..) = run(seed, 4, 1, SAMPLED_UL);
+        let (bytes_4_on, ..) = run_profiled(seed, 4, 4);
         assert_eq!(
-            bytes_off, bytes_w4,
+            bytes_4_off, bytes_4_on,
             "profiled 4-worker run diverged (seed {seed})"
         );
     }
 }
 
-/// Chaos smoke under a worker pool: a primary-PHY crash handled on an
-/// engine with 4 workers still satisfies every trace oracle.
+/// Chaos smoke at several workers: a primary-PHY crash in one of four
+/// cells, each in a lane of its own, satisfies every trace oracle at
+/// 4 workers and leaves the 1-worker run's trace and metrics.
 #[test]
 fn chaos_crash_scenario_passes_oracles_with_workers() {
-    run_crash(4, KernelConfig::detect());
+    let one = run_crash(4, 1, KernelConfig::detect());
+    assert!(
+        one == run_crash(4, 4, KernelConfig::detect()),
+        "4 workers diverged"
+    );
 }

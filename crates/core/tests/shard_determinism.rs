@@ -81,7 +81,7 @@ fn run_fabric(
 }
 
 /// Across 8 seeds: `shards=4` runs byte-identical to `shards=1`, with
-/// the worker pool simultaneously at 1 vs 4 — the headline acceptance
+/// the worker count simultaneously at 1 vs 4 — the headline acceptance
 /// criterion for the sharded engine.
 #[test]
 fn sharded_trace_invariant_across_seeds() {

@@ -14,7 +14,7 @@
 //! allocates; workspace contents never carry information between uses
 //! (every consumer clears or fully overwrites a buffer before reading
 //! it), so which workspace a call gets has no effect on results, and
-//! which pool thread runs a lane stays trace-invisible.
+//! which thread runs a lane stays trace-invisible.
 
 use std::cell::RefCell;
 

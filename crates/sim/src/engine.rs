@@ -22,11 +22,12 @@
 //! Dispatch is deterministic: the same master seed and the same
 //! sequence of API calls produce byte-identical event traces (see
 //! [`Engine::trace_hash`]), whatever the number of threads. Lane
-//! windows are the only parallel work: they run as jobs on the
-//! engine's [`WorkerPool`], and a node's callback runs serially on the
-//! thread that runs its lane; because lanes carry pre-split RNG streams
-//! and merge in lane order at each barrier, the trace is independent of
-//! the pool's worker count.
+//! windows are the only parallel work: an engine of several lanes set
+//! to `w` workers runs each window on `w − 1` runner threads plus the
+//! calling thread, which claim chunks of lanes as they come free, and a
+//! node's callback runs serially on the thread that runs its lane;
+//! because lanes carry pre-split RNG streams and merge in lane order at
+//! each barrier, the trace is independent of the worker count.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -35,9 +36,9 @@ use std::sync::Arc;
 use crate::equeue::CalendarQueue;
 use crate::kernels::KernelConfig;
 use crate::metrics::{InstrumentSink, MetricsRegistry};
-use crate::pool::WorkerPool;
 use crate::profiler::SpanProfiler;
 use crate::rng::SimRng;
+use crate::runner::{unit_range, LaneRunner};
 use crate::time::{Nanos, SlotId};
 use crate::trace::{TraceBuffer, TraceEventKind};
 
@@ -455,6 +456,8 @@ struct Lane<M: Message> {
     /// real-time budget (a lane is sustainable when its per-slot busy
     /// time fits within the slot duration).
     busy_ns: u64,
+    /// Wall-clock nanoseconds of the last window alone.
+    window_ns: u64,
     /// Staged trace events, merged into the engine's buffer at barriers.
     trace: TraceBuffer,
     outbox: Vec<Outbound<M>>,
@@ -483,6 +486,7 @@ impl<M: Message> Lane<M> {
             hash: FNV_OFFSET,
             dispatched: 0,
             busy_ns: 0,
+            window_ns: 0,
             trace: TraceBuffer::default(),
             outbox: Vec::new(),
             deferred: VecDeque::new(),
@@ -645,8 +649,8 @@ impl<M: Message> Lane<M> {
     }
 
     /// Advance to `until`: pop and dispatch every queued event at or
-    /// before it, against lane-local state only. Runs inside a worker
-    /// job that owns the lane for the duration of the window. Whenever
+    /// before it, against lane-local state only, on whichever thread
+    /// claimed the lane's unit for this window. Whenever
     /// no event is left at the current instant, the first continuation
     /// deferred at it runs; the clock moves — and the window returns —
     /// only once none is left.
@@ -684,7 +688,8 @@ impl<M: Message> Lane<M> {
             self.deliver(slot, dst, kind);
         }
         self.now = self.now.max(until);
-        self.busy_ns += window_t0.elapsed().as_nanos() as u64;
+        self.window_ns = window_t0.elapsed().as_nanos() as u64;
+        self.busy_ns += self.window_ns;
     }
 }
 
@@ -791,7 +796,7 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// nodes of one lane pool at one instant (say, queued for a
     /// [`Ctx::defer`] continuation to run as one batch). It moves with
     /// the lane, so it is never a thread-local: from one window to the
-    /// next, a lane's window may run on any thread of the pool.
+    /// next, a lane's window may run on any thread of the engine's.
     pub fn lane_state<T: Default + Send + 'static>(&mut self) -> &mut T {
         let states = &mut self.lane.states;
         let i = match states.iter().position(|s| s.is::<T>()) {
@@ -844,15 +849,39 @@ impl<'a, M: Message> Ctx<'a, M> {
     }
 }
 
+/// Wall-clock totals of the lane windows an engine has run
+/// ([`Engine::window_timing`]). Measurement only: nothing in the
+/// simulation reads them, and they reach neither the metrics registry
+/// nor the trace.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowTiming {
+    /// Windows run: one per slot barrier crossed, plus the one that
+    /// closes each `run_until`.
+    pub windows: u64,
+    /// Every lane's busy time, summed: what the windows take on one
+    /// thread.
+    pub busy_ns: u64,
+    /// The busiest unit's busy time in each window, summed: what the
+    /// windows take when every unit has a thread of its own.
+    pub critical_ns: u64,
+}
+
 /// The deterministic discrete-event simulation engine.
 pub struct Engine<M: Message> {
-    /// `Option` so a window can move each lane into a worker job.
+    /// `Option` so a window can move each lane to a runner thread.
     lanes: Vec<Option<Lane<M>>>,
     /// Node id -> owning lane.
     lane_of: Vec<u32>,
     env: Env,
-    /// The pool lane windows run on.
-    pool: WorkerPool,
+    /// How many threads run a window (the caller included), clamped to
+    /// the host's available parallelism.
+    workers: usize,
+    /// The runner threads, spawned at the first window that has more
+    /// than one unit to give more than one thread.
+    runner: Option<LaneRunner<Lane<M>>>,
+    /// Windows run and their summed critical path.
+    windows: u64,
+    critical_ns: u64,
     /// The merged event trace (lanes stage into their own buffers).
     trace: TraceBuffer,
     metrics: MetricsRegistry,
@@ -861,7 +890,7 @@ pub struct Engine<M: Message> {
     /// Next absolute slot-barrier instant (a multiple of
     /// [`crate::time::SLOT_DURATION`]).
     next_barrier: Nanos,
-    /// How many parallel jobs the lane set is chunked into per window
+    /// How many units the lane set is chunked into per window
     /// (`shards(k)`). Purely an execution knob: any value produces the
     /// same trace.
     exec_shards: usize,
@@ -887,7 +916,10 @@ impl<M: Message> Engine<M> {
             lanes: vec![Some(lane)],
             lane_of: Vec::new(),
             env,
-            pool: WorkerPool::serial(),
+            workers: 1,
+            runner: None,
+            windows: 0,
+            critical_ns: 0,
             trace: TraceBuffer::default(),
             metrics: MetricsRegistry::new(),
             now: Nanos::ZERO,
@@ -897,14 +929,6 @@ impl<M: Message> Engine<M> {
             outbox_scratch: Vec::new(),
             merge_scratch: Vec::new(),
         }
-    }
-
-    /// Install the worker pool lane windows run on. Defaults to the
-    /// inline serial pool; an engine of several lanes runs up to the
-    /// pool's worker count of them at once. Nodes never reach the pool:
-    /// a callback runs serially on the thread that runs its lane.
-    pub fn set_worker_pool(&mut self, pool: WorkerPool) {
-        self.pool = pool;
     }
 
     /// Install the kernel backend selection nodes reach through
@@ -1121,6 +1145,17 @@ impl<M: Message> Engine<M> {
         self.lanes.iter().flatten().map(|l| l.busy_ns).collect()
     }
 
+    /// Wall-clock totals of every window run so far: the window count,
+    /// the lanes' summed busy time and the summed critical path. Busy
+    /// time over critical path bounds what more threads could gain.
+    pub fn window_timing(&self) -> WindowTiming {
+        WindowTiming {
+            windows: self.windows,
+            busy_ns: self.lane_busy_ns().iter().sum(),
+            critical_ns: self.critical_ns,
+        }
+    }
+
     /// FNV-style hash over the dispatched event stream; equal seeds and
     /// programs produce equal hashes (the determinism regression test).
     /// It is lane 0's stream hash with every further lane's folded in,
@@ -1220,18 +1255,20 @@ impl<M: Message> Engine<M> {
     }
 
     /// Partition the node space into parallel dispatch lanes (cell-group
-    /// shards): the engine's one lane is re-partitioned into `n_lanes`.
-    /// `lane_of[i]` is node `i`'s lane; lane 0 is conventionally the
-    /// spine domain (core network, recovery orchestrator, spare pool).
-    /// Must be called after every node is registered and before the
-    /// first run.
+    /// shards): the engine's one lane is re-partitioned into `n_lanes`,
+    /// whose windows run on up to `workers` threads — the caller and
+    /// `workers − 1` runner threads, with `workers` clamped to the
+    /// host's available parallelism. `lane_of[i]` is node `i`'s lane;
+    /// lane 0 is conventionally the spine domain (core network,
+    /// recovery orchestrator, spare pool). Must be called after every
+    /// node is registered and before the first run.
     ///
     /// Each lane gets its own RNG stream (split off the root in lane
     /// order), the links its members send on, and the queued events
     /// addressed to them. See [`Engine::run_until`] for the barrier
     /// contract that makes the result byte-identical for every
     /// `set_exec_shards` value and every worker count.
-    pub fn enable_shards(&mut self, lane_of: Vec<u32>, n_lanes: usize) {
+    pub fn enable_shards(&mut self, lane_of: Vec<u32>, n_lanes: usize, workers: usize) {
         assert!(
             !self.started,
             "enable_shards must be called before the first run"
@@ -1272,13 +1309,17 @@ impl<M: Message> Engine<M> {
         }
         self.lanes = lanes.into_iter().map(Some).collect();
         self.exec_shards = n_lanes;
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        self.workers = workers.clamp(1, cores);
     }
 
-    /// How many parallel jobs the lane set is chunked into per window
-    /// (at most one per lane). Purely an execution knob — any value
-    /// yields the same trace.
+    /// How many units the lane set is chunked into per window (at most
+    /// one per lane); a thread claims a whole unit at a time. Purely an
+    /// execution knob — any value yields the same trace.
     pub fn set_exec_shards(&mut self, k: usize) {
         self.exec_shards = k.max(1);
+        // Respawned at the next window with the new unit count.
+        self.runner = None;
     }
 
     /// Run every node's `on_start` once, before the first window:
@@ -1355,36 +1396,33 @@ impl<M: Message> Engine<M> {
         self.run_until(until);
     }
 
-    /// Advance every lane to `target`, chunked into `exec_shards`
-    /// parallel jobs on the worker pool. Each job owns its lanes (state
-    /// and node boxes) for the duration of the window, so no
-    /// synchronization happens inside a window.
+    /// Advance every lane to `target`. The lanes are chunked into
+    /// `exec_shards` units — contiguous and near-even, so chunk
+    /// boundaries cannot affect the result, lane windows being fully
+    /// independent — and a thread owns a unit's lanes (state and node
+    /// boxes) for the whole window, so nothing synchronizes inside one.
+    /// With one thread to run them, the lanes run inline in lane order.
     fn advance_lanes_to(&mut self, target: Nanos) {
         let n_lanes = self.lanes.len();
-        let shards = self.exec_shards.clamp(1, n_lanes);
-        // Contiguous, near-even chunks; chunk boundaries cannot affect
-        // the result because lane windows are fully independent.
-        let mut rest = self.lanes.iter_mut();
-        let jobs: Vec<_> = (0..shards)
-            .map(|c| {
-                let take = n_lanes / shards + usize::from(c < n_lanes % shards);
-                let mut chunk: Vec<Lane<M>> = rest
-                    .by_ref()
-                    .take(take)
-                    .map(|l| l.take().expect("lane in place"))
-                    .collect();
-                move || {
-                    for lane in &mut chunk {
-                        lane.run_window(target);
-                    }
-                    chunk
-                }
-            })
-            .collect();
-        let done = self.pool.run(jobs);
-        for (slot, lane) in self.lanes.iter_mut().zip(done.into_iter().flatten()) {
-            *slot = Some(lane);
+        let units = self.exec_shards.clamp(1, n_lanes);
+        let threads = self.workers.min(units);
+        if threads > 1 {
+            self.runner
+                .get_or_insert_with(|| LaneRunner::new(threads - 1, units, Lane::run_window))
+                .run(&mut self.lanes, target);
+        } else {
+            for lane in self.lanes.iter_mut().flatten() {
+                lane.run_window(target);
+            }
         }
+        self.windows += 1;
+        self.critical_ns += (0..units)
+            .map(|u| {
+                let unit = &self.lanes[unit_range(n_lanes, units, u)];
+                unit.iter().flatten().map(|l| l.window_ns).sum::<u64>()
+            })
+            .max()
+            .unwrap_or(0);
     }
 
     /// Serial synchronization at a slot barrier: merge staged traces in
@@ -1567,21 +1605,24 @@ mod tests {
         Engine::new(1)
     }
 
-    /// The engine contract does not depend on lane count: run `body`
-    /// on a one-lane engine and on a two-lane one, with the same
-    /// assertions. `body` calls the hook it is handed once its nodes
-    /// and links exist (and, where it matters, its first events are
-    /// queued). At one lane that is a no-op; at two it moves everything
-    /// registered so far into lane 1, beside an idle node alone in lane
-    /// 0, so all the program's traffic stays lane-local.
+    /// The engine contract does not depend on lane or worker count:
+    /// run `body` on a one-lane engine and on a two-lane one at one and
+    /// at two workers, with the same assertions. `body` calls the hook
+    /// it is handed once its nodes and links exist (and, where it
+    /// matters, its first events are queued). At one lane that is a
+    /// no-op; at two it moves everything registered so far into lane 1,
+    /// beside an idle node alone in lane 0, so all the program's
+    /// traffic stays lane-local.
     fn at_each_lane_count(body: impl Fn(Engine<TestMsg>, &dyn Fn(&mut Engine<TestMsg>))) {
         body(engine(), &|_| {});
-        body(engine(), &|e| {
-            let mut lane_of = vec![1; e.lane_of.len()];
-            e.add_node("idle", Box::new(Recorder::default()));
-            lane_of.push(0);
-            e.enable_shards(lane_of, 2);
-        });
+        for workers in [1, 2] {
+            body(engine(), &|e| {
+                let mut lane_of = vec![1; e.lane_of.len()];
+                e.add_node("idle", Box::new(Recorder::default()));
+                lane_of.push(0);
+                e.enable_shards(lane_of, 2, workers);
+            });
+        }
     }
 
     #[test]
@@ -2016,7 +2057,7 @@ mod tests {
         let mut e = engine();
         let reaper = e.add_node("reaper", Box::new(Reaper { victim: NodeId(1) }));
         let victim = e.add_node("victim", Box::new(Beater::default()));
-        e.enable_shards(vec![0, 1], 2);
+        e.enable_shards(vec![0, 1], 2, 2);
         e.run_until(Nanos(2_000_000));
         assert_eq!(
             lifecycle(&e),
@@ -2034,6 +2075,49 @@ mod tests {
         let v = e.node::<Beater>(victim).unwrap();
         assert_eq!(v.starts, 2);
         assert_eq!(v.beats, 5_000 + 5_000);
+    }
+
+    /// A node that dies inside a window stays alive to other lanes until
+    /// the barrier: they read the fleet snapshot taken there, never a
+    /// lane's state mid-window.
+    #[test]
+    fn other_lanes_see_a_death_at_the_next_barrier() {
+        struct Suicide;
+        impl Node<TestMsg> for Suicide {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+                ctx.timer(Nanos(100_000), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _t: u64) {
+                let me = ctx.id();
+                ctx.kill(me);
+            }
+            fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
+        }
+        struct Watcher {
+            victim: NodeId,
+            seen: Vec<bool>,
+        }
+        impl Node<TestMsg> for Watcher {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+                ctx.timer(Nanos(400_000), 0);
+                ctx.timer(Nanos(600_000), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _t: u64) {
+                self.seen.push(ctx.is_alive(self.victim));
+            }
+            fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
+        }
+        for workers in [1, 2] {
+            let mut e = engine();
+            e.add_node("idle", Box::new(Recorder::default()));
+            let victim = e.add_node("suicide", Box::new(Suicide));
+            let seen = Vec::new();
+            let watcher = e.add_node("watcher", Box::new(Watcher { victim, seen }));
+            e.enable_shards(vec![0, 1, 2], 3, workers);
+            e.run_until(Nanos::from_millis(1));
+            let seen = &e.node::<Watcher>(watcher).unwrap().seen;
+            assert_eq!(*seen, [true, false], "{workers} workers");
+        }
     }
 
     /// Lane 0 exists from `Engine::new`, before a harness sizes or
@@ -2059,7 +2143,7 @@ mod tests {
             e.add_node("a", Box::new(Chatty));
             e.add_node("b", Box::new(Chatty));
             if lanes == 2 {
-                e.enable_shards(vec![0, 1], 2);
+                e.enable_shards(vec![0, 1], 2, 1);
             }
             e.event_trace_mut()
                 .set_kind_filter(&[TraceEventKind::MapFlip]);
@@ -2215,8 +2299,7 @@ mod tests {
         let a = Deferrer::add(&mut e, "a", 1, &log);
         let b = Deferrer::add(&mut e, "b", 0, &log);
         let c = Deferrer::add(&mut e, "c", 0, &log);
-        e.enable_shards(vec![1, 1, 0], 2);
-        e.set_worker_pool(WorkerPool::new(2));
+        e.enable_shards(vec![1, 1, 0], 2, 2);
         for (i, node) in [a, b, c].into_iter().enumerate() {
             e.post(Nanos(100), node, TestMsg(i as u64 + 2, 0));
         }
@@ -2234,6 +2317,198 @@ mod tests {
                 "100 c msg4",
             ]
         );
+    }
+
+    /// Logs `(lane, thread)` once a slot, at the same instant as every
+    /// other spy, so each window runs one callback per lane.
+    struct ThreadSpy {
+        lane: usize,
+        log: Arc<std::sync::Mutex<Vec<(usize, std::thread::ThreadId)>>>,
+    }
+
+    impl Node<TestMsg> for ThreadSpy {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            ctx.timer(Nanos(100_000), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _t: u64) {
+            let me = (self.lane, std::thread::current().id());
+            self.log.lock().unwrap().push(me);
+            ctx.timer(crate::time::SLOT_DURATION, 0);
+        }
+        fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
+    }
+
+    /// An engine of `lanes` lanes, one [`ThreadSpy`] each, set to
+    /// `workers`.
+    fn spied(lanes: usize, workers: usize) -> (Engine<TestMsg>, ThreadLog) {
+        let log = ThreadLog::default();
+        let mut e = engine();
+        for lane in 0..lanes {
+            let log = Arc::clone(&log);
+            e.add_node(&format!("spy{lane}"), Box::new(ThreadSpy { lane, log }));
+        }
+        e.enable_shards((0..lanes as u32).collect(), lanes, workers);
+        (e, log)
+    }
+
+    type ThreadLog = Arc<std::sync::Mutex<Vec<(usize, std::thread::ThreadId)>>>;
+
+    #[test]
+    fn lanes_run_on_at_most_w_threads_one_of_them_the_caller() {
+        let caller = std::thread::current().id();
+        for workers in [2, 4] {
+            let (mut e, log) = spied(4, workers);
+            e.run_until(Nanos::from_millis(50));
+            let log = log.lock().unwrap();
+            assert_eq!(log.len(), 4 * 100);
+            let mut threads: Vec<_> = log.iter().map(|&(_, t)| t).collect();
+            threads.sort_by_key(|t| format!("{t:?}"));
+            threads.dedup();
+            assert!(threads.len() <= workers, "{workers} workers: {threads:?}");
+            assert!(threads.contains(&caller), "{workers} workers: caller idle");
+        }
+    }
+
+    #[test]
+    fn one_worker_runs_every_lane_inline_on_the_caller_in_lane_order() {
+        let caller = std::thread::current().id();
+        let (mut e, log) = spied(4, 1);
+        e.run_until(Nanos::from_millis(5));
+        assert!(e.runner.is_none(), "one worker spawns nothing");
+        let log = log.lock().unwrap();
+        let expect: Vec<_> = (0..10).flat_map(|_| (0..4).map(|l| (l, caller))).collect();
+        assert_eq!(*log, expect);
+    }
+
+    #[test]
+    fn a_panicking_lane_repanics_on_the_caller_with_its_payload() {
+        struct Bomb;
+        impl Node<TestMsg> for Bomb {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+                ctx.timer(Nanos(1_200_000), 0);
+            }
+            fn on_timer(&mut self, _c: &mut Ctx<'_, TestMsg>, _t: u64) {
+                std::panic::panic_any(0xB0B_u64);
+            }
+            fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
+        }
+        for workers in [1, 2] {
+            let mut e = engine();
+            for _ in 0..3 {
+                e.add_node("beat", Box::new(Beater::default()));
+            }
+            e.add_node("bomb", Box::new(Bomb));
+            e.enable_shards(vec![0, 1, 2, 3], 4, workers);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                e.run_until(Nanos::from_millis(5))
+            }));
+            let payload = run.expect_err("the bomb went off");
+            assert_eq!(payload.downcast_ref::<u64>(), Some(&0xB0B));
+            // Dropping the engine joins its runner threads.
+            drop(e);
+        }
+    }
+
+    #[test]
+    fn dropping_engines_leaves_no_runner_thread_behind() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        for _ in 0..20 {
+            let (mut e, _log) = spied(2, 2);
+            e.run_until(Nanos::from_millis(2));
+            let shared = e.runner.as_ref().map(|r| r.shared_weak());
+            assert_eq!(shared.is_some(), cores >= 2, "a runner iff two cores");
+            drop(e);
+            if let Some(shared) = shared {
+                assert_eq!(
+                    shared.strong_count(),
+                    0,
+                    "a runner thread outlived its engine"
+                );
+            }
+        }
+    }
+
+    /// Lane 3's callbacks so far, which lane 1's wait on.
+    type Gate = Arc<(std::sync::Mutex<u64>, std::sync::Condvar)>;
+
+    /// Once a slot, at the same instant as the others, traces its lane
+    /// and sends it to `sink` in lane 0. Given a gate, lane 1's waits
+    /// for lane 3's callback of the same slot, so on two threads lane 1
+    /// finishes every window after lane 3.
+    struct Straggler {
+        lane: u64,
+        sink: NodeId,
+        gate: Option<Gate>,
+        calls: u64,
+    }
+
+    impl Node<TestMsg> for Straggler {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            ctx.timer(Nanos(100_000), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _t: u64) {
+            self.calls += 1;
+            if let Some((count, cv)) = self.gate.as_deref() {
+                let mut seen = count.lock().unwrap();
+                if self.lane == 3 {
+                    *seen += 1;
+                    cv.notify_all();
+                } else if self.lane == 1 {
+                    let timeout = std::time::Duration::from_secs(5);
+                    let calls = self.calls;
+                    let waited = cv.wait_timeout_while(seen, timeout, |n| *n < calls);
+                    assert!(!waited.unwrap().1.timed_out(), "lane 3 never ran");
+                }
+            }
+            ctx.trace(TraceEventKind::MapFlip, self.lane, 0);
+            ctx.send_in(self.sink, Nanos::ZERO, TestMsg(self.lane, 0));
+            ctx.timer(crate::time::SLOT_DURATION, 0);
+        }
+        fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
+    }
+
+    /// Same-instant effects of different lanes land in lane order — the
+    /// trace merge and the outbox drain — even when lane 1 finishes its
+    /// window after lane 3.
+    #[test]
+    fn cross_lane_effects_land_in_lane_order_whichever_lane_finishes_first() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        for workers in [1, 2] {
+            // Inline, lane 1 runs before lane 3: a gate would never open.
+            let gate = (workers.min(cores) == 2).then(Gate::default);
+            let mut e = engine();
+            let sink = e.add_node("sink", Box::new(Recorder::default()));
+            for lane in 1..=3 {
+                let gate = gate.clone();
+                let node = Straggler {
+                    lane,
+                    sink,
+                    gate,
+                    calls: 0,
+                };
+                e.add_node("straggler", Box::new(node));
+            }
+            e.enable_shards(vec![0, 1, 2, 3], 4, workers);
+            e.run_until(Nanos::from_millis(10));
+            let lanes = [1, 2, 3].repeat(20);
+            let got = &e.node::<Recorder>(sink).unwrap().got;
+            let delivered: Vec<u64> = got.iter().map(|&(lane, _)| lane).collect();
+            assert_eq!(delivered, lanes, "{workers} workers: outbox drain order");
+            let traced: Vec<u64> = e.event_trace().iter().map(|ev| ev.a).collect();
+            assert_eq!(traced, lanes, "{workers} workers: trace merge order");
+        }
+    }
+
+    #[test]
+    fn window_timing_sums_busy_time_and_the_busiest_unit_per_window() {
+        let (mut e, _log) = spied(3, 1);
+        e.set_exec_shards(2);
+        e.run_until(Nanos::from_millis(5));
+        let t = e.window_timing();
+        // Ten slot barriers, and the window that closes `run_until`.
+        assert_eq!(t.windows, 11);
+        assert_eq!(t.busy_ns, e.lane_busy_ns().iter().sum::<u64>());
+        assert!(t.critical_ns > 0 && t.critical_ns <= t.busy_ns, "{t:?}");
     }
 
     #[test]

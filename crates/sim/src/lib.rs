@@ -36,11 +36,12 @@
 //! an async runtime would add nondeterminism without modeling value, so
 //! (per the project's networking guides) we use event-driven synchronous
 //! code and replace wall-clock waiting with simulated time. The
-//! parallelism is whole lanes: the engine runs lane windows on the
-//! [`pool::WorkerPool`], lanes carry pre-split RNG streams and merge in
-//! lane order at each slot barrier, and a callback runs serially on its
-//! lane's thread, so worker count never changes the trace (see
-//! DESIGN.md §5d).
+//! parallelism is whole lanes: an engine of several lanes set to `w`
+//! workers runs each window on `w − 1` runner threads of its own plus
+//! the calling thread ([`Engine::enable_shards`]), lanes carry
+//! pre-split RNG streams and merge in lane order at each slot barrier,
+//! and a callback runs serially on its lane's thread, so worker count
+//! never changes the trace (see DESIGN.md §5d).
 
 #![forbid(unsafe_code)]
 
@@ -50,20 +51,19 @@ pub mod equeue;
 pub mod kernels;
 pub mod metrics;
 mod ownership;
-pub mod pool;
 pub mod profiler;
 pub mod rng;
+mod runner;
 pub mod slo;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
 pub use chaos::{ChaosDistribution, Fault, FaultKind, FaultTarget, Scenario};
-pub use engine::{Ctx, Engine, LinkParams, LinkStats, Message, Node, NodeId};
+pub use engine::{Ctx, Engine, LinkParams, LinkStats, Message, Node, NodeId, WindowTiming};
 pub use equeue::CalendarQueue;
 pub use kernels::{KernelBackend, KernelConfig};
 pub use metrics::{InstrumentSink, LogHistogram, MetricsRegistry};
-pub use pool::WorkerPool;
 pub use profiler::{ProfilerReport, SpanGuard, SpanProfiler, StageProfile};
 pub use rng::SimRng;
 pub use slo::{CellSlo, FleetSlo, Outage, SloConfig, SloReport};

@@ -11,7 +11,7 @@
 //! [`SpanProfiler::span`] returns an inert guard without reading the
 //! clock. A deployment opts in with [`Engine::set_profiler`](crate::Engine::set_profiler) before the run; the handle is
 //! a cheap `Arc` clone, so the nodes of lanes running on different
-//! pool threads record spans into one buffer.
+//! threads record spans into one buffer.
 //!
 //! What it collects:
 //! - per-stage wall-clock histograms (`slot_prepare`, `slot_merge`,

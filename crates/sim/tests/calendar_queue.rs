@@ -252,7 +252,8 @@ fn faulty_ring(seed: u64, lanes: usize, exec_shards: usize) -> Engine<TMsg> {
     }
     if lanes > 1 {
         let lane_of: Vec<u32> = (0..N).map(|i| (i % lanes) as u32).collect();
-        e.enable_shards(lane_of, lanes);
+        // As many workers as shards: the sharded run is also threaded.
+        e.enable_shards(lane_of, lanes, exec_shards);
         e.set_exec_shards(exec_shards);
     }
     e
@@ -277,7 +278,8 @@ fn dup_reorder_fault_traces_are_deterministic() {
         );
         assert!(a.dispatched() > 100, "seed {seed}: ring traffic died early");
 
-        // Sharded: exec-shard count is an execution knob only.
+        // Sharded: exec-shard and worker counts are execution knobs
+        // only.
         let mut s1 = faulty_ring(seed, 3, 1);
         s1.run_until(horizon);
         let mut s4 = faulty_ring(seed, 3, 4);
