@@ -117,10 +117,9 @@ fn availability(r: &mut BenchReport) {
     for (key, cells, spares, scenario) in configs {
         let pooled = builder(42, fleet_cell()).spare_pool(spares);
         let mut d = fleet(pooled, cells, (4_000_000, 1000));
-        // Keep only what the SLO analyzer reads — the per-slot records
-        // (two NullFapiSent per cell-slot, a FapiToL2 per UL slot) would
-        // need a ring of about a million events, ~40 MB, at this
-        // horizon — and size the ring for one UlSlotProcessed per
+        // Keep only what the SLO analyzer reads — a FapiToL2 per UL
+        // slot would double the ring to about 160 000 events, ~6 MB, at
+        // this horizon — and size the ring for one UlSlotProcessed per
         // delivered UL TTI plus the lifecycle events around each crash.
         let trace = d.engine.event_trace_mut();
         trace.set_kind_filter(&[

@@ -293,6 +293,10 @@ pub struct OrionL2Node {
     /// A granted spare and the absolute slot boundary at which it is
     /// promoted to secondary and initialized.
     pending_standby: Option<(u8, u64)>,
+    /// The PHY the null FAPI keep-alive last went to, while one is fed:
+    /// a change is traced as `KeepAliveStarted`, its end as
+    /// `KeepAliveStopped`.
+    keep_alive_to: Option<u8>,
     /// Ablation switch: duplicate the primary's *real* FAPI requests to
     /// the standby instead of null ones (the naïve hot-standby design
     /// §6.2 argues against — it doubles PHY compute).
@@ -320,6 +324,7 @@ impl OrionL2Node {
             binding: None,
             spare_pool: false,
             pending_standby: None,
+            keep_alive_to: None,
             duplicate_standby: false,
             failovers: 0,
             planned_migrations: 0,
@@ -397,7 +402,9 @@ impl OrionL2Node {
     /// Fan one per-slot request out: the real `msg` to the PHY that
     /// owns `slot`, and to the other PHY of the pair either a duplicate
     /// (the `duplicate_standby` ablation) or the request's `null` form,
-    /// when it has one.
+    /// when it has one. The keep-alive is traced as state changes: the
+    /// first null request to a PHY other than the one last fed, and the
+    /// first fan-out with no other PHY while one was fed.
     fn fan_out(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -416,13 +423,19 @@ impl OrionL2Node {
         };
         self.send_udp(ctx, orion_phy_mac(owner), msg);
         let Some(o) = other else {
+            if self.keep_alive_to.take().is_some() {
+                ctx.trace(TraceEventKind::KeepAliveStopped, ru_id as u64, abs);
+            }
             return;
         };
         if self.duplicate_standby {
             self.send_udp(ctx, orion_phy_mac(o), msg);
         } else if let Some(null) = null {
             self.null_fapi_sent += 1;
-            ctx.trace(TraceEventKind::NullFapiSent, ru_id as u64, abs);
+            if self.keep_alive_to.replace(o) != Some(o) {
+                let b = ((o as u64) << 32) | abs;
+                ctx.trace(TraceEventKind::KeepAliveStarted, ru_id as u64, b);
+            }
             self.send_udp(ctx, orion_phy_mac(o), &null);
         }
     }

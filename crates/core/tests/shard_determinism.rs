@@ -9,8 +9,10 @@
 //! chaos crash whose spare grant crosses shards (leaf cell, spine-side
 //! pool) to prove the recovery plane survives the lane split.
 
+use slingshot::chaos::run_scenario;
 use slingshot::{Deployment, DeploymentBuilder, DeploymentConfig};
 use slingshot_ran::{AppServerNode, CellConfig, Fidelity, PhyNode, UeConfig};
+use slingshot_sim::chaos::{FaultKind, FaultTarget, Scenario};
 use slingshot_sim::{LinkParams, Nanos, SpanProfiler, TraceEventKind};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
@@ -257,6 +259,75 @@ fn cross_shard_spare_grant_recovers_and_stays_deterministic() {
         count(TraceEventKind::StandbyRepaired) >= 1,
         "crashed cell never re-paired with the granted spare"
     );
+}
+
+/// The recovery orchestrator (spine lane) restarts a crashed leaf-cell
+/// PHY and sends it the scrub in one callback. The restart is staged
+/// for the barrier, so at send time the fleet view still has the PHY
+/// dead: the scrub must still reach it, or the PHY rejoins the pool
+/// with the RU it served, starves of FAPI requests and kills itself a
+/// millisecond later (two `SlotDeadlineMiss`, then `NodeKilled`).
+#[test]
+fn scrub_reaches_a_phy_restarted_across_the_lane_barrier() {
+    let mut traces = Vec::new();
+    for workers in [1usize, 2] {
+        let ues: Vec<UeConfig> = (0..2u8)
+            .map(|c| UeConfig::new(100 + c as u16, c, &format!("ue{c}"), 22.0))
+            .collect();
+        let mut d = DeploymentBuilder::new()
+            .seed(42)
+            .cell(CellConfig {
+                num_prbs: 24,
+                ..small_cell()
+            })
+            .cells(2)
+            .cell_groups(2)
+            .workers(workers)
+            .spare_pool(1)
+            .ues(ues)
+            .build();
+        assert_eq!(d.engine.lane_loads().len(), 3, "spine lane plus two leaves");
+        for c in 0..2usize {
+            d.add_flow(
+                c,
+                100 + c as u16,
+                Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
+                Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+            );
+        }
+        let scenario =
+            Scenario::new("crash", 1600).fault(600, FaultTarget::ActivePhy, FaultKind::PhyCrash);
+        let node = d.cells[0].primary_phy;
+        let phy = d.cells[0].primary_phy_id as u64;
+        run_scenario(&mut d, &scenario);
+        let trace = d.engine.event_trace();
+        let returned = trace
+            .of_kind(TraceEventKind::SpareReturned)
+            .find(|e| e.a == phy)
+            .expect("the crashed primary was scrubbed back into the pool")
+            .at;
+        let revived = trace
+            .of_kind(TraceEventKind::NodeRevived)
+            .any(|e| e.a == node.0 as u64 && e.at == returned);
+        assert!(
+            revived,
+            "{workers} workers: the restart landed with the return"
+        );
+        let after: Vec<_> = trace
+            .iter()
+            .filter(|e| e.at >= returned)
+            .filter(|e| {
+                e.node == node || (e.kind == TraceEventKind::NodeKilled && e.a == node.0 as u64)
+            })
+            .map(|e| (e.at, e.kind))
+            .collect();
+        assert!(
+            after.is_empty(),
+            "{workers} workers: the scrubbed PHY {after:?}"
+        );
+        traces.push(trace.to_bytes());
+    }
+    assert!(traces[0] == traces[1], "2 workers diverged");
 }
 
 /// What four one-UE cells delivered, whatever switches they sat behind:

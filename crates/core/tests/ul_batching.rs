@@ -8,9 +8,10 @@
 
 use std::collections::BTreeSet;
 
-use slingshot::{chaos_pool_deployment, Deployment};
-use slingshot_ran::{CtlMsg, Msg, PhyNode};
+use slingshot::{chaos_pool_deployment, Deployment, DeploymentBuilder};
+use slingshot_ran::{CellConfig, CtlMsg, Fidelity, Msg, PhyNode, UeConfig};
 use slingshot_sim::{slot_kind, Ctx, Nanos, Node, NodeId, SlotKind, SLOT_DURATION};
+use slingshot_transport::{UdpCbrSource, UdpSink};
 
 /// The first slot boundary at or after `after` whose tick decodes an
 /// uplink slot (the PHY runs slot `n`'s uplink at the `n + 2` tick).
@@ -67,6 +68,38 @@ fn failover_shaped_lane_runs_one_batch_per_uplink_instant() {
     assert_eq!(counter_sum(&mut d, "ul_code_blocks"), tbs);
     assert_eq!(counter_sum(&mut d, "ul_tbs_decoded"), tbs);
     assert_eq!(counter_sum(&mut d, "ldpc_batches"), instants.len() as u64);
+}
+
+/// The downlink has no shared batch: a UE decodes each TB alone, one
+/// `decode_prepared` call per TB, so its batch count sits between its
+/// TB count and its code-block count. Both are published beside the
+/// PHY's `ul_code_blocks` / `ldpc_batches`.
+#[test]
+fn ue_publishes_its_downlink_ldpc_work() {
+    let mut d = DeploymentBuilder::new()
+        .seed(2)
+        .cell(CellConfig {
+            num_prbs: 24,
+            fidelity: Fidelity::Full,
+            ..CellConfig::default()
+        })
+        .ue(UeConfig::new(100, 0, "ue100", 22.0))
+        .build();
+    d.add_flow(
+        0,
+        100,
+        Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
+        Box::new(UdpCbrSource::new(3_000_000, 900, Nanos::ZERO)),
+    );
+    d.engine.run_until(Nanos::from_millis(60));
+    let tbs = counter_sum(&mut d, "dl_tbs_ok") + counter_sum(&mut d, "dl_tbs_bad");
+    let blocks = counter_sum(&mut d, "dl_code_blocks");
+    let batches = counter_sum(&mut d, "dl_ldpc_batches");
+    assert!(tbs > 20, "only {tbs} downlink TBs");
+    assert!(
+        tbs <= batches && batches <= blocks && blocks > tbs,
+        "{tbs} TBs, {batches} batches, {blocks} code blocks"
+    );
 }
 
 /// Kills its target on any message; `revive` then restarts and scrubs

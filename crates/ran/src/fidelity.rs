@@ -460,9 +460,18 @@ impl RxProcessPool {
     }
 }
 
+/// The LDPC work a receiver did: code blocks decoded, and the lockstep
+/// batches (one per distinct `(k, iterations)` of a decode call, at most
+/// eight blocks each) they ran in.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LdpcWork {
+    pub(crate) code_blocks: u64,
+    pub(crate) batches: u64,
+}
+
 /// Attempt to receive one TB transmission into caller-held soft state:
-/// [`receive_prepare`], the LDPC decode of this TB alone, then
-/// [`receive_finish`].
+/// [`receive_prepare`], the LDPC decode of this TB alone (counted into
+/// `work`), then [`receive_finish`].
 ///
 /// The receiver takes the state out of its pool and puts it back after.
 /// A successful decode empties the state, which is how the HARQ process
@@ -475,11 +484,14 @@ pub(crate) fn receive_into(
     signal: &TbSignal,
     lp: &LinkParamsTb,
     rng: &mut SimRng,
+    work: &mut LdpcWork,
 ) -> RxOutcome {
     match receive_prepare(state, fidelity, signal, lp, rng) {
         Reception::Done(outcome) => outcome,
         Reception::Decode(mut rx) => {
-            decode_prepared(kernels, std::slice::from_mut(&mut rx.tb));
+            work.code_blocks += rx.tb.code_blocks() as u64;
+            let batches = decode_prepared(kernels, std::slice::from_mut(&mut rx.tb));
+            work.batches += batches.len() as u64;
             receive_finish(state, rx)
         }
     }
@@ -639,7 +651,8 @@ mod tests {
             ..*lp
         };
         let mut state = procs.take(lp.rnti, harq_id);
-        let out = receive_into(kernels(), &mut state, fidelity, signal, &lp, rng);
+        let mut work = LdpcWork::default();
+        let out = receive_into(kernels(), &mut state, fidelity, signal, &lp, rng, &mut work);
         procs.put(lp.rnti, harq_id, state);
         out
     }

@@ -22,7 +22,7 @@ use slingshot_transport::UserApp;
 
 use crate::cell::{CellConfig, REATTACH_DELAY, RLF_TIMEOUT};
 use crate::fidelity::{
-    apply_channel, encode_signal, kernels_of, receive_into, LinkParamsTb, RxProcessPool,
+    apply_channel, encode_signal, kernels_of, receive_into, LdpcWork, LinkParamsTb, RxProcessPool,
 };
 use crate::l2::{build_mac_pdu, parse_mac_pdu};
 use crate::mobility::{MobilityConfig, MobilityModel};
@@ -146,6 +146,9 @@ pub struct UeNode {
     pub reattach_times: Vec<Nanos>,
     pub dl_tbs_ok: u64,
     pub dl_tbs_bad: u64,
+    /// LDPC work of the downlink decodes, one TB per decode call
+    /// (published as `dl_code_blocks` and `dl_ldpc_batches`).
+    dl_ldpc: LdpcWork,
     pub ul_grants_served: u64,
     pub delivered_to_apps: u64,
     pub handovers_completed: u64,
@@ -195,6 +198,7 @@ impl UeNode {
             reattach_times: Vec::new(),
             dl_tbs_ok: 0,
             dl_tbs_bad: 0,
+            dl_ldpc: LdpcWork::default(),
             ul_grants_served: 0,
             delivered_to_apps: 0,
             handovers_completed: 0,
@@ -388,7 +392,8 @@ impl UeNode {
             let decode_span = ctx.profiler().span("ue_decode", burst.slot.epoch_index());
             let mut state = self.dl_pool.take(dci.rnti, dci.harq_id);
             let fidelity = self.cell.fidelity;
-            let out = receive_into(kernels, &mut state, fidelity, &signal, &lp, &mut self.rng);
+            let (rng, work) = (&mut self.rng, &mut self.dl_ldpc);
+            let out = receive_into(kernels, &mut state, fidelity, &signal, &lp, rng, work);
             self.dl_pool.put(dci.rnti, dci.harq_id, state);
             drop(decode_span);
             let ok = out.payload.is_some();
@@ -596,6 +601,8 @@ impl Node<Msg> for UeNode {
         sink.counter(scope, "rlf_count", self.rlf_count);
         sink.counter(scope, "dl_tbs_ok", self.dl_tbs_ok);
         sink.counter(scope, "dl_tbs_bad", self.dl_tbs_bad);
+        sink.counter(scope, "dl_code_blocks", self.dl_ldpc.code_blocks);
+        sink.counter(scope, "dl_ldpc_batches", self.dl_ldpc.batches);
         sink.counter(scope, "ul_grants_served", self.ul_grants_served);
         sink.counter(scope, "delivered_to_apps", self.delivered_to_apps);
         sink.counter(scope, "handovers_completed", self.handovers_completed);

@@ -577,7 +577,7 @@ mod tests {
     #[test]
     fn missing_repair_flagged() {
         at_each_cell_count(|cells| {
-            let mut tb = failover_trace(cells);
+            let tb = failover_trace(cells);
             // A flipped cell owes a re-pairing when the scenario demands
             // one (`expect_repair`) or a spare pool makes one possible.
             let planned = Expectations {
@@ -589,7 +589,7 @@ mod tests {
                 ..exp_for(cells)
             };
             // Traffic continues past the flip but no null-FAPI
-            // keep-alive ever appears: not re-paired, and attributed to
+            // keep-alive is ever fed: not re-paired, and attributed to
             // cell 0 specifically.
             for exp in [&planned, &pooled] {
                 let rep = check(&tb, exp);
@@ -601,15 +601,40 @@ mod tests {
             // A lethal fault with nothing to re-pair from owes none.
             let rep = check(&tb, &exp_for(cells));
             assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
-            // A keep-alive addressed to cell 0 after the settle window
-            // clears it; one addressed to another cell does not.
-            record_node(&mut tb, 150, 21, TraceEventKind::NullFapiSent, 1, 150);
-            assert!(!check(&tb, &planned).ok());
-            record_node(&mut tb, 150, 11, TraceEventKind::NullFapiSent, 0, 150);
+            // A keep-alive started for cell 0 after the settle window
+            // clears it; one started for another cell does not.
+            let started = TraceEventKind::KeepAliveStarted;
+            let mut late = tb.clone();
+            record_node(&mut late, 150, 21, started, 1, (7 << 32) | 150);
+            assert!(!check(&late, &planned).ok());
+            record_node(&mut late, 150, 11, started, 0, (7 << 32) | 150);
             for exp in [&planned, &pooled] {
-                let rep = check(&tb, exp);
+                let rep = check(&late, exp);
                 assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
             }
+
+            // The feed's state at the settle slot (flip 100 + 10)
+            // decides: a start before it with no later stop keeps the
+            // cell warm ...
+            let stopped = TraceEventKind::KeepAliveStopped;
+            let mut on = tb.clone();
+            record_node(&mut on, 20, 11, started, 0, (50 << 32) | 20);
+            record_node(&mut on, 105, 11, started, 0, (7 << 32) | 105);
+            let rep = check(&on, &planned);
+            assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
+            // ... a stop before it with no later start does not ...
+            let mut off = on.clone();
+            record_node(&mut off, 108, 11, stopped, 0, 108);
+            let rep = check(&off, &planned);
+            assert!(rep
+                .violations
+                .iter()
+                .any(|v| v.invariant == Invariant::EventualRepair && v.detail.contains("cell 0")));
+            assert_eq!(rep.violations.len(), 1, "{:?}", rep.violations);
+            // ... and a stop after it does not undo the pairing.
+            record_node(&mut on, 140, 11, stopped, 0, 140);
+            let rep = check(&on, &planned);
+            assert!(rep.ok(), "unexpected violations: {:?}", rep.violations);
 
             // A scenario that demands a failover and records no flip.
             let rep = check(&healthy_trace(cells, 250), &planned);
@@ -642,10 +667,10 @@ mod tests {
             );
             record(
                 &mut tb,
-                boundary + 50,
-                TraceEventKind::NullFapiSent,
+                boundary - 2,
+                TraceEventKind::KeepAliveStarted,
                 0,
-                boundary + 50,
+                (1 << 32) | boundary,
             );
             let exp = Expectations {
                 expect_repair: true,

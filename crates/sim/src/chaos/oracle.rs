@@ -332,7 +332,9 @@ fn no_dup_fapi(ev: &Evidence) -> Vec<String> {
 /// was planned (`expect_repair`: roles merely swap). It must then, once
 /// its own last flip settles (10 slots for the control plane to
 /// finalize), both serve traffic on the new active PHY and keep a
-/// standby warm (null FAPI, a = ru).
+/// standby warm: its keep-alive feed (`KeepAliveStarted` /
+/// `KeepAliveStopped`, a = ru) is on at the settle slot or starts after
+/// it.
 fn eventual_repair(ev: &Evidence) -> Vec<String> {
     let exp = ev.exp;
     let can_repair = exp.expect_pool.is_some() || exp.expect_repair;
@@ -353,10 +355,9 @@ fn eventual_repair(ev: &Evidence) -> Vec<String> {
                 "cell {ru}: no uplink TTIs delivered after its last map flip (slot {last_flip})"
             ));
         }
-        let mut keep_alives = ev.trace.of_kind(TraceEventKind::NullFapiSent);
-        if !keep_alives.any(|e| e.a == ru && e.b > settle) {
+        if !kept_warm(ev.trace, ru, settle) {
             out.push(format!(
-                "cell {ru}: no null-FAPI keep-alives after its last map flip (slot {last_flip}) \
+                "cell {ru}: no null-FAPI keep-alive fed after its last map flip (slot {last_flip}) \
                  — the cell did not re-pair"
             ));
         }
@@ -365,6 +366,27 @@ fn eventual_repair(ev: &Evidence) -> Vec<String> {
         out.push("no MapFlip recorded although the scenario requires a failover".to_string());
     }
     out
+}
+
+/// Whether cell `ru`'s keep-alive feed is on after slot `settle`: the
+/// last feed change at or before `settle` is a start, or a start lands
+/// after it.
+fn kept_warm(trace: &TraceBuffer, ru: u64, settle: u64) -> bool {
+    let mut warm = false;
+    for e in trace.iter().filter(|e| e.a == ru) {
+        let (started, slot) = match e.kind {
+            TraceEventKind::KeepAliveStarted => (true, e.b & 0xFFFF_FFFF),
+            TraceEventKind::KeepAliveStopped => (false, e.b),
+            _ => continue,
+        };
+        if slot > settle && started {
+            return true;
+        }
+        if slot <= settle {
+            warm = started;
+        }
+    }
+    warm
 }
 
 /// Replay `SpareGranted`/`SpareReturned` chronologically against the

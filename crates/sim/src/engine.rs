@@ -732,8 +732,13 @@ impl<'a, M: Message> Ctx<'a, M> {
 
     /// Deliver a message directly after `delay`, bypassing any link
     /// (models same-host shared memory or abstract control channels).
+    /// A message to a dead member of this lane vanishes here. One to
+    /// another lane's node is staged whatever the fleet view says, and
+    /// dropped at dispatch if its target is dead then: the view is up
+    /// to a slot stale, and a restart of the target staged just before
+    /// (an orchestrator's restart-then-scrub) lands ahead of it.
     pub fn send_in(&mut self, dst: NodeId, delay: Nanos, msg: M) {
-        if self.lane.node_alive(dst) {
+        if self.lane.slot_of(dst).is_none() || self.lane.node_alive(dst) {
             self.lane.route(self.lane.now + delay, dst, self.id, msg);
         }
     }
@@ -2132,7 +2137,7 @@ mod tests {
                 self.on_timer(ctx, 0);
             }
             fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _t: u64) {
-                ctx.trace(TraceEventKind::NullFapiSent, 0, 0);
+                ctx.trace(TraceEventKind::KeepAliveStarted, 0, 0);
                 ctx.trace(TraceEventKind::MapFlip, 0, 0);
                 ctx.trace(TraceEventKind::FapiToL2, 0, 0);
             }

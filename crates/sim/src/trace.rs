@@ -39,9 +39,12 @@ use crate::time::{Nanos, SlotClock, SlotId};
 /// heartbeat is not traced (the last one is `DetectorSaturated.b` and
 /// the switch's `dl_gap_stats`, the first one is `DetectorArmed`), nor
 /// is a filtered standby downlink frame (the switch's `dl_filtered`
-/// counter) or a dropped duplicate FAPI response (Orion's
-/// `dropped_standby_msgs`). Discriminants are the encoded kind of every
-/// record, so they are never renumbered: 1, 3, 9 and 11 are retired.
+/// counter), a dropped duplicate FAPI response (Orion's
+/// `dropped_standby_msgs`) or a null FAPI keep-alive to the standby
+/// (Orion's `null_fapi_sent`; the feed's start and stop are
+/// `KeepAliveStarted` and `KeepAliveStopped`). Discriminants are the
+/// encoded kind of every record, so they are never renumbered: 1, 3, 9,
+/// 10 and 11 are retired.
 ///
 /// The `a`/`b` payload convention for each variant is documented inline;
 /// unused words are zero.
@@ -65,10 +68,6 @@ pub enum TraceEventKind {
     /// The RU→PHY steering map changed. `a` = RU id, `b` = packed
     /// (old PHY << 16) | new PHY.
     MapFlip = 8,
-    /// Orion sent the standby PHY of a pair the null form of a per-slot
-    /// FAPI request, the keep-alive that holds it in lockstep with the
-    /// L2 (`OrionL2Node::fan_out`). `a` = RU id, `b` = absolute slot.
-    NullFapiSent = 10,
     /// A late response from a pipelined slot was drained to the L2
     /// after failover. `a` = PHY id, `b` = absolute slot.
     PipelinedSlotDrained = 12,
@@ -123,6 +122,19 @@ pub enum TraceEventKind {
     /// `a` = RNTI | (serving RU << 16) | (slice kind << 24),
     /// `b` = absolute slot.
     UeScheduled = 25,
+    /// An L2-side Orion started feeding a standby the null form of its
+    /// per-slot FAPI requests, the keep-alive that holds it in lockstep
+    /// with the L2 (`OrionL2Node::fan_out`): recorded at the first null
+    /// request to a PHY other than the one last fed — the first pairing,
+    /// a spare installed by `StandbyRepaired`, or the role swap of a
+    /// planned migration. `a` = RU id, `b` = `(standby PHY id << 32) |
+    /// absolute slot`.
+    KeepAliveStarted = 26,
+    /// An L2-side Orion found no standby left to feed at a fan-out while
+    /// it was feeding one (usually a failover consumed it): the cell is
+    /// unpaired until the next `KeepAliveStarted`. `a` = RU id, `b` =
+    /// absolute slot.
+    KeepAliveStopped = 27,
 }
 
 impl TraceEventKind {
@@ -135,7 +147,6 @@ impl TraceEventKind {
             TraceEventKind::FailureNotifyReceived => "failure_notify_received",
             TraceEventKind::MigrateArmed => "migrate_armed",
             TraceEventKind::MapFlip => "map_flip",
-            TraceEventKind::NullFapiSent => "null_fapi_sent",
             TraceEventKind::PipelinedSlotDrained => "pipelined_slot_drained",
             TraceEventKind::NodeKilled => "node_killed",
             TraceEventKind::NodeRevived => "node_revived",
@@ -150,6 +161,8 @@ impl TraceEventKind {
             TraceEventKind::HandoverArmed => "handover_armed",
             TraceEventKind::HandoverFlip => "handover_flip",
             TraceEventKind::UeScheduled => "ue_scheduled",
+            TraceEventKind::KeepAliveStarted => "keep_alive_started",
+            TraceEventKind::KeepAliveStopped => "keep_alive_stopped",
         }
     }
 
@@ -160,7 +173,8 @@ impl TraceEventKind {
             | TraceEventKind::DetectorSaturated
             | TraceEventKind::FailureNotifySent => "detector",
             TraceEventKind::FailureNotifyReceived
-            | TraceEventKind::NullFapiSent
+            | TraceEventKind::KeepAliveStarted
+            | TraceEventKind::KeepAliveStopped
             | TraceEventKind::PipelinedSlotDrained => "orion",
             TraceEventKind::MigrateArmed | TraceEventKind::MapFlip => "switch",
             TraceEventKind::NodeKilled | TraceEventKind::NodeRevived => "lifecycle",
@@ -211,10 +225,10 @@ impl TraceEvent {
 }
 
 /// Default ring capacity, ~10 MB of events. Measured volumes: the
-/// `trace_failover` example (one cell, 3 000 slots) records 3 218
+/// `trace_failover` example (one cell, 3 000 slots) records 1 205
 /// events; the benchmark's `failover` workload (four cells, two spares,
-/// eleven faults over 8 000 slots) records 76 828 at seed 1; a healthy
-/// four-cell chaos run records about 2.4 per cell-slot. A run that
+/// eleven faults over 8 000 slots) records 12 990 at seed 1; a healthy
+/// four-cell chaos run records about 0.4 per cell-slot. A run that
 /// outgrows the ring is flagged truncated, and the oracle fails it.
 pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 262_144;
 
@@ -569,7 +583,7 @@ mod tests {
     fn ring_bounds_memory_and_counts_evictions() {
         let mut t = TraceBuffer::new(4);
         for i in 0..10 {
-            t.record(Nanos(i), NodeId(0), TraceEventKind::NullFapiSent, i, 0);
+            t.record(Nanos(i), NodeId(0), TraceEventKind::FapiToL2, i, 0);
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.total_recorded(), 10);
@@ -582,14 +596,14 @@ mod tests {
     fn summary_warns_when_ring_wrapped() {
         let mut t = TraceBuffer::new(4);
         for i in 0..3 {
-            t.record(Nanos(i), NodeId(0), TraceEventKind::NullFapiSent, i, 0);
+            t.record(Nanos(i), NodeId(0), TraceEventKind::FapiToL2, i, 0);
         }
         let mut out = Vec::new();
         t.write_summary(&mut out, &[]).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(!text.contains("WARNING"), "no warning before eviction");
         for i in 3..10 {
-            t.record(Nanos(i), NodeId(0), TraceEventKind::NullFapiSent, i, 0);
+            t.record(Nanos(i), NodeId(0), TraceEventKind::FapiToL2, i, 0);
         }
         let mut out = Vec::new();
         t.write_summary(&mut out, &[]).unwrap();
@@ -602,13 +616,13 @@ mod tests {
     fn kind_filter_drops_unlisted_kinds_without_counting_them() {
         let mut t = TraceBuffer::new(16);
         t.set_kind_filter(&[TraceEventKind::MapFlip, TraceEventKind::UlSlotProcessed]);
-        t.record(Nanos(1), NodeId(0), TraceEventKind::NullFapiSent, 1, 0);
+        t.record(Nanos(1), NodeId(0), TraceEventKind::KeepAliveStarted, 1, 0);
         t.record(Nanos(2), NodeId(0), TraceEventKind::MapFlip, 0, 3);
         t.record(Nanos(3), NodeId(0), TraceEventKind::UlSlotProcessed, 5, 2);
         assert_eq!(t.len(), 2);
         assert_eq!(t.total_recorded(), 2, "filtered events are not 'recorded'");
         assert_eq!(t.dropped_oldest(), 0, "filtering is not eviction");
-        assert_eq!(t.of_kind(TraceEventKind::NullFapiSent).count(), 0);
+        assert_eq!(t.of_kind(TraceEventKind::KeepAliveStarted).count(), 0);
     }
 
     #[test]
@@ -635,13 +649,7 @@ mod tests {
     fn slot_stamped_from_clock() {
         let mut t = TraceBuffer::default();
         // 500 µs slots: t=1.25 ms is absolute slot 2 = sfn 0, subframe 1, slot 0.
-        t.record(
-            Nanos(1_250_000),
-            NodeId(0),
-            TraceEventKind::NullFapiSent,
-            0,
-            0,
-        );
+        t.record(Nanos(1_250_000), NodeId(0), TraceEventKind::HarqReset, 0, 0);
         let e = t.iter().next().unwrap();
         assert_eq!((e.slot.sfn, e.slot.subframe, e.slot.slot), (0, 1, 0));
     }

@@ -282,13 +282,65 @@ fn dup_reorder_fault_traces_are_deterministic() {
         // only.
         let mut s1 = faulty_ring(seed, 3, 1);
         s1.run_until(horizon);
-        let mut s4 = faulty_ring(seed, 3, 4);
-        s4.run_until(horizon);
-        assert_eq!(
-            s1.trace_hash(),
-            s4.trace_hash(),
-            "seed {seed}: exec shards changed the trace"
-        );
-        assert_eq!(s1.event_trace().to_bytes(), s4.event_trace().to_bytes());
+        for shards in [2, 4] {
+            let mut s = faulty_ring(seed, 3, shards);
+            s.run_until(horizon);
+            assert_eq!(
+                s1.trace_hash(),
+                s.trace_hash(),
+                "seed {seed}: {shards} exec shards changed the trace"
+            );
+            assert_eq!(s1.event_trace().to_bytes(), s.event_trace().to_bytes());
+        }
     }
+}
+
+/// Sends its peer `TMsg(i)` every 10 µs and records what arrives.
+struct Chatter {
+    peer: NodeId,
+    sent: u64,
+    got: Vec<u64>,
+}
+
+impl Node<TMsg> for Chatter {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+        ctx.timer(Nanos(10_000), 0);
+    }
+    fn on_msg(&mut self, _ctx: &mut Ctx<'_, TMsg>, _from: NodeId, msg: TMsg) {
+        self.got.push(msg.0);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, TMsg>, _token: u64) {
+        ctx.send(self.peer, TMsg(self.sent));
+        self.sent += 1;
+        ctx.timer(Nanos(10_000), 0);
+    }
+}
+
+/// Each lane draws its link faults from a stream of its own (`split(i)`
+/// of the engine's root RNG): two lanes running the same lossy exchange
+/// lose different messages. One stream copied to every lane would lose
+/// the same ones, and no same-build comparison would notice.
+#[test]
+fn lanes_draw_link_faults_from_independent_streams() {
+    let mut e: Engine<TMsg> = Engine::new(7);
+    let lossy = LinkParams::with_bandwidth(Nanos(2_000), 10_000_000_000).drop_chance(0.3);
+    let ids: Vec<NodeId> = (0..4)
+        .map(|i| {
+            let chatter = Chatter {
+                peer: NodeId(i ^ 1),
+                sent: 0,
+                got: Vec::new(),
+            };
+            e.add_node(&format!("chatter{i}"), Box::new(chatter))
+        })
+        .collect();
+    for &id in &ids {
+        e.connect(id, NodeId(id.0 ^ 1), lossy.clone());
+    }
+    e.enable_shards(vec![0, 0, 1, 1], 2, 1);
+    e.run_until(Nanos::from_millis(2));
+    let got = |i: usize| &e.node::<Chatter>(ids[i]).unwrap().got;
+    assert!(got(1).len() > 100, "only {} arrived", got(1).len());
+    assert!(got(1).len() < 190, "the link lost nothing");
+    assert_ne!(got(1), got(3), "both lanes lost the same messages");
 }

@@ -11,10 +11,13 @@
 # --seed 1 and --seed 4242 with --trace 0, and compares the blocks of
 # each <workload>.json that repeat bit for bit for a seed: `sim`,
 # `claims`, `hashes`, `correct`, `failed`. For every run that differs it
-# prints `hashes only` when the simulated results agree and only the
-# event-stream and trace hashes moved (a reordering of same-instant
-# events), else the first differing key; exits 1 if any run differed,
-# either way. `attempted` is left out: it counts the repetitions that
+# prints a verdict — `hashes only` when the simulated results agree and
+# only the event-stream and trace hashes moved (a reordering of
+# same-instant events), `trace only` when besides the hashes only
+# `sim.trace_events` moved (a change to what is traced, not to what is
+# simulated), else the number of other keys that moved — and then every
+# differing leaf key with both values; exits 1 if any run differed,
+# whatever the verdict. `attempted` is left out: it counts the repetitions that
 # fit in `--seconds 1` of wall time, so a faster build can fit one more
 # while simulating the same.
 #
@@ -75,12 +78,16 @@ base, change = Path(sys.argv[1]), Path(sys.argv[2])
 KEYS = ["sim", "claims", "hashes", "correct", "failed"]
 
 
-def first_diff(a, b, path):
+def leaf_diffs(a, b, path=""):
+    """Every leaf where a and b differ, as (dotted path, a, b)."""
     if isinstance(a, dict) and isinstance(b, dict):
         for k in sorted(a.keys() | b.keys()):
-            if a.get(k) != b.get(k):
-                return first_diff(a.get(k), b.get(k), f"{path}.{k}")
-    return f"{path}: {a!r} != {b!r}"
+            yield from leaf_diffs(a.get(k), b.get(k), f"{path}.{k}" if path else k)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from leaf_diffs(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path, a, b
 
 
 bad = 0
@@ -88,14 +95,22 @@ for f in sorted(base.glob("*/*.json")):
     rel = f.relative_to(base)
     a, b = json.loads(f.read_text()), json.loads((change / rel).read_text())
     a, b = ({k: d.get(k) for k in KEYS} for d in (a, b))
-    if a == b:
+    diffs = list(leaf_diffs(a, b))
+    if not diffs:
         print(f"identical  seed {rel.parent} {rel.stem}")
         continue
     bad += 1
     # Hashes move whenever anything simulated does: name what else moved.
-    del a["hashes"], b["hashes"]
-    what = "hashes only" if a == b else first_diff(a, b, "")[1:]
+    other = [p for p, _, _ in diffs if p != "hashes" and not p.startswith("hashes[")]
+    if not other:
+        what = "hashes only"
+    elif other == ["sim.trace_events"]:
+        what = "trace only"
+    else:
+        what = f"{len(other)} keys besides the hashes"
     print(f"DIFFERENT  seed {rel.parent} {rel.stem}: {what}")
+    for p, x, y in diffs:
+        print(f"           {p}: {x!r} -> {y!r}")
 sys.exit(1 if bad else 0)
 EOF
 
