@@ -53,7 +53,7 @@
 # Knobs (all optional; defaults shown):
 #   CHAOS_SEEDS=4      seeds for the chaos smoke (nightly workflow: 64);
 #                      each seed runs 4 fixed + 4 pool + 2 handover + 1
-#                      crossed + 1 randomized scenario
+#                      crossed + 1 fabric + 1 randomized scenario
 #   CHAOS_SUITE=all    all | handover (--quick runs handover, 1 seed);
 #                      chaos_soak exits 2 on any other value, as on a
 #                      malformed CHAOS_SEEDS

@@ -121,32 +121,38 @@ fn handover_scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// The §8 co-located deployment: two cells whose PHYs are each one
-/// cell's primary and the other's hot standby (`crossed_standbys`),
-/// with the single-cell testbed's cell and its 4 Mbps uplink flow on a
-/// UE in each cell.
-fn crossed_deployment(seed: u64) -> Deployment {
-    let mut d = DeploymentBuilder::new()
-        .seed(seed)
-        .cell(CellConfig {
-            num_prbs: 51,
-            fidelity: Fidelity::Sampled,
-            ..CellConfig::default()
-        })
-        .cells(2)
-        .crossed_standbys()
-        .ue(UeConfig::new(100, 0, "ue100", 22.0))
-        .ue(UeConfig::new(101, 1, "ue101", 22.0))
-        .build();
-    for (ue_idx, rnti) in [(0, 100), (1, 101)] {
+/// `cells` cells of the single-cell testbed on `builder`, each with
+/// that testbed's UE and 4 Mbps uplink flow.
+fn testbed_cells(builder: DeploymentBuilder, cells: u8) -> Deployment {
+    let cell = CellConfig {
+        num_prbs: 51,
+        fidelity: Fidelity::Sampled,
+        ..CellConfig::default()
+    };
+    let ues = (0..cells)
+        .map(|c| UeConfig::new(100 + c as u16, c, &format!("ue{}", 100 + c as u16), 22.0));
+    let mut d = builder.cell(cell).cells(cells as usize).ues(ues).build();
+    for c in 0..cells {
         d.add_flow(
-            ue_idx,
-            rnti,
+            c as usize,
+            100 + c as u16,
             Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
             Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
         );
     }
     d
+}
+
+/// The §8 co-located deployment: two cells whose PHYs are each one
+/// cell's primary and the other's hot standby (`crossed_standbys`).
+fn crossed_deployment(seed: u64) -> Deployment {
+    testbed_cells(DeploymentBuilder::new().seed(seed).crossed_standbys(), 2)
+}
+
+/// Four cells in two cell groups: two middleboxes `leaf0` / `leaf1`,
+/// each detecting only its own cells' PHYs, in two engine lanes.
+fn fabric_deployment(seed: u64) -> Deployment {
+    testbed_cells(DeploymentBuilder::new().seed(seed).cell_groups(2), 4)
 }
 
 /// A crash of cell 0's primary, which is also cell 1's standby: cell 0
@@ -157,6 +163,14 @@ fn crossed_scenarios() -> Vec<Scenario> {
         FaultTarget::ActivePhyOf(0),
         FaultKind::PhyCrash,
     )]
+}
+
+/// One primary crash in each cell group, 60 slots apart: each leaf
+/// detects its own, and each cell fails over to its standby.
+fn fabric_scenarios() -> Vec<Scenario> {
+    vec![Scenario::new("fabric-crash", 2400)
+        .fault(1000, FaultTarget::ActivePhyOf(0), FaultKind::PhyCrash)
+        .fault(1060, FaultTarget::ActivePhyOf(3), FaultKind::PhyCrash)]
 }
 
 /// The most crashes `scenario` aims at one cell's active PHY (at least
@@ -191,8 +205,9 @@ struct Case {
 /// single-cell deployment, the pool suite on the 4-cell / 2-spare pool
 /// (every crash held to the per-cell single-failure budget), the
 /// handover suite on the two-cell mobility deployment, the crossed
-/// suite on the co-located deployment, and one scenario sampled from
-/// `dist`. `handover_only` keeps only the handover suite.
+/// suite on the co-located deployment, the fabric suite on two cell
+/// groups, and one scenario sampled from `dist`. `handover_only` keeps
+/// only the handover suite.
 fn cases(seed: u64, handover_only: bool, dist: &ChaosDistribution) -> Vec<Case> {
     let suite = |deployment, stride: u64, tti_budget, scenarios: Vec<Scenario>| {
         let numbered = scenarios.into_iter().zip(stride * seed..);
@@ -222,6 +237,7 @@ fn cases(seed: u64, handover_only: bool, dist: &ChaosDistribution) -> Vec<Case> 
         ))
         .chain(handover)
         .chain(suite(crossed_deployment, 4000, None, crossed_scenarios()))
+        .chain(suite(fabric_deployment, 5000, None, fabric_scenarios()))
         .chain([random])
         .collect()
 }
@@ -408,7 +424,7 @@ fn main() {
     let suite_desc = if handover_only {
         format!("Chaos soak: {seeds} seeds x 2 handover scenarios")
     } else {
-        format!("Chaos soak: {seeds} seeds x (4 fixed + 4 pool + 2 handover + 1 crossed + 1 random) scenarios")
+        format!("Chaos soak: {seeds} seeds x (4 fixed + 4 pool + 2 handover + 1 crossed + 1 fabric + 1 random) scenarios")
     };
     banner(
         &suite_desc,
@@ -504,6 +520,7 @@ mod tests {
         ];
         all.extend(handover.clone());
         all.push(("crossed-crash".to_string(), 12000, None));
+        all.push(("fabric-crash".to_string(), 15000, None));
         all.push((dist.sample(3).name, 3, None));
         assert_eq!(pinned(false), all);
         assert_eq!(pinned(true), handover);

@@ -1,8 +1,8 @@
 //! Beyond one cell: the availability of a pooled fleet over a long
-//! horizon (§4.4 and §6.1 through the `sim::slo` analyzer) and the
-//! leaf/spine fabric at city scale (DESIGN.md §5g). Both entries hold
-//! simulated facts only; how fast the host runs them is the benchmark
-//! package's to say (`full_ul`, `scale_abstract`).
+//! horizon (§4.4 and §6.1 through the `sim::slo` analyzer) and cells
+//! partitioned into cell groups at city scale (DESIGN.md §5g). Both
+//! entries hold simulated facts only; how fast the host runs them is
+//! the benchmark package's to say (`full_ul`, `scale_abstract`).
 
 use super::*;
 use slingshot::ChaosRunner;
@@ -168,9 +168,9 @@ fn availability(r: &mut BenchReport) {
 #[rustfmt::skip]
 pub(super) const FABRIC_SCALE: Experiment = Experiment {
     id: "fabric_scale",
-    paper: "DESIGN.md §5g, the leaf/spine fabric from 16 to 128 Abstract cells for 40 ms: how \
-            many jobs the lanes are chunked into never shows in the trace, fronthaul cost per \
-            cell is flat in fleet size, and more leaves shorten the busiest lane's slot",
+    paper: "DESIGN.md §5g, 16 to 128 Abstract cells in 4 or 8 cell groups for 40 ms: how \
+            many units the lanes are chunked into never shows in the trace, fronthaul cost per \
+            cell is flat in fleet size, and more groups shorten the busiest lane's slot",
     body: fabric_scale,
     expect: &[
         row("shard_invariant:c16_g4", "", Equals(1.0)),
@@ -199,7 +199,7 @@ fn fabric_scale(r: &mut BenchReport) {
         let same = engine.event_trace().to_bytes() == serial;
         r.scalar_of("shard_invariant", &key, same as u8 as f64, 0);
         let bytes = engine.total_link_stats().bytes as f64 / cells as f64;
-        // Lane 0 is the spine domain, lanes 1..=groups the leaves.
+        // Lane 0 holds `server` and `core`, lanes 1..=groups the leaves.
         let loads = engine.lane_loads();
         let per_slot = |events: u64| events as f64 / slots;
         let worst = per_slot(loads.iter().copied().max().expect("a lane"));

@@ -349,9 +349,8 @@ pub fn resolve_phy_id(d: &mut Deployment, target: FaultTarget) -> Option<u8> {
         // The data plane is the ground truth for who serves the RU.
         FaultTarget::ActivePhy => resolve_phy_id(d, FaultTarget::ActivePhyOf(0)),
         FaultTarget::ActivePhyOf(ru) => {
-            // In a fabric build the RU's leaf middlebox owns the
-            // RU→PHY register; single-switch builds resolve to the one
-            // shared switch.
+            // In a partitioned build the RU's own middlebox owns the
+            // RU→PHY register; otherwise it is the one shared switch.
             let switch = d.switch_for_ru(ru);
             Some(d.engine.node_mut::<SwitchNode>(switch)?.active_phy(ru))
         }
@@ -378,7 +377,7 @@ fn orion_node_of(d: &Deployment, phy_id: u8) -> Option<NodeId> {
 /// through the live mapping).
 fn resolve_links(d: &mut Deployment, target: FaultTarget) -> Vec<(NodeId, NodeId)> {
     // Each endpoint's links terminate at the switch it is cabled to:
-    // its leaf in a fabric build, the shared switch otherwise.
+    // its partition in a partitioned build, the shared switch otherwise.
     let (ru, orion_l2) = (d.cells[0].ru, d.cells[0].orion_l2);
     match target {
         FaultTarget::Fronthaul => {

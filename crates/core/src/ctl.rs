@@ -126,24 +126,6 @@ impl CtlPacket {
         }
     }
 
-    /// The RU (cell) a control packet concerns, when it carries one.
-    /// Used by the spine switch to route switch-addressed control
-    /// frames to the leaf that owns the cell. `FailureNotify` is
-    /// destination-addressed (sent to a specific Orion/orchestrator
-    /// MAC), so it has no routing RU and returns `None`.
-    pub fn ru_id(&self) -> Option<u8> {
-        match self {
-            CtlPacket::MigrateOnSlot { ru_id, .. }
-            | CtlPacket::SpareRequest { ru_id, .. }
-            | CtlPacket::SpareGrant { ru_id, .. }
-            | CtlPacket::InstallStandby { ru_id, .. } => Some(*ru_id),
-            // Handovers route by the source cell: the leaf that
-            // currently owns the UE executes the re-point.
-            CtlPacket::HandoverOnSlot { source_ru, .. } => Some(*source_ru),
-            CtlPacket::FailureNotify { .. } => None,
-        }
-    }
-
     pub fn from_bytes(payload: &[u8]) -> Option<CtlPacket> {
         let mut buf = payload;
         if buf.remaining() < 1 {
@@ -278,17 +260,6 @@ mod tests {
         assert!(CtlPacket::from_bytes(&[4]).is_none());
         assert!(CtlPacket::from_bytes(&[5, 1, 2, 3]).is_none());
         assert!(CtlPacket::from_bytes(&[6, 1, 2, 3, 4]).is_none());
-    }
-
-    #[test]
-    fn handover_routes_by_source_ru() {
-        let pkt = CtlPacket::HandoverOnSlot {
-            rnti: 100,
-            source_ru: 2,
-            target_ru: 7,
-            slot_scalar: 40,
-        };
-        assert_eq!(pkt.ru_id(), Some(2));
     }
 
     #[test]

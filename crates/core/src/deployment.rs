@@ -11,10 +11,11 @@
 //! unit behind its group's middlebox switch (with crossed standbys, §8's
 //! co-location, a cell brings only its primary and borrows the next
 //! cell's as its standby); shared spares, the recovery orchestrator and
-//! the handover controller hang off the *service switch* — the one
-//! switch when there is one group, a spine joining the leaf switches
-//! otherwise. The classic testbed is the default `cells(1)`; a
-//! four-cell one whose cell lanes run on four workers is:
+//! the handover controller hang off the one switch of a build whose
+//! cells they couple. Cells that share nothing within a slot get a
+//! middlebox partition each (or one per cell group) and an engine lane
+//! each. The classic testbed is the default `cells(1)`; a four-cell one
+//! whose cell lanes run on four workers is:
 //!
 //! ```ignore
 //! let mut d = DeploymentBuilder::new()
@@ -42,7 +43,6 @@ use crate::fh_mbox::FhMbox;
 use crate::handover::{handover_mac, HandoverController};
 use crate::orion::{orion_l2_mac, orion_phy_mac, OrionL2Node, OrionPhyNode};
 use crate::recovery::{recovery_mac, RecoveryOrchestrator};
-use crate::spine::SpineSwitchNode;
 use crate::switch_node::{ForwardingModel, SwitchNode};
 
 /// Deployment-wide configuration.
@@ -114,11 +114,11 @@ pub struct CellDeployment {
 /// Node ids of a built deployment; `cells` holds every cell, in order.
 pub struct Deployment {
     pub engine: Engine<Msg>,
-    /// The service switch: the one middlebox of a single-switch build,
-    /// the spine of a `cell_groups(g ≥ 2)` fabric. A single-switch
-    /// build partitioned by cell (see [`Deployment::leaves`]) has no
-    /// service switch, and this is cell 0's partition. A cell's own
-    /// middlebox is always [`Deployment::switch_for_ru`].
+    /// The middlebox of a one-switch build (one cell, or cells coupled
+    /// within a slot), which also carries its spares, recovery
+    /// orchestrator and handover controller. In a build with several
+    /// middleboxes (see [`Deployment::leaves`]) it is cell 0's. A cell's
+    /// own middlebox is always [`Deployment::switch_for_ru`].
     pub switch: NodeId,
     pub core: NodeId,
     pub server: NodeId,
@@ -140,24 +140,20 @@ pub struct Deployment {
     /// Every PHY id → its PHY-side Orion node.
     pub phy_orions: BTreeMap<u8, NodeId>,
     /// The middlebox switches when there is more than one, in cell
-    /// order, named `leaf0..`: the leaves of a `cell_groups(g ≥ 2)`
-    /// fabric, or the per-cell partitions of a single-switch build
-    /// whose cells share nothing within a slot (see
-    /// [`DeploymentBuilder::cell_groups`]). A partition is a leaf with
-    /// no spine: it holds only its cell's RU and PHY pair, detects only
-    /// those two PHYs, and notifies only its cell's L2-side Orion; no
-    /// frame crosses partitions. Empty when one switch serves every
-    /// cell.
+    /// order, named `leaf0..`: the partitions of a build whose cells
+    /// share nothing within a slot, one per cell group with
+    /// `cell_groups(g ≥ 2)` and one per cell otherwise (see
+    /// [`DeploymentBuilder::cell_groups`]). A partition holds only its
+    /// cells' RUs and PHY pairs, detects only those PHYs, and notifies
+    /// only those cells' L2-side Orions; no frame crosses partitions.
+    /// Empty when one switch serves every cell.
     pub leaves: Vec<NodeId>,
-    /// The spine switch of a `cell_groups(g ≥ 2)` build; `None` for a
-    /// single-switch build, partitioned or not.
-    pub spine: Option<NodeId>,
     /// Endpoint node → the switch it is cabled to (see
     /// [`Deployment::switch_for_node`]).
     attached_switch: BTreeMap<NodeId, NodeId>,
     /// Engine lane map staged by a build with more than one middlebox
-    /// switch (one lane per leaf or partition, plus lane 0); the
-    /// builder consumes it (after trace sizing) to install the dispatch
+    /// switch (one lane per partition, plus lane 0); the builder
+    /// consumes it (after trace sizing) to install the dispatch
     /// lanes.
     lanes: Option<(Vec<u32>, usize)>,
     pub cfg: DeploymentConfig,
@@ -273,23 +269,20 @@ impl DeploymentBuilder {
     }
 
     /// Partition the cells into `g` contiguous groups, each behind its
-    /// own leaf switch (a full fronthaul middlebox with a leaf-local
-    /// failure detector), joined by a spine switch that carries the
-    /// shared spare pool and the recovery orchestrator. `1` (the
-    /// default) puts every cell and service behind one switch. `g ≥ 2`
-    /// is a *structural* knob: it changes the topology (and therefore
-    /// the trace) and shards the engine into `g + 1` dispatch lanes
-    /// (one per leaf plus the spine domain), synchronized at slot
-    /// boundaries.
+    /// own middlebox switch `leaf{i}` (with its own failure detector)
+    /// and in its own engine lane; lane 0 holds `server` and `core`,
+    /// and no frame crosses switches. Lanes synchronize at slot
+    /// boundaries, so `g ≥ 2` needs cells that share nothing within a
+    /// slot: `build()` panics naming the coupling of a build with a
+    /// spare pool, handover plane, crossed standbys or a backhaul
+    /// shorter than a slot (DESIGN.md §5g).
     ///
-    /// With `1`, a build whose cells share nothing within a slot (≥ 2
-    /// cells, no spare pool, handover plane or crossed standbys, and a
-    /// backhaul link of at least one slot) still gets one lane per
-    /// cell: its switch is built as one partition per cell (see
-    /// [`Deployment::leaves`]), and lane 0 holds `server` and `core`.
-    /// Every slot-level result is that of the unpartitioned switch; only
-    /// the trace's order among same-instant events of different cells
-    /// changes.
+    /// With `1` (the default), such an uncoupled build of ≥ 2 cells is
+    /// partitioned one switch and lane per cell (see
+    /// [`Deployment::leaves`]), and a coupled one keeps every cell and
+    /// service behind one switch in one lane. Every slot-level result
+    /// is that of one unpartitioned switch; only the trace's order
+    /// among same-instant events of different partitions changes.
     pub fn cell_groups(mut self, g: usize) -> Self {
         assert!(g >= 1, "at least one cell group");
         self.cell_groups = g;
@@ -301,9 +294,9 @@ impl DeploymentBuilder {
     /// and run whole by one of the [`DeploymentBuilder::workers`]
     /// threads. Purely an *execution* knob: for any value (and any
     /// worker count) the event trace is byte-identical — only
-    /// wall-clock changes. Defaults to the lane count; no effect on
-    /// single-switch (`cell_groups(1)`) builds, whose per-cell
-    /// partitions, when they have them, always run one unit per lane.
+    /// wall-clock changes. Defaults to the lane count; no effect without
+    /// `cell_groups(g ≥ 2)`: the per-cell partitions of a
+    /// `cell_groups(1)` build always run one unit per lane.
     pub fn shards(mut self, k: usize) -> Self {
         assert!(k >= 1, "at least one shard");
         self.shards = Some(k);
@@ -311,8 +304,8 @@ impl DeploymentBuilder {
     }
 
     /// Deploy the handover controller + mobility signaling plane.
-    /// Requires `cells(n ≥ 2)` on the classic single-switch topology
-    /// (`cell_groups(1)`). Structural knob: the trace of a handover
+    /// Requires `cells(n ≥ 2)`; couples the cells within a slot, so
+    /// they share one switch. Structural knob: the trace of a handover
     /// build differs from the same topology without it.
     pub fn handover(mut self) -> Self {
         self.cfg.handover = true;
@@ -323,8 +316,9 @@ impl DeploymentBuilder {
     /// primary PHY (id `2i+1`) and takes cell `(i+1) mod n`'s primary as
     /// its hot standby, so every PHY process serves one cell and runs
     /// null FAPI for another and no server holds only a standby.
-    /// Structural knob; requires `cells(n >= 2)` on one switch, with no
-    /// spare pool, handover plane or upgraded secondary build.
+    /// Structural knob; requires `cells(n >= 2)`, with no spare pool,
+    /// handover plane or upgraded secondary build, and couples the
+    /// cells within a slot, so they share one switch.
     pub fn crossed_standbys(mut self) -> Self {
         self.crossed = true;
         self
@@ -355,18 +349,33 @@ impl DeploymentBuilder {
         self
     }
 
+    /// The first of this build's within-slot couplings between cells
+    /// (DESIGN.md §5g), or `None` when its cells share nothing within a
+    /// slot and may each take a switch partition and an engine lane.
+    /// Slots are the lanes' barrier: a coupling crossing lanes would
+    /// land a slot late.
+    fn coupling(&self) -> Option<&'static str> {
+        [
+            (self.cfg.spare_pool > 0, "spare_pool(m > 0)"),
+            (self.cfg.handover, "handover()"),
+            (self.crossed, "crossed_standbys()"),
+            (
+                self.cfg.backhaul_link.latency < SLOT_DURATION,
+                "a backhaul shorter than a slot",
+            ),
+        ]
+        .into_iter()
+        .find_map(|(coupled, what)| coupled.then_some(what))
+    }
+
     /// Build and wire the deployment.
     pub fn build(self) -> Deployment {
         if self.cfg.handover {
-            assert!(
-                self.cells >= 2 && self.cell_groups == 1,
-                "handover() requires cells(n >= 2) on the single-switch topology"
-            );
+            assert!(self.cells >= 2, "handover() requires cells(n >= 2)");
         }
         if self.crossed {
             for (conflict, with) in [
                 (self.cells < 2, "cells(1)"),
-                (self.cell_groups > 1, "cell_groups(g >= 2)"),
                 (self.cfg.spare_pool > 0, "spare_pool(m > 0)"),
                 (self.cfg.handover, "handover()"),
                 (
@@ -377,13 +386,16 @@ impl DeploymentBuilder {
                 assert!(!conflict, "crossed_standbys() conflicts with {with}");
             }
         }
-        let mut d = Deployment::construct(
-            self.cfg,
-            self.cells,
-            self.cell_groups,
-            self.crossed,
-            self.ues,
-        );
+        let coupling = self.coupling();
+        if let Some(coupling) = coupling.filter(|_| self.cell_groups > 1) {
+            panic!("cell_groups(g >= 2) conflicts with {coupling}: it couples cells within a slot");
+        }
+        let middleboxes = match coupling {
+            None if self.cell_groups == 1 => self.cells,
+            _ => self.cell_groups,
+        };
+        let mut d =
+            Deployment::construct(self.cfg, self.cells, middleboxes, self.crossed, self.ues);
         if let Some(kernels) = self.kernels {
             d.engine.set_kernel_config(kernels);
         }
@@ -391,11 +403,11 @@ impl DeploymentBuilder {
             d.engine.event_trace_mut().set_capacity(cap);
         }
         // Install dispatch lanes after trace sizing so per-lane staging
-        // buffers are forked with the final ring capacity. A
-        // partitioned single switch runs one unit per lane.
+        // buffers are forked with the final ring capacity. Per-cell
+        // partitions nobody asked for run one unit per lane.
         if let Some((lane_of, lanes)) = d.lanes.take() {
             d.engine.enable_shards(lane_of, lanes, self.workers);
-            if let Some(k) = self.shards.filter(|_| d.spine.is_some()) {
+            if let Some(k) = self.shards.filter(|_| self.cell_groups > 1) {
                 d.engine.set_exec_shards(k);
             }
         }
@@ -412,22 +424,18 @@ impl DeploymentBuilder {
 struct SwitchPlan {
     name: String,
     ports: PortSpace,
-    /// The fronthaul middlebox program; `None` for the spine, which
-    /// only forwards by host MAC.
-    mbox: Option<FhMbox>,
-    /// Host MAC → port of every attached endpoint.
-    hosts: Vec<(MacAddr, PortId)>,
+    /// The fronthaul middlebox program.
+    mbox: FhMbox,
     /// `(port, endpoint, link)` per attached endpoint.
     cabled: Vec<(PortId, NodeId, LinkParams)>,
 }
 
 impl SwitchPlan {
-    fn new(name: String, mbox: Option<FhMbox>) -> SwitchPlan {
+    fn new(name: String, mbox: FhMbox) -> SwitchPlan {
         SwitchPlan {
             ports: PortSpace::new(&name),
             name,
             mbox,
-            hosts: Vec::new(),
             cabled: Vec::new(),
         }
     }
@@ -436,7 +444,7 @@ impl SwitchPlan {
     /// `link`.
     fn attach(&mut self, node: NodeId, mac: MacAddr, link: &LinkParams) -> PortId {
         let port = self.ports.alloc();
-        self.hosts.push((mac, port));
+        self.mbox.install_host(mac, port);
         self.cabled.push((port, node, link.clone()));
         port
     }
@@ -449,8 +457,7 @@ struct Construction {
     engine: Engine<Msg>,
     clock: SlotClock,
     rng: SimRng,
-    /// Middlebox switches in cell-group order, then the spine when
-    /// there is more than one group.
+    /// Middlebox switches in cell-group order.
     plans: Vec<SwitchPlan>,
     /// Every PHY id handed out so far → its engine node.
     phy_nodes: BTreeMap<u8, NodeId>,
@@ -540,7 +547,7 @@ impl Construction {
         if let Some(orion) = orion_secondary {
             plan.attach(orion, orion_phy_mac(sec_id), server);
         }
-        let mbox = plan.mbox.as_mut().expect("cells sit behind a middlebox");
+        let mbox = &mut plan.mbox;
         mbox.install_ru(ru_id, ru_mac, ru_port, pri_id);
         let secondary = sec_port.map(|port| (sec_id, port));
         for (id, port) in [(pri_id, pri_port)].into_iter().chain(secondary) {
@@ -569,14 +576,14 @@ impl Construction {
         }
     }
 
-    /// Create a pooled spare PHY server and its Orion on switch `sw`.
-    /// It is attached as a plain host: its virtual-PHY identity is
-    /// installed by the orchestrator's InstallStandby at grant time.
-    fn add_spare(&mut self, id: u8, sw: usize) -> (u8, NodeId, NodeId) {
+    /// Create a pooled spare PHY server and its Orion on the one
+    /// switch. It is attached as a plain host: its virtual-PHY identity
+    /// is installed by the orchestrator's InstallStandby at grant time.
+    fn add_spare(&mut self, id: u8) -> (u8, NodeId, NodeId) {
         let cell = self.cfg.cell.clone();
         let phy = self.add_phy(&format!("spare-phy{id}"), id, &cell, None);
         let orion = self.add_phy_orion(&format!("spare-orion-phy{id}"), id);
-        let plan = &mut self.plans[sw];
+        let plan = &mut self.plans[0];
         plan.attach(phy, MacAddr::for_phy(id), &self.cfg.server_link);
         plan.attach(orion, orion_phy_mac(id), &self.cfg.server_link);
         (id, phy, orion)
@@ -584,46 +591,38 @@ impl Construction {
 }
 
 impl Deployment {
-    /// The one construction. `n_cells` cells are split into `groups`
-    /// contiguous near-even groups, each behind its own middlebox
-    /// switch (failure detection stays local to it, preserving the
-    /// in-switch detection latency). The *service switch* carries the
-    /// pooled spares, the recovery orchestrator and the handover
-    /// controller: with one group it is that group's switch; with more
-    /// it is a spine joining the leaves, which forwards by host MAC and
-    /// relays switch-addressed control frames to the owning leaf by RU
-    /// id, and the engine is staged for `groups + 1` dispatch lanes
-    /// (lane 0 the spine domain, lane `1 + g` leaf group `g`).
+    /// The one construction. `n_cells` cells are split into
+    /// `middleboxes` contiguous near-even groups, each behind its own
+    /// middlebox switch (failure detection stays local to it, preserving
+    /// the in-switch detection latency). With one middlebox it also
+    /// carries the pooled spares, the recovery orchestrator and the
+    /// handover controller; with more (the builder asks for more only
+    /// when the cells share nothing within a slot, see
+    /// `DeploymentBuilder::coupling`) there are none, no frame crosses
+    /// switches, and the engine is staged for `middleboxes + 1` lanes:
+    /// lane 0 `server` and `core`, lane `1 + g` group `g` and its
+    /// switch.
     ///
     /// With `crossed` (one group, no spares, no handover plane), cell
     /// `i` builds only its primary PHY and takes cell `(i+1) mod n`'s
     /// primary, and that PHY's Orion, as its standby (§8 co-location).
-    ///
-    /// With one group whose cells share nothing within a slot — ≥ 2
-    /// cells, no spare pool, no handover plane, no crossed standbys, and
-    /// a backhaul link of at least one slot, so core ↔ L2 traffic never
-    /// lands inside the slot it was sent in — the switch is built as
-    /// one partition per cell (a leaf with no spine), and the engine is
-    /// staged for `n_cells + 1` lanes: lane 0 `server` and `core`, lane
-    /// `1 + i` cell `i` and its partition.
     ///
     /// Node-add order is a contract — `NodeId`s are in every trace
     /// record: `server`, `core`, each cell in order (`c{i}-l2`, the PHY
     /// pair, their Orions, `c{i}-orion-l2`, `c{i}-ru`, its UEs; a
     /// crossed cell has only `c{i}-phy-primary` and its Orion), spares
     /// as `[phy, orion]` pairs, `recovery`, `handover`, then `switch` —
-    /// or `leaf0..`, then `spine` in a fabric. RNG forks follow the same
-    /// order.
+    /// or `leaf0..`. RNG forks follow the same order.
     fn construct(
         cfg: DeploymentConfig,
         n_cells: usize,
-        groups: usize,
+        middleboxes: usize,
         crossed: bool,
         ue_cfgs: Vec<UeConfig>,
     ) -> Deployment {
         assert!(
-            n_cells >= groups,
-            "need at least one cell per group ({n_cells} cells, {groups} groups)"
+            n_cells >= middleboxes,
+            "need at least one cell per group ({n_cells} cells, {middleboxes} groups)"
         );
         assert!(
             ue_cfgs.iter().all(|u| (u.ru_id as usize) < n_cells),
@@ -648,13 +647,6 @@ impl Deployment {
         for u in ue_cfgs {
             cell_ues[u.ru_id as usize].push(u);
         }
-        let partitioned = groups == 1
-            && n_cells >= 2
-            && cfg.spare_pool == 0
-            && !cfg.handover
-            && !crossed
-            && cfg.backhaul_link.latency >= SLOT_DURATION;
-        let middleboxes = if partitioned { n_cells } else { groups };
         // The first `n_cells % middleboxes` get one extra cell.
         let group_of_cell: Vec<usize> = (0..middleboxes)
             .flat_map(|g| {
@@ -663,11 +655,11 @@ impl Deployment {
             })
             .collect();
 
-        // One middlebox per group (or per cell, partitioned). Failure
-        // notifications fan out to its own L2-side Orions and, when a
-        // spare pool is deployed, to the recovery orchestrator (it
-        // schedules the dead server's scrub-and-return).
-        let mut plans: Vec<SwitchPlan> = (0..middleboxes)
+        // One middlebox per group. Failure notifications fan out to its
+        // own L2-side Orions and, when a spare pool is deployed, to the
+        // recovery orchestrator (it schedules the dead server's
+        // scrub-and-return).
+        let plans: Vec<SwitchPlan> = (0..middleboxes)
             .map(|g| {
                 let mut notify: Vec<MacAddr> = (0..n_cells)
                     .filter(|i| group_of_cell[*i] == g)
@@ -681,16 +673,9 @@ impl Deployment {
                 } else {
                     format!("leaf{g}")
                 };
-                let mbox = FhMbox::with_notify_targets(cfg.detector, notify);
-                SwitchPlan::new(name, Some(mbox))
+                SwitchPlan::new(name, FhMbox::with_notify_targets(cfg.detector, notify))
             })
             .collect();
-        if groups > 1 {
-            plans.push(SwitchPlan::new("spine".to_string(), None));
-        }
-        // Where the shared services attach (never used when
-        // partitioned: a partitioned build has none).
-        let service = if groups > 1 { groups } else { 0 };
 
         let mut c = Construction {
             engine: Engine::new(cfg.seed),
@@ -724,99 +709,54 @@ impl Deployment {
         }
         // Spares take the PHY ids after every cell pair.
         let spares: Vec<(u8, NodeId, NodeId)> = (0..c.cfg.spare_pool)
-            .map(|j| c.add_spare((2 * n_cells + 1 + j) as u8, service))
+            .map(|j| c.add_spare((2 * n_cells + 1 + j) as u8))
             .collect();
         let recovery = (c.cfg.spare_pool > 0).then(|| {
             let node = RecoveryOrchestrator::new(c.clock);
             let node = c.engine.add_node("recovery", Box::new(node));
-            c.plans[service].attach(node, recovery_mac(), &c.cfg.server_link);
+            c.plans[0].attach(node, recovery_mac(), &c.cfg.server_link);
             node
         });
         let handover = c.cfg.handover.then(|| {
             let node = HandoverController::new(c.clock);
             let node = c.engine.add_node("handover", Box::new(node));
-            c.plans[service].attach(node, handover_mac(), &c.cfg.server_link);
+            c.plans[0].attach(node, handover_mac(), &c.cfg.server_link);
             node
         });
         let Construction {
             cfg,
             mut engine,
             mut rng,
-            mut plans,
+            plans,
             phy_nodes,
             phy_orions,
             ..
         } = c;
+        // --- switches last, then one link per recorded attachment ---
+        let mut attached_switch = BTreeMap::new();
         let switches: Vec<NodeId> = plans
-            .iter_mut()
+            .into_iter()
             .map(|plan| {
                 let rng = rng.fork(&plan.name);
-                match plan.mbox.take() {
-                    Some(mut mbox) => {
-                        for (mac, port) in &plan.hosts {
-                            mbox.install_host(*mac, *port);
-                        }
-                        let mut sw = SwitchNode::new(mbox, cfg.forwarding, rng);
-                        for (port, node, _) in &plan.cabled {
-                            sw.attach(*port, *node);
-                        }
-                        engine.add_node(&plan.name, Box::new(sw))
-                    }
-                    None => {
-                        let mut sw = SpineSwitchNode::new(cfg.forwarding, rng);
-                        for (mac, port) in &plan.hosts {
-                            sw.install_host(*mac, *port);
-                        }
-                        for (port, node, _) in &plan.cabled {
-                            sw.attach(*port, *node);
-                        }
-                        engine.add_node(&plan.name, Box::new(sw))
-                    }
+                let mut sw = SwitchNode::new(plan.mbox, cfg.forwarding, rng);
+                for (port, node, _) in &plan.cabled {
+                    sw.attach(*port, *node);
                 }
+                let sw = engine.add_node(&plan.name, Box::new(sw));
+                for (_, node, link) in plan.cabled {
+                    engine.connect_duplex(node, sw, link);
+                    attached_switch.insert(node, sw);
+                }
+                sw
             })
             .collect();
-        let switch = switches[service];
+        let switch = switches[0];
         let switch_of = |cell: &CellDeployment| switches[group_of_cell[cell.ru_id as usize]];
-
-        // --- cabling: one link per recorded attachment ---
-        let mut attached_switch = BTreeMap::new();
-        for (plan, &sw) in plans.iter().zip(&switches) {
-            for (_, node, link) in &plan.cabled {
-                engine.connect_duplex(*node, sw, link.clone());
-                attached_switch.insert(*node, sw);
-            }
-        }
-        // Leaf ↔ spine: every MAC behind a leaf routes to that leaf's
-        // spine port, and every spine-side MAC (orchestrator, pooled
-        // spares and their Orions) to the leaf's uplink — the latter
-        // also covers post-grant forwarding, since InstallStandby fills
-        // the PHY/address directories but not the port table.
-        // Partitions have no spine.
         let leaves = if middleboxes > 1 {
-            switches[..middleboxes].to_vec()
+            switches.clone()
         } else {
             Vec::new()
         };
-        let spine = (groups > 1).then_some(switch);
-        let fabric_leaves: &[NodeId] = if spine.is_some() { &leaves } else { &[] };
-        for (g, &leaf) in fabric_leaves.iter().enumerate() {
-            let up = plans[g].ports.alloc();
-            let down = plans[service].ports.alloc();
-            let sw = engine.node_mut::<SwitchNode>(leaf).unwrap();
-            sw.attach(up, switch);
-            for (mac, _) in &plans[service].hosts {
-                sw.mbox.install_host(*mac, up);
-            }
-            let spine = engine.node_mut::<SpineSwitchNode>(switch).unwrap();
-            spine.attach(down, leaf);
-            for (mac, _) in &plans[g].hosts {
-                spine.install_host(*mac, down);
-            }
-            for cell in cells.iter().filter(|c| switch_of(c) == leaf) {
-                spine.install_ru_route(cell.ru_id, down);
-            }
-            engine.connect_duplex(leaf, switch, cfg.server_link.clone());
-        }
 
         // --- wiring ---
         let all_ues: Vec<NodeId> = cells.iter().flat_map(|c| c.ues.iter().copied()).collect();
@@ -925,10 +865,10 @@ impl Deployment {
             engine.connect_duplex(*phy, *orion, shm.clone());
         }
 
-        // Lane 0 is the spine domain (everything not behind a leaf);
-        // lane `1 + g` holds leaf (or partition) `g` and its cells.
-        // Cross-lane traffic (backhaul, spare-pool control, leaf↔spine
-        // frames) synchronizes at slot boundaries.
+        // Lane 0 holds `server` and `core`; lane `1 + g` holds
+        // partition `g` and its cells. The backhaul, the only cross-lane
+        // traffic, is at least a slot long, so it synchronizes at slot
+        // boundaries without moving a delivery.
         let lanes = (middleboxes > 1).then(|| {
             let mut lane_of = vec![0u32; engine.node_names().len()];
             for cell in &cells {
@@ -961,25 +901,23 @@ impl Deployment {
             phy_nodes,
             phy_orions,
             leaves,
-            spine,
             attached_switch,
             lanes,
             cfg,
         }
     }
 
-    /// The switch whose middlebox serves `ru_id`: its leaf in a fabric
-    /// build, its partition in a partitioned single-switch build, the
-    /// one shared switch otherwise.
+    /// The switch whose middlebox serves `ru_id`: its partition in a
+    /// build with several middleboxes, the one shared switch otherwise.
     pub fn switch_for_ru(&self, ru_id: u8) -> NodeId {
         self.cells
             .get(ru_id as usize)
             .map_or(self.switch, |cell| self.switch_for_node(cell.ru))
     }
 
-    /// The switch an endpoint node is cabled to: its leaf (or the
-    /// spine, for spine-side services) in a fabric build, its cell's
-    /// partition in a partitioned one, the one shared switch otherwise.
+    /// The switch an endpoint node is cabled to: its cell's partition
+    /// in a build with several middleboxes, the one shared switch
+    /// otherwise.
     /// Nodes with no switch port (UEs, L2s, core) resolve to
     /// [`Deployment::switch`].
     pub fn switch_for_node(&self, node: NodeId) -> NodeId {

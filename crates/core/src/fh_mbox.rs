@@ -191,10 +191,10 @@ pub struct FhMbox {
 
 impl FhMbox {
     /// The well-known MAC every fronthaul middlebox answers control
-    /// packets on. Shared across leaves in a fabric build: a control
-    /// frame addressed here is handled by whichever switch first sees
-    /// it (the sender's leaf), and the spine routes switch-addressed
-    /// frames from remote senders by the RU id in the payload.
+    /// packets on. Shared by the partitions of a multi-switch build: a
+    /// control frame addressed here is handled by the sender's own
+    /// switch, which is also the switch of every cell the sender's
+    /// control packets concern, since no frame crosses switches.
     pub const SWITCH_MAC: MacAddr = MacAddr([0x02, 0x53, 0x57, 0, 0, 1]);
 
     pub fn new(detector: PktGenConfig, notify_mac: MacAddr) -> FhMbox {

@@ -15,8 +15,8 @@
 //! - [`switch_node`]: the engine node hosting the middlebox program,
 //!   with in-switch vs software forwarding models (the §5 ablation).
 //! - [`deployment`]: the one builder of every testbed shape — the
-//!   Fig. 4(b) testbed, N cells, fabrics, spare pools, and the §8
-//!   co-located (crossed-standby) deployment.
+//!   Fig. 4(b) testbed, N cells, partitioned cell groups, spare pools,
+//!   and the §8 co-located (crossed-standby) deployment.
 //! - [`chaos`]: the deployment-aware chaos runner — expands
 //!   `slingshot_sim::chaos` scenarios into timed kill/stall/degrade
 //!   operations against the live topology and judges the resulting
@@ -32,7 +32,6 @@ pub mod handover;
 pub mod nfapi;
 pub mod orion;
 pub mod recovery;
-pub mod spine;
 pub mod switch_node;
 
 pub use chaos::{
@@ -46,5 +45,4 @@ pub use orion::{
     orion_l2_mac, orion_phy_mac, OrionL2Node, OrionPhyNode, ORION_PER_BYTE_NS, ORION_PER_MSG,
 };
 pub use recovery::{recovery_mac, RecoveryOrchestrator};
-pub use spine::SpineSwitchNode;
 pub use switch_node::{ForwardingModel, SwitchNode};

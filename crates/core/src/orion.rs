@@ -416,8 +416,12 @@ impl OrionL2Node {
         let abs = self.clock.abs_of_slot(ctx.now(), slot);
         let b = self.binding_of(ru_id).expect("binding");
         let owner = Self::owner_of(b, abs);
+        // Past a failover's boundary the other PHY is the primary whose
+        // failure started the migration: nothing keeps it alive.
         let other = if owner == b.primary {
             b.secondary
+        } else if b.failover {
+            None
         } else {
             Some(b.primary)
         };

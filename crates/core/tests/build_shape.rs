@@ -7,11 +7,24 @@ use slingshot::{orion_l2_mac, DeploymentBuilder, DeploymentConfig, SwitchNode};
 use slingshot_ran::{CellConfig, Fidelity, UeConfig};
 use slingshot_sim::{LinkParams, Nanos, SLOT_DURATION};
 
-fn abstract_cells() -> DeploymentBuilder {
-    DeploymentBuilder::new().cell(CellConfig {
+fn abstract_cell() -> CellConfig {
+    CellConfig {
         num_prbs: 24,
         fidelity: Fidelity::Abstract,
         ..CellConfig::default()
+    }
+}
+
+fn abstract_cells() -> DeploymentBuilder {
+    DeploymentBuilder::new().cell(abstract_cell())
+}
+
+/// [`abstract_cells`] with a backhaul of `latency`.
+fn backhaul(latency: Nanos) -> DeploymentBuilder {
+    DeploymentBuilder::new().config(DeploymentConfig {
+        cell: abstract_cell(),
+        backhaul_link: LinkParams::ideal(latency),
+        ..DeploymentConfig::default()
     })
 }
 
@@ -23,7 +36,7 @@ fn build_shape_follows_the_parameters() {
         (1, 1, 2, false, false),
         (4, 1, 2, false, false),
         (2, 1, 1, true, false),
-        (8, 2, 2, false, false),
+        (8, 2, 0, false, false),
         (16, 4, 0, false, false),
         (2, 1, 0, false, true),
         (3, 1, 0, false, true),
@@ -54,8 +67,9 @@ fn build_shape_follows_the_parameters() {
 
         // server + core, 7 nodes (5 crossed) + 1 UE per cell, [phy,
         // orion] per spare, the two optional services, then the
-        // switch(es).
-        let switches = if groups == 1 { 1 } else { groups + 1 };
+        // switch(es): every row with one group is coupled, so it has
+        // one switch, and `g ≥ 2` groups have a leaf each.
+        let switches = groups;
         let per_cell = if crossed { 6 } else { 8 };
         let nodes = 2
             + per_cell * cells
@@ -65,8 +79,7 @@ fn build_shape_follows_the_parameters() {
             + switches;
         assert_eq!(d.engine.node_names().len(), nodes, "{case}");
         assert_eq!(d.cells.len(), cells, "{case}");
-        assert_eq!(d.leaves.len(), switches - 1, "{case}");
-        assert_eq!(d.spine.is_some(), groups > 1, "{case}");
+        assert_eq!(d.leaves.len(), if groups == 1 { 0 } else { groups });
         assert_eq!(d.spare_phys.len(), pool, "{case}");
         assert_eq!(d.recovery.is_some(), pool > 0, "{case}");
         assert_eq!(d.handover.is_some(), handover, "{case}");
@@ -113,8 +126,8 @@ fn build_shape_follows_the_parameters() {
             }
         }
 
-        // A cell's six endpoints share its middlebox switch; spine-side
-        // services sit on the service switch.
+        // A cell's six endpoints share its middlebox switch; shared
+        // services sit on the one switch.
         for cell in &d.cells {
             let sw = d.switch_for_ru(cell.ru_id);
             if groups == 1 {
@@ -158,7 +171,6 @@ fn uncoupled_cells_get_a_partition_and_a_lane_each() {
     }
     let d = b.build();
     assert_eq!(d.leaves.len(), 4);
-    assert_eq!(d.spine, None);
     assert_eq!(d.switch, d.leaves[0]);
     assert_eq!(d.engine.lane_loads().len(), 5);
     assert_eq!(d.engine.lane_index(d.server), 0);
@@ -199,18 +211,6 @@ fn uncoupled_cells_get_a_partition_and_a_lane_each() {
 /// the slot it was sent in).
 #[test]
 fn coupled_cells_keep_one_switch_and_one_lane() {
-    let cell = CellConfig {
-        num_prbs: 24,
-        fidelity: Fidelity::Abstract,
-        ..CellConfig::default()
-    };
-    let backhaul = |latency: Nanos| {
-        DeploymentBuilder::new().config(DeploymentConfig {
-            cell: cell.clone(),
-            backhaul_link: LinkParams::ideal(latency),
-            ..DeploymentConfig::default()
-        })
-    };
     let cases = [
         ("spare_pool(1)", abstract_cells().spare_pool(1)),
         ("handover()", abstract_cells().handover()),
@@ -220,7 +220,6 @@ fn coupled_cells_keep_one_switch_and_one_lane() {
     for (case, b) in cases {
         let d = b.cells(4).build();
         assert!(d.leaves.is_empty(), "{case}");
-        assert_eq!(d.spine, None, "{case}");
         assert_eq!(d.engine.lane_loads().len(), 1, "{case}");
         assert_eq!(d.engine.node_name(d.switch), "switch", "{case}");
         for cell in &d.cells {
@@ -230,6 +229,30 @@ fn coupled_cells_keep_one_switch_and_one_lane() {
     // A backhaul of exactly one slot is long enough.
     let d = backhaul(SLOT_DURATION).cells(4).build();
     assert_eq!(d.leaves.len(), 4);
+}
+
+/// Lanes meet at slot barriers, so cells coupled within a slot cannot
+/// be split into cell groups: the build names the coupling it refuses.
+#[test]
+fn cell_groups_refuse_each_coupling_by_name() {
+    let cases = [
+        ("spare_pool(m > 0)", abstract_cells().spare_pool(1)),
+        ("handover()", abstract_cells().handover()),
+        ("crossed_standbys()", abstract_cells().crossed_standbys()),
+        (
+            "a backhaul shorter than a slot",
+            backhaul(SLOT_DURATION - Nanos(1)),
+        ),
+    ];
+    for (coupling, b) in cases {
+        let b = b.cells(4).cell_groups(2);
+        let Err(refused) = std::panic::catch_unwind(move || b.build()) else {
+            panic!("cell_groups(2) built with {coupling}");
+        };
+        let message = refused.downcast_ref::<String>().expect("a formatted panic");
+        let expected = format!("cell_groups(g >= 2) conflicts with {coupling}");
+        assert!(message.contains(&expected), "{message}");
+    }
 }
 
 /// PHY ids are `u8`: the 257th PHY would wrap onto cell 0's primary
@@ -255,9 +278,9 @@ fn rntis_sharing_a_ue_directory_entry_are_rejected_at_build_time() {
 }
 
 /// Crossed standbys are built in one shape only, §8's: every cell
-/// behind one middlebox, no spare pool. A fabric is refused ...
+/// behind one middlebox, no spare pool. Cell groups are refused ...
 #[test]
-#[should_panic(expected = "crossed_standbys() conflicts with cell_groups(g >= 2)")]
+#[should_panic(expected = "cell_groups(g >= 2) conflicts with crossed_standbys()")]
 fn crossed_standbys_across_cell_groups_are_rejected_at_build_time() {
     abstract_cells()
         .cells(4)

@@ -258,6 +258,44 @@ fn trace_derives_detection_latency_and_dropped_ttis() {
     assert!(saturated <= notified_rx && notified_rx <= armed && armed <= flip);
 }
 
+/// A failover's drain window feeds the dead primary nothing: no
+/// `KeepAliveStarted` after the notification names it, and the feed
+/// stops at the first fan-out past the migration boundary, once the
+/// standby it fed has become the primary.
+#[test]
+fn failover_stops_the_keep_alive_at_the_boundary() {
+    let mut d = deployment_with_ul_flow(6);
+    d.kill_primary_at(Nanos::from_millis(500));
+    d.engine.run_until(Nanos::from_millis(700));
+
+    let trace = d.engine.event_trace();
+    let failed = d.cells[0].primary_phy_id as u64;
+    let notified = trace
+        .of_kind(TraceEventKind::FailureNotifyReceived)
+        .find(|e| e.a == failed)
+        .expect("the failure was notified")
+        .at;
+    // `MigrateArmed.b` = (dest PHY << 16) | slot scalar; the run is
+    // shorter than the scalar's wrap, so the scalar is the slot.
+    let boundary = trace
+        .of_kind(TraceEventKind::MigrateArmed)
+        .find(|e| e.at >= notified)
+        .expect("the failover armed a migration")
+        .b
+        & 0xFFFF;
+    let started: Vec<_> = trace
+        .of_kind(TraceEventKind::KeepAliveStarted)
+        .filter(|e| e.at >= notified && e.b >> 32 == failed)
+        .map(|e| (e.at, e.b & 0xFFFF_FFFF))
+        .collect();
+    assert!(started.is_empty(), "the dead primary was fed: {started:?}");
+    let stopped = trace
+        .of_kind(TraceEventKind::KeepAliveStopped)
+        .find(|e| e.at >= notified)
+        .expect("the keep-alive stopped");
+    assert_eq!(stopped.b, boundary, "stopped at slot {}", stopped.b);
+}
+
 #[test]
 fn deterministic_failover_runs() {
     let run = |seed| {

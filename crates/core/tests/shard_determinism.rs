@@ -1,19 +1,19 @@
-//! Sharded-engine determinism battery for leaf/spine fabric builds and
-//! for single-switch builds partitioned one lane per cell.
+//! Sharded-engine determinism battery for builds partitioned into cell
+//! groups and for builds partitioned one lane per cell.
 //!
-//! The fabric contract: `cell_groups(g)` is a *structural* knob (it
-//! changes the topology and therefore the trace), while `shards(k)` and
+//! The contract: `cell_groups(g)` is a *structural* knob (it changes
+//! the topology and therefore the trace), while `shards(k)` and
 //! `workers(w)` are pure *execution* knobs — for a fixed topology and
 //! seed, every (shards, workers) combination must produce byte-identical
 //! traces and metrics. The battery pins that across seeds, and drives a
-//! chaos crash whose spare grant crosses shards (leaf cell, spine-side
-//! pool) to prove the recovery plane survives the lane split.
+//! chaos crash in a cell group, judged by the oracle, to prove failover
+//! survives the lane split.
 
-use slingshot::chaos::run_scenario;
+use slingshot::chaos::{expectations_for, ChaosRunner};
 use slingshot::{Deployment, DeploymentBuilder, DeploymentConfig};
 use slingshot_ran::{AppServerNode, CellConfig, Fidelity, PhyNode, UeConfig};
-use slingshot_sim::chaos::{FaultKind, FaultTarget, Scenario};
-use slingshot_sim::{LinkParams, Nanos, SpanProfiler, TraceEventKind};
+use slingshot_sim::chaos::{oracle, FaultKind, FaultTarget, Scenario};
+use slingshot_sim::{LinkParams, Nanos, NodeId, SpanProfiler, TraceEventKind};
 use slingshot_transport::{UdpCbrSource, UdpSink};
 
 fn small_cell() -> CellConfig {
@@ -24,18 +24,11 @@ fn small_cell() -> CellConfig {
     }
 }
 
-/// A 4-cell fabric of `groups` leaves with one uplink flow per cell.
-fn build_fabric(
-    seed: u64,
-    groups: usize,
-    shards: usize,
-    workers: usize,
-    spare_pool: usize,
-) -> Deployment {
+/// 4 cells in `groups` cell groups with one uplink flow per cell.
+fn build_fabric(seed: u64, groups: usize, shards: usize, workers: usize) -> Deployment {
     let cfg = DeploymentConfig {
         cell: small_cell(),
         seed,
-        spare_pool,
         ..DeploymentConfig::default()
     };
     let mut b = DeploymentBuilder::new()
@@ -66,16 +59,9 @@ fn run_fabric(
     groups: usize,
     shards: usize,
     workers: usize,
-    spare_pool: usize,
-    kill_primary_of_cell: Option<usize>,
     horizon_ms: u64,
 ) -> (Vec<u8>, u64, String) {
-    let mut d = build_fabric(seed, groups, shards, workers, spare_pool);
-    if let Some(cell) = kill_primary_of_cell {
-        let phy = d.cells[cell].primary_phy;
-        d.engine.run_until(Nanos::from_millis(horizon_ms / 2));
-        d.engine.kill(phy);
-    }
+    let mut d = build_fabric(seed, groups, shards, workers);
     d.engine.run_until(Nanos::from_millis(horizon_ms));
     d.publish_metrics();
     let trace = d.engine.event_trace();
@@ -88,8 +74,8 @@ fn run_fabric(
 #[test]
 fn sharded_trace_invariant_across_seeds() {
     for seed in 1..=8u64 {
-        let (b1, h1, m1) = run_fabric(seed, 2, 1, 1, 0, None, 100);
-        let (b4, h4, m4) = run_fabric(seed, 2, 4, 4, 0, None, 100);
+        let (b1, h1, m1) = run_fabric(seed, 2, 1, 1, 100);
+        let (b4, h4, m4) = run_fabric(seed, 2, 4, 4, 100);
         assert!(!b1.is_empty(), "trace must not be empty (seed {seed})");
         assert_eq!(h1, h4, "trace hash diverged at seed {seed}");
         assert_eq!(b1, b4, "trace bytes diverged at seed {seed}");
@@ -103,7 +89,7 @@ fn sharded_trace_invariant_across_seeds() {
 /// channel.
 #[test]
 fn profiler_set_after_build_reaches_every_lane() {
-    let mut d = build_fabric(5, 2, 2, 1, 0);
+    let mut d = build_fabric(5, 2, 2, 1);
     let profiler = SpanProfiler::enabled();
     d.engine.set_profiler(profiler.clone());
     d.engine.run_until(Nanos::from_millis(5));
@@ -117,7 +103,7 @@ fn profiler_set_after_build_reaches_every_lane() {
             "no {stage} span reached the profiler"
         );
     }
-    let unprofiled = run_fabric(5, 2, 2, 1, 0, None, 5);
+    let unprofiled = run_fabric(5, 2, 2, 1, 5);
     assert_eq!(d.engine.event_trace().hash(), unprofiled.1);
 }
 
@@ -126,10 +112,10 @@ fn profiler_set_after_build_reaches_every_lane() {
 #[test]
 fn shard_worker_cross_product_is_identical() {
     for seed in [3u64, 11] {
-        let reference = run_fabric(seed, 4, 1, 1, 0, None, 100);
+        let reference = run_fabric(seed, 4, 1, 1, 100);
         for shards in [1usize, 4] {
             for workers in [1usize, 4] {
-                let got = run_fabric(seed, 4, shards, workers, 0, None, 100);
+                let got = run_fabric(seed, 4, shards, workers, 100);
                 assert_eq!(
                     reference, got,
                     "seed {seed}: shards={shards} workers={workers} diverged"
@@ -205,129 +191,34 @@ fn dup_reorder_fault_battery_across_shards_and_workers() {
     }
 }
 
-/// A primary crash in a leaf cell with the spare pool on the spine: the
-/// SpareRequest, grant, InstallStandby, and init-FAPI replay all cross
-/// the leaf↔spine boundary (and the lane barrier). The recovery loop
-/// must complete — and stay byte-identical across shard counts.
+/// A primary crash in a cell group's second cell, run through the chaos
+/// runner: the leaf detects it and the cell fails over to its standby
+/// within the paper's bounds (the oracle's verdict), with a trace
+/// byte-identical at shards {1, 4} × workers {1, 2}.
 #[test]
-fn cross_shard_spare_grant_recovers_and_stays_deterministic() {
-    let seed = 7u64;
-    let (b1, _, m1) = run_fabric(seed, 2, 1, 1, 1, Some(3), 600);
-    let (b4, _, m4) = run_fabric(seed, 2, 4, 4, 1, Some(3), 600);
-    assert_eq!(b1, b4, "cross-shard recovery trace diverged");
-    assert_eq!(m1, m4, "cross-shard recovery metrics diverged");
-
-    // Re-run one config to inspect the trace events directly.
-    let cfg = DeploymentConfig {
-        cell: small_cell(),
-        seed,
-        spare_pool: 1,
-        ..DeploymentConfig::default()
-    };
-    let mut b = DeploymentBuilder::new()
-        .config(cfg)
-        .cells(4)
-        .cell_groups(2)
-        .shards(4)
-        .workers(1);
-    for i in 0..4u8 {
-        b = b.ue(UeConfig::new(100 + i as u16, i, &format!("ue{i}"), 22.0));
-    }
-    let mut d = b.build();
-    let crashed_cell = 3usize;
-    let phy = d.cells[crashed_cell].primary_phy;
-    d.engine.run_until(Nanos::from_millis(300));
-    d.engine.kill(phy);
-    d.engine.run_until(Nanos::from_millis(600));
-
-    let count = |kind: TraceEventKind| {
-        d.engine
-            .event_trace()
-            .iter()
-            .filter(|ev| ev.kind == kind)
-            .count()
-    };
-    assert!(
-        count(TraceEventKind::SpareRequested) >= 1,
-        "no spare requested after draining the cell's standby"
+fn fabric_crash_passes_the_oracle_at_every_shard_and_worker_count() {
+    let scenario = Scenario::new("fabric-crash", 1200).fault(
+        600,
+        FaultTarget::ActivePhyOf(3),
+        FaultKind::PhyCrash,
     );
-    assert!(
-        count(TraceEventKind::SpareGranted) >= 1,
-        "spine-side pool never granted a spare to the leaf cell"
-    );
-    assert!(
-        count(TraceEventKind::StandbyRepaired) >= 1,
-        "crashed cell never re-paired with the granted spare"
-    );
-}
-
-/// The recovery orchestrator (spine lane) restarts a crashed leaf-cell
-/// PHY and sends it the scrub in one callback. The restart is staged
-/// for the barrier, so at send time the fleet view still has the PHY
-/// dead: the scrub must still reach it, or the PHY rejoins the pool
-/// with the RU it served, starves of FAPI requests and kills itself a
-/// millisecond later (two `SlotDeadlineMiss`, then `NodeKilled`).
-#[test]
-fn scrub_reaches_a_phy_restarted_across_the_lane_barrier() {
     let mut traces = Vec::new();
-    for workers in [1usize, 2] {
-        let ues: Vec<UeConfig> = (0..2u8)
-            .map(|c| UeConfig::new(100 + c as u16, c, &format!("ue{c}"), 22.0))
-            .collect();
-        let mut d = DeploymentBuilder::new()
-            .seed(42)
-            .cell(CellConfig {
-                num_prbs: 24,
-                ..small_cell()
-            })
-            .cells(2)
-            .cell_groups(2)
-            .workers(workers)
-            .spare_pool(1)
-            .ues(ues)
-            .build();
-        assert_eq!(d.engine.lane_loads().len(), 3, "spine lane plus two leaves");
-        for c in 0..2usize {
-            d.add_flow(
-                c,
-                100 + c as u16,
-                Box::new(UdpCbrSource::new(4_000_000, 1000, Nanos::ZERO)),
-                Box::new(UdpSink::new(Nanos::ZERO, Nanos::from_millis(10))),
-            );
+    for shards in [1usize, 4] {
+        for workers in [1usize, 2] {
+            let mut d = build_fabric(7, 2, shards, workers);
+            let exp = expectations_for(&d, &scenario);
+            ChaosRunner::new(&scenario).run(&mut d, scenario.horizon_slots);
+            let trace = d.engine.event_trace();
+            let report = oracle::check(trace, &exp);
+            let case = format!("shards={shards} workers={workers}");
+            assert!(report.ok(), "{case}: {:?}", report.violations);
+            assert_eq!(report.slo.fleet.detections, 1, "{case}");
+            let mut flips = trace.of_kind(TraceEventKind::MapFlip);
+            assert!(flips.any(|e| e.a == 3), "{case}: cell 3 never failed over");
+            traces.push(trace.to_bytes());
         }
-        let scenario =
-            Scenario::new("crash", 1600).fault(600, FaultTarget::ActivePhy, FaultKind::PhyCrash);
-        let node = d.cells[0].primary_phy;
-        let phy = d.cells[0].primary_phy_id as u64;
-        run_scenario(&mut d, &scenario);
-        let trace = d.engine.event_trace();
-        let returned = trace
-            .of_kind(TraceEventKind::SpareReturned)
-            .find(|e| e.a == phy)
-            .expect("the crashed primary was scrubbed back into the pool")
-            .at;
-        let revived = trace
-            .of_kind(TraceEventKind::NodeRevived)
-            .any(|e| e.a == node.0 as u64 && e.at == returned);
-        assert!(
-            revived,
-            "{workers} workers: the restart landed with the return"
-        );
-        let after: Vec<_> = trace
-            .iter()
-            .filter(|e| e.at >= returned)
-            .filter(|e| {
-                e.node == node || (e.kind == TraceEventKind::NodeKilled && e.a == node.0 as u64)
-            })
-            .map(|e| (e.at, e.kind))
-            .collect();
-        assert!(
-            after.is_empty(),
-            "{workers} workers: the scrubbed PHY {after:?}"
-        );
-        traces.push(trace.to_bytes());
     }
-    assert!(traces[0] == traces[1], "2 workers diverged");
+    assert!(traces.iter().all(|t| *t == traces[0]), "the trace moved");
 }
 
 /// What four one-UE cells delivered, whatever switches they sat behind:
@@ -343,7 +234,7 @@ struct Delivered {
 /// [`build_fabric`] (no spare pool) run for 400 slots: what it
 /// delivered, and its trace bytes.
 fn run_cells(groups: usize, workers: usize) -> (Delivered, Vec<u8>) {
-    let mut d = build_fabric(11, groups, 1, workers, 0);
+    let mut d = build_fabric(11, groups, 1, workers);
     d.engine.run_until(Nanos::from_millis(200));
     let server = d.engine.node::<AppServerNode>(d.server).unwrap();
     let ue_bytes = (0..4u16)
@@ -386,10 +277,10 @@ fn run_cells(groups: usize, workers: usize) -> (Delivered, Vec<u8>) {
 }
 
 /// Four uncoupled cells on one switch are partitioned one lane per
-/// cell; on a four-leaf fabric they get the same lanes behind leaves
-/// joined by a spine. Both deliver exactly the same bytes, UL slots and
-/// TB outcomes at 1 and 4 workers, and each build's trace is
-/// byte-identical across its two worker counts.
+/// cell; in four cell groups they get the same partitions and lanes.
+/// Both deliver exactly the same bytes, UL slots and TB outcomes at 1
+/// and 4 workers, and the trace is byte-identical across both builds
+/// and both worker counts.
 #[test]
 fn partitioned_switch_delivers_what_a_four_leaf_fabric_delivers() {
     let (single_1, single_trace_1) = run_cells(1, 1);
@@ -413,10 +304,16 @@ fn partitioned_switch_delivers_what_a_four_leaf_fabric_delivers() {
         fabric_trace_1 == fabric_trace_4,
         "fabric trace moved with workers"
     );
+    // Four groups of one cell are the per-cell partitions themselves.
+    assert!(
+        single_trace_1 == fabric_trace_1,
+        "four cell groups built another topology"
+    );
 }
 
-/// Structural sanity: a fabric build exposes its leaves and spine, maps
-/// each RU to its owning leaf, and a single-switch build whose cells
+/// Structural sanity: a cell-group build exposes its leaves, maps each
+/// RU to its owning leaf, puts each cell in its leaf's lane and only
+/// `server` and `core` in lane 0, and a single-switch build whose cells
 /// are coupled (here by a spare pool) still maps everything to the one
 /// shared switch.
 #[test]
@@ -425,15 +322,14 @@ fn fabric_directories_resolve_switches() {
         .seed(1)
         .cell(small_cell())
         .cells(4)
-        .cell_groups(2)
-        .spare_pool(1);
+        .cell_groups(2);
     for i in 0..4u8 {
         b = b.ue(UeConfig::new(100 + i as u16, i, &format!("ue{i}"), 22.0));
     }
     let d = b.build();
     assert_eq!(d.leaves.len(), 2);
-    assert_eq!(d.spine, Some(d.switch));
-    // Spine lane plus one lane per leaf group.
+    assert_eq!(d.switch, d.leaves[0]);
+    // Lane 0 (`server`, `core`) plus one lane per leaf group.
     assert_eq!(d.engine.lane_loads().len(), 3);
     // Contiguous split: cells 0-1 on leaf0, cells 2-3 on leaf1.
     assert_eq!(d.switch_for_ru(0), d.leaves[0]);
@@ -444,10 +340,17 @@ fn fabric_directories_resolve_switches() {
         let leaf = d.switch_for_ru(cell.ru_id);
         assert_eq!(d.switch_for_node(cell.ru), leaf);
         assert_eq!(d.switch_for_node(cell.primary_phy), leaf);
+        let lane = d.engine.lane_index(leaf);
+        for node in [cell.ru, cell.l2, cell.primary_phy, cell.orion_secondary] {
+            assert_eq!(d.engine.lane_index(node), lane);
+        }
     }
-    for (_, phy, _) in &d.spare_phys {
-        assert_eq!(d.switch_for_node(*phy), d.switch);
-    }
+    let names = d.engine.node_names();
+    let in_lane_0: Vec<&str> = (0..names.len())
+        .filter(|&i| d.engine.lane_index(NodeId(i)) == 0)
+        .map(|i| names[i].as_str())
+        .collect();
+    assert_eq!(in_lane_0, ["server", "core"]);
 
     let single = DeploymentBuilder::new()
         .seed(1)

@@ -11,7 +11,8 @@
 //! applied serially at the barrier. Within a lane, a node may defer a
 //! continuation to the end of the current instant ([`Ctx::defer`]),
 //! and the members share lane-owned state ([`Ctx::lane_state`]): the
-//! PHYs of a lane pool an instant's LDPC work into shared batches so.
+//! PHYs of a lane pool an instant's LDPC work into shared batches, so
+//! code blocks of different PHYs fill one lockstep decode.
 //!
 //! Nodes exchange messages of a single application-defined type `M`
 //! (an enum in the higher-level crates covering Ethernet frames, radio
@@ -1134,9 +1135,9 @@ impl<M: Message> Engine<M> {
     }
 
     /// Per-lane dispatched-event counts, in lane order. A load-balance
-    /// diagnostic: on a fabric deployment lane 0 is the spine domain,
-    /// lanes 1..=g the leaf groups, and parallel speedup is bounded by
-    /// the heaviest lane's share.
+    /// diagnostic: on a partitioned deployment lane 0 holds the app
+    /// server and core network, lanes 1..=g the cell groups, and
+    /// parallel speedup is bounded by the heaviest lane's share.
     pub fn lane_loads(&self) -> Vec<u64> {
         self.lanes.iter().flatten().map(|l| l.dispatched).collect()
     }
@@ -1264,8 +1265,8 @@ impl<M: Message> Engine<M> {
     /// whose windows run on up to `workers` threads — the caller and
     /// `workers − 1` runner threads, with `workers` clamped to the
     /// host's available parallelism. `lane_of[i]` is node `i`'s lane;
-    /// lane 0 is conventionally the spine domain (core network,
-    /// recovery orchestrator, spare pool). Must be called after every
+    /// a partitioned deployment puts what no cell group owns (app
+    /// server, core network) in lane 0. Must be called after every
     /// node is registered and before the first run.
     ///
     /// Each lane gets its own RNG stream (split off the root in lane
@@ -1569,11 +1570,13 @@ mod tests {
         fn on_msg(&mut self, _ctx: &mut Ctx<'_, TestMsg>, _from: NodeId, _msg: TestMsg) {}
     }
 
-    /// Beats every 100 ns for as long as it is alive.
+    /// Beats every 100 ns for as long as it is alive, and notes how
+    /// many times it had started when each message arrived.
     #[derive(Default)]
     struct Beater {
         starts: u64,
         beats: u64,
+        got_after_starts: Vec<u64>,
     }
 
     impl Node<TestMsg> for Beater {
@@ -1585,7 +1588,9 @@ mod tests {
             self.beats += 1;
             ctx.timer(Nanos(100), 0);
         }
-        fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
+        fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {
+            self.got_after_starts.push(self.starts);
+        }
 
         fn instrument(&self, scope: &str, sink: &mut dyn InstrumentSink) {
             sink.counter(scope, "beats", self.beats);
@@ -2036,7 +2041,10 @@ mod tests {
 
     /// A kill or restart aimed at another lane's node is staged and
     /// lands at the next slot barrier, traced there under the actor's
-    /// id; until then the target keeps running.
+    /// id; until then the target keeps running. A message sent right
+    /// after the restart (an orchestrator's scrub of the PHY it
+    /// relaunches) is not judged by the fleet view, which still has the
+    /// target dead: it arrives once, after the second `on_start`.
     #[test]
     fn cross_lane_kill_and_restart_land_at_the_barrier() {
         struct Reaper {
@@ -2055,6 +2063,7 @@ mod tests {
                 } else {
                     assert!(!ctx.is_alive(self.victim));
                     ctx.restart(self.victim);
+                    ctx.send_in(self.victim, Nanos(1_000), TestMsg(7, 64));
                 }
             }
             fn on_msg(&mut self, _c: &mut Ctx<'_, TestMsg>, _f: NodeId, _m: TestMsg) {}
@@ -2080,6 +2089,7 @@ mod tests {
         let v = e.node::<Beater>(victim).unwrap();
         assert_eq!(v.starts, 2);
         assert_eq!(v.beats, 5_000 + 5_000);
+        assert_eq!(v.got_after_starts, [2]);
     }
 
     /// A node that dies inside a window stays alive to other lanes until
